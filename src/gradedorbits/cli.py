@@ -32,6 +32,27 @@ def _parse_cochar(text: str) -> Cocharacter:
     return Cocharacter.of(int(x) for x in text.split(","))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _int_list(text: str) -> list:
+    """argparse type: comma-separated integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _emit(args, text_lines, payload) -> None:
     if args.quiet:
         return
@@ -219,15 +240,14 @@ def cmd_primes(args) -> int:
 
 def cmd_fibers(args) -> int:
     case = load_case(args.case)
-    primes = [int(x) for x in args.primes.split(",")]
-    report = verify_fiber_counts(case, primes)
+    report = verify_fiber_counts(case, args.primes)
     rows = [
         (r.orbit, r.prime, r.stratum, r.count, r.predicted, "ok" if r.match else "MISMATCH")
         for r in report.rows
     ]
     payload = {
         "case": report.case,
-        "primes": primes,
+        "primes": args.primes,
         "all_match": report.all_match,
         "rows": [
             {
@@ -281,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("orbits", help="nilpotent orbit table")
     p.add_argument("--type", required=True, choices=["sl", "sp"])
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=_positive_int)
     p.set_defaults(func=cmd_orbits)
 
     p = add_parser("graded-orbits", help="orbits in a graded piece (type A)")
@@ -319,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("fibers", help="finite-field fiber count verification")
     p.add_argument("--case", required=True, choices=["sp4", "sl4"])
-    p.add_argument("--primes", required=True)
+    p.add_argument("--primes", required=True, type=_int_list)
     p.set_defaults(func=cmd_fibers)
 
     p = add_parser("stalks", help="stalk table of the induced cuspidal system")

@@ -1,10 +1,14 @@
 """Brute-force flag enumeration over prime fields.
 
 Every fiber description shipped with a case is independently verified by
-counting flags over F_p: subspaces are enumerated exhaustively in reduced
-row echelon form, conditions are evaluated entry by entry, and counts are
-compared against evaluated counting polynomials (with a residue-class rule
-for the one stratum pair defined over a quadratic extension).
+counting flags over F_p.  For each (case, prime) there is one exhaustive
+sweep: every k-subspace of F_p^d is enumerated in reduced row echelon
+form, and for each one the sweep decides, for every orbit representative
+of the case at once, whether the subspace is stable and which strata it
+lies in.  The counts are compared against evaluated counting polynomials
+(with a residue-class rule for the one stratum pair defined over a
+quadratic extension).  An independent per-stratum sweep with generic
+elimination lives in ``tests/oracles.py``, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .cohom import CaseData, counting_polynomial
-from .exactlin import IntMatrix, is_prime
+from .exactlin import IntMatrix, is_prime, rank_and_kernel
 
 
 class LimitExceeded(ValueError):
@@ -29,11 +33,9 @@ MAX_DIM = 6
 
 CONDITIONS = (
     "stable",
-    "sub-zero",
     "sub-nonzero",
     "middle-zero",
     "middle-nonzero",
-    "quot-zero",
     "quot-nonzero",
 )
 
@@ -56,18 +58,28 @@ class PrimeFieldMatrix:
 
 @dataclass(frozen=True)
 class FlagSpec:
+    """The k-subspaces V of F_p^d (k = ``flag_dim``) on which an element x
+    meets every listed condition.
+
+    ``stable``: x V is inside V.  ``sub-nonzero``: x does not vanish on V.
+    ``quot-nonzero``: x does not vanish on F_p^d / V.  ``middle-zero`` and
+    ``middle-nonzero``: x maps the perp of V under ``form`` into V, or does
+    not; they need a form.
+    """
+
     ambient_dim: int
-    flag_dims: tuple
+    flag_dim: int
     form: IntMatrix | None
     conditions: tuple
 
     def __post_init__(self):
-        for k in self.flag_dims:
-            if not 1 <= k < self.ambient_dim:
-                raise ValueError("flag dimensions must be strictly inside")
+        if not 1 <= self.flag_dim < self.ambient_dim:
+            raise ValueError("flag dimensions must be strictly inside")
         for c in self.conditions:
             if c not in CONDITIONS:
                 raise ValueError(f"unknown condition {c!r}")
+            if c.startswith("middle") and self.form is None:
+                raise ValueError(f"condition {c!r} needs a form")
 
 
 @dataclass(frozen=True)
@@ -99,87 +111,32 @@ def gaussian_binomial(d: int, k: int, q: int) -> int:
     return num // den
 
 
+def _echelon_rows(p, d, pivots, i):
+    """Every possible row i of a reduced echelon basis with these pivots."""
+    free = [j for j in range(pivots[i] + 1, d) if j not in pivots]
+    for values in itertools.product(range(p), repeat=len(free)):
+        row = [0] * d
+        row[pivots[i]] = 1
+        for j, v in zip(free, values):
+            row[j] = v
+        yield tuple(row)
+
+
 def enumerate_subspaces(p: int, d: int, k: int):
     """All k-dimensional subspaces of F_p^d, one reduced-row-echelon basis
-    each."""
+    each.
+
+    Bases with the same pivots share the tuples of their leading k - 1
+    rows, so a row that did not change from one basis to the next is the
+    same object.  Only the last row is built afresh for every basis, which
+    keeps the rows held at once to at most (k - 1) p^(d - k)."""
     if not is_prime(p) or p > MAX_PRIME or d > MAX_DIM or not 1 <= k < d:
         raise LimitExceeded("enumeration bounds: p prime <= 13, d <= 6, 1 <= k < d")
     for pivots in itertools.combinations(range(d), k):
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(d)
-            if j > pivots[i] and j not in pivots
-        ]
-        for values in itertools.product(range(p), repeat=len(free)):
-            rows = [[0] * d for _ in range(k)]
-            for i in range(k):
-                rows[i][pivots[i]] = 1
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            yield tuple(tuple(r) for r in rows)
-
-
-def _matvec(m, v, p):
-    return tuple(sum(a * b for a, b in zip(row, v)) % p for row in m)
-
-
-def _reduce_into(basis, vec, p):
-    """Reduce vec against echelon basis rows; returns the remainder."""
-    v = list(vec)
-    for row in basis:
-        j = next(i for i, x in enumerate(row) if x != 0)
-        if v[j] % p != 0:
-            inv = pow(row[j], p - 2, p)
-            c = (v[j] * inv) % p
-            v = [(a - c * b) % p for a, b in zip(v, row)]
-    return tuple(x % p for x in v)
-
-
-def _in_subspace(basis, vec, p):
-    return all(x % p == 0 for x in _reduce_into(basis, vec, p))
-
-
-def _echelonize(rows, p):
-    mat = [list(r) for r in rows]
-    out = []
-    for col in range(len(mat[0]) if mat else 0):
-        pivot = None
-        for r in mat:
-            if r[col] % p != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat.remove(pivot)
-        inv = pow(pivot[col], p - 2, p)
-        pivot = [(x * inv) % p for x in pivot]
-        mat = [
-            [(a - r[col] * b) % p for a, b in zip(r, pivot)] for r in mat
-        ]
-        out.append(tuple(pivot))
-    return tuple(out)
-
-
-def _perp(vectors, form, p):
-    """Basis of the perp of the span of ``vectors`` for the given form."""
-    d = form.rows
-    rows = [
-        tuple(sum(v[i] * form.entries[i][j] for i in range(d)) % p for j in range(d))
-        for v in vectors
-    ]
-    # kernel of the (len(vectors) x d) matrix
-    mat = _echelonize(rows, p)
-    pivots = [next(i for i, x in enumerate(r) if x != 0) for r in mat]
-    free = [j for j in range(d) if j not in pivots]
-    out = []
-    for j in free:
-        vec = [0] * d
-        vec[j] = 1
-        for r, pc in zip(mat, pivots):
-            vec[pc] = (-r[j]) % p
-        out.append(tuple(vec))
-    return _echelonize(out, p)
+        heads = [list(_echelon_rows(p, d, pivots, i)) for i in range(k - 1)]
+        for head in itertools.product(*heads):
+            for last in _echelon_rows(p, d, pivots, k - 1):
+                yield head + (last,)
 
 
 def _validate_element(x_rows, p, d, form):
@@ -208,6 +165,113 @@ def _validate_element(x_rows, p, d, form):
                     raise NotStableUnderForm("element is not in the form's algebra")
 
 
+def _apply(entries, v, d):
+    """x v, from the nonzero entries (i, j, a) of x; not reduced mod p."""
+    w = [0] * d
+    for i, j, a in entries:
+        w[i] += a * v[j]
+    return w
+
+
+def _in_span(w, basis, pivots, nonpivots, p):
+    """Whether w lies in the span of an echelon basis: the only candidate
+    is the combination of the rows weighted by w at their pivots, so it is
+    enough to compare that with w on the non-pivot columns."""
+    for j in nonpivots:
+        s = w[j]
+        for pivot, row in zip(pivots, basis):
+            s -= w[pivot] * row[j]
+        if s % p:
+            return False
+    return True
+
+
+def _perp(basis, form, p):
+    """(A, K): the rows v^T B of the basis vectors v, and a basis K of the
+    perp of the span, the right kernel of A over F_p."""
+    d = form.rows
+    a = tuple(
+        tuple(sum(v[i] * form.entries[i][j] for i in range(d)) % p for j in range(d))
+        for v in basis
+    )
+    return a, rank_and_kernel(IntMatrix.from_rows(a), p)[1]
+
+
+def _sweep(p, d, k, form, elements, condition_sets):
+    """counts[e][c]: the number of k-subspaces V of F_p^d for which
+    ``elements[e]`` meets every condition of ``condition_sets[c]``.
+
+    One exhaustive pass over the Grassmannian serves every element and
+    every condition set.  Each element is validated first.  Under a form,
+    the perp of every x-stable subspace is checked to be x-stable too, and
+    a failure raises NotStableUnderForm.
+    """
+    for x_rows in elements:
+        _validate_element(x_rows, p, d, form)
+    entries = [
+        tuple((i, j, a) for i, row in enumerate(x) for j, a in enumerate(row) if a)
+        for x in elements
+    ]
+    columns = [[col for col in zip(*x) if any(col)] for x in elements]
+    needed = set().union(*condition_sets)
+    only_stable = all("stable" in c for c in condition_sets)
+    counts = [[0] * len(condition_sets) for _ in elements]
+    images = [[None] * k for _ in elements]
+    nonpivots_of = {}
+    previous = (None,) * k
+    for basis in enumerate_subspaces(p, d, k):
+        pivots = tuple(row.index(1) for row in basis)
+        nonpivots = nonpivots_of.get(pivots)
+        if nonpivots is None:
+            nonpivots = nonpivots_of[pivots] = tuple(
+                j for j in range(d) if j not in pivots
+            )
+        # rows shared with the previous basis keep their images
+        fresh = [i for i in range(k) if basis[i] is not previous[i]]
+        previous = basis
+        perp = None
+        for e, xe in enumerate(entries):
+            imgs = images[e]
+            for i in fresh:
+                imgs[i] = _apply(xe, basis[i], d)
+            stable = True
+            for w in imgs:
+                if not _in_span(w, basis, pivots, nonpivots, p):
+                    stable = False
+                    break
+            if not stable and only_stable:
+                continue
+            facts = {"stable": stable}
+            if "sub-nonzero" in needed:
+                facts["sub-nonzero"] = any(c % p for w in imgs for c in w)
+            if "quot-nonzero" in needed:
+                facts["quot-nonzero"] = not all(
+                    _in_span(col, basis, pivots, nonpivots, p) for col in columns[e]
+                )
+            if form is not None:
+                if perp is None:
+                    a, perp = _perp(basis, form, p)
+                perp_images = [_apply(xe, u, d) for u in perp]
+                if stable and any(
+                    sum(b * c for b, c in zip(row, w)) % p
+                    for w in perp_images
+                    for row in a
+                ):
+                    raise NotStableUnderForm(
+                        "perp of a stable subspace failed to be stable"
+                    )
+                middle_zero = all(
+                    _in_span(w, basis, pivots, nonpivots, p) for w in perp_images
+                )
+                facts["middle-zero"] = middle_zero
+                facts["middle-nonzero"] = not middle_zero
+            tally = counts[e]
+            for c, conditions in enumerate(condition_sets):
+                if all(facts[name] for name in conditions):
+                    tally[c] += 1
+    return counts
+
+
 def count_stable_flags(x, spec: FlagSpec, p: int | None = None) -> int:
     """Number of flags over F_p meeting every condition of the spec.
 
@@ -224,74 +288,29 @@ def count_stable_flags(x, spec: FlagSpec, p: int | None = None) -> int:
         if p is None:
             raise ValueError("a prime is required with an integer matrix")
         x_rows = tuple(tuple(a % p for a in row) for row in x.entries)
-    d = spec.ambient_dim
-    _validate_element(x_rows, p, d, spec.form)
-    count = 0
-    k = spec.flag_dims[0]
-    for basis in enumerate_subspaces(p, d, k):
-        if not _satisfies(x_rows, basis, spec, p):
-            continue
-        count += 1
-    return count
-
-
-def _satisfies(x_rows, basis, spec, p) -> bool:
-    d = spec.ambient_dim
-    conditions = spec.conditions
-    images = [_matvec(x_rows, v, p) for v in basis]
-    stable = all(_in_subspace(basis, img, p) for img in images)
-    if "stable" in conditions and not stable:
-        return False
-    if spec.form is not None:
-        perp = _perp(basis, spec.form, p)
-        if stable:
-            # stability of the perp follows from stability of the line
-            perp_images = [_matvec(x_rows, v, p) for v in perp]
-            if not all(_in_subspace(perp, img, p) for img in perp_images):
-                raise NotStableUnderForm(
-                    "perp of a stable subspace failed to be stable"
-                )
-        middle_zero = all(
-            _in_subspace(basis, _matvec(x_rows, v, p), p) for v in perp
-        )
-        if "middle-zero" in conditions and not middle_zero:
-            return False
-        if "middle-nonzero" in conditions and middle_zero:
-            return False
-        return True
-    sub_zero = all(all(c % p == 0 for c in img) for img in images)
-    if "sub-zero" in conditions and not sub_zero:
-        return False
-    if "sub-nonzero" in conditions and sub_zero:
-        return False
-    unit = [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
-    quot_zero = all(
-        _in_subspace(basis, _matvec(x_rows, e, p), p) for e in unit
+    counts = _sweep(
+        p, spec.ambient_dim, spec.flag_dim, spec.form, [x_rows], [spec.conditions]
     )
-    if "quot-zero" in conditions and not quot_zero:
-        return False
-    if "quot-nonzero" in conditions and quot_zero:
-        return False
-    return True
+    return counts[0][0]
 
 
 def _strata_for(case: CaseData):
     if case.flag_kind == "isotropic-line":
-        flag_dims = (1,)
+        flag_dim = 1
         strata = [
             ("full", ("stable",), "full_fiber"),
             ("zero", ("stable", "middle-zero"), "zero_part"),
             ("cuspidal", ("stable", "middle-nonzero"), "cuspidal_part"),
         ]
     elif case.flag_kind == "two-plane":
-        flag_dims = (2,)
+        flag_dim = 2
         strata = [
             ("full", ("stable",), "full_fiber"),
             ("cuspidal", ("stable", "sub-nonzero", "quot-nonzero"), "cuspidal_part"),
         ]
     else:
         raise ValueError(f"unknown flag kind {case.flag_kind!r}")
-    return flag_dims, strata
+    return flag_dim, strata
 
 
 def _gauss_pair_points(p: int) -> int:
@@ -305,22 +324,30 @@ def verify_fiber_counts(case: CaseData, primes) -> CountReport:
     """Count every stratum of every orbit fiber over each prime and compare
     with the predicted value.
 
-    Predictions evaluate the counting polynomial, except for a stratum pair
-    defined over a quadratic extension: its zero part contributes 2 or 0
-    points according to q mod 4, and the complementary cuspidal part picks
-    up the rest of the full fiber.
+    Each prime takes one sweep of the Grassmannian that counts all orbits
+    and strata of the case together.  Predictions evaluate the counting
+    polynomial, except for a stratum pair defined over a quadratic
+    extension: its zero part contributes 2 or 0 points according to q mod
+    4, and the complementary cuspidal part picks up the rest of the full
+    fiber.
     """
-    flag_dims, strata = _strata_for(case)
+    flag_dim, strata = _strata_for(case)
+    condition_sets = [conditions for _, conditions, _ in strata]
     rows = []
     for p in primes:
         if not is_prime(p) or p > MAX_PRIME:
             raise LimitExceeded("primes must be prime and <= 13")
-        for orbit in case.orbits:
+        elements = [
+            tuple(tuple(a % p for a in row) for row in orbit.representative.entries)
+            for orbit in case.orbits
+        ]
+        counts = _sweep(
+            p, case.ambient_dim, flag_dim, case.form, elements, condition_sets
+        )
+        for orbit, orbit_counts in zip(case.orbits, counts):
             full_pred = counting_polynomial(orbit.full_fiber)(p)
-            for stratum, conditions, attr in strata:
-                expr = getattr(orbit, attr if attr != "full_fiber" else "full_fiber")
-                spec = FlagSpec(case.ambient_dim, flag_dims, case.form, conditions)
-                count = count_stable_flags(orbit.representative, spec, p)
+            for (stratum, _, attr), count in zip(strata, orbit_counts):
+                expr = getattr(orbit, attr)
                 if stratum == "full":
                     predicted = full_pred
                 elif orbit.zero_part_twisted_pair:

@@ -153,3 +153,34 @@ def test_graded_orbits_levi_column(capsys):
     assert by_label["[1-2]+[2]+[3]"]["levi_blocks"] == [2, 1, 1]
     assert by_label["[1]+[2]+[2]+[3]"]["levi_blocks"] == [1, 2, 1]
     assert [o["dim"] for o in payload["orbits"]] == [4, 3, 2, 2, 0]
+
+
+def test_fibers_primes_parse_error_names_flag(capsys):
+    assert cli.run(["fibers", "--case", "sl4", "--primes", "2,,3"]) == 2
+    captured = capsys.readouterr()
+    assert "--primes" in captured.err
+    assert "invalid literal" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize("kind", ["sl", "sp"])
+def test_orbits_rejects_n_below_one(capsys, kind, n):
+    assert cli.run(["orbits", "--type", kind, "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert "--n" in captured.err
+    assert captured.out == ""
+
+
+def test_orbits_sl3_json_bytes(capsys):
+    code, out = run_capture(capsys, ["orbits", "--type", "sl", "--n", "3", "--json"])
+    assert code == 0
+    assert out == (
+        '{"n": 3, "orbits": ['
+        '{"component_group": "Z/3", "component_group_order": 3, "dim": 6, '
+        '"label": "[3]", "partition": [3]}, '
+        '{"component_group": "1", "component_group_order": 1, "dim": 4, '
+        '"label": "[2,1]", "partition": [2, 1]}, '
+        '{"component_group": "1", "component_group_order": 1, "dim": 0, '
+        '"label": "[1^3]", "partition": [1, 1, 1]}], "type": "sl"}\n'
+    )

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from gradedorbits.cohom import load_case
-from gradedorbits.exactlin import IntMatrix, parse_matrix_text
+from gradedorbits.cohom import CaseData, FiberDatum, Pt, load_case
+from gradedorbits.exactlin import IntMatrix, Partition, parse_matrix_text
 from gradedorbits.ffgeom import (
     CountReport,
     FlagSpec,
@@ -12,8 +14,25 @@ from gradedorbits.ffgeom import (
     gaussian_binomial,
     verify_fiber_counts,
 )
+from oracles import echelon_subspaces, flag_count_by_elimination
 
 SP_FORM = parse_matrix_text("0,0,1,0;0,0,0,1;-1,0,0,0;0,-1,0,0")
+
+# flag dimension and the conditions of each stratum, per flag kind
+STRATA = {
+    "isotropic-line": (
+        1,
+        {
+            "full": ("stable",),
+            "zero": ("stable", "middle-zero"),
+            "cuspidal": ("stable", "middle-nonzero"),
+        },
+    ),
+    "two-plane": (
+        2,
+        {"full": ("stable",), "cuspidal": ("stable", "sub-nonzero", "quot-nonzero")},
+    ),
+}
 
 
 def test_enumerate_counts():
@@ -28,6 +47,11 @@ def test_enumerate_unique():
     assert len(seen) == gaussian_binomial(4, 2, 3)
 
 
+def test_enumerate_matches_oracle_order():
+    for p, d, k in ((2, 4, 1), (2, 4, 2), (3, 4, 2), (2, 4, 3), (3, 5, 2), (2, 5, 3)):
+        assert list(enumerate_subspaces(p, d, k)) == list(echelon_subspaces(p, d, k))
+
+
 def test_enumerate_guard():
     with pytest.raises(LimitExceeded):
         list(enumerate_subspaces(17, 4, 1))
@@ -39,7 +63,7 @@ def test_enumerate_guard():
 
 def test_count_sp4_middle_orbit_full_fiber():
     x = parse_matrix_text("0,0,1,0;0,0,0,0;0,0,0,0;0,0,0,0")
-    spec = FlagSpec(4, (1,), SP_FORM, ("stable",))
+    spec = FlagSpec(4, 1, SP_FORM, ("stable",))
     assert count_stable_flags(x, spec, 3) == 13
 
 
@@ -49,7 +73,7 @@ def test_prime_field_matrix_entry_reduction():
     x = parse_matrix_text("0,0,1,0;0,0,0,0;0,0,0,0;0,0,0,0")
     reduced = PrimeFieldMatrix.reduce(x, 3)
     assert all(0 <= a < 3 for row in reduced.entries for a in row)
-    spec = FlagSpec(4, (1,), SP_FORM, ("stable",))
+    spec = FlagSpec(4, 1, SP_FORM, ("stable",))
     assert count_stable_flags(reduced, spec) == 13
     with pytest.raises(ValueError):
         PrimeFieldMatrix.reduce(x, 4)
@@ -59,27 +83,39 @@ def test_prime_field_matrix_entry_reduction():
 
 def test_count_sl4_subregular_cuspidal():
     x = parse_matrix_text("0,1,0,0;0,0,1,0;0,0,0,0;0,0,0,0")
-    spec = FlagSpec(4, (2,), None, ("stable", "sub-nonzero", "quot-nonzero"))
+    spec = FlagSpec(4, 2, None, ("stable", "sub-nonzero", "quot-nonzero"))
     assert count_stable_flags(x, spec, 3) == 2
 
 
 def test_count_zero_map_fails_nonzero_conditions():
     x = IntMatrix.zeros(4, 4)
-    spec = FlagSpec(4, (2,), None, ("stable", "sub-nonzero", "quot-nonzero"))
+    spec = FlagSpec(4, 2, None, ("stable", "sub-nonzero", "quot-nonzero"))
     for p in (2, 3, 5):
         assert count_stable_flags(x, spec, p) == 0
 
 
 def test_non_nilpotent_rejected():
-    spec = FlagSpec(4, (2,), None, ("stable",))
+    spec = FlagSpec(4, 2, None, ("stable",))
     with pytest.raises(NotStableUnderForm):
         count_stable_flags(IntMatrix.identity(4), spec, 3)
 
 
 def test_form_membership_enforced():
     not_in_sp = parse_matrix_text("0,1,0,0;0,0,0,0;0,0,0,0;0,0,0,0")
-    spec = FlagSpec(4, (1,), SP_FORM, ("stable",))
+    spec = FlagSpec(4, 1, SP_FORM, ("stable",))
     with pytest.raises(NotStableUnderForm):
+        count_stable_flags(not_in_sp, spec, 3)
+
+
+def test_perp_self_check_raises(monkeypatch):
+    """With element validation bypassed, an x outside sp4 has a stable line
+    (e_2) whose perp is not stable, and the sweep's self-check catches it."""
+    from gradedorbits import ffgeom
+
+    monkeypatch.setattr(ffgeom, "_validate_element", lambda *args: None)
+    not_in_sp = parse_matrix_text("0,1,0,0;0,0,0,0;0,0,0,0;0,0,0,0")
+    spec = FlagSpec(4, 1, SP_FORM, ("stable",))
+    with pytest.raises(NotStableUnderForm, match="perp"):
         count_stable_flags(not_in_sp, spec, 3)
 
 
@@ -135,3 +171,113 @@ def test_report_detects_mismatch():
         report.rows + (report.rows[0].__class__("[4]", 2, "full", 1, 2, False),),
     )
     assert not bad.all_match
+
+
+def test_flag_spec_validation():
+    for removed in ("sub-zero", "quot-zero"):
+        with pytest.raises(ValueError):
+            FlagSpec(4, 2, None, ("stable", removed))
+    with pytest.raises(ValueError):
+        FlagSpec(4, 1, None, ("stable", "middle-zero"))
+    with pytest.raises(ValueError):
+        FlagSpec(4, 4, None, ("stable",))
+
+
+def oracle_rows(case, p):
+    k, strata = STRATA[case.flag_kind]
+    form = case.form.entries if case.form is not None else None
+    return {
+        (orbit.partition.label(), stratum): flag_count_by_elimination(
+            orbit.representative.entries, p, k, form, conditions
+        )
+        for orbit in case.orbits
+        for stratum, conditions in strata.items()
+    }
+
+
+def swept_rows(case, p):
+    return {
+        (r.orbit, r.stratum): r.count for r in verify_fiber_counts(case, [p]).rows
+    }
+
+
+@pytest.mark.parametrize("name", ["sp4", "sl4"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_shipped_cases_match_oracle(name, p):
+    case = load_case(name)
+    assert swept_rows(case, p) == oracle_rows(case, p)
+
+
+def random_case(flag_kind, form, elements):
+    """A case whose orbits are the given elements, labelled by position;
+    only the counts of its report are meaningful."""
+    orbits = tuple(
+        FiberDatum(
+            partition=Partition.of([i + 1]),
+            representative=x,
+            full_fiber=Pt(),
+            zero_part=None,
+            cuspidal_part=None,
+            monodromy=(),
+        )
+        for i, x in enumerate(elements)
+    )
+    return CaseData("random", "-", 4, form, flag_kind, "-", 0, orbits)
+
+
+def sparse_entry(rng):
+    return rng.choice((0, 0, 0, 1, -1, 2))
+
+
+def random_upper_triangular(rng):
+    return IntMatrix.from_rows(
+        [[sparse_entry(rng) if j > i else 0 for j in range(4)] for i in range(4)]
+    )
+
+
+def random_sp4_nilpotent(rng):
+    """g N g^-1 for N = [[A, B], [0, -A^T]] with A strictly upper triangular
+    and B symmetric, and g a product of symplectic transvections."""
+    a, b, c, e = (sparse_entry(rng) for _ in range(4))
+    n = IntMatrix.from_rows([[0, a, b, c], [0, 0, c, e], [0, 0, 0, 0], [0, 0, -a, 0]])
+    g = IntMatrix.identity(4)
+    for _ in range(3):
+        s, t, u = (rng.randint(-1, 1) for _ in range(3))
+        if rng.random() < 0.5:
+            step = [[1, 0, s, t], [0, 1, t, u], [0, 0, 1, 0], [0, 0, 0, 1]]
+        else:
+            step = [[1, 0, 0, 0], [0, 1, 0, 0], [s, t, 1, 0], [t, u, 0, 1]]
+        g = g * IntMatrix.from_rows(step)
+    g_inv = -(SP_FORM * g.transpose() * SP_FORM)
+    assert g * g_inv == IntMatrix.identity(4)
+    return g * n * g_inv
+
+
+@pytest.mark.parametrize(
+    "flag_kind,form,make",
+    [("two-plane", None, random_upper_triangular), ("isotropic-line", SP_FORM, random_sp4_nilpotent)],
+)
+def test_random_nilpotents_match_oracle(flag_kind, form, make):
+    rng = random.Random(f"ffgeom-oracle:{flag_kind}")
+    case = random_case(flag_kind, form, [make(rng) for _ in range(6)])
+    for p in (2, 3, 5):
+        assert swept_rows(case, p) == oracle_rows(case, p)
+
+
+def test_single_condition_counts_match_oracle():
+    """count_stable_flags, including condition sets that leave out stability."""
+    rng = random.Random("ffgeom-oracle:single")
+    for form, k, make, condition_sets in (
+        (None, 2, random_upper_triangular, [("sub-nonzero",), ("quot-nonzero",)]),
+        (None, 1, random_upper_triangular, [("stable", "quot-nonzero")]),
+        (SP_FORM, 1, random_sp4_nilpotent, [("middle-nonzero",), ("sub-nonzero",)]),
+    ):
+        for _ in range(3):
+            x = make(rng)
+            form_rows = form.entries if form is not None else None
+            for conditions in condition_sets:
+                spec = FlagSpec(4, k, form, conditions)
+                for p in (2, 3):
+                    assert count_stable_flags(x, spec, p) == flag_count_by_elimination(
+                        x.entries, p, k, form_rows, conditions
+                    )
