@@ -13,8 +13,8 @@ import json
 import sys
 
 from .cohom import load_case, stalk_table
-from .exactlin import RatMatrix, format_matrix_text, parse_matrix_text
-from .ffgeom import verify_fiber_counts
+from .exactlin import RatMatrix, format_matrix_text, is_prime, parse_matrix_text
+from .ffgeom import MAX_PRIME, verify_fiber_counts
 from .liegrade import (
     Cocharacter,
     Sl2Triple,
@@ -22,14 +22,11 @@ from .liegrade import (
     build_algebra,
     canonical_parabolic,
     check_n_rigid,
+    chi_prime,
     graded_component,
     weight_matrix,
 )
 from .orbitlib import graded_orbit_reps_typeA, nilpotent_orbits
-
-
-def _parse_cochar(text: str) -> Cocharacter:
-    return Cocharacter.of(int(x) for x in text.split(","))
 
 
 def _positive_int(text: str) -> int:
@@ -51,6 +48,40 @@ def _int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
+
+
+def _cochar(text: str) -> Cocharacter:
+    """argparse type: a cocharacter as comma-separated integer weights."""
+    return Cocharacter.of(_int_list(text))
+
+
+def _prime_list(text: str) -> list:
+    """argparse type: comma-separated primes up to the fiber sweep's limit."""
+    primes = _int_list(text)
+    for p in primes:
+        if not is_prime(p) or p > MAX_PRIME:
+            raise argparse.ArgumentTypeError(f"{p} is not a prime <= {MAX_PRIME}")
+    return primes
+
+
+def _matrix(text: str):
+    """argparse type: a matrix in the ';'/',' text format."""
+    try:
+        return RatMatrix.from_int(parse_matrix_text(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected rows of comma-separated integers separated by ';', got {text!r}"
+        ) from None
+
+
+def _square_x(args):
+    """The --x matrix, checked to be --d by --d."""
+    x = args.x
+    if (x.rows, x.cols) != (args.d, args.d):
+        raise ValueError(
+            f"argument --x: expected a {args.d}x{args.d} matrix, got {x.rows}x{x.cols}"
+        )
+    return x
 
 
 def _emit(args, text_lines, payload) -> None:
@@ -107,7 +138,7 @@ def _levi_shape_for(rep, chi, n, alg):
 
 
 def cmd_graded_orbits(args) -> int:
-    chi = _parse_cochar(args.cochar)
+    chi = args.cochar
     n = args.degree
     reps = graded_orbit_reps_typeA(chi, n)
     alg = build_algebra("sl", len(chi))
@@ -139,7 +170,7 @@ def cmd_graded_orbits(args) -> int:
 
 
 def cmd_grading(args) -> int:
-    chi = _parse_cochar(args.cochar)
+    chi = args.cochar
     alg = build_algebra(args.type, args.d)
     comp = graded_component(alg, chi, args.degree)
     wm = weight_matrix(chi)
@@ -162,12 +193,10 @@ def cmd_grading(args) -> int:
 
 
 def cmd_triple(args) -> int:
-    chi = _parse_cochar(args.cochar)
+    chi = args.cochar
     alg = build_algebra(args.type, args.d)
-    x = RatMatrix.from_int(parse_matrix_text(args.x))
+    x = _square_x(args)
     triple = adapted_sl2_triple(alg, chi, args.degree, x)
-    from .liegrade import chi_prime
-
     weights, _ = chi_prime(triple, chi)
     lines = [
         f"e: {triple.e.text()}",
@@ -186,9 +215,9 @@ def cmd_triple(args) -> int:
 
 
 def cmd_parabolic(args) -> int:
-    chi = _parse_cochar(args.cochar)
+    chi = args.cochar
     alg = build_algebra(args.type, args.d)
-    x = RatMatrix.from_int(parse_matrix_text(args.x))
+    x = _square_x(args)
     n = args.degree
     if x.is_zero():
         triple = Sl2Triple.zero(alg.dim_ambient)
@@ -221,10 +250,13 @@ def cmd_parabolic(args) -> int:
 
 
 def cmd_primes(args) -> int:
-    from .rootdata import prime_report, standard_root_datum
+    from .rootdata import TooLarge, prime_report, standard_root_datum
 
     rd = standard_root_datum(args.type, args.n)
-    rep = prime_report(rd)
+    try:
+        rep = prime_report(rd)
+    except TooLarge as exc:
+        raise ValueError(f"argument --n: {exc}") from None
     payload = rep.as_dict()
     lines = [
         "good_excluded: " + (",".join(map(str, rep.good_excluded)) or "-"),
@@ -305,30 +337,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_orbits)
 
     p = add_parser("graded-orbits", help="orbits in a graded piece (type A)")
-    p.add_argument("--cochar", required=True)
+    p.add_argument("--cochar", required=True, type=_cochar)
     p.add_argument("--degree", required=True, type=int)
     p.set_defaults(func=cmd_graded_orbits)
 
     p = add_parser("grading", help="weight matrix and graded component basis")
     p.add_argument("--type", required=True, choices=["sl", "sp"])
     p.add_argument("--d", required=True, type=int)
-    p.add_argument("--cochar", required=True)
+    p.add_argument("--cochar", required=True, type=_cochar)
     p.add_argument("--degree", required=True, type=int)
     p.set_defaults(func=cmd_grading)
 
     p = add_parser("triple", help="graded sl2-triple through a nilpotent")
     p.add_argument("--type", required=True, choices=["sl", "sp"])
     p.add_argument("--d", required=True, type=int)
-    p.add_argument("--cochar", required=True)
-    p.add_argument("--x", required=True, help="matrix in ';'/',' text format")
+    p.add_argument("--cochar", required=True, type=_cochar)
+    p.add_argument("--x", required=True, type=_matrix, help="matrix in ';'/',' text format")
     p.add_argument("--degree", required=True, type=int)
     p.set_defaults(func=cmd_triple)
 
     p = add_parser("parabolic", help="canonical parabolic of a graded nilpotent")
     p.add_argument("--type", required=True, choices=["sl", "sp"])
     p.add_argument("--d", required=True, type=int)
-    p.add_argument("--cochar", required=True)
-    p.add_argument("--x", required=True)
+    p.add_argument("--cochar", required=True, type=_cochar)
+    p.add_argument("--x", required=True, type=_matrix)
     p.add_argument("--degree", required=True, type=int)
     p.set_defaults(func=cmd_parabolic)
 
@@ -339,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("fibers", help="finite-field fiber count verification")
     p.add_argument("--case", required=True, choices=["sp4", "sl4"])
-    p.add_argument("--primes", required=True, type=_int_list)
+    p.add_argument("--primes", required=True, type=_prime_list)
     p.set_defaults(func=cmd_fibers)
 
     p = add_parser("stalks", help="stalk table of the induced cuspidal system")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class CompositeCharacteristic(ValueError):
@@ -37,6 +37,18 @@ def is_prime(p: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # integer matrices
+
+
+def _matmul(a_rows, b_rows, cols: int) -> tuple:
+    """Product of integer row tuples, adding one row of b per nonzero of a."""
+    out = []
+    for row in a_rows:
+        acc = [0] * cols
+        for a, b_row in zip(row, b_rows):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, b_row)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -70,12 +82,9 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = tuple(zip(*other.entries)) if other.entries else ()
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries
+        return IntMatrix(
+            self.rows, other.cols, _matmul(self.entries, other.entries, other.cols)
         )
-        return IntMatrix(self.rows, other.cols, out)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -102,17 +111,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.entries for a in row)
-
-    def diagonal(self) -> tuple:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entries[i][j] == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
 
 
 def parse_matrix_text(text: str) -> IntMatrix:
@@ -347,20 +345,6 @@ def hermite_rows(rows) -> tuple:
     return tuple(tuple(r) for r in out)
 
 
-def _xgcd(a: int, b: int):
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
 def in_hermite_span(hnf, vec) -> bool:
     """Whether ``vec`` lies in the lattice given by Hermite rows ``hnf``."""
     v = list(vec)
@@ -375,12 +359,30 @@ def in_hermite_span(hnf, vec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# rational elimination (Gaussian, exact)
+# exact elimination over Q or F_p (Gauss-Jordan, fraction-free)
 
 
-def _rref(rows):
-    """Reduced row echelon form over Q.  Returns (rows, pivot_columns)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+def _integer_row(row):
+    """The row times the least common denominator of its entries."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _rref(rows, p: int = 0):
+    """Reduced row echelon form over Q (p = 0) or F_p, on integer rows.
+
+    Returns (rows, pivot_columns).  A step replaces a row by an integer
+    combination of it and the pivot row, so no division happens.  Over Q
+    each input row is first scaled to integers and every changed row is
+    divided by its content; over F_p entries are kept in [0, p).  Row r has
+    a nonzero pivot at ``pivot_columns[r]`` and zeros in every other pivot
+    column, and row r divided by its pivot is row r of the (unique) RREF.
+    Rows past the rank are zero.
+    """
+    if p:
+        mat = [[x % p for x in row] for row in rows]
+    else:
+        mat = [_integer_row(row) for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     pivots = []
@@ -394,34 +396,32 @@ def _rref(rows):
         if pivot_row is None:
             continue
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
+        prow = mat[rank]
+        pv = prow[col]
         for i in range(nrows):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+            f = mat[i][col]
+            if i != rank and f != 0:
+                if p:
+                    mat[i] = [(pv * x - f * y) % p for x, y in zip(mat[i], prow)]
+                    continue
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y for x, y in zip(mat[i], prow)]
+                c = gcd(*row)
+                if c > 1:
+                    row = [x // c for x in row]
+                mat[i] = row
         pivots.append(col)
         rank += 1
     return mat, pivots
 
 
 def _primitive(vec):
-    """Clear denominators and divide by the content; first nonzero > 0."""
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    """Divide an integer vector by its content; first nonzero > 0."""
+    g = gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)
 
 
 def nullspace(rows):
@@ -430,13 +430,18 @@ def nullspace(rows):
         return ()
     ncols = len(rows[0])
     mat, pivots = _rref(rows)
-    free = [j for j in range(ncols) if j not in pivots]
+    pivot_set = set(pivots)
     basis = []
-    for j in free:
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][j]
+    for j in range(ncols):
+        if j in pivot_set:
+            continue
+        # x_j = 1 and x_pc = -row[j] / row[pc], scaled to integers
+        terms = [(pc, mat[r][j], mat[r][pc]) for r, pc in enumerate(pivots) if mat[r][j]]
+        scale = lcm(*(pv for _, _, pv in terms)) if terms else 1
+        vec = [0] * ncols
+        vec[j] = scale
+        for pc, a, pv in terms:
+            vec[pc] = -a * scale // pv
         basis.append(_primitive(vec))
     return tuple(basis)
 
@@ -455,7 +460,7 @@ def solve_linear(rows, rhs):
         return None
     sol = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
-        sol[pc] = mat[r][ncols]
+        sol[pc] = Fraction(mat[r][ncols], mat[r][pc])
     return tuple(sol)
 
 
@@ -464,65 +469,33 @@ def rank_rational(rows) -> int:
     return len(pivots)
 
 
-def _rref_mod_p(rows, p):
-    mat = [[x % p for x in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, nrows):
-            if mat[i][col] % p != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for i in range(nrows):
-            if i != rank and mat[i][col] % p != 0:
-                f = mat[i][col]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    return mat, pivots
-
-
 def rank_and_kernel(m: IntMatrix, field_char: int):
     """Rank and a right-kernel basis over Q (char 0) or F_p (char p).
 
     Over char 0 the kernel vectors are primitive integer vectors; over F_p
     they have entries in [0, p).
     """
-    if field_char == 0:
-        rows = [list(r) for r in m.entries]
-        if not rows:
-            return 0, tuple(
-                tuple(1 if i == j else 0 for j in range(m.cols))
-                for i in range(m.cols)
-            )
-        mat, pivots = _rref(rows)
-        kern = nullspace(rows)
-        return len(pivots), kern
-    if not is_prime(field_char):
+    if field_char != 0 and not is_prime(field_char):
         raise CompositeCharacteristic(f"{field_char} is neither 0 nor prime")
-    p = field_char
     rows = [list(r) for r in m.entries]
     if not rows:
         return 0, tuple(
             tuple(1 if i == j else 0 for j in range(m.cols)) for i in range(m.cols)
         )
-    mat, pivots = _rref_mod_p(rows, p)
-    ncols = m.cols
-    free = [j for j in range(ncols) if j not in pivots]
+    if field_char == 0:
+        kern = nullspace(rows)
+        return m.cols - len(kern), kern
+    p = field_char
+    mat, pivots = _rref(rows, p)
+    inverses = [pow(mat[r][pc], -1, p) for r, pc in enumerate(pivots)]
     basis = []
-    for j in free:
-        vec = [0] * ncols
+    for j in range(m.cols):
+        if j in pivots:
+            continue
+        vec = [0] * m.cols
         vec[j] = 1
         for r, pc in enumerate(pivots):
-            vec[pc] = (-mat[r][j]) % p
+            vec[pc] = -mat[r][j] * inverses[r] % p
         basis.append(tuple(vec))
     return len(pivots), tuple(basis)
 
@@ -542,19 +515,14 @@ class RatMatrix:
 
     @staticmethod
     def from_rows(rows, den: int = 1) -> "RatMatrix":
-        flat = []
-        denom = int(den)
-        ints = []
-        for row in rows:
-            out = []
-            for x in row:
-                f = Fraction(x)
-                out.append(f)
-            ints.append(out)
-        for row in ints:
-            for f in row:
-                denom = denom * f.denominator // gcd(denom, f.denominator)
-        tup = tuple(tuple(int(f * denom) for f in row) for row in ints)
+        vals = [
+            [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+            for row in rows
+        ]
+        denom = lcm(int(den), *(x.denominator for row in vals for x in row))
+        tup = tuple(
+            tuple(x.numerator * (denom // x.denominator) for x in row) for row in vals
+        )
         m = RatMatrix(len(tup), len(tup[0]) if tup else 0, tup, denom)
         return m._normalized()
 
@@ -617,11 +585,7 @@ class RatMatrix:
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = tuple(zip(*other.num)) if other.num else ()
-        ent = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.num
-        )
+        ent = _matmul(self.num, other.num, other.cols)
         return RatMatrix(self.rows, other.cols, ent, self.den * other.den)._normalized()
 
     def scale(self, c) -> "RatMatrix":
@@ -638,20 +602,9 @@ class RatMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.num for x in row)
 
-    def is_integer(self) -> bool:
-        return self.den == 1
-
-    def to_int_matrix(self) -> IntMatrix:
-        if self.den != 1:
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix(self.rows, self.cols, self.num)
-
     def support(self) -> frozenset:
         return frozenset(
-            (i, j)
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if self.num[i][j] != 0
+            (i, j) for i, row in enumerate(self.num) for j, x in enumerate(row) if x
         )
 
     def text(self) -> str:
@@ -671,15 +624,14 @@ def rat_inverse(m: RatMatrix) -> RatMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    cols = []
-    rows = [[m.entry(i, j) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        rhs = [Fraction(1) if i == k else Fraction(0) for i in range(n)]
-        sol = solve_linear(rows, rhs)
-        if sol is None:
-            raise ValueError("singular matrix")
-        cols.append(sol)
-    return RatMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
+    # (num / den)^-1 = den * num^-1, read off the RREF of [num | I]
+    aug = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(m.num)]
+    mat, pivots = _rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    return RatMatrix.from_rows(
+        [[Fraction(m.den * x, row[i]) for x in row[n:]] for i, row in enumerate(mat)]
+    )
 
 
 def matrix_power_rank_sequence(num_rows, dim: int):

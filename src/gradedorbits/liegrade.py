@@ -7,13 +7,25 @@ second grading coming from the triple's semisimple element, the canonical
 parabolic/nilradical/Levi attached to a graded nilpotent, and the rigidity
 test comparing the two gradings.
 
+Graded pieces are read off the basis: no sl or standard-sp basis element
+straddles a degree's cell set, so the piece is spanned by the elements
+inside it (``_subspace_in_cells``).  A nullspace over a straddling basis
+runs only for a user-supplied form.  ``canonical_parabolic`` skips the sl
+change of basis, as p^-1 sl p = sl; for sp it solves M^T B' + B' M = 0
+on each cell set, with B' = p^T B p, as p^-1 sp_B p = sp_B'.
+
+An h that is not diagonal costs about what a diagonal one costs: h is
+solved for through f alone (h = [x, f]), the toral system is skipped when
+x's Jordan type rules it out, and ``chi_prime`` takes a nullspace only at
+integer roots of a characteristic polynomial.
+
 Everything is exact; all returned values are immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .exactlin import (
     IntMatrix,
@@ -21,6 +33,7 @@ from .exactlin import (
     bracket,
     nilpotent_jordan_partition,
     nullspace,
+    rank_rational,
     rat_inverse,
     solve_linear,
 )
@@ -144,25 +157,24 @@ def standard_symplectic_form(d: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def _unit_matrix(d, i, j):
-    rows = [[0] * d for _ in range(d)]
-    rows[i][j] = 1
-    return RatMatrix.from_rows(rows)
+def _integer_matrix(d, cells) -> RatMatrix:
+    """The d x d integer matrix with the given {(i, j): value} cells."""
+    rows = tuple(tuple(cells.get((i, j), 0) for j in range(d)) for i in range(d))
+    return RatMatrix(d, d, rows, 1)
 
 
 def build_algebra(kind: str, d: int, form: IntMatrix | None = None) -> MatrixLieAlgebra:
     kind = kind.lower()
     if kind == "sl":
-        basis = []
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    basis.append(_unit_matrix(d, i, j))
-        for i in range(d - 1):
-            rows = [[0] * d for _ in range(d)]
-            rows[i][i] = 1
-            rows[i + 1][i + 1] = -1
-            basis.append(RatMatrix.from_rows(rows))
+        basis = [
+            _integer_matrix(d, {(i, j): 1})
+            for i in range(d)
+            for j in range(d)
+            if i != j
+        ]
+        basis += [
+            _integer_matrix(d, {(i, i): 1, (i + 1, i + 1): -1}) for i in range(d - 1)
+        ]
         return MatrixLieAlgebra("sl", d, tuple(basis))
     if kind == "sp":
         b = form if form is not None else standard_symplectic_form(d)
@@ -178,7 +190,7 @@ def build_algebra(kind: str, d: int, form: IntMatrix | None = None) -> MatrixLie
         rows = []
         for i in range(d):
             for j in range(d):
-                coeff = [Fraction(0)] * (d * d)
+                coeff = [0] * (d * d)
                 # (M^T B)_{ij} = sum_k M_{ki} B_{kj};  (B M)_{ij} = sum_k B_{ik} M_{kj}
                 for k in range(d):
                     coeff[k * d + i] += b.entries[k][j]
@@ -211,27 +223,64 @@ def weight_matrix(chi: Cocharacter) -> IntMatrix:
 
 
 def _subspace_in_cells(basis, allowed) -> tuple:
-    """Basis of the span of ``basis`` supported inside the cell set."""
-    if not basis:
-        return ()
+    """Basis of the span of ``basis`` supported inside the cell set.
+
+    If every basis element lies inside ``allowed`` or misses it entirely,
+    the answer is the elements that lie inside, in basis order: the part of
+    a combination on the other cells is the combination of the elements
+    outside, which are independent, so their coefficients vanish.  This is
+    also what the nullspace below returns for such a basis.  Only a basis
+    with an element that straddles ``allowed`` is eliminated.
+    """
+    inside = []
+    for m in basis:
+        support = m.support()
+        if support <= allowed:
+            inside.append(m)
+        elif not support.isdisjoint(allowed):
+            return _subspace_by_nullspace(basis, allowed)
+    return tuple(inside)
+
+
+def _subspace_by_nullspace(basis, allowed) -> tuple:
     d = basis[0].rows
-    forbidden = [
-        (i, j) for i in range(d) for j in range(d) if (i, j) not in allowed
-    ]
-    if not forbidden:
-        return tuple(basis)
+    flats = _integer_flats(basis)
+    # one row per cell outside ``allowed``: the combination must vanish there
     rows = [
-        [m.entry(i, j) for m in basis]
-        for (i, j) in forbidden
+        [f[i * d + j] for f in flats]
+        for i in range(d)
+        for j in range(d)
+        if (i, j) not in allowed
     ]
-    combos = nullspace(rows)
     out = []
-    for combo in combos:
+    for combo in nullspace(rows):
         acc = RatMatrix.zeros(d, d)
         for c, m in zip(combo, basis):
             if c:
                 acc = acc + m.scale(c)
         out.append(acc)
+    return tuple(out)
+
+
+def _sp_in_cells(form, allowed) -> tuple:
+    """Basis of the M supported inside the cell set with M^T B + B M = 0,
+    for the integer form B given as rows: the part of sp_B on those cells.
+    M^T B + B M is antisymmetric, so its entries above the diagonal are
+    the equations; M_kl enters entry (i, j) with B_kj if l = i and with
+    B_ik if l = j."""
+    d = len(form)
+    cells = sorted(allowed)
+    rows = [
+        [(form[k][j] if l == i else 0) + (form[i][k] if l == j else 0) for (k, l) in cells]
+        for i in range(d)
+        for j in range(i + 1, d)
+    ]
+    out = []
+    for vec in nullspace(rows):
+        m = [[0] * d for _ in range(d)]
+        for (i, j), v in zip(cells, vec):
+            m[i][j] = v
+        out.append(RatMatrix(d, d, tuple(map(tuple, m)), 1))
     return tuple(out)
 
 
@@ -245,73 +294,69 @@ def graded_component(alg: MatrixLieAlgebra, chi: Cocharacter, n: int) -> GradedC
     return GradedComponent(n, _subspace_in_cells(alg.basis, allowed))
 
 
-def coordinates_in_span(basis, m: RatMatrix):
-    """Coefficients of m in the given basis, or None."""
-    if not basis:
-        return None if not m.is_zero() else ()
-    rows = [
-        [b.flat()[k] for b in basis]
-        for k in range(len(m.flat()))
-    ]
-    return solve_linear(rows, list(m.flat()))
-
-
 def in_span(basis, m: RatMatrix) -> bool:
-    return coordinates_in_span(basis, m) is not None
+    """Whether m is a linear combination of the given basis."""
+    if not basis:
+        return m.is_zero()
+    rows = [list(coord) for coord in zip(*(b.flat() for b in basis))]
+    return solve_linear(rows, list(m.flat())) is not None
 
 
-def is_nilpotent_matrix(m: RatMatrix) -> bool:
-    try:
-        nilpotent_jordan_partition(m)
-    except ValueError:
-        return False
-    return True
+def _integer_flats(mats):
+    """Row-major entries of each matrix, all scaled by one common
+    denominator to integers.  A linear system built from them has the
+    solutions of the same system built from the rational entries.  This
+    skips the Fraction per entry that ``flat()`` would build and ``_rref``
+    would clear again."""
+    den = lcm(*(m.den for m in mats))
+    return [[x * (den // m.den) for row in m.num for x in row] for m in mats]
 
 
-def _solve_triple(x, g0_basis, gm_basis, d):
-    """Solve [x, f] = h, [h, x] = 2x for h in span(g0), f in span(gm)."""
-    s, t = len(g0_basis), len(gm_basis)
-    if t == 0 or s == 0:
+def _solve_h(x, brackets_f, d, diagonal):
+    """The h of the system [x, f] = h, [h, x] = 2x with f in span(gm) and h
+    in g0, or in the diagonal part of g0 when ``diagonal``; None if the
+    system has no solution.  ``brackets_f`` holds [x, F_k] for the gm basis.
+
+    [x, f] = h fixes h by f, and [x, f] lies in g0.  So the system is
+    [[x, f], x] = 2x in the f coefficients alone, plus [x, f] = 0 off the
+    diagonal for a diagonal h.  In the system in (h, f), h unknowns first,
+    every h column is a pivot, as the basis of h is independent; its
+    reduced row echelon form therefore gives these f coefficients, free
+    ones set to 0, and h = [x, f]."""
+    if not brackets_f:
         return None
-    rows = []
-    rhs = []
-    brackets_f = [bracket(x, fb) for fb in gm_basis]
-    brackets_h = [bracket(hb, x) for hb in g0_basis]
-    for i in range(d):
-        for j in range(d):
-            # equation 1: sum_c c_k [x, F_k] - sum_b b_i H_i = 0
-            row = [-hb.entry(i, j) for hb in g0_basis] + [
-                bf.entry(i, j) for bf in brackets_f
-            ]
-            rows.append(row)
-            rhs.append(Fraction(0))
-            # equation 2: sum_b b_i [H_i, x] = 2x
-            row2 = [bh.entry(i, j) for bh in brackets_h] + [Fraction(0)] * t
-            rows.append(row2)
-            rhs.append(2 * x.entry(i, j))
+    t = len(brackets_f)
+    flats = _integer_flats([x, *brackets_f, *(bracket(b, x) for b in brackets_f)])
+    rows = [[fl[k] for fl in flats[1 + t :]] for k in range(d * d)]
+    rhs = [2 * v for v in flats[0]]
+    if diagonal:
+        off = [i * d + j for i in range(d) for j in range(d) if i != j]
+        rows += [[fl[k] for fl in flats[1 : 1 + t]] for k in off]
+        rhs += [0] * len(off)
     sol = solve_linear(rows, rhs)
     if sol is None:
         return None
     h = RatMatrix.zeros(d, d)
-    for c, hb in zip(sol[:s], g0_basis):
+    for c, b in zip(sol, brackets_f):
         if c:
-            h = h + hb.scale(c)
+            h = h + b.scale(c)
     return h
 
 
 def _solve_f(x, h, gm_basis, d):
-    rows = []
-    rhs = []
+    t = len(gm_basis)
     br_x = [bracket(x, fb) for fb in gm_basis]
     br_h = [bracket(h, fb) for fb in gm_basis]
-    for i in range(d):
-        for j in range(d):
-            rows.append([b.entry(i, j) for b in br_x])
-            rhs.append(h.entry(i, j))
-            rows.append(
-                [bh.entry(i, j) + 2 * fb.entry(i, j) for bh, fb in zip(br_h, gm_basis)]
-            )
-            rhs.append(Fraction(0))
+    flats = _integer_flats([h, *gm_basis, *br_x, *br_h])
+    h_flat, f_flats = flats[0], flats[1 : 1 + t]
+    bx_flats, bh_flats = flats[1 + t : 1 + 2 * t], flats[1 + 2 * t :]
+    rows = []
+    rhs = []
+    for k in range(d * d):
+        rows.append([bx[k] for bx in bx_flats])
+        rhs.append(h_flat[k])
+        rows.append([bh[k] + 2 * fb[k] for bh, fb in zip(bh_flats, f_flats)])
+        rhs.append(0)
     sol = solve_linear(rows, rhs)
     if sol is None:
         return None
@@ -322,36 +367,67 @@ def _solve_f(x, h, gm_basis, d):
     return f
 
 
+def _toral_h_possible(x, diag_basis, jordan) -> bool:
+    """False when no h in the span of the diagonal ``diag_basis`` can be the
+    h of an sl2-triple through x.  For h = diag(a), [h, x] = 2x says
+    a_i - a_j = 2 on every cell (i, j) of x.  When that has no solution, or
+    exactly one whose entries are not the weights l-1, l-3, ..., 1-l of the
+    Jordan blocks l of x (the h of every sl2-triple through x has those
+    eigenvalues), the toral system has no solution either."""
+    # unknowns: the coefficients of the numerators of the basis elements
+    diags = [[b.num[i][i] for i in range(x.rows)] for b in diag_basis]
+    rows = [[v[i] - v[j] for v in diags] for (i, j) in x.support()]
+    coeffs = solve_linear(rows, [2] * len(rows))
+    if coeffs is None:
+        return False
+    if rank_rational(rows) < len(diag_basis):
+        return True
+    # compare a and the weights both scaled by the common denominator
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    a = [sum(c * v[i] for c, v in zip(ints, diags)) for i in range(x.rows)]
+    weights = [den * (l - 1 - 2 * k) for l in jordan.parts for k in range(l)]
+    return sorted(a) == sorted(weights)
+
+
 def adapted_sl2_triple(
     alg: MatrixLieAlgebra, chi: Cocharacter, n: int, x: RatMatrix
 ) -> Sl2Triple:
     """Graded sl2-triple (e=x, h, f) with e in g_n, h in g_0, f in g_-n.
 
     The construction solves [x, f0] = h, [h, x] = 2x as one linear
-    feasibility problem, then re-solves for f with [h, f] = -2f adjoined
-    (projecting onto the -2 eigenspace of ad h), and verifies the bracket
-    relations exactly.  A toral h (diagonal, inside g_0) is preferred when
-    one exists, which keeps reported weight vectors deterministic.
+    feasibility problem in f0 (``_solve_h``), then re-solves for f with
+    [h, f] = -2f adjoined (projecting onto the -2 eigenspace of ad h), and
+    verifies the bracket relations exactly.  A toral h (diagonal, inside
+    g_0) is preferred when one exists, which keeps reported weight vectors
+    deterministic; the toral system is not solved when
+    ``_toral_h_possible`` rules it out.
     """
     if n == 0:
         raise ValueError("degree must be nonzero")
     validate_cocharacter(alg, chi)
+    d = alg.dim_ambient
+    if (x.rows, x.cols) != (d, d):
+        raise ValueError(f"x must be a {d}x{d} matrix")
     if x.is_zero():
         raise NoTriple("the zero element admits no sl2-triple")
-    g_n = graded_component(alg, chi, n)
-    if not in_span(g_n.basis, x):
+    # g_n is the part of the algebra on the cells of degree n
+    w = chi.weights
+    if not alg.contains(x) or any(w[i] - w[j] != n for (i, j) in x.support()):
         raise ValueError("x does not lie in the requested graded component")
-    if not is_nilpotent_matrix(x):
-        raise NoTriple("x is not nilpotent")
-    d = alg.dim_ambient
+    try:
+        jordan = nilpotent_jordan_partition(x)
+    except ValueError:
+        raise NoTriple("x is not nilpotent") from None
     g0 = graded_component(alg, chi, 0)
     gm = graded_component(alg, chi, -n)
     diag_cells = {(i, i) for i in range(d)}
     g0_diag = _subspace_in_cells(g0.basis, diag_cells)
-    for h_basis in (g0_diag, g0.basis):
-        if not h_basis:
-            continue
-        h = _solve_triple(x, h_basis, gm.basis, d)
+    # [x, F] for the g_-n basis, shared by both attempts
+    brackets_f = [bracket(x, fb) for fb in gm.basis]
+    toral = bool(g0_diag) and _toral_h_possible(x, g0_diag, jordan)
+    for diagonal in (True, False) if toral else (False,):
+        h = _solve_h(x, brackets_f, d, diagonal)
         if h is None:
             continue
         f = _solve_f(x, h, gm.basis, d)
@@ -372,6 +448,33 @@ def _blocks_by_weight(weights):
     for i, w in enumerate(weights):
         blocks.setdefault(w, []).append(i)
     return blocks
+
+
+def _integer_eigenvalues(num, den, bound):
+    """The integers m in [-bound, bound], ascending, that are eigenvalues of
+    num / den for a square integer matrix num: the m with m * den a root of
+    det(t I - num).  The characteristic polynomial comes from the
+    Faddeev-LeVerrier recursion M_i = num M_(i-1) + c_(k-i+1) I and
+    c_(k-i) = -tr(num M_i) / i, an exact division, with M_0 = 0, c_k = 1."""
+    k = len(num)
+    coeffs = [0] * k + [1]
+    prod = [[0] * k for _ in range(k)]  # num M_(i-1)
+    for i in range(1, k + 1):
+        c = coeffs[k - i + 1]
+        m_i = [[prod[r][s] + (c if r == s else 0) for s in range(k)] for r in range(k)]
+        prod = [
+            [sum(num[r][t] * m_i[t][s] for t in range(k)) for s in range(k)]
+            for r in range(k)
+        ]
+        coeffs[k - i] = -sum(prod[r][r] for r in range(k)) // i
+    out = []
+    for m in range(-bound, bound + 1):
+        value = 0
+        for c in reversed(coeffs):
+            value = value * m * den + c
+        if value == 0:
+            out.append(m)
+    return out
 
 
 def chi_prime(triple: Sl2Triple, chi: Cocharacter | None = None):
@@ -411,30 +514,29 @@ def chi_prime(triple: Sl2Triple, chi: Cocharacter | None = None):
     weights = [None] * d
     for idx in block_lists:
         k = len(idx)
-        sub = [[h.entry(i, j) for j in idx] for i in idx]
+        # the block of h times its denominator: m is an eigenvalue of the
+        # block of h exactly when m * den is one of this integer block
+        block = [[h.num[i][j] for j in idx] for i in idx]
         found = []
-        for m in range(-d, d + 1):
+        for m in _integer_eigenvalues(block, h.den, d):
             shifted = [
-                [sub[a][b] - (m if a == b else 0) for b in range(k)] for a in range(k)
+                [block[a][b] - (m * h.den if a == b else 0) for b in range(k)]
+                for a in range(k)
             ]
             for vec in nullspace(shifted):
                 found.append((m, vec))
         if len(found) != k:
             raise NonIntegralWeights("h is not diagonalisable with integer spectrum")
         for pos, (m, vec) in zip(idx, found):
-            col = [Fraction(0)] * d
+            col = [0] * d
             for a, i in enumerate(idx):
-                col[i] = Fraction(vec[a])
+                col[i] = vec[a]
             col_vectors[pos] = col
             weights[pos] = m
     p = RatMatrix.from_rows(
         [[col_vectors[j][i] for j in range(d)] for i in range(d)]
     )
     return Cocharacter.of(weights), p
-
-
-def conjugate(m: RatMatrix, p: RatMatrix) -> RatMatrix:
-    return rat_inverse(p) * m * p
 
 
 def _indicator_matrix(chi_w, chip_w, n) -> IntMatrix:
@@ -466,32 +568,20 @@ def canonical_parabolic(
     validate_cocharacter(alg, chi)
     chip, p = chi_prime(triple, chi)
     d = alg.dim_ambient
-    identity = all(
-        p.num[i][j] == (p.den if i == j else 0) for i in range(d) for j in range(d)
-    )
-    if identity:
-        new_basis = alg.basis
-    else:
-        p_inv = rat_inverse(p)
-        new_basis = tuple(p_inv * m * p for m in alg.basis)
     indicator = _indicator_matrix(chi.weights, chip.weights, n)
-    cells = {
-        "p": set(),
-        "n": set(),
-        "l": set(),
-    }
-    for i in range(d):
-        for j in range(d):
-            s = indicator.entries[i][j]
-            if s >= 0:
-                cells["p"].add((i, j))
-            if s > 0:
-                cells["n"].add((i, j))
-            if s == 0:
-                cells["l"].add((i, j))
-    p_basis = _subspace_in_cells(new_basis, cells["p"])
-    n_basis = _subspace_in_cells(new_basis, cells["n"])
-    l_basis = _subspace_in_cells(new_basis, cells["l"])
+    ind = indicator.entries
+    cell_sets = [
+        {(i, j) for i in range(d) for j in range(d) if keep(ind[i][j])}
+        for keep in (lambda s: s >= 0, lambda s: s > 0, lambda s: s == 0)
+    ]
+    if alg.kind == "sl" or p == RatMatrix.identity(d):
+        # p^-1 sl p = sl, so the sl basis serves in the diagonalising basis too
+        pieces = (_subspace_in_cells(alg.basis, cells) for cells in cell_sets)
+    else:
+        # p^-1 sp_B p = sp_B' with B' = p^T B p
+        form = (p.transpose() * RatMatrix.from_int(alg.form) * p).num
+        pieces = (_sp_in_cells(form, cells) for cells in cell_sets)
+    p_basis, n_basis, l_basis = pieces
     # Levi blocks: coordinates with equal potential sign(n)*(n*w' - 2*w)
     sign = 1 if n > 0 else -1
     potential = [
@@ -524,6 +614,22 @@ class RigidityReport:
     witness: tuple | None  # (m, m') of the first violated cell, row-major
 
 
+def _conjugated_support(q, m: RatMatrix, p) -> set:
+    """Cells where q m p is nonzero, for square integer matrices q and p
+    given as rows: the sum over the cells (a, b) of m of m_ab times column
+    a of q times row b of p, one row update per nonzero."""
+    d = len(q)
+    acc = [[0] * d for _ in range(d)]
+    for a, row in enumerate(m.num):
+        for b, v in enumerate(row):
+            if v:
+                for i in range(d):
+                    c = q[i][a] * v
+                    if c:
+                        acc[i] = [x + c * y for x, y in zip(acc[i], p[b])]
+    return {(i, j) for i in range(d) for j in range(d) if acc[i][j]}
+
+
 def check_n_rigid(alg_or_basis, chi: Cocharacter, triple: Sl2Triple, n: int) -> RigidityReport:
     """The h-grading refines the cocharacter grading exactly.
 
@@ -540,16 +646,11 @@ def check_n_rigid(alg_or_basis, chi: Cocharacter, triple: Sl2Triple, n: int) -> 
         return RigidityReport(True, None)
     d = basis[0].rows
     chip, p = chi_prime(triple, chi)
-    identity = all(
-        p.num[i][j] == (p.den if i == j else 0) for i in range(d) for j in range(d)
-    )
-    if identity:
-        new_basis = basis
-        e, h, f = triple.e, triple.h, triple.f
-    else:
+    e, h, f = triple.e, triple.h, triple.f
+    conjugate = p != RatMatrix.identity(d)
+    if conjugate:
         p_inv = rat_inverse(p)
-        new_basis = tuple(p_inv * m * p for m in basis)
-        e, h, f = (conjugate(m, p) for m in (triple.e, triple.h, triple.f))
+        e, h, f = (p_inv * m * p for m in (e, h, f))
     w = chi.weights
     wp = chip.weights
     # triple placement inside the graded pieces
@@ -558,8 +659,8 @@ def check_n_rigid(alg_or_basis, chi: Cocharacter, triple: Sl2Triple, n: int) -> 
             if w[i] - w[j] != expected:
                 return RigidityReport(False, (wp[i] - wp[j], w[i] - w[j]))
     support = set()
-    for m in new_basis:
-        support |= m.support()
+    for m in basis:
+        support |= _conjugated_support(p_inv.num, m, p.num) if conjugate else m.support()
     for i in range(d):
         for j in range(d):
             if (i, j) not in support:

@@ -270,5 +270,6 @@ def graded_orbit_dimension(
     g0 = graded_component(alg, chi, 0)
     if not g0.basis:
         return 0
-    rows = [list(bracket(y, x).flat()) for y in g0.basis]
+    # the numerators of each row: scaling a row does not change the rank
+    rows = [[v for row in bracket(y, x).num for v in row] for y in g0.basis]
     return rank_rational(rows)

@@ -64,12 +64,6 @@ class PrimeReport:
     pretty_good_excluded: tuple
     rather_good_excluded: tuple
 
-    @property
-    def good_description(self) -> str:
-        if not self.good_excluded:
-            return "all primes are good"
-        return "all primes outside {%s}" % ", ".join(map(str, self.good_excluded))
-
     def as_dict(self) -> dict:
         return {
             "good_excluded": list(self.good_excluded),
@@ -184,9 +178,19 @@ def _closed_families(vectors) -> tuple:
     return tuple(sorted(families, key=lambda t: (len(t), t)))
 
 
+MAX_ROOTS = 48  # closed-family enumeration grows about exponentially in this
+
+
+def _check_size(rd: RootDatum) -> None:
+    if len(rd.roots) > MAX_ROOTS:
+        raise TooLarge(
+            f"{rd.label} has {len(rd.roots)} roots; closed-subsystem "
+            f"enumeration is limited to {MAX_ROOTS}"
+        )
+
+
 def closed_subsystems(rd: RootDatum) -> tuple:
-    if len(rd.roots) > 48:
-        raise TooLarge("root system too large for closed-subsystem enumeration")
+    _check_size(rd)
     return tuple(ClosedSubsystem(f) for f in _closed_families(rd.roots))
 
 
@@ -276,8 +280,10 @@ def prime_report(rd: RootDatum) -> PrimeReport:
     list; the Y-side runs over subsystems closed inside the coroot list.
     The two closures genuinely differ (a coroot span can be closed while the
     matching root span is not), and both sides are needed to exhaust the
-    quantifier over arbitrary subsets.
+    quantifier over arbitrary subsets.  Root data with more than
+    ``MAX_ROOTS`` roots raise ``TooLarge``.
     """
+    _check_size(rd)
     root_closed = _closed_families(rd.roots)
     coroot_closed = _closed_families(rd.coroots)
 

@@ -4,12 +4,15 @@ These deliberately use different algorithms from the package: invariant
 factors via gcds of k-minors, dominance order via explicit partial sums,
 and cohomology/point-count checks by brute enumeration.  Flag counts over
 F_p sweep the whole Grassmannian once per condition set and test span
-membership by generic elimination against the echelon basis.
+membership by generic elimination against the echelon basis.  Rational
+elimination runs on Fraction rows, and graded pieces come from a generic
+nullspace instead of the package's cell-support filter.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 
@@ -182,3 +185,120 @@ def flag_count_by_elimination(x_rows, p, k, form_rows, conditions):
         if all(facts[c] for c in conditions):
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# rational elimination with Fraction rows, and graded pieces by nullspace
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form over Q by Gauss-Jordan elimination on
+    Fraction rows.  Returns (rows, pivot_columns)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(rank, nrows) if mat[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        pv = mat[rank][col]
+        mat[rank] = [x / pv for x in mat[rank]]
+        for i in range(nrows):
+            if i != rank and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    return mat, pivots
+
+
+def fraction_nullspace(rows):
+    """Primitive integer kernel basis (first nonzero entry positive), one
+    vector per free column of the Fraction RREF."""
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    mat, pivots = fraction_rref(rows)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[j] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -mat[r][j]
+        denom = 1
+        for x in vec:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        ints = [int(x * denom) for x in vec]
+        g = 0
+        for x in ints:
+            g = gcd(g, abs(x))
+        ints = [x // g for x in ints]
+        first = next(x for x in ints if x != 0)
+        basis.append(tuple(-x for x in ints) if first < 0 else tuple(ints))
+    return tuple(basis)
+
+
+def subspace_in_cells_by_nullspace(basis, allowed):
+    """Basis of the span of the RatMatrix ``basis`` supported inside the
+    cell set ``allowed``: the combinations of the basis that vanish on every
+    other cell, from the Fraction nullspace of those cell rows."""
+    if not basis:
+        return ()
+    from gradedorbits.exactlin import RatMatrix
+
+    d = basis[0].rows
+    forbidden = [(i, j) for i in range(d) for j in range(d) if (i, j) not in allowed]
+    if not forbidden:
+        return tuple(basis)
+    rows = [[m.entry(i, j) for m in basis] for (i, j) in forbidden]
+    out = []
+    for combo in fraction_nullspace(rows):
+        entries = [
+            [sum(c * m.entry(i, j) for c, m in zip(combo, basis)) for j in range(d)]
+            for i in range(d)
+        ]
+        out.append(RatMatrix.from_rows(entries))
+    return tuple(out)
+
+
+def triple_h_by_full_system(x, h_basis, gm_basis):
+    """The h of [x, f] = h, [h, x] = 2x with h in span(h_basis) and f in
+    span(gm_basis), solved as one Fraction system in (h, f), h unknowns
+    first, free unknowns set to 0; None when it has no solution."""
+    from gradedorbits.exactlin import RatMatrix, bracket
+
+    if not h_basis or not gm_basis:
+        return None
+    d = x.rows
+    cells = [(i, j) for i in range(d) for j in range(d)]
+    rows = []
+    for i, j in cells:  # sum_k c_k [x, F_k] - sum_i b_i H_i = 0
+        rows.append(
+            [-h.entry(i, j) for h in h_basis]
+            + [bracket(x, f).entry(i, j) for f in gm_basis]
+            + [0]
+        )
+    for i, j in cells:  # sum_i b_i [H_i, x] = 2x
+        rows.append(
+            [bracket(h, x).entry(i, j) for h in h_basis]
+            + [0] * len(gm_basis)
+            + [2 * x.entry(i, j)]
+        )
+    mat, pivots = fraction_rref(rows)
+    s = len(h_basis)
+    ncols = s + len(gm_basis)
+    if ncols in pivots:
+        return None
+    coeffs = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        coeffs[pc] = mat[r][ncols]
+    entries = [
+        [sum(c * h.entry(i, j) for c, h in zip(coeffs[:s], h_basis)) for j in range(d)]
+        for i in range(d)
+    ]
+    return RatMatrix.from_rows(entries)

@@ -184,3 +184,146 @@ def test_orbits_sl3_json_bytes(capsys):
         '{"component_group": "1", "component_group_order": 1, "dim": 0, '
         '"label": "[1^3]", "partition": [1, 1, 1]}], "type": "sl"}\n'
     )
+
+
+# ---------------------------------------------------------------------------
+# pinned --json bytes of the graded-piece commands
+
+GRADED_ORBITS_D6_JSON = (
+    '{"cochar": [1, 0, 0, 0, 0, -1], "degree": -1, '
+    '"orbits": [{"decomposition": [[1, 3], [2, 2], [2, 2], [2, 2]], '
+    '"dim": 8, "label": "[1-3]+[2]+[2]+[2]", "levi_blocks": [6], '
+    '"representative": "0,0,0,0,0,0;1,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,1,0,0,0,0"}, '
+    '{"decomposition": [[1, 2], [2, 2], [2, 2], [2, 3]], "dim": 7, '
+    '"label": "[1-2]+[2]+[2]+[2-3]", "levi_blocks": [2, 2, 2], '
+    '"representative": "0,0,0,0,0,0;1,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,1,0"}, '
+    '{"decomposition": [[1, 2], [2, 2], [2, 2], [2, 2], [3, 3]], "dim": 4, '
+    '"label": "[1-2]+[2]+[2]+[2]+[3]", "levi_blocks": [2, 3, 1], '
+    '"representative": "0,0,0,0,0,0;1,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0"}, '
+    '{"decomposition": [[1, 1], [2, 2], [2, 2], [2, 2], [2, 3]], "dim": 4, '
+    '"label": "[1]+[2]+[2]+[2]+[2-3]", "levi_blocks": [1, 3, 2], '
+    '"representative": "0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,1,0"}, '
+    '{"decomposition": [[1, 1], [2, 2], [2, 2], [2, 2], [2, 2], [3, 3]], '
+    '"dim": 0, "label": "[1]+[2]+[2]+[2]+[2]+[3]", "levi_blocks": [1, 4, '
+    '1], '
+    '"representative": "0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0"}]}\n'
+)
+
+# Bytes captured before the graded pieces were read off the basis.  The
+# "levi_rigid": false in both parabolic outputs below is a known defect, not
+# a checked answer: cmd_parabolic hands check_n_rigid a Levi basis that is
+# already in the diagonalising basis, and check_n_rigid conjugates it by p a
+# second time (a FOUND line in CHANGES.md).  Mending that changes these two
+# constants on purpose.
+SL_X = "0,0,0,0;1,0,0,0;1,0,0,0;0,-2,2,0"  # h is not diagonal
+SL_ARGS = ["--type", "sl", "--d", "4", "--cochar", "1,0,0,-1", "--x", SL_X, "--degree", "-1"]
+SL_TRIPLE_JSON = (
+    '{"chi_prime": [-1, -1, 1, 1], '
+    '"e": "0,0,0,0;1,0,0,0;1,0,0,0;0,-2,2,0", '
+    '"f": "0,1/2,1/2,0;0,0,0,-1/4;0,0,0,1/4;0,0,0,0", '
+    '"h": "-1,0,0,0;0,0,1,0;0,1,0,0;0,0,0,1"}\n'
+)
+# levi_rigid is wrong here: see the double-conjugation note above
+SL_PARABOLIC_JSON = (
+    '{"chi_prime": [-1, -1, 1, 1], '
+    '"chi_prime_matrix": "0,0,-2,-2;0,0,-2,-2;2,2,0,0;2,2,0,0", '
+    '"indicator": "0,2,0,2;-2,0,-2,0;0,2,0,2;-2,0,-2,0", '
+    '"l_mask": "1,0,1,0;0,1,0,1;1,0,1,0;0,1,0,1", "levi_blocks": [2, 2], '
+    '"levi_rigid": false, "n_mask": "0,1,0,1;0,0,0,0;0,1,0,1;0,0,0,0", '
+    '"p_mask": "1,1,1,1;0,1,0,1;1,1,1,1;0,1,0,1"}\n'
+)
+
+SP_X = (
+    "0,1,0,0,0,0;0,0,-1,0,0,-2;0,0,0,0,-2,0;"
+    "0,0,0,0,0,0;0,0,0,-1,0,0;0,0,0,0,1,0"
+)  # h is not diagonal
+SP_ARGS = ["--type", "sp", "--d", "6", "--cochar", "2,1,0,-2,-1,0", "--x", SP_X, "--degree", "1"]
+SP_TRIPLE_JSON = (
+    '{"chi_prime": [2, 0, -2, -2, 0, 2], '
+    '"e": "0,1,0,0,0,0;0,0,-1,0,0,-2;0,0,0,0,-2,0;0,0,0,0,0,0;0,0,0,-1,0,0;0,0,0,0,1,0", '
+    '"f": "0,0,0,0,0,0;2,0,0,0,0,0;0,-2,0,0,0,0;0,0,0,0,-2,0;0,0,0,0,0,2;0,0,0,0,0,0", '
+    '"h": "2,0,0,0,0,0;0,0,0,0,0,0;0,0,-2,0,0,-8;0,0,0,-2,0,0;0,0,0,0,0,0;0,0,0,0,0,2"}\n'
+)
+# levi_rigid is wrong here: see the double-conjugation note above
+SP_PARABOLIC_JSON = (
+    '{"chi_prime": [2, 0, -2, -2, 0, 2], '
+    '"chi_prime_matrix": "0,2,4,4,2,0;-2,0,2,2,0,-2;-4,-2,0,0,-2,-4;-4,-2,0,0,-2,-4;-2,0,2,2,0,-2;0,2,4,4,2,0", '
+    '"indicator": "0,0,0,-4,-4,-4;0,0,0,-4,-4,-4;0,0,0,-4,-4,-4;4,4,4,0,0,0;4,4,4,0,0,0;4,4,4,0,0,0", '
+    '"l_mask": "1,1,1,0,0,0;1,1,1,0,0,0;1,1,1,0,0,0;0,0,0,1,1,1;0,0,0,1,1,1;0,0,0,1,1,1", '
+    '"levi_blocks": [3, 3], "levi_rigid": false, '
+    '"n_mask": "0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;1,1,1,0,0,0;1,1,1,0,0,0;1,1,1,0,0,0", '
+    '"p_mask": "1,1,1,0,0,0;1,1,1,0,0,0;1,1,1,0,0,0;1,1,1,1,1,1;1,1,1,1,1,1;1,1,1,1,1,1"}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["graded-orbits", "--cochar", "1,0,0,0,0,-1", "--degree", "-1"], GRADED_ORBITS_D6_JSON),
+        (["triple", *SL_ARGS], SL_TRIPLE_JSON),
+        (["parabolic", *SL_ARGS], SL_PARABOLIC_JSON),
+        (["triple", *SP_ARGS], SP_TRIPLE_JSON),
+        (["parabolic", *SP_ARGS], SP_PARABOLIC_JSON),
+    ],
+    ids=["graded-orbits-d6", "triple-sl", "parabolic-sl", "triple-sp", "parabolic-sp"],
+)
+def test_graded_piece_json_bytes(capsys, argv, expected):
+    code, out = run_capture(capsys, argv + ["--json"])
+    assert code == 0
+    assert out == expected
+
+
+# ---------------------------------------------------------------------------
+# argument errors name their flag
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graded-orbits", "--cochar", "1,,0", "--degree", "-1"],
+        ["grading", "--type", "sl", "--d", "3", "--cochar", "1,x,-1", "--degree", "1"],
+        ["triple", "--type", "sl", "--d", "2", "--cochar", "1,", "--x", "0,1;0,0", "--degree", "2"],
+        ["parabolic", "--type", "sl", "--d", "2", "--cochar", "", "--x", "0,1;0,0", "--degree", "2"],
+    ],
+    ids=["graded-orbits", "grading", "triple", "parabolic"],
+)
+def test_cochar_parse_error_names_flag(capsys, argv):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert "argument --cochar:" in captured.err
+    assert "invalid literal" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["triple", "parabolic"])
+@pytest.mark.parametrize(
+    "x,message",
+    [("0,1;0,0", "expected a 3x3 matrix, got 2x2"), ("0,1,0;0,0", "rows of comma-separated integers")],
+    ids=["shape", "ragged"],
+)
+def test_x_errors_name_flag(capsys, command, x, message):
+    argv = [command, "--type", "sl", "--d", "3", "--cochar", "1,0,-1", "--x", x, "--degree", "1"]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert "argument --x:" in captured.err
+    assert message in captured.err
+    assert "shape mismatch" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("primes", ["17", "4", "2,3,1"])
+def test_fibers_prime_bound_names_flag(capsys, primes):
+    assert cli.run(["fibers", "--case", "sl4", "--primes", primes]) == 2
+    captured = capsys.readouterr()
+    assert "argument --primes:" in captured.err
+    assert "<= 13" in captured.err
+    assert captured.out == ""
+
+
+def test_primes_root_bound_names_flag(capsys):
+    # SL(8) has 56 roots; the closed-family search would not be bounded
+    assert cli.run(["primes", "--type", "sl", "--n", "8"]) == 2
+    captured = capsys.readouterr()
+    assert "argument --n:" in captured.err
+    assert "56 roots" in captured.err and "48" in captured.err
+    assert captured.out == ""

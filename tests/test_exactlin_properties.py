@@ -1,0 +1,124 @@
+"""Property tests: the fraction-free elimination of ``exactlin`` against
+Fraction references.  Needs Hypothesis (the ``test`` extra); without it
+this module is skipped and the rest of the suite still runs."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gradedorbits.exactlin import (
+    IntMatrix,
+    RatMatrix,
+    _rref,
+    nullspace,
+    rank_and_kernel,
+    rank_rational,
+    rat_inverse,
+    solve_linear,
+)
+
+from oracles import fraction_nullspace, fraction_rref, snf_invariant_factors_by_minors
+
+entries = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+@st.composite
+def rational_matrices(draw, max_rows=7, max_cols=7, square=False):
+    nrows = draw(st.integers(1, max_rows))
+    ncols = nrows if square else draw(st.integers(1, max_cols))
+    return [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(rational_matrices())
+def test_integer_rref_equals_fraction_rref(rows):
+    mat, pivots = _rref(rows)
+    want, want_pivots = fraction_rref(rows)
+    assert pivots == want_pivots
+    assert all(isinstance(x, int) for row in mat for x in row)
+    normalized = [
+        [Fraction(x, row[pc]) for x in row] for row, pc in zip(mat, pivots)
+    ]
+    assert normalized == want[: len(pivots)]
+    assert all(x == 0 for row in mat[len(pivots):] for x in row)
+
+
+@PROPERTY
+@given(rational_matrices())
+def test_nullspace_and_rank_equal_fraction_reference(rows):
+    assert nullspace(rows) == fraction_nullspace(rows)
+    assert rank_rational(rows) == len(fraction_rref(rows)[1])
+
+
+@PROPERTY
+@given(rational_matrices(), st.data())
+def test_solve_linear_equals_fraction_reference(rows, data):
+    rhs = [data.draw(entries) for _ in rows]
+    ncols = len(rows[0])
+    aug, pivots = fraction_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    got = solve_linear(rows, rhs)
+    if ncols in pivots:
+        assert got is None
+        return
+    want = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        want[pc] = aug[r][ncols]
+    assert got == tuple(want)
+
+
+@PROPERTY
+@given(rational_matrices(max_rows=5, max_cols=5), st.data())
+def test_rat_matrix_product_equals_entrywise_sums(rows, data):
+    ncols = data.draw(st.integers(1, 5))
+    other = [[data.draw(entries) for _ in range(ncols)] for _ in rows[0]]
+    want = [
+        [sum(Fraction(a) * Fraction(col[k]) for a, col in zip(row, other)) for k in range(ncols)]
+        for row in rows
+    ]
+    assert RatMatrix.from_rows(rows) * RatMatrix.from_rows(other) == RatMatrix.from_rows(want)
+
+
+@PROPERTY
+@given(rational_matrices(max_rows=5, square=True))
+def test_rat_inverse_is_two_sided(rows):
+    m = RatMatrix.from_rows(rows)
+    n = len(rows)
+    if len(fraction_rref(rows)[1]) < n:
+        with pytest.raises(ValueError):
+            rat_inverse(m)
+    else:
+        inv = rat_inverse(m)
+        assert m * inv == RatMatrix.identity(n)
+        assert inv * m == RatMatrix.identity(n)
+
+
+@PROPERTY
+@given(
+    st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=1, max_size=4),
+    st.sampled_from([2, 3, 5, 7]),
+)
+def test_rank_and_kernel_mod_p_against_smith_form(rows, p):
+    m = IntMatrix.from_rows(rows)
+    rank, kern = rank_and_kernel(m, p)
+    factors = snf_invariant_factors_by_minors(rows)
+    assert rank == sum(1 for d in factors if d % p != 0)
+    assert len(kern) == m.cols - rank
+    for v in kern:
+        # a column where v is 1 and every other kernel vector is 0
+        assert any(
+            v[j] == 1 and all(u[j] == 0 for u in kern if u is not v)
+            for j in range(m.cols)
+        )
+        assert all(0 <= x < p for x in v)
+        assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in rows)

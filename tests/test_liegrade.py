@@ -1,11 +1,26 @@
+import random
+
 import pytest
 
-from gradedorbits.exactlin import IntMatrix, RatMatrix, bracket
+from gradedorbits.exactlin import (
+    IntMatrix,
+    RatMatrix,
+    bracket,
+    nilpotent_jordan_partition,
+    nullspace,
+    rat_inverse,
+)
 from gradedorbits.liegrade import (
     BadForm,
     Cocharacter,
     NoTriple,
     Sl2Triple,
+    _conjugated_support,
+    _integer_eigenvalues,
+    _solve_f,
+    _solve_h,
+    _subspace_in_cells,
+    _toral_h_possible,
     adapted_sl2_triple,
     build_algebra,
     canonical_parabolic,
@@ -16,6 +31,8 @@ from gradedorbits.liegrade import (
     standard_symplectic_form,
     weight_matrix,
 )
+
+from oracles import subspace_in_cells_by_nullspace, triple_h_by_full_system
 
 
 def unit(d, i, j, value=1):
@@ -277,3 +294,208 @@ def test_triple_well_defined_on_orbit():
     w1, _ = chi_prime(t1, WORKED_CHI)
     w2, _ = chi_prime(t2, WORKED_CHI)
     assert sorted(w1.weights) == sorted(w2.weights)
+
+
+# ---------------------------------------------------------------------------
+# graded pieces by cell-support filter against the generic nullspace
+
+
+def _seeded_cochars(kind, d, count, seed):
+    rng = random.Random(f"{kind}{d}:{seed}")
+    out = []
+    for _ in range(count):
+        if kind == "sl":
+            w = [rng.randint(-3, 3) for _ in range(d - 1)]
+            w.append(-sum(w))
+        else:
+            half = [rng.randint(-3, 3) for _ in range(d // 2)]
+            w = half + [-x for x in half]
+        out.append(Cocharacter.of(w))
+    return out
+
+
+def _cells_of_degree(chi, n):
+    w = chi.weights
+    d = len(w)
+    return {(i, j) for i in range(d) for j in range(d) if w[i] - w[j] == n}
+
+
+@pytest.mark.parametrize(
+    "kind,d", [("sl", 2), ("sl", 3), ("sl", 4), ("sl", 5), ("sp", 2), ("sp", 4), ("sp", 6)]
+)
+def test_graded_component_matches_nullspace_oracle(kind, d):
+    alg = build_algebra(kind, d)
+    for chi in _seeded_cochars(kind, d, 4, seed=0):
+        spread = max(chi.weights) - min(chi.weights)
+        for n in range(-spread - 1, spread + 2):
+            got = graded_component(alg, chi, n).basis
+            want = subspace_in_cells_by_nullspace(alg.basis, _cells_of_degree(chi, n))
+            assert got == want, (chi, n)
+
+
+def test_subspace_in_cells_straddling_basis_falls_back_to_elimination():
+    # after a non-identity basis change, sp4 basis elements straddle cell sets
+    sp4 = build_algebra("sp", 4)
+    p = RatMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -1, 1]])
+    p_inv = RatMatrix.from_rows([[1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]])
+    assert p * p_inv == RatMatrix.identity(4)
+    conjugated = tuple(p_inv * m * p for m in sp4.basis)
+    upper = {(i, j) for i in range(4) for j in range(4) if i <= j}
+    straddling = [m for m in conjugated if m.support() & upper and m.support() - upper]
+    assert straddling
+    for cells in (upper, _cells_of_degree(Cocharacter.of([1, 0, -1, 0]), 1)):
+        assert _subspace_in_cells(conjugated, cells) == subspace_in_cells_by_nullspace(
+            conjugated, cells
+        )
+
+
+def test_graded_component_nonstandard_form_matches_oracle():
+    form = IntMatrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]])
+    alg = build_algebra("sp", 4, form)
+    for m in alg.basis:
+        assert alg.contains(m)
+    chi = Cocharacter.of([1, -1, 2, -2])
+    for n in range(-5, 6):
+        assert graded_component(alg, chi, n).basis == subspace_in_cells_by_nullspace(
+            alg.basis, _cells_of_degree(chi, n)
+        )
+
+
+def test_adapted_triple_rejects_x_outside_piece():
+    sp4 = build_algebra("sp", 4)
+    chi = Cocharacter.of([1, 0, -1, 0])
+    # a degree-1 cell whose partner cell is missing: not in sp4
+    with pytest.raises(ValueError, match="graded component"):
+        adapted_sl2_triple(sp4, chi, 1, unit(4, 0, 1))
+    sl4 = build_algebra("sl", 4)
+    # in sl4 but with a cell of degree 2
+    with pytest.raises(ValueError, match="graded component"):
+        adapted_sl2_triple(sl4, WORKED_CHI, -1, unit(4, 3, 0))
+    with pytest.raises(ValueError, match="4x4"):
+        adapted_sl2_triple(sl4, WORKED_CHI, -1, unit(3, 1, 0))
+
+
+def test_sl_parabolic_skips_conjugation_with_same_spans():
+    # x with a non-diagonal h: the sl basis stands in for its conjugate
+    sl4 = build_algebra("sl", 4)
+    x = RatMatrix.from_rows([[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, -2, 2, 0]])
+    triple = adapted_sl2_triple(sl4, WORKED_CHI, -1, x)
+    _, p = chi_prime(triple, WORKED_CHI)
+    assert p != RatMatrix.identity(4)
+    datum = canonical_parabolic(sl4, WORKED_CHI, triple, -1)
+    p_inv = rat_inverse(p)
+    conjugated = tuple(p_inv * m * p for m in sl4.basis)
+    for which, got in (("p", datum.p_basis), ("n", datum.n_basis), ("l", datum.l_basis)):
+        mask = datum.mask(which).entries
+        cells = {(i, j) for i in range(4) for j in range(4) if mask[i][j]}
+        want = subspace_in_cells_by_nullspace(conjugated, cells)
+        assert len(got) == len(want)
+        assert all(in_span(want, m) for m in got)
+
+
+# ---------------------------------------------------------------------------
+# the paths of a non-diagonal h: eigenvalues, the toral test, sp pieces
+
+
+def test_integer_eigenvalues_match_nullspace_scan():
+    rng = random.Random("eigen")
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        den = rng.choice((1, 2, 3))
+        if rng.random() < 0.5:
+            # integer spectrum: q diag(e) q^-1 for a unimodular q, times den
+            q = RatMatrix.identity(k)
+            for _ in range(3):
+                i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+                if i != j:
+                    q = q * (RatMatrix.identity(k) + unit(k, i, j, rng.choice((-1, 1))))
+            diag = RatMatrix.from_rows(
+                [[rng.randint(-3, 3) * den if a == b else 0 for b in range(k)] for a in range(k)]
+            )
+            num = [list(row) for row in (q * diag * rat_inverse(q)).num]
+        else:
+            num = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+        bound = rng.randint(3, 6)
+        def shifted(m):
+            return [[num[a][b] - (m * den if a == b else 0) for b in range(k)] for a in range(k)]
+
+        want = [m for m in range(-bound, bound + 1) if nullspace(shifted(m))]
+        assert _integer_eigenvalues(num, den, bound) == want, (num, den)
+
+
+TRIPLE_SPECS = [
+    ("sl", (1, 0, 0, -1), -1),
+    ("sl", (1, 1, 0, 0, -1, -1), 1),
+    ("sl", (1, 1, 0, 0, 0, -1, -1), 1),
+    ("sp", (1, 0, -1, 0), 1),
+    ("sp", (1, 1, 0, -1, -1, 0), 1),
+    ("sp", (1, 1, 0, 0, -1, -1, 0, 0), 1),
+]
+
+
+def _random_piece_elements(alg, chi, n, count, seed):
+    """Seeded random nonzero elements of g_n (nilpotent, as n != 0)."""
+    piece = graded_component(alg, chi, n).basis
+    rng = random.Random(f"{alg.kind}{chi.weights}{n}:{seed}")
+    out = []
+    while len(out) < count:
+        x = RatMatrix.zeros(alg.dim_ambient, alg.dim_ambient)
+        for b in piece:
+            if rng.random() < 0.6:
+                x = x + b.scale(rng.choice((-2, -1, 1, 2)))
+        if not x.is_zero():
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("kind,weights,n", TRIPLE_SPECS)
+def test_f_only_solve_and_toral_check_keep_the_triple(kind, weights, n):
+    alg = build_algebra(kind, len(weights))
+    chi = Cocharacter.of(weights)
+    d = alg.dim_ambient
+    g0 = graded_component(alg, chi, 0).basis
+    gm = graded_component(alg, chi, -n).basis
+    diag = _subspace_in_cells(g0, {(i, i) for i in range(d)})
+    for x in _random_piece_elements(alg, chi, n, 6, seed=1):
+        brackets_f = [bracket(x, b) for b in gm]
+        # the f-only system gives the h of the system in (h, f)
+        assert _solve_h(x, brackets_f, d, False) == triple_h_by_full_system(x, g0, gm)
+        h = _solve_h(x, brackets_f, d, True)
+        assert h == triple_h_by_full_system(x, diag, gm)
+        f = _solve_f(x, h, gm, d) if h is not None else None
+        toral = f is not None and Sl2Triple(x, h, f).bracket_relations_hold()
+        if not _toral_h_possible(x, diag, nilpotent_jordan_partition(x)):
+            assert not toral
+        triple = adapted_sl2_triple(alg, chi, n, x)
+        if toral:
+            assert (triple.h, triple.f) == (h, f)
+        else:
+            assert any(triple.h.num[i][j] for i in range(d) for j in range(d) if i != j)
+
+
+@pytest.mark.parametrize("kind,weights,n", [s for s in TRIPLE_SPECS if s[0] == "sp"])
+def test_sp_parabolic_spans_match_conjugated_basis(kind, weights, n):
+    # p^-1 sp p is solved for on the cells directly; the pieces must span
+    # what the conjugated basis spans there
+    alg = build_algebra(kind, len(weights))
+    chi = Cocharacter.of(weights)
+    d = alg.dim_ambient
+    checked = 0
+    for x in _random_piece_elements(alg, chi, n, 6, seed=2):
+        triple = adapted_sl2_triple(alg, chi, n, x)
+        datum = canonical_parabolic(alg, chi, triple, n)
+        p = datum.basis_change
+        if p == RatMatrix.identity(d):
+            continue
+        checked += 1
+        p_inv = rat_inverse(p)
+        conjugated = tuple(p_inv * m * p for m in alg.basis)
+        for which, got in (("p", datum.p_basis), ("n", datum.n_basis), ("l", datum.l_basis)):
+            mask = datum.mask(which).entries
+            cells = {(i, j) for i in range(d) for j in range(d) if mask[i][j]}
+            want = subspace_in_cells_by_nullspace(conjugated, cells)
+            assert len(got) == len(want)
+            assert all(in_span(want, m) for m in got)
+        for m in datum.l_basis:
+            assert _conjugated_support(p_inv.num, m, p.num) == (p_inv * m * p).support()
+    assert checked
