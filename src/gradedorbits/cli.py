@@ -250,12 +250,11 @@ def cmd_parabolic(args) -> int:
 
 
 def cmd_primes(args) -> int:
-    from .rootdata import TooLarge, prime_report, standard_root_datum
+    from .rootdata import TooLarge, UnsupportedType, prime_report, standard_root_datum
 
-    rd = standard_root_datum(args.type, args.n)
     try:
-        rep = prime_report(rd)
-    except TooLarge as exc:
+        rep = prime_report(standard_root_datum(args.type, args.n))
+    except (TooLarge, UnsupportedType) as exc:  # argparse has checked --type
         raise ValueError(f"argument --n: {exc}") from None
     payload = rep.as_dict()
     lines = [

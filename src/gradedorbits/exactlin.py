@@ -345,11 +345,18 @@ def hermite_rows(rows) -> tuple:
     return tuple(tuple(r) for r in out)
 
 
-def in_hermite_span(hnf, vec) -> bool:
-    """Whether ``vec`` lies in the lattice given by Hermite rows ``hnf``."""
+def hermite_pivots(hnf) -> tuple:
+    """The pivot column of each Hermite row."""
+    return tuple(next(i for i, x in enumerate(row) if x != 0) for row in hnf)
+
+
+def in_hermite_span(hnf, vec, pivots=None) -> bool:
+    """Whether ``vec`` lies in the lattice given by Hermite rows ``hnf``.
+
+    ``pivots`` may carry ``hermite_pivots(hnf)`` when many vectors are
+    tested against one lattice."""
     v = list(vec)
-    for row in hnf:
-        j = next(i for i, x in enumerate(row) if x != 0)
+    for row, j in zip(hnf, pivots or hermite_pivots(hnf)):
         if v[j] != 0:
             if v[j] % row[j] != 0:
                 return False

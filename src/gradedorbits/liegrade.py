@@ -636,12 +636,13 @@ def check_n_rigid(alg_or_basis, chi: Cocharacter, triple: Sl2Triple, n: int) -> 
     A supported cell of bidegree (m, m') is compatible iff 2*m' = n*m; the
     first incompatible cell (row-major, in the diagonalising basis) is
     returned as the witness.  Triple placement (e in g_n, h in g_0,
-    f in g_-n) is part of the check.
+    f in g_-n) is part of the check.  An algebra is given in its own
+    coordinates and conjugated into the diagonalising basis here; a basis
+    is taken as already in it, as ``canonical_parabolic`` returns its
+    pieces.
     """
-    if isinstance(alg_or_basis, MatrixLieAlgebra):
-        basis = alg_or_basis.basis
-    else:
-        basis = tuple(alg_or_basis)
+    own_coordinates = isinstance(alg_or_basis, MatrixLieAlgebra)
+    basis = alg_or_basis.basis if own_coordinates else tuple(alg_or_basis)
     if not basis:
         return RigidityReport(True, None)
     d = basis[0].rows
@@ -660,7 +661,10 @@ def check_n_rigid(alg_or_basis, chi: Cocharacter, triple: Sl2Triple, n: int) -> 
                 return RigidityReport(False, (wp[i] - wp[j], w[i] - w[j]))
     support = set()
     for m in basis:
-        support |= _conjugated_support(p_inv.num, m, p.num) if conjugate else m.support()
+        if conjugate and own_coordinates:
+            support |= _conjugated_support(p_inv.num, m, p.num)
+        else:
+            support |= m.support()
     for i in range(d):
         for j in range(d):
             if (i, j) not in support:

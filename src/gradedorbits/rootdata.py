@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .exactlin import (
+    hermite_pivots,
     hermite_rows,
     in_hermite_span,
     prime_factors,
@@ -146,36 +147,65 @@ def standard_root_datum(kind: str, n: int) -> RootDatum:
 # closed subsystems
 
 
-def _closure_of(vectors, indices) -> tuple:
-    """Indices of all vectors lying in the integer span of the selection."""
-    if not indices:
-        return ()
-    hnf = hermite_rows([vectors[i] for i in indices])
-    return tuple(i for i, v in enumerate(vectors) if in_hermite_span(hnf, v))
+def _support(vec) -> int:
+    return sum(1 << j for j, x in enumerate(vec) if x)
+
+
+def _close(vectors, supports, rows, members) -> tuple:
+    """(members, Hermite rows) of the closed family of the span of ``rows``,
+    members as a bitmask of vector indices.
+
+    ``members`` are indices already known to lie in the span; of the other
+    vectors only those supported on the span's columns can lie in it.
+    """
+    hnf = hermite_rows(rows)
+    pivots = hermite_pivots(hnf)
+    columns = 0
+    for row in hnf:
+        columns |= _support(row)
+    for k, vec in enumerate(vectors):
+        if not (members >> k & 1 or supports[k] & ~columns) and in_hermite_span(
+            hnf, vec, pivots
+        ):
+            members |= 1 << k
+    return members, hnf
 
 
 def _closed_families(vectors) -> tuple:
     """All subsets closed under 'every listed vector in the span belongs'.
 
     Every closed family is a join of singleton closures, so the fixpoint of
-    pairwise joins starting from those closures enumerates all of them.
+    pairwise joins starting from those closures enumerates all of them.  A
+    join closes the Hermite rows of its two families, not their members,
+    and a closure depends only on the union of the members joined, so each
+    union is closed once; a union that is already a family needs no work.
     """
-    families = {(): ()}
-    work = [()]
-    for i in range(len(vectors)):
-        cl = _closure_of(vectors, (i,))
-        if cl not in families:
-            families[cl] = cl
-            work.append(cl)
-    singles = [f for f in families if f]
+    supports = [_support(v) for v in vectors]
+    families = {0: ()}  # members bitmask -> Hermite rows of their span
+    singles = []
+    for i, vec in enumerate(vectors):
+        members, rows = _close(vectors, supports, (vec,), 1 << i)
+        if members not in families:
+            families[members] = rows
+            singles.append((members, rows))
+    tried = set(families)
+    work = list(families.items())
     while work:
-        base = work.pop()
-        for s in singles:
-            joined = _closure_of(vectors, tuple(sorted(set(base) | set(s))))
-            if joined not in families:
-                families[joined] = joined
-                work.append(joined)
-    return tuple(sorted(families, key=lambda t: (len(t), t)))
+        base, base_rows = work.pop()
+        for single, single_rows in singles:
+            union = base | single
+            if union in tried:
+                continue
+            tried.add(union)
+            members, rows = _close(vectors, supports, base_rows + single_rows, union)
+            if members not in families:
+                families[members] = rows
+                tried.add(members)
+                work.append((members, rows))
+    out = (
+        tuple(k for k in range(len(vectors)) if mask >> k & 1) for mask in families
+    )
+    return tuple(sorted(out, key=lambda t: (len(t), t)))
 
 
 MAX_ROOTS = 48  # closed-family enumeration grows about exponentially in this
@@ -278,14 +308,19 @@ def prime_report(rd: RootDatum) -> PrimeReport:
 
     The X-side quantification runs over subsystems closed inside the root
     list; the Y-side runs over subsystems closed inside the coroot list.
-    The two closures genuinely differ (a coroot span can be closed while the
-    matching root span is not), and both sides are needed to exhaust the
-    quantifier over arbitrary subsets.  Root data with more than
-    ``MAX_ROOTS`` roots raise ``TooLarge``.
+    The two closures differ in general (in Sp(4) the coroots of the short
+    roots form a closed set, the short roots do not), and both sides are
+    needed to exhaust the quantifier over arbitrary subsets.  When the
+    coroot list equals the root list, as for SL, one search serves both
+    sides.  Root data with more than ``MAX_ROOTS`` roots raise
+    ``TooLarge``.
     """
     _check_size(rd)
     root_closed = _closed_families(rd.roots)
-    coroot_closed = _closed_families(rd.coroots)
+    coroot_closed = (
+        root_closed if rd.coroots == rd.roots else _closed_families(rd.coroots)
+    )
+    y_rows = y_quotient_rows(rd, range(len(rd.coroots)))
 
     x_side = set()
     for fam in root_closed:
@@ -293,7 +328,7 @@ def prime_report(rd: RootDatum) -> PrimeReport:
     y_side = set()
     for fam in coroot_closed:
         y_side |= torsion_primes_of_quotient(
-            y_quotient_rows(rd, fam), len(rd.y_basis)
+            [y_rows[i] for i in fam], len(rd.y_basis)
         )
 
     bad = _bad_primes(rd)

@@ -6,7 +6,9 @@ and cohomology/point-count checks by brute enumeration.  Flag counts over
 F_p sweep the whole Grassmannian once per condition set and test span
 membership by generic elimination against the echelon basis.  Rational
 elimination runs on Fraction rows, and graded pieces come from a generic
-nullspace instead of the package's cell-support filter.
+nullspace instead of the package's cell-support filter.  Closed families
+of a vector list come from closing the members of every pairwise join,
+with no memo and no support filter.
 """
 
 from __future__ import annotations
@@ -302,3 +304,36 @@ def triple_h_by_full_system(x, h_basis, gm_basis):
         for i in range(d)
     ]
     return RatMatrix.from_rows(entries)
+
+
+def closure_by_members(vectors, indices):
+    """Indices of all vectors lying in the integer span of the selection."""
+    from gradedorbits.exactlin import hermite_rows, in_hermite_span
+
+    if not indices:
+        return ()
+    hnf = hermite_rows([vectors[i] for i in indices])
+    return tuple(i for i, v in enumerate(vectors) if in_hermite_span(hnf, v))
+
+
+def closed_families_by_join_closure(vectors):
+    """All subsets closed under 'every listed vector in the span belongs',
+    as the fixpoint of pairwise joins of singleton closures, each join
+    closed from the Hermite form of all its members; sorted by size, then
+    by indices."""
+    families = {(): ()}
+    work = [()]
+    for i in range(len(vectors)):
+        cl = closure_by_members(vectors, (i,))
+        if cl not in families:
+            families[cl] = cl
+            work.append(cl)
+    singles = [f for f in families if f]
+    while work:
+        base = work.pop()
+        for s in singles:
+            joined = closure_by_members(vectors, tuple(sorted(set(base) | set(s))))
+            if joined not in families:
+                families[joined] = joined
+                work.append(joined)
+    return tuple(sorted(families, key=lambda t: (len(t), t)))

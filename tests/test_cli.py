@@ -210,11 +210,8 @@ GRADED_ORBITS_D6_JSON = (
 )
 
 # Bytes captured before the graded pieces were read off the basis.  The
-# "levi_rigid": false in both parabolic outputs below is a known defect, not
-# a checked answer: cmd_parabolic hands check_n_rigid a Levi basis that is
-# already in the diagonalising basis, and check_n_rigid conjugates it by p a
-# second time (a FOUND line in CHANGES.md).  Mending that changes these two
-# constants on purpose.
+# Levi of the canonical parabolic is rigid by construction, so both
+# parabolic outputs carry "levi_rigid": true although h is not diagonal.
 SL_X = "0,0,0,0;1,0,0,0;1,0,0,0;0,-2,2,0"  # h is not diagonal
 SL_ARGS = ["--type", "sl", "--d", "4", "--cochar", "1,0,0,-1", "--x", SL_X, "--degree", "-1"]
 SL_TRIPLE_JSON = (
@@ -223,13 +220,12 @@ SL_TRIPLE_JSON = (
     '"f": "0,1/2,1/2,0;0,0,0,-1/4;0,0,0,1/4;0,0,0,0", '
     '"h": "-1,0,0,0;0,0,1,0;0,1,0,0;0,0,0,1"}\n'
 )
-# levi_rigid is wrong here: see the double-conjugation note above
 SL_PARABOLIC_JSON = (
     '{"chi_prime": [-1, -1, 1, 1], '
     '"chi_prime_matrix": "0,0,-2,-2;0,0,-2,-2;2,2,0,0;2,2,0,0", '
     '"indicator": "0,2,0,2;-2,0,-2,0;0,2,0,2;-2,0,-2,0", '
     '"l_mask": "1,0,1,0;0,1,0,1;1,0,1,0;0,1,0,1", "levi_blocks": [2, 2], '
-    '"levi_rigid": false, "n_mask": "0,1,0,1;0,0,0,0;0,1,0,1;0,0,0,0", '
+    '"levi_rigid": true, "n_mask": "0,1,0,1;0,0,0,0;0,1,0,1;0,0,0,0", '
     '"p_mask": "1,1,1,1;0,1,0,1;1,1,1,1;0,1,0,1"}\n'
 )
 
@@ -244,13 +240,12 @@ SP_TRIPLE_JSON = (
     '"f": "0,0,0,0,0,0;2,0,0,0,0,0;0,-2,0,0,0,0;0,0,0,0,-2,0;0,0,0,0,0,2;0,0,0,0,0,0", '
     '"h": "2,0,0,0,0,0;0,0,0,0,0,0;0,0,-2,0,0,-8;0,0,0,-2,0,0;0,0,0,0,0,0;0,0,0,0,0,2"}\n'
 )
-# levi_rigid is wrong here: see the double-conjugation note above
 SP_PARABOLIC_JSON = (
     '{"chi_prime": [2, 0, -2, -2, 0, 2], '
     '"chi_prime_matrix": "0,2,4,4,2,0;-2,0,2,2,0,-2;-4,-2,0,0,-2,-4;-4,-2,0,0,-2,-4;-2,0,2,2,0,-2;0,2,4,4,2,0", '
     '"indicator": "0,0,0,-4,-4,-4;0,0,0,-4,-4,-4;0,0,0,-4,-4,-4;4,4,4,0,0,0;4,4,4,0,0,0;4,4,4,0,0,0", '
     '"l_mask": "1,1,1,0,0,0;1,1,1,0,0,0;1,1,1,0,0,0;0,0,0,1,1,1;0,0,0,1,1,1;0,0,0,1,1,1", '
-    '"levi_blocks": [3, 3], "levi_rigid": false, '
+    '"levi_blocks": [3, 3], "levi_rigid": true, '
     '"n_mask": "0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;1,1,1,0,0,0;1,1,1,0,0,0;1,1,1,0,0,0", '
     '"p_mask": "1,1,1,0,0,0;1,1,1,0,0,0;1,1,1,0,0,0;1,1,1,1,1,1;1,1,1,1,1,1;1,1,1,1,1,1"}\n'
 )
@@ -271,6 +266,13 @@ def test_graded_piece_json_bytes(capsys, argv, expected):
     code, out = run_capture(capsys, argv + ["--json"])
     assert code == 0
     assert out == expected
+
+
+@pytest.mark.parametrize("args", [SL_ARGS, SP_ARGS], ids=["sl", "sp"])
+def test_parabolic_levi_rigid_for_non_diagonal_h(capsys, args):
+    code, out = run_capture(capsys, ["parabolic", *args])
+    assert code == 0
+    assert "levi_rigid: yes" in out.splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -326,4 +328,15 @@ def test_primes_root_bound_names_flag(capsys):
     captured = capsys.readouterr()
     assert "argument --n:" in captured.err
     assert "56 roots" in captured.err and "48" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "kind,n,message",
+    [("sl", "1", "SL needs n >= 2"), ("sp", "5", "Sp needs even n >= 2"), ("sp", "0", "Sp needs even n >= 2")],
+)
+def test_primes_domain_error_names_flag(capsys, kind, n, message):
+    assert cli.run(["primes", "--type", kind, "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert f"argument --n: {message}" in captured.err
     assert captured.out == ""

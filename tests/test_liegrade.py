@@ -473,6 +473,23 @@ def test_f_only_solve_and_toral_check_keep_the_triple(kind, weights, n):
             assert any(triple.h.num[i][j] for i in range(d) for j in range(d) if i != j)
 
 
+@pytest.mark.parametrize("kind,weights,n", TRIPLE_SPECS)
+def test_canonical_levi_is_rigid(kind, weights, n):
+    # l_basis comes in the diagonalising basis, where every Levi cell has
+    # 2m' = n*m by construction; check_n_rigid must not conjugate it again
+    alg = build_algebra(kind, len(weights))
+    chi = Cocharacter.of(weights)
+    d = alg.dim_ambient
+    non_diagonal = 0
+    for x in _random_piece_elements(alg, chi, n, 6, seed=3):
+        triple = adapted_sl2_triple(alg, chi, n, x)
+        datum = canonical_parabolic(alg, chi, triple, n)
+        non_diagonal += datum.basis_change != RatMatrix.identity(d)
+        rep = check_n_rigid(datum.l_basis, chi, triple, n)
+        assert (rep.is_rigid, rep.witness) == (True, None)
+    assert non_diagonal
+
+
 @pytest.mark.parametrize("kind,weights,n", [s for s in TRIPLE_SPECS if s[0] == "sp"])
 def test_sp_parabolic_spans_match_conjugated_basis(kind, weights, n):
     # p^-1 sp p is solved for on the cells directly; the pieces must span

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from gradedorbits.exactlin import hermite_rows, in_hermite_span
+from gradedorbits import rootdata
+from gradedorbits.exactlin import hermite_rows, in_hermite_span, is_prime
 from gradedorbits.rootdata import (
     ClosedSubsystem,
     RootDatum,
@@ -13,6 +14,7 @@ from gradedorbits.rootdata import (
     prime_report,
     standard_root_datum,
 )
+from oracles import closed_families_by_join_closure
 
 
 def test_root_counts():
@@ -143,3 +145,110 @@ def test_prime_report_invariant_under_root_order():
         y_basis=rd.y_basis,
     )
     assert prime_report(shuffled) == prime_report(rd)
+
+
+def _shuffled(rd, seed):
+    order = list(range(len(rd.roots)))
+    random.Random(seed).shuffle(order)
+    return RootDatum(
+        label=rd.label,
+        ambient_rank=rd.ambient_rank,
+        roots=tuple(rd.roots[i] for i in order),
+        coroots=tuple(rd.coroots[i] for i in order),
+        x_relations=rd.x_relations,
+        y_basis=rd.y_basis,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the closed-family search against the join-closure oracle
+
+
+@pytest.mark.parametrize("side", ["roots", "coroots"])
+@pytest.mark.parametrize(
+    "kind,n",
+    [("sl", n) for n in range(2, 7)] + [("sp", n) for n in (2, 4, 6, 8)],
+)
+def test_closed_families_equal_join_closure_oracle(kind, n, side):
+    vectors = getattr(standard_root_datum(kind, n), side)
+    assert rootdata._closed_families(vectors) == closed_families_by_join_closure(vectors)
+
+
+@pytest.mark.parametrize("side", ["roots", "coroots"])
+def test_closed_families_equal_oracle_in_shuffled_order(side):
+    vectors = getattr(_shuffled(standard_root_datum("sp", 6), 7), side)
+    assert rootdata._closed_families(vectors) == closed_families_by_join_closure(vectors)
+
+
+def test_prime_report_shares_the_search_when_coroots_equal_roots(monkeypatch):
+    searched = []
+    search = rootdata._closed_families
+
+    def counted(vectors):
+        searched.append(vectors)
+        return search(vectors)
+
+    monkeypatch.setattr(rootdata, "_closed_families", counted)
+    sl = standard_root_datum("sl", 4)
+    prime_report(sl)
+    assert searched == [sl.roots]
+    searched.clear()
+    sp = standard_root_datum("sp", 4)
+    prime_report(sp)
+    assert searched == [sp.roots, sp.coroots]
+
+
+# ---------------------------------------------------------------------------
+# closed forms, independent of the search
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for k in range(len(part)):
+            yield part[:k] + [[first] + part[k]] + part[k + 1:]
+
+
+@pytest.mark.parametrize(
+    "n,bell", [(2, 2), (3, 5), (4, 15), (5, 52), (6, 203), (7, 877)]
+)
+def test_sl_closed_families_are_set_partitions(n, bell):
+    """A Z-closed set of type A roots e_i - e_j is the set of roots inside
+    the blocks of a set partition of {0, ..., n-1}, so there are Bell(n)."""
+    rd = standard_root_datum("sl", n)
+    index = {r: k for k, r in enumerate(rd.roots)}
+
+    def root(i, j):
+        return tuple((k == i) - (k == j) for k in range(n))
+
+    expected = {
+        tuple(sorted(index[root(i, j)] for b in part for i in b for j in b if i != j))
+        for part in _set_partitions(list(range(n)))
+    }
+    got = [s.member_indices for s in closed_subsystems(rd)]
+    assert len(got) == len(expected) == bell
+    assert set(got) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sl_prime_report_closed_form(n):
+    """SL_n has no torsion primes (Steinberg); its pretty good exclusions
+    are the primes dividing n (Herpel, Trans. AMS 2013)."""
+    rep = prime_report(standard_root_datum("sl", n))
+    assert rep.torsion == ()
+    assert rep.pretty_good_excluded == tuple(
+        p for p in range(2, n + 1) if n % p == 0 and is_prime(p)
+    )
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_sp_prime_report_closed_form(m):
+    """Sp_2m for m >= 2 has torsion prime 2 and pretty good exclusion 2.
+    Sp_2 is SL_2: no torsion primes, and 2 divides n = 2."""
+    rep = prime_report(standard_root_datum("sp", 2 * m))
+    assert rep.torsion == ((2,) if m >= 2 else ())
+    assert rep.pretty_good_excluded == (2,)
