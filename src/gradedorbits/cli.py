@@ -9,6 +9,7 @@ mismatches reported by ``fibers``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,15 +29,21 @@ from .liegrade import (
 )
 from .orbitlib import graded_orbit_reps_typeA, nilpotent_orbits
 
+# ``orbits --n`` enumerates every partition of n: 37,338 for n = 40 take
+# about 1 s, and the count grows about 1.5x per step of n beyond
+MAX_ORBITS_N = 40
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
+
+def _orbits_n(text: str) -> int:
+    """argparse type: an integer in 1..MAX_ORBITS_N."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > MAX_ORBITS_N:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_ORBITS_N}, got {value}")
     return value
 
 
@@ -317,7 +324,11 @@ def cmd_stalks(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: each parse
+    fills a new namespace, so no option carries over from one call to the
+    next."""
     parser = argparse.ArgumentParser(
         prog="gradedorbits",
         description="Exact computations for cocharacter-graded classical Lie algebras.",
@@ -332,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("orbits", help="nilpotent orbit table")
     p.add_argument("--type", required=True, choices=["sl", "sp"])
-    p.add_argument("--n", required=True, type=_positive_int)
+    p.add_argument("--n", required=True, type=_orbits_n, help=f"1 to {MAX_ORBITS_N}")
     p.set_defaults(func=cmd_orbits)
 
     p = add_parser("graded-orbits", help="orbits in a graded piece (type A)")

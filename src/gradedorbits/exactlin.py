@@ -287,8 +287,9 @@ def prime_factors(n: int) -> frozenset:
     return frozenset(out)
 
 
-def torsion_primes_of_quotient(rows, ambient: int) -> frozenset:
-    """Primes dividing the torsion of Z^ambient modulo the row span."""
+def torsion_primes_of_quotient(rows) -> frozenset:
+    """Primes dividing the torsion of Z^n modulo the span of the rows, n
+    their length."""
     rows = [tuple(r) for r in rows]
     if not rows:
         return frozenset()

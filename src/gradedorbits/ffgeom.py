@@ -154,11 +154,10 @@ def _validate_element(x_rows, p, d, form):
     if any(any(row) for row in power):
         raise NotStableUnderForm("element is not nilpotent over F_p")
     if form is not None:
-        d_ = d
-        for i in range(d_):
-            for j in range(d_):
+        for i in range(d):
+            for j in range(d):
                 total = 0
-                for k in range(d_):
+                for k in range(d):
                     total += x_rows[k][i] * form.entries[k][j]
                     total += form.entries[i][k] * x_rows[k][j]
                 if total % p != 0:

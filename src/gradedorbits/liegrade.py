@@ -7,12 +7,14 @@ second grading coming from the triple's semisimple element, the canonical
 parabolic/nilradical/Levi attached to a graded nilpotent, and the rigidity
 test comparing the two gradings.
 
-Graded pieces are read off the basis: no sl or standard-sp basis element
-straddles a degree's cell set, so the piece is spanned by the elements
-inside it (``_subspace_in_cells``).  A nullspace over a straddling basis
-runs only for a user-supplied form.  ``canonical_parabolic`` skips the sl
-change of basis, as p^-1 sl p = sl; for sp it solves M^T B' + B' M = 0
-on each cell set, with B' = p^T B p, as p^-1 sp_B p = sp_B'.
+Every piece of the algebra, graded or not, is the part of it on a set of
+matrix cells, and ``_piece`` builds it from the cells alone: for sl the
+units E_ij on off-diagonal cells plus a Cartan chain on the diagonal ones
+(``_sl_in_cells``), for sp_B the solutions of M^T B + B M = 0 supported on
+the cells (``_sp_in_cells``).  ``build_algebra`` is the piece on all
+cells.  After a change of basis p, p^-1 sl p = sl and p^-1 sp_B p = sp_B'
+with B' = p^T B p, so ``canonical_parabolic`` and ``check_n_rigid`` take
+the piece of the same type in the diagonalising basis.
 
 An h that is not diagonal costs about what a diagonal one costs: h is
 solved for through f alone (h = [x, f]), the toral system is skipped when
@@ -31,6 +33,7 @@ from .exactlin import (
     IntMatrix,
     RatMatrix,
     bracket,
+    det_int,
     nilpotent_jordan_partition,
     nullspace,
     rank_rational,
@@ -157,64 +160,92 @@ def standard_symplectic_form(d: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def _integer_matrix(d, cells) -> RatMatrix:
-    """The d x d integer matrix with the given {(i, j): value} cells."""
-    rows = tuple(tuple(cells.get((i, j), 0) for j in range(d)) for i in range(d))
-    return RatMatrix(d, d, rows, 1)
+def _integer_matrix(d, entries) -> RatMatrix:
+    """The d x d integer matrix with the given (i, j, value) entries."""
+    rows = [[0] * d for _ in range(d)]
+    for i, j, v in entries:
+        rows[i][j] = v
+    return RatMatrix(d, d, tuple(map(tuple, rows)), 1)
+
+
+def _all_cells(d) -> list:
+    return [(i, j) for i in range(d) for j in range(d)]
+
+
+def _sl_in_cells(d, cells) -> tuple:
+    """Basis of the part of sl_d on the cell set: E_ij for each off-diagonal
+    cell, row-major, then e_a - e_b for consecutive diagonal cells (a, a),
+    (b, b) of the set.  On all cells this is the basis of ``build_algebra``."""
+    cells = sorted(cells)
+    diag = [i for (i, j) in cells if i == j]
+    return tuple(
+        [_integer_matrix(d, [(i, j, 1)]) for (i, j) in cells if i != j]
+        + [_integer_matrix(d, [(a, a, 1), (b, b, -1)]) for a, b in zip(diag, diag[1:])]
+    )
+
+
+def _sp_in_cells(form, cells) -> tuple:
+    """Basis of the M supported inside the cell set with M^T B + B M = 0,
+    for the integer form B given as rows: the part of sp_B on those cells.
+    M^T B + B M is antisymmetric, so its entries above the diagonal are
+    the equations; M_kl enters entry (i, j) with B_kj if l = i and with
+    B_ik if l = j."""
+    d = len(form)
+    cells = sorted(cells)
+    rows = [
+        [(form[k][j] if l == i else 0) + (form[i][k] if l == j else 0) for (k, l) in cells]
+        for i in range(d)
+        for j in range(i + 1, d)
+    ]
+    return tuple(
+        _integer_matrix(d, [(i, j, v) for (i, j), v in zip(cells, vec) if v])
+        for vec in nullspace(rows)
+    )
+
+
+def _piece(alg: MatrixLieAlgebra, cells, p: RatMatrix | None = None) -> tuple:
+    """Basis of the part of p^-1 alg p on the cell set (of alg itself when
+    p is None).  p^-1 sl p = sl, and p^-1 sp_B p = sp_B' with B' = p^T B p
+    (up to the scalar that clears its denominator)."""
+    if alg.kind == "sl":
+        return _sl_in_cells(alg.dim_ambient, cells)
+    form = alg.form.entries
+    if p is not None:
+        form = (p.transpose() * RatMatrix.from_int(alg.form) * p).num
+    return _sp_in_cells(form, cells)
 
 
 def build_algebra(kind: str, d: int, form: IntMatrix | None = None) -> MatrixLieAlgebra:
     kind = kind.lower()
     if kind == "sl":
-        basis = [
-            _integer_matrix(d, {(i, j): 1})
-            for i in range(d)
-            for j in range(d)
-            if i != j
-        ]
-        basis += [
-            _integer_matrix(d, {(i, i): 1, (i + 1, i + 1): -1}) for i in range(d - 1)
-        ]
-        return MatrixLieAlgebra("sl", d, tuple(basis))
+        return MatrixLieAlgebra("sl", d, _sl_in_cells(d, _all_cells(d)))
     if kind == "sp":
         b = form if form is not None else standard_symplectic_form(d)
         if b.rows != d or b.cols != d:
             raise BadForm("form size does not match ambient dimension")
         if (b + b.transpose()).is_zero() is False:
             raise BadForm("form is not antisymmetric")
-        from .exactlin import det_int
-
         if det_int(b) == 0:
             raise BadForm("form is degenerate")
-        # solve M^T B + B M = 0 entrywise for the d*d unknown entries of M
-        rows = []
-        for i in range(d):
-            for j in range(d):
-                coeff = [0] * (d * d)
-                # (M^T B)_{ij} = sum_k M_{ki} B_{kj};  (B M)_{ij} = sum_k B_{ik} M_{kj}
-                for k in range(d):
-                    coeff[k * d + i] += b.entries[k][j]
-                    coeff[k * d + j] += b.entries[i][k]
-                rows.append(coeff)
-        kern = nullspace(rows)
-        basis = tuple(
-            RatMatrix.from_rows([vec[r * d : (r + 1) * d] for r in range(d)])
-            for vec in kern
-        )
-        return MatrixLieAlgebra("sp", d, basis, b)
+        return MatrixLieAlgebra("sp", d, _sp_in_cells(b.entries, _all_cells(d)), b)
     raise ValueError(f"unsupported algebra type {kind!r}")
 
 
 def validate_cocharacter(alg: MatrixLieAlgebra, chi: Cocharacter) -> None:
     if len(chi) != alg.dim_ambient:
         raise ValueError("cocharacter length does not match ambient dimension")
-    if alg.kind == "sl" and sum(chi.weights) != 0:
+    w = chi.weights
+    if alg.kind == "sl" and sum(w) != 0:
         raise ValueError("sl cocharacter weights must sum to zero")
-    if alg.kind == "sp" and alg.form == standard_symplectic_form(alg.dim_ambient):
-        m = alg.dim_ambient // 2
-        for i in range(m):
-            if chi.weights[m + i] != -chi.weights[i]:
-                raise ValueError("sp cocharacter must satisfy w[i+m] = -w[i]")
+    if alg.kind == "sp":
+        # chi preserves B exactly when B_ij = 0 unless w_i + w_j = 0
+        for i, row in enumerate(alg.form.entries):
+            for j, b in enumerate(row):
+                if b and w[i] + w[j] != 0:
+                    raise ValueError(
+                        f"sp cocharacter must satisfy w[{i}] + w[{j}] = 0,"
+                        f" as B[{i}][{j}] != 0"
+                    )
 
 
 def weight_matrix(chi: Cocharacter) -> IntMatrix:
@@ -222,76 +253,12 @@ def weight_matrix(chi: Cocharacter) -> IntMatrix:
     return IntMatrix.from_rows([[wi - wj for wj in w] for wi in w])
 
 
-def _subspace_in_cells(basis, allowed) -> tuple:
-    """Basis of the span of ``basis`` supported inside the cell set.
-
-    If every basis element lies inside ``allowed`` or misses it entirely,
-    the answer is the elements that lie inside, in basis order: the part of
-    a combination on the other cells is the combination of the elements
-    outside, which are independent, so their coefficients vanish.  This is
-    also what the nullspace below returns for such a basis.  Only a basis
-    with an element that straddles ``allowed`` is eliminated.
-    """
-    inside = []
-    for m in basis:
-        support = m.support()
-        if support <= allowed:
-            inside.append(m)
-        elif not support.isdisjoint(allowed):
-            return _subspace_by_nullspace(basis, allowed)
-    return tuple(inside)
-
-
-def _subspace_by_nullspace(basis, allowed) -> tuple:
-    d = basis[0].rows
-    flats = _integer_flats(basis)
-    # one row per cell outside ``allowed``: the combination must vanish there
-    rows = [
-        [f[i * d + j] for f in flats]
-        for i in range(d)
-        for j in range(d)
-        if (i, j) not in allowed
-    ]
-    out = []
-    for combo in nullspace(rows):
-        acc = RatMatrix.zeros(d, d)
-        for c, m in zip(combo, basis):
-            if c:
-                acc = acc + m.scale(c)
-        out.append(acc)
-    return tuple(out)
-
-
-def _sp_in_cells(form, allowed) -> tuple:
-    """Basis of the M supported inside the cell set with M^T B + B M = 0,
-    for the integer form B given as rows: the part of sp_B on those cells.
-    M^T B + B M is antisymmetric, so its entries above the diagonal are
-    the equations; M_kl enters entry (i, j) with B_kj if l = i and with
-    B_ik if l = j."""
-    d = len(form)
-    cells = sorted(allowed)
-    rows = [
-        [(form[k][j] if l == i else 0) + (form[i][k] if l == j else 0) for (k, l) in cells]
-        for i in range(d)
-        for j in range(i + 1, d)
-    ]
-    out = []
-    for vec in nullspace(rows):
-        m = [[0] * d for _ in range(d)]
-        for (i, j), v in zip(cells, vec):
-            m[i][j] = v
-        out.append(RatMatrix(d, d, tuple(map(tuple, m)), 1))
-    return tuple(out)
-
-
 def graded_component(alg: MatrixLieAlgebra, chi: Cocharacter, n: int) -> GradedComponent:
     validate_cocharacter(alg, chi)
     w = chi.weights
     d = alg.dim_ambient
-    allowed = {
-        (i, j) for i in range(d) for j in range(d) if w[i] - w[j] == n
-    }
-    return GradedComponent(n, _subspace_in_cells(alg.basis, allowed))
+    cells = [(i, j) for i in range(d) for j in range(d) if w[i] - w[j] == n]
+    return GradedComponent(n, _piece(alg, cells))
 
 
 def in_span(basis, m: RatMatrix) -> bool:
@@ -343,11 +310,12 @@ def _solve_h(x, brackets_f, d, diagonal):
     return h
 
 
-def _solve_f(x, h, gm_basis, d):
+def _solve_f(h, gm_basis, brackets_f, d):
+    """The f in span(gm_basis) with [x, f] = h and [h, f] = -2f, or None;
+    ``brackets_f`` holds [x, F_k] for the gm basis."""
     t = len(gm_basis)
-    br_x = [bracket(x, fb) for fb in gm_basis]
     br_h = [bracket(h, fb) for fb in gm_basis]
-    flats = _integer_flats([h, *gm_basis, *br_x, *br_h])
+    flats = _integer_flats([h, *gm_basis, *brackets_f, *br_h])
     h_flat, f_flats = flats[0], flats[1 : 1 + t]
     bx_flats, bh_flats = flats[1 + t : 1 + 2 * t], flats[1 + 2 * t :]
     rows = []
@@ -419,10 +387,9 @@ def adapted_sl2_triple(
         jordan = nilpotent_jordan_partition(x)
     except ValueError:
         raise NoTriple("x is not nilpotent") from None
-    g0 = graded_component(alg, chi, 0)
     gm = graded_component(alg, chi, -n)
-    diag_cells = {(i, i) for i in range(d)}
-    g0_diag = _subspace_in_cells(g0.basis, diag_cells)
+    # the diagonal part of g_0: every diagonal cell has degree 0
+    g0_diag = _piece(alg, [(i, i) for i in range(d)])
     # [x, F] for the g_-n basis, shared by both attempts
     brackets_f = [bracket(x, fb) for fb in gm.basis]
     toral = bool(g0_diag) and _toral_h_possible(x, g0_diag, jordan)
@@ -430,7 +397,7 @@ def adapted_sl2_triple(
         h = _solve_h(x, brackets_f, d, diagonal)
         if h is None:
             continue
-        f = _solve_f(x, h, gm.basis, d)
+        f = _solve_f(h, gm.basis, brackets_f, d)
         if f is None:
             continue
         triple = Sl2Triple(x, h, f)
@@ -570,18 +537,11 @@ def canonical_parabolic(
     d = alg.dim_ambient
     indicator = _indicator_matrix(chi.weights, chip.weights, n)
     ind = indicator.entries
-    cell_sets = [
-        {(i, j) for i in range(d) for j in range(d) if keep(ind[i][j])}
+    # the pieces of p^-1 alg p, in the basis where both gradings are diagonal
+    p_basis, n_basis, l_basis = (
+        _piece(alg, [(i, j) for i in range(d) for j in range(d) if keep(ind[i][j])], p)
         for keep in (lambda s: s >= 0, lambda s: s > 0, lambda s: s == 0)
-    ]
-    if alg.kind == "sl" or p == RatMatrix.identity(d):
-        # p^-1 sl p = sl, so the sl basis serves in the diagonalising basis too
-        pieces = (_subspace_in_cells(alg.basis, cells) for cells in cell_sets)
-    else:
-        # p^-1 sp_B p = sp_B' with B' = p^T B p
-        form = (p.transpose() * RatMatrix.from_int(alg.form) * p).num
-        pieces = (_sp_in_cells(form, cells) for cells in cell_sets)
-    p_basis, n_basis, l_basis = pieces
+    )
     # Levi blocks: coordinates with equal potential sign(n)*(n*w' - 2*w)
     sign = 1 if n > 0 else -1
     potential = [
@@ -614,22 +574,6 @@ class RigidityReport:
     witness: tuple | None  # (m, m') of the first violated cell, row-major
 
 
-def _conjugated_support(q, m: RatMatrix, p) -> set:
-    """Cells where q m p is nonzero, for square integer matrices q and p
-    given as rows: the sum over the cells (a, b) of m of m_ab times column
-    a of q times row b of p, one row update per nonzero."""
-    d = len(q)
-    acc = [[0] * d for _ in range(d)]
-    for a, row in enumerate(m.num):
-        for b, v in enumerate(row):
-            if v:
-                for i in range(d):
-                    c = q[i][a] * v
-                    if c:
-                        acc[i] = [x + c * y for x, y in zip(acc[i], p[b])]
-    return {(i, j) for i in range(d) for j in range(d) if acc[i][j]}
-
-
 def check_n_rigid(alg_or_basis, chi: Cocharacter, triple: Sl2Triple, n: int) -> RigidityReport:
     """The h-grading refines the cocharacter grading exactly.
 
@@ -637,9 +581,9 @@ def check_n_rigid(alg_or_basis, chi: Cocharacter, triple: Sl2Triple, n: int) -> 
     first incompatible cell (row-major, in the diagonalising basis) is
     returned as the witness.  Triple placement (e in g_n, h in g_0,
     f in g_-n) is part of the check.  An algebra is given in its own
-    coordinates and conjugated into the diagonalising basis here; a basis
-    is taken as already in it, as ``canonical_parabolic`` returns its
-    pieces.
+    coordinates, and its part on all cells of the diagonalising basis is
+    solved for here; a basis is taken as already in that basis, as
+    ``canonical_parabolic`` returns its pieces.
     """
     own_coordinates = isinstance(alg_or_basis, MatrixLieAlgebra)
     basis = alg_or_basis.basis if own_coordinates else tuple(alg_or_basis)
@@ -648,10 +592,11 @@ def check_n_rigid(alg_or_basis, chi: Cocharacter, triple: Sl2Triple, n: int) -> 
     d = basis[0].rows
     chip, p = chi_prime(triple, chi)
     e, h, f = triple.e, triple.h, triple.f
-    conjugate = p != RatMatrix.identity(d)
-    if conjugate:
+    if p != RatMatrix.identity(d):
         p_inv = rat_inverse(p)
         e, h, f = (p_inv * m * p for m in (e, h, f))
+        if own_coordinates:
+            basis = _piece(alg_or_basis, _all_cells(d), p)
     w = chi.weights
     wp = chip.weights
     # triple placement inside the graded pieces
@@ -661,10 +606,7 @@ def check_n_rigid(alg_or_basis, chi: Cocharacter, triple: Sl2Triple, n: int) -> 
                 return RigidityReport(False, (wp[i] - wp[j], w[i] - w[j]))
     support = set()
     for m in basis:
-        if conjugate and own_coordinates:
-            support |= _conjugated_support(p_inv.num, m, p.num)
-        else:
-            support |= m.support()
+        support |= m.support()
     for i in range(d):
         for j in range(d):
             if (i, j) not in support:

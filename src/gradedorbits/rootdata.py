@@ -324,16 +324,14 @@ def prime_report(rd: RootDatum) -> PrimeReport:
 
     x_side = set()
     for fam in root_closed:
-        x_side |= torsion_primes_of_quotient(x_quotient_rows(rd, fam), rd.ambient_rank)
+        x_side |= torsion_primes_of_quotient(x_quotient_rows(rd, fam))
     y_side = set()
     for fam in coroot_closed:
-        y_side |= torsion_primes_of_quotient(
-            [y_rows[i] for i in fam], len(rd.y_basis)
-        )
+        y_side |= torsion_primes_of_quotient([y_rows[i] for i in fam])
 
     bad = _bad_primes(rd)
     full = tuple(range(len(rd.roots)))
-    center = torsion_primes_of_quotient(x_quotient_rows(rd, full), rd.ambient_rank)
+    center = torsion_primes_of_quotient(x_quotient_rows(rd, full))
     return PrimeReport(
         good_excluded=tuple(sorted(bad)),
         torsion=tuple(sorted(y_side)),

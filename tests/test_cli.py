@@ -172,6 +172,34 @@ def test_orbits_rejects_n_below_one(capsys, kind, n):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("kind", ["sl", "sp"])
+def test_orbits_rejects_n_above_limit(capsys, kind):
+    assert cli.MAX_ORBITS_N == 40
+    assert cli.run(["orbits", "--type", kind, "--n", "42"]) == 2
+    captured = capsys.readouterr()
+    assert "argument --n:" in captured.err
+    assert "40" in captured.err
+    assert captured.out == ""
+    code, out = run_capture(capsys, ["orbits", "--type", kind, "--n", "8", "--quiet"])
+    assert (code, out) == (0, "")
+
+
+def test_parser_is_built_once_and_still_rejects(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, _ = run_capture(capsys, ["orbits", "--type", "sl", "--n", "3"])
+    assert code == 0
+    assert cli.run(["orbits", "--type", "sl", "--n", "x"]) == 2
+    assert "argument --n:" in capsys.readouterr().err
+    assert cli.run(["orbits", "--type", "sl"]) == 2
+    code, out = run_capture(capsys, ["orbits", "--type", "sp", "--n", "4", "--json"])
+    assert code == 0
+    assert json.loads(out)["type"] == "sp"
+    # options of one call do not carry over to the next
+    code, out = run_capture(capsys, ["orbits", "--type", "sp", "--n", "4"])
+    assert code == 0
+    assert out.startswith("orbit")
+
+
 def test_orbits_sl3_json_bytes(capsys):
     code, out = run_capture(capsys, ["orbits", "--type", "sl", "--n", "3", "--json"])
     assert code == 0
@@ -251,6 +279,65 @@ SP_PARABOLIC_JSON = (
 )
 
 
+# Bytes of `grading --json` captured before every piece was built from its cells.
+GRADING_JSON = [
+    (
+        ["--type", "sl", "--d", "4", "--cochar", "1,0,0,-1", "--degree", "-1"],
+        '{"basis": ['
+        '"0,0,0,0;1,0,0,0;0,0,0,0;0,0,0,0", '
+        '"0,0,0,0;0,0,0,0;1,0,0,0;0,0,0,0", '
+        '"0,0,0,0;0,0,0,0;0,0,0,0;0,1,0,0", '
+        '"0,0,0,0;0,0,0,0;0,0,0,0;0,0,1,0"], '
+        '"degree": -1, "dim": 4, "weight_matrix": "0,1,1,2;-1,0,0,1;-1,0,0,1;-2,-1,-1,0"}\n'
+    ),
+    (
+        ["--type", "sl", "--d", "4", "--cochar", "1,0,0,-1", "--degree", "0"],
+        '{"basis": ['
+        '"0,0,0,0;0,0,1,0;0,0,0,0;0,0,0,0", '
+        '"0,0,0,0;0,0,0,0;0,1,0,0;0,0,0,0", '
+        '"1,0,0,0;0,-1,0,0;0,0,0,0;0,0,0,0", '
+        '"0,0,0,0;0,1,0,0;0,0,-1,0;0,0,0,0", '
+        '"0,0,0,0;0,0,0,0;0,0,1,0;0,0,0,-1"], '
+        '"degree": 0, "dim": 5, "weight_matrix": "0,1,1,2;-1,0,0,1;-1,0,0,1;-2,-1,-1,0"}\n'
+    ),
+    (
+        ["--type", "sl", "--d", "4", "--cochar", "1,0,0,-1", "--degree", "1"],
+        '{"basis": ['
+        '"0,1,0,0;0,0,0,0;0,0,0,0;0,0,0,0", '
+        '"0,0,1,0;0,0,0,0;0,0,0,0;0,0,0,0", '
+        '"0,0,0,0;0,0,0,1;0,0,0,0;0,0,0,0", '
+        '"0,0,0,0;0,0,0,0;0,0,0,1;0,0,0,0"], '
+        '"degree": 1, "dim": 4, "weight_matrix": "0,1,1,2;-1,0,0,1;-1,0,0,1;-2,-1,-1,0"}\n'
+    ),
+    (
+        ["--type", "sp", "--d", "6", "--cochar", "2,1,0,-2,-1,0", "--degree", "-1"],
+        '{"basis": ['
+        '"0,0,0,0,0,0;1,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,-1,0;0,0,0,0,0,0;0,0,0,0,0,0", '
+        '"0,0,0,0,0,0;0,0,0,0,0,0;0,1,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,-1;0,0,0,0,0,0", '
+        '"0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,1,0,0,0;0,1,0,0,0,0"], '
+        '"degree": -1, "dim": 3, "weight_matrix": "0,1,2,4,3,2;-1,0,1,3,2,1;-2,-1,0,2,1,0;-4,-3,-2,0,-1,-2;-3,-2,-1,1,0,-1;-2,-1,0,2,1,0"}\n'
+    ),
+    (
+        ["--type", "sp", "--d", "6", "--cochar", "2,1,0,-2,-1,0", "--degree", "0"],
+        '{"basis": ['
+        '"0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,1;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0", '
+        '"1,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,-1,0,0;0,0,0,0,0,0;0,0,0,0,0,0", '
+        '"0,0,0,0,0,0;0,1,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,-1,0;0,0,0,0,0,0", '
+        '"0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,1,0,0,0", '
+        '"0,0,0,0,0,0;0,0,0,0,0,0;0,0,1,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,-1"], '
+        '"degree": 0, "dim": 5, "weight_matrix": "0,1,2,4,3,2;-1,0,1,3,2,1;-2,-1,0,2,1,0;-4,-3,-2,0,-1,-2;-3,-2,-1,1,0,-1;-2,-1,0,2,1,0"}\n'
+    ),
+    (
+        ["--type", "sp", "--d", "6", "--cochar", "2,1,0,-2,-1,0", "--degree", "1"],
+        '{"basis": ['
+        '"0,0,0,0,0,0;0,0,0,0,0,1;0,0,0,0,1,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0", '
+        '"0,1,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,-1,0,0;0,0,0,0,0,0", '
+        '"0,0,0,0,0,0;0,0,1,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,0,-1,0"], '
+        '"degree": 1, "dim": 3, "weight_matrix": "0,1,2,4,3,2;-1,0,1,3,2,1;-2,-1,0,2,1,0;-4,-3,-2,0,-1,-2;-3,-2,-1,1,0,-1;-2,-1,0,2,1,0"}\n'
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "argv,expected",
     [
@@ -259,8 +346,12 @@ SP_PARABOLIC_JSON = (
         (["parabolic", *SL_ARGS], SL_PARABOLIC_JSON),
         (["triple", *SP_ARGS], SP_TRIPLE_JSON),
         (["parabolic", *SP_ARGS], SP_PARABOLIC_JSON),
+        *((["grading", *args], text) for args, text in GRADING_JSON),
     ],
-    ids=["graded-orbits-d6", "triple-sl", "parabolic-sl", "triple-sp", "parabolic-sp"],
+    ids=[
+        "graded-orbits-d6", "triple-sl", "parabolic-sl", "triple-sp", "parabolic-sp",
+        *(f"grading-{args[1]}{args[3]}-degree{args[7]}" for args, _ in GRADING_JSON),
+    ],
 )
 def test_graded_piece_json_bytes(capsys, argv, expected):
     code, out = run_capture(capsys, argv + ["--json"])

@@ -8,6 +8,7 @@ from gradedorbits.exactlin import (
     bracket,
     nilpotent_jordan_partition,
     nullspace,
+    rank_rational,
     rat_inverse,
 )
 from gradedorbits.liegrade import (
@@ -15,11 +16,10 @@ from gradedorbits.liegrade import (
     Cocharacter,
     NoTriple,
     Sl2Triple,
-    _conjugated_support,
     _integer_eigenvalues,
+    _piece,
     _solve_f,
     _solve_h,
-    _subspace_in_cells,
     _toral_h_possible,
     adapted_sl2_triple,
     build_algebra,
@@ -29,6 +29,7 @@ from gradedorbits.liegrade import (
     graded_component,
     in_span,
     standard_symplectic_form,
+    validate_cocharacter,
     weight_matrix,
 )
 
@@ -214,16 +215,13 @@ def test_canonical_parabolic_worked_example():
     for part in (triple.e, triple.h, triple.f):
         assert in_span(datum.l_basis, part)
     # dim p + dim opposite parabolic = dim g + dim l
-    from gradedorbits.liegrade import _subspace_in_cells
-
     opp_cells = {
         (i, j)
         for i in range(4)
         for j in range(4)
         if datum.indicator.entries[i][j] <= 0
     }
-    transformed = sl4.basis  # identity change here
-    opposite = _subspace_in_cells(transformed, opp_cells)
+    opposite = _piece(sl4, opp_cells)  # identity change here
     assert len(datum.p_basis) + len(opposite) == sl4.dimension + len(datum.l_basis)
     # cells partition
     d = 4
@@ -297,7 +295,7 @@ def test_triple_well_defined_on_orbit():
 
 
 # ---------------------------------------------------------------------------
-# graded pieces by cell-support filter against the generic nullspace
+# graded pieces from their cells against the generic nullspace
 
 
 def _seeded_cochars(kind, d, count, seed):
@@ -333,22 +331,6 @@ def test_graded_component_matches_nullspace_oracle(kind, d):
             assert got == want, (chi, n)
 
 
-def test_subspace_in_cells_straddling_basis_falls_back_to_elimination():
-    # after a non-identity basis change, sp4 basis elements straddle cell sets
-    sp4 = build_algebra("sp", 4)
-    p = RatMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -1, 1]])
-    p_inv = RatMatrix.from_rows([[1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]])
-    assert p * p_inv == RatMatrix.identity(4)
-    conjugated = tuple(p_inv * m * p for m in sp4.basis)
-    upper = {(i, j) for i in range(4) for j in range(4) if i <= j}
-    straddling = [m for m in conjugated if m.support() & upper and m.support() - upper]
-    assert straddling
-    for cells in (upper, _cells_of_degree(Cocharacter.of([1, 0, -1, 0]), 1)):
-        assert _subspace_in_cells(conjugated, cells) == subspace_in_cells_by_nullspace(
-            conjugated, cells
-        )
-
-
 def test_graded_component_nonstandard_form_matches_oracle():
     form = IntMatrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]])
     alg = build_algebra("sp", 4, form)
@@ -359,6 +341,65 @@ def test_graded_component_nonstandard_form_matches_oracle():
         assert graded_component(alg, chi, n).basis == subspace_in_cells_by_nullspace(
             alg.basis, _cells_of_degree(chi, n)
         )
+
+
+NONSTANDARD_FORM = IntMatrix.from_rows(
+    [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]]
+)
+
+
+def _random_basis_change(d, rng):
+    """A seeded invertible rational matrix: a diagonal one times
+    elementary ones."""
+    p = RatMatrix.from_rows(
+        [[rng.choice((1, 2, 3)) if i == j else 0 for j in range(d)] for i in range(d)]
+    )
+    for _ in range(d):
+        i, j = rng.sample(range(d), 2)
+        p = p * (RatMatrix.identity(d) + unit(d, i, j, rng.choice((-2, -1, 1, 2))))
+    return p
+
+
+@pytest.mark.parametrize("conjugate", [False, True], ids=["own", "conjugated"])
+@pytest.mark.parametrize(
+    "kind,d,form",
+    [("sl", 3, None), ("sl", 4, None), ("sl", 5, None), ("sp", 4, None),
+     ("sp", 6, None), ("sp", 4, NONSTANDARD_FORM)],
+    ids=["sl3", "sl4", "sl5", "sp4", "sp6", "sp4-nonstandard"],
+)
+def test_piece_spans_what_the_oracle_spans(kind, d, form, conjugate):
+    # random cell sets, also ones with only some diagonal cells; with a
+    # basis change p the piece is that of p^-1 alg p (for sp: sp of p^T B p)
+    alg = build_algebra(kind, d, form)
+    rng = random.Random(f"piece:{kind}{d}:{form is None}:{conjugate}")
+    for _ in range(20):
+        p = _random_basis_change(d, rng) if conjugate else None
+        basis = alg.basis
+        if p is not None:
+            p_inv = rat_inverse(p)
+            basis = tuple(p_inv * m * p for m in alg.basis)
+        density = rng.choice((0.3, 0.6, 0.9))
+        cells = {(i, j) for i in range(d) for j in range(d) if rng.random() < density}
+        got = _piece(alg, cells, p)
+        want = subspace_in_cells_by_nullspace(basis, cells)
+        assert all(m.support() <= cells for m in got)
+        assert len(got) == len(want) == rank_rational([m.flat() for m in got])
+        assert all(in_span(want, m) for m in got)
+
+
+def test_sp_cocharacter_validated_for_every_form():
+    # chi must preserve the form: B_ij != 0 implies w_i + w_j = 0
+    alg = build_algebra("sp", 4, NONSTANDARD_FORM)
+    chi = Cocharacter.of([1, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"w\[0\] \+ w\[1\] = 0"):
+        validate_cocharacter(alg, chi)
+    with pytest.raises(ValueError, match="sp cocharacter"):
+        graded_component(alg, chi, 0)
+    validate_cocharacter(alg, Cocharacter.of([1, -1, 2, -2]))
+    sp4 = build_algebra("sp", 4)
+    with pytest.raises(ValueError, match="sp cocharacter"):
+        validate_cocharacter(sp4, chi)
+    validate_cocharacter(sp4, Cocharacter.of([2, 1, -2, -1]))
 
 
 def test_adapted_triple_rejects_x_outside_piece():
@@ -455,14 +496,14 @@ def test_f_only_solve_and_toral_check_keep_the_triple(kind, weights, n):
     d = alg.dim_ambient
     g0 = graded_component(alg, chi, 0).basis
     gm = graded_component(alg, chi, -n).basis
-    diag = _subspace_in_cells(g0, {(i, i) for i in range(d)})
+    diag = _piece(alg, {(i, i) for i in range(d)})
     for x in _random_piece_elements(alg, chi, n, 6, seed=1):
         brackets_f = [bracket(x, b) for b in gm]
         # the f-only system gives the h of the system in (h, f)
         assert _solve_h(x, brackets_f, d, False) == triple_h_by_full_system(x, g0, gm)
         h = _solve_h(x, brackets_f, d, True)
         assert h == triple_h_by_full_system(x, diag, gm)
-        f = _solve_f(x, h, gm, d) if h is not None else None
+        f = _solve_f(h, gm, brackets_f, d) if h is not None else None
         toral = f is not None and Sl2Triple(x, h, f).bracket_relations_hold()
         if not _toral_h_possible(x, diag, nilpotent_jordan_partition(x)):
             assert not toral
@@ -513,6 +554,10 @@ def test_sp_parabolic_spans_match_conjugated_basis(kind, weights, n):
             want = subspace_in_cells_by_nullspace(conjugated, cells)
             assert len(got) == len(want)
             assert all(in_span(want, m) for m in got)
-        for m in datum.l_basis:
-            assert _conjugated_support(p_inv.num, m, p.num) == (p_inv * m * p).support()
+        # the algebra is solved for in the diagonalising basis; the verdict
+        # and witness are those of its conjugated basis
+        for k in (n, -n, 2 * n):
+            assert check_n_rigid(alg, chi, triple, k) == check_n_rigid(
+                conjugated, chi, triple, k
+            )
     assert checked
