@@ -14,7 +14,13 @@ import json
 import sys
 
 from .cohom import load_case, stalk_table
-from .exactlin import RatMatrix, format_matrix_text, is_prime, parse_matrix_text
+from .exactlin import (
+    PRIME_TEST_BOUND,
+    RatMatrix,
+    format_matrix_text,
+    is_prime,
+    parse_matrix_text,
+)
 from .ffgeom import MAX_PRIME, verify_fiber_counts
 from .liegrade import (
     Cocharacter,
@@ -27,7 +33,7 @@ from .liegrade import (
     graded_component,
     weight_matrix,
 )
-from .orbitlib import graded_orbit_reps_typeA, nilpotent_orbits
+from .orbitlib import TooManyOrbits, graded_orbit_reps_typeA, nilpotent_orbits
 
 # ``orbits --n`` enumerates every partition of n: 37,338 for n = 40 take
 # about 1 s, and the count grows about 1.5x per step of n beyond
@@ -66,9 +72,22 @@ def _prime_list(text: str) -> list:
     """argparse type: comma-separated primes up to the fiber sweep's limit."""
     primes = _int_list(text)
     for p in primes:
-        if not is_prime(p) or p > MAX_PRIME:
+        if p > MAX_PRIME or not is_prime(p):
             raise argparse.ArgumentTypeError(f"{p} is not a prime <= {MAX_PRIME}")
     return primes
+
+
+def _char(text: str) -> int:
+    """argparse type: an integer below the bound of the primality test."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value >= PRIME_TEST_BOUND:
+        raise argparse.ArgumentTypeError(
+            f"must be below {PRIME_TEST_BOUND}, where primality is decided, got {value}"
+        )
+    return value
 
 
 def _matrix(text: str):
@@ -135,40 +154,27 @@ def cmd_orbits(args) -> int:
     return 0
 
 
-def _levi_shape_for(rep, chi, n, alg):
-    if rep.representative.is_zero():
-        triple = Sl2Triple.zero(alg.dim_ambient)
-    else:
-        triple = adapted_sl2_triple(alg, chi, n, RatMatrix.from_int(rep.representative))
-    datum = canonical_parabolic(alg, chi, triple, n)
-    return datum, triple
-
-
 def cmd_graded_orbits(args) -> int:
     chi = args.cochar
     n = args.degree
-    reps = graded_orbit_reps_typeA(chi, n)
-    alg = build_algebra("sl", len(chi))
+    try:
+        reps = graded_orbit_reps_typeA(chi, n)
+    except TooManyOrbits as exc:
+        raise ValueError(f"argument --cochar: {exc}") from None
     rows = []
     recs = []
     for rep in reps:
-        datum, _ = _levi_shape_for(rep, chi, n, alg)
-        shape = ",".join(str(s) for s in datum.levi_block_shape)
-        rows.append(
-            (
-                rep.label(),
-                format_matrix_text(rep.representative),
-                rep.dimension,
-                shape,
-            )
-        )
+        label = rep.label()
+        representative = format_matrix_text(rep.representative)
+        shape = ",".join(str(s) for s in rep.levi_shape)
+        rows.append((label, representative, rep.dimension, shape))
         recs.append(
             {
                 "decomposition": [list(seg) for seg in rep.decomposition],
-                "label": rep.label(),
-                "representative": format_matrix_text(rep.representative),
+                "label": label,
+                "representative": representative,
                 "dim": rep.dimension,
-                "levi_blocks": list(datum.levi_block_shape),
+                "levi_blocks": list(rep.levi_shape),
             }
         )
     payload = {"cochar": list(chi.weights), "degree": n, "orbits": recs}
@@ -386,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("stalks", help="stalk table of the induced cuspidal system")
     p.add_argument("--case", required=True, choices=["sp4", "sl4"])
-    p.add_argument("--char", required=True, type=int)
+    p.add_argument("--char", required=True, type=_char)
     p.add_argument("--allow-char-2", action="store_true")
     p.set_defaults(func=cmd_stalks)
 

@@ -24,14 +24,39 @@ class NotNilpotent(ValueError):
     """Raised when a matrix expected to be nilpotent is not."""
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, Strong pseudoprimes to twelve
+# prime bases, Math. Comp. 86, 2017)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(p: int) -> bool:
+    """Whether p is prime, by deterministic Miller-Rabin; p must be below
+    PRIME_TEST_BOUND."""
+    if p >= PRIME_TEST_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_TEST_BOUND}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    if p < 43 * 43:  # no prime factor up to 41, so none at all
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -120,7 +145,7 @@ def parse_matrix_text(text: str) -> IntMatrix:
 
 
 def format_matrix_text(m: IntMatrix) -> str:
-    return ";".join(",".join(str(a) for a in row) for row in m.entries)
+    return ";".join(",".join(map(str, row)) for row in m.entries)
 
 
 def det_int(m: IntMatrix) -> int:

@@ -203,16 +203,21 @@ def _sp_in_cells(form, cells) -> tuple:
     )
 
 
-def _piece(alg: MatrixLieAlgebra, cells, p: RatMatrix | None = None) -> tuple:
-    """Basis of the part of p^-1 alg p on the cell set (of alg itself when
-    p is None).  p^-1 sl p = sl, and p^-1 sp_B p = sp_B' with B' = p^T B p
-    (up to the scalar that clears its denominator)."""
+def _conjugated_form(alg: MatrixLieAlgebra, p: RatMatrix):
+    """The rows of the form B' of p^-1 alg p = sp_B', for alg = sp_B:
+    B' = p^T B p up to the scalar that clears its denominator.  None for
+    sl, as p^-1 sl p = sl."""
+    if alg.kind == "sl":
+        return None
+    return (p.transpose() * RatMatrix.from_int(alg.form) * p).num
+
+
+def _piece(alg: MatrixLieAlgebra, cells, form=None) -> tuple:
+    """Basis of the part of alg on the cell set or, given the rows of the
+    ``_conjugated_form`` of a basis change p, of p^-1 alg p."""
     if alg.kind == "sl":
         return _sl_in_cells(alg.dim_ambient, cells)
-    form = alg.form.entries
-    if p is not None:
-        form = (p.transpose() * RatMatrix.from_int(alg.form) * p).num
-    return _sp_in_cells(form, cells)
+    return _sp_in_cells(alg.form.entries if form is None else form, cells)
 
 
 def build_algebra(kind: str, d: int, form: IntMatrix | None = None) -> MatrixLieAlgebra:
@@ -538,8 +543,9 @@ def canonical_parabolic(
     indicator = _indicator_matrix(chi.weights, chip.weights, n)
     ind = indicator.entries
     # the pieces of p^-1 alg p, in the basis where both gradings are diagonal
+    form = _conjugated_form(alg, p)
     p_basis, n_basis, l_basis = (
-        _piece(alg, [(i, j) for i in range(d) for j in range(d) if keep(ind[i][j])], p)
+        _piece(alg, [(i, j) for i in range(d) for j in range(d) if keep(ind[i][j])], form)
         for keep in (lambda s: s >= 0, lambda s: s > 0, lambda s: s == 0)
     )
     # Levi blocks: coordinates with equal potential sign(n)*(n*w' - 2*w)
@@ -596,7 +602,7 @@ def check_n_rigid(alg_or_basis, chi: Cocharacter, triple: Sl2Triple, n: int) -> 
         p_inv = rat_inverse(p)
         e, h, f = (p_inv * m * p for m in (e, h, f))
         if own_coordinates:
-            basis = _piece(alg_or_basis, _all_cells(d), p)
+            basis = _piece(alg_or_basis, _all_cells(d), _conjugated_form(alg_or_basis, p))
     w = chi.weights
     wp = chip.weights
     # triple placement inside the graded pieces

@@ -1,22 +1,45 @@
-"""Nilpotent-orbit combinatorics for SL(n) and Sp(2m), and enumeration of
-graded orbits in type A via interval decompositions.
+"""Nilpotent-orbit combinatorics for SL(n) and Sp(2m), and graded orbits in
+type A in closed form from their segments.
 
 For a weakly decreasing diagonal cocharacter, a nonzero graded piece of
 sl_d splits into Hom blocks between weight spaces whose weights differ by
-the degree.  Orbits of the weight-zero group are classified by multisets
-of intervals of blocks (each interval contributes an indecomposable thread
-of identity maps); the canonical representative threads intervals in
-lexicographic order through the first free slot of every block.
+the degree n.  The weight blocks fall into chains u, u + n, u + 2n, ...,
+and the piece is a product of representations of equioriented type-A
+quivers, one per chain.  Orbits of the weight-zero group G_0 are therefore
+classified by multisets of intervals (segments) of positions along each
+chain; the canonical representative threads the segments, in
+lexicographic order, through the first free coordinate of every block.
+
+Everything the ``graded-orbits`` table reports comes from the segments,
+with no linear algebra.  Take a segment v_1 -> ... -> v_l, x v_k = v_(k+1).
+
+- Its standard sl2-triple has the diagonal h v_k = (2k - l - 1) v_k, so h
+  lies in g_0.  The Levi potential sign(n)(n h_i - 2 w_i) of the canonical
+  parabolic is constant on the segment, equal to
+  -sign(n)(2 w(v_1) + (l - 1) n); the Levi blocks group the coordinates by
+  it, in order of first coordinate.
+- The orbit dimension is dim g_0(gl) - dim End(x), and End(x) is the sum
+  over ordered pairs of segments of one chain of Hom([a, b], [c, e]),
+  which is 1 exactly when c <= a <= e <= b and 0 otherwise
+  (Abeasis, Del Fra and Kraft, The geometry of representations of A_m,
+  Math. Ann. 256, 1981).
+
+The orbit count of a chain is the number of interval multisets with its
+block dimension vector (the Kostant partition function of A_k), counted
+before anything is enumerated.  ``tests/oracles.py`` keeps the solver route
+(the rank of ad x on g_0, and the sl2-triple with the canonical parabolic)
+as the oracle these formulas are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .exactlin import IntMatrix, Partition, RatMatrix, bracket, rank_rational
-from .liegrade import Cocharacter, MatrixLieAlgebra, build_algebra, graded_component
+from .exactlin import IntMatrix, Partition
+from .liegrade import Cocharacter
 
 
 class InvalidPartition(ValueError):
@@ -35,7 +58,7 @@ class UnsortedWeights(ValueError):
     pass
 
 
-class NotInComponent(ValueError):
+class TooManyOrbits(ValueError):
     pass
 
 
@@ -73,6 +96,7 @@ class GradedOrbitRep:
     decomposition: tuple  # intervals (start_block, end_block), 1-based
     representative: IntMatrix
     dimension: int
+    levi_shape: tuple  # sizes of the canonical Levi's blocks
 
     def label(self) -> str:
         pieces = []
@@ -155,6 +179,10 @@ def closure_leq(lam: Partition, mu: Partition) -> bool:
 # ---------------------------------------------------------------------------
 # graded orbits in type A
 
+# the most orbits ``graded_orbit_reps_typeA`` lists; see the README for the
+# measurement behind it
+MAX_GRADED_ORBITS = 10_000
+
 
 def _weight_blocks(weights):
     """Consecutive equal-weight blocks of a weakly decreasing weight vector."""
@@ -188,88 +216,181 @@ def _chains(blocks, step):
     return chains
 
 
-def _interval_multisets(dims):
-    """All multisets of intervals [a, b] covering each position a..b once,
-    with position i covered exactly dims[i] times."""
-    k = len(dims)
-    intervals = [
-        (a, b) for a in range(k) for b in range(a, k)
-    ]
+def _segment_starts(a, remaining):
+    """Each way to start segments at position a, the first position that
+    ``remaining`` still has to cover: (segments, what is left to cover).
 
-    def rec(remaining, start_idx):
-        if all(x == 0 for x in remaining):
+    All remaining[a] coverings of position a start there.  The number of
+    them that run on through position i can only fall as i grows and is at
+    most remaining[i]; what is left is covered by later segments (at worst
+    by single positions), so every choice completes.  Segments come in
+    lexicographic order."""
+    k = len(remaining)
+    left = list(remaining)
+    left[a] = 0
+
+    def rec(i, running, segments):
+        top = min(running, remaining[i]) if i < k else 0
+        for through in range(top + 1):
+            ended = segments + ((a, i - 1),) * (running - through)
+            if not through:
+                yield ended, tuple(left)
+                continue
+            left[i] -= through
+            yield from rec(i + 1, through, ended)
+            left[i] += through
+
+    yield from rec(a + 1, remaining[a], ())
+
+
+def _first_uncovered(a, remaining):
+    while a < len(remaining) and not remaining[a]:
+        a += 1
+    return a
+
+
+def _interval_multisets(dims):
+    """All multisets of intervals [a, b] covering position i exactly dims[i]
+    times, each as a lexicographically sorted tuple of intervals."""
+
+    def rec(a, remaining):
+        a = _first_uncovered(a, remaining)
+        if a == len(remaining):
             yield ()
             return
-        for idx in range(start_idx, len(intervals)):
-            a, b = intervals[idx]
-            if all(remaining[i] > 0 for i in range(a, b + 1)):
-                nxt = list(remaining)
-                for i in range(a, b + 1):
-                    nxt[i] -= 1
-                for rest in rec(nxt, idx):
-                    yield ((a, b),) + rest
+        for segments, left in _segment_starts(a, remaining):
+            for rest in rec(a + 1, left):
+                yield segments + rest
 
-    return tuple(rec(list(dims), 0))
+    return tuple(rec(0, tuple(dims)))
 
 
-def graded_orbit_reps_typeA(chi: Cocharacter, n: int, kind: str = "sl") -> tuple:
-    """All orbit representatives of the weight-zero group on the degree-n
-    piece of sl_d, for a weakly decreasing diagonal cocharacter."""
-    if kind.lower() != "sl":
-        raise NotTypeA("graded orbit enumeration only implemented for type A")
+def _interval_multiset_count(dims, limit):
+    """The number of multisets ``_interval_multisets`` lists (the Kostant
+    partition function of A_k at dims), or limit + 1 when it is larger.
+
+    Each position with dims > 0 can be a segment on its own or continue the
+    one before it, so a chain of k positions has at least 2^(k-1) multisets.
+    Each step of the memoised recursion (a state with one choice of
+    segments) is a distinct partial multiset that completes, so more than
+    ``limit`` steps mean more than ``limit`` multisets; the work stays
+    bounded by the limit."""
+    if 2 ** (len(dims) - 1) > limit:
+        return limit + 1
+    memo = {}
+    steps = 0
+
+    def count(a, remaining):
+        nonlocal steps
+        a = _first_uncovered(a, remaining)
+        if a == len(remaining):
+            return 1
+        if remaining not in memo:
+            total = 0
+            for _, left in _segment_starts(a, remaining):
+                steps += 1
+                if steps > limit:
+                    return limit + 1
+                total += count(a + 1, left)
+            memo[remaining] = total
+        return memo[remaining]
+
+    return min(count(0, tuple(dims)), limit + 1)
+
+
+def _validated_chains(chi: Cocharacter, n: int):
+    """The weight blocks of chi and their chains of step n, after the checks
+    a type-A graded piece needs."""
     if n == 0:
         raise ValueError("degree must be nonzero")
     w = chi.weights
     if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
         raise UnsortedWeights("cocharacter weights must be weakly decreasing")
-    d = len(w)
+    if sum(w) != 0:
+        raise ValueError("sl cocharacter weights must sum to zero")
     blocks = _weight_blocks(w)
-    step = n  # walking a chain moves the weight by n
-    chains = _chains(blocks, step)
-    alg = build_algebra("sl", d)
-    # enumerate decompositions chain by chain, then combine
-    per_chain = []
+    return blocks, _chains(blocks, n)
+
+
+def graded_orbit_count(chi: Cocharacter, n: int) -> int:
+    """The number of G_0-orbits on the degree-n piece of sl_d, or
+    MAX_GRADED_ORBITS + 1 when it is larger; nothing is enumerated."""
+    blocks, chains = _validated_chains(chi, n)
+    limit = MAX_GRADED_ORBITS
+    total = 1
     for chain in chains:
-        dims = [len(blocks[k][1]) for k in chain]
-        per_chain.append(_interval_multisets(dims))
+        total *= _interval_multiset_count([len(blocks[k][1]) for k in chain], limit)
+        total = min(total, limit + 1)
+    return total
+
+
+def _chain_orbits(chain, blocks, n):
+    """One entry per interval multiset of the chain: its segments as 1-based
+    block intervals, the cells (row, column) of the representative, the Levi
+    potential of each coordinate, and dim End of the quiver representation."""
+    sign = 1 if n > 0 else -1
+    coords_at = [blocks[k][1] for k in chain]
+    out = []
+    for multiset in _interval_multisets([len(coords) for coords in coords_at]):
+        used = [0] * len(chain)
+        cells = []
+        potentials = []
+        for a, b in multiset:
+            coords = []
+            for pos in range(a, b + 1):
+                coords.append(coords_at[pos][used[pos]])
+                used[pos] += 1
+            cells += zip(coords[1:], coords)  # x e_u = e_v sits in cell (v, u)
+            phi = -sign * (2 * blocks[chain[a]][0] + (b - a) * n)
+            potentials += [(c, phi) for c in coords]
+        # Hom([a, b], [c, e]) is 1 exactly when c <= a <= e <= b
+        mult = Counter(multiset)
+        hom = sum(
+            p * q
+            for (a, b), p in mult.items()
+            for (c, e), q in mult.items()
+            if c <= a <= e <= b
+        )
+        segments = tuple((chain[a] + 1, chain[b] + 1) for a, b in multiset)
+        out.append((segments, cells, potentials, hom))
+    return out
+
+
+def graded_orbit_reps_typeA(chi: Cocharacter, n: int, kind: str = "sl") -> tuple:
+    """All orbit representatives of the weight-zero group on the degree-n
+    piece of sl_d, for a weakly decreasing diagonal cocharacter, with each
+    orbit's dimension and Levi shape in closed form (see the module
+    docstring).  More than MAX_GRADED_ORBITS orbits raise TooManyOrbits."""
+    if kind.lower() != "sl":
+        raise NotTypeA("graded orbit enumeration only implemented for type A")
+    if graded_orbit_count(chi, n) > MAX_GRADED_ORBITS:
+        raise TooManyOrbits(
+            f"degree {n} has more than {MAX_GRADED_ORBITS} orbits,"
+            " the most that are listed"
+        )
+    blocks, chains = _validated_chains(chi, n)
+    d = len(chi)
+    g0_dim = sum(len(coords) ** 2 for _, coords in blocks)
+    per_chain = [_chain_orbits(chain, blocks, n) for chain in chains]
     reps = []
     for combo in itertools.product(*per_chain):
-        decomposition = []
         entries = [[0] * d for _ in range(d)]
-        used = {k: 0 for k in range(len(blocks))}
-        for chain, multiset in zip(chains, combo):
-            for a, b in sorted(multiset):
-                slots = []
-                for pos in range(a, b + 1):
-                    block_idx = chain[pos]
-                    coords = blocks[block_idx][1]
-                    slots.append(coords[used[block_idx]])
-                    used[block_idx] += 1
-                for u, v in zip(slots, slots[1:]):
-                    entries[v][u] = 1  # degree-n cell: weight drops by -n ... see below
-                decomposition.append((chain[a] + 1, chain[b] + 1))
-        rep = IntMatrix.from_rows(entries)
-        # representative entries must sit in degree n: cell (i, j) has degree w_i - w_j
-        ordered = tuple(sorted(decomposition))
-        rep_rat = RatMatrix.from_int(rep)
-        dim = graded_orbit_dimension(alg, chi, n, rep_rat)
-        reps.append(GradedOrbitRep(ordered, rep, dim))
+        potential = [0] * d
+        for _, cells, potentials, _ in combo:
+            for v, u in cells:
+                entries[v][u] = 1
+            for c, phi in potentials:
+                potential[c] = phi
+        levi = {}  # potential -> block size, in order of first coordinate
+        for phi in potential:
+            levi[phi] = levi.get(phi, 0) + 1
+        reps.append(
+            GradedOrbitRep(
+                tuple(sorted(seg for segments, *_ in combo for seg in segments)),
+                IntMatrix(d, d, tuple(map(tuple, entries))),
+                g0_dim - sum(hom for *_, hom in combo),
+                tuple(levi.values()),
+            )
+        )
     reps.sort(key=lambda r: (-r.dimension, r.label()))
     return tuple(reps)
-
-
-def graded_orbit_dimension(
-    alg: MatrixLieAlgebra, chi: Cocharacter, n: int, x: RatMatrix
-) -> int:
-    """Dimension of the weight-zero-group orbit of x: the rank of ad(x)
-    restricted to the degree-zero subalgebra."""
-    w = chi.weights
-    for (i, j) in x.support():
-        if w[i] - w[j] != n:
-            raise NotInComponent("x has a cell outside the requested degree")
-    g0 = graded_component(alg, chi, 0)
-    if not g0.basis:
-        return 0
-    # the numerators of each row: scaling a row does not change the rank
-    rows = [[v for row in bracket(y, x).num for v in row] for y in g0.basis]
-    return rank_rational(rows)

@@ -78,20 +78,27 @@ def _unit(n, i):
     return tuple(1 if j == i else 0 for j in range(n))
 
 
+def _differences(n):
+    """The vectors e_i - e_j, i != j, of Z^n, row-major in (i, j)."""
+    return tuple(
+        tuple((1 if k == i else 0) - (1 if k == j else 0) for k in range(n))
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    )
+
+
 def standard_root_datum(kind: str, n: int) -> RootDatum:
+    """The root datum of SL(n) or Sp(n).  The root count, n(n - 1) for SL(n)
+    and n^2 / 2 for Sp(n), is checked against MAX_ROOTS before any root is
+    built, so a huge n is refused at once."""
     kind = kind.lower()
     if kind == "sl":
         if n < 2:
             raise UnsupportedType("SL needs n >= 2")
-        roots = []
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    vec = tuple(
-                        (1 if k == i else 0) - (1 if k == j else 0) for k in range(n)
-                    )
-                    roots.append(vec)
-        coroots = list(roots)  # e_i - e_j is its own coroot under the dot pairing
+        label = f"SL({n})"
+        _check_size(label, n * (n - 1))
+        roots = _differences(n)  # e_i - e_j is its own coroot under the dot pairing
         y_basis = tuple(
             tuple(
                 (1 if k == i else 0) - (1 if k == i + 1 else 0) for k in range(n)
@@ -99,10 +106,10 @@ def standard_root_datum(kind: str, n: int) -> RootDatum:
             for i in range(n - 1)
         )
         return RootDatum(
-            label=f"SL({n})",
+            label=label,
             ambient_rank=n,
-            roots=tuple(roots),
-            coroots=tuple(coroots),
+            roots=roots,
+            coroots=roots,
             x_relations=((1,) * n,),
             y_basis=y_basis,
         )
@@ -110,17 +117,10 @@ def standard_root_datum(kind: str, n: int) -> RootDatum:
         if n < 2 or n % 2 != 0:
             raise UnsupportedType("Sp needs even n >= 2")
         m = n // 2
-        roots = []
-        coroots = []
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                vec = tuple(
-                    (1 if k == i else 0) - (1 if k == j else 0) for k in range(m)
-                )
-                roots.append(vec)
-                coroots.append(vec)
+        label = f"Sp({n})"
+        _check_size(label, 2 * m * m)
+        roots = list(_differences(m))
+        coroots = list(roots)
         for i, j in itertools.combinations(range(m), 2):
             for s in (1, -1):
                 vec = tuple(
@@ -133,7 +133,7 @@ def standard_root_datum(kind: str, n: int) -> RootDatum:
                 roots.append(tuple(2 * s * (1 if k == i else 0) for k in range(m)))
                 coroots.append(tuple(s * (1 if k == i else 0) for k in range(m)))
         return RootDatum(
-            label=f"Sp({n})",
+            label=label,
             ambient_rank=m,
             roots=tuple(roots),
             coroots=tuple(coroots),
@@ -211,16 +211,16 @@ def _closed_families(vectors) -> tuple:
 MAX_ROOTS = 48  # closed-family enumeration grows about exponentially in this
 
 
-def _check_size(rd: RootDatum) -> None:
-    if len(rd.roots) > MAX_ROOTS:
+def _check_size(label: str, roots: int) -> None:
+    if roots > MAX_ROOTS:
         raise TooLarge(
-            f"{rd.label} has {len(rd.roots)} roots; closed-subsystem "
+            f"{label} has {roots} roots; closed-subsystem "
             f"enumeration is limited to {MAX_ROOTS}"
         )
 
 
 def closed_subsystems(rd: RootDatum) -> tuple:
-    _check_size(rd)
+    _check_size(rd.label, len(rd.roots))
     return tuple(ClosedSubsystem(f) for f in _closed_families(rd.roots))
 
 
@@ -315,7 +315,7 @@ def prime_report(rd: RootDatum) -> PrimeReport:
     sides.  Root data with more than ``MAX_ROOTS`` roots raise
     ``TooLarge``.
     """
-    _check_size(rd)
+    _check_size(rd.label, len(rd.roots))
     root_closed = _closed_families(rd.roots)
     coroot_closed = (
         root_closed if rd.coroots == rd.roots else _closed_families(rd.coroots)

@@ -1,4 +1,30 @@
+import contextlib
 import os
+import signal
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.dirname(__file__))
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(s):`` raises TimeoutError in the block after s
+    seconds, so that a computation that has become unbounded fails its test
+    instead of hanging it."""
+
+    @contextlib.contextmanager
+    def within(seconds):
+        def expire(signum, frame):
+            raise TimeoutError(f"did not finish within {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return within

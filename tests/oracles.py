@@ -8,7 +8,10 @@ membership by generic elimination against the echelon basis.  Rational
 elimination runs on Fraction rows, and graded pieces come from a generic
 nullspace instead of the package's cell-support filter.  Closed families
 of a vector list come from closing the members of every pairwise join,
-with no memo and no support filter.
+with no memo and no support filter.  A type-A graded orbit's dimension is
+the rank of ad x on g_0 and its Levi comes from a solved sl2-triple and
+the canonical parabolic, where the package uses closed forms in the
+segments.  Primality is trial division.
 """
 
 from __future__ import annotations
@@ -304,6 +307,47 @@ def triple_h_by_full_system(x, h_basis, gm_basis):
         for i in range(d)
     ]
     return RatMatrix.from_rows(entries)
+
+
+def graded_orbit_dimension(alg, chi, n, x):
+    """Dimension of the weight-zero-group orbit of x: the rank of ad(x)
+    restricted to the degree-zero subalgebra."""
+    from gradedorbits.exactlin import bracket, rank_rational
+    from gradedorbits.liegrade import graded_component
+
+    w = chi.weights
+    for (i, j) in x.support():
+        if w[i] - w[j] != n:
+            raise ValueError("x has a cell outside the requested degree")
+    g0 = graded_component(alg, chi, 0)
+    if not g0.basis:
+        return 0
+    # the numerators of each row: scaling a row does not change the rank
+    rows = [[v for row in bracket(y, x).num for v in row] for y in g0.basis]
+    return rank_rational(rows)
+
+
+def graded_orbit_levi_shape(alg, chi, n, x):
+    """Block sizes of the Levi of the canonical parabolic of x, from the
+    graded sl2-triple solved through x (the zero triple for x = 0)."""
+    from gradedorbits.liegrade import Sl2Triple, adapted_sl2_triple, canonical_parabolic
+
+    if x.is_zero():
+        triple = Sl2Triple.zero(alg.dim_ambient)
+    else:
+        triple = adapted_sl2_triple(alg, chi, n, x)
+    return canonical_parabolic(alg, chi, triple, n).levi_block_shape
+
+
+def is_prime_by_trial_division(p):
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def closure_by_members(vectors, indices):

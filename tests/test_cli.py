@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from gradedorbits import cli
+from gradedorbits import cli, exactlin, liegrade, orbitlib, rootdata
 from gradedorbits.ffgeom import CountReport, CountRow
 
 
@@ -359,6 +360,51 @@ def test_graded_piece_json_bytes(capsys, argv, expected):
     assert out == expected
 
 
+# sha256 of `graded-orbits --json` as the solver route printed it (the rank
+# of ad x on g_0, and the sl2-triple with the canonical parabolic)
+GRADED_ORBITS_SHA256 = [
+    ("2,2,1,1,1,0,0,0,-1,-1,-1,-2,-2", "-1", 456,
+     "724a5d67888be8e08bcbf199e35f003b80f995b1af2dfe2ab2087df3a4826add"),
+    ("2,2,1,1,1,1,0,0,0,0,-1,-1,-1,-1,-2,-2", "-1", 1138,
+     "3c584e208aeebaacd835460920baea49c039294921a411db3da690c4893ad85d"),
+    ("1,1,0,0,-1,-1", "-1", 10,
+     "e8e1d6a1ee86a4f60c6a4aff64569dddf5df536072fa99bfaedc89a6c5ad523d"),
+    ("1,0,0,0,0,0,-1", "1", 5,
+     "cf46e07017ae7d6bc895e79d9625623bb58e0eec956df914756c5dda94baa434"),
+    ("1,1,1,1,-1,-1,-1,-1", "-2", 5,
+     "0c978e5709fd8079bd15241447f3fc7ca9b73152e586646d3d73ed611cec4909"),
+    ("1,1,0,0,0,0,-1,-1", "2", 3,
+     "ecb9ea660e4c99a09bf95bdc26f235b7338bad50e642eeddd4a011cf33c0c78d"),
+]
+
+SOLVERS = {
+    exactlin: ("nullspace", "solve_linear", "rank_rational", "bracket"),
+    liegrade: ("adapted_sl2_triple", "canonical_parabolic", "graded_component", "build_algebra"),
+}
+
+
+@pytest.mark.parametrize(
+    "cochar,degree,orbits,digest",
+    GRADED_ORBITS_SHA256,
+    ids=[f"d{len(c.split(','))}-degree{n}" for c, n, *_ in GRADED_ORBITS_SHA256],
+)
+def test_graded_orbits_json_sha256(capsys, monkeypatch, cochar, degree, orbits, digest):
+    # the closed forms solve nothing: every solver fails if it is called
+    def solve_nothing(*args, **kwargs):
+        raise AssertionError("a solver was called")
+
+    for module, names in SOLVERS.items():
+        for name in names:
+            for owner in (module, cli, orbitlib):
+                if hasattr(owner, name):
+                    monkeypatch.setattr(owner, name, solve_nothing)
+    argv = ["graded-orbits", "--cochar", cochar, "--degree", degree, "--json"]
+    code, out = run_capture(capsys, argv)
+    assert code == 0
+    assert len(json.loads(out)["orbits"]) == orbits
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("args", [SL_ARGS, SP_ARGS], ids=["sl", "sp"])
 def test_parabolic_levi_rigid_for_non_diagonal_h(capsys, args):
     code, out = run_capture(capsys, ["parabolic", *args])
@@ -430,4 +476,51 @@ def test_primes_domain_error_names_flag(capsys, kind, n, message):
     assert cli.run(["primes", "--type", kind, "--n", n]) == 2
     captured = capsys.readouterr()
     assert f"argument --n: {message}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "cochar,degree,message",
+    [("1,0,0", "-1", "sl cocharacter weights must sum to zero"),
+     ("0,1,-1", "-1", "cocharacter weights must be weakly decreasing"),
+     ("1,0,-1", "0", "degree must be nonzero")],
+)
+def test_graded_orbits_invalid_cochar_messages(capsys, cochar, degree, message):
+    assert cli.run(["graded-orbits", "--cochar", cochar, "--degree", degree]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_graded_orbits_above_bound_names_flag(capsys, monkeypatch):
+    def enumerate_nothing(dims):
+        raise AssertionError("the orbits were enumerated")
+
+    monkeypatch.setattr(orbitlib, "_interval_multisets", enumerate_nothing)
+    # one chain of block sizes 1, 7, 4, 3, 7, 7: 10,080 orbits
+    cochar = ",".join(map(str, [3] + [2] * 7 + [1] * 4 + [0] * 3 + [-1] * 7 + [-2] * 7))
+    assert cli.run(["graded-orbits", "--cochar", cochar, "--degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "argument --cochar:" in captured.err
+    assert f"more than {orbitlib.MAX_GRADED_ORBITS} orbits" in captured.err
+    assert captured.out == ""
+
+
+def test_primes_huge_n_names_flag_without_building_roots(capsys, monkeypatch):
+    def build_nothing(n):
+        raise AssertionError("roots were built")
+
+    monkeypatch.setattr(rootdata, "_differences", build_nothing)
+    assert cli.run(["primes", "--type", "sl", "--n", "99999999999"]) == 2
+    captured = capsys.readouterr()
+    assert "argument --n: SL(99999999999) has" in captured.err and "48" in captured.err
+    assert captured.out == ""
+
+
+def test_stalks_char_bound_names_flag(capsys):
+    code, out = run_capture(capsys, ["stalks", "--case", "sp4", "--char", str(2**61 - 1), "--json"])
+    assert code == 0
+    assert json.loads(out)["convention"] == "shift-by-dimC"
+    assert cli.run(["stalks", "--case", "sp4", "--char", str(exactlin.PRIME_TEST_BOUND)]) == 2
+    captured = capsys.readouterr()
+    assert "argument --char:" in captured.err
     assert captured.out == ""

@@ -12,7 +12,9 @@ from gradedorbits.exactlin import (
     format_matrix_text,
     hermite_rows,
     in_hermite_span,
+    PRIME_TEST_BOUND,
     invariant_factors,
+    is_prime,
     jordan_matrix,
     nilpotent_jordan_partition,
     parse_matrix_text,
@@ -20,7 +22,7 @@ from gradedorbits.exactlin import (
     smith_normal_form,
 )
 
-from oracles import snf_invariant_factors_by_minors
+from oracles import is_prime_by_trial_division, snf_invariant_factors_by_minors
 
 
 def diag_from(result, r, c):
@@ -176,3 +178,22 @@ def test_rat_matrix_arithmetic():
     assert (a * b).entry(0, 0) == b.entry(0, 0)
     assert (b + b).entry(1, 1) == b.entry(1, 1) * 2
     assert (b - b).is_zero()
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == is_prime_by_trial_division(n) for n in range(-3, 10**5))
+
+
+@pytest.mark.parametrize("n", [2047, 1373653, 3215031751, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # each is a strong pseudoprime to the first few prime bases
+    assert not is_prime(n)
+
+
+def test_is_prime_is_fast_and_bounded(deadline):
+    with deadline(2):
+        assert is_prime(2**61 - 1)
+        assert is_prime(2**31 - 1)
+        assert not is_prime((2**61 - 1) * (2**19 - 1))
+    with pytest.raises(ValueError, match="below"):
+        is_prime(PRIME_TEST_BOUND)

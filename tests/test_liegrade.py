@@ -16,6 +16,7 @@ from gradedorbits.liegrade import (
     Cocharacter,
     NoTriple,
     Sl2Triple,
+    _conjugated_form,
     _integer_eigenvalues,
     _piece,
     _solve_f,
@@ -380,7 +381,7 @@ def test_piece_spans_what_the_oracle_spans(kind, d, form, conjugate):
             basis = tuple(p_inv * m * p for m in alg.basis)
         density = rng.choice((0.3, 0.6, 0.9))
         cells = {(i, j) for i in range(d) for j in range(d) if rng.random() < density}
-        got = _piece(alg, cells, p)
+        got = _piece(alg, cells, None if p is None else _conjugated_form(alg, p))
         want = subspace_in_cells_by_nullspace(basis, cells)
         assert all(m.support() <= cells for m in got)
         assert len(got) == len(want) == rank_rational([m.flat() for m in got])
@@ -561,3 +562,23 @@ def test_sp_parabolic_spans_match_conjugated_basis(kind, weights, n):
                 conjugated, chi, triple, k
             )
     assert checked
+
+
+def test_canonical_parabolic_conjugates_the_form_once(monkeypatch):
+    # the three pieces of p^-1 sp p share one form p^T B p
+    from gradedorbits import liegrade
+
+    calls = []
+
+    def counted(alg, p):
+        calls.append(p)
+        return _conjugated_form(alg, p)
+
+    monkeypatch.setattr(liegrade, "_conjugated_form", counted)
+    kind, weights, n = TRIPLE_SPECS[4]
+    alg = build_algebra(kind, len(weights))
+    chi = Cocharacter.of(weights)
+    for x in _random_piece_elements(alg, chi, n, 3, seed=2):
+        calls.clear()
+        canonical_parabolic(alg, chi, adapted_sl2_triple(alg, chi, n, x), n)
+        assert len(calls) == 1

@@ -1,23 +1,26 @@
 import itertools
+import random
 
 import pytest
 
 from gradedorbits.exactlin import Partition, RatMatrix, jordan_matrix, nilpotent_jordan_partition
 from gradedorbits.liegrade import Cocharacter, build_algebra, graded_component
+from gradedorbits import orbitlib
 from gradedorbits.orbitlib import (
+    MAX_GRADED_ORBITS,
     InvalidPartition,
-    NotInComponent,
+    TooManyOrbits,
     UnsortedWeights,
     WeightMismatch,
     closure_leq,
     component_group,
-    graded_orbit_dimension,
+    graded_orbit_count,
     graded_orbit_reps_typeA,
     nilpotent_orbits,
     orbit_dimension,
 )
 
-from oracles import dominance_leq
+from oracles import dominance_leq, graded_orbit_dimension, graded_orbit_levi_shape
 
 P = Partition.of
 
@@ -161,7 +164,7 @@ def test_graded_orbit_dimension_errors():
     outside = RatMatrix.from_rows(
         [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     )
-    with pytest.raises(NotInComponent):
+    with pytest.raises(ValueError):
         graded_orbit_dimension(sl4, CHI, -1, outside)
     zero = RatMatrix.zeros(4, 4)
     assert graded_orbit_dimension(sl4, CHI, -1, zero) == 0
@@ -195,3 +198,78 @@ def test_representatives_live_in_component_and_are_nilpotent():
                 if mat.entries[i][j] != 0:
                     assert CHI.weights[i] - CHI.weights[j] == -1
         nilpotent_jordan_partition(mat)  # raises if not nilpotent
+
+
+def seeded_cocharacters(count=150, seed=6):
+    """Distinct (weakly decreasing zero-sum weights, degree) pairs with
+    d = 3..9, weights in -3..3 and degree in {1, -1, 2, -2}."""
+    rng = random.Random(seed)
+    out = {}
+    while len(out) < count:
+        w = [rng.randint(-3, 3) for _ in range(rng.randint(2, 8))]
+        if -3 <= -sum(w) <= 3:
+            out[(tuple(sorted(w + [-sum(w)], reverse=True)), rng.choice((1, -1, 2, -2)))] = None
+    return [(Cocharacter.of(w), n) for w, n in out]
+
+
+SEEDED = seeded_cocharacters()
+
+
+def test_closed_forms_match_the_solver_oracle():
+    assert len(SEEDED) >= 150
+    orbits = 0
+    for chi, n in SEEDED:
+        alg = build_algebra("sl", len(chi))
+        for rep in graded_orbit_reps_typeA(chi, n):
+            x = RatMatrix.from_int(rep.representative)
+            assert rep.dimension == graded_orbit_dimension(alg, chi, n, x), (chi, n, rep)
+            assert rep.levi_shape == graded_orbit_levi_shape(alg, chi, n, x), (chi, n, rep)
+            orbits += 1
+    assert orbits > 800
+
+
+def test_orbit_count_matches_enumeration():
+    for chi, n in SEEDED + [(CHI, -1), (CHI, 1), (CHI, -2)]:
+        assert graded_orbit_count(chi, n) == len(graded_orbit_reps_typeA(chi, n))
+
+
+def test_orbit_count_at_the_bound(monkeypatch):
+    assert MAX_GRADED_ORBITS == 10_000
+    # one chain of block sizes 2, 2, 5, 4, 5, 5: exactly the bound
+    at_bound = Cocharacter.of([3] * 2 + [2] * 2 + [1] * 5 + [0] * 4 + [-1] * 5 + [-2] * 5)
+    assert graded_orbit_count(at_bound, -1) == 10_000
+    # one chain of block sizes 1, 7, 4, 3, 7, 7: 10,080 orbits
+    above = Cocharacter.of([3] + [2] * 7 + [1] * 4 + [0] * 3 + [-1] * 7 + [-2] * 7)
+    assert graded_orbit_count(above, -1) == MAX_GRADED_ORBITS + 1
+    monkeypatch.setattr(orbitlib, "MAX_GRADED_ORBITS", 20_000)
+    assert graded_orbit_count(above, -1) == 10_080
+
+
+def test_too_many_orbits_rejected_before_enumeration(monkeypatch):
+    def enumerate_nothing(dims):
+        raise AssertionError("the orbits were enumerated")
+
+    monkeypatch.setattr(orbitlib, "_interval_multisets", enumerate_nothing)
+    above = Cocharacter.of([3] + [2] * 7 + [1] * 4 + [0] * 3 + [-1] * 7 + [-2] * 7)
+    with pytest.raises(TooManyOrbits, match="more than 10000"):
+        graded_orbit_reps_typeA(above, -1)
+    # a chain of 201 single weights has 2^200 orbits; no recursion that deep
+    long_chain = Cocharacter.of(range(100, -101, -1))
+    assert graded_orbit_count(long_chain, -1) == MAX_GRADED_ORBITS + 1
+    with pytest.raises(TooManyOrbits):
+        graded_orbit_reps_typeA(long_chain, -1)
+
+
+def test_orbit_count_work_is_bounded(deadline):
+    # four blocks of 300 in one chain: short, so 2^(k-1) does not decide,
+    # and the exact count would take millions of memoised states
+    with deadline(5):
+        count = orbitlib._interval_multiset_count([300] * 4, MAX_GRADED_ORBITS)
+    assert count == MAX_GRADED_ORBITS + 1
+
+
+def test_graded_orbits_need_zero_sum_and_nonzero_degree():
+    with pytest.raises(ValueError, match="sum to zero"):
+        graded_orbit_reps_typeA(Cocharacter.of([1, 0, 0]), -1)
+    with pytest.raises(ValueError, match="degree must be nonzero"):
+        graded_orbit_count(CHI, 0)

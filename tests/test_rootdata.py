@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -99,6 +100,22 @@ def test_guard():
     )
     with pytest.raises(TooLarge):
         closed_subsystems(huge)
+
+
+@pytest.mark.parametrize(
+    "kind,n,message",
+    [("sl", 99999999999, "SL(99999999999) has 9999999999700000000002 roots"),
+     ("sl", 8, "SL(8) has 56 roots"),
+     ("sp", 10, "Sp(10) has 50 roots")],
+    ids=["sl-huge", "sl8", "sp10"],
+)
+def test_guard_before_any_root_is_built(monkeypatch, kind, n, message):
+    def build_nothing(n):
+        raise AssertionError("roots were built")
+
+    monkeypatch.setattr(rootdata, "_differences", build_nothing)
+    with pytest.raises(TooLarge, match=rf"{re.escape(message)}; .* limited to 48"):
+        standard_root_datum(kind, n)
 
 
 def test_prime_report_sl4():
