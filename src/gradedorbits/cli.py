@@ -78,7 +78,7 @@ def _prime_list(text: str) -> list:
 
 
 def _char(text: str) -> int:
-    """argparse type: an integer below the bound of the primality test."""
+    """argparse type: 0 or a prime below the bound of the primality test."""
     try:
         value = int(text)
     except ValueError:
@@ -87,6 +87,8 @@ def _char(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be below {PRIME_TEST_BOUND}, where primality is decided, got {value}"
         )
+    if value != 0 and not is_prime(value):
+        raise argparse.ArgumentTypeError(f"must be 0 or a prime, got {value}")
     return value
 
 

@@ -4,11 +4,12 @@ Every fiber description shipped with a case is independently verified by
 counting flags over F_p.  For each (case, prime) there is one exhaustive
 sweep: every k-subspace of F_p^d is enumerated in reduced row echelon
 form, and for each one the sweep decides, for every orbit representative
-of the case at once, whether the subspace is stable and which strata it
-lies in.  The counts are compared against evaluated counting polynomials
-(with a residue-class rule for the one stratum pair defined over a
-quadratic extension).  An independent per-stratum sweep with generic
-elimination lives in ``tests/oracles.py``, and the tests compare the two.
+of the case at once, whether the subspace is stable and, if it is, which
+strata it lies in; only x-stable subspaces are counted.  The counts are
+compared against evaluated counting polynomials (with a residue-class rule
+for the one stratum pair defined over a quadratic extension).  An
+independent per-stratum sweep with generic elimination lives in
+``tests/oracles.py``, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -30,56 +31,6 @@ class NotStableUnderForm(ValueError):
 
 MAX_PRIME = 13
 MAX_DIM = 6
-
-CONDITIONS = (
-    "stable",
-    "sub-nonzero",
-    "middle-zero",
-    "middle-nonzero",
-    "quot-nonzero",
-)
-
-
-@dataclass(frozen=True)
-class PrimeFieldMatrix:
-    """Matrix over F_p, entries reduced into [0, p)."""
-
-    modulus: int
-    entries: tuple
-
-    @staticmethod
-    def reduce(m: IntMatrix, p: int) -> "PrimeFieldMatrix":
-        if not is_prime(p):
-            raise ValueError("modulus must be prime")
-        return PrimeFieldMatrix(
-            p, tuple(tuple(a % p for a in row) for row in m.entries)
-        )
-
-
-@dataclass(frozen=True)
-class FlagSpec:
-    """The k-subspaces V of F_p^d (k = ``flag_dim``) on which an element x
-    meets every listed condition.
-
-    ``stable``: x V is inside V.  ``sub-nonzero``: x does not vanish on V.
-    ``quot-nonzero``: x does not vanish on F_p^d / V.  ``middle-zero`` and
-    ``middle-nonzero``: x maps the perp of V under ``form`` into V, or does
-    not; they need a form.
-    """
-
-    ambient_dim: int
-    flag_dim: int
-    form: IntMatrix | None
-    conditions: tuple
-
-    def __post_init__(self):
-        if not 1 <= self.flag_dim < self.ambient_dim:
-            raise ValueError("flag dimensions must be strictly inside")
-        for c in self.conditions:
-            if c not in CONDITIONS:
-                raise ValueError(f"unknown condition {c!r}")
-            if c.startswith("middle") and self.form is None:
-                raise ValueError(f"condition {c!r} needs a form")
 
 
 @dataclass(frozen=True)
@@ -139,29 +90,19 @@ def enumerate_subspaces(p: int, d: int, k: int):
                 yield head + (last,)
 
 
+def _mod(m: IntMatrix, p: int) -> IntMatrix:
+    return IntMatrix(m.rows, m.cols, tuple(tuple(a % p for a in r) for r in m.entries))
+
+
 def _validate_element(x_rows, p, d, form):
-    power = tuple(
-        tuple(1 if i == j else 0 for j in range(d)) for i in range(d)
-    )
+    x = IntMatrix(d, d, x_rows)
+    power = IntMatrix.identity(d)
     for _ in range(d):
-        power = tuple(
-            tuple(
-                sum(power[i][k] * x_rows[k][j] for k in range(d)) % p
-                for j in range(d)
-            )
-            for i in range(d)
-        )
-    if any(any(row) for row in power):
+        power = _mod(power * x, p)
+    if not power.is_zero():
         raise NotStableUnderForm("element is not nilpotent over F_p")
-    if form is not None:
-        for i in range(d):
-            for j in range(d):
-                total = 0
-                for k in range(d):
-                    total += x_rows[k][i] * form.entries[k][j]
-                    total += form.entries[i][k] * x_rows[k][j]
-                if total % p != 0:
-                    raise NotStableUnderForm("element is not in the form's algebra")
+    if form is not None and not _mod(x.transpose() * form + form * x, p).is_zero():
+        raise NotStableUnderForm("element is not in the form's algebra")
 
 
 def _apply(entries, v, d):
@@ -197,13 +138,18 @@ def _perp(basis, form, p):
 
 
 def _sweep(p, d, k, form, elements, condition_sets):
-    """counts[e][c]: the number of k-subspaces V of F_p^d for which
-    ``elements[e]`` meets every condition of ``condition_sets[c]``.
+    """counts[e][c]: the number of x-stable k-subspaces V of F_p^d, for
+    x = ``elements[e]``, that meet every condition of ``condition_sets[c]``.
+
+    The conditions, each on an x-stable V: ``sub-nonzero``, x does not
+    vanish on V; ``quot-nonzero``, x does not vanish on F_p^d / V;
+    ``middle-zero`` and ``middle-nonzero``, x maps the perp of V under
+    ``form`` into V, or does not (they need a form).
 
     One exhaustive pass over the Grassmannian serves every element and
     every condition set.  Each element is validated first.  Under a form,
-    the perp of every x-stable subspace is checked to be x-stable too, and
-    a failure raises NotStableUnderForm.
+    the perp of every counted subspace is checked to be x-stable too, and a
+    failure raises NotStableUnderForm.
     """
     for x_rows in elements:
         _validate_element(x_rows, p, d, form)
@@ -213,7 +159,6 @@ def _sweep(p, d, k, form, elements, condition_sets):
     ]
     columns = [[col for col in zip(*x) if any(col)] for x in elements]
     needed = set().union(*condition_sets)
-    only_stable = all("stable" in c for c in condition_sets)
     counts = [[0] * len(condition_sets) for _ in elements]
     images = [[None] * k for _ in elements]
     nonpivots_of = {}
@@ -238,9 +183,9 @@ def _sweep(p, d, k, form, elements, condition_sets):
                 if not _in_span(w, basis, pivots, nonpivots, p):
                     stable = False
                     break
-            if not stable and only_stable:
+            if not stable:
                 continue
-            facts = {"stable": stable}
+            facts = {}
             if "sub-nonzero" in needed:
                 facts["sub-nonzero"] = any(c % p for w in imgs for c in w)
             if "quot-nonzero" in needed:
@@ -251,7 +196,7 @@ def _sweep(p, d, k, form, elements, condition_sets):
                 if perp is None:
                     a, perp = _perp(basis, form, p)
                 perp_images = [_apply(xe, u, d) for u in perp]
-                if stable and any(
+                if any(
                     sum(b * c for b, c in zip(row, w)) % p
                     for w in perp_images
                     for row in a
@@ -271,41 +216,23 @@ def _sweep(p, d, k, form, elements, condition_sets):
     return counts
 
 
-def count_stable_flags(x, spec: FlagSpec, p: int | None = None) -> int:
-    """Number of flags over F_p meeting every condition of the spec.
-
-    ``x`` may be a PrimeFieldMatrix (modulus implied) or an IntMatrix with
-    an explicit prime.  For a symplectic one-dimensional flag the
-    three-dimensional member is the perp of the line (derived, never
-    enumerated); its stability under a stable line is asserted as an
-    arithmetic self-check.
-    """
-    if isinstance(x, PrimeFieldMatrix):
-        p = x.modulus
-        x_rows = x.entries
-    else:
-        if p is None:
-            raise ValueError("a prime is required with an integer matrix")
-        x_rows = tuple(tuple(a % p for a in row) for row in x.entries)
-    counts = _sweep(
-        p, spec.ambient_dim, spec.flag_dim, spec.form, [x_rows], [spec.conditions]
-    )
-    return counts[0][0]
-
-
 def _strata_for(case: CaseData):
+    """The flag dimension of the case and its strata: (name, conditions of
+    ``_sweep`` beyond stability, fiber attribute)."""
     if case.flag_kind == "isotropic-line":
+        if case.form is None:
+            raise ValueError("an isotropic-line case needs a form")
         flag_dim = 1
         strata = [
-            ("full", ("stable",), "full_fiber"),
-            ("zero", ("stable", "middle-zero"), "zero_part"),
-            ("cuspidal", ("stable", "middle-nonzero"), "cuspidal_part"),
+            ("full", (), "full_fiber"),
+            ("zero", ("middle-zero",), "zero_part"),
+            ("cuspidal", ("middle-nonzero",), "cuspidal_part"),
         ]
     elif case.flag_kind == "two-plane":
         flag_dim = 2
         strata = [
-            ("full", ("stable",), "full_fiber"),
-            ("cuspidal", ("stable", "sub-nonzero", "quot-nonzero"), "cuspidal_part"),
+            ("full", (), "full_fiber"),
+            ("cuspidal", ("sub-nonzero", "quot-nonzero"), "cuspidal_part"),
         ]
     else:
         raise ValueError(f"unknown flag kind {case.flag_kind!r}")

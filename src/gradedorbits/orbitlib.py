@@ -50,10 +50,6 @@ class WeightMismatch(ValueError):
     pass
 
 
-class NotTypeA(ValueError):
-    pass
-
-
 class UnsortedWeights(ValueError):
     pass
 
@@ -179,9 +175,11 @@ def closure_leq(lam: Partition, mu: Partition) -> bool:
 # ---------------------------------------------------------------------------
 # graded orbits in type A
 
-# the most orbits ``graded_orbit_reps_typeA`` lists; see the README for the
-# measurement behind it
+# the most orbits ``graded_orbit_reps_typeA`` lists, and the most matrix
+# cells (orbits x d^2) it prints: those of the largest table the orbit bound
+# admits, 10,000 orbits at d = 23; see the README for the measurement
 MAX_GRADED_ORBITS = 10_000
+MAX_GRADED_CELLS = MAX_GRADED_ORBITS * 23**2
 
 
 def _weight_blocks(weights):
@@ -356,20 +354,26 @@ def _chain_orbits(chain, blocks, n):
     return out
 
 
-def graded_orbit_reps_typeA(chi: Cocharacter, n: int, kind: str = "sl") -> tuple:
+def graded_orbit_reps_typeA(chi: Cocharacter, n: int) -> tuple:
     """All orbit representatives of the weight-zero group on the degree-n
     piece of sl_d, for a weakly decreasing diagonal cocharacter, with each
     orbit's dimension and Levi shape in closed form (see the module
-    docstring).  More than MAX_GRADED_ORBITS orbits raise TooManyOrbits."""
-    if kind.lower() != "sl":
-        raise NotTypeA("graded orbit enumeration only implemented for type A")
-    if graded_orbit_count(chi, n) > MAX_GRADED_ORBITS:
+    docstring).  More than MAX_GRADED_ORBITS orbits, or more than
+    MAX_GRADED_CELLS cells of d x d representatives, raise TooManyOrbits
+    before any orbit is enumerated."""
+    count = graded_orbit_count(chi, n)
+    if count > MAX_GRADED_ORBITS:
         raise TooManyOrbits(
             f"degree {n} has more than {MAX_GRADED_ORBITS} orbits,"
             " the most that are listed"
         )
-    blocks, chains = _validated_chains(chi, n)
     d = len(chi)
+    if count * d * d > MAX_GRADED_CELLS:
+        raise TooManyOrbits(
+            f"degree {n} has {count} orbit(s) of {d}x{d} representatives,"
+            f" {count * d * d} cells, more than the {MAX_GRADED_CELLS} that are printed"
+        )
+    blocks, chains = _validated_chains(chi, n)
     g0_dim = sum(len(coords) ** 2 for _, coords in blocks)
     per_chain = [_chain_orbits(chain, blocks, n) for chain in chains]
     reps = []

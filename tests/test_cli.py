@@ -524,3 +524,53 @@ def test_stalks_char_bound_names_flag(capsys):
     captured = capsys.readouterr()
     assert "argument --char:" in captured.err
     assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# pinned ``fibers --json`` bytes, captured before the sweep counted only
+# x-stable subspaces
+
+FIBERS_JSON_SHA256 = [
+    ("sp4", 2, "3e225cfb336bfcb7f7ed3bdc820c660330302e37f419464c2f1fe0e1313c99b1"),
+    ("sp4", 3, "b47dda5cdbd71c4cad5c393101d947fadc42e549d235b64592b064cf403d1e82"),
+    ("sp4", 5, "c2befb48d9f6e54904d34719bb2d4be0940c819c7bf6e58b69df9ecf9d67bad1"),
+    ("sp4", 7, "0425602f90fddbd7b74d8fd05683d9f091ab54b1c6dadef93d882fa466ea7eec"),
+    ("sp4", 11, "0081a6fc103bc05c667137839784ed7a23c829179734e5c4b6365d658a73fb71"),
+    ("sp4", 13, "3fa7509f01c14635f65367bbd4ccf67b1ca1b33da4945030eb9290cb9ebd42ac"),
+    ("sl4", 2, "8b0f0a31b12ffeb9ce2b59f7afec49d6dabd9a69eea76d59d6eb3a50bf14ef82"),
+    ("sl4", 3, "e08afdacaa8490dba1e1490c2c0abc8278d94a3ae67279bb39b1a403bd7923ae"),
+    ("sl4", 5, "6200602178a89bc8f293e979dd6ebadb892da1f72c7ff763b190012031e73fd4"),
+    ("sl4", 7, "434768c748730b50ff5e53b31b4679960015c3d61212e5cbd4e0e31ff0d8816d"),
+    ("sl4", 11, "ecf72f7e4733215f1873a8f4d0c5c23ac4f9763296c46b3b14af4117945f1088"),
+    ("sl4", 13, "0c54c44f7038a21f09a3f633b9994c99d107daaf496530ea562ee494fae8a32c"),
+]
+
+
+@pytest.mark.parametrize("case,prime,digest", FIBERS_JSON_SHA256)
+def test_fibers_json_sha256(capsys, case, prime, digest):
+    code, out = run_capture(capsys, ["fibers", "--case", case, "--primes", str(prime), "--json"])
+    assert code == 0
+    assert json.loads(out)["all_match"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("char", ["4", "-3", "1"])
+def test_stalks_char_not_prime_names_flag(capsys, char):
+    assert cli.run(["stalks", "--case", "sp4", "--char", char]) == 2
+    captured = capsys.readouterr()
+    assert f"argument --char: must be 0 or a prime, got {char}" in captured.err
+    assert captured.out == ""
+
+
+def test_graded_orbits_cell_bound_names_flag(capsys, monkeypatch):
+    def enumerate_nothing(dims):
+        raise AssertionError("the orbits were enumerated")
+
+    monkeypatch.setattr(orbitlib, "_interval_multisets", enumerate_nothing)
+    # one orbit of a 2301 x 2301 representative: 5,294,601 cells
+    cochar = ",".join(["0"] * 2301)
+    assert cli.run(["graded-orbits", "--cochar", cochar, "--degree", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "argument --cochar:" in captured.err
+    assert f"more than the {orbitlib.MAX_GRADED_CELLS} that are printed" in captured.err
+    assert captured.out == ""

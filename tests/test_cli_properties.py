@@ -1,0 +1,196 @@
+"""Property test of the CLI contract: any argv of any subcommand either
+succeeds (exit 0), is rejected (exit 2) or reports a fiber mismatch (exit
+3), and never escapes ``cli.run`` as an exception.  Needs Hypothesis (the
+``test`` extra); without it this module is skipped.
+
+Each argv is mostly well formed, so that it reaches the computation, with
+one option dropped or replaced by junk now and then.  Sizes are drawn from
+small values, where an accepted input takes well under 0.1 s, and from the
+first value past each documented bound, which is rejected before any work
+is done."""
+
+import contextlib
+import io
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gradedorbits import cli, exactlin
+
+JUNK = ["", "x", "1.5", "1,,2", "0x10", "-", "1;0"]
+# past the orbit bound: one chain of block sizes 1, 7, 4, 3, 7, 7 (10,080
+# orbits); past the cell bound: one orbit of 2,301 zero weights
+PAST_ORBIT_BOUND = [3] + [2] * 7 + [1] * 4 + [0] * 3 + [-1] * 7 + [-2] * 7
+PAST_CELL_BOUND = [0] * 2301
+
+
+def ints(values):
+    return ",".join(map(str, values))
+
+
+def mostly(draw, usual, *rare):
+    """A value drawn from the strategy ``usual``, or now and then one of
+    ``rare``."""
+    if rare and draw(st.integers(0, 9)) == 7:  # not 0, which Hypothesis favours
+        return draw(st.sampled_from(rare))
+    return draw(usual)
+
+
+def kind(draw):
+    return mostly(draw, st.sampled_from(["sl", "sp"]), "so")
+
+
+def case(draw):
+    return mostly(draw, st.sampled_from(["sp4", "sl4"]), "sp6")
+
+
+def cochar_weights(draw, kind_, d):
+    """d weights in -2..2: weakly decreasing with zero sum for sl, of the
+    form (w, -w) for sp, and now and then any d weights."""
+    w = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    if kind_ == "sp" and d % 2 == 0:
+        return mostly(draw, st.just(w[: d // 2] + [-a for a in w[: d // 2]]), w)
+    if kind_ == "sl" and d > 1:
+        w[-1] -= sum(w)
+        return mostly(draw, st.just(sorted(w, reverse=True)), w)
+    return w
+
+
+def graded_element(draw, kind_, weights, n):
+    """A d x d matrix of the algebra that is nonzero only on cells of degree
+    n, now and then with its first column shifted by one, as matrix text.
+    In sp_2m, with the form [[0, I], [-I, 0]], it is [[A, B], [C, -A^T]]
+    with B and C symmetric."""
+    d = len(weights)
+    x = [[0] * d for _ in range(d)]
+    m = d // 2 if kind_ == "sp" else 0
+    for i in range(d):
+        for j in range(d):
+            if weights[i] - weights[j] != n or x[i][j]:
+                continue
+            a = draw(st.sampled_from([1, -1, 2, 0]))
+            if not m:
+                x[i][j] = a
+            elif i < m and j < m:  # A, and -A^T
+                x[i][j], x[m + j][m + i] = a, -a
+            elif (i < m) != (j < m):  # B or C, symmetric
+                x[i][j] = x[j - m if j >= m else j + m][i + m if i < m else i - m] = a
+    noise = mostly(draw, st.just(0), 1)
+    return ";".join(ints([r[0] + noise, *r[1:]]) for r in x)
+
+
+@st.composite
+def argv_of(draw, command, pairs, flags=("--json", "--quiet")):
+    """command, the options as ``--name=value`` in a drawn order (now and
+    then one dropped or given a junk value), and a drawn subset of the
+    flags."""
+    pairs = list(pairs)
+    action = draw(st.sampled_from(["keep"] * 6 + ["drop", "junk"]))
+    if action != "keep":
+        i = draw(st.integers(0, len(pairs) - 1))
+        if action == "drop":
+            del pairs[i]
+        else:
+            pairs[i] = (pairs[i][0], draw(st.sampled_from(JUNK)))
+    pairs = draw(st.permutations(pairs))
+    chosen = draw(st.lists(st.sampled_from(flags), unique=True))
+    return [command, *[f"{name}={value}" for name, value in pairs], *chosen]
+
+
+@st.composite
+def orbits_argv(draw):
+    n = mostly(draw, st.integers(1, 12), -2, 0, cli.MAX_ORBITS_N + 1)
+    pairs = [("--type", kind(draw)), ("--n", str(n))]
+    return draw(argv_of("orbits", pairs))
+
+
+@st.composite
+def graded_orbits_argv(draw):
+    if draw(st.integers(0, 4)) == 0:
+        weights = draw(st.sampled_from([PAST_ORBIT_BOUND, PAST_CELL_BOUND]))
+        n = draw(st.sampled_from([-1, 1]))
+    else:
+        weights = cochar_weights(draw, "sl", draw(st.integers(1, 6)))
+        n = mostly(draw, st.sampled_from([-1, 1, -2, 2, -3, 3]), 0)
+    pairs = [("--cochar", ints(weights)), ("--degree", str(n))]
+    return draw(argv_of("graded-orbits", pairs))
+
+
+@st.composite
+def piece_argv(draw, command):
+    """grading, triple or parabolic on an algebra of dimension d <= 6, with
+    now and then a --d or --cochar that does not fit, and for triple and
+    parabolic an --x of degree n."""
+    kind_ = kind(draw)
+    d = 2 * draw(st.integers(1, 3)) if kind_ == "sp" else draw(st.integers(1, 5))
+    weights = cochar_weights(draw, kind_, d)
+    n = mostly(draw, st.sampled_from([-2, -1, 1, 2]), 0)
+    pairs = [
+        ("--type", kind_),
+        ("--d", str(mostly(draw, st.just(d), -1, 0, d + 1))),
+        ("--cochar", ints(mostly(draw, st.just(weights), weights[:-1]))),
+        ("--degree", str(n)),
+    ]
+    if command != "grading":
+        pairs.append(("--x", graded_element(draw, kind_, weights, n)))
+    return draw(argv_of(command, pairs))
+
+
+@st.composite
+def primes_argv(draw):
+    # SL(8) and Sp(10) are the first past the 48-root bound
+    kind_ = kind(draw)
+    if kind_ == "sl":
+        n = mostly(draw, st.integers(2, 5), -1, 1, 8)
+    else:
+        n = mostly(draw, st.sampled_from([2, 4, 6]), -1, 0, 5, 10)
+    return draw(argv_of("primes", [("--type", kind_), ("--n", str(n))]))
+
+
+@st.composite
+def fibers_argv(draw):
+    primes = [
+        mostly(draw, st.sampled_from([2, 3, 5]), -2, 0, 1, 4, 14, 17)
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    pairs = [("--case", case(draw)), ("--primes", ints(primes))]
+    return draw(argv_of("fibers", pairs))
+
+
+@st.composite
+def stalks_argv(draw):
+    char = mostly(
+        draw, st.sampled_from([0, 2, 3, 5, 7, 13]), -3, 1, 4, 9, exactlin.PRIME_TEST_BOUND
+    )
+    pairs = [("--case", case(draw)), ("--char", str(char))]
+    return draw(argv_of("stalks", pairs, ("--json", "--quiet", "--allow-char-2")))
+
+
+ARGV = {
+    "orbits": orbits_argv(),
+    "graded-orbits": graded_orbits_argv(),
+    "grading": piece_argv("grading"),
+    "triple": piece_argv("triple"),
+    "parabolic": piece_argv("parabolic"),
+    "primes": primes_argv(),
+    "fibers": fibers_argv(),
+    "stalks": stalks_argv(),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARGV))
+def test_argv_exits_0_2_or_3(command):
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(ARGV[command])
+    def check(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = cli.run(argv)
+        assert code in (0, 2, 3), argv
+
+    check()

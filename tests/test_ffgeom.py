@@ -6,10 +6,8 @@ from gradedorbits.cohom import CaseData, FiberDatum, Pt, load_case
 from gradedorbits.exactlin import IntMatrix, Partition, parse_matrix_text
 from gradedorbits.ffgeom import (
     CountReport,
-    FlagSpec,
     LimitExceeded,
     NotStableUnderForm,
-    count_stable_flags,
     enumerate_subspaces,
     gaussian_binomial,
     verify_fiber_counts,
@@ -18,7 +16,7 @@ from oracles import echelon_subspaces, flag_count_by_elimination
 
 SP_FORM = parse_matrix_text("0,0,1,0;0,0,0,1;-1,0,0,0;0,-1,0,0")
 
-# flag dimension and the conditions of each stratum, per flag kind
+# flag dimension and the oracle's conditions of each stratum, per flag kind
 STRATA = {
     "isotropic-line": (
         1,
@@ -61,50 +59,62 @@ def test_enumerate_guard():
         list(enumerate_subspaces(4, 4, 1))
 
 
+def random_case(flag_kind, form, elements):
+    """A case whose orbits are the given elements, labelled by position;
+    only the counts of its report are meaningful."""
+    orbits = tuple(
+        FiberDatum(
+            partition=Partition.of([i + 1]),
+            representative=x,
+            full_fiber=Pt(),
+            zero_part=None,
+            cuspidal_part=None,
+            monodromy=(),
+        )
+        for i, x in enumerate(elements)
+    )
+    return CaseData("random", "-", 4, form, flag_kind, "-", 0, orbits)
+
+
+def swept_rows(case, p):
+    return {
+        (r.orbit, r.stratum): r.count for r in verify_fiber_counts(case, [p]).rows
+    }
+
+
 def test_count_sp4_middle_orbit_full_fiber():
     x = parse_matrix_text("0,0,1,0;0,0,0,0;0,0,0,0;0,0,0,0")
-    spec = FlagSpec(4, 1, SP_FORM, ("stable",))
-    assert count_stable_flags(x, spec, 3) == 13
-
-
-def test_prime_field_matrix_entry_reduction():
-    from gradedorbits.ffgeom import PrimeFieldMatrix
-
-    x = parse_matrix_text("0,0,1,0;0,0,0,0;0,0,0,0;0,0,0,0")
-    reduced = PrimeFieldMatrix.reduce(x, 3)
-    assert all(0 <= a < 3 for row in reduced.entries for a in row)
-    spec = FlagSpec(4, 1, SP_FORM, ("stable",))
-    assert count_stable_flags(reduced, spec) == 13
-    with pytest.raises(ValueError):
-        PrimeFieldMatrix.reduce(x, 4)
-    with pytest.raises(ValueError):
-        count_stable_flags(x, spec)
+    case = random_case("isotropic-line", SP_FORM, [x])
+    assert swept_rows(case, 3)[("[1]", "full")] == 13
 
 
 def test_count_sl4_subregular_cuspidal():
     x = parse_matrix_text("0,1,0,0;0,0,1,0;0,0,0,0;0,0,0,0")
-    spec = FlagSpec(4, 2, None, ("stable", "sub-nonzero", "quot-nonzero"))
-    assert count_stable_flags(x, spec, 3) == 2
+    case = random_case("two-plane", None, [x])
+    assert swept_rows(case, 3)[("[1]", "cuspidal")] == 2
 
 
 def test_count_zero_map_fails_nonzero_conditions():
-    x = IntMatrix.zeros(4, 4)
-    spec = FlagSpec(4, 2, None, ("stable", "sub-nonzero", "quot-nonzero"))
+    case = random_case("two-plane", None, [IntMatrix.zeros(4, 4)])
     for p in (2, 3, 5):
-        assert count_stable_flags(x, spec, p) == 0
+        rows = swept_rows(case, p)
+        assert rows[("[1]", "cuspidal")] == 0
+        assert rows[("[1]", "full")] == gaussian_binomial(4, 2, p)
 
 
 def test_non_nilpotent_rejected():
-    spec = FlagSpec(4, 2, None, ("stable",))
-    with pytest.raises(NotStableUnderForm):
-        count_stable_flags(IntMatrix.identity(4), spec, 3)
+    case = random_case("two-plane", None, [IntMatrix.identity(4)])
+    with pytest.raises(NotStableUnderForm, match="nilpotent"):
+        verify_fiber_counts(case, [3])
+
+
+NOT_IN_SP = parse_matrix_text("0,1,0,0;0,0,0,0;0,0,0,0;0,0,0,0")
 
 
 def test_form_membership_enforced():
-    not_in_sp = parse_matrix_text("0,1,0,0;0,0,0,0;0,0,0,0;0,0,0,0")
-    spec = FlagSpec(4, 1, SP_FORM, ("stable",))
-    with pytest.raises(NotStableUnderForm):
-        count_stable_flags(not_in_sp, spec, 3)
+    case = random_case("isotropic-line", SP_FORM, [NOT_IN_SP])
+    with pytest.raises(NotStableUnderForm, match="form's algebra"):
+        verify_fiber_counts(case, [3])
 
 
 def test_perp_self_check_raises(monkeypatch):
@@ -113,10 +123,9 @@ def test_perp_self_check_raises(monkeypatch):
     from gradedorbits import ffgeom
 
     monkeypatch.setattr(ffgeom, "_validate_element", lambda *args: None)
-    not_in_sp = parse_matrix_text("0,1,0,0;0,0,0,0;0,0,0,0;0,0,0,0")
-    spec = FlagSpec(4, 1, SP_FORM, ("stable",))
+    case = random_case("isotropic-line", SP_FORM, [NOT_IN_SP])
     with pytest.raises(NotStableUnderForm, match="perp"):
-        count_stable_flags(not_in_sp, spec, 3)
+        verify_fiber_counts(case, [3])
 
 
 def test_sp4_isotropic_lines_are_all_lines():
@@ -173,14 +182,12 @@ def test_report_detects_mismatch():
     assert not bad.all_match
 
 
-def test_flag_spec_validation():
-    for removed in ("sub-zero", "quot-zero"):
-        with pytest.raises(ValueError):
-            FlagSpec(4, 2, None, ("stable", removed))
-    with pytest.raises(ValueError):
-        FlagSpec(4, 1, None, ("stable", "middle-zero"))
-    with pytest.raises(ValueError):
-        FlagSpec(4, 4, None, ("stable",))
+def test_strata_check_the_case():
+    zero = IntMatrix.zeros(4, 4)
+    with pytest.raises(ValueError, match="needs a form"):
+        verify_fiber_counts(random_case("isotropic-line", None, [zero]), [3])
+    with pytest.raises(ValueError, match="unknown flag kind"):
+        verify_fiber_counts(random_case("three-plane", None, [zero]), [3])
 
 
 def oracle_rows(case, p):
@@ -195,34 +202,11 @@ def oracle_rows(case, p):
     }
 
 
-def swept_rows(case, p):
-    return {
-        (r.orbit, r.stratum): r.count for r in verify_fiber_counts(case, [p]).rows
-    }
-
-
 @pytest.mark.parametrize("name", ["sp4", "sl4"])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_shipped_cases_match_oracle(name, p):
     case = load_case(name)
     assert swept_rows(case, p) == oracle_rows(case, p)
-
-
-def random_case(flag_kind, form, elements):
-    """A case whose orbits are the given elements, labelled by position;
-    only the counts of its report are meaningful."""
-    orbits = tuple(
-        FiberDatum(
-            partition=Partition.of([i + 1]),
-            representative=x,
-            full_fiber=Pt(),
-            zero_part=None,
-            cuspidal_part=None,
-            monodromy=(),
-        )
-        for i, x in enumerate(elements)
-    )
-    return CaseData("random", "-", 4, form, flag_kind, "-", 0, orbits)
 
 
 def sparse_entry(rng):
@@ -262,22 +246,3 @@ def test_random_nilpotents_match_oracle(flag_kind, form, make):
     case = random_case(flag_kind, form, [make(rng) for _ in range(6)])
     for p in (2, 3, 5):
         assert swept_rows(case, p) == oracle_rows(case, p)
-
-
-def test_single_condition_counts_match_oracle():
-    """count_stable_flags, including condition sets that leave out stability."""
-    rng = random.Random("ffgeom-oracle:single")
-    for form, k, make, condition_sets in (
-        (None, 2, random_upper_triangular, [("sub-nonzero",), ("quot-nonzero",)]),
-        (None, 1, random_upper_triangular, [("stable", "quot-nonzero")]),
-        (SP_FORM, 1, random_sp4_nilpotent, [("middle-nonzero",), ("sub-nonzero",)]),
-    ):
-        for _ in range(3):
-            x = make(rng)
-            form_rows = form.entries if form is not None else None
-            for conditions in condition_sets:
-                spec = FlagSpec(4, k, form, conditions)
-                for p in (2, 3):
-                    assert count_stable_flags(x, spec, p) == flag_count_by_elimination(
-                        x.entries, p, k, form_rows, conditions
-                    )

@@ -258,6 +258,12 @@ def test_too_many_orbits_rejected_before_enumeration(monkeypatch):
     assert graded_orbit_count(long_chain, -1) == MAX_GRADED_ORBITS + 1
     with pytest.raises(TooManyOrbits):
         graded_orbit_reps_typeA(long_chain, -1)
+    # orbits x d^2 above MAX_GRADED_CELLS; at the bound the enumeration starts
+    assert orbitlib.MAX_GRADED_CELLS == 2300**2
+    with pytest.raises(TooManyOrbits, match="5294601 cells"):
+        graded_orbit_reps_typeA(Cocharacter.of([0] * 2301), 1)
+    with pytest.raises(AssertionError, match="enumerated"):
+        graded_orbit_reps_typeA(Cocharacter.of([0] * 2300), 1)
 
 
 def test_orbit_count_work_is_bounded(deadline):
