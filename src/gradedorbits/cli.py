@@ -38,19 +38,27 @@ from .orbitlib import TooManyOrbits, graded_orbit_reps_typeA, nilpotent_orbits
 # ``orbits --n`` enumerates every partition of n: 37,338 for n = 40 take
 # about 1 s, and the count grows about 1.5x per step of n beyond
 MAX_ORBITS_N = 40
+# ``grading`` prints every basis element of the piece as a d x d matrix, so
+# its work grows as d^4: degree 0 of sp_48 under the zero cocharacter, the
+# worst call accepted, takes about 1.6 s and 150 MB, and d = 50 about 1.9 s
+MAX_GRADING_D = 48
 
 
-def _orbits_n(text: str) -> int:
-    """argparse type: an integer in 1..MAX_ORBITS_N."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    if value > MAX_ORBITS_N:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_ORBITS_N}, got {value}")
-    return value
+def _bounded_int(low: int, high: int):
+    """argparse type: an integer in low..high."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+        return value
+
+    return parse
 
 
 def _int_list(text: str) -> list:
@@ -186,6 +194,12 @@ def cmd_graded_orbits(args) -> int:
 
 def cmd_grading(args) -> int:
     chi = args.cochar
+    if args.type == "sp" and args.d % 2:
+        raise ValueError(f"argument --d: sp needs an even dimension, got {args.d}")
+    if len(chi.weights) != args.d:
+        raise ValueError(
+            f"argument --cochar: expected {args.d} weights, got {len(chi.weights)}"
+        )
     alg = build_algebra(args.type, args.d)
     comp = graded_component(alg, chi, args.degree)
     wm = weight_matrix(chi)
@@ -312,7 +326,16 @@ def cmd_fibers(args) -> int:
         _table(rows, ("orbit", "prime", "stratum", "count", "predicted", "verdict")),
         payload,
     )
-    return 0 if report.all_match else 3
+    if report.all_match:
+        return 0
+    bad = next(r for r in report.rows if not r.match)
+    print(
+        f"mismatch: orbit {bad.orbit} stratum {bad.stratum} prime {bad.prime}: "
+        f"count {bad.count}, predicted {bad.predicted}, "
+        f"delta {bad.count - bad.predicted:+d}",
+        file=sys.stderr,
+    )
+    return 3
 
 
 def cmd_stalks(args) -> int:
@@ -351,7 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("orbits", help="nilpotent orbit table")
     p.add_argument("--type", required=True, choices=["sl", "sp"])
-    p.add_argument("--n", required=True, type=_orbits_n, help=f"1 to {MAX_ORBITS_N}")
+    p.add_argument(
+        "--n",
+        required=True,
+        type=_bounded_int(1, MAX_ORBITS_N),
+        help=f"1 to {MAX_ORBITS_N}",
+    )
     p.set_defaults(func=cmd_orbits)
 
     p = add_parser("graded-orbits", help="orbits in a graded piece (type A)")
@@ -361,7 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("grading", help="weight matrix and graded component basis")
     p.add_argument("--type", required=True, choices=["sl", "sp"])
-    p.add_argument("--d", required=True, type=int)
+    p.add_argument(
+        "--d",
+        required=True,
+        type=_bounded_int(1, MAX_GRADING_D),
+        help=f"1 to {MAX_GRADING_D}",
+    )
     p.add_argument("--cochar", required=True, type=_cochar)
     p.add_argument("--degree", required=True, type=int)
     p.set_defaults(func=cmd_grading)
@@ -401,8 +434,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv) -> list:
+    """argv with ``--name -1,0`` written as ``--name=-1,0``.  argparse takes
+    a value that starts with '-' and is not a plain negative number, such
+    as the cocharacter -1,0,1,0 or the matrix -1,0;0,1, for an option and
+    rejects it; no option starts with '-' and a digit."""
+    out = []
+    for token in argv:
+        dash_value = token[:1] == "-" and token[1:2].isdigit()
+        if dash_value and out and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_dash_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,15 +1,18 @@
-"""Brute-force flag enumeration over prime fields.
+"""Flag enumeration over prime fields.
 
 Every fiber description shipped with a case is independently verified by
-counting flags over F_p.  For each (case, prime) there is one exhaustive
-sweep: every k-subspace of F_p^d is enumerated in reduced row echelon
-form, and for each one the sweep decides, for every orbit representative
-of the case at once, whether the subspace is stable and, if it is, which
-strata it lies in; only x-stable subspaces are counted.  The counts are
-compared against evaluated counting polynomials (with a residue-class rule
-for the one stratum pair defined over a quadratic extension).  An
-independent per-stratum sweep with generic elimination lives in
-``tests/oracles.py``, and the tests compare the two.
+counting flags over F_p.  For each (case, prime) and each orbit
+representative x, only the x-stable k-subspaces of F_p^d are visited: a
+nilpotent x has a kernel on every stable subspace, so every stable
+subspace is reached by a chain of stable subspaces that grows one line of
+x^-1(U) / U at a time from 0 (``stable_subspaces``).  An x that is zero
+mod p stabilises all of them, so it counts the Gaussian binomial.  For
+each stable subspace the sweep decides which strata it lies in.  The
+counts are compared against evaluated counting polynomials (with a
+residue-class rule for the one stratum pair defined over a quadratic
+extension).  An independent exhaustive per-stratum sweep of the
+Grassmannian with generic elimination lives in ``tests/oracles.py``, and
+the tests compare the two.
 """
 
 from __future__ import annotations
@@ -62,32 +65,83 @@ def gaussian_binomial(d: int, k: int, q: int) -> int:
     return num // den
 
 
-def _echelon_rows(p, d, pivots, i):
-    """Every possible row i of a reduced echelon basis with these pivots."""
-    free = [j for j in range(pivots[i] + 1, d) if j not in pivots]
-    for values in itertools.product(range(p), repeat=len(free)):
-        row = [0] * d
-        row[pivots[i]] = 1
-        for j, v in zip(free, values):
-            row[j] = v
-        yield tuple(row)
-
-
-def enumerate_subspaces(p: int, d: int, k: int):
-    """All k-dimensional subspaces of F_p^d, one reduced-row-echelon basis
-    each.
-
-    Bases with the same pivots share the tuples of their leading k - 1
-    rows, so a row that did not change from one basis to the next is the
-    same object.  Only the last row is built afresh for every basis, which
-    keeps the rows held at once to at most (k - 1) p^(d - k)."""
+def _check_bounds(p, d, k):
     if not is_prime(p) or p > MAX_PRIME or d > MAX_DIM or not 1 <= k < d:
         raise LimitExceeded("enumeration bounds: p prime <= 13, d <= 6, 1 <= k < d")
-    for pivots in itertools.combinations(range(d), k):
-        heads = [list(_echelon_rows(p, d, pivots, i)) for i in range(k - 1)]
-        for head in itertools.product(*heads):
-            for last in _echelon_rows(p, d, pivots, k - 1):
-                yield head + (last,)
+
+
+def _quotient_lines(x, basis, p):
+    """One vector of every line of x^-1(U) / U, for U the span of the
+    reduced echelon ``basis``.
+
+    The vectors that vanish on U's pivot columns form a complement of U,
+    and x^-1(U) / U is the kernel there of v -> x v mod U; x v mod U is
+    read off x v on the non-pivot columns after the basis rows, weighted
+    by x v at their pivots, are taken away."""
+    d = len(x)
+    pivots = [row.index(1) for row in basis]
+    free = [j for j in range(d) if j not in pivots]
+    reduced = []
+    for j in free:
+        xj = x[j]
+        for pc, row in zip(pivots, basis):
+            if row[j]:
+                xj = [a - row[j] * b for a, b in zip(xj, x[pc])]
+        reduced.append(tuple(xj[c] % p for c in free))
+    kernel = []
+    n = len(free)
+    for w in rank_and_kernel(IntMatrix(n, n, tuple(reduced)), p)[1]:
+        v = [0] * d
+        for j, a in zip(free, w):
+            v[j] = a
+        kernel.append(v)
+    for i, lead in enumerate(kernel):
+        rest = kernel[i + 1 :]
+        for coefficients in itertools.product(range(p), repeat=len(rest)):
+            v = lead
+            for c, w in zip(coefficients, rest):
+                if c:
+                    v = [a + c * b for a, b in zip(v, w)]
+            yield v
+
+
+def _extend(basis, v, p):
+    """The reduced echelon basis of the span of ``basis`` and ``v``, for a
+    nonzero v that vanishes on the basis's pivot columns."""
+    v = [a % p for a in v]
+    lead = next(j for j, a in enumerate(v) if a)
+    inverse = pow(v[lead], -1, p)
+    v = tuple(a * inverse % p for a in v)
+    rows = [
+        tuple((a - row[lead] * b) % p for a, b in zip(row, v)) if row[lead] else row
+        for row in basis
+    ]
+    rows.append(v)
+    # an echelon row is larger than every row with a later pivot
+    rows.sort(reverse=True)
+    return tuple(rows)
+
+
+def stable_subspaces(x_rows, p: int, k: int) -> list:
+    """The k-subspaces of F_p^d stable under x, for an x that is nilpotent
+    mod p: one reduced-row-echelon basis each, rows with entries in [0, p).
+
+    x restricted to a stable V is nilpotent, so it has a kernel there, and
+    V has a complete flag of stable subspaces: 0 = U_0 < ... < U_k = V with
+    U_(j+1) = U_j + <v> for some v in x^-1(U_j) outside U_j.  Each level
+    therefore extends every stable U_j by every line of x^-1(U_j) / U_j,
+    and keeps each span once, keyed by its echelon basis."""
+    d = len(x_rows)
+    _check_bounds(p, d, k)
+    x = [[a % p for a in row] for row in x_rows]
+    level = [()]
+    for _ in range(k):
+        found = {}
+        for basis in level:
+            for v in _quotient_lines(x, basis, p):
+                found.setdefault(_extend(basis, v, p))
+        level = list(found)
+    return level
 
 
 def _mod(m: IntMatrix, p: int) -> IntMatrix:
@@ -137,6 +191,15 @@ def _perp(basis, form, p):
     return a, rank_and_kernel(IntMatrix.from_rows(a), p)[1]
 
 
+# the facts of every subspace under an x that is zero mod p
+ZERO_FACTS = {
+    "sub-nonzero": False,
+    "quot-nonzero": False,
+    "middle-zero": True,
+    "middle-nonzero": False,
+}
+
+
 def _sweep(p, d, k, form, elements, condition_sets):
     """counts[e][c]: the number of x-stable k-subspaces V of F_p^d, for
     x = ``elements[e]``, that meet every condition of ``condition_sets[c]``.
@@ -146,56 +209,48 @@ def _sweep(p, d, k, form, elements, condition_sets):
     ``middle-zero`` and ``middle-nonzero``, x maps the perp of V under
     ``form`` into V, or does not (they need a form).
 
-    One exhaustive pass over the Grassmannian serves every element and
-    every condition set.  Each element is validated first.  Under a form,
-    the perp of every counted subspace is checked to be x-stable too, and a
-    failure raises NotStableUnderForm.
+    Each element is validated first.  An x that is zero mod p stabilises
+    every subspace with the same facts, so it counts the Gaussian binomial
+    or 0; any other x visits only its stable subspaces
+    (``stable_subspaces``).  Under a form, the perp of every counted
+    subspace is checked to be x-stable too, and a failure raises
+    NotStableUnderForm.
     """
+    _check_bounds(p, d, k)
     for x_rows in elements:
         _validate_element(x_rows, p, d, form)
-    entries = [
-        tuple((i, j, a) for i, row in enumerate(x) for j, a in enumerate(row) if a)
-        for x in elements
-    ]
-    columns = [[col for col in zip(*x) if any(col)] for x in elements]
     needed = set().union(*condition_sets)
-    counts = [[0] * len(condition_sets) for _ in elements]
-    images = [[None] * k for _ in elements]
-    nonpivots_of = {}
-    previous = (None,) * k
-    for basis in enumerate_subspaces(p, d, k):
-        pivots = tuple(row.index(1) for row in basis)
-        nonpivots = nonpivots_of.get(pivots)
-        if nonpivots is None:
-            nonpivots = nonpivots_of[pivots] = tuple(
-                j for j in range(d) if j not in pivots
+    counts = []
+    for x in elements:
+        if all(a % p == 0 for row in x for a in row):
+            everything = gaussian_binomial(d, k, p)
+            counts.append(
+                [
+                    everything if all(ZERO_FACTS[name] for name in conditions) else 0
+                    for conditions in condition_sets
+                ]
             )
-        # rows shared with the previous basis keep their images
-        fresh = [i for i in range(k) if basis[i] is not previous[i]]
-        previous = basis
-        perp = None
-        for e, xe in enumerate(entries):
-            imgs = images[e]
-            for i in fresh:
-                imgs[i] = _apply(xe, basis[i], d)
-            stable = True
-            for w in imgs:
-                if not _in_span(w, basis, pivots, nonpivots, p):
-                    stable = False
-                    break
-            if not stable:
-                continue
+            continue
+        entries = tuple(
+            (i, j, a) for i, row in enumerate(x) for j, a in enumerate(row) if a
+        )
+        columns = [col for col in zip(*x) if any(col)]
+        tally = [0] * len(condition_sets)
+        for basis in stable_subspaces(x, p, k):
+            pivots = tuple(row.index(1) for row in basis)
+            nonpivots = tuple(j for j in range(d) if j not in pivots)
             facts = {}
             if "sub-nonzero" in needed:
-                facts["sub-nonzero"] = any(c % p for w in imgs for c in w)
+                facts["sub-nonzero"] = any(
+                    c % p for v in basis for c in _apply(entries, v, d)
+                )
             if "quot-nonzero" in needed:
                 facts["quot-nonzero"] = not all(
-                    _in_span(col, basis, pivots, nonpivots, p) for col in columns[e]
+                    _in_span(col, basis, pivots, nonpivots, p) for col in columns
                 )
             if form is not None:
-                if perp is None:
-                    a, perp = _perp(basis, form, p)
-                perp_images = [_apply(xe, u, d) for u in perp]
+                a, perp = _perp(basis, form, p)
+                perp_images = [_apply(entries, u, d) for u in perp]
                 if any(
                     sum(b * c for b, c in zip(row, w)) % p
                     for w in perp_images
@@ -209,10 +264,10 @@ def _sweep(p, d, k, form, elements, condition_sets):
                 )
                 facts["middle-zero"] = middle_zero
                 facts["middle-nonzero"] = not middle_zero
-            tally = counts[e]
             for c, conditions in enumerate(condition_sets):
                 if all(facts[name] for name in conditions):
                     tally[c] += 1
+        counts.append(tally)
     return counts
 
 
@@ -250,9 +305,9 @@ def verify_fiber_counts(case: CaseData, primes) -> CountReport:
     """Count every stratum of every orbit fiber over each prime and compare
     with the predicted value.
 
-    Each prime takes one sweep of the Grassmannian that counts all orbits
-    and strata of the case together.  Predictions evaluate the counting
-    polynomial, except for a stratum pair defined over a quadratic
+    Each prime takes one pass over the stable subspaces of every orbit
+    that counts all strata of the case together.  Predictions evaluate the
+    counting polynomial, except for a stratum pair defined over a quadratic
     extension: its zero part contributes 2 or 0 points according to q mod
     4, and the complementary cuspidal part picks up the rest of the full
     fiber.

@@ -574,3 +574,87 @@ def test_graded_orbits_cell_bound_names_flag(capsys, monkeypatch):
     assert "argument --cochar:" in captured.err
     assert f"more than the {orbitlib.MAX_GRADED_CELLS} that are printed" in captured.err
     assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# values that start with '-'
+
+
+def run_both(capsys, argv):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grading", "--type", "sp", "--d", "4", "--cochar", "-1,0,1,0", "--degree", "1"],
+        ["grading", "--type", "sl", "--d", "4", "--cochar", "1,0,0,-1", "--degree", "-1"],
+        ["triple", "--type", "sl", "--d", "3", "--cochar", "1,0,-1", "--x", "-1,0;0,1",
+         "--degree", "1"],
+    ],
+    ids=["cochar", "degree", "x"],
+)
+def test_dash_value_space_form_matches_equals_form(capsys, argv):
+    i = next(i for i, a in enumerate(argv) if a.startswith("--") and argv[i + 1][:1] == "-")
+    joined = [*argv[:i], f"{argv[i]}={argv[i + 1]}", *argv[i + 2 :]]
+    spaced = run_both(capsys, argv)
+    assert spaced == run_both(capsys, joined)
+    assert "expected one argument" not in spaced[2]
+    if argv[0] == "triple":
+        assert spaced[0] == 2
+        assert "argument --x: expected a 3x3 matrix, got 2x2" in spaced[2]
+    else:
+        assert spaced[0] == 0 and spaced[1].startswith("weight_matrix: ")
+
+
+def test_missing_cochar_value_still_names_flag(capsys):
+    argv = ["grading", "--type", "sp", "--d", "4", "--cochar", "--degree", "1"]
+    code, out, err = run_both(capsys, argv)
+    assert code == 2
+    assert "argument --cochar: expected one argument" in err
+    assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# grading --d is bounded and named
+
+
+@pytest.mark.parametrize(
+    "kind,d,cochar,message",
+    [
+        ("sp", "0", "1", "argument --d: must be at least 1, got 0"),
+        ("sp", "-2", "1,-1", "argument --d: must be at least 1, got -2"),
+        ("sl", str(cli.MAX_GRADING_D + 1), "1,-1",
+         f"argument --d: must be at most {cli.MAX_GRADING_D}, got {cli.MAX_GRADING_D + 1}"),
+        ("sp", "3", "1,0,-1", "argument --d: sp needs an even dimension, got 3"),
+        ("sp", "4", "1,0,-1", "argument --cochar: expected 4 weights, got 3"),
+        ("sl", "3", "1,0,-1,0", "argument --cochar: expected 3 weights, got 4"),
+    ],
+)
+def test_grading_d_errors_name_flag(capsys, kind, d, cochar, message):
+    argv = ["grading", "--type", kind, "--d", d, "--cochar", cochar, "--degree", "1"]
+    code, out, err = run_both(capsys, argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# a fibers mismatch names its first failing row on stderr
+
+
+def test_fibers_mismatch_witness_on_stderr(capsys, monkeypatch):
+    from test_ffgeom import random_case
+
+    # every fiber of this case is predicted to be a point; E_12 has 11 stable
+    # planes over F_2
+    x = exactlin.parse_matrix_text("0,1,0,0;0,0,0,0;0,0,0,0;0,0,0,0")
+    monkeypatch.setattr(cli, "load_case", lambda name: random_case("two-plane", None, [x]))
+    code, out, err = run_both(capsys, ["fibers", "--case", "sl4", "--primes", "2", "--json"])
+    assert code == 3
+    assert err == "mismatch: orbit [1] stratum full prime 2: count 11, predicted 1, delta +10\n"
+    payload = json.loads(out)
+    assert payload["all_match"] is False
+    assert "delta" not in out

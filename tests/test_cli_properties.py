@@ -85,9 +85,9 @@ def graded_element(draw, kind_, weights, n):
 
 @st.composite
 def argv_of(draw, command, pairs, flags=("--json", "--quiet")):
-    """command, the options as ``--name=value`` in a drawn order (now and
-    then one dropped or given a junk value), and a drawn subset of the
-    flags."""
+    """command, the options as ``--name=value`` or as ``--name value`` in a
+    drawn order (now and then one dropped or given a junk value), and a
+    drawn subset of the flags."""
     pairs = list(pairs)
     action = draw(st.sampled_from(["keep"] * 6 + ["drop", "junk"]))
     if action != "keep":
@@ -98,7 +98,11 @@ def argv_of(draw, command, pairs, flags=("--json", "--quiet")):
             pairs[i] = (pairs[i][0], draw(st.sampled_from(JUNK)))
     pairs = draw(st.permutations(pairs))
     chosen = draw(st.lists(st.sampled_from(flags), unique=True))
-    return [command, *[f"{name}={value}" for name, value in pairs], *chosen]
+    if draw(st.booleans()):
+        options = [f"{name}={value}" for name, value in pairs]
+    else:
+        options = [token for pair in pairs for token in pair]
+    return [command, *options, *chosen]
 
 
 @st.composite
@@ -123,15 +127,19 @@ def graded_orbits_argv(draw):
 @st.composite
 def piece_argv(draw, command):
     """grading, triple or parabolic on an algebra of dimension d <= 6, with
-    now and then a --d or --cochar that does not fit, and for triple and
-    parabolic an --x of degree n."""
+    now and then a --d or --cochar that does not fit (for grading also the
+    first --d past its bound), and for triple and parabolic an --x of
+    degree n."""
     kind_ = kind(draw)
     d = 2 * draw(st.integers(1, 3)) if kind_ == "sp" else draw(st.integers(1, 5))
     weights = cochar_weights(draw, kind_, d)
     n = mostly(draw, st.sampled_from([-2, -1, 1, 2]), 0)
+    d_value = mostly(draw, st.just(d), -1, 0, d + 1)
+    if command == "grading" and draw(st.integers(0, 4)) == 0:
+        d_value = cli.MAX_GRADING_D + 1
     pairs = [
         ("--type", kind_),
-        ("--d", str(mostly(draw, st.just(d), -1, 0, d + 1))),
+        ("--d", str(d_value)),
         ("--cochar", ints(mostly(draw, st.just(weights), weights[:-1]))),
         ("--degree", str(n)),
     ]

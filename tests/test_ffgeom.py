@@ -2,17 +2,18 @@ import random
 
 import pytest
 
+from gradedorbits import ffgeom
 from gradedorbits.cohom import CaseData, FiberDatum, Pt, load_case
 from gradedorbits.exactlin import IntMatrix, Partition, parse_matrix_text
 from gradedorbits.ffgeom import (
     CountReport,
     LimitExceeded,
     NotStableUnderForm,
-    enumerate_subspaces,
     gaussian_binomial,
+    stable_subspaces,
     verify_fiber_counts,
 )
-from oracles import echelon_subspaces, flag_count_by_elimination
+from oracles import _in_subspace, _matvec, echelon_subspaces, flag_count_by_elimination
 
 SP_FORM = parse_matrix_text("0,0,1,0;0,0,0,1;-1,0,0,0;0,-1,0,0")
 
@@ -33,30 +34,109 @@ STRATA = {
 }
 
 
+def zero(d):
+    return tuple((0,) * d for _ in range(d))
+
+
+def stable_by_oracle(x_rows, p, k):
+    """{V in echelon_subspaces(p, d, k) : xV in V}, by the oracle's generic
+    elimination."""
+    x_rows = tuple(tuple(a % p for a in row) for row in x_rows)
+    return {
+        basis
+        for basis in echelon_subspaces(p, len(x_rows), k)
+        if all(_in_subspace(basis, _matvec(x_rows, v, p), p) for v in basis)
+    }
+
+
 def test_enumerate_counts():
-    assert len(list(enumerate_subspaces(2, 4, 2))) == 35
-    assert len(list(enumerate_subspaces(2, 2, 1))) == 3
-    assert len(list(enumerate_subspaces(3, 4, 1))) == 40
-    assert len(list(enumerate_subspaces(5, 4, 2))) == gaussian_binomial(4, 2, 5)
+    """x = 0 stabilises every subspace."""
+    assert len(stable_subspaces(zero(4), 2, 2)) == 35
+    assert len(stable_subspaces(zero(2), 2, 1)) == 3
+    assert len(stable_subspaces(zero(4), 3, 1)) == 40
+    assert len(stable_subspaces(zero(4), 5, 2)) == gaussian_binomial(4, 2, 5)
 
 
 def test_enumerate_unique():
-    seen = set(enumerate_subspaces(3, 4, 2))
-    assert len(seen) == gaussian_binomial(4, 2, 3)
+    x = parse_matrix_text("0,1,0,0;0,0,0,0;0,0,0,0;0,0,0,0").entries
+    for rows in (zero(4), x):
+        found = stable_subspaces(rows, 3, 2)
+        assert len(set(found)) == len(found)
+        assert set(found) <= set(echelon_subspaces(3, 4, 2))
 
 
 def test_enumerate_matches_oracle_order():
+    """The same subspaces as the oracle's echelon sweep, each in the
+    oracle's echelon form, though not in its order."""
     for p, d, k in ((2, 4, 1), (2, 4, 2), (3, 4, 2), (2, 4, 3), (3, 5, 2), (2, 5, 3)):
-        assert list(enumerate_subspaces(p, d, k)) == list(echelon_subspaces(p, d, k))
+        assert set(stable_subspaces(zero(d), p, k)) == set(echelon_subspaces(p, d, k))
 
 
 def test_enumerate_guard():
     with pytest.raises(LimitExceeded):
-        list(enumerate_subspaces(17, 4, 1))
+        stable_subspaces(zero(4), 17, 1)
     with pytest.raises(LimitExceeded):
-        list(enumerate_subspaces(3, 7, 1))
+        stable_subspaces(zero(7), 3, 1)
     with pytest.raises(LimitExceeded):
-        list(enumerate_subspaces(4, 4, 1))
+        stable_subspaces(zero(4), 4, 1)
+    with pytest.raises(LimitExceeded):
+        stable_subspaces(zero(4), 3, 4)
+    # the zero orbit, counted without an enumeration, meets the same walls
+    with pytest.raises(LimitExceeded):
+        ffgeom._sweep(3, 7, 1, None, [zero(7)], [()])
+
+
+def random_nilpotent(rng, d):
+    """g N g^-1 for N strictly upper triangular and g a product of integer
+    transvections, so that g^-1 is integer too."""
+    n = IntMatrix.from_rows(
+        [[sparse_entry(rng) if j > i else 0 for j in range(d)] for i in range(d)]
+    )
+    g = g_inv = IntMatrix.identity(d)
+    for _ in range(d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((1, -1, 2))
+        step = [[int(r == s) for s in range(d)] for r in range(d)]
+        step[i][j] = c
+        g = g * IntMatrix.from_rows(step)
+        step[i][j] = -c
+        g_inv = IntMatrix.from_rows(step) * g_inv
+    assert g * g_inv == IntMatrix.identity(d)
+    return g * n * g_inv
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_stable_subspaces_of_random_nilpotents_match_oracle(d):
+    rng = random.Random(f"ffgeom-stable:{d}")
+    for p in (2, 3, 5):
+        for _ in range(2):
+            x = random_nilpotent(rng, d).entries
+            for k in range(1, d):
+                assert set(stable_subspaces(x, p, k)) == stable_by_oracle(x, p, k)
+
+
+def test_stable_subspaces_of_sp4_nilpotents_match_oracle():
+    rng = random.Random("ffgeom-stable:sp4")
+    for p in (2, 3, 5):
+        for _ in range(3):
+            x = random_sp4_nilpotent(rng).entries
+            for k in (1, 2, 3):
+                assert set(stable_subspaces(x, p, k)) == stable_by_oracle(x, p, k)
+
+
+@pytest.mark.parametrize(
+    "flag_kind,form,x",
+    [
+        ("two-plane", None, "0,3,0,0;0,0,0,0;0,0,0,0;0,0,0,0"),
+        ("isotropic-line", SP_FORM, "0,0,3,0;0,0,0,0;0,0,0,0;0,0,0,0"),
+    ],
+)
+def test_zero_mod_p_element_matches_oracle(flag_kind, form, x):
+    """3 E_ij is zero mod 3 but not over Z: its counts come from the Gaussian
+    binomial at p = 3 and from the stable subspaces at p = 2 and 5."""
+    case = random_case(flag_kind, form, [parse_matrix_text(x)])
+    for p in (2, 3, 5):
+        assert swept_rows(case, p) == oracle_rows(case, p)
 
 
 def random_case(flag_kind, form, elements):
@@ -120,8 +200,6 @@ def test_form_membership_enforced():
 def test_perp_self_check_raises(monkeypatch):
     """With element validation bypassed, an x outside sp4 has a stable line
     (e_2) whose perp is not stable, and the sweep's self-check catches it."""
-    from gradedorbits import ffgeom
-
     monkeypatch.setattr(ffgeom, "_validate_element", lambda *args: None)
     case = random_case("isotropic-line", SP_FORM, [NOT_IN_SP])
     with pytest.raises(NotStableUnderForm, match="perp"):
@@ -246,3 +324,18 @@ def test_random_nilpotents_match_oracle(flag_kind, form, make):
     case = random_case(flag_kind, form, [make(rng) for _ in range(6)])
     for p in (2, 3, 5):
         assert swept_rows(case, p) == oracle_rows(case, p)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_each_fact_of_a_zero_mod_p_element_matches_oracle(k):
+    """Every condition alone, for an x that is zero mod p, so that no fact
+    of the Gaussian-binomial path hides behind another of its stratum."""
+    x = parse_matrix_text("0,0,3,0;0,0,0,0;0,0,0,0;0,0,0,0").entries
+    conditions = ("sub-nonzero", "quot-nonzero", "middle-zero", "middle-nonzero")
+    counts = ffgeom._sweep(3, 4, k, SP_FORM, [x], [(c,) for c in conditions])
+    assert counts == [
+        [
+            flag_count_by_elimination(x, 3, k, SP_FORM.entries, ("stable", c))
+            for c in conditions
+        ]
+    ]
