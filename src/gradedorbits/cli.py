@@ -40,7 +40,8 @@ from .orbitlib import TooManyOrbits, graded_orbit_reps_typeA, nilpotent_orbits
 MAX_ORBITS_N = 40
 # ``grading`` prints every basis element of the piece as a d x d matrix, so
 # its work grows as d^4: degree 0 of sp_48 under the zero cocharacter, the
-# worst call accepted, takes about 1.6 s and 150 MB, and d = 50 about 1.9 s
+# worst call accepted, takes about 1.6 s and 150 MB, and d = 50 about 1.9 s.
+# ``triple`` and ``parabolic`` build the same basis, so their --d shares it.
 MAX_GRADING_D = 48
 
 
@@ -223,8 +224,8 @@ def cmd_grading(args) -> int:
 
 def cmd_triple(args) -> int:
     chi = args.cochar
-    alg = build_algebra(args.type, args.d)
     x = _square_x(args)
+    alg = build_algebra(args.type, args.d)
     triple = adapted_sl2_triple(alg, chi, args.degree, x)
     weights, _ = chi_prime(triple, chi)
     lines = [
@@ -245,8 +246,8 @@ def cmd_triple(args) -> int:
 
 def cmd_parabolic(args) -> int:
     chi = args.cochar
-    alg = build_algebra(args.type, args.d)
     x = _square_x(args)
+    alg = build_algebra(args.type, args.d)
     n = args.degree
     if x.is_zero():
         triple = Sl2Triple.zero(alg.dim_ambient)
@@ -372,6 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_parser(name, **kwargs):
         return sub.add_parser(name, parents=[common], **kwargs)
 
+    def add_dimension(p):
+        p.add_argument(
+            "--d",
+            required=True,
+            type=_bounded_int(1, MAX_GRADING_D),
+            help=f"1 to {MAX_GRADING_D}",
+        )
+
     p = add_parser("orbits", help="nilpotent orbit table")
     p.add_argument("--type", required=True, choices=["sl", "sp"])
     p.add_argument(
@@ -389,19 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("grading", help="weight matrix and graded component basis")
     p.add_argument("--type", required=True, choices=["sl", "sp"])
-    p.add_argument(
-        "--d",
-        required=True,
-        type=_bounded_int(1, MAX_GRADING_D),
-        help=f"1 to {MAX_GRADING_D}",
-    )
+    add_dimension(p)
     p.add_argument("--cochar", required=True, type=_cochar)
     p.add_argument("--degree", required=True, type=int)
     p.set_defaults(func=cmd_grading)
 
     p = add_parser("triple", help="graded sl2-triple through a nilpotent")
     p.add_argument("--type", required=True, choices=["sl", "sp"])
-    p.add_argument("--d", required=True, type=int)
+    add_dimension(p)
     p.add_argument("--cochar", required=True, type=_cochar)
     p.add_argument("--x", required=True, type=_matrix, help="matrix in ';'/',' text format")
     p.add_argument("--degree", required=True, type=int)
@@ -409,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("parabolic", help="canonical parabolic of a graded nilpotent")
     p.add_argument("--type", required=True, choices=["sl", "sp"])
-    p.add_argument("--d", required=True, type=int)
+    add_dimension(p)
     p.add_argument("--cochar", required=True, type=_cochar)
     p.add_argument("--x", required=True, type=_matrix)
     p.add_argument("--degree", required=True, type=int)

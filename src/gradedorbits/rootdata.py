@@ -11,6 +11,18 @@ lattice is the trace-zero sublattice of Z^n, with basis e_i - e_(i+1).
 
 Sp(2m): characters and cocharacters are both Z^m (the standard maximal
 torus diag(t_1..t_m, t_1^-1..t_m^-1)); roots are +-e_i+-e_j and +-2e_i.
+
+Closed families and the Weyl group
+----------------------------------
+The prime classifiers quantify over every Z-closed family of roots and of
+coroots.  The Weyl group W permutes each list and acts linearly on its
+lattice, so it maps closed families to closed families and keeps the
+torsion of their quotients.  The search therefore joins only one family
+per W-orbit with the singleton closures, lists the rest of the orbit by
+permuting bitmasks under the simple reflections, and ``prime_report``
+takes one torsion quotient per orbit: SL(6) has 11 orbits of its 203
+families.  The search is bounded at ``MAX_ROOTS`` = 72 roots (SL(9),
+Sp(12)); the root count is checked before any root is built.
 """
 
 from __future__ import annotations
@@ -171,44 +183,105 @@ def _close(vectors, supports, rows, members) -> tuple:
     return members, hnf
 
 
-def _closed_families(vectors) -> tuple:
-    """All subsets closed under 'every listed vector in the span belongs'.
+def _byte_tables(perm) -> tuple:
+    """The index permutation ``perm`` as an action on bitmasks: for each
+    byte of a mask, the table of the images of its 256 values, so that
+    permuting a mask of 72 indices takes nine lookups."""
+    tables = []
+    for start in range(0, len(perm), 8):
+        chunk = perm[start : start + 8]
+        table = [0] * (1 << len(chunk))
+        for byte in range(1, len(table)):
+            low = byte & -byte
+            table[byte] = table[byte ^ low] | 1 << chunk[low.bit_length() - 1]
+        tables.append(table)
+    return tuple(tables)
 
-    Every closed family is a join of singleton closures, so the fixpoint of
-    pairwise joins starting from those closures enumerates all of them.  A
-    join closes the Hermite rows of its two families, not their members,
-    and a closure depends only on the union of the members joined, so each
-    union is closed once; a union that is already a family needs no work.
+
+def _orbit(mask: int, generators) -> set:
+    """The orbit of a bitmask under the group generated by index
+    permutations, each given by its ``_byte_tables``."""
+    orbit = {mask}
+    work = [mask]
+    while work:
+        current = work.pop()
+        for tables in generators:
+            image = 0
+            rest = current
+            for table in tables:
+                image |= table[rest & 255]
+                rest >>= 8
+            if image not in orbit:
+                orbit.add(image)
+                work.append(image)
+    return orbit
+
+
+def _closed_families(vectors, reflections=()) -> tuple:
+    """(families, representatives), as sets of bitmasks of vector indices:
+    all subsets closed under 'every listed vector in the span belongs', and
+    one family from each orbit of them under the group generated by
+    ``reflections``, index permutations of ``vectors`` that act on their
+    lattice linearly (the simple reflections of the Weyl group W).
+
+    Every closed family is a join of singleton closures.  Closure commutes
+    with a linear map that permutes the vectors, so if F = cl(R u s) then
+    wF = cl(wR u ws), and ws is again a singleton closure.  By induction
+    on the number of singletons joined, joining only the first family
+    found in each orbit with every singleton closure reaches every orbit;
+    the orbit of each new family is then listed by permuting its bitmask,
+    which needs no Hermite form.  With no reflections every family is its
+    own orbit.  A join closes the Hermite rows of its two families, not
+    their members, and a closure depends only on the union of the members
+    joined, so each union is closed once; a union that is already a family
+    needs no work.
     """
     supports = [_support(v) for v in vectors]
-    families = {0: ()}  # members bitmask -> Hermite rows of their span
-    singles = []
+    generators = [_byte_tables(perm) for perm in reflections]
+    seen = {0}
+    representatives = {0: ()}  # members bitmask -> Hermite rows of their span
+    singles = {}
     for i, vec in enumerate(vectors):
         members, rows = _close(vectors, supports, (vec,), 1 << i)
-        if members not in families:
-            families[members] = rows
-            singles.append((members, rows))
-    tried = set(families)
-    work = list(families.items())
+        singles.setdefault(members, rows)
+        if members not in seen:
+            seen |= _orbit(members, generators)
+            representatives[members] = rows
+    tried = set()
+    work = list(representatives.items())
     while work:
         base, base_rows = work.pop()
-        for single, single_rows in singles:
+        for single, single_rows in singles.items():
             union = base | single
-            if union in tried:
+            if union in seen or union in tried:
                 continue
             tried.add(union)
             members, rows = _close(vectors, supports, base_rows + single_rows, union)
-            if members not in families:
-                families[members] = rows
-                tried.add(members)
+            if members not in seen:
+                seen |= _orbit(members, generators)
+                representatives[members] = rows
                 work.append((members, rows))
-    out = (
-        tuple(k for k in range(len(vectors)) if mask >> k & 1) for mask in families
-    )
-    return tuple(sorted(out, key=lambda t: (len(t), t)))
+    return seen, set(representatives)
 
 
-MAX_ROOTS = 48  # closed-family enumeration grows about exponentially in this
+def _indices(mask: int) -> tuple:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _sorted_families(masks) -> tuple:
+    """Bitmasks as index tuples, sorted by size, then by indices."""
+    return tuple(sorted(map(_indices, masks), key=lambda t: (len(t), t)))
+
+
+# closed-family enumeration grows about exponentially in the root count:
+# SL(9) and Sp(12), 72 roots each, the largest accepted, take about 0.5 and
+# 0.7 s; SL(10), 90 roots, takes about 2 s
+MAX_ROOTS = 72
 
 
 def _check_size(label: str, roots: int) -> None:
@@ -220,8 +293,12 @@ def _check_size(label: str, roots: int) -> None:
 
 
 def closed_subsystems(rd: RootDatum) -> tuple:
+    """Every closed family of roots, sorted by size, then by indices.
+    Raises ``ValueError`` if a simple reflection does not permute the
+    roots."""
     _check_size(rd.label, len(rd.roots))
-    return tuple(ClosedSubsystem(f) for f in _closed_families(rd.roots))
+    families, _ = _closed_families(rd.roots, _simple_reflections(rd)[0])
+    return tuple(ClosedSubsystem(f) for f in _sorted_families(families))
 
 
 # ---------------------------------------------------------------------------
@@ -246,32 +323,73 @@ def y_quotient_rows(rd: RootDatum, indices) -> tuple:
     return tuple(_coords_in_basis(rd.y_basis, rd.coroots[i]) for i in indices)
 
 
+def _height(rd: RootDatum):
+    """A linear form that is nonzero on every root: the roots where it is
+    positive form a positive system."""
+    n = rd.ambient_rank
+    big = 2 * max((abs(x) for v in rd.roots for x in v), default=0) * n + 1
+    weights = [big ** (n - 1 - i) for i in range(n)]
+    return lambda v: sum(w * x for w, x in zip(weights, v))
+
+
+def _simple_roots(rd: RootDatum) -> tuple:
+    """Indices of the simple roots of the positive system of ``_height``:
+    the positive roots that are not the sum of two positive roots."""
+    height = _height(rd)
+    positives = {v for v in rd.roots if height(v) > 0}
+
+    def is_sum(alpha):
+        return any(
+            tuple(a - b for a, b in zip(alpha, beta)) in positives for beta in positives
+        )
+
+    return tuple(
+        k
+        for k, alpha in enumerate(rd.roots)
+        if alpha in positives and not is_sum(alpha)
+    )
+
+
+def _reflection(vectors, alpha, pair) -> tuple:
+    """v -> v - pair(v) * alpha on the list ``vectors``, as the index of
+    each image; ``ValueError`` if an image is not in the list."""
+    index = {v: k for k, v in enumerate(vectors)}
+    perm = []
+    for v in vectors:
+        c = pair(v)
+        image = tuple(x - c * a for x, a in zip(v, alpha))
+        if image not in index:
+            raise ValueError(f"reflection maps {v} to {image}, which is not listed")
+        perm.append(index[image])
+    return tuple(perm)
+
+
+def _simple_reflections(rd: RootDatum) -> tuple:
+    """(on roots, on coroots): the simple reflections of W as index
+    permutations, s(v) = v - <v, a^v> a on the roots and
+    s(y) = y - <a, y> a^v on the coroots, for each simple root a."""
+    on_roots, on_coroots = [], []
+    for k in _simple_roots(rd):
+        alpha, alphav = rd.roots[k], rd.coroots[k]
+        on_roots.append(_reflection(rd.roots, alpha, lambda v: rd.pairing(v, alphav)))
+        on_coroots.append(
+            _reflection(rd.coroots, alphav, lambda y: rd.pairing(alpha, y))
+        )
+    return tuple(on_roots), tuple(on_coroots)
+
+
 def _bad_primes(rd: RootDatum) -> frozenset:
     """Primes dividing a coefficient of the highest root of some factor."""
     roots = rd.roots
     if not roots:
         return frozenset()
     n = rd.ambient_rank
-    big = 2 * max(abs(x) for v in roots for x in v) * n + 1
-    weights = [big ** (n - 1 - i) for i in range(n)]
-
-    def height(v):
-        return sum(w * x for w, x in zip(weights, v))
-
+    height = _height(rd)
     positives = [v for v in roots if height(v) > 0]
-    pos_set = set(positives)
-    simples = []
-    for alpha in positives:
-        is_sum = False
-        for beta in positives:
-            gamma = tuple(a - b for a, b in zip(alpha, beta))
-            if gamma in pos_set:
-                is_sum = True
-                break
-        if not is_sum:
-            simples.append(alpha)
+    simple = _simple_roots(rd)
+    simples = [roots[k] for k in simple]
+    simple_coroots = [rd.coroots[k] for k in simple]
     # connected components of the simple system under non-orthogonality
-    coroot_of = {r: c for r, c in zip(rd.roots, rd.coroots)}
     remaining = list(range(len(simples)))
     components = []
     while remaining:
@@ -280,9 +398,7 @@ def _bad_primes(rd: RootDatum) -> frozenset:
         while grew:
             grew = False
             for k in list(remaining):
-                if any(
-                    rd.pairing(simples[k], coroot_of[simples[c]]) != 0 for c in comp
-                ):
+                if any(rd.pairing(simples[k], simple_coroots[c]) for c in comp):
                     comp.append(k)
                     remaining.remove(k)
                     grew = True
@@ -310,23 +426,29 @@ def prime_report(rd: RootDatum) -> PrimeReport:
     list; the Y-side runs over subsystems closed inside the coroot list.
     The two closures differ in general (in Sp(4) the coroots of the short
     roots form a closed set, the short roots do not), and both sides are
-    needed to exhaust the quantifier over arbitrary subsets.  When the
-    coroot list equals the root list, as for SL, one search serves both
-    sides.  Root data with more than ``MAX_ROOTS`` roots raise
-    ``TooLarge``.
+    needed to exhaust the quantifier over arbitrary subsets.  An element w
+    of W is an automorphism of X and of Y that maps ZA onto Z(wA) and
+    ZA^v onto Z(wA^v), so the torsion of X/ZA and of Y/ZA^v is constant
+    on a W-orbit of families, and one quotient per orbit representative
+    decides it.  When the coroot list equals the root list, as for SL, one
+    search serves both sides.  Root data with more than ``MAX_ROOTS``
+    roots raise ``TooLarge``.
     """
     _check_size(rd.label, len(rd.roots))
-    root_closed = _closed_families(rd.roots)
-    coroot_closed = (
-        root_closed if rd.coroots == rd.roots else _closed_families(rd.coroots)
+    on_roots, on_coroots = _simple_reflections(rd)
+    _, root_reps = _closed_families(rd.roots, on_roots)
+    coroot_reps = (
+        root_reps
+        if rd.coroots == rd.roots
+        else _closed_families(rd.coroots, on_coroots)[1]
     )
     y_rows = y_quotient_rows(rd, range(len(rd.coroots)))
 
     x_side = set()
-    for fam in root_closed:
+    for fam in _sorted_families(root_reps):
         x_side |= torsion_primes_of_quotient(x_quotient_rows(rd, fam))
     y_side = set()
-    for fam in coroot_closed:
+    for fam in _sorted_families(coroot_reps):
         y_side |= torsion_primes_of_quotient([y_rows[i] for i in fam])
 
     bad = _bad_primes(rd)

@@ -8,7 +8,8 @@ membership by generic elimination against the echelon basis.  Rational
 elimination runs on Fraction rows, and graded pieces come from a generic
 nullspace instead of the package's cell-support filter.  Closed families
 of a vector list come from closing the members of every pairwise join,
-with no memo and no support filter.  A type-A graded orbit's dimension is
+with no memo, no support filter and no Weyl group, and the prime
+classifiers take a torsion quotient for every family, not one per orbit.  A type-A graded orbit's dimension is
 the rank of ad x on g_0 and its Levi comes from a solved sl2-triple and
 the canonical parabolic, where the package uses closed forms in the
 segments.  Primality is trial division.
@@ -16,6 +17,7 @@ segments.  Primality is trial division.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -360,11 +362,13 @@ def closure_by_members(vectors, indices):
     return tuple(i for i, v in enumerate(vectors) if in_hermite_span(hnf, v))
 
 
+@functools.cache
 def closed_families_by_join_closure(vectors):
     """All subsets closed under 'every listed vector in the span belongs',
     as the fixpoint of pairwise joins of singleton closures, each join
     closed from the Hermite form of all its members; sorted by size, then
-    by indices."""
+    by indices.  Cached, since SL(7) takes seconds; ``vectors`` is a tuple
+    of tuples."""
     families = {(): ()}
     work = [()]
     for i in range(len(vectors)):
@@ -381,3 +385,30 @@ def closed_families_by_join_closure(vectors):
                 families[joined] = joined
                 work.append(joined)
     return tuple(sorted(families, key=lambda t: (len(t), t)))
+
+
+def prime_report_by_all_families(rd):
+    """The prime report of a root datum from the torsion of the quotient by
+    every closed family of roots (X side) and of coroots (Y side)."""
+    from gradedorbits.exactlin import torsion_primes_of_quotient
+    from gradedorbits.rootdata import (
+        PrimeReport,
+        _bad_primes,
+        x_quotient_rows,
+        y_quotient_rows,
+    )
+
+    x_side = set()
+    for fam in closed_families_by_join_closure(rd.roots):
+        x_side |= torsion_primes_of_quotient(x_quotient_rows(rd, fam))
+    y_side = set()
+    for fam in closed_families_by_join_closure(rd.coroots):
+        y_side |= torsion_primes_of_quotient(y_quotient_rows(rd, fam))
+    bad = _bad_primes(rd)
+    center = torsion_primes_of_quotient(x_quotient_rows(rd, range(len(rd.roots))))
+    return PrimeReport(
+        good_excluded=tuple(sorted(bad)),
+        torsion=tuple(sorted(y_side)),
+        pretty_good_excluded=tuple(sorted(x_side | y_side)),
+        rather_good_excluded=tuple(sorted(bad | center)),
+    )

@@ -460,11 +460,11 @@ def test_fibers_prime_bound_names_flag(capsys, primes):
 
 
 def test_primes_root_bound_names_flag(capsys):
-    # SL(8) has 56 roots; the closed-family search would not be bounded
-    assert cli.run(["primes", "--type", "sl", "--n", "8"]) == 2
+    # SL(10) has 90 roots; the closed-family search would take seconds
+    assert cli.run(["primes", "--type", "sl", "--n", "10"]) == 2
     captured = capsys.readouterr()
     assert "argument --n:" in captured.err
-    assert "56 roots" in captured.err and "48" in captured.err
+    assert "90 roots" in captured.err and "72" in captured.err
     assert captured.out == ""
 
 
@@ -512,7 +512,7 @@ def test_primes_huge_n_names_flag_without_building_roots(capsys, monkeypatch):
     monkeypatch.setattr(rootdata, "_differences", build_nothing)
     assert cli.run(["primes", "--type", "sl", "--n", "99999999999"]) == 2
     captured = capsys.readouterr()
-    assert "argument --n: SL(99999999999) has" in captured.err and "48" in captured.err
+    assert "argument --n: SL(99999999999) has" in captured.err and "72" in captured.err
     assert captured.out == ""
 
 
@@ -635,6 +635,30 @@ def test_missing_cochar_value_still_names_flag(capsys):
 )
 def test_grading_d_errors_name_flag(capsys, kind, d, cochar, message):
     argv = ["grading", "--type", kind, "--d", d, "--cochar", cochar, "--degree", "1"]
+    code, out, err = run_both(capsys, argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["triple", "parabolic"])
+@pytest.mark.parametrize(
+    "d,cochar,x,message",
+    [
+        ("60", "0", "0", f"argument --d: must be at most {cli.MAX_GRADING_D}, got 60"),
+        ("0", "0", "0", "argument --d: must be at least 1, got 0"),
+        ("4", "1,0,0,-1", "0", "argument --x: expected a 4x4 matrix, got 1x1"),
+    ],
+    ids=["d-60", "d-0", "x-1x1"],
+)
+def test_triple_and_parabolic_reject_before_building(
+    capsys, monkeypatch, command, d, cochar, x, message
+):
+    def build_nothing(kind, d):
+        raise AssertionError("the algebra was built")
+
+    monkeypatch.setattr(cli, "build_algebra", build_nothing)
+    argv = [command, "--type", "sl", "--d", d, "--cochar", cochar, "--x", x, "--degree", "1"]
     code, out, err = run_both(capsys, argv)
     assert code == 2
     assert message in err

@@ -127,15 +127,14 @@ def graded_orbits_argv(draw):
 @st.composite
 def piece_argv(draw, command):
     """grading, triple or parabolic on an algebra of dimension d <= 6, with
-    now and then a --d or --cochar that does not fit (for grading also the
-    first --d past its bound), and for triple and parabolic an --x of
-    degree n."""
+    now and then a --d or --cochar that does not fit or the first --d past
+    its bound, and for triple and parabolic an --x of degree n."""
     kind_ = kind(draw)
     d = 2 * draw(st.integers(1, 3)) if kind_ == "sp" else draw(st.integers(1, 5))
     weights = cochar_weights(draw, kind_, d)
     n = mostly(draw, st.sampled_from([-2, -1, 1, 2]), 0)
     d_value = mostly(draw, st.just(d), -1, 0, d + 1)
-    if command == "grading" and draw(st.integers(0, 4)) == 0:
+    if draw(st.integers(0, 4)) == 0:
         d_value = cli.MAX_GRADING_D + 1
     pairs = [
         ("--type", kind_),
@@ -150,12 +149,12 @@ def piece_argv(draw, command):
 
 @st.composite
 def primes_argv(draw):
-    # SL(8) and Sp(10) are the first past the 48-root bound
+    # SL(10) and Sp(14) are the first past the 72-root bound
     kind_ = kind(draw)
     if kind_ == "sl":
-        n = mostly(draw, st.integers(2, 5), -1, 1, 8)
+        n = mostly(draw, st.integers(2, 5), -1, 1, 10)
     else:
-        n = mostly(draw, st.sampled_from([2, 4, 6]), -1, 0, 5, 10)
+        n = mostly(draw, st.sampled_from([2, 4, 6]), -1, 0, 5, 14)
     return draw(argv_of("primes", [("--type", kind_), ("--n", str(n))]))
 
 

@@ -15,7 +15,7 @@ from gradedorbits.rootdata import (
     prime_report,
     standard_root_datum,
 )
-from oracles import closed_families_by_join_closure
+from oracles import closed_families_by_join_closure, prime_report_by_all_families
 
 
 def test_root_counts():
@@ -93,8 +93,8 @@ def test_guard():
     huge = RootDatum(
         label="big",
         ambient_rank=1,
-        roots=tuple((k,) for k in range(1, 50)),
-        coroots=tuple((k,) for k in range(1, 50)),
+        roots=tuple((k,) for k in range(1, rootdata.MAX_ROOTS + 2)),
+        coroots=tuple((k,) for k in range(1, rootdata.MAX_ROOTS + 2)),
         x_relations=(),
         y_basis=((1,),),
     )
@@ -105,16 +105,16 @@ def test_guard():
 @pytest.mark.parametrize(
     "kind,n,message",
     [("sl", 99999999999, "SL(99999999999) has 9999999999700000000002 roots"),
-     ("sl", 8, "SL(8) has 56 roots"),
-     ("sp", 10, "Sp(10) has 50 roots")],
-    ids=["sl-huge", "sl8", "sp10"],
+     ("sl", 10, "SL(10) has 90 roots"),
+     ("sp", 14, "Sp(14) has 98 roots")],
+    ids=["sl-huge", "sl10", "sp14"],
 )
 def test_guard_before_any_root_is_built(monkeypatch, kind, n, message):
     def build_nothing(n):
         raise AssertionError("roots were built")
 
     monkeypatch.setattr(rootdata, "_differences", build_nothing)
-    with pytest.raises(TooLarge, match=rf"{re.escape(message)}; .* limited to 48"):
+    with pytest.raises(TooLarge, match=rf"{re.escape(message)}; .* limited to 72"):
         standard_root_datum(kind, n)
 
 
@@ -181,38 +181,137 @@ def _shuffled(rd, seed):
 # the closed-family search against the join-closure oracle
 
 
+SEARCHED = [("sl", n) for n in range(2, 8)] + [("sp", n) for n in (2, 4, 6, 8)]
+
+
+def _search(rd, side, with_w=True):
+    """(families, representatives) of the search on one side of ``rd``,
+    sorted, under W or under the trivial group."""
+    on_roots, on_coroots = rootdata._simple_reflections(rd)
+    reflections = on_roots if side == "roots" else on_coroots
+    seen, reps = rootdata._closed_families(
+        getattr(rd, side), reflections if with_w else ()
+    )
+    return rootdata._sorted_families(seen), rootdata._sorted_families(reps)
+
+
 @pytest.mark.parametrize("side", ["roots", "coroots"])
-@pytest.mark.parametrize(
-    "kind,n",
-    [("sl", n) for n in range(2, 7)] + [("sp", n) for n in (2, 4, 6, 8)],
-)
-def test_closed_families_equal_join_closure_oracle(kind, n, side):
-    vectors = getattr(standard_root_datum(kind, n), side)
-    assert rootdata._closed_families(vectors) == closed_families_by_join_closure(vectors)
+@pytest.mark.parametrize("kind,n", SEARCHED)
+def test_closed_families_equal_join_closure_oracle(deadline, kind, n, side):
+    rd = standard_root_datum(kind, n)
+    expected = closed_families_by_join_closure(getattr(rd, side))
+    with deadline(10):
+        families, reps = _search(rd, side)
+        # the trivial group: every family is its own orbit
+        trivial = _search(rd, side, with_w=False)
+    assert families == expected
+    assert set(reps) <= set(expected)
+    assert trivial == (expected, expected)
 
 
 @pytest.mark.parametrize("side", ["roots", "coroots"])
 def test_closed_families_equal_oracle_in_shuffled_order(side):
-    vectors = getattr(_shuffled(standard_root_datum("sp", 6), 7), side)
-    assert rootdata._closed_families(vectors) == closed_families_by_join_closure(vectors)
+    rd = _shuffled(standard_root_datum("sp", 6), 7)
+    families, _ = _search(rd, side)
+    assert families == closed_families_by_join_closure(getattr(rd, side))
+
+
+@pytest.mark.parametrize(
+    "n,partitions", [(2, 2), (3, 3), (4, 5), (5, 7), (6, 11), (7, 15)]
+)
+def test_sl_orbit_representatives_are_integer_partitions(n, partitions):
+    """The closed families of SL_n are the set partitions of n points, and
+    W = S_n permutes the points, so the orbits are the integer partitions
+    of n: one representative of each block-size multiset."""
+    rd = standard_root_datum("sl", n)
+    _, reps = _search(rd, "roots")
+    assert len(reps) == partitions
+
+    def block_sizes(family):
+        """Each point's block size, 1 + its roots e_i - e_j in the family."""
+        sizes = [1] * n
+        for k in family:
+            sizes[rd.roots[k].index(1)] += 1
+        return tuple(sorted(sizes))
+
+    assert len({block_sizes(f) for f in reps}) == partitions
+
+
+@pytest.mark.parametrize("kind,n", SEARCHED)
+def test_simple_reflections_are_involutive_permutations(kind, n):
+    rd = standard_root_datum(kind, n)
+    on_roots, on_coroots = rootdata._simple_reflections(rd)
+    assert len(on_roots) == len(on_coroots) == (n - 1 if kind == "sl" else n // 2)
+    for perms, vectors in ((on_roots, rd.roots), (on_coroots, rd.coroots)):
+        for perm in perms:
+            assert sorted(perm) == list(range(len(vectors)))
+            assert all(perm[perm[k]] == k for k in range(len(vectors)))
+            assert perm != tuple(range(len(vectors)))
+
+
+def test_reflection_image_outside_the_list_is_an_error():
+    """SL(3) without the roots +-(e_0 - e_2): a simple reflection maps one
+    simple root to their sum, which is not listed."""
+    rd = standard_root_datum("sl", 3)
+    kept = tuple(r for r in rd.roots if r not in {(1, 0, -1), (-1, 0, 1)})
+    partial = RootDatum(
+        label="partial",
+        ambient_rank=3,
+        roots=kept,
+        coroots=kept,
+        x_relations=rd.x_relations,
+        y_basis=rd.y_basis,
+    )
+    with pytest.raises(ValueError, match="not listed"):
+        rootdata._simple_reflections(partial)
+    with pytest.raises(ValueError, match="not listed"):
+        closed_subsystems(partial)
+
+
+@pytest.mark.parametrize("kind,n", SEARCHED)
+def test_prime_report_equals_all_family_oracle(kind, n):
+    rd = standard_root_datum(kind, n)
+    assert prime_report(rd) == prime_report_by_all_families(rd)
+
+
+@pytest.mark.parametrize("kind,n", [("sl", 6), ("sp", 8)])
+def test_one_torsion_quotient_per_orbit_representative(monkeypatch, kind, n):
+    rd = standard_root_datum(kind, n)
+    quotients = []
+    torsion = rootdata.torsion_primes_of_quotient
+
+    def counted(rows):
+        quotients.append(rows)
+        return torsion(rows)
+
+    monkeypatch.setattr(rootdata, "torsion_primes_of_quotient", counted)
+    prime_report(rd)
+    root_families, root_reps = _search(rd, "roots")
+    coroot_families, coroot_reps = _search(rd, "coroots")
+    # one per representative on each side, and one for the centre
+    assert len(quotients) == len(root_reps) + len(coroot_reps) + 1
+    assert len(root_reps) < len(root_families)
+    assert len(coroot_reps) < len(coroot_families)
 
 
 def test_prime_report_shares_the_search_when_coroots_equal_roots(monkeypatch):
     searched = []
     search = rootdata._closed_families
 
-    def counted(vectors):
-        searched.append(vectors)
-        return search(vectors)
+    def counted(vectors, reflections=()):
+        searched.append((vectors, reflections))
+        return search(vectors, reflections)
 
     monkeypatch.setattr(rootdata, "_closed_families", counted)
     sl = standard_root_datum("sl", 4)
+    on_roots, _ = rootdata._simple_reflections(sl)
     prime_report(sl)
-    assert searched == [sl.roots]
+    assert searched == [(sl.roots, on_roots)]
     searched.clear()
     sp = standard_root_datum("sp", 4)
+    on_roots, on_coroots = rootdata._simple_reflections(sp)
     prime_report(sp)
-    assert searched == [sp.roots, sp.coroots]
+    assert searched == [(sp.roots, on_roots), (sp.coroots, on_coroots)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +330,9 @@ def _set_partitions(items):
 
 
 @pytest.mark.parametrize(
-    "n,bell", [(2, 2), (3, 5), (4, 15), (5, 52), (6, 203), (7, 877)]
+    "n,bell", [(2, 2), (3, 5), (4, 15), (5, 52), (6, 203), (7, 877), (8, 4140)]
 )
-def test_sl_closed_families_are_set_partitions(n, bell):
+def test_sl_closed_families_are_set_partitions(deadline, n, bell):
     """A Z-closed set of type A roots e_i - e_j is the set of roots inside
     the blocks of a set partition of {0, ..., n-1}, so there are Bell(n)."""
     rd = standard_root_datum("sl", n)
@@ -246,26 +345,29 @@ def test_sl_closed_families_are_set_partitions(n, bell):
         tuple(sorted(index[root(i, j)] for b in part for i in b for j in b if i != j))
         for part in _set_partitions(list(range(n)))
     }
-    got = [s.member_indices for s in closed_subsystems(rd)]
+    with deadline(10):
+        got = [s.member_indices for s in closed_subsystems(rd)]
     assert len(got) == len(expected) == bell
     assert set(got) == expected
 
 
-@pytest.mark.parametrize("n", range(2, 8))
-def test_sl_prime_report_closed_form(n):
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sl_prime_report_closed_form(deadline, n):
     """SL_n has no torsion primes (Steinberg); its pretty good exclusions
     are the primes dividing n (Herpel, Trans. AMS 2013)."""
-    rep = prime_report(standard_root_datum("sl", n))
+    with deadline(10):
+        rep = prime_report(standard_root_datum("sl", n))
     assert rep.torsion == ()
     assert rep.pretty_good_excluded == tuple(
         p for p in range(2, n + 1) if n % p == 0 and is_prime(p)
     )
 
 
-@pytest.mark.parametrize("m", range(1, 5))
-def test_sp_prime_report_closed_form(m):
+@pytest.mark.parametrize("m", range(1, 6))
+def test_sp_prime_report_closed_form(deadline, m):
     """Sp_2m for m >= 2 has torsion prime 2 and pretty good exclusion 2.
     Sp_2 is SL_2: no torsion primes, and 2 divides n = 2."""
-    rep = prime_report(standard_root_datum("sp", 2 * m))
+    with deadline(10):
+        rep = prime_report(standard_root_datum("sp", 2 * m))
     assert rep.torsion == ((2,) if m >= 2 else ())
     assert rep.pretty_good_excluded == (2,)
