@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 
 class CompositeCharacteristic(ValueError):
@@ -394,10 +395,14 @@ def in_hermite_span(hnf, vec, pivots=None) -> bool:
 # ---------------------------------------------------------------------------
 # exact elimination over Q or F_p (Gauss-Jordan, fraction-free)
 
+_denominator = attrgetter("denominator")
+
 
 def _integer_row(row):
     """The row times the least common denominator of its entries."""
-    den = lcm(*(x.denominator for x in row))
+    den = lcm(*map(_denominator, row))
+    if den == 1:
+        return list(map(int, row))
     return [x.numerator * (den // x.denominator) for x in row]
 
 
@@ -648,9 +653,28 @@ class RatMatrix:
         )
 
 
+def _sparse_rows(num) -> list:
+    """The nonzero (column, value) pairs of each integer row."""
+    return [[(j, x) for j, x in enumerate(row) if x] if any(row) else [] for row in num]
+
+
 def bracket(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Lie bracket [a, b] = ab - ba."""
-    return a * b - b * a
+    """Lie bracket [a, b] = ab - ba of square matrices, in one pass over the
+    nonzero cells of both numerators: a cell a_ik adds a_ik times row k of
+    b to row i, and a cell b_ik subtracts b_ik times row k of a."""
+    n = a.rows
+    if (a.cols, b.rows, b.cols) != (n, n, n):
+        raise ValueError("shape mismatch")
+    a_rows, b_rows = _sparse_rows(a.num), _sparse_rows(b.num)
+    acc = [[0] * n for _ in range(n)]
+    for left_rows, right_rows, sign in ((a_rows, b_rows, 1), (b_rows, a_rows, -1)):
+        for i, row in enumerate(left_rows):
+            out = acc[i]
+            for k, x in row:
+                x *= sign
+                for j, y in right_rows[k]:
+                    out[j] += x * y
+    return RatMatrix(n, n, tuple(map(tuple, acc)), a.den * b.den)._normalized()
 
 
 def rat_inverse(m: RatMatrix) -> RatMatrix:
@@ -668,11 +692,15 @@ def rat_inverse(m: RatMatrix) -> RatMatrix:
 
 
 def matrix_power_rank_sequence(num_rows, dim: int):
-    """Ranks of N^0, N^1, ..., N^dim for an integer matrix N."""
+    """Ranks of N^0, N^1, ..., N^dim for an integer matrix N, and N^(dim+1).
+    Once a power is zero every later one is, so its rank is not taken."""
     power = IntMatrix.identity(dim)
     n = IntMatrix.from_rows(num_rows)
     ranks = []
-    for _ in range(dim + 1):
+    while len(ranks) <= dim:
+        if power.is_zero():
+            ranks += [0] * (dim + 1 - len(ranks))
+            break
         ranks.append(rank_rational([list(r) for r in power.entries]))
         power = power * n
     return ranks, power

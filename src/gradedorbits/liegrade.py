@@ -11,10 +11,22 @@ Every piece of the algebra, graded or not, is the part of it on a set of
 matrix cells, and ``_piece`` builds it from the cells alone: for sl the
 units E_ij on off-diagonal cells plus a Cartan chain on the diagonal ones
 (``_sl_in_cells``), for sp_B the solutions of M^T B + B M = 0 supported on
-the cells (``_sp_in_cells``).  ``build_algebra`` is the piece on all
-cells.  After a change of basis p, p^-1 sl p = sl and p^-1 sp_B p = sp_B'
-with B' = p^T B p, so ``canonical_parabolic`` and ``check_n_rigid`` take
-the piece of the same type in the diagonalising basis.
+the cells (``_sp_in_cells``).  For a monomial B, such as the standard
+form, those are written down cell by cell too: one cell, or a pair of
+cells that B links, per element, as the nullspace would list them.  Only
+a form with a row of several nonzeros, which p^T B p can be for a basis
+change p, takes a nullspace.  The basis of the whole algebra is the piece
+on all cells, built on the first read of ``MatrixLieAlgebra.basis``; the
+triple and the parabolic never read it.  After a change of basis p,
+p^-1 sl p = sl and p^-1 sp_B p = sp_B' with B' = p^T B p, so
+``canonical_parabolic`` and ``check_n_rigid`` take the piece of the same
+type in the diagonalising basis.
+
+The triple solvers work on cells as well: ``exactlin.bracket`` multiplies
+only nonzero cells, so a bracket of x with a piece element of one or two
+cells costs a row or two of x, and the equations are written only on the
+cells that x, a bracket or a right-hand side reaches.  On the others they
+read 0 = 0, so the reduced row echelon form, and the answer, is the same.
 
 An h that is not diagonal costs about what a diagonal one costs: h is
 solved for through f alone (h = [x, f]), the toral system is skipped when
@@ -27,7 +39,8 @@ Everything is exact; all returned values are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 
 from .exactlin import (
     IntMatrix,
@@ -74,8 +87,13 @@ class Cocharacter:
 class MatrixLieAlgebra:
     kind: str  # "sl" or "sp"
     dim_ambient: int
-    basis: tuple  # RatMatrix
     form: IntMatrix | None = None
+
+    @cached_property
+    def basis(self) -> tuple:
+        """The piece on all cells, built on first use: the triple and the
+        parabolic need only pieces on some cells."""
+        return _piece(self, _all_cells(self.dim_ambient))
 
     @property
     def dimension(self) -> int:
@@ -184,14 +202,52 @@ def _sl_in_cells(d, cells) -> tuple:
     )
 
 
+def _monomial_involution(form):
+    """For a form with one nonzero entry per row, the column s(k) of the
+    entry of each row k, else None.  For an antisymmetric form s is an
+    involution: B_s(k)k = -B_ks(k) is nonzero too."""
+    partner = []
+    for row in form:
+        cols = [j for j, b in enumerate(row) if b]
+        if len(cols) != 1:
+            return None
+        partner.append(cols[0])
+    return partner
+
+
 def _sp_in_cells(form, cells) -> tuple:
     """Basis of the M supported inside the cell set with M^T B + B M = 0,
-    for the integer form B given as rows: the part of sp_B on those cells.
-    M^T B + B M is antisymmetric, so its entries above the diagonal are
-    the equations; M_kl enters entry (i, j) with B_kj if l = i and with
-    B_ik if l = j."""
+    for the integer antisymmetric form B given as rows: the part of sp_B
+    on those cells, as the primitive integer nullspace of the equations
+    lists it.  M^T B + B M is antisymmetric, so its entries above the
+    diagonal are the equations; M_kl enters entry (i, j) with B_kj if l = i
+    and with B_ik if l = j.
+
+    For a monomial form, B_ks(k) the one nonzero of row k, entry (i, j) is
+    B_s(j)j M_s(j)i + B_is(i) M_s(i)j: it links the cell (k, l) with
+    (s(l), s(k)) alone, and the entries on the diagonal vanish.  So a cell
+    linked to itself spans a piece element on its own, a pair of linked
+    cells spans one with the ratio its equation gives, and a cell whose
+    partner is outside the set is 0.  Listed in the nullspace's order, one
+    element per free column (the cell itself, or the later of the pair),
+    with the nullspace's scaling, this is its basis without elimination.
+    Any other form takes the nullspace."""
     d = len(form)
     cells = sorted(cells)
+    partner = _monomial_involution(form)
+    if partner is not None:
+        cell_set = set(cells)
+        out = []
+        for k, l in cells:
+            first = (partner[l], partner[k])
+            if first == (k, l):
+                out.append(_integer_matrix(d, [(k, l, 1)]))
+            elif first < (k, l) and first in cell_set:
+                # b1 M_first + b2 M_kl = 0 from the entry (s(k), l)
+                b1, b2 = form[partner[l]][l], form[partner[k]][k]
+                g = gcd(b1, b2) if b2 > 0 else -gcd(b1, b2)
+                out.append(_integer_matrix(d, [(*first, b2 // g), (k, l, -b1 // g)]))
+        return tuple(out)
     rows = [
         [(form[k][j] if l == i else 0) + (form[i][k] if l == j else 0) for (k, l) in cells]
         for i in range(d)
@@ -223,7 +279,7 @@ def _piece(alg: MatrixLieAlgebra, cells, form=None) -> tuple:
 def build_algebra(kind: str, d: int, form: IntMatrix | None = None) -> MatrixLieAlgebra:
     kind = kind.lower()
     if kind == "sl":
-        return MatrixLieAlgebra("sl", d, _sl_in_cells(d, _all_cells(d)))
+        return MatrixLieAlgebra("sl", d)
     if kind == "sp":
         b = form if form is not None else standard_symplectic_form(d)
         if b.rows != d or b.cols != d:
@@ -232,7 +288,7 @@ def build_algebra(kind: str, d: int, form: IntMatrix | None = None) -> MatrixLie
             raise BadForm("form is not antisymmetric")
         if det_int(b) == 0:
             raise BadForm("form is degenerate")
-        return MatrixLieAlgebra("sp", d, _sp_in_cells(b.entries, _all_cells(d)), b)
+        return MatrixLieAlgebra("sp", d, b)
     raise ValueError(f"unsupported algebra type {kind!r}")
 
 
@@ -274,14 +330,40 @@ def in_span(basis, m: RatMatrix) -> bool:
     return solve_linear(rows, list(m.flat())) is not None
 
 
-def _integer_flats(mats):
-    """Row-major entries of each matrix, all scaled by one common
-    denominator to integers.  A linear system built from them has the
-    solutions of the same system built from the rational entries.  This
-    skips the Fraction per entry that ``flat()`` would build and ``_rref``
-    would clear again."""
+def _integer_cells(mats):
+    """The nonzero cells of each matrix, {(i, j): entry}, all scaled by one
+    common denominator to integers.  A linear system built from them has
+    the solutions of the same system built from the rational entries."""
     den = lcm(*(m.den for m in mats))
-    return [[x * (den // m.den) for row in m.num for x in row] for m in mats]
+    return [
+        {(i, j): x * (den // m.den) for i, row in enumerate(m.num) for j, x in enumerate(row) if x}
+        for m in mats
+    ]
+
+
+def _equations(columns, target):
+    """Rows and right-hand side of sum_k c_k columns[k] = target, for
+    matrices given by their ``_integer_cells``: one equation per cell,
+    row-major, on which a column or the target is nonzero.  On every other
+    cell the equation is 0 = 0, which changes neither the solutions nor the
+    reduced row echelon form."""
+    cells = sorted(set(target).union(*columns))
+    return [[c.get(k, 0) for c in columns] for k in cells], [target.get(k, 0) for k in cells]
+
+
+def _combination(coeffs, mats, d) -> RatMatrix:
+    """sum_k coeffs[k] mats[k] for rational coefficients and d x d matrices."""
+    terms = [(c, m) for c, m in zip(coeffs, mats) if c]
+    den = lcm(*(c.denominator * m.den for c, m in terms))
+    acc = [[0] * d for _ in range(d)]
+    for c, m in terms:
+        scale = c.numerator * (den // (c.denominator * m.den))
+        for i, row in enumerate(m.num):
+            out = acc[i]
+            for j, x in enumerate(row):
+                if x:
+                    out[j] += scale * x
+    return RatMatrix(d, d, tuple(map(tuple, acc)), den)._normalized()
 
 
 def _solve_h(x, brackets_f, d, diagonal):
@@ -294,50 +376,40 @@ def _solve_h(x, brackets_f, d, diagonal):
     diagonal for a diagonal h.  In the system in (h, f), h unknowns first,
     every h column is a pivot, as the basis of h is independent; its
     reduced row echelon form therefore gives these f coefficients, free
-    ones set to 0, and h = [x, f]."""
+    ones set to 0, and h = [x, f].  Equations are written only on the cells
+    that x or a bracket reaches."""
     if not brackets_f:
         return None
     t = len(brackets_f)
-    flats = _integer_flats([x, *brackets_f, *(bracket(b, x) for b in brackets_f)])
-    rows = [[fl[k] for fl in flats[1 + t :]] for k in range(d * d)]
-    rhs = [2 * v for v in flats[0]]
+    x_cells, *cols = _integer_cells([x, *brackets_f, *(bracket(b, x) for b in brackets_f)])
+    rows, rhs = _equations(cols[t:], {k: 2 * v for k, v in x_cells.items()})
     if diagonal:
-        off = [i * d + j for i in range(d) for j in range(d) if i != j]
-        rows += [[fl[k] for fl in flats[1 : 1 + t]] for k in off]
-        rhs += [0] * len(off)
+        off = [{k: v for k, v in c.items() if k[0] != k[1]} for c in cols[:t]]
+        off_rows, off_rhs = _equations(off, {})
+        rows += off_rows
+        rhs += off_rhs
     sol = solve_linear(rows, rhs)
-    if sol is None:
-        return None
-    h = RatMatrix.zeros(d, d)
-    for c, b in zip(sol, brackets_f):
-        if c:
-            h = h + b.scale(c)
-    return h
+    return None if sol is None else _combination(sol, brackets_f, d)
 
 
 def _solve_f(h, gm_basis, brackets_f, d):
     """The f in span(gm_basis) with [x, f] = h and [h, f] = -2f, or None;
-    ``brackets_f`` holds [x, F_k] for the gm basis."""
+    ``brackets_f`` holds [x, F_k] for the gm basis.  Equations are written
+    only on the cells that h, a basis element or a bracket reaches."""
     t = len(gm_basis)
-    br_h = [bracket(h, fb) for fb in gm_basis]
-    flats = _integer_flats([h, *gm_basis, *brackets_f, *br_h])
-    h_flat, f_flats = flats[0], flats[1 : 1 + t]
-    bx_flats, bh_flats = flats[1 + t : 1 + 2 * t], flats[1 + 2 * t :]
-    rows = []
-    rhs = []
-    for k in range(d * d):
-        rows.append([bx[k] for bx in bx_flats])
-        rhs.append(h_flat[k])
-        rows.append([bh[k] + 2 * fb[k] for bh, fb in zip(bh_flats, f_flats)])
-        rhs.append(0)
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        return None
-    f = RatMatrix.zeros(d, d)
-    for c, fb in zip(sol, gm_basis):
-        if c:
-            f = f + fb.scale(c)
-    return f
+    h_cells, *cols = _integer_cells(
+        [h, *gm_basis, *brackets_f, *(bracket(h, fb) for fb in gm_basis)]
+    )
+    f_cells, xf_cells, hf_cells = cols[:t], cols[t : 2 * t], cols[2 * t :]
+    rows, rhs = _equations(xf_cells, h_cells)
+    # [h, F_k] + 2 F_k for [h, f] + 2f = 0
+    shifted = [
+        {k: hf.get(k, 0) + 2 * fb.get(k, 0) for k in hf.keys() | fb.keys()}
+        for hf, fb in zip(hf_cells, f_cells)
+    ]
+    eig_rows, eig_rhs = _equations(shifted, {})
+    sol = solve_linear(rows + eig_rows, rhs + eig_rhs)
+    return None if sol is None else _combination(sol, gm_basis, d)
 
 
 def _toral_h_possible(x, diag_basis, jordan) -> bool:

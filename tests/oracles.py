@@ -6,13 +6,15 @@ and cohomology/point-count checks by brute enumeration.  Flag counts over
 F_p sweep the whole Grassmannian once per condition set and test span
 membership by generic elimination against the echelon basis.  Rational
 elimination runs on Fraction rows, and graded pieces come from a generic
-nullspace instead of the package's cell-support filter.  Closed families
-of a vector list come from closing the members of every pairwise join,
-with no memo, no support filter and no Weyl group, and the prime
-classifiers take a torsion quotient for every family, not one per orbit.  A type-A graded orbit's dimension is
-the rank of ad x on g_0 and its Levi comes from a solved sl2-triple and
-the canonical parabolic, where the package uses closed forms in the
-segments.  Primality is trial division.
+nullspace, over a basis or over every entry of M^T B + B M, instead of
+the package's cells and its closed form for a monomial symplectic form.
+Closed families of a vector list come from closing the members of every
+pairwise join, with no memo, no support filter and no Weyl group, and the
+prime classifiers take a torsion quotient for every family, not one per
+orbit.  A type-A graded orbit's dimension is the rank of ad x on g_0 and
+its Levi comes from a solved sl2-triple and the canonical parabolic,
+where the package uses closed forms in the segments.  Primality is trial
+division.
 """
 
 from __future__ import annotations
@@ -269,6 +271,34 @@ def subspace_in_cells_by_nullspace(basis, allowed):
             [sum(c * m.entry(i, j) for c, m in zip(combo, basis)) for j in range(d)]
             for i in range(d)
         ]
+        out.append(RatMatrix.from_rows(entries))
+    return tuple(out)
+
+
+def sp_in_cells_by_nullspace(form, cells):
+    """Basis of the M supported inside the cell set with M^T B + B M = 0,
+    for the form B given as integer rows: the Fraction nullspace of all d^2
+    entries of M^T B + B M in the unknowns on the cells, row-major."""
+    from gradedorbits.exactlin import RatMatrix
+
+    d = len(form)
+    cells = sorted(cells)
+    if not cells:
+        return ()
+    columns = []  # E_kl^T B + B E_kl for each cell (k, l), row-major
+    for k, l in cells:
+        unit = [[int((r, c) == (k, l)) for c in range(d)] for r in range(d)]
+        columns.append([
+            sum(unit[t][i] * form[t][j] + form[i][t] * unit[t][j] for t in range(d))
+            for i in range(d)
+            for j in range(d)
+        ])
+    rows = [list(r) for r in zip(*columns)]
+    out = []
+    for vec in fraction_nullspace(rows):
+        entries = [[0] * d for _ in range(d)]
+        for (k, l), v in zip(cells, vec):
+            entries[k][l] = v
         out.append(RatMatrix.from_rows(entries))
     return tuple(out)
 

@@ -280,6 +280,77 @@ SP_PARABOLIC_JSON = (
 )
 
 
+# sha256 of `triple --json` and `parabolic --json` for one element of each
+# shape of the `triples` benchmark, captured before brackets, equations and
+# sp pieces were taken on cells.  Three of the eight have an h that is not
+# diagonal (marked), so their parabolics take the pieces in a diagonalising
+# basis, for sp those of the conjugated form p^T B p.
+TRIPLE_SHAPES_SHA256 = [
+    ("sl", "1,0,0,-1", "-1", "0,0,0,0;-2,0,0,0;2,0,0,0;0,2,-2,0",
+     "118841d36ca92541f7a59660187f14603d75ec728c593d847c6d5ae086ce2dc2",
+     "062d1f2b02feba87004fd4b055651ee0018dfbc23a37d0c46b4fde203e51a7de"),
+    ("sl", "1,1,0,0,-1,-1", "1",
+     "0,0,-1,2,0,0;0,0,2,1,0,0;0,0,0,0,-1,-2;0,0,0,0,2,1;0,0,0,0,0,0;0,0,0,0,0,0",
+     "db8fd6f7b1c8b2838c47048cc2bd2ef86f2f8649b08e0799e0d554f9568a742b",
+     "a7cd0aa5d8a4a1387beb963f0526aaea7cd2f73a4fb2255c44ab49c5c399e909"),
+    ("sl", "1,1,0,0,0,-1,-1", "1",
+     "0,0,-2,-1,1,0,0;0,0,-2,2,-1,0,0;0,0,0,0,0,1,2;0,0,0,0,0,2,1;"
+     "0,0,0,0,0,1,2;0,0,0,0,0,0,0;0,0,0,0,0,0,0",
+     "f3a4538738da5b041569377b4ff36da7841b000faf23c98db9c3ff1a463fa7c4",
+     "9d9bca496b44dcfb6544cecd8e9e922436cfafee2c1683de384369851b058666"),
+    ("sl", "2,1,1,0,-1,-1,-2", "-1",  # h is not diagonal
+     "0,0,0,0,0,0,0;-1,0,0,0,0,0,0;1,0,0,0,0,0,0;0,1,-1,0,0,0,0;"
+     "0,0,0,2,0,0,0;0,0,0,-1,0,0,0;0,0,0,0,2,2,0",
+     "b07c0708c58f8b6f094a18160cad9c0ffb95ab99eae5805dd58c4c4b980d3b9b",
+     "84a1d0769b4e9ec92a53d18c600691c06f17eda21dd9d39f0cdb89c5f770cf69"),
+    ("sp", "1,0,-1,0", "1", "0,-2,0,-2;0,0,-2,0;0,0,0,0;0,0,2,0",  # h is not diagonal
+     "ece01fa55634c4d7f9f254352f0e77c1753a52cf03ff2da4cacd0952f55907dd",
+     "963b983319278c12a467eed7fc6626270973af01064a9e178dfda4d7098b987b"),
+    ("sp", "1,1,0,-1,-1,0", "1",
+     "0,0,-1,0,0,-1;0,0,-1,0,0,1;0,0,0,-1,1,0;0,0,0,0,0,0;0,0,0,0,0,0;0,0,0,1,1,0",
+     "0fa2fad980ca38ef2ed84872a01b19f5844c05128e87fbd13e5b7682c4a47bdf",
+     "c6587061ec6365fdd98f715a7ca96341c2a1336d317aa7f5a07737bce43aafb8"),
+    ("sp", "2,1,0,-2,-1,0", "1",  # h is not diagonal
+     "0,1,0,0,0,0;0,0,-1,0,0,1;0,0,0,0,1,0;0,0,0,0,0,0;0,0,0,-1,0,0;0,0,0,0,1,0",
+     "18b57846931968df6f7ac8164279fafd0b30906b137c35f383e9be70c968971b",
+     "01a25905842bdfda25afc96c53d1763295c016241f33db36e3feea653e6dc6d5"),
+    ("sp", "1,1,0,0,-1,-1,0,0", "1",
+     "0,0,2,2,0,0,1,-1;0,0,2,-2,0,0,-1,2;0,0,0,0,1,-1,0,0;0,0,0,0,-1,2,0,0;"
+     "0,0,0,0,0,0,0,0;0,0,0,0,0,0,0,0;0,0,0,0,-2,-2,0,0;0,0,0,0,-2,2,0,0",
+     "9037a9920531efbabc9881f5aef23b8aa39e55386c90f2fff64458400822d608",
+     "95376cf0191ec07d8ac213210bce9f03ad9c6011100336aa624cdbac6f9cfe0c"),
+]
+
+
+@pytest.mark.parametrize("command", ["triple", "parabolic"])
+@pytest.mark.parametrize(
+    "kind,cochar,degree,x,triple_digest,parabolic_digest",
+    TRIPLE_SHAPES_SHA256,
+    ids=[f"{k}{len(c.split(','))}-degree{n}-{i}" for i, (k, c, n, *_) in enumerate(TRIPLE_SHAPES_SHA256)],
+)
+def test_triple_shapes_json_sha256(
+    capsys, command, kind, cochar, degree, x, triple_digest, parabolic_digest
+):
+    argv = [command, "--type", kind, "--d", str(len(cochar.split(","))), "--cochar", cochar,
+            "--x", x, "--degree", degree, "--json"]
+    code, out = run_capture(capsys, argv)
+    assert code == 0
+    digest = triple_digest if command == "triple" else parabolic_digest
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["triple", "parabolic"])
+def test_triple_and_parabolic_never_build_the_whole_algebra(capsys, monkeypatch, command):
+    def whole_algebra(alg):
+        raise AssertionError("the basis of the whole algebra was built")
+
+    monkeypatch.setattr(liegrade.MatrixLieAlgebra, "basis", property(whole_algebra))
+    shapes = [["--type", k, "--d", str(len(c.split(","))), "--cochar", c, "--x", x, "--degree", n]
+              for k, c, n, x, *_ in TRIPLE_SHAPES_SHA256]
+    for args in [*shapes, SL_ARGS, SP_ARGS]:
+        assert run_capture(capsys, [command, *args])[0] == 0
+
+
 # Bytes of `grading --json` captured before every piece was built from its cells.
 GRADING_JSON = [
     (
@@ -663,6 +734,31 @@ def test_triple_and_parabolic_reject_before_building(
     assert code == 2
     assert message in err
     assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# a defect inside a command is one line on stderr and exit 1
+
+
+@pytest.mark.parametrize(
+    "command,name,argv,exc",
+    [
+        ("orbits", "nilpotent_orbits", ["--type", "sl", "--n", "3"], RuntimeError("boom")),
+        ("fibers", "verify_fiber_counts", ["--case", "sl4", "--primes", "2"],
+         ZeroDivisionError("division by zero")),
+        ("triple", "adapted_sl2_triple", SL_ARGS, RuntimeError("no triple")),
+    ],
+    ids=["orbits-RuntimeError", "fibers-ZeroDivisionError", "triple-RuntimeError"],
+)
+def test_internal_error_is_one_line_and_exit_one(capsys, monkeypatch, command, name, argv, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, name, broken)
+    code, out, err = run_both(capsys, [command, *argv, "--json"])
+    assert code == 1
+    assert out == ""
+    assert err == f"internal error: {command}: {type(exc).__name__}: {exc}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ Fraction references.  Needs Hypothesis (the ``test`` extra); without it
 this module is skipped and the rest of the suite still runs."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,6 +16,7 @@ from gradedorbits.exactlin import (
     IntMatrix,
     RatMatrix,
     _rref,
+    bracket,
     nullspace,
     rank_and_kernel,
     rank_rational,
@@ -87,6 +89,32 @@ def test_rat_matrix_product_equals_entrywise_sums(rows, data):
         for row in rows
     ]
     assert RatMatrix.from_rows(rows) * RatMatrix.from_rows(other) == RatMatrix.from_rows(want)
+
+
+@st.composite
+def bracket_pairs(draw):
+    """Two square rational matrices of one size, each dense or with a few
+    nonzero cells, as the elements of a graded piece have."""
+    n = draw(st.integers(1, 6))
+
+    def matrix():
+        if draw(st.booleans()):
+            return [[draw(entries) for _ in range(n)] for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+            rows[i][j] = draw(entries)
+        return rows
+
+    return RatMatrix.from_rows(matrix()), RatMatrix.from_rows(matrix())
+
+
+@PROPERTY
+@given(bracket_pairs())
+def test_bracket_equals_dense_products(pair):
+    a, b = pair
+    got = bracket(a, b)
+    assert got == a * b - b * a
+    assert got.den > 0 and gcd(got.den, *(x for row in got.num for x in row)) == 1
 
 
 @PROPERTY

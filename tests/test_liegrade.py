@@ -10,6 +10,7 @@ from gradedorbits.exactlin import (
     nullspace,
     rank_rational,
     rat_inverse,
+    solve_linear,
 )
 from gradedorbits.liegrade import (
     BadForm,
@@ -17,6 +18,7 @@ from gradedorbits.liegrade import (
     NoTriple,
     Sl2Triple,
     _conjugated_form,
+    _equations,
     _integer_eigenvalues,
     _piece,
     _solve_f,
@@ -34,7 +36,11 @@ from gradedorbits.liegrade import (
     weight_matrix,
 )
 
-from oracles import subspace_in_cells_by_nullspace, triple_h_by_full_system
+from oracles import (
+    sp_in_cells_by_nullspace,
+    subspace_in_cells_by_nullspace,
+    triple_h_by_full_system,
+)
 
 
 def unit(d, i, j, value=1):
@@ -78,6 +84,27 @@ def test_build_algebra_dimensions():
     assert sp4.dimension == 10
     for m in sp4.basis:
         assert sp4.contains(m)
+
+
+@pytest.mark.parametrize(
+    "kind,d", [("sl", d) for d in range(1, 7)] + [("sp", d) for d in (2, 4, 6, 8)]
+)
+def test_lazy_basis_equals_the_eager_one(kind, d):
+    # sl: E_ij row-major off the diagonal, then e_a - e_(a+1); sp: the
+    # Fraction nullspace of M^T B + B M = 0 on all cells, as the eager
+    # constructor solved it
+    alg = build_algebra(kind, d)
+    assert "basis" not in vars(alg)
+    if kind == "sl":
+        want = tuple(unit(d, i, j) for i in range(d) for j in range(d) if i != j) + tuple(
+            unit(d, a, a) + unit(d, a + 1, a + 1, -1) for a in range(d - 1)
+        )
+    else:
+        form = standard_symplectic_form(d).entries
+        want = sp_in_cells_by_nullspace(form, [(i, j) for i in range(d) for j in range(d)])
+    assert alg.basis == want
+    assert alg.basis is alg.basis
+    assert alg.dimension == (d * d - 1 if kind == "sl" else d * (d + 1) // 2)
 
 
 def test_sp_bracket_closed():
@@ -513,6 +540,17 @@ def test_f_only_solve_and_toral_check_keep_the_triple(kind, weights, n):
             assert (triple.h, triple.f) == (h, f)
         else:
             assert any(triple.h.num[i][j] for i in range(d) for j in range(d) if i != j)
+
+
+def test_equations_only_on_reached_cells():
+    # c1 E_01 + c2 (E_01 + E_10) = 3 E_01 + E_22 has no solution: the cell
+    # (2, 2) of the target is reached by no column, and its row says 0 = 1
+    columns = [{(0, 1): 1}, {(0, 1): 1, (1, 0): 1}]
+    rows, rhs = _equations(columns, {(0, 1): 3, (2, 2): 1})
+    assert (rows, rhs) == ([[1, 1], [0, 1], [0, 0]], [3, 0, 1])
+    assert solve_linear(rows, rhs) is None
+    rows, rhs = _equations(columns, {(0, 1): 3})
+    assert solve_linear(rows, rhs) == (3, 0)
 
 
 @pytest.mark.parametrize("kind,weights,n", TRIPLE_SPECS)
