@@ -43,7 +43,9 @@ MAX_ORBITS_N = 40
 # its work grows as d^4: degree 0 of sp_48 under the zero cocharacter, the
 # worst call accepted, takes about 0.6 s and 62 MB in-process.  ``triple``
 # and ``parabolic`` share the bound; they build only the pieces they solve
-# on, and with x = E_12 in sl_48 they take about 0.1 and 0.5 s.
+# on.  In sl_48, x = E_12 of degree 1 under (1, 0, ..., 0, -1) takes about
+# 0.05 and 0.3 s, and x = E_1,25 of degree 2 under (1^24, (-1)^24), whose
+# h the diagonal system leaves free, about 0.35 and 0.5 s.
 MAX_GRADING_D = 48
 
 
@@ -80,11 +82,14 @@ def _cochar(text: str) -> Cocharacter:
 
 
 def _prime_list(text: str) -> list:
-    """argparse type: comma-separated primes up to the fiber sweep's limit."""
+    """argparse type: comma-separated distinct primes up to the fiber
+    sweep's limit."""
     primes = _int_list(text)
-    for p in primes:
+    for k, p in enumerate(primes):
         if p > MAX_PRIME or not is_prime(p):
             raise argparse.ArgumentTypeError(f"{p} is not a prime <= {MAX_PRIME}")
+        if p in primes[:k]:
+            raise argparse.ArgumentTypeError(f"{p} is repeated")
     return primes
 
 
@@ -111,6 +116,18 @@ def _matrix(text: str):
         raise argparse.ArgumentTypeError(
             f"expected rows of comma-separated integers separated by ';', got {text!r}"
         ) from None
+
+
+def _checked_cochar(args) -> Cocharacter:
+    """The --cochar, checked against --d: one weight per coordinate, and an
+    even --d for sp."""
+    if args.type == "sp" and args.d % 2:
+        raise ValueError(f"argument --d: sp needs an even dimension, got {args.d}")
+    if len(args.cochar.weights) != args.d:
+        raise ValueError(
+            f"argument --cochar: expected {args.d} weights, got {len(args.cochar.weights)}"
+        )
+    return args.cochar
 
 
 def _square_x(args):
@@ -145,6 +162,8 @@ def _table(rows, headers):
 
 
 def cmd_orbits(args) -> int:
+    if args.type == "sp" and args.n % 2:
+        raise ValueError(f"argument --n: sp needs an even n, got {args.n}")
     orbits = nilpotent_orbits(args.type, args.n)
     rows = [
         (o.partition.label(), o.dimension, o.component_group.label()) for o in orbits
@@ -196,13 +215,7 @@ def cmd_graded_orbits(args) -> int:
 
 
 def cmd_grading(args) -> int:
-    chi = args.cochar
-    if args.type == "sp" and args.d % 2:
-        raise ValueError(f"argument --d: sp needs an even dimension, got {args.d}")
-    if len(chi.weights) != args.d:
-        raise ValueError(
-            f"argument --cochar: expected {args.d} weights, got {len(chi.weights)}"
-        )
+    chi = _checked_cochar(args)
     alg = build_algebra(args.type, args.d)
     comp = graded_component(alg, chi, args.degree)
     wm = weight_matrix(chi)
@@ -225,29 +238,23 @@ def cmd_grading(args) -> int:
 
 
 def cmd_triple(args) -> int:
-    chi = args.cochar
+    chi = _checked_cochar(args)
     x = _square_x(args)
     alg = build_algebra(args.type, args.d)
     triple = adapted_sl2_triple(alg, chi, args.degree, x)
     weights, _ = chi_prime(triple, chi)
+    texts = {"e": triple.e.text(), "h": triple.h.text(), "f": triple.f.text()}
     lines = [
-        f"e: {triple.e.text()}",
-        f"h: {triple.h.text()}",
-        f"f: {triple.f.text()}",
+        *(f"{k}: {text}" for k, text in texts.items()),
         "chi_prime: " + ",".join(str(w) for w in weights.weights),
     ]
-    payload = {
-        "e": triple.e.text(),
-        "h": triple.h.text(),
-        "f": triple.f.text(),
-        "chi_prime": list(weights.weights),
-    }
+    payload = {**texts, "chi_prime": list(weights.weights)}
     _emit(args, lines, payload)
     return 0
 
 
 def cmd_parabolic(args) -> int:
-    chi = args.cochar
+    chi = _checked_cochar(args)
     x = _square_x(args)
     alg = build_algebra(args.type, args.d)
     n = args.degree
@@ -256,24 +263,21 @@ def cmd_parabolic(args) -> int:
     else:
         triple = adapted_sl2_triple(alg, chi, n, x)
     datum = canonical_parabolic(alg, chi, triple, n)
-    rigid = check_n_rigid(datum.l_basis, chi, triple, n)
+    rigid = check_n_rigid(datum.l_basis, chi, triple, n, datum)
+    matrices = {
+        "chi_prime_matrix": format_matrix_text(weight_matrix(datum.chi_prime)),
+        "indicator": format_matrix_text(datum.indicator),
+        **{f"{k}_mask": format_matrix_text(datum.mask(k)) for k in "pnl"},
+    }
     lines = [
         "chi_prime: " + ",".join(str(w) for w in datum.chi_prime.weights),
-        f"chi_prime_matrix: {format_matrix_text(weight_matrix(datum.chi_prime))}",
-        f"indicator: {format_matrix_text(datum.indicator)}",
-        f"p_mask: {format_matrix_text(datum.mask('p'))}",
-        f"n_mask: {format_matrix_text(datum.mask('n'))}",
-        f"l_mask: {format_matrix_text(datum.mask('l'))}",
+        *(f"{k}: {text}" for k, text in matrices.items()),
         "levi_blocks: " + ",".join(str(s) for s in datum.levi_block_shape),
         f"levi_rigid: {'yes' if rigid.is_rigid else 'no'}",
     ]
     payload = {
         "chi_prime": list(datum.chi_prime.weights),
-        "chi_prime_matrix": format_matrix_text(weight_matrix(datum.chi_prime)),
-        "indicator": format_matrix_text(datum.indicator),
-        "p_mask": format_matrix_text(datum.mask("p")),
-        "n_mask": format_matrix_text(datum.mask("n")),
-        "l_mask": format_matrix_text(datum.mask("l")),
+        **matrices,
         "levi_blocks": list(datum.levi_block_shape),
         "levi_rigid": rigid.is_rigid,
     }

@@ -28,10 +28,12 @@ cells costs a row or two of x, and the equations are written only on the
 cells that x, a bracket or a right-hand side reaches.  On the others they
 read 0 = 0, so the reduced row echelon form, and the answer, is the same.
 
+A toral h that the diagonal system [h, x] = 2x fixes is taken from it,
+and its f is solved for on the elements of g_-n of ad-h weight -2 alone.
 An h that is not diagonal costs about what a diagonal one costs: h is
 solved for through f alone (h = [x, f]), the toral system is skipped when
 x's Jordan type rules it out, and ``chi_prime`` takes a nullspace only at
-integer roots of a characteristic polynomial.
+integer roots of a characteristic polynomial, once per parabolic.
 
 Everything is exact; all returned values are immutable.
 """
@@ -123,10 +125,13 @@ class Sl2Triple:
     f: RatMatrix
 
     def bracket_relations_hold(self) -> bool:
+        # brackets and scalings come normalized, and a normalized matrix is
+        # equal to another exactly when they are the same rational matrix
+        e, h, f = self.e, self.h, self.f
         return (
-            (bracket(self.h, self.e) - self.e.scale(2)).is_zero()
-            and (bracket(self.h, self.f) + self.f.scale(2)).is_zero()
-            and (bracket(self.e, self.f) - self.h).is_zero()
+            bracket(h, e) == e.scale(2)
+            and bracket(h, f) == f.scale(-2)
+            and bracket(e, f) == h._normalized()
         )
 
     @staticmethod
@@ -392,47 +397,51 @@ def _solve_h(x, brackets_f, d, diagonal):
     return None if sol is None else _combination(sol, brackets_f, d)
 
 
-def _solve_f(h, gm_basis, brackets_f, d):
-    """The f in span(gm_basis) with [x, f] = h and [h, f] = -2f, or None;
-    ``brackets_f`` holds [x, F_k] for the gm basis.  Equations are written
-    only on the cells that h, a basis element or a bracket reaches."""
+def _solve_f(h, gm_basis, brackets_f, d, eigen=True):
+    """The f in span(gm_basis) with [x, f] = h and, when ``eigen``,
+    [h, f] = -2f, or None; ``brackets_f`` holds [x, F_k] for the gm basis.
+    Equations are written only on the cells that h, a basis element or a
+    bracket reaches."""
     t = len(gm_basis)
-    h_cells, *cols = _integer_cells(
-        [h, *gm_basis, *brackets_f, *(bracket(h, fb) for fb in gm_basis)]
-    )
-    f_cells, xf_cells, hf_cells = cols[:t], cols[t : 2 * t], cols[2 * t :]
-    rows, rhs = _equations(xf_cells, h_cells)
+    eigen_mats = [*gm_basis, *(bracket(h, fb) for fb in gm_basis)] if eigen else []
+    h_cells, *cols = _integer_cells([h, *brackets_f, *eigen_mats])
+    rows, rhs = _equations(cols[:t], h_cells)
     # [h, F_k] + 2 F_k for [h, f] + 2f = 0
     shifted = [
         {k: hf.get(k, 0) + 2 * fb.get(k, 0) for k in hf.keys() | fb.keys()}
-        for hf, fb in zip(hf_cells, f_cells)
+        for fb, hf in zip(cols[t : 2 * t], cols[2 * t :])
     ]
     eig_rows, eig_rhs = _equations(shifted, {})
     sol = solve_linear(rows + eig_rows, rhs + eig_rhs)
     return None if sol is None else _combination(sol, gm_basis, d)
 
 
-def _toral_h_possible(x, diag_basis, jordan) -> bool:
-    """False when no h in the span of the diagonal ``diag_basis`` can be the
-    h of an sl2-triple through x.  For h = diag(a), [h, x] = 2x says
-    a_i - a_j = 2 on every cell (i, j) of x.  When that has no solution, or
-    exactly one whose entries are not the weights l-1, l-3, ..., 1-l of the
-    Jordan blocks l of x (the h of every sl2-triple through x has those
-    eigenvalues), the toral system has no solution either."""
+def _toral_h(x, diag_basis, jordan):
+    """(possible, h) for an h in the span of the diagonal ``diag_basis``
+    that is the h of an sl2-triple through x.  For h = diag(a), [h, x] = 2x
+    says a_i - a_j = 2 on every cell (i, j) of x.  possible is False when
+    that has no solution, or exactly one whose entries are not the weights
+    l-1, l-3, ..., 1-l of the Jordan blocks l of x (the h of every
+    sl2-triple through x has those eigenvalues): the toral system has no
+    solution either.  h is diag(a) when a is the one solution and its
+    entries are those weights, as every toral triple then has this h; it
+    is None when the system leaves a free."""
     # unknowns: the coefficients of the numerators of the basis elements
     diags = [[b.num[i][i] for i in range(x.rows)] for b in diag_basis]
     rows = [[v[i] - v[j] for v in diags] for (i, j) in x.support()]
     coeffs = solve_linear(rows, [2] * len(rows))
     if coeffs is None:
-        return False
+        return False, None
     if rank_rational(rows) < len(diag_basis):
-        return True
+        return True, None
     # compare a and the weights both scaled by the common denominator
     den = lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
     a = [sum(c * v[i] for c, v in zip(ints, diags)) for i in range(x.rows)]
     weights = [den * (l - 1 - 2 * k) for l in jordan.parts for k in range(l)]
-    return sorted(a) == sorted(weights)
+    if sorted(a) != sorted(weights):
+        return False, None
+    return True, _integer_matrix(x.rows, [(i, i, v // den) for i, v in enumerate(a) if v])
 
 
 def adapted_sl2_triple(
@@ -440,13 +449,19 @@ def adapted_sl2_triple(
 ) -> Sl2Triple:
     """Graded sl2-triple (e=x, h, f) with e in g_n, h in g_0, f in g_-n.
 
-    The construction solves [x, f0] = h, [h, x] = 2x as one linear
-    feasibility problem in f0 (``_solve_h``), then re-solves for f with
-    [h, f] = -2f adjoined (projecting onto the -2 eigenspace of ad h), and
-    verifies the bracket relations exactly.  A toral h (diagonal, inside
-    g_0) is preferred when one exists, which keeps reported weight vectors
-    deterministic; the toral system is not solved when
-    ``_toral_h_possible`` rules it out.
+    A toral h (diagonal, inside g_0) is preferred when one exists, which
+    keeps reported weight vectors deterministic.  ``_toral_h`` solves
+    [h, x] = 2x over the diagonal of g_0.  When that fixes h, f is the one
+    element of g_-n with [x, f] = h and [h, f] = -2f, so it lies on the
+    cells where a_i - a_j = -2 for h = diag(a).  For sl and a monomial
+    form, every basis element of g_-n lies on cells of one ad-h weight,
+    and [x, f] = h is solved over the elements of weight -2 alone; any
+    other form takes the eigen-equations over all of g_-n (``_solve_f``).
+    When the diagonal system leaves h free, [x, f0] = h, [h, x] = 2x is
+    solved as one linear feasibility problem in f0 (``_solve_h``), first
+    over the diagonal when ``_toral_h`` allows it and then over all of
+    g_0, and f is solved for with [h, f] = -2f adjoined.  The bracket
+    relations are verified exactly every time.
     """
     if n == 0:
         raise ValueError("degree must be nonzero")
@@ -464,17 +479,29 @@ def adapted_sl2_triple(
         jordan = nilpotent_jordan_partition(x)
     except ValueError:
         raise NoTriple("x is not nilpotent") from None
-    gm = graded_component(alg, chi, -n)
+    gm = graded_component(alg, chi, -n).basis
     # the diagonal part of g_0: every diagonal cell has degree 0
     g0_diag = _piece(alg, [(i, i) for i in range(d)])
+    toral, h = _toral_h(x, g0_diag, jordan) if g0_diag else (False, None)
+    if h is not None:
+        if alg.kind == "sl" or _monomial_involution(alg.form.entries):
+            a = [h.num[i][i] for i in range(d)]
+            fs = [fb for fb in gm if all(a[i] - a[j] == -2 for i, j in fb.support())]
+            f = _solve_f(h, fs, [bracket(x, fb) for fb in fs], d, eigen=False)
+        else:
+            f = _solve_f(h, gm, [bracket(x, fb) for fb in gm], d)
+        triple = Sl2Triple(x, h, f)
+        if f is not None and triple.bracket_relations_hold():
+            return triple
+        # the diagonal _solve_h would give this h again
+        toral = False
     # [x, F] for the g_-n basis, shared by both attempts
-    brackets_f = [bracket(x, fb) for fb in gm.basis]
-    toral = bool(g0_diag) and _toral_h_possible(x, g0_diag, jordan)
+    brackets_f = [bracket(x, fb) for fb in gm]
     for diagonal in (True, False) if toral else (False,):
         h = _solve_h(x, brackets_f, d, diagonal)
         if h is None:
             continue
-        f = _solve_f(h, gm.basis, brackets_f, d)
+        f = _solve_f(h, gm, brackets_f, d)
         if f is None:
             continue
         triple = Sl2Triple(x, h, f)
@@ -583,20 +610,6 @@ def chi_prime(triple: Sl2Triple, chi: Cocharacter | None = None):
     return Cocharacter.of(weights), p
 
 
-def _indicator_matrix(chi_w, chip_w, n) -> IntMatrix:
-    sign = 1 if n > 0 else -1
-    d = len(chi_w)
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            m = chip_w[i] - chip_w[j]
-            mp = chi_w[i] - chi_w[j]
-            row.append(sign * (n * m - 2 * mp))
-        rows.append(row)
-    return IntMatrix.from_rows(rows)
-
-
 def canonical_parabolic(
     alg: MatrixLieAlgebra, chi: Cocharacter, triple: Sl2Triple, n: int
 ) -> ParabolicDatum:
@@ -612,7 +625,12 @@ def canonical_parabolic(
     validate_cocharacter(alg, chi)
     chip, p = chi_prime(triple, chi)
     d = alg.dim_ambient
-    indicator = _indicator_matrix(chi.weights, chip.weights, n)
+    # the potential sign(n)*(n*w' - 2*w) of each coordinate; a cell's
+    # indicator is the potential of its row minus that of its column, and
+    # the Levi blocks are the coordinates of equal potential
+    sign = 1 if n > 0 else -1
+    potential = [sign * (n * a - 2 * b) for a, b in zip(chip.weights, chi.weights)]
+    indicator = IntMatrix.from_rows([[a - b for b in potential] for a in potential])
     ind = indicator.entries
     # the pieces of p^-1 alg p, in the basis where both gradings are diagonal
     form = _conjugated_form(alg, p)
@@ -620,19 +638,6 @@ def canonical_parabolic(
         _piece(alg, [(i, j) for i in range(d) for j in range(d) if keep(ind[i][j])], form)
         for keep in (lambda s: s >= 0, lambda s: s > 0, lambda s: s == 0)
     )
-    # Levi blocks: coordinates with equal potential sign(n)*(n*w' - 2*w)
-    sign = 1 if n > 0 else -1
-    potential = [
-        sign * (n * chip.weights[i] - 2 * chi.weights[i]) for i in range(d)
-    ]
-    blocks = []
-    seen = {}
-    for i, phi in enumerate(potential):
-        if phi in seen:
-            blocks[seen[phi]].append(i)
-        else:
-            seen[phi] = len(blocks)
-            blocks.append([i])
     return ParabolicDatum(
         chi=chi,
         chi_prime=chip,
@@ -642,7 +647,7 @@ def canonical_parabolic(
         n_basis=n_basis,
         l_basis=l_basis,
         indicator=indicator,
-        levi_blocks=tuple(tuple(b) for b in blocks),
+        levi_blocks=tuple(tuple(b) for b in _blocks_by_weight(potential).values()),
     )
 
 
@@ -652,7 +657,9 @@ class RigidityReport:
     witness: tuple | None  # (m, m') of the first violated cell, row-major
 
 
-def check_n_rigid(alg_or_basis, chi: Cocharacter, triple: Sl2Triple, n: int) -> RigidityReport:
+def check_n_rigid(
+    alg_or_basis, chi: Cocharacter, triple: Sl2Triple, n: int, datum: ParabolicDatum | None = None
+) -> RigidityReport:
     """The h-grading refines the cocharacter grading exactly.
 
     A supported cell of bidegree (m, m') is compatible iff 2*m' = n*m; the
@@ -661,36 +668,34 @@ def check_n_rigid(alg_or_basis, chi: Cocharacter, triple: Sl2Triple, n: int) -> 
     f in g_-n) is part of the check.  An algebra is given in its own
     coordinates, and its part on all cells of the diagonalising basis is
     solved for here; a basis is taken as already in that basis, as
-    ``canonical_parabolic`` returns its pieces.
+    ``canonical_parabolic`` returns its pieces.  chi' and the basis change
+    are taken from ``datum``, the ``canonical_parabolic`` of the same chi
+    and triple, when it is given, and computed otherwise.
     """
     own_coordinates = isinstance(alg_or_basis, MatrixLieAlgebra)
     basis = alg_or_basis.basis if own_coordinates else tuple(alg_or_basis)
     if not basis:
         return RigidityReport(True, None)
     d = basis[0].rows
-    chip, p = chi_prime(triple, chi)
-    e, h, f = triple.e, triple.h, triple.f
-    if p != RatMatrix.identity(d):
-        p_inv = rat_inverse(p)
-        e, h, f = (p_inv * m * p for m in (e, h, f))
-        if own_coordinates:
-            basis = _piece(alg_or_basis, _all_cells(d), _conjugated_form(alg_or_basis, p))
+    chip, p = chi_prime(triple, chi) if datum is None else (datum.chi_prime, datum.basis_change)
     w = chi.weights
     wp = chip.weights
-    # triple placement inside the graded pieces
-    for mat, expected in ((e, n), (h, 0), (f, -n)):
+    # triple placement inside the graded pieces.  p keeps each chi-weight
+    # block, so conjugating by it keeps every graded piece: only a
+    # misplaced triple is conjugated, for its witness cell
+    placement = [(triple.e, n), (triple.h, 0), (triple.f, -n)]
+    moved = p != RatMatrix.identity(d)
+    if moved and any(w[i] - w[j] != k for m, k in placement for (i, j) in m.support()):
+        p_inv = rat_inverse(p)
+        placement = [(p_inv * m * p, k) for m, k in placement]
+    for mat, expected in placement:
         for (i, j) in mat.support():
             if w[i] - w[j] != expected:
                 return RigidityReport(False, (wp[i] - wp[j], w[i] - w[j]))
-    support = set()
-    for m in basis:
-        support |= m.support()
-    for i in range(d):
-        for j in range(d):
-            if (i, j) not in support:
-                continue
-            m = wp[i] - wp[j]
-            mp = w[i] - w[j]
-            if 2 * mp != n * m:
-                return RigidityReport(False, (m, mp))
+    if moved and own_coordinates:
+        basis = _piece(alg_or_basis, _all_cells(d), _conjugated_form(alg_or_basis, p))
+    # every cell the basis reaches, row-major
+    for i, j in sorted(set().union(*(m.support() for m in basis))):
+        if 2 * (w[i] - w[j]) != n * (wp[i] - wp[j]):
+            return RigidityReport(False, (wp[i] - wp[j], w[i] - w[j]))
     return RigidityReport(True, None)

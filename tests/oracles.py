@@ -13,7 +13,10 @@ pairwise join, with no memo, no support filter and no Weyl group, and the
 prime classifiers take a torsion quotient for every family, not one per
 orbit.  A type-A graded orbit's dimension is the rank of ad x on g_0 and
 its Levi comes from a solved sl2-triple and the canonical parabolic,
-where the package uses closed forms in the segments.  Primality is trial
+where the package uses closed forms in the segments.  The f of a triple
+comes from one system over every cell of [x, f] = h and [h, f] = -2f,
+where the package solves on the ad-h weight -2 cells, and rigidity
+conjugates e, h and f by the basis change every time.  Primality is trial
 division.
 """
 
@@ -339,6 +342,63 @@ def triple_h_by_full_system(x, h_basis, gm_basis):
         for i in range(d)
     ]
     return RatMatrix.from_rows(entries)
+
+
+def triple_f_by_full_system(x, h, gm_basis):
+    """The f in span(gm_basis) with [x, f] = h and [h, f] = -2f, solved as
+    one Fraction system over every cell of both equations, with brackets
+    as dense products and free unknowns set to 0; None when it has no
+    solution."""
+    from gradedorbits.exactlin import RatMatrix
+
+    if not gm_basis:
+        return None
+    d = x.rows
+    cells = [(i, j) for i in range(d) for j in range(d)]
+    xf = [x * f - f * x for f in gm_basis]
+    hf = [h * f - f * h for f in gm_basis]
+    rows = [[m.entry(i, j) for m in xf] + [h.entry(i, j)] for i, j in cells]
+    rows += [
+        [m.entry(i, j) + 2 * f.entry(i, j) for m, f in zip(hf, gm_basis)] + [0]
+        for i, j in cells
+    ]
+    mat, pivots = fraction_rref(rows)
+    t = len(gm_basis)
+    if t in pivots:
+        return None
+    coeffs = [Fraction(0)] * t
+    for r, pc in enumerate(pivots):
+        coeffs[pc] = mat[r][t]
+    return RatMatrix.from_rows(
+        [[sum(c * f.entry(i, j) for c, f in zip(coeffs, gm_basis)) for j in range(d)]
+         for i in range(d)]
+    )
+
+
+def rigidity_by_conjugates(basis, chi, triple, n):
+    """(is_rigid, witness) of the triple's second grading against chi on the
+    basis, which is given in the diagonalising basis p: chi' and p from
+    ``chi_prime``, e, h and f conjugated by p densely, the placement of the
+    conjugates checked first and then every cell the basis reaches,
+    row-major."""
+    from gradedorbits.exactlin import RatMatrix, rat_inverse
+    from gradedorbits.liegrade import chi_prime
+
+    if not basis:
+        return True, None
+    d = basis[0].rows
+    chip, p = chi_prime(triple, chi)
+    p_inv = rat_inverse(p)
+    w, wp = chi.weights, chip.weights
+    for m, k in ((triple.e, n), (triple.h, 0), (triple.f, -n)):
+        for i, j in (p_inv * m * p).support():
+            if w[i] - w[j] != k:
+                return False, (wp[i] - wp[j], w[i] - w[j])
+    for i in range(d):
+        for j in range(d):
+            if any(m.entry(i, j) for m in basis) and 2 * (w[i] - w[j]) != n * (wp[i] - wp[j]):
+                return False, (wp[i] - wp[j], w[i] - w[j])
+    return True, None
 
 
 def graded_orbit_dimension(alg, chi, n, x):

@@ -339,6 +339,44 @@ def test_triple_shapes_json_sha256(
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The same elements' text output (no --json), captured before the triple took
+# a toral h from the diagonal system and f from the ad-h weight -2 cells.
+TRIPLE_SHAPES_TEXT_SHA256 = [
+    ("f30e4e9af212b9c729ffd3a96ad5c0284944c49ae49ada7c15dfe008d90df738",
+     "77c567367b78a29072674d62917a1a9dba138c727283aadebc444f58c40b46ae"),
+    ("fa75d476693cb0f8c9ff5e5faa31c8e1999983188da95dc23faaed5b9d8de039",
+     "65b1f8a306d7aade68fa683da4d4bb2d7fc1abd175670a5b6d424427c2d8916c"),
+    ("1a6d42bb26693421182dd0271c7cc933a6733b664ffff44fdc90ada74fb74565",
+     "09a7ce1e03244e84549bf25194079f4fe18c0eee52a49db546ae0959c5961067"),
+    ("9624c9f1893a2b7d45f69f6cbffc2922e0fb860465acc001a933ff7691eb70e5",
+     "f23db0adff7e8ee222c70c5dae843d684c03520d0dbf2dd31e7387bc0b5cfa08"),
+    ("221e8bb6b91165ec549d01f18fd0d4d5cfcaf6d1f761c7481bcf7b0cea77b1e3",
+     "df01bc9ebbbac31aa02afcfc2ee7030147cd527f5866ea17e3e9013983d5fe8a"),
+    ("f5817e12f1d8642166513ba0fe28d93e5a4b820b0984ba3eaf8991c8d6fb362e",
+     "d2b103e4cba7a56df01c6a60a89271a7f5bfeca71d349f39fe5cf6810b7b3b6c"),
+    ("53641d8a1a494b9dfa03599a0350132a847f116e7cd711d809a9c8bd8d4a03f2",
+     "8bff9fb70e4dfc6f8e90d2f3b04e28ac0b92c61cb8c66681236f67a242d5c382"),
+    ("02f28dc961830b1d1468738fcdf98df02f22f07e0cbcea15913509d0fba7c615",
+     "ba453b8014fa026d4cd53491b3c113c6cf7d8a6803959bd288bce5a19ed440ff"),
+]
+
+
+@pytest.mark.parametrize("command", ["triple", "parabolic"])
+@pytest.mark.parametrize(
+    "shape,digests",
+    list(zip(TRIPLE_SHAPES_SHA256, TRIPLE_SHAPES_TEXT_SHA256)),
+    ids=[f"{k}{len(c.split(','))}-degree{n}-{i}" for i, (k, c, n, *_) in enumerate(TRIPLE_SHAPES_SHA256)],
+)
+def test_triple_shapes_text_sha256(capsys, command, shape, digests):
+    kind, cochar, degree, x, *_ = shape
+    argv = [command, "--type", kind, "--d", str(len(cochar.split(","))), "--cochar", cochar,
+            "--x", x, "--degree", degree]
+    code, out = run_capture(capsys, argv)
+    assert code == 0
+    digest = digests[0] if command == "triple" else digests[1]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command", ["triple", "parabolic"])
 def test_triple_and_parabolic_never_build_the_whole_algebra(capsys, monkeypatch, command):
     def whole_algebra(alg):
@@ -734,6 +772,38 @@ def test_triple_and_parabolic_reject_before_building(
     assert code == 2
     assert message in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["grading", "triple", "parabolic"])
+@pytest.mark.parametrize(
+    "kind,d,cochar,message",
+    [
+        ("sp", 5, "0,0,0,0,0", "argument --d: sp needs an even dimension, got 5"),
+        ("sl", 4, "1,0,-1", "argument --cochar: expected 4 weights, got 3"),
+    ],
+    ids=["sp-odd-d", "short-cochar"],
+)
+def test_d_and_cochar_checks_are_shared(capsys, monkeypatch, command, kind, d, cochar, message):
+    def build_nothing(kind, d):
+        raise AssertionError("the algebra was built")
+
+    monkeypatch.setattr(cli, "build_algebra", build_nothing)
+    argv = [command, "--type", kind, "--d", str(d), "--cochar", cochar, "--degree", "1"]
+    if command != "grading":
+        argv += ["--x", ";".join([",".join(["0"] * d)] * d)]
+    assert run_both(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("primes", [",".join(["13"] * 20), "2,3,2"])
+def test_fibers_rejects_a_repeated_prime(capsys, primes):
+    code, out, err = run_both(capsys, ["fibers", "--case", "sl4", "--primes", primes])
+    assert (code, out) == (2, "")
+    assert f"argument --primes: {primes.split(',')[0]} is repeated" in err
+
+
+def test_orbits_odd_sp_n_names_flag(capsys):
+    code, out, err = run_both(capsys, ["orbits", "--type", "sp", "--n", "39"])
+    assert (code, out, err) == (2, "", "error: argument --n: sp needs an even n, got 39\n")
 
 
 # ---------------------------------------------------------------------------

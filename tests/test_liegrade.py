@@ -16,6 +16,7 @@ from gradedorbits.liegrade import (
     BadForm,
     Cocharacter,
     NoTriple,
+    RigidityReport,
     Sl2Triple,
     _conjugated_form,
     _equations,
@@ -23,7 +24,7 @@ from gradedorbits.liegrade import (
     _piece,
     _solve_f,
     _solve_h,
-    _toral_h_possible,
+    _toral_h,
     adapted_sl2_triple,
     build_algebra,
     canonical_parabolic,
@@ -37,6 +38,7 @@ from gradedorbits.liegrade import (
 )
 
 from oracles import (
+    rigidity_by_conjugates,
     sp_in_cells_by_nullspace,
     subspace_in_cells_by_nullspace,
     triple_h_by_full_system,
@@ -533,8 +535,12 @@ def test_f_only_solve_and_toral_check_keep_the_triple(kind, weights, n):
         assert h == triple_h_by_full_system(x, diag, gm)
         f = _solve_f(h, gm, brackets_f, d) if h is not None else None
         toral = f is not None and Sl2Triple(x, h, f).bracket_relations_hold()
-        if not _toral_h_possible(x, diag, nilpotent_jordan_partition(x)):
+        possible, fixed = _toral_h(x, diag, nilpotent_jordan_partition(x))
+        if not possible:
             assert not toral
+        if fixed is not None and h is not None:
+            # the diagonal system fixes the h that the diagonal solve finds
+            assert fixed == h
         triple = adapted_sl2_triple(alg, chi, n, x)
         if toral:
             assert (triple.h, triple.f) == (h, f)
@@ -600,6 +606,51 @@ def test_sp_parabolic_spans_match_conjugated_basis(kind, weights, n):
                 conjugated, chi, triple, k
             )
     assert checked
+
+
+@pytest.mark.parametrize("kind,weights,n", TRIPLE_SPECS)
+def test_check_n_rigid_given_the_datum_keeps_the_report(kind, weights, n):
+    # with the datum, chi' and p are not recomputed and e, h, f are
+    # conjugated only when misplaced; the report, witness included, is the
+    # one of recomputing both and conjugating e, h and f every time
+    alg = build_algebra(kind, len(weights))
+    chi = Cocharacter.of(weights)
+    d = alg.dim_ambient
+    moved_witnesses = 0
+    for x in _random_piece_elements(alg, chi, n, 6, seed=4):
+        triple = adapted_sl2_triple(alg, chi, n, x)
+        datum = canonical_parabolic(alg, chi, triple, n)
+        p = datum.basis_change
+        p_inv = rat_inverse(p)
+        conjugated = tuple(p_inv * m * p for m in alg.basis)
+        for k in (n, -n, 2 * n):
+            for basis in (conjugated, datum.l_basis, datum.p_basis):
+                want = RigidityReport(*rigidity_by_conjugates(basis, chi, triple, k))
+                assert check_n_rigid(basis, chi, triple, k) == want
+                assert check_n_rigid(basis, chi, triple, k, datum) == want
+            report = check_n_rigid(alg, chi, triple, k, datum)
+            assert report == check_n_rigid(conjugated, chi, triple, k)
+            moved_witnesses += p != RatMatrix.identity(d) and report.witness is not None
+    assert moved_witnesses
+
+
+def test_check_n_rigid_given_the_datum_solves_nothing(monkeypatch):
+    from gradedorbits import liegrade
+
+    def solved(*args):
+        raise AssertionError("chi' or an inverse was computed")
+
+    for kind, weights, n in TRIPLE_SPECS:
+        alg = build_algebra(kind, len(weights))
+        chi = Cocharacter.of(weights)
+        for x in _random_piece_elements(alg, chi, n, 3, seed=4):
+            triple = adapted_sl2_triple(alg, chi, n, x)
+            datum = canonical_parabolic(alg, chi, triple, n)
+            with monkeypatch.context() as patch:
+                patch.setattr(liegrade, "chi_prime", solved)
+                patch.setattr(liegrade, "rat_inverse", solved)
+                report = check_n_rigid(datum.l_basis, chi, triple, n, datum)
+            assert report == RigidityReport(True, None)
 
 
 def test_canonical_parabolic_conjugates_the_form_once(monkeypatch):

@@ -1,18 +1,32 @@
 """Property tests: the closed-form sp pieces of ``liegrade`` against the
-Fraction nullspace of M^T B + B M = 0.  Needs Hypothesis (the ``test``
-extra); without it this module is skipped and the rest of the suite still
-runs."""
+Fraction nullspace of M^T B + B M = 0, and the toral triple against the
+full (h, f) and f systems.  Needs Hypothesis (the ``test`` extra); without
+it this module is skipped and the rest of the suite still runs."""
+
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gradedorbits.liegrade import _monomial_involution, _sp_in_cells, standard_symplectic_form
+from gradedorbits import liegrade
+from gradedorbits.exactlin import IntMatrix, RatMatrix, nilpotent_jordan_partition
+from gradedorbits.liegrade import (
+    Cocharacter,
+    _monomial_involution,
+    _piece,
+    _sp_in_cells,
+    _toral_h,
+    adapted_sl2_triple,
+    build_algebra,
+    graded_component,
+    standard_symplectic_form,
+)
 
-from oracles import sp_in_cells_by_nullspace
+from oracles import sp_in_cells_by_nullspace, triple_f_by_full_system, triple_h_by_full_system
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -80,6 +94,17 @@ def test_monomial_sp_piece_equals_nullspace(case):
     assert _sp_in_cells(form, cells) == sp_in_cells_by_nullspace(form, cells), (kind, shape)
 
 
+def _non_monomial(form, i, j, c):
+    """The form with c times row j added to row i and column j to column i:
+    antisymmetric, with two nonzeros in row i when j is neither i nor the
+    partner of i."""
+    rows = [list(r) for r in form]
+    rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    for r in rows:
+        r[i] += c * r[j]
+    return rows
+
+
 @PROPERTY
 @given(monomial_forms(min_half=2), st.data())
 def test_non_monomial_sp_piece_equals_nullspace(case, data):
@@ -91,11 +116,78 @@ def test_non_monomial_sp_piece_equals_nullspace(case, data):
     partner = _monomial_involution(form)
     i = data.draw(st.integers(0, d - 1))
     j = data.draw(st.sampled_from([j for j in range(d) if j not in (i, partner[i])]))
-    c = data.draw(st.sampled_from([1, -1, 2]))
-    rows = [list(r) for r in form]
-    rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    for r in rows:
-        r[i] += c * r[j]
+    rows = _non_monomial(form, i, j, data.draw(st.sampled_from([1, -1, 2])))
     cells = data.draw(st.sets(st.sampled_from([(a, b) for a in range(d) for b in range(d)])))
     assert _monomial_involution(rows) is None
     assert _sp_in_cells(rows, cells) == sp_in_cells_by_nullspace(rows, cells)
+
+
+@st.composite
+def graded_elements(draw):
+    """(kind, algebra, chi, n, x) with x a nonzero element of g_n: sl_d, or
+    sp for a standard, permuted, scaled or non-monomial form.  For the
+    non-monomial form of ``_non_monomial``, w_i = w_j keeps chi preserving it."""
+    kind = draw(st.sampled_from(["sl", "sp", "non-monomial"]))
+    if kind == "sl":
+        d = draw(st.integers(2, 6))
+        w = draw(st.lists(st.integers(-2, 2), min_size=d - 1, max_size=d - 1))
+        alg, w = build_algebra("sl", d), w + [-sum(w)]
+    else:
+        _, form = draw(monomial_forms(min_half=2 if kind == "non-monomial" else 1))
+        d = len(form)
+        partner = _monomial_involution(form)
+        w = [None] * d
+        if kind == "non-monomial":
+            i = draw(st.integers(0, d - 1))
+            j = draw(st.sampled_from([j for j in range(d) if j not in (i, partner[i])]))
+            form = _non_monomial(form, i, j, draw(st.sampled_from([1, -1, 2])))
+            w[i] = w[j] = draw(st.integers(-2, 2))
+            w[partner[i]] = w[partner[j]] = -w[i]
+        for k in range(d):
+            if w[k] is None:
+                w[k] = draw(st.integers(-2, 2))
+                w[partner[k]] = -w[k]
+        alg = build_algebra("sp", d, IntMatrix.from_rows(form))
+    chi = Cocharacter.of(w)
+    n = draw(st.sampled_from([-2, -1, 1, 2]))
+    piece = graded_component(alg, chi, n).basis
+    assume(piece)
+    coeffs = draw(st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=len(piece), max_size=len(piece)))
+    x = RatMatrix.zeros(d, d)
+    for c, b in zip(coeffs, piece):
+        x = x + b.scale(c)
+    assume(not x.is_zero())
+    return kind, alg, chi, n, x
+
+
+@PROPERTY
+@given(graded_elements())
+def test_toral_triple_equals_full_systems(case):
+    # where the diagonal system fixes h, the triple has that h, and its f is
+    # the one of the full f system; sl and monomial forms solve for f on the
+    # ad-h weight -2 elements alone, any other form over all of g_-n
+    kind, alg, chi, n, x = case
+    d = alg.dim_ambient
+    with mock.patch.object(liegrade, "_solve_f", wraps=liegrade._solve_f) as spy:
+        triple = adapted_sl2_triple(alg, chi, n, x)
+    diag = _piece(alg, [(i, i) for i in range(d)])
+    _, fixed = _toral_h(x, diag, nilpotent_jordan_partition(x)) if diag else (False, None)
+    if fixed is None:
+        return
+    gm = graded_component(alg, chi, -n).basis
+    h = triple_h_by_full_system(x, diag, gm)
+    assert h is None or h == fixed
+    if h is not None:
+        cells = [(i, j) for i in range(d) for j in range(d) if chi.weights[i] - chi.weights[j] == -n]
+        gm_oracle = gm if alg.kind == "sl" else sp_in_cells_by_nullspace(alg.form.entries, cells)
+        assert (triple.h, triple.f) == (h, triple_f_by_full_system(x, h, gm_oracle))
+        # the first f solve found it: no other route ran
+        assert len(spy.call_args_list) == 1
+    first = spy.call_args_list[0]
+    a = [fixed.num[i][i] for i in range(d)]
+    if kind == "non-monomial":
+        assert first.args[1] == gm and first.kwargs.get("eigen", True)
+    else:
+        assert all(len({a[i] - a[j] for i, j in fb.support()}) == 1 for fb in gm)
+        assert first.kwargs == {"eigen": False}
+        assert all(a[i] - a[j] == -2 for fb in first.args[1] for i, j in fb.support())
