@@ -149,154 +149,29 @@ def format_matrix_text(m: IntMatrix) -> str:
     return ";".join(",".join(map(str, row)) for row in m.entries)
 
 
-def det_int(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
-# Smith normal form
-
-
-@dataclass(frozen=True)
-class SNFResult:
-    """Diagonalisation U*M*V = diag(invariant_factors), U and V unimodular."""
-
-    invariant_factors: tuple
-    transform_left: IntMatrix
-    transform_right: IntMatrix
-
-
-def smith_normal_form(m: IntMatrix) -> SNFResult:
-    """Smith normal form by elementary row/column reduction.
-
-    Pivots are chosen by smallest absolute value.  A repair pass restores the
-    divisibility chain d1 | d2 | ... whenever diagonalisation breaks it.
-    Arbitrary-precision integers keep intermediate growth exact.
-    """
-    r, c = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_addmul(i, j, q):
-        # row i += q * row j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-
-    def col_addmul(i, j, q):
-        # col i += q * col j
-        for row in a:
-            row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    k = min(r, c)
-
-    def diagonalize():
-        for t in range(k):
-            while True:
-                pivot = None
-                best = None
-                for i in range(t, r):
-                    for j in range(t, c):
-                        x = a[i][j]
-                        if x != 0 and (best is None or abs(x) < best):
-                            best = abs(x)
-                            pivot = (i, j)
-                if pivot is None:
-                    return
-                pi, pj = pivot
-                if pi != t:
-                    row_swap(pi, t)
-                if pj != t:
-                    col_swap(pj, t)
-                clean = True
-                for i in range(t + 1, r):
-                    if a[i][t] != 0:
-                        q = a[i][t] // a[t][t]
-                        row_addmul(i, t, -q)
-                        if a[i][t] != 0:
-                            clean = False
-                for j in range(t + 1, c):
-                    if a[t][j] != 0:
-                        q = a[t][j] // a[t][t]
-                        col_addmul(j, t, -q)
-                        if a[t][j] != 0:
-                            clean = False
-                if clean:
-                    break
-            if a[t][t] < 0:
-                row_neg(t)
-
-    diagonalize()
-    # repair the divisibility chain
-    while True:
-        # push zero diagonal entries to the end
-        for i in range(k):
-            if a[i][i] == 0:
-                for j in range(i + 1, k):
-                    if a[j][j] != 0:
-                        row_swap(i, j)
-                        col_swap(i, j)
-                        break
-        bad = None
-        for i in range(k - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if di != 0 and dj % di != 0:
-                bad = i
-                break
-        if bad is None:
-            break
-        col_addmul(bad, bad + 1, 1)
-        diagonalize()
-
-    factors = tuple(a[i][i] for i in range(k))
-    return SNFResult(
-        factors,
-        IntMatrix.from_rows(u),
-        IntMatrix.from_rows(v),
-    )
+# invariant factors
 
 
 def invariant_factors(m: IntMatrix) -> tuple:
-    return smith_normal_form(m).invariant_factors
+    """Invariant factors d1 | d2 | ... of m, min(rows, cols) of them with
+    the zeros last.
+
+    Row Hermite forms of the rows and of the transpose alternate until the
+    result is diagonal; each pass is a unimodular change of rows or of
+    columns, and the pivot of the first row is the gcd of a row or column
+    holding the previous one, so it shrinks until its row and column are
+    clear.  Replacing a pair of diagonal entries by their gcd and lcm sorts
+    the exponent of every prime, which gives the divisibility chain.
+    """
+    rows = hermite_rows(m.entries)
+    while any(sum(1 for x in row if x) > 1 for row in rows):
+        rows = hermite_rows(zip(*rows))
+    diag = [next(x for x in row if x) for row in rows]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    return tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag))
 
 
 def prime_factors(n: int) -> frozenset:
@@ -691,21 +566,6 @@ def rat_inverse(m: RatMatrix) -> RatMatrix:
     )
 
 
-def matrix_power_rank_sequence(num_rows, dim: int):
-    """Ranks of N^0, N^1, ..., N^dim for an integer matrix N, and N^(dim+1).
-    Once a power is zero every later one is, so its rank is not taken."""
-    power = IntMatrix.identity(dim)
-    n = IntMatrix.from_rows(num_rows)
-    ranks = []
-    while len(ranks) <= dim:
-        if power.is_zero():
-            ranks += [0] * (dim + 1 - len(ranks))
-            break
-        ranks.append(rank_rational([list(r) for r in power.entries]))
-        power = power * n
-    return ranks, power
-
-
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -789,15 +649,15 @@ def nilpotent_jordan_partition(n) -> Partition:
     if mat.rows != mat.cols:
         raise ValueError("matrix must be square")
     dim = mat.rows
-    ranks, final = matrix_power_rank_sequence(mat.num, dim)
-    if not final.is_zero():
-        raise NotNilpotent("matrix is not nilpotent")
-    transpose_parts = []
-    for k in range(1, dim + 1):
-        count = ranks[k - 1] - ranks[k]
-        if count == 0:
-            break
-        transpose_parts.append(count)
-    if not transpose_parts:
-        return Partition(())
-    return Partition(tuple(transpose_parts)).transpose()
+    num = IntMatrix(dim, dim, mat.num)
+    # ranks of N^0, N^1, ... up to the first zero power; every later one
+    # is zero too, and N^dim is zero exactly when N is nilpotent
+    ranks = []
+    power = IntMatrix.identity(dim)
+    while not power.is_zero():
+        if len(ranks) == dim:
+            raise NotNilpotent("matrix is not nilpotent")
+        ranks.append(rank_rational(power.entries))
+        power = power * num
+    ranks.append(0)
+    return Partition(tuple(a - b for a, b in zip(ranks, ranks[1:]))).transpose()

@@ -66,8 +66,10 @@ def gaussian_binomial(d: int, k: int, q: int) -> int:
 
 
 def _check_bounds(p, d, k):
-    if not is_prime(p) or p > MAX_PRIME or d > MAX_DIM or not 1 <= k < d:
-        raise LimitExceeded("enumeration bounds: p prime <= 13, d <= 6, 1 <= k < d")
+    if p > MAX_PRIME or not is_prime(p) or d > MAX_DIM or not 1 <= k < d:
+        raise LimitExceeded(
+            f"enumeration bounds: p prime <= {MAX_PRIME}, d <= {MAX_DIM}, 1 <= k < d"
+        )
 
 
 def _quotient_lines(x, basis, p):
@@ -316,8 +318,7 @@ def verify_fiber_counts(case: CaseData, primes) -> CountReport:
     condition_sets = [conditions for _, conditions, _ in strata]
     rows = []
     for p in primes:
-        if not is_prime(p) or p > MAX_PRIME:
-            raise LimitExceeded("primes must be prime and <= 13")
+        _check_bounds(p, case.ambient_dim, flag_dim)
         elements = [
             tuple(tuple(a % p for a in row) for row in orbit.representative.entries)
             for orbit in case.orbits

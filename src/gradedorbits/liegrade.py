@@ -48,7 +48,6 @@ from .exactlin import (
     IntMatrix,
     RatMatrix,
     bracket,
-    det_int,
     nilpotent_jordan_partition,
     nullspace,
     rank_rational,
@@ -291,7 +290,7 @@ def build_algebra(kind: str, d: int, form: IntMatrix | None = None) -> MatrixLie
             raise BadForm("form size does not match ambient dimension")
         if (b + b.transpose()).is_zero() is False:
             raise BadForm("form is not antisymmetric")
-        if det_int(b) == 0:
+        if rank_rational(b.entries) < d:
             raise BadForm("form is degenerate")
         return MatrixLieAlgebra("sp", d, b)
     raise ValueError(f"unsupported algebra type {kind!r}")
@@ -416,7 +415,7 @@ def _solve_f(h, gm_basis, brackets_f, d, eigen=True):
     return None if sol is None else _combination(sol, gm_basis, d)
 
 
-def _toral_h(x, diag_basis, jordan):
+def _toral_h(x, diag_basis):
     """(possible, h) for an h in the span of the diagonal ``diag_basis``
     that is the h of an sl2-triple through x.  For h = diag(a), [h, x] = 2x
     says a_i - a_j = 2 on every cell (i, j) of x.  possible is False when
@@ -425,7 +424,8 @@ def _toral_h(x, diag_basis, jordan):
     sl2-triple through x has those eigenvalues): the toral system has no
     solution either.  h is diag(a) when a is the one solution and its
     entries are those weights, as every toral triple then has this h; it
-    is None when the system leaves a free."""
+    is None when the system leaves a free.  x must be nilpotent; its Jordan
+    type is taken only when a is unique."""
     # unknowns: the coefficients of the numerators of the basis elements
     diags = [[b.num[i][i] for i in range(x.rows)] for b in diag_basis]
     rows = [[v[i] - v[j] for v in diags] for (i, j) in x.support()]
@@ -434,6 +434,7 @@ def _toral_h(x, diag_basis, jordan):
         return False, None
     if rank_rational(rows) < len(diag_basis):
         return True, None
+    jordan = nilpotent_jordan_partition(x)
     # compare a and the weights both scaled by the common denominator
     den = lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
@@ -471,18 +472,15 @@ def adapted_sl2_triple(
         raise ValueError(f"x must be a {d}x{d} matrix")
     if x.is_zero():
         raise NoTriple("the zero element admits no sl2-triple")
-    # g_n is the part of the algebra on the cells of degree n
+    # g_n is the part of the algebra on the cells of degree n; as n != 0, x
+    # raises every chi-weight by n and is nilpotent
     w = chi.weights
     if not alg.contains(x) or any(w[i] - w[j] != n for (i, j) in x.support()):
         raise ValueError("x does not lie in the requested graded component")
-    try:
-        jordan = nilpotent_jordan_partition(x)
-    except ValueError:
-        raise NoTriple("x is not nilpotent") from None
     gm = graded_component(alg, chi, -n).basis
     # the diagonal part of g_0: every diagonal cell has degree 0
     g0_diag = _piece(alg, [(i, i) for i in range(d)])
-    toral, h = _toral_h(x, g0_diag, jordan) if g0_diag else (False, None)
+    toral, h = _toral_h(x, g0_diag) if g0_diag else (False, None)
     if h is not None:
         if alg.kind == "sl" or _monomial_involution(alg.form.entries):
             a = [h.num[i][i] for i in range(d)]

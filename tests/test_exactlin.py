@@ -8,7 +8,6 @@ from gradedorbits.exactlin import (
     NotNilpotent,
     Partition,
     RatMatrix,
-    det_int,
     format_matrix_text,
     hermite_rows,
     in_hermite_span,
@@ -19,59 +18,58 @@ from gradedorbits.exactlin import (
     nilpotent_jordan_partition,
     parse_matrix_text,
     rank_and_kernel,
-    smith_normal_form,
 )
 
 from oracles import is_prime_by_trial_division, snf_invariant_factors_by_minors
 
 
-def diag_from(result, r, c):
-    rows = [[0] * c for _ in range(r)]
-    for i, d in enumerate(result.invariant_factors):
-        rows[i][i] = d
-    return IntMatrix.from_rows(rows)
-
-
-def check_snf(m):
-    res = smith_normal_form(m)
-    assert res.transform_left * m * res.transform_right == diag_from(res, m.rows, m.cols)
-    assert abs(det_int(res.transform_left)) == 1
-    assert abs(det_int(res.transform_right)) == 1
-    facs = res.invariant_factors
+def check_factors(m):
+    """invariant_factors of m, checked against the minors oracle and for
+    the divisibility chain d1 | d2 | ..."""
+    facs = invariant_factors(m)
+    assert facs == snf_invariant_factors_by_minors([list(r) for r in m.entries])
+    assert len(facs) == min(m.rows, m.cols)
     for i in range(len(facs) - 1):
         if facs[i] == 0:
             assert facs[i + 1] == 0
         else:
             assert facs[i + 1] % facs[i] == 0
     assert all(d >= 0 for d in facs)
-    return res
+    return facs
 
 
 def test_snf_identity():
-    m = IntMatrix.identity(3)
-    res = check_snf(m)
-    assert res.invariant_factors == (1, 1, 1)
+    assert check_factors(IntMatrix.identity(3)) == (1, 1, 1)
 
 
 def test_snf_already_diagonal():
-    m = IntMatrix.from_rows([[2, 0], [0, 4]])
-    res = check_snf(m)
-    assert res.invariant_factors == (2, 4)
+    assert check_factors(IntMatrix.from_rows([[2, 0], [0, 4]])) == (2, 4)
 
 
 def test_snf_divisibility_repair():
-    m = IntMatrix.from_rows([[2, 0], [0, 3]])
-    res = check_snf(m)
-    assert res.invariant_factors == (1, 6)
+    assert check_factors(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
 
 
 def test_snf_simple_root_rows():
     simple = [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]]
-    res = check_snf(IntMatrix.from_rows(simple))
-    assert res.invariant_factors == (1, 1, 1)
+    assert check_factors(IntMatrix.from_rows(simple)) == (1, 1, 1)
     extended = IntMatrix.from_rows(simple + [[1, 1, 1, 1]])
-    res4 = check_snf(extended)
-    assert res4.invariant_factors == (1, 1, 1, 4)
+    assert check_factors(extended) == (1, 1, 1, 4)
+
+
+def test_snf_needs_several_hermite_passes():
+    # the Hermite forms of the rows and then of the columns leave this one
+    # triangular with pivots 1, 3, 192; a third and a fourth pass follow
+    m = IntMatrix.from_rows([[6, 1, -6], [-3, 1, -8], [-9, -9, 0]])
+    assert check_factors(m) == (1, 1, 576)
+
+
+def test_snf_zero_rows_and_columns():
+    # rank below min(rows, cols) pads with zeros; a zero matrix is all zeros
+    assert check_factors(IntMatrix.zeros(2, 3)) == (0, 0)
+    assert check_factors(IntMatrix.from_rows([[0, 2, 4], [0, 4, 8]])) == (2, 0)
+    assert check_factors(IntMatrix.from_rows([[0], [6], [0]])) == (6,)
+    assert invariant_factors(IntMatrix(0, 0, ())) == ()
 
 
 def test_snf_matches_minor_oracle_random():
@@ -80,9 +78,7 @@ def test_snf_matches_minor_oracle_random():
         r = rng.randint(1, 4)
         c = rng.randint(1, 4)
         rows = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
-        m = IntMatrix.from_rows(rows)
-        res = check_snf(m)
-        assert res.invariant_factors == snf_invariant_factors_by_minors(rows)
+        check_factors(IntMatrix.from_rows(rows))
 
 
 def test_rank_and_kernel_char0():

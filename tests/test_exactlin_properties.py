@@ -1,5 +1,6 @@
 """Property tests: the fraction-free elimination of ``exactlin`` against
-Fraction references.  Needs Hypothesis (the ``test`` extra); without it
+Fraction references, and its invariant factors against the minors-gcd
+oracle.  Needs Hypothesis (the ``test`` extra); without it
 this module is skipped and the rest of the suite still runs."""
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from gradedorbits.exactlin import (
     RatMatrix,
     _rref,
     bracket,
+    invariant_factors,
     nullspace,
     rank_and_kernel,
     rank_rational,
@@ -150,3 +152,15 @@ def test_rank_and_kernel_mod_p_against_smith_form(rows, p):
         )
         assert all(0 <= x < p for x in v)
         assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in rows)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 4).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=1, max_size=4
+        )
+    )
+)
+def test_invariant_factors_equal_minors_oracle(rows):
+    assert invariant_factors(IntMatrix.from_rows(rows)) == snf_invariant_factors_by_minors(rows)

@@ -86,6 +86,20 @@ def test_enumerate_guard():
         ffgeom._sweep(3, 7, 1, None, [zero(7)], [()])
 
 
+def test_fiber_count_prime_bounds(monkeypatch):
+    case = load_case("sl4")
+    # p = 0 is rejected before any residue mod p is taken
+    for p in (0, 1, 4, 17):
+        with pytest.raises(LimitExceeded):
+            verify_fiber_counts(case, [p])
+    # the message reads the bounds, not fixed numbers
+    monkeypatch.setattr(ffgeom, "MAX_PRIME", 7)
+    monkeypatch.setattr(ffgeom, "MAX_DIM", 5)
+    with pytest.raises(LimitExceeded, match=r"p prime <= 7, d <= 5,"):
+        verify_fiber_counts(case, [11])
+    assert verify_fiber_counts(case, [7]).rows
+
+
 def random_nilpotent(rng, d):
     """g N g^-1 for N strictly upper triangular and g a product of integer
     transvections, so that g^-1 is integer too."""

@@ -6,7 +6,6 @@ from gradedorbits.exactlin import (
     IntMatrix,
     RatMatrix,
     bracket,
-    nilpotent_jordan_partition,
     nullspace,
     rank_rational,
     rat_inverse,
@@ -120,9 +119,13 @@ def test_bad_form_rejected():
     sym = IntMatrix.identity(4)
     with pytest.raises(BadForm):
         build_algebra("sp", 4, sym)
-    degenerate = IntMatrix.zeros(4, 4)
-    with pytest.raises(BadForm):
-        build_algebra("sp", 4, degenerate)
+    # the zero form, and a nonzero antisymmetric form of rank 2
+    for degenerate in (
+        IntMatrix.zeros(4, 4),
+        IntMatrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+    ):
+        with pytest.raises(BadForm):
+            build_algebra("sp", 4, degenerate)
 
 
 def test_weight_matrix_examples():
@@ -535,7 +538,7 @@ def test_f_only_solve_and_toral_check_keep_the_triple(kind, weights, n):
         assert h == triple_h_by_full_system(x, diag, gm)
         f = _solve_f(h, gm, brackets_f, d) if h is not None else None
         toral = f is not None and Sl2Triple(x, h, f).bracket_relations_hold()
-        possible, fixed = _toral_h(x, diag, nilpotent_jordan_partition(x))
+        possible, fixed = _toral_h(x, diag)
         if not possible:
             assert not toral
         if fixed is not None and h is not None:

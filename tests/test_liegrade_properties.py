@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradedorbits import liegrade
-from gradedorbits.exactlin import IntMatrix, RatMatrix, nilpotent_jordan_partition
+from gradedorbits.exactlin import IntMatrix, RatMatrix
 from gradedorbits.liegrade import (
     Cocharacter,
     _monomial_involution,
@@ -171,7 +171,7 @@ def test_toral_triple_equals_full_systems(case):
     with mock.patch.object(liegrade, "_solve_f", wraps=liegrade._solve_f) as spy:
         triple = adapted_sl2_triple(alg, chi, n, x)
     diag = _piece(alg, [(i, i) for i in range(d)])
-    _, fixed = _toral_h(x, diag, nilpotent_jordan_partition(x)) if diag else (False, None)
+    _, fixed = _toral_h(x, diag) if diag else (False, None)
     if fixed is None:
         return
     gm = graded_component(alg, chi, -n).basis

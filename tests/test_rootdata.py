@@ -5,7 +5,13 @@ import re
 import pytest
 
 from gradedorbits import rootdata
-from gradedorbits.exactlin import hermite_rows, in_hermite_span, is_prime
+from gradedorbits.exactlin import (
+    IntMatrix,
+    hermite_rows,
+    in_hermite_span,
+    invariant_factors,
+    is_prime,
+)
 from gradedorbits.rootdata import (
     ClosedSubsystem,
     RootDatum,
@@ -15,7 +21,11 @@ from gradedorbits.rootdata import (
     prime_report,
     standard_root_datum,
 )
-from oracles import closed_families_by_join_closure, prime_report_by_all_families
+from oracles import (
+    closed_families_by_join_closure,
+    prime_report_by_all_families,
+    snf_invariant_factors_by_minors,
+)
 
 
 def test_root_counts():
@@ -292,6 +302,26 @@ def test_one_torsion_quotient_per_orbit_representative(monkeypatch, kind, n):
     assert len(quotients) == len(root_reps) + len(coroot_reps) + 1
     assert len(root_reps) < len(root_families)
     assert len(coroot_reps) < len(coroot_families)
+
+
+@pytest.mark.parametrize("kind,n", [("sl", 3), ("sl", 4), ("sl", 5), ("sp", 4), ("sp", 6)])
+def test_quotient_invariant_factors_equal_minors_oracle(monkeypatch, kind, n):
+    """Every matrix whose torsion decides a prime report has the invariant
+    factors of the minors-gcd oracle."""
+    quotients = []
+    torsion = rootdata.torsion_primes_of_quotient
+
+    def recorded(rows):
+        quotients.append([list(r) for r in rows])
+        return torsion(rows)
+
+    monkeypatch.setattr(rootdata, "torsion_primes_of_quotient", recorded)
+    prime_report(standard_root_datum(kind, n))
+    quotients = [rows for rows in quotients if rows]
+    assert quotients
+    for rows in quotients:
+        got = invariant_factors(IntMatrix.from_rows(rows))
+        assert got == snf_invariant_factors_by_minors(rows)
 
 
 def test_prime_report_shares_the_search_when_coroots_equal_roots(monkeypatch):
