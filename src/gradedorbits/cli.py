@@ -2,9 +2,13 @@
 
 Subcommands: orbits, graded-orbits, grading, triple, parabolic, primes,
 fibers, stalks.  Every subcommand supports --json; output is deterministic
-byte for byte.  Exit codes: 0 success, 2 argument errors, 3 verification
-mismatches reported by ``fibers``, 1 an internal error, reported as one
-``internal error: <subcommand>: <type>: <message>`` line on stderr.
+byte for byte; the text of triple, parabolic and primes is their JSON
+payload as ``key: value`` lines.  Exit codes: 0 success; 2 an argument
+error that names its option, from argparse or from a ``DomainError`` of a
+check here or in the library, which ``run`` alone writes; 3 verification
+mismatches reported by ``fibers``; 1 any other exception, a defect,
+reported as one ``internal error: <subcommand>: <type>: <message>`` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import sys
 from .cohom import load_case, stalk_table
 from .exactlin import (
     PRIME_TEST_BOUND,
+    DomainError,
     RatMatrix,
     format_matrix_text,
     is_prime,
@@ -34,7 +39,7 @@ from .liegrade import (
     graded_component,
     weight_matrix,
 )
-from .orbitlib import TooManyOrbits, graded_orbit_reps_typeA, nilpotent_orbits
+from .orbitlib import graded_orbit_reps_typeA, nilpotent_orbits
 
 # ``orbits --n`` enumerates every partition of n: 37,338 for n = 40 take
 # about 1 s, and the count grows about 1.5x per step of n beyond
@@ -122,11 +127,9 @@ def _checked_cochar(args) -> Cocharacter:
     """The --cochar, checked against --d: one weight per coordinate, and an
     even --d for sp."""
     if args.type == "sp" and args.d % 2:
-        raise ValueError(f"argument --d: sp needs an even dimension, got {args.d}")
+        raise DomainError("d", f"sp needs an even dimension, got {args.d}")
     if len(args.cochar.weights) != args.d:
-        raise ValueError(
-            f"argument --cochar: expected {args.d} weights, got {len(args.cochar.weights)}"
-        )
+        raise DomainError("cochar", f"expected {args.d} weights, got {len(args.cochar.weights)}")
     return args.cochar
 
 
@@ -134,9 +137,7 @@ def _square_x(args):
     """The --x matrix, checked to be --d by --d."""
     x = args.x
     if (x.rows, x.cols) != (args.d, args.d):
-        raise ValueError(
-            f"argument --x: expected a {args.d}x{args.d} matrix, got {x.rows}x{x.cols}"
-        )
+        raise DomainError("x", f"expected a {args.d}x{args.d} matrix, got {x.rows}x{x.cols}")
     return x
 
 
@@ -148,6 +149,19 @@ def _emit(args, text_lines, payload) -> None:
     else:
         for line in text_lines:
             print(line)
+
+
+def _lines(payload) -> list:
+    """One ``key: value`` line per payload entry, in payload order: a list
+    joined by ',', or '-' when empty, and a bool as yes or no."""
+    lines = []
+    for key, value in payload.items():
+        if isinstance(value, bool):
+            value = "yes" if value else "no"
+        elif isinstance(value, list):
+            value = ",".join(map(str, value)) or "-"
+        lines.append(f"{key}: {value}")
+    return lines
 
 
 def _table(rows, headers):
@@ -162,8 +176,6 @@ def _table(rows, headers):
 
 
 def cmd_orbits(args) -> int:
-    if args.type == "sp" and args.n % 2:
-        raise ValueError(f"argument --n: sp needs an even n, got {args.n}")
     orbits = nilpotent_orbits(args.type, args.n)
     rows = [
         (o.partition.label(), o.dimension, o.component_group.label()) for o in orbits
@@ -189,10 +201,7 @@ def cmd_orbits(args) -> int:
 def cmd_graded_orbits(args) -> int:
     chi = args.cochar
     n = args.degree
-    try:
-        reps = graded_orbit_reps_typeA(chi, n)
-    except TooManyOrbits as exc:
-        raise ValueError(f"argument --cochar: {exc}") from None
+    reps = graded_orbit_reps_typeA(chi, n)
     rows = []
     recs = []
     for rep in reps:
@@ -243,13 +252,13 @@ def cmd_triple(args) -> int:
     alg = build_algebra(args.type, args.d)
     triple = adapted_sl2_triple(alg, chi, args.degree, x)
     weights, _ = chi_prime(triple, chi)
-    texts = {"e": triple.e.text(), "h": triple.h.text(), "f": triple.f.text()}
-    lines = [
-        *(f"{k}: {text}" for k, text in texts.items()),
-        "chi_prime: " + ",".join(str(w) for w in weights.weights),
-    ]
-    payload = {**texts, "chi_prime": list(weights.weights)}
-    _emit(args, lines, payload)
+    payload = {
+        "e": triple.e.text(),
+        "h": triple.h.text(),
+        "f": triple.f.text(),
+        "chi_prime": list(weights.weights),
+    }
+    _emit(args, _lines(payload), payload)
     return 0
 
 
@@ -264,44 +273,23 @@ def cmd_parabolic(args) -> int:
         triple = adapted_sl2_triple(alg, chi, n, x)
     datum = canonical_parabolic(alg, chi, triple, n)
     rigid = check_n_rigid(datum.l_basis, chi, triple, n, datum)
-    matrices = {
+    payload = {
+        "chi_prime": list(datum.chi_prime.weights),
         "chi_prime_matrix": format_matrix_text(weight_matrix(datum.chi_prime)),
         "indicator": format_matrix_text(datum.indicator),
         **{f"{k}_mask": format_matrix_text(datum.mask(k)) for k in "pnl"},
-    }
-    lines = [
-        "chi_prime: " + ",".join(str(w) for w in datum.chi_prime.weights),
-        *(f"{k}: {text}" for k, text in matrices.items()),
-        "levi_blocks: " + ",".join(str(s) for s in datum.levi_block_shape),
-        f"levi_rigid: {'yes' if rigid.is_rigid else 'no'}",
-    ]
-    payload = {
-        "chi_prime": list(datum.chi_prime.weights),
-        **matrices,
         "levi_blocks": list(datum.levi_block_shape),
         "levi_rigid": rigid.is_rigid,
     }
-    _emit(args, lines, payload)
+    _emit(args, _lines(payload), payload)
     return 0
 
 
 def cmd_primes(args) -> int:
-    from .rootdata import TooLarge, UnsupportedType, prime_report, standard_root_datum
+    from .rootdata import prime_report, standard_root_datum
 
-    try:
-        rep = prime_report(standard_root_datum(args.type, args.n))
-    except (TooLarge, UnsupportedType) as exc:  # argparse has checked --type
-        raise ValueError(f"argument --n: {exc}") from None
-    payload = rep.as_dict()
-    lines = [
-        "good_excluded: " + (",".join(map(str, rep.good_excluded)) or "-"),
-        "torsion: " + (",".join(map(str, rep.torsion)) or "-"),
-        "pretty_good_excluded: "
-        + (",".join(map(str, rep.pretty_good_excluded)) or "-"),
-        "rather_good_excluded: "
-        + (",".join(map(str, rep.rather_good_excluded)) or "-"),
-    ]
-    _emit(args, lines, payload)
+    payload = prime_report(standard_root_datum(args.type, args.n)).as_dict()
+    _emit(args, _lines(payload), payload)
     return 0
 
 
@@ -374,18 +362,17 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")
     common.add_argument("--quiet", action="store_true", help="suppress output")
+    # the algebra and grading of grading, triple and parabolic
+    graded = argparse.ArgumentParser(add_help=False)
+    graded.add_argument("--type", required=True, choices=["sl", "sp"])
+    graded.add_argument(
+        "--d", required=True, type=_bounded_int(1, MAX_GRADING_D), help=f"1 to {MAX_GRADING_D}"
+    )
+    graded.add_argument("--cochar", required=True, type=_cochar)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    def add_dimension(p):
-        p.add_argument(
-            "--d",
-            required=True,
-            type=_bounded_int(1, MAX_GRADING_D),
-            help=f"1 to {MAX_GRADING_D}",
-        )
+    def add_parser(name, *parents, **kwargs):
+        return sub.add_parser(name, parents=[common, *parents], **kwargs)
 
     p = add_parser("orbits", help="nilpotent orbit table")
     p.add_argument("--type", required=True, choices=["sl", "sp"])
@@ -402,25 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", required=True, type=int)
     p.set_defaults(func=cmd_graded_orbits)
 
-    p = add_parser("grading", help="weight matrix and graded component basis")
-    p.add_argument("--type", required=True, choices=["sl", "sp"])
-    add_dimension(p)
-    p.add_argument("--cochar", required=True, type=_cochar)
+    p = add_parser("grading", graded, help="weight matrix and graded component basis")
     p.add_argument("--degree", required=True, type=int)
     p.set_defaults(func=cmd_grading)
 
-    p = add_parser("triple", help="graded sl2-triple through a nilpotent")
-    p.add_argument("--type", required=True, choices=["sl", "sp"])
-    add_dimension(p)
-    p.add_argument("--cochar", required=True, type=_cochar)
+    p = add_parser("triple", graded, help="graded sl2-triple through a nilpotent")
     p.add_argument("--x", required=True, type=_matrix, help="matrix in ';'/',' text format")
     p.add_argument("--degree", required=True, type=int)
     p.set_defaults(func=cmd_triple)
 
-    p = add_parser("parabolic", help="canonical parabolic of a graded nilpotent")
-    p.add_argument("--type", required=True, choices=["sl", "sp"])
-    add_dimension(p)
-    p.add_argument("--cochar", required=True, type=_cochar)
+    p = add_parser("parabolic", graded, help="canonical parabolic of a graded nilpotent")
     p.add_argument("--x", required=True, type=_matrix)
     p.add_argument("--degree", required=True, type=int)
     p.set_defaults(func=cmd_parabolic)
@@ -468,8 +446,8 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except DomainError as exc:
+        print(f"error: argument --{exc.param}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect: one line, no traceback
         print(f"internal error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)

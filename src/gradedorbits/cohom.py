@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .exactlin import IntMatrix, Partition, is_prime, parse_matrix_text
+from .exactlin import DomainError, IntMatrix, Partition, is_prime, parse_matrix_text
 
 
 class UnknownCase(ValueError):
@@ -417,7 +417,8 @@ def stalk_table(case: CaseData, char_l: int, allow_char_two: bool = False) -> St
     if char_l != 0 and not is_prime(char_l):
         raise ValueError("characteristic must be 0 or prime")
     if char_l == 2 and not allow_char_two:
-        raise ValueError(
+        raise DomainError(
+            "char",
             "characteristic 2 violates the standing hypothesis; "
             "request it explicitly to exhibit the anomaly"
         )

@@ -17,6 +17,15 @@ from math import gcd, lcm
 from operator import attrgetter
 
 
+class DomainError(ValueError):
+    """An input outside the domain of a computation; ``param`` names the
+    parameter it concerns, so that the CLI can name the option."""
+
+    def __init__(self, param: str, message: str):
+        super().__init__(message)
+        self.param = param
+
+
 class CompositeCharacteristic(ValueError):
     """Raised when a field characteristic is neither 0 nor prime."""
 

@@ -29,7 +29,8 @@ cells that x, a bracket or a right-hand side reaches.  On the others they
 read 0 = 0, so the reduced row echelon form, and the answer, is the same.
 
 A toral h that the diagonal system [h, x] = 2x fixes is taken from it,
-and its f is solved for on the elements of g_-n of ad-h weight -2 alone.
+and its f is solved for on the piece of g_-n of ad-h weight -2 alone: the
+part of the algebra on the cells where both weights fit, on every form.
 An h that is not diagonal costs about what a diagonal one costs: h is
 solved for through f alone (h = [x, f]), the toral system is skipped when
 x's Jordan type rules it out, and ``chi_prime`` takes a nullspace only at
@@ -45,6 +46,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .exactlin import (
+    DomainError,
     IntMatrix,
     RatMatrix,
     bracket,
@@ -60,7 +62,7 @@ class BadForm(ValueError):
     """Symplectic form that is not invertible antisymmetric."""
 
 
-class NoTriple(ValueError):
+class NoTriple(DomainError):
     """No graded sl2-triple through the given element."""
 
 
@@ -139,6 +141,11 @@ class Sl2Triple:
         return Sl2Triple(z, z, z)
 
 
+# which cells of a parabolic's indicator the parabolic, its nilradical and
+# its Levi keep
+_PIECE_TESTS = {"p": lambda s: s >= 0, "n": lambda s: s > 0, "l": lambda s: s == 0}
+
+
 @dataclass(frozen=True)
 class ParabolicDatum:
     chi: Cocharacter
@@ -157,11 +164,7 @@ class ParabolicDatum:
 
     def mask(self, which: str) -> IntMatrix:
         d = len(self.chi.weights)
-        pick = {
-            "p": lambda s: s >= 0,
-            "n": lambda s: s > 0,
-            "l": lambda s: s == 0,
-        }[which]
+        pick = _PIECE_TESTS[which]
         return IntMatrix.from_rows(
             [
                 [1 if pick(self.indicator.entries[i][j]) else 0 for j in range(d)]
@@ -301,13 +304,14 @@ def validate_cocharacter(alg: MatrixLieAlgebra, chi: Cocharacter) -> None:
         raise ValueError("cocharacter length does not match ambient dimension")
     w = chi.weights
     if alg.kind == "sl" and sum(w) != 0:
-        raise ValueError("sl cocharacter weights must sum to zero")
+        raise DomainError("cochar", "sl cocharacter weights must sum to zero")
     if alg.kind == "sp":
         # chi preserves B exactly when B_ij = 0 unless w_i + w_j = 0
         for i, row in enumerate(alg.form.entries):
             for j, b in enumerate(row):
                 if b and w[i] + w[j] != 0:
-                    raise ValueError(
+                    raise DomainError(
+                        "cochar",
                         f"sp cocharacter must satisfy w[{i}] + w[{j}] = 0,"
                         f" as B[{i}][{j}] != 0"
                     )
@@ -454,10 +458,9 @@ def adapted_sl2_triple(
     keeps reported weight vectors deterministic.  ``_toral_h`` solves
     [h, x] = 2x over the diagonal of g_0.  When that fixes h, f is the one
     element of g_-n with [x, f] = h and [h, f] = -2f, so it lies on the
-    cells where a_i - a_j = -2 for h = diag(a).  For sl and a monomial
-    form, every basis element of g_-n lies on cells of one ad-h weight,
-    and [x, f] = h is solved over the elements of weight -2 alone; any
-    other form takes the eigen-equations over all of g_-n (``_solve_f``).
+    cells of degree -n where a_i - a_j = -2 for h = diag(a), and
+    [x, f] = h is solved over the piece on those cells alone, on every
+    form; g_-n is built only when this fails.
     When the diagonal system leaves h free, [x, f0] = h, [h, x] = 2x is
     solved as one linear feasibility problem in f0 (``_solve_h``), first
     over the diagonal when ``_toral_h`` allows it and then over all of
@@ -465,34 +468,32 @@ def adapted_sl2_triple(
     relations are verified exactly every time.
     """
     if n == 0:
-        raise ValueError("degree must be nonzero")
+        raise DomainError("degree", "degree must be nonzero")
     validate_cocharacter(alg, chi)
     d = alg.dim_ambient
     if (x.rows, x.cols) != (d, d):
         raise ValueError(f"x must be a {d}x{d} matrix")
     if x.is_zero():
-        raise NoTriple("the zero element admits no sl2-triple")
+        raise NoTriple("x", "the zero element admits no sl2-triple")
     # g_n is the part of the algebra on the cells of degree n; as n != 0, x
     # raises every chi-weight by n and is nilpotent
     w = chi.weights
     if not alg.contains(x) or any(w[i] - w[j] != n for (i, j) in x.support()):
-        raise ValueError("x does not lie in the requested graded component")
-    gm = graded_component(alg, chi, -n).basis
+        raise DomainError("x", "x does not lie in the requested graded component")
     # the diagonal part of g_0: every diagonal cell has degree 0
     g0_diag = _piece(alg, [(i, i) for i in range(d)])
     toral, h = _toral_h(x, g0_diag) if g0_diag else (False, None)
     if h is not None:
-        if alg.kind == "sl" or _monomial_involution(alg.form.entries):
-            a = [h.num[i][i] for i in range(d)]
-            fs = [fb for fb in gm if all(a[i] - a[j] == -2 for i, j in fb.support())]
-            f = _solve_f(h, fs, [bracket(x, fb) for fb in fs], d, eigen=False)
-        else:
-            f = _solve_f(h, gm, [bracket(x, fb) for fb in gm], d)
+        a = [h.num[i][i] for i in range(d)]
+        cells = [(i, j) for i, j in _all_cells(d) if w[i] - w[j] == -n and a[i] - a[j] == -2]
+        fs = _piece(alg, cells)
+        f = _solve_f(h, fs, [bracket(x, fb) for fb in fs], d, eigen=False)
         triple = Sl2Triple(x, h, f)
         if f is not None and triple.bracket_relations_hold():
             return triple
         # the diagonal _solve_h would give this h again
         toral = False
+    gm = graded_component(alg, chi, -n).basis
     # [x, F] for the g_-n basis, shared by both attempts
     brackets_f = [bracket(x, fb) for fb in gm]
     for diagonal in (True, False) if toral else (False,):
@@ -505,7 +506,7 @@ def adapted_sl2_triple(
         triple = Sl2Triple(x, h, f)
         if triple.bracket_relations_hold():
             return triple
-    raise NoTriple("the graded triple equations are infeasible")
+    raise NoTriple("x", "the graded triple equations are infeasible")
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +620,7 @@ def canonical_parabolic(
     Levi on equality.
     """
     if n == 0:
-        raise ValueError("degree must be nonzero")
+        raise DomainError("degree", "degree must be nonzero")
     validate_cocharacter(alg, chi)
     chip, p = chi_prime(triple, chi)
     d = alg.dim_ambient
@@ -634,7 +635,7 @@ def canonical_parabolic(
     form = _conjugated_form(alg, p)
     p_basis, n_basis, l_basis = (
         _piece(alg, [(i, j) for i in range(d) for j in range(d) if keep(ind[i][j])], form)
-        for keep in (lambda s: s >= 0, lambda s: s > 0, lambda s: s == 0)
+        for keep in _PIECE_TESTS.values()
     )
     return ParabolicDatum(
         chi=chi,

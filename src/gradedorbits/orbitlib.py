@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .exactlin import IntMatrix, Partition
+from .exactlin import DomainError, IntMatrix, Partition
 from .liegrade import Cocharacter
 
 
@@ -50,11 +50,11 @@ class WeightMismatch(ValueError):
     pass
 
 
-class UnsortedWeights(ValueError):
+class UnsortedWeights(DomainError):
     pass
 
 
-class TooManyOrbits(ValueError):
+class TooManyOrbits(DomainError):
     pass
 
 
@@ -141,7 +141,7 @@ def component_group(kind: str, lam: Partition) -> ComponentGroup:
 def nilpotent_orbits(kind: str, n: int) -> tuple:
     kind = kind.lower()
     if kind == "sp" and n % 2 != 0:
-        raise InvalidPartition("sp needs even n")
+        raise DomainError("n", f"sp needs an even n, got {n}")
     orbits = []
     for lam in Partition.all_of(n):
         if kind == "sp":
@@ -300,12 +300,12 @@ def _validated_chains(chi: Cocharacter, n: int):
     """The weight blocks of chi and their chains of step n, after the checks
     a type-A graded piece needs."""
     if n == 0:
-        raise ValueError("degree must be nonzero")
+        raise DomainError("degree", "degree must be nonzero")
     w = chi.weights
     if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
-        raise UnsortedWeights("cocharacter weights must be weakly decreasing")
+        raise UnsortedWeights("cochar", "cocharacter weights must be weakly decreasing")
     if sum(w) != 0:
-        raise ValueError("sl cocharacter weights must sum to zero")
+        raise DomainError("cochar", "sl cocharacter weights must sum to zero")
     blocks = _weight_blocks(w)
     return blocks, _chains(blocks, n)
 
@@ -364,12 +364,14 @@ def graded_orbit_reps_typeA(chi: Cocharacter, n: int) -> tuple:
     count = graded_orbit_count(chi, n)
     if count > MAX_GRADED_ORBITS:
         raise TooManyOrbits(
+            "cochar",
             f"degree {n} has more than {MAX_GRADED_ORBITS} orbits,"
             " the most that are listed"
         )
     d = len(chi)
     if count * d * d > MAX_GRADED_CELLS:
         raise TooManyOrbits(
+            "cochar",
             f"degree {n} has {count} orbit(s) of {d}x{d} representatives,"
             f" {count * d * d} cells, more than the {MAX_GRADED_CELLS} that are printed"
         )

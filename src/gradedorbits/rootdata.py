@@ -31,6 +31,7 @@ import itertools
 from dataclasses import dataclass
 
 from .exactlin import (
+    DomainError,
     hermite_pivots,
     hermite_rows,
     in_hermite_span,
@@ -40,11 +41,11 @@ from .exactlin import (
 )
 
 
-class UnsupportedType(ValueError):
+class UnsupportedType(DomainError):
     pass
 
 
-class TooLarge(ValueError):
+class TooLarge(DomainError):
     """Closed-subsystem enumeration guard exceeded."""
 
 
@@ -107,7 +108,7 @@ def standard_root_datum(kind: str, n: int) -> RootDatum:
     kind = kind.lower()
     if kind == "sl":
         if n < 2:
-            raise UnsupportedType("SL needs n >= 2")
+            raise UnsupportedType("n", "SL needs n >= 2")
         label = f"SL({n})"
         _check_size(label, n * (n - 1))
         roots = _differences(n)  # e_i - e_j is its own coroot under the dot pairing
@@ -127,7 +128,7 @@ def standard_root_datum(kind: str, n: int) -> RootDatum:
         )
     if kind == "sp":
         if n < 2 or n % 2 != 0:
-            raise UnsupportedType("Sp needs even n >= 2")
+            raise UnsupportedType("n", "Sp needs even n >= 2")
         m = n // 2
         label = f"Sp({n})"
         _check_size(label, 2 * m * m)
@@ -152,7 +153,7 @@ def standard_root_datum(kind: str, n: int) -> RootDatum:
             x_relations=(),
             y_basis=tuple(_unit(m, i) for i in range(m)),
         )
-    raise UnsupportedType(f"unsupported type {kind!r}")
+    raise UnsupportedType("type", f"unsupported type {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +288,7 @@ MAX_ROOTS = 72
 def _check_size(label: str, roots: int) -> None:
     if roots > MAX_ROOTS:
         raise TooLarge(
+            "n",
             f"{label} has {roots} roots; closed-subsystem "
             f"enumeration is limited to {MAX_ROOTS}"
         )

@@ -595,9 +595,48 @@ def test_primes_domain_error_names_flag(capsys, kind, n, message):
      ("1,0,-1", "0", "degree must be nonzero")],
 )
 def test_graded_orbits_invalid_cochar_messages(capsys, cochar, degree, message):
+    flag = "degree" if degree == "0" else "cochar"
     assert cli.run(["graded-orbits", "--cochar", cochar, "--degree", degree]) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert (captured.out, captured.err) == ("", f"error: argument --{flag}: {message}\n")
+
+
+SL3 = ["--type", "sl", "--d", "3", "--cochar", "1,0,-1"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag,message",
+    [
+        (["grading", "--type", "sp", "--d", "4", "--cochar", "1,0,0,0", "--degree", "1"],
+         "cochar", "sp cocharacter must satisfy w[0] + w[2] = 0, as B[0][2] != 0"),
+        (["triple", *SL3, "--x", "0,0,0;0,0,0;0,0,0", "--degree", "1"],
+         "x", "the zero element admits no sl2-triple"),
+        (["triple", *SL3, "--x", "0,0,1;0,0,0;0,0,0", "--degree", "1"],
+         "x", "x does not lie in the requested graded component"),
+        (["triple", *SL3, "--x", "0,1,0;0,0,0;0,0,0", "--degree", "0"],
+         "degree", "degree must be nonzero"),
+        (["parabolic", *SL3, "--x", "0,1,0;0,0,0;0,0,0", "--degree", "0"],
+         "degree", "degree must be nonzero"),
+        (["stalks", "--case", "sp4", "--char", "2"], "char",
+         "characteristic 2 violates the standing hypothesis; "
+         "request it explicitly to exhibit the anomaly"),
+    ],
+    ids=["sp-cochar", "zero-x", "x-outside-piece", "triple-degree-0", "parabolic-degree-0",
+         "char-2"],
+)
+def test_library_domain_errors_name_flag(capsys, argv, flag, message):
+    assert run_both(capsys, argv) == (2, "", f"error: argument --{flag}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "kind,n,text",
+    [
+        ("sl", "3", "good_excluded: -\ntorsion: -\npretty_good_excluded: 3\nrather_good_excluded: 3\n"),
+        ("sp", "6", "good_excluded: 2\ntorsion: 2\npretty_good_excluded: 2\nrather_good_excluded: 2\n"),
+    ],
+)
+def test_primes_text(capsys, kind, n, text):
+    assert run_both(capsys, ["primes", "--type", kind, "--n", n]) == (0, text, "")
 
 
 def test_graded_orbits_above_bound_names_flag(capsys, monkeypatch):

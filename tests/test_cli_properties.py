@@ -1,6 +1,7 @@
 """Property test of the CLI contract: any argv of any subcommand either
-succeeds (exit 0), is rejected (exit 2) or reports a fiber mismatch (exit
-3), and never escapes ``cli.run`` as an exception.  Needs Hypothesis (the
+succeeds (exit 0), is rejected (exit 2) with a message that names one of
+the subcommand's options, or reports a fiber mismatch (exit 3), and never
+escapes ``cli.run`` as an exception.  Needs Hypothesis (the
 ``test`` extra); without it this module is skipped.
 
 Each argv is mostly well formed, so that it reaches the computation, with
@@ -10,7 +11,9 @@ first value past each documented bound, which is rejected before any work
 is done."""
 
 import contextlib
+import functools
 import io
+import re
 
 import pytest
 
@@ -189,15 +192,28 @@ ARGV = {
 }
 
 
+OPTION = re.compile(r"--[a-z][a-z0-9-]*")
+
+
+@functools.cache
+def options_of(command):
+    """The options that the subcommand's --help lists."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.run([command, "--help"])
+    return frozenset(OPTION.findall(out.getvalue()))
+
+
 @pytest.mark.parametrize("command", sorted(ARGV))
 def test_argv_exits_0_2_or_3(command):
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(ARGV[command])
     def check(argv):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-            io.StringIO()
-        ):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.run(argv)
         assert code in (0, 2, 3), argv
+        if code == 2:
+            assert set(OPTION.findall(err.getvalue())) & options_of(command), (argv, err.getvalue())
 
     check()

@@ -164,9 +164,9 @@ def graded_elements(draw):
 @given(graded_elements())
 def test_toral_triple_equals_full_systems(case):
     # where the diagonal system fixes h, the triple has that h, and its f is
-    # the one of the full f system; sl and monomial forms solve for f on the
-    # ad-h weight -2 elements alone, any other form over all of g_-n
-    kind, alg, chi, n, x = case
+    # the one of the full f system, solved for on the ad-h weight -2 part of
+    # g_-n alone on every form
+    _, alg, chi, n, x = case
     d = alg.dim_ambient
     with mock.patch.object(liegrade, "_solve_f", wraps=liegrade._solve_f) as spy:
         triple = adapted_sl2_triple(alg, chi, n, x)
@@ -185,9 +185,5 @@ def test_toral_triple_equals_full_systems(case):
         assert len(spy.call_args_list) == 1
     first = spy.call_args_list[0]
     a = [fixed.num[i][i] for i in range(d)]
-    if kind == "non-monomial":
-        assert first.args[1] == gm and first.kwargs.get("eigen", True)
-    else:
-        assert all(len({a[i] - a[j] for i, j in fb.support()}) == 1 for fb in gm)
-        assert first.kwargs == {"eigen": False}
-        assert all(a[i] - a[j] == -2 for fb in first.args[1] for i, j in fb.support())
+    assert first.kwargs == {"eigen": False}
+    assert all(a[i] - a[j] == -2 for fb in first.args[1] for i, j in fb.support())
