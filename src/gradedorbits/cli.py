@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 
-from .cohom import load_case, stalk_table
+# every subcommand runs exactlin; the other layers load where they run
 from .exactlin import (
     PRIME_TEST_BOUND,
     DomainError,
@@ -27,19 +27,6 @@ from .exactlin import (
     is_prime,
     parse_matrix_text,
 )
-from .ffgeom import MAX_PRIME, verify_fiber_counts
-from .liegrade import (
-    Cocharacter,
-    Sl2Triple,
-    adapted_sl2_triple,
-    build_algebra,
-    canonical_parabolic,
-    check_n_rigid,
-    chi_prime,
-    graded_component,
-    weight_matrix,
-)
-from .orbitlib import graded_orbit_reps_typeA, nilpotent_orbits
 
 # ``orbits --n`` enumerates every partition of n: 37,338 for n = 40 take
 # about 1 s, and the count grows about 1.5x per step of n beyond
@@ -81,14 +68,18 @@ def _int_list(text: str) -> list:
         ) from None
 
 
-def _cochar(text: str) -> Cocharacter:
+def _cochar(text: str):
     """argparse type: a cocharacter as comma-separated integer weights."""
+    from .liegrade import Cocharacter
+
     return Cocharacter.of(_int_list(text))
 
 
 def _prime_list(text: str) -> list:
     """argparse type: comma-separated distinct primes up to the fiber
     sweep's limit."""
+    from .ffgeom import MAX_PRIME
+
     primes = _int_list(text)
     for k, p in enumerate(primes):
         if p > MAX_PRIME or not is_prime(p):
@@ -123,7 +114,7 @@ def _matrix(text: str):
         ) from None
 
 
-def _checked_cochar(args) -> Cocharacter:
+def _checked_cochar(args):
     """The --cochar, checked against --d: one weight per coordinate, and an
     even --d for sp."""
     if args.type == "sp" and args.d % 2:
@@ -176,10 +167,10 @@ def _table(rows, headers):
 
 
 def cmd_orbits(args) -> int:
+    from .orbitlib import nilpotent_orbits
+
     orbits = nilpotent_orbits(args.type, args.n)
-    rows = [
-        (o.partition.label(), o.dimension, o.component_group.label()) for o in orbits
-    ]
+    rows = [(o.partition.label(), o.dimension, o.component_group.label()) for o in orbits]
     payload = {
         "type": args.type,
         "n": args.n,
@@ -199,6 +190,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_graded_orbits(args) -> int:
+    from .orbitlib import graded_orbit_reps_typeA
+
     chi = args.cochar
     n = args.degree
     reps = graded_orbit_reps_typeA(chi, n)
@@ -224,6 +217,8 @@ def cmd_graded_orbits(args) -> int:
 
 
 def cmd_grading(args) -> int:
+    from .liegrade import build_algebra, graded_component, weight_matrix
+
     chi = _checked_cochar(args)
     alg = build_algebra(args.type, args.d)
     comp = graded_component(alg, chi, args.degree)
@@ -247,6 +242,8 @@ def cmd_grading(args) -> int:
 
 
 def cmd_triple(args) -> int:
+    from .liegrade import adapted_sl2_triple, build_algebra, chi_prime
+
     chi = _checked_cochar(args)
     x = _square_x(args)
     alg = build_algebra(args.type, args.d)
@@ -263,6 +260,9 @@ def cmd_triple(args) -> int:
 
 
 def cmd_parabolic(args) -> int:
+    from .liegrade import Sl2Triple, adapted_sl2_triple, build_algebra, canonical_parabolic
+    from .liegrade import check_n_rigid, weight_matrix
+
     chi = _checked_cochar(args)
     x = _square_x(args)
     alg = build_algebra(args.type, args.d)
@@ -294,6 +294,9 @@ def cmd_primes(args) -> int:
 
 
 def cmd_fibers(args) -> int:
+    from .cohom import load_case
+    from .ffgeom import verify_fiber_counts
+
     case = load_case(args.case)
     report = verify_fiber_counts(case, args.primes)
     rows = [
@@ -334,17 +337,13 @@ def cmd_fibers(args) -> int:
 
 
 def cmd_stalks(args) -> int:
+    from .cohom import load_case, stalk_table
+
     case = load_case(args.case)
     table = stalk_table(case, args.char, allow_char_two=args.allow_char_2)
     labels = [o.partition.label() for o in case.orbits]
-    degrees = sorted(
-        {d for col in table.columns.values() for d in col}, reverse=True
-    )
-    rows = []
-    for d in degrees:
-        rows.append(
-            (d, *(table.columns[label].get(d, "") for label in labels))
-        )
+    degrees = sorted({d for col in table.columns.values() for d in col}, reverse=True)
+    rows = [(d, *(table.columns[label].get(d, "") for label in labels)) for d in degrees]
     lines = _table(rows, ("degree", *labels)) if degrees else ["(all columns empty)"]
     _emit(args, lines, table.as_dict())
     return 0
@@ -460,3 +459,6 @@ def main(argv=None) -> None:
 
 if __name__ == "__main__":
     main()
+else:
+    # a library caller pays every import here, not in its first call to run
+    from . import cohom, ffgeom, liegrade, orbitlib, rootdata  # noqa: F401

@@ -368,22 +368,24 @@ def nullspace(rows):
     return tuple(basis)
 
 
-def solve_linear(rows, rhs):
-    """One exact solution of ``rows * x = rhs`` over Q, or None.
+def solve_linear(rows, rhs, with_rank: bool = False):
+    """One exact solution of ``rows * x = rhs`` over Q, or None; with
+    ``with_rank``, the pair of it and the rank of ``rows``, read from the
+    pivots of the same elimination of ``[rows | rhs]``.
 
     Free variables are set to 0, which makes the answer deterministic.
     """
     if not rows:
-        return ()
+        return ((), 0) if with_rank else ()
     ncols = len(rows[0])
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     mat, pivots = _rref(aug)
-    if ncols in pivots:
-        return None
+    if ncols in pivots:  # no solution: the last column holds a pivot
+        return (None, len(pivots) - 1) if with_rank else None
     sol = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
         sol[pc] = Fraction(mat[r][ncols], mat[r][pc])
-    return tuple(sol)
+    return (tuple(sol), len(pivots)) if with_rank else tuple(sol)
 
 
 def rank_rational(rows) -> int:

@@ -433,10 +433,10 @@ def _toral_h(x, diag_basis):
     # unknowns: the coefficients of the numerators of the basis elements
     diags = [[b.num[i][i] for i in range(x.rows)] for b in diag_basis]
     rows = [[v[i] - v[j] for v in diags] for (i, j) in x.support()]
-    coeffs = solve_linear(rows, [2] * len(rows))
+    coeffs, rank = solve_linear(rows, [2] * len(rows), with_rank=True)
     if coeffs is None:
         return False, None
-    if rank_rational(rows) < len(diag_basis):
+    if rank < len(diag_basis):
         return True, None
     jordan = nilpotent_jordan_partition(x)
     # compare a and the weights both scaled by the common denominator

@@ -37,9 +37,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .exactlin import DomainError, IntMatrix, Partition
-from .liegrade import Cocharacter
+
+if TYPE_CHECKING:
+    from .liegrade import Cocharacter
 
 
 class InvalidPartition(ValueError):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gradedorbits import cli, exactlin, liegrade, orbitlib, rootdata
+from gradedorbits import cli, cohom, exactlin, ffgeom, liegrade, orbitlib, rootdata
 from gradedorbits.ffgeom import CountReport, CountRow
 
 
@@ -102,7 +102,7 @@ def test_fibers_exit_zero_on_match(capsys):
 
 def test_fibers_exit_three_on_mismatch(capsys, monkeypatch):
     bad = CountReport("sl4", (CountRow("[4]", 2, "full", 1, 2, False),))
-    monkeypatch.setattr(cli, "verify_fiber_counts", lambda case, primes: bad)
+    monkeypatch.setattr(ffgeom, "verify_fiber_counts", lambda case, primes: bad)
     code, out = run_capture(capsys, ["fibers", "--case", "sl4", "--primes", "2"])
     assert code == 3
     assert "MISMATCH" in out
@@ -805,7 +805,7 @@ def test_triple_and_parabolic_reject_before_building(
     def build_nothing(kind, d):
         raise AssertionError("the algebra was built")
 
-    monkeypatch.setattr(cli, "build_algebra", build_nothing)
+    monkeypatch.setattr(liegrade, "build_algebra", build_nothing)
     argv = [command, "--type", "sl", "--d", d, "--cochar", cochar, "--x", x, "--degree", "1"]
     code, out, err = run_both(capsys, argv)
     assert code == 2
@@ -826,7 +826,7 @@ def test_d_and_cochar_checks_are_shared(capsys, monkeypatch, command, kind, d, c
     def build_nothing(kind, d):
         raise AssertionError("the algebra was built")
 
-    monkeypatch.setattr(cli, "build_algebra", build_nothing)
+    monkeypatch.setattr(liegrade, "build_algebra", build_nothing)
     argv = [command, "--type", kind, "--d", str(d), "--cochar", cochar, "--degree", "1"]
     if command != "grading":
         argv += ["--x", ";".join([",".join(["0"] * d)] * d)]
@@ -850,20 +850,23 @@ def test_orbits_odd_sp_n_names_flag(capsys):
 
 
 @pytest.mark.parametrize(
-    "command,name,argv,exc",
+    "command,layer,name,argv,exc",
     [
-        ("orbits", "nilpotent_orbits", ["--type", "sl", "--n", "3"], RuntimeError("boom")),
-        ("fibers", "verify_fiber_counts", ["--case", "sl4", "--primes", "2"],
+        ("orbits", orbitlib, "nilpotent_orbits", ["--type", "sl", "--n", "3"],
+         RuntimeError("boom")),
+        ("fibers", ffgeom, "verify_fiber_counts", ["--case", "sl4", "--primes", "2"],
          ZeroDivisionError("division by zero")),
-        ("triple", "adapted_sl2_triple", SL_ARGS, RuntimeError("no triple")),
+        ("triple", liegrade, "adapted_sl2_triple", SL_ARGS, RuntimeError("no triple")),
     ],
     ids=["orbits-RuntimeError", "fibers-ZeroDivisionError", "triple-RuntimeError"],
 )
-def test_internal_error_is_one_line_and_exit_one(capsys, monkeypatch, command, name, argv, exc):
+def test_internal_error_is_one_line_and_exit_one(
+    capsys, monkeypatch, command, layer, name, argv, exc
+):
     def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, name, broken)
+    monkeypatch.setattr(layer, name, broken)
     code, out, err = run_both(capsys, [command, *argv, "--json"])
     assert code == 1
     assert out == ""
@@ -880,7 +883,7 @@ def test_fibers_mismatch_witness_on_stderr(capsys, monkeypatch):
     # every fiber of this case is predicted to be a point; E_12 has 11 stable
     # planes over F_2
     x = exactlin.parse_matrix_text("0,1,0,0;0,0,0,0;0,0,0,0;0,0,0,0")
-    monkeypatch.setattr(cli, "load_case", lambda name: random_case("two-plane", None, [x]))
+    monkeypatch.setattr(cohom, "load_case", lambda name: random_case("two-plane", None, [x]))
     code, out, err = run_both(capsys, ["fibers", "--case", "sl4", "--primes", "2", "--json"])
     assert code == 3
     assert err == "mismatch: orbit [1] stratum full prime 2: count 11, predicted 1, delta +10\n"

@@ -72,6 +72,7 @@ def test_solve_linear_equals_fraction_reference(rows, data):
     ncols = len(rows[0])
     aug, pivots = fraction_rref([list(r) + [b] for r, b in zip(rows, rhs)])
     got = solve_linear(rows, rhs)
+    assert solve_linear(rows, rhs, with_rank=True) == (got, len(fraction_rref(rows)[1]))
     if ncols in pivots:
         assert got is None
         return

@@ -1,0 +1,101 @@
+"""Start-up: ``python -m gradedorbits.cli <subcommand>`` loads only the
+layers the subcommand runs, ``import gradedorbits`` loads none and
+``import gradedorbits.cli`` loads every one; the program path prints what
+``cli.run`` prints in-process."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gradedorbits
+from gradedorbits import cli, cohom
+
+SRC = str(Path(gradedorbits.__file__).resolve().parent.parent)
+LAYERS = {"cli", "cohom", "exactlin", "ffgeom", "liegrade", "orbitlib", "rootdata"}
+
+
+def python(*args):
+    """A fresh interpreter with the package on its path and an 80-column
+    terminal for argparse's help."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+
+def loaded_by_program(*argv):
+    """The layers that ``python -m gradedorbits.cli argv`` loads, read from
+    ``-X importtime``; cli itself runs as ``__main__``."""
+    proc = python("-X", "importtime", "-m", "gradedorbits.cli", *argv, "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    return {"cli", *re.findall(r"\|\s*gradedorbits\.(\w+)\s*$", proc.stderr.decode(), re.M)}
+
+
+def loaded_by_import(statement):
+    proc = python("-c", f"import sys; {statement}; print(*sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    return {m.partition(".")[2] for m in proc.stdout.decode().split() if m.startswith("gradedorbits.")}
+
+
+def test_orbits_loads_only_its_layers():
+    assert loaded_by_program("orbits", "--type", "sl", "--n", "3") == {"cli", "exactlin", "orbitlib"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fibers", "--case", "sl4", "--primes", "2"], ["stalks", "--case", "sp4", "--char", "0"]],
+    ids=["fibers", "stalks"],
+)
+def test_fibers_and_stalks_load_no_lie_algebra_layer(argv):
+    assert not loaded_by_program(*argv) & {"liegrade", "orbitlib", "rootdata"}
+
+
+def test_primes_loads_no_algebra_or_cohomology_layer():
+    assert not loaded_by_program("primes", "--type", "sl", "--n", "3") & {"cohom", "ffgeom", "liegrade"}
+
+
+def test_import_of_the_package_loads_no_layer():
+    assert loaded_by_import("import gradedorbits") == set()
+
+
+def test_import_of_cli_loads_every_layer():
+    assert loaded_by_import("import gradedorbits.cli") == LAYERS
+
+
+def test_layers_are_package_attributes():
+    assert gradedorbits.cli is cli
+    assert gradedorbits.cohom is cohom
+    for layer in LAYERS:
+        assert getattr(gradedorbits, layer).__name__ == f"gradedorbits.{layer}"
+    with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
+        gradedorbits.nonexistent  # noqa: B018
+    assert not hasattr(gradedorbits, "Cocharacter")
+
+
+SL_X = "0,0,0,0;1,0,0,0;0,0,0,0;0,0,1,0"
+PROGRAM_ARGV = [
+    ["orbits", "--type", "sp", "--n", "4"],
+    ["graded-orbits", "--cochar", "1,1,0,0,-1,-1", "--degree", "-1", "--json"],
+    ["grading", "--type", "sp", "--d", "4", "--cochar", "-1,0,1,0", "--degree", "1"],
+    ["triple", "--type", "sl", "--d", "4", "--cochar", "1,0,0,-1", "--x", SL_X, "--degree", "-1"],
+    ["parabolic", "--type", "sl", "--d", "4", "--cochar", "1,0,0,-1", "--x", SL_X, "--degree", "-1"],
+    ["primes", "--type", "sl", "--n", "4", "--json"],
+    ["fibers", "--case", "sp4", "--primes", "2,3"],
+    ["stalks", "--case", "sl4", "--char", "0", "--json"],
+    ["--help"],
+    ["fibers", "--case", "sl4", "--primes", "17"],
+]
+
+
+@pytest.mark.parametrize("argv", PROGRAM_ARGV, ids=[" ".join(a[:1] + a[-1:]) for a in PROGRAM_ARGV])
+def test_program_path_prints_what_run_prints(capsys, monkeypatch, argv):
+    proc = python("-m", "gradedorbits.cli", *argv)
+    monkeypatch.setenv("COLUMNS", "80")
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout) == (code, captured.out.encode())
+    assert proc.stderr == captured.err.encode()
+    assert code == (2 if "17" in argv else 0)
