@@ -10,6 +10,7 @@ package, so that ``python -m gradedorbits.cli`` loads only what it runs.
 """
 
 import importlib
+import runpy
 
 __version__ = "0.1.0"
 
@@ -18,3 +19,8 @@ def __getattr__(name):
     if name in ("cli", "cohom", "exactlin", "ffgeom", "liegrade", "orbitlib", "rootdata"):
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def main():
+    """The console script: ``cli`` run as a program, as by ``python -m gradedorbits.cli``."""
+    runpy.run_module(f"{__name__}.cli", run_name="__main__")

@@ -2,17 +2,17 @@
 
 Every fiber description shipped with a case is independently verified by
 counting flags over F_p.  For each (case, prime) and each orbit
-representative x, only the x-stable k-subspaces of F_p^d are visited: a
-nilpotent x has a kernel on every stable subspace, so every stable
-subspace is reached by a chain of stable subspaces that grows one line of
-x^-1(U) / U at a time from 0 (``stable_subspaces``).  An x that is zero
-mod p stabilises all of them, so it counts the Gaussian binomial.  For
-each stable subspace the sweep decides which strata it lies in.  The
-counts are compared against evaluated counting polynomials (with a
-residue-class rule for the one stratum pair defined over a quadratic
-extension).  An independent exhaustive per-stratum sweep of the
-Grassmannian with generic elimination lives in ``tests/oracles.py``, and
-the tests compare the two.
+representative x, only the x-stable k-subspaces of F_p^d are visited,
+each built once while k <= 3: those inside ker x as the Grassmannian of
+ker x, and every other one from a stable hyperplane U and a line of
+x^-1(U) / U that x maps outside x(U) (``stable_subspaces``).  An x that
+is zero mod p stabilises all of them, so it counts the Gaussian
+binomial.  For each stable subspace the sweep decides which strata it
+lies in.  The counts are compared against evaluated counting polynomials
+(with a residue-class rule for the one stratum pair defined over a
+quadratic extension).  An independent exhaustive per-stratum sweep of
+the Grassmannian with generic elimination lives in ``tests/oracles.py``,
+and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .cohom import CaseData, counting_polynomial
-from .exactlin import IntMatrix, is_prime, rank_and_kernel
+from .exactlin import IntMatrix, _rref, is_prime, rank_and_kernel
 
 
 class LimitExceeded(ValueError):
@@ -72,39 +72,67 @@ def _check_bounds(p, d, k):
         )
 
 
-def _quotient_lines(x, basis, p):
-    """One vector of every line of x^-1(U) / U, for U the span of the
-    reduced echelon ``basis``.
+def _echelon(rows, p):
+    """The reduced echelon basis of the span of ``rows`` mod p."""
+    mat, pivots = _rref(rows, p)
+    return [
+        tuple(row) if row[c] == 1 else tuple(a * pow(row[c], -1, p) % p for a in row)
+        for row, c in zip(mat, pivots)
+    ]
 
-    The vectors that vanish on U's pivot columns form a complement of U,
-    and x^-1(U) / U is the kernel there of v -> x v mod U; x v mod U is
-    read off x v on the non-pivot columns after the basis rows, weighted
-    by x v at their pivots, are taken away."""
-    d = len(x)
-    pivots = [row.index(1) for row in basis]
-    free = [j for j in range(d) if j not in pivots]
-    reduced = []
-    for j in free:
-        xj = x[j]
-        for pc, row in zip(pivots, basis):
-            if row[j]:
-                xj = [a - row[j] * b for a, b in zip(xj, x[pc])]
-        reduced.append(tuple(xj[c] % p for c in free))
-    kernel = []
-    n = len(free)
-    for w in rank_and_kernel(IntMatrix(n, n, tuple(reduced)), p)[1]:
-        v = [0] * d
-        for j, a in zip(free, w):
-            v[j] = a
-        kernel.append(v)
-    for i, lead in enumerate(kernel):
-        rest = kernel[i + 1 :]
-        for coefficients in itertools.product(range(p), repeat=len(rest)):
-            v = lead
-            for c, w in zip(coefficients, rest):
-                if c:
-                    v = [a + c * b for a, b in zip(v, w)]
-            yield v
+
+def _reduce(v, rows):
+    """v minus the reduced echelon ``rows``, each weighted by v at its pivot:
+    zero mod p exactly when v lies in their span."""
+    for row in rows:
+        c = v[row.index(1)]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
+
+
+def _grassmannian(rows, p, k, heads):
+    """The k-subspaces of the span of the independent ``rows`` outside that
+    of ``rows[heads:]``, one basis each: a reduced echelon pattern of
+    coefficients times ``rows``, in reduced echelon form if ``rows`` are."""
+    m = len(rows)
+    for lead in itertools.combinations(range(m), k):
+        if lead[0] >= heads:
+            return
+        slots = [(i, c) for i, q in enumerate(lead) for c in range(q + 1, m) if c not in lead]
+        for values in itertools.product(range(p), repeat=len(slots)):
+            basis = [rows[q] for q in lead]
+            for (i, c), a in zip(slots, values):
+                if a:
+                    basis[i] = [s + a * t for s, t in zip(basis[i], rows[c])]
+            yield tuple(tuple(s % p for s in row) for row in basis)
+
+
+def _quotient(basis, rank, table, kernel, p):
+    """(rows, heads): a basis of x^-1(U) / U that vanishes on the pivot
+    columns of the reduced echelon ``basis`` of U, rank = dim x(U), whose
+    first ``heads`` rows span a complement of (U + ker x) / U, the part
+    that x maps into x(U); heads = 0 when U ∩ im x = x(U).  Reducing
+    (u | 0) by the ``table`` of ``stable_subspaces`` leaves u mod im x in
+    the first half and minus a preimage of the rest in the second, so the
+    combinations of U's rows that vanish in the first half span U ∩ im x,
+    and the same ones of the second halves preimages of it.  Each vector
+    of a subspace leads at a pivot of its echelon basis, so the echelon
+    rows of the whole that lead elsewhere than the part's span a complement."""
+    d = len(table[0]) // 2
+    rows = [_reduce(u + (0,) * d, table) for u in basis]
+    residues = IntMatrix(d, len(basis), tuple(zip(*(row[:d] for row in rows))))
+    meets = rank_and_kernel(residues, p)[1]
+    if len(meets) == rank:
+        return (), 0
+    high = [
+        _reduce([sum(c * row[i] for c, row in zip(cs, rows)) for i in range(d, 2 * d)], basis)
+        for cs in meets
+    ]
+    low = _echelon([_reduce(v, basis) for v in kernel], p)
+    lows = {row.index(1) for row in low}
+    high = [row for row in _echelon(low + high, p) if row.index(1) not in lows]
+    return high + low, len(high)
 
 
 def _extend(basis, v, p):
@@ -128,22 +156,31 @@ def stable_subspaces(x_rows, p: int, k: int) -> list:
     """The k-subspaces of F_p^d stable under x, for an x that is nilpotent
     mod p: one reduced-row-echelon basis each, rows with entries in [0, p).
 
-    x restricted to a stable V is nilpotent, so it has a kernel there, and
-    V has a complete flag of stable subspaces: 0 = U_0 < ... < U_k = V with
-    U_(j+1) = U_j + <v> for some v in x^-1(U_j) outside U_j.  Each level
-    therefore extends every stable U_j by every line of x^-1(U_j) / U_j,
-    and keeps each span once, keyed by its echelon basis."""
+    x is nilpotent on a stable V, so V has a complete flag of stable
+    subspaces, and level j + 1 joins two parts.  The (j+1)-subspaces of
+    ker x come once each from the Grassmannian of ker x.  Any other stable
+    V is U + <v> for a stable j-subspace U and a line of x^-1(U) / U with
+    x v outside x(U) (``_quotient``); U is skipped when there is none.  So
+    V is reached once for each hyperplane of V / (x V + V ∩ ker x), whose
+    dimension is the number of Jordan blocks of x on V of size at least 2:
+    exactly once while dim V <= 3.  For the larger V each level keeps each
+    span once, keyed by its echelon basis, with dim x(V) as its value."""
     d = len(x_rows)
     _check_bounds(p, d, k)
-    x = [[a % p for a in row] for row in x_rows]
-    level = [()]
-    for _ in range(k):
-        found = {}
-        for basis in level:
-            for v in _quotient_lines(x, basis, p):
-                found.setdefault(_extend(basis, v, p))
-        level = list(found)
-    return level
+    # (x a | a) for a = e_1, ..., e_d in echelon form: (b | a) with x a = b
+    # for b in the echelon basis of im x, then (0 | a) for one of ker x
+    units = [(0,) * c + (1,) + (0,) * (d - c - 1) for c in range(d)]
+    table = _echelon([col + unit for col, unit in zip(zip(*x_rows), units)], p)
+    kernel = [row[d:] for row in table if not any(row[:d])]
+    level = {(): 0}
+    for j in range(k):
+        found = dict.fromkeys(_grassmannian(kernel, p, j + 1, len(kernel)), 0)
+        for basis, rank in level.items():
+            rows, heads = _quotient(basis, rank, table, kernel, p)
+            for (v,) in _grassmannian(rows, p, 1, heads):
+                found.setdefault(_extend(basis, v, p), rank + 1)
+        level = found
+    return list(level)
 
 
 def _mod(m: IntMatrix, p: int) -> IntMatrix:
@@ -167,19 +204,6 @@ def _apply(entries, v, d):
     for i, j, a in entries:
         w[i] += a * v[j]
     return w
-
-
-def _in_span(w, basis, pivots, nonpivots, p):
-    """Whether w lies in the span of an echelon basis: the only candidate
-    is the combination of the rows weighted by w at their pivots, so it is
-    enough to compare that with w on the non-pivot columns."""
-    for j in nonpivots:
-        s = w[j]
-        for pivot, row in zip(pivots, basis):
-            s -= w[pivot] * row[j]
-        if s % p:
-            return False
-    return True
 
 
 def _perp(basis, form, p):
@@ -239,16 +263,14 @@ def _sweep(p, d, k, form, elements, condition_sets):
         columns = [col for col in zip(*x) if any(col)]
         tally = [0] * len(condition_sets)
         for basis in stable_subspaces(x, p, k):
-            pivots = tuple(row.index(1) for row in basis)
-            nonpivots = tuple(j for j in range(d) if j not in pivots)
             facts = {}
             if "sub-nonzero" in needed:
                 facts["sub-nonzero"] = any(
                     c % p for v in basis for c in _apply(entries, v, d)
                 )
             if "quot-nonzero" in needed:
-                facts["quot-nonzero"] = not all(
-                    _in_span(col, basis, pivots, nonpivots, p) for col in columns
+                facts["quot-nonzero"] = any(
+                    a % p for col in columns for a in _reduce(col, basis)
                 )
             if form is not None:
                 a, perp = _perp(basis, form, p)
@@ -261,8 +283,8 @@ def _sweep(p, d, k, form, elements, condition_sets):
                     raise NotStableUnderForm(
                         "perp of a stable subspace failed to be stable"
                     )
-                middle_zero = all(
-                    _in_span(w, basis, pivots, nonpivots, p) for w in perp_images
+                middle_zero = not any(
+                    a % p for w in perp_images for a in _reduce(w, basis)
                 )
                 facts["middle-zero"] = middle_zero
                 facts["middle-nonzero"] = not middle_zero

@@ -123,6 +123,16 @@ def _in_subspace(basis, vec, p):
     return all(x % p == 0 for x in _reduce_into(basis, vec, p))
 
 
+def stable_subspaces_by_elimination(x_rows, p, k):
+    """{V in echelon_subspaces(p, d, k) : xV in V}, by generic elimination."""
+    x_rows = tuple(tuple(a % p for a in row) for row in x_rows)
+    return {
+        basis
+        for basis in echelon_subspaces(p, len(x_rows), k)
+        if all(_in_subspace(basis, _matvec(x_rows, v, p), p) for v in basis)
+    }
+
+
 def _echelonize(rows, p):
     mat = [list(r) for r in rows]
     out = []

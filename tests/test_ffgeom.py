@@ -4,7 +4,7 @@ import pytest
 
 from gradedorbits import ffgeom
 from gradedorbits.cohom import CaseData, FiberDatum, Pt, load_case
-from gradedorbits.exactlin import IntMatrix, Partition, parse_matrix_text
+from gradedorbits.exactlin import IntMatrix, Partition, jordan_matrix, parse_matrix_text
 from gradedorbits.ffgeom import (
     CountReport,
     LimitExceeded,
@@ -13,7 +13,12 @@ from gradedorbits.ffgeom import (
     stable_subspaces,
     verify_fiber_counts,
 )
-from oracles import _in_subspace, _matvec, echelon_subspaces, flag_count_by_elimination
+from oracles import (
+    _matvec,
+    echelon_subspaces,
+    flag_count_by_elimination,
+    stable_subspaces_by_elimination,
+)
 
 SP_FORM = parse_matrix_text("0,0,1,0;0,0,0,1;-1,0,0,0;0,-1,0,0")
 
@@ -36,17 +41,6 @@ STRATA = {
 
 def zero(d):
     return tuple((0,) * d for _ in range(d))
-
-
-def stable_by_oracle(x_rows, p, k):
-    """{V in echelon_subspaces(p, d, k) : xV in V}, by the oracle's generic
-    elimination."""
-    x_rows = tuple(tuple(a % p for a in row) for row in x_rows)
-    return {
-        basis
-        for basis in echelon_subspaces(p, len(x_rows), k)
-        if all(_in_subspace(basis, _matvec(x_rows, v, p), p) for v in basis)
-    }
 
 
 def test_enumerate_counts():
@@ -101,11 +95,17 @@ def test_fiber_count_prime_bounds(monkeypatch):
 
 
 def random_nilpotent(rng, d):
-    """g N g^-1 for N strictly upper triangular and g a product of integer
-    transvections, so that g^-1 is integer too."""
+    """g N g^-1 for N strictly upper triangular (``conjugate``)."""
     n = IntMatrix.from_rows(
         [[sparse_entry(rng) if j > i else 0 for j in range(d)] for i in range(d)]
     )
+    return conjugate(rng, n)
+
+
+def conjugate(rng, n):
+    """g n g^-1 for g a product of integer transvections, so that g^-1 is
+    integer too."""
+    d = n.rows
     g = g_inv = IntMatrix.identity(d)
     for _ in range(d):
         i, j = rng.sample(range(d), 2)
@@ -120,13 +120,16 @@ def random_nilpotent(rng, d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_stable_subspaces_of_random_nilpotents_match_oracle(d):
+def test_stable_subspaces_of_random_nilpotents_match_oracle(monkeypatch, d):
+    """Also: up to dimension 3 no echelon basis is built twice."""
     rng = random.Random(f"ffgeom-stable:{d}")
     for p in (2, 3, 5):
         for _ in range(2):
             x = random_nilpotent(rng, d).entries
             for k in range(1, d):
-                assert set(stable_subspaces(x, p, k)) == stable_by_oracle(x, p, k)
+                found, built = bases_built(monkeypatch, x, p, k)
+                assert set(found) == stable_subspaces_by_elimination(x, p, k)
+                assert k > 3 or len(set(built)) == len(built)
 
 
 def test_stable_subspaces_of_sp4_nilpotents_match_oracle():
@@ -135,7 +138,77 @@ def test_stable_subspaces_of_sp4_nilpotents_match_oracle():
         for _ in range(3):
             x = random_sp4_nilpotent(rng).entries
             for k in (1, 2, 3):
-                assert set(stable_subspaces(x, p, k)) == stable_by_oracle(x, p, k)
+                assert set(stable_subspaces(x, p, k)) == stable_subspaces_by_elimination(x, p, k)
+
+
+@pytest.mark.parametrize("parts", [[2, 2, 1, 1], [2, 2, 2]])
+def test_stable_subspaces_with_two_blocks_of_size_two_match_oracle(monkeypatch, parts):
+    """d = MAX_DIM, p = 2: these x have stable 4-spaces on which they have
+    two Jordan blocks of size 2, each reached from more than one stable
+    3-space, so the echelon-keyed dedupe of a level is what keeps them once."""
+    j = jordan_matrix(Partition.of(parts))
+    for x in (j, conjugate(random.Random(f"ffgeom-blocks:{parts}"), j)):
+        for k in range(1, ffgeom.MAX_DIM):
+            found, built = bases_built(monkeypatch, x.entries, 2, k)
+            assert len(set(built)) < len(built) if k >= 4 else len(set(built)) == len(built)
+            assert set(found) == stable_subspaces_by_elimination(x.entries, 2, k)
+
+
+def bases_built(monkeypatch, x, p, k):
+    """(stable_subspaces(x, p, k), every echelon basis it built on the way,
+    in order): the returns of ``_extend``, and the yields of
+    ``_grassmannian`` that lie in ker x.  Its other yields are the lines
+    of some x^-1(U) / U, which x does not kill, and which ``_extend`` then
+    makes into a basis."""
+    extended, yielded = [], []
+    extend, grassmannian = ffgeom._extend, ffgeom._grassmannian
+
+    def recording_extend(*args):
+        extended.append(extend(*args))
+        return extended[-1]
+
+    def recording_grassmannian(*args):
+        for basis in grassmannian(*args):
+            yielded.append(basis)
+            yield basis
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ffgeom, "_extend", recording_extend)
+        patch.setattr(ffgeom, "_grassmannian", recording_grassmannian)
+        found = stable_subspaces(x, p, k)
+    x = tuple(tuple(a % p for a in row) for row in x)
+    in_kernel = [b for b in yielded if not any(any(_matvec(x, v, p)) for v in b)]
+    return found, extended + in_kernel
+
+
+def test_each_stable_subspace_is_built_once(monkeypatch):
+    """Up to dimension 3 no echelon basis is built twice, on every orbit
+    representative of the shipped cases for every prime up to 13; the
+    random nilpotents get the same check in their oracle test.  The zero
+    orbit, which the sweep counts by the Gaussian binomial, is built as the
+    Grassmannian of F_p^4 only up to p = 5 (at p = 13 it has 31,110
+    planes)."""
+    shipped = [o.representative.entries for c in ("sl4", "sp4") for o in load_case(c).orbits]
+    for p in (2, 3, 5, 7, 11, 13):
+        for x in shipped:
+            if p > 5 and not any(a % p for row in x for a in row):
+                continue
+            for k in (1, 2, 3):
+                found, built = bases_built(monkeypatch, x, p, k)
+                assert len(set(built)) == len(built)
+                assert set(found) <= set(built)
+
+
+def test_sl4_at_13_builds_each_line_and_plane_once(monkeypatch):
+    """The sl4 sweep at p = 13 builds 762 bases: its 212 stable lines and
+    550 stable planes, over the orbits that are not zero mod p."""
+    elements = [o.representative.entries for o in load_case("sl4").orbits]
+    elements = [x for x in elements if any(a % 13 for row in x for a in row)]
+    built = sum(len(bases_built(monkeypatch, x, 13, 2)[1]) for x in elements)
+    lines = sum(len(stable_subspaces(x, 13, 1)) for x in elements)
+    planes = sum(len(stable_subspaces(x, 13, 2)) for x in elements)
+    assert (lines, planes) == (212, 550)
+    assert built == lines + planes <= 762
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
-"""Start-up: ``python -m gradedorbits.cli <subcommand>`` loads only the
-layers the subcommand runs, ``import gradedorbits`` loads none and
-``import gradedorbits.cli`` loads every one; the program path prints what
-``cli.run`` prints in-process."""
+"""Start-up: ``python -m gradedorbits.cli <subcommand>`` and the
+``gradedorbits`` console script load only the layers the subcommand runs,
+``import gradedorbits`` loads none and ``import gradedorbits.cli`` loads
+every one; the program path prints what ``cli.run`` prints in-process."""
 
 import os
 import re
@@ -26,12 +26,24 @@ def python(*args):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
 
 
-def loaded_by_program(*argv):
-    """The layers that ``python -m gradedorbits.cli argv`` loads, read from
-    ``-X importtime``; cli itself runs as ``__main__``."""
-    proc = python("-X", "importtime", "-m", "gradedorbits.cli", *argv, "--quiet")
+def layers_loaded(proc):
+    """The layers that a run under ``-X importtime`` loaded; cli itself runs
+    as ``__main__``."""
     assert proc.returncode == 0, proc.stderr
     return {"cli", *re.findall(r"\|\s*gradedorbits\.(\w+)\s*$", proc.stderr.decode(), re.M)}
+
+
+def loaded_by_program(*argv):
+    """The layers that ``python -m gradedorbits.cli argv`` loads."""
+    return layers_loaded(python("-X", "importtime", "-m", "gradedorbits.cli", *argv, "--quiet"))
+
+
+def console_script():
+    """The ``python -c`` program that runs the ``gradedorbits`` entry point
+    of ``[project.scripts]``, as the installed console script does."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    module, func = re.search(r'^gradedorbits = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return f"import sys; from {module} import {func}; sys.exit({func}())"
 
 
 def loaded_by_import(statement):
@@ -42,6 +54,14 @@ def loaded_by_import(statement):
 
 def test_orbits_loads_only_its_layers():
     assert loaded_by_program("orbits", "--type", "sl", "--n", "3") == {"cli", "exactlin", "orbitlib"}
+
+
+def test_console_script_takes_the_program_path(capsys):
+    argv = ["orbits", "--type", "sl", "--n", "3"]
+    proc = python("-X", "importtime", "-c", console_script(), *argv)
+    assert layers_loaded(proc) == {"cli", "exactlin", "orbitlib"}
+    code = cli.run(argv)
+    assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out.encode())
 
 
 @pytest.mark.parametrize(
