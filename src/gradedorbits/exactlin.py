@@ -293,13 +293,14 @@ def _integer_row(row):
 def _rref(rows, p: int = 0):
     """Reduced row echelon form over Q (p = 0) or F_p, on integer rows.
 
-    Returns (rows, pivot_columns).  A step replaces a row by an integer
-    combination of it and the pivot row, so no division happens.  Over Q
+    Returns (rows, pivot_columns).  Over Q a step replaces a row by an
+    integer combination of it and the pivot row, so no division happens;
     each input row is first scaled to integers and every changed row is
-    divided by its content; over F_p entries are kept in [0, p).  Row r has
-    a nonzero pivot at ``pivot_columns[r]`` and zeros in every other pivot
-    column, and row r divided by its pivot is row r of the (unique) RREF.
-    Rows past the rank are zero.
+    divided by its content.  Over F_p entries are kept in [0, p) and each
+    pivot row is scaled to a pivot of 1.  Row r has a nonzero pivot at
+    ``pivot_columns[r]`` and zeros in every other pivot column, and row r
+    divided by its pivot is row r of the (unique) RREF.  Rows past the
+    rank are zero.
     """
     if p:
         mat = [[x % p for x in row] for row in rows]
@@ -320,11 +321,14 @@ def _rref(rows, p: int = 0):
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
         prow = mat[rank]
         pv = prow[col]
+        if p and pv != 1:
+            inverse = pow(pv, -1, p)
+            prow = mat[rank] = [x * inverse % p for x in prow]
         for i in range(nrows):
             f = mat[i][col]
             if i != rank and f != 0:
                 if p:
-                    mat[i] = [(pv * x - f * y) % p for x, y in zip(mat[i], prow)]
+                    mat[i] = [(x - f * y) % p for x, y in zip(mat[i], prow)]
                     continue
                 g = gcd(pv, f)
                 a, b = pv // g, f // g
@@ -346,25 +350,29 @@ def _primitive(vec):
     return tuple(x // g for x in vec)
 
 
-def nullspace(rows):
-    """Primitive integer basis of the right kernel of a rational matrix."""
+def nullspace(rows, p: int = 0):
+    """Basis of the right kernel of a matrix, one vector per free column:
+    primitive integer vectors over Q (p = 0), entries in [0, p) over F_p."""
+    if p and not is_prime(p):
+        raise CompositeCharacteristic(f"{p} is neither 0 nor prime")
     if not rows:
         return ()
     ncols = len(rows[0])
-    mat, pivots = _rref(rows)
+    mat, pivots = _rref(rows, p)
     pivot_set = set(pivots)
     basis = []
     for j in range(ncols):
         if j in pivot_set:
             continue
-        # x_j = 1 and x_pc = -row[j] / row[pc], scaled to integers
+        # x_j = 1 and x_pc = -row[j] / row[pc], scaled to integers; over
+        # F_p every pivot is 1
         terms = [(pc, mat[r][j], mat[r][pc]) for r, pc in enumerate(pivots) if mat[r][j]]
         scale = lcm(*(pv for _, _, pv in terms)) if terms else 1
         vec = [0] * ncols
         vec[j] = scale
         for pc, a, pv in terms:
             vec[pc] = -a * scale // pv
-        basis.append(_primitive(vec))
+        basis.append(tuple(x % p for x in vec) if p else _primitive(vec))
     return tuple(basis)
 
 
@@ -393,37 +401,6 @@ def rank_rational(rows) -> int:
     return len(pivots)
 
 
-def rank_and_kernel(m: IntMatrix, field_char: int):
-    """Rank and a right-kernel basis over Q (char 0) or F_p (char p).
-
-    Over char 0 the kernel vectors are primitive integer vectors; over F_p
-    they have entries in [0, p).
-    """
-    if field_char != 0 and not is_prime(field_char):
-        raise CompositeCharacteristic(f"{field_char} is neither 0 nor prime")
-    rows = [list(r) for r in m.entries]
-    if not rows:
-        return 0, tuple(
-            tuple(1 if i == j else 0 for j in range(m.cols)) for i in range(m.cols)
-        )
-    if field_char == 0:
-        kern = nullspace(rows)
-        return m.cols - len(kern), kern
-    p = field_char
-    mat, pivots = _rref(rows, p)
-    inverses = [pow(mat[r][pc], -1, p) for r, pc in enumerate(pivots)]
-    basis = []
-    for j in range(m.cols):
-        if j in pivots:
-            continue
-        vec = [0] * m.cols
-        vec[j] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][j] * inverses[r] % p
-        basis.append(tuple(vec))
-    return len(pivots), tuple(basis)
-
-
 # ---------------------------------------------------------------------------
 # rational matrices: integer matrix plus a common denominator
 
@@ -438,12 +415,12 @@ class RatMatrix:
     den: int
 
     @staticmethod
-    def from_rows(rows, den: int = 1) -> "RatMatrix":
+    def from_rows(rows) -> "RatMatrix":
         vals = [
             [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
             for row in rows
         ]
-        denom = lcm(int(den), *(x.denominator for row in vals for x in row))
+        denom = lcm(*(x.denominator for row in vals for x in row))
         tup = tuple(
             tuple(x.numerator * (denom // x.denominator) for x in row) for row in vals
         )
@@ -645,22 +622,14 @@ def jordan_matrix(partition: Partition) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def nilpotent_jordan_partition(n) -> Partition:
-    """Jordan type of a nilpotent rational matrix.
+def nilpotent_jordan_partition(n: IntMatrix) -> Partition:
+    """Jordan type of a nilpotent integer matrix.
 
-    The number of parts >= k equals rank(N^(k-1)) - rank(N^k); denominators
-    do not change ranks of powers, so the integer numerator matrix is used.
+    The number of parts >= k equals rank(N^(k-1)) - rank(N^k).
     """
-    if isinstance(n, RatMatrix):
-        mat = n
-    elif isinstance(n, IntMatrix):
-        mat = RatMatrix.from_int(n)
-    else:
-        mat = RatMatrix.from_rows(n)
-    if mat.rows != mat.cols:
+    if n.rows != n.cols:
         raise ValueError("matrix must be square")
-    dim = mat.rows
-    num = IntMatrix(dim, dim, mat.num)
+    dim = n.rows
     # ranks of N^0, N^1, ... up to the first zero power; every later one
     # is zero too, and N^dim is zero exactly when N is nilpotent
     ranks = []
@@ -669,6 +638,6 @@ def nilpotent_jordan_partition(n) -> Partition:
         if len(ranks) == dim:
             raise NotNilpotent("matrix is not nilpotent")
         ranks.append(rank_rational(power.entries))
-        power = power * num
+        power = power * n
     ranks.append(0)
     return Partition(tuple(a - b for a, b in zip(ranks, ranks[1:]))).transpose()

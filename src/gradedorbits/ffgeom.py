@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .cohom import CaseData, counting_polynomial
-from .exactlin import IntMatrix, _rref, is_prime, rank_and_kernel
+from .exactlin import IntMatrix, _rref, is_prime, nullspace
 
 
 class LimitExceeded(ValueError):
@@ -75,10 +75,7 @@ def _check_bounds(p, d, k):
 def _echelon(rows, p):
     """The reduced echelon basis of the span of ``rows`` mod p."""
     mat, pivots = _rref(rows, p)
-    return [
-        tuple(row) if row[c] == 1 else tuple(a * pow(row[c], -1, p) % p for a in row)
-        for row, c in zip(mat, pivots)
-    ]
+    return [tuple(row) for row in mat[: len(pivots)]]
 
 
 def _reduce(v, rows):
@@ -121,8 +118,7 @@ def _quotient(basis, rank, table, kernel, p):
     rows of the whole that lead elsewhere than the part's span a complement."""
     d = len(table[0]) // 2
     rows = [_reduce(u + (0,) * d, table) for u in basis]
-    residues = IntMatrix(d, len(basis), tuple(zip(*(row[:d] for row in rows))))
-    meets = rank_and_kernel(residues, p)[1]
+    meets = nullspace(list(zip(*(row[:d] for row in rows))), p)
     if len(meets) == rank:
         return (), 0
     high = [
@@ -183,18 +179,15 @@ def stable_subspaces(x_rows, p: int, k: int) -> list:
     return list(level)
 
 
-def _mod(m: IntMatrix, p: int) -> IntMatrix:
-    return IntMatrix(m.rows, m.cols, tuple(tuple(a % p for a in r) for r in m.entries))
-
-
-def _validate_element(x_rows, p, d, form):
-    x = IntMatrix(d, d, x_rows)
-    power = IntMatrix.identity(d)
-    for _ in range(d):
-        power = _mod(power * x, p)
+def _validate_element(x: IntMatrix, form):
+    """Raise NotStableUnderForm unless x is nilpotent and x^T B + B x = 0
+    for the form B, if any: over Z, so mod every prime."""
+    power = x
+    for _ in range(x.rows - 1):
+        power = power * x
     if not power.is_zero():
-        raise NotStableUnderForm("element is not nilpotent over F_p")
-    if form is not None and not _mod(x.transpose() * form + form * x, p).is_zero():
+        raise NotStableUnderForm("element is not nilpotent")
+    if form is not None and not (x.transpose() * form + form * x).is_zero():
         raise NotStableUnderForm("element is not in the form's algebra")
 
 
@@ -214,7 +207,7 @@ def _perp(basis, form, p):
         tuple(sum(v[i] * form.entries[i][j] for i in range(d)) % p for j in range(d))
         for v in basis
     )
-    return a, rank_and_kernel(IntMatrix.from_rows(a), p)[1]
+    return a, nullspace(a, p)
 
 
 # the facts of every subspace under an x that is zero mod p
@@ -235,16 +228,15 @@ def _sweep(p, d, k, form, elements, condition_sets):
     ``middle-zero`` and ``middle-nonzero``, x maps the perp of V under
     ``form`` into V, or does not (they need a form).
 
-    Each element is validated first.  An x that is zero mod p stabilises
-    every subspace with the same facts, so it counts the Gaussian binomial
-    or 0; any other x visits only its stable subspaces
-    (``stable_subspaces``).  Under a form, the perp of every counted
-    subspace is checked to be x-stable too, and a failure raises
+    The elements must be nilpotent mod p, and in the algebra of the form
+    if there is one (``_validate_element`` checks that over Z).  An x that
+    is zero mod p stabilises every subspace with the same facts, so it
+    counts the Gaussian binomial or 0; any other x visits only its stable
+    subspaces (``stable_subspaces``).  Under a form, the perp of every
+    counted subspace is checked to be x-stable too, and a failure raises
     NotStableUnderForm.
     """
     _check_bounds(p, d, k)
-    for x_rows in elements:
-        _validate_element(x_rows, p, d, form)
     needed = set().union(*condition_sets)
     counts = []
     for x in elements:
@@ -329,18 +321,22 @@ def verify_fiber_counts(case: CaseData, primes) -> CountReport:
     """Count every stratum of every orbit fiber over each prime and compare
     with the predicted value.
 
-    Each prime takes one pass over the stable subspaces of every orbit
-    that counts all strata of the case together.  Predictions evaluate the
-    counting polynomial, except for a stratum pair defined over a quadratic
-    extension: its zero part contributes 2 or 0 points according to q mod
-    4, and the complementary cuspidal part picks up the rest of the full
-    fiber.
+    Each representative is validated once, over Z, after the bounds of
+    every prime.  Each prime takes one pass over the stable subspaces of
+    every orbit that counts all strata of the case together.  Predictions
+    evaluate the counting polynomial, except for a stratum pair defined
+    over a quadratic extension: its zero part contributes 2 or 0 points
+    according to q mod 4, and the complementary cuspidal part picks up the
+    rest of the full fiber.
     """
     flag_dim, strata = _strata_for(case)
     condition_sets = [conditions for _, conditions, _ in strata]
-    rows = []
     for p in primes:
         _check_bounds(p, case.ambient_dim, flag_dim)
+    for orbit in case.orbits:
+        _validate_element(orbit.representative, case.form)
+    rows = []
+    for p in primes:
         elements = [
             tuple(tuple(a % p for a in row) for row in orbit.representative.entries)
             for orbit in case.orbits

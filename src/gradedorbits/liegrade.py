@@ -33,8 +33,8 @@ and its f is solved for on the piece of g_-n of ad-h weight -2 alone: the
 part of the algebra on the cells where both weights fit, on every form.
 An h that is not diagonal costs about what a diagonal one costs: h is
 solved for through f alone (h = [x, f]), the toral system is skipped when
-x's Jordan type rules it out, and ``chi_prime`` takes a nullspace only at
-integer roots of a characteristic polynomial, once per parabolic.
+the diagonal one fixes a non-integral h, and ``chi_prime`` takes a nullspace
+only at integer roots of a characteristic polynomial, once per parabolic.
 
 Everything is exact; all returned values are immutable.
 """
@@ -50,7 +50,6 @@ from .exactlin import (
     IntMatrix,
     RatMatrix,
     bracket,
-    nilpotent_jordan_partition,
     nullspace,
     rank_rational,
     rat_inverse,
@@ -423,13 +422,10 @@ def _toral_h(x, diag_basis):
     """(possible, h) for an h in the span of the diagonal ``diag_basis``
     that is the h of an sl2-triple through x.  For h = diag(a), [h, x] = 2x
     says a_i - a_j = 2 on every cell (i, j) of x.  possible is False when
-    that has no solution, or exactly one whose entries are not the weights
-    l-1, l-3, ..., 1-l of the Jordan blocks l of x (the h of every
-    sl2-triple through x has those eigenvalues): the toral system has no
-    solution either.  h is diag(a) when a is the one solution and its
-    entries are those weights, as every toral triple then has this h; it
-    is None when the system leaves a free.  x must be nilpotent; its Jordan
-    type is taken only when a is unique."""
+    that has no solution, or one with a non-integer entry, as the h of
+    every sl2-triple has integer eigenvalues.  h is diag(a) for the one
+    integer solution a, which the caller's f solve or bracket check
+    rejects if no triple has it, and None when the system leaves a free."""
     # unknowns: the coefficients of the numerators of the basis elements
     diags = [[b.num[i][i] for i in range(x.rows)] for b in diag_basis]
     rows = [[v[i] - v[j] for v in diags] for (i, j) in x.support()]
@@ -438,15 +434,10 @@ def _toral_h(x, diag_basis):
         return False, None
     if rank < len(diag_basis):
         return True, None
-    jordan = nilpotent_jordan_partition(x)
-    # compare a and the weights both scaled by the common denominator
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    a = [sum(c * v[i] for c, v in zip(ints, diags)) for i in range(x.rows)]
-    weights = [den * (l - 1 - 2 * k) for l in jordan.parts for k in range(l)]
-    if sorted(a) != sorted(weights):
+    a = [sum(c * v[i] for c, v in zip(coeffs, diags)) for i in range(x.rows)]
+    if any(v.denominator != 1 for v in a):
         return False, None
-    return True, _integer_matrix(x.rows, [(i, i, v // den) for i, v in enumerate(a) if v])
+    return True, _integer_matrix(x.rows, [(i, i, int(v)) for i, v in enumerate(a) if v])
 
 
 def adapted_sl2_triple(

@@ -339,6 +339,25 @@ def test_triple_shapes_json_sha256(
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `triple --json` and `parabolic --json` for x = E_13 + E_23 of
+# degree 3 under chi = (1, 1, -2), captured while the toral h was still
+# compared with the Jordan type of x.  [h, x] = 2x has the one diagonal
+# solution (2/3, 2/3, -4/3), which is not integral, so no toral h is tried.
+@pytest.mark.parametrize(
+    "command,digest",
+    [
+        ("triple", "34a5821d9d1cbfacfb5a0620d0583e0babd003f158c8bc9721202c85d14f9d47"),
+        ("parabolic", "4f0344ea685a03297b9ee7b8ebc9d5aed21f7d2474cae60423e8f37f064f99c0"),
+    ],
+)
+def test_non_integral_diagonal_solution_sha256(capsys, command, digest):
+    argv = [command, "--type", "sl", "--d", "3", "--cochar", "1,1,-2", "--degree", "3",
+            "--x", "0,0,1;0,0,1;0,0,0", "--json"]
+    code, out = run_capture(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # The same elements' text output (no --json), captured before the triple took
 # a toral h from the diagonal system and f from the ad-h weight -2 cells.
 TRIPLE_SHAPES_TEXT_SHA256 = [

@@ -16,8 +16,8 @@ from gradedorbits.exactlin import (
     is_prime,
     jordan_matrix,
     nilpotent_jordan_partition,
+    nullspace,
     parse_matrix_text,
-    rank_and_kernel,
 )
 
 from oracles import is_prime_by_trial_division, snf_invariant_factors_by_minors
@@ -81,34 +81,27 @@ def test_snf_matches_minor_oracle_random():
         check_factors(IntMatrix.from_rows(rows))
 
 
-def test_rank_and_kernel_char0():
-    rank, kern = rank_and_kernel(IntMatrix.zeros(2, 2), 0)
-    assert rank == 0
-    assert len(kern) == 2
-    rank, kern = rank_and_kernel(IntMatrix(0, 3, ()), 0)
-    assert rank == 0 and len(kern) == 3
+def test_nullspace_char0():
+    # rank = columns - len(kernel)
+    assert len(nullspace(IntMatrix.zeros(2, 2).entries)) == 2
 
     single_block = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    rank, kern = rank_and_kernel(IntMatrix.from_rows(single_block), 0)
-    assert rank == 1
-    assert len(kern) == 3
+    kern = nullspace(single_block, 0)
+    assert 4 - len(kern) == 1
     for v in kern:
         out = [sum(row[j] * v[j] for j in range(4)) for row in single_block]
         assert all(x == 0 for x in out)
 
 
-def test_rank_and_kernel_char_p():
-    m = IntMatrix.from_rows([[2]])
-    rank, kern = rank_and_kernel(m, 2)
-    assert rank == 0
-    assert kern == ((1,),)
-    rank3, _ = rank_and_kernel(m, 3)
-    assert rank3 == 1
+def test_nullspace_char_p():
+    # [[2]] has rank 0 mod 2 and rank 1 mod 3
+    assert nullspace([[2]], 2) == ((1,),)
+    assert nullspace([[2]], 3) == ()
 
 
-def test_rank_kernel_rejects_composite():
+def test_nullspace_rejects_composite():
     with pytest.raises(CompositeCharacteristic):
-        rank_and_kernel(IntMatrix.identity(2), 4)
+        nullspace(IntMatrix.identity(2).entries, 4)
 
 
 def test_rank_consistent_with_snf():
@@ -119,7 +112,7 @@ def test_rank_consistent_with_snf():
         m = IntMatrix.from_rows(
             [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
         )
-        rank, _ = rank_and_kernel(m, 0)
+        rank = c - len(nullspace(m.entries))
         assert rank == sum(1 for d in invariant_factors(m) if d != 0)
 
 

@@ -1,6 +1,6 @@
 """Property tests: the fraction-free elimination of ``exactlin`` against
-Fraction references, and its invariant factors against the minors-gcd
-oracle.  Needs Hypothesis (the ``test`` extra); without it
+Fraction references, its elimination over F_p against the echelon oracle,
+and its invariant factors against the minors-gcd oracle.  Needs Hypothesis (the ``test`` extra); without it
 this module is skipped and the rest of the suite still runs."""
 
 from fractions import Fraction
@@ -20,13 +20,17 @@ from gradedorbits.exactlin import (
     bracket,
     invariant_factors,
     nullspace,
-    rank_and_kernel,
     rank_rational,
     rat_inverse,
     solve_linear,
 )
 
-from oracles import fraction_nullspace, fraction_rref, snf_invariant_factors_by_minors
+from oracles import (
+    _echelonize,
+    fraction_nullspace,
+    fraction_rref,
+    snf_invariant_factors_by_minors,
+)
 
 entries = st.one_of(
     st.integers(-6, 6),
@@ -139,20 +143,47 @@ def test_rat_inverse_is_two_sided(rows):
     st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=1, max_size=4),
     st.sampled_from([2, 3, 5, 7]),
 )
-def test_rank_and_kernel_mod_p_against_smith_form(rows, p):
-    m = IntMatrix.from_rows(rows)
-    rank, kern = rank_and_kernel(m, p)
+def test_nullspace_mod_p_against_smith_form(rows, p):
+    kern = nullspace(rows, p)
     factors = snf_invariant_factors_by_minors(rows)
-    assert rank == sum(1 for d in factors if d % p != 0)
-    assert len(kern) == m.cols - rank
+    # rank = columns - len(kernel)
+    assert 4 - len(kern) == sum(1 for d in factors if d % p != 0)
     for v in kern:
         # a column where v is 1 and every other kernel vector is 0
         assert any(
             v[j] == 1 and all(u[j] == 0 for u in kern if u is not v)
-            for j in range(m.cols)
+            for j in range(4)
         )
         assert all(0 <= x < p for x in v)
         assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in rows)
+
+
+def _back_substituted(rows, p):
+    """The reduced echelon form of echelon ``rows`` with pivots 1: each
+    row, from the last, cleared out of the rows above it at its pivot."""
+    out = [list(row) for row in rows]
+    for i in reversed(range(len(out))):
+        c = next(j for j, a in enumerate(out[i]) if a)
+        for k in range(i):
+            out[k] = [(a - out[k][c] * b) % p for a, b in zip(out[k], out[i])]
+    return tuple(map(tuple, out))
+
+
+@PROPERTY
+@given(
+    st.integers(1, 5).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=1, max_size=5
+        )
+    ),
+    st.sampled_from([2, 3, 5, 7]),
+)
+def test_rref_mod_p_equals_echelon_oracle(rows, p):
+    # over F_p the rows up to the rank are the reduced echelon form itself,
+    # each pivot 1, with no division left to the caller
+    mat, pivots = _rref(rows, p)
+    assert tuple(map(tuple, mat[: len(pivots)])) == _back_substituted(_echelonize(rows, p), p)
+    assert all(x == 0 for row in mat[len(pivots):] for x in row)
 
 
 @PROPERTY

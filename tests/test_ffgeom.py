@@ -278,6 +278,44 @@ def test_non_nilpotent_rejected():
 NOT_IN_SP = parse_matrix_text("0,1,0,0;0,0,0,0;0,0,0,0;0,0,0,0")
 
 
+@pytest.mark.parametrize(
+    "flag_kind,form,x,message",
+    [
+        ("two-plane", None, "3,0,0,0;0,3,0,0;0,0,3,0;0,0,0,3", "nilpotent"),
+        ("isotropic-line", SP_FORM, "0,3,0,0;0,0,0,0;0,0,0,0;0,0,0,0", "form's algebra"),
+    ],
+)
+def test_elements_are_validated_over_z(flag_kind, form, x, message):
+    """3 I_4 is not nilpotent and 3 E_12 is not in sp4, though both are zero
+    mod 3: the check over Z refuses them at p = 3 too."""
+    case = random_case(flag_kind, form, [parse_matrix_text(x)])
+    with pytest.raises(NotStableUnderForm, match=message):
+        verify_fiber_counts(case, [3])
+
+
+def test_each_element_is_validated_once_per_case(monkeypatch):
+    calls = []
+    validate = ffgeom._validate_element
+
+    def recording_validate(x, form):
+        calls.append((x, form))
+        validate(x, form)
+
+    monkeypatch.setattr(ffgeom, "_validate_element", recording_validate)
+    x = parse_matrix_text("0,0,1,0;0,0,0,0;0,0,0,0;0,0,0,0")
+    verify_fiber_counts(random_case("isotropic-line", SP_FORM, [x]), [2, 3, 5])
+    assert len(calls) == 1
+    calls.clear()
+    case = load_case("sl4")
+    verify_fiber_counts(case, [2, 3, 5])
+    assert calls == [(orbit.representative, None) for orbit in case.orbits]
+    # an oversized case is refused before any element is multiplied
+    calls.clear()
+    with pytest.raises(LimitExceeded):
+        verify_fiber_counts(case, [3, 17])
+    assert calls == []
+
+
 def test_form_membership_enforced():
     case = random_case("isotropic-line", SP_FORM, [NOT_IN_SP])
     with pytest.raises(NotStableUnderForm, match="form's algebra"):

@@ -551,6 +551,18 @@ def test_f_only_solve_and_toral_check_keep_the_triple(kind, weights, n):
             assert any(triple.h.num[i][j] for i in range(d) for j in range(d) if i != j)
 
 
+def test_toral_h_refuses_a_non_integral_diagonal_solution():
+    # on the cells of x = E_13 + E_23, [h, x] = 2x has the one diagonal
+    # solution h = diag(2/3, 2/3, -4/3), which no sl2-triple has
+    alg = build_algebra("sl", 3)
+    chi = Cocharacter.of([1, 1, -2])
+    x = RatMatrix.from_rows([[0, 0, 1], [0, 0, 1], [0, 0, 0]])
+    assert _toral_h(x, _piece(alg, [(i, i) for i in range(3)])) == (False, None)
+    triple = adapted_sl2_triple(alg, chi, 3, x)
+    assert triple.bracket_relations_hold()
+    assert any(triple.h.num[i][j] for i in range(3) for j in range(3) if i != j)
+
+
 def test_equations_only_on_reached_cells():
     # c1 E_01 + c2 (E_01 + E_10) = 3 E_01 + E_22 has no solution: the cell
     # (2, 2) of the target is reached by no column, and its row says 0 = 1
