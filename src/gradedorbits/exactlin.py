@@ -246,8 +246,9 @@ def hermite_rows(rows) -> tuple:
                 pivot = [-x for x in pivot]
             out.append(pivot)
         work = [r for r in work if any(r)]
-    for idx in range(len(out) - 1, -1, -1):
-        row = out[idx]
+    # in increasing pivot order: row idx is zero in the pivot columns of
+    # the rows above it, so reducing by it keeps what they already hold
+    for idx, row in enumerate(out):
         j = next(i for i, x in enumerate(row) if x != 0)
         for above in range(idx):
             q = out[above][j] // row[j]

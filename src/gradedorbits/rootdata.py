@@ -17,12 +17,13 @@ Closed families and the Weyl group
 The prime classifiers quantify over every Z-closed family of roots and of
 coroots.  The Weyl group W permutes each list and acts linearly on its
 lattice, so it maps closed families to closed families and keeps the
-torsion of their quotients.  The search therefore joins only one family
-per W-orbit with the singleton closures, lists the rest of the orbit by
-permuting bitmasks under the simple reflections, and ``prime_report``
-takes one torsion quotient per orbit: SL(6) has 11 orbits of its 203
-families.  The search is bounded at ``MAX_ROOTS`` = 72 roots (SL(9),
-Sp(12)); the root count is checked before any root is built.
+torsion of their quotients.  The search therefore keeps one family per
+W-orbit, joins it with one vector from each orbit of the simple
+reflections that fix it, lists the rest of the orbit by permuting bitmasks
+under the simple reflections, and ``prime_report`` takes one torsion
+quotient per orbit: SL(6) has 11 orbits of its 203 families.  The search
+is bounded at ``MAX_ROOTS`` = 72 roots (SL(9), Sp(12)); the root count is
+checked before any root is built.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from dataclasses import dataclass
 
 from .exactlin import (
     DomainError,
+    _rref,
     hermite_pivots,
     hermite_rows,
     in_hermite_span,
     prime_factors,
-    solve_linear,
     torsion_primes_of_quotient,
 )
 
@@ -187,82 +188,89 @@ def _close(vectors, supports, rows, members) -> tuple:
 def _byte_tables(perm) -> tuple:
     """The index permutation ``perm`` as an action on bitmasks: for each
     byte of a mask, the table of the images of its 256 values, so that
-    permuting a mask of 72 indices takes nine lookups."""
+    permuting a mask of 72 indices takes nine lookups.  Each table doubles
+    once per bit of its byte."""
     tables = []
     for start in range(0, len(perm), 8):
-        chunk = perm[start : start + 8]
-        table = [0] * (1 << len(chunk))
-        for byte in range(1, len(table)):
-            low = byte & -byte
-            table[byte] = table[byte ^ low] | 1 << chunk[low.bit_length() - 1]
+        table = [0]
+        for k in perm[start : start + 8]:
+            table += [image | 1 << k for image in table]
         tables.append(table)
     return tuple(tables)
 
 
-def _orbit(mask: int, generators) -> set:
-    """The orbit of a bitmask under the group generated by index
-    permutations, each given by its ``_byte_tables``."""
+def _walk(mask: int, generators) -> tuple:
+    """(orbit, representative, fixing): the orbit of a bitmask under the
+    group generated by index permutations given by their ``_byte_tables``,
+    its first member fixed by the most generators, and those generators."""
     orbit = {mask}
     work = [mask]
+    best = mask, []
     while work:
         current = work.pop()
+        fixing = []
         for tables in generators:
             image = 0
             rest = current
             for table in tables:
                 image |= table[rest & 255]
                 rest >>= 8
-            if image not in orbit:
+            if image == current:
+                fixing.append(tables)
+            elif image not in orbit:
                 orbit.add(image)
                 work.append(image)
-    return orbit
+        if len(fixing) > len(best[1]):
+            best = current, fixing
+    return (orbit,) + best
 
 
 def _closed_families(vectors, reflections=()) -> tuple:
     """(families, representatives), as sets of bitmasks of vector indices:
     all subsets closed under 'every listed vector in the span belongs', and
-    one family from each orbit of them under the group generated by
+    one family from each orbit of them under the group W generated by
     ``reflections``, index permutations of ``vectors`` that act on their
-    lattice linearly (the simple reflections of the Weyl group W).
+    lattice linearly (the simple reflections of the Weyl group).
 
-    Every closed family is a join of singleton closures.  Closure commutes
-    with a linear map that permutes the vectors, so if F = cl(R u s) then
-    wF = cl(wR u ws), and ws is again a singleton closure.  By induction
-    on the number of singletons joined, joining only the first family
-    found in each orbit with every singleton closure reaches every orbit;
-    the orbit of each new family is then listed by permuting its bitmask,
-    which needs no Hermite form.  With no reflections every family is its
-    own orbit.  A join closes the Hermite rows of its two families, not
-    their members, and a closure depends only on the union of the members
-    joined, so each union is closed once; a union that is already a family
-    needs no work.
+    Every nonempty closed family is cl(F u {v}) for a smaller closed family
+    F and a vector v.  Closure commutes with a linear map that permutes the
+    vectors: cl(wF u {v}) = w cl(F u {w^-1 v}), and cl(F u {sv}) =
+    s cl(F u {v}) for s fixing F.  So, by induction on the vectors joined,
+    joining each representative F with one vector from each orbit of any
+    subgroup H of its stabilizer reaches every W-orbit; H is generated by
+    the simple reflections that fix F's bitmask.  A new family's orbit is
+    listed by permuting bitmasks, and its member fixed by the most simple
+    reflections becomes the representative, its Hermite rows recomputed if
+    it is not the family found.  A closure depends only on the lattice
+    joined, which holds -v with v, so each union of F with +-v is closed
+    once, and one that is already a family needs no work.
     """
     supports = [_support(v) for v in vectors]
+    index = {v: k for k, v in enumerate(vectors)}
+    negated = [index.get(tuple(-x for x in v), k) for k, v in enumerate(vectors)]
     generators = [_byte_tables(perm) for perm in reflections]
-    seen = {0}
-    representatives = {0: ()}  # members bitmask -> Hermite rows of their span
-    singles = {}
-    for i, vec in enumerate(vectors):
-        members, rows = _close(vectors, supports, (vec,), 1 << i)
-        singles.setdefault(members, rows)
-        if members not in seen:
-            seen |= _orbit(members, generators)
-            representatives[members] = rows
-    tried = set()
-    work = list(representatives.items())
+    seen, representatives, tried = {0}, {0}, set()
+    work = [(0, (), generators)]
     while work:
-        base, base_rows = work.pop()
-        for single, single_rows in singles.items():
-            union = base | single
+        base, base_rows, subgroup = work.pop()
+        reached = base  # H fixes F, so it permutes F's members among themselves
+        for k in range(len(vectors)):
+            if reached >> k & 1:
+                continue
+            reached |= sum(_walk(1 << k, subgroup)[0])
+            union = base | 1 << k | 1 << negated[k]
             if union in seen or union in tried:
                 continue
             tried.add(union)
-            members, rows = _close(vectors, supports, base_rows + single_rows, union)
+            members, rows = _close(vectors, supports, base_rows + (vectors[k],), union)
             if members not in seen:
-                seen |= _orbit(members, generators)
-                representatives[members] = rows
-                work.append((members, rows))
-    return seen, set(representatives)
+                orbit, rep, fixing = _walk(members, generators)
+                seen |= orbit
+                if rep != members:
+                    rows = hermite_rows([vectors[j] for j in _indices(rep)])
+                representatives.add(rep)
+                work.append((rep, rows, fixing))
+    return seen, representatives
 
 
 def _indices(mask: int) -> tuple:
@@ -280,8 +288,8 @@ def _sorted_families(masks) -> tuple:
 
 
 # closed-family enumeration grows about exponentially in the root count:
-# SL(9) and Sp(12), 72 roots each, the largest accepted, take about 0.5 and
-# 0.7 s; SL(10), 90 roots, takes about 2 s
+# prime_report takes about 0.3 s for SL(9) and Sp(12), 72 roots each, the
+# largest accepted, and about 2 s for SL(10), 90 roots
 MAX_ROOTS = 72
 
 
@@ -307,12 +315,22 @@ def closed_subsystems(rd: RootDatum) -> tuple:
 # prime classifiers
 
 
-def _coords_in_basis(basis, vec):
-    rows = [[basis[j][i] for j in range(len(basis))] for i in range(len(vec))]
-    sol = solve_linear(rows, [int(x) for x in vec])
-    if sol is None or any(f.denominator != 1 for f in sol):
-        raise ValueError("vector not in the integer span of the basis")
-    return tuple(int(f) for f in sol)
+def _coords_in_basis(basis, vectors) -> tuple:
+    """The coordinates of each of ``vectors`` on the independent rows
+    ``basis``, from one elimination of the columns of both; ``ValueError``
+    if one is not an integer vector."""
+    mat, pivots = _rref(list(zip(*basis, *vectors)))
+    if pivots and pivots[-1] >= len(basis):
+        raise ValueError("vector not in the span of the basis")
+    out = []
+    for c in range(len(basis), len(basis) + len(vectors)):
+        coords = [0] * len(basis)
+        for row, pc in zip(mat, pivots):
+            coords[pc], rem = divmod(row[c], row[pc])
+            if rem:
+                raise ValueError("vector not in the integer span of the basis")
+        out.append(tuple(coords))
+    return tuple(out)
 
 
 def x_quotient_rows(rd: RootDatum, indices) -> tuple:
@@ -322,7 +340,7 @@ def x_quotient_rows(rd: RootDatum, indices) -> tuple:
 
 def y_quotient_rows(rd: RootDatum, indices) -> tuple:
     """Rows presenting Y / (Z * selected coroots), in Y-basis coordinates."""
-    return tuple(_coords_in_basis(rd.y_basis, rd.coroots[i]) for i in indices)
+    return _coords_in_basis(rd.y_basis, [rd.coroots[i] for i in indices])
 
 
 def _height(rd: RootDatum):
@@ -366,12 +384,13 @@ def _reflection(vectors, alpha, pair) -> tuple:
     return tuple(perm)
 
 
-def _simple_reflections(rd: RootDatum) -> tuple:
+def _simple_reflections(rd: RootDatum, simple=None) -> tuple:
     """(on roots, on coroots): the simple reflections of W as index
     permutations, s(v) = v - <v, a^v> a on the roots and
-    s(y) = y - <a, y> a^v on the coroots, for each simple root a."""
+    s(y) = y - <a, y> a^v on the coroots, for each simple root a, given by
+    its index in ``simple`` (default ``_simple_roots(rd)``)."""
     on_roots, on_coroots = [], []
-    for k in _simple_roots(rd):
+    for k in _simple_roots(rd) if simple is None else simple:
         alpha, alphav = rd.roots[k], rd.coroots[k]
         on_roots.append(_reflection(rd.roots, alpha, lambda v: rd.pairing(v, alphav)))
         on_coroots.append(
@@ -380,15 +399,14 @@ def _simple_reflections(rd: RootDatum) -> tuple:
     return tuple(on_roots), tuple(on_coroots)
 
 
-def _bad_primes(rd: RootDatum) -> frozenset:
-    """Primes dividing a coefficient of the highest root of some factor."""
+def _bad_primes(rd: RootDatum, simple) -> frozenset:
+    """Primes dividing a coefficient of the highest root of some factor,
+    given the indices ``simple`` of the simple roots."""
     roots = rd.roots
     if not roots:
         return frozenset()
-    n = rd.ambient_rank
     height = _height(rd)
     positives = [v for v in roots if height(v) > 0]
-    simple = _simple_roots(rd)
     simples = [roots[k] for k in simple]
     simple_coroots = [rd.coroots[k] for k in simple]
     # connected components of the simple system under non-orthogonality
@@ -411,12 +429,8 @@ def _bad_primes(rd: RootDatum) -> frozenset:
         hnf = hermite_rows(comp_simples)
         comp_pos = [v for v in positives if in_hermite_span(hnf, v)]
         highest = max(comp_pos, key=height)
-        rows = [[comp_simples[j][i] for j in range(len(comp_simples))] for i in range(n)]
-        sol = solve_linear(rows, list(highest))
-        for f in sol:
-            if f.denominator != 1:
-                raise ValueError("highest root not integral on the simple basis")
-            bad |= prime_factors(int(f))
+        for c in _coords_in_basis(comp_simples, [highest])[0]:
+            bad |= prime_factors(c)
     bad.discard(1)
     return frozenset(bad)
 
@@ -437,7 +451,8 @@ def prime_report(rd: RootDatum) -> PrimeReport:
     roots raise ``TooLarge``.
     """
     _check_size(rd.label, len(rd.roots))
-    on_roots, on_coroots = _simple_reflections(rd)
+    simple = _simple_roots(rd)
+    on_roots, on_coroots = _simple_reflections(rd, simple)
     _, root_reps = _closed_families(rd.roots, on_roots)
     coroot_reps = (
         root_reps
@@ -453,7 +468,7 @@ def prime_report(rd: RootDatum) -> PrimeReport:
     for fam in _sorted_families(coroot_reps):
         y_side |= torsion_primes_of_quotient([y_rows[i] for i in fam])
 
-    bad = _bad_primes(rd)
+    bad = _bad_primes(rd, simple)
     full = tuple(range(len(rd.roots)))
     center = torsion_primes_of_quotient(x_quotient_rows(rd, full))
     return PrimeReport(

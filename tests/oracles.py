@@ -494,6 +494,7 @@ def prime_report_by_all_families(rd):
     from gradedorbits.rootdata import (
         PrimeReport,
         _bad_primes,
+        _simple_roots,
         x_quotient_rows,
         y_quotient_rows,
     )
@@ -504,7 +505,7 @@ def prime_report_by_all_families(rd):
     y_side = set()
     for fam in closed_families_by_join_closure(rd.coroots):
         y_side |= torsion_primes_of_quotient(y_quotient_rows(rd, fam))
-    bad = _bad_primes(rd)
+    bad = _bad_primes(rd, _simple_roots(rd))
     center = torsion_primes_of_quotient(x_quotient_rows(rd, range(len(rd.roots))))
     return PrimeReport(
         good_excluded=tuple(sorted(bad)),

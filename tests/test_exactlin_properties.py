@@ -3,6 +3,7 @@ Fraction references, its elimination over F_p against the echelon oracle,
 and its invariant factors against the minors-gcd oracle.  Needs Hypothesis (the ``test`` extra); without it
 this module is skipped and the rest of the suite still runs."""
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +11,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradedorbits.exactlin import (
@@ -18,6 +19,9 @@ from gradedorbits.exactlin import (
     RatMatrix,
     _rref,
     bracket,
+    hermite_pivots,
+    hermite_rows,
+    in_hermite_span,
     invariant_factors,
     nullspace,
     rank_rational,
@@ -35,6 +39,13 @@ from oracles import (
 entries = st.one_of(
     st.integers(-6, 6),
     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+integer_rows = st.integers(1, 4).flatmap(
+    lambda c: st.lists(
+        st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=1, max_size=4
+    )
 )
 
 
@@ -187,12 +198,21 @@ def test_rref_mod_p_equals_echelon_oracle(rows, p):
 
 
 @PROPERTY
-@given(
-    st.integers(1, 4).flatmap(
-        lambda c: st.lists(
-            st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=1, max_size=4
-        )
-    )
-)
+@given(integer_rows)
 def test_invariant_factors_equal_minors_oracle(rows):
     assert invariant_factors(IntMatrix.from_rows(rows)) == snf_invariant_factors_by_minors(rows)
+
+
+@PROPERTY
+@given(integer_rows)
+@example([(1, 3, 3, -3), (2, 0, -1, 2), (3, -2, 1, -3)])
+def test_hermite_rows_is_a_normal_form(rows):
+    """Positive pivots with every entry above one in [0, pivot), and the
+    same rows for every order of the input rows.  In the example, reducing
+    by a later pivot row first leaves -15 above the last pivot, 29."""
+    hnf = hermite_rows(rows)
+    assert all(in_hermite_span(hnf, row) for row in rows)
+    for i, j in enumerate(hermite_pivots(hnf)):
+        assert hnf[i][j] > 0
+        assert all(0 <= hnf[k][j] < hnf[i][j] for k in range(i))
+    assert all(hermite_rows(order) == hnf for order in itertools.permutations(rows))
