@@ -498,9 +498,6 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         return RatMatrix(self.cols, self.rows, tuple(zip(*self.num)), self.den)
 
-    def trace(self) -> Fraction:
-        return Fraction(sum(self.num[i][i] for i in range(self.rows)), self.den)
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.num for x in row)
 

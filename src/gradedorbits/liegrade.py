@@ -8,25 +8,29 @@ parabolic/nilradical/Levi attached to a graded nilpotent, and the rigidity
 test comparing the two gradings.
 
 Every piece of the algebra, graded or not, is the part of it on a set of
-matrix cells, and ``_piece`` builds it from the cells alone: for sl the
-units E_ij on off-diagonal cells plus a Cartan chain on the diagonal ones
-(``_sl_in_cells``), for sp_B the solutions of M^T B + B M = 0 supported on
-the cells (``_sp_in_cells``).  For a monomial B, such as the standard
-form, those are written down cell by cell too: one cell, or a pair of
-cells that B links, per element, as the nullspace would list them.  Only
-a form with a row of several nonzeros, which p^T B p can be for a basis
-change p, takes a nullspace.  The basis of the whole algebra is the piece
-on all cells, built on the first read of ``MatrixLieAlgebra.basis``; the
-triple and the parabolic never read it.  After a change of basis p,
+matrix cells, and ``_piece`` builds it from the cells alone, as integer
+cell maps {(i, j): entry}: for sl the units E_ij on off-diagonal cells plus
+a Cartan chain on the diagonal ones (``_sl_in_cells``), for sp_B the
+solutions of M^T B + B M = 0 supported on the cells (``_sp_in_cells``).
+For a monomial B, such as the standard form, those are written down cell
+by cell too: one cell, or a pair of cells that B links, per element, as
+the nullspace would list them.  Only a form with a row of several
+nonzeros, which p^T B p can be for a basis change p, takes a nullspace.
+The basis of the whole algebra is the piece on all cells, built on the
+first read of ``MatrixLieAlgebra.basis``; the triple and the parabolic
+never read it.  After a change of basis p,
 p^-1 sl p = sl and p^-1 sp_B p = sp_B' with B' = p^T B p, so
 ``canonical_parabolic`` and ``check_n_rigid`` take the piece of the same
-type in the diagonalising basis.
+type in the diagonalising basis.  A piece becomes d x d matrices only where
+they are read: ``graded_component``, ``MatrixLieAlgebra.basis`` and, on
+first read, the bases of a ``ParabolicDatum``.
 
-The triple solvers work on cells as well: ``exactlin.bracket`` multiplies
-only nonzero cells, so a bracket of x with a piece element of one or two
-cells costs a row or two of x, and the equations are written only on the
-cells that x, a bracket or a right-hand side reaches.  On the others they
-read 0 = 0, so the reduced row echelon form, and the answer, is the same.
+The triple solvers stay on cells: ``_ad`` forms [x, F], [x, [x, F]] and
+[h, F] from the nonzero cells of x or h, so a bracket with a piece element
+of one or two cells costs a row and a column of x or two, and the equations
+are written only on the cells that x, a bracket or a right-hand side
+reaches.  On the others they read 0 = 0, so the reduced row echelon form,
+and the answer, is the same.  Only e, h and f are built as matrices.
 
 A toral h that the diagonal system [h, x] = 2x fixes is taken from it,
 and its f is solved for on the piece of g_-n of ad-h weight -2 alone: the
@@ -36,7 +40,8 @@ solved for through f alone (h = [x, f]), the toral system is skipped when
 the diagonal one fixes a non-integral h, and ``chi_prime`` takes a nullspace
 only at integer roots of a characteristic polynomial, once per parabolic.
 
-Everything is exact; all returned values are immutable.
+Everything is exact.  Returned values are immutable, except the cell maps
+of ``ParabolicDatum.pieces``, which are to be read only.
 """
 
 from __future__ import annotations
@@ -95,7 +100,8 @@ class MatrixLieAlgebra:
     def basis(self) -> tuple:
         """The piece on all cells, built on first use: the triple and the
         parabolic need only pieces on some cells."""
-        return _piece(self, _all_cells(self.dim_ambient))
+        d = self.dim_ambient
+        return tuple(_matrix(d, c) for c in _piece(self, _all_cells(d)))
 
     @property
     def dimension(self) -> int:
@@ -103,9 +109,16 @@ class MatrixLieAlgebra:
 
     def contains(self, m: RatMatrix) -> bool:
         if self.kind == "sl":
-            return m.trace() == 0
-        b = RatMatrix.from_int(self.form)
-        return (m.transpose() * b + b * m).is_zero()
+            return sum(m.num[i][i] for i in range(m.rows)) == 0
+        # M^T B + B M from the cells of M: M_kl adds M_kl B_kj to entry
+        # (l, j) and B_jk M_kl to entry (j, l)
+        b = self.form.entries
+        acc = {}
+        for (k, l), c in _cells(m).items():
+            for j in range(self.dim_ambient):
+                acc[l, j] = acc.get((l, j), 0) + c * b[k][j]
+                acc[j, l] = acc.get((j, l), 0) + b[j][k] * c
+        return not any(acc.values())
 
 
 @dataclass(frozen=True)
@@ -151,25 +164,23 @@ class ParabolicDatum:
     chi_prime: Cocharacter
     degree: int
     basis_change: RatMatrix
-    p_basis: tuple
-    n_basis: tuple
-    l_basis: tuple
+    pieces: dict  # "p", "n", "l": cell maps in the diagonalising basis
     indicator: IntMatrix  # sign(n) * (n*m - 2*m') per cell
     levi_blocks: tuple  # coordinate classes, first-occurrence order
+
+    # the matrices of each piece, built on first read
+    p_basis, n_basis, l_basis = (
+        cached_property(lambda self, k=k: tuple(_matrix(len(self.chi), c) for c in self.pieces[k]))
+        for k in "pnl"
+    )
 
     @property
     def levi_block_shape(self) -> tuple:
         return tuple(len(b) for b in self.levi_blocks)
 
     def mask(self, which: str) -> IntMatrix:
-        d = len(self.chi.weights)
         pick = _PIECE_TESTS[which]
-        return IntMatrix.from_rows(
-            [
-                [1 if pick(self.indicator.entries[i][j]) else 0 for j in range(d)]
-                for i in range(d)
-            ]
-        )
+        return IntMatrix.from_rows([[int(pick(s)) for s in row] for row in self.indicator.entries])
 
 
 def standard_symplectic_form(d: int) -> IntMatrix:
@@ -184,27 +195,32 @@ def standard_symplectic_form(d: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def _integer_matrix(d, entries) -> RatMatrix:
-    """The d x d integer matrix with the given (i, j, value) entries."""
+def _matrix(d, cells, den=1) -> RatMatrix:
+    """The d x d matrix of an integer cell map {(i, j): entry} over den."""
     rows = [[0] * d for _ in range(d)]
-    for i, j, v in entries:
+    for (i, j), v in cells.items():
         rows[i][j] = v
-    return RatMatrix(d, d, tuple(map(tuple, rows)), 1)
+    return RatMatrix(d, d, tuple(map(tuple, rows)), den)._normalized()
+
+
+def _cells(m: RatMatrix) -> dict:
+    """The nonzero cells of the numerator of m, {(i, j): entry}."""
+    return {(i, j): x for i, row in enumerate(m.num) for j, x in enumerate(row) if x}
 
 
 def _all_cells(d) -> list:
     return [(i, j) for i in range(d) for j in range(d)]
 
 
-def _sl_in_cells(d, cells) -> tuple:
+def _sl_in_cells(cells) -> tuple:
     """Basis of the part of sl_d on the cell set: E_ij for each off-diagonal
     cell, row-major, then e_a - e_b for consecutive diagonal cells (a, a),
     (b, b) of the set.  On all cells this is the basis of ``build_algebra``."""
     cells = sorted(cells)
     diag = [i for (i, j) in cells if i == j]
     return tuple(
-        [_integer_matrix(d, [(i, j, 1)]) for (i, j) in cells if i != j]
-        + [_integer_matrix(d, [(a, a, 1), (b, b, -1)]) for a, b in zip(diag, diag[1:])]
+        [{(i, j): 1} for (i, j) in cells if i != j]
+        + [{(a, a): 1, (b, b): -1} for a, b in zip(diag, diag[1:])]
     )
 
 
@@ -247,22 +263,19 @@ def _sp_in_cells(form, cells) -> tuple:
         for k, l in cells:
             first = (partner[l], partner[k])
             if first == (k, l):
-                out.append(_integer_matrix(d, [(k, l, 1)]))
+                out.append({(k, l): 1})
             elif first < (k, l) and first in cell_set:
                 # b1 M_first + b2 M_kl = 0 from the entry (s(k), l)
                 b1, b2 = form[partner[l]][l], form[partner[k]][k]
                 g = gcd(b1, b2) if b2 > 0 else -gcd(b1, b2)
-                out.append(_integer_matrix(d, [(*first, b2 // g), (k, l, -b1 // g)]))
+                out.append({first: b2 // g, (k, l): -b1 // g})
         return tuple(out)
     rows = [
         [(form[k][j] if l == i else 0) + (form[i][k] if l == j else 0) for (k, l) in cells]
         for i in range(d)
         for j in range(i + 1, d)
     ]
-    return tuple(
-        _integer_matrix(d, [(i, j, v) for (i, j), v in zip(cells, vec) if v])
-        for vec in nullspace(rows)
-    )
+    return tuple({c: v for c, v in zip(cells, vec) if v} for vec in nullspace(rows))
 
 
 def _conjugated_form(alg: MatrixLieAlgebra, p: RatMatrix):
@@ -276,9 +289,10 @@ def _conjugated_form(alg: MatrixLieAlgebra, p: RatMatrix):
 
 def _piece(alg: MatrixLieAlgebra, cells, form=None) -> tuple:
     """Basis of the part of alg on the cell set or, given the rows of the
-    ``_conjugated_form`` of a basis change p, of p^-1 alg p."""
+    ``_conjugated_form`` of a basis change p, of p^-1 alg p: integer cell
+    maps {(i, j): entry}, which ``_matrix`` turns into matrices."""
     if alg.kind == "sl":
-        return _sl_in_cells(alg.dim_ambient, cells)
+        return _sl_in_cells(cells)
     return _sp_in_cells(alg.form.entries if form is None else form, cells)
 
 
@@ -326,7 +340,7 @@ def graded_component(alg: MatrixLieAlgebra, chi: Cocharacter, n: int) -> GradedC
     w = chi.weights
     d = alg.dim_ambient
     cells = [(i, j) for i in range(d) for j in range(d) if w[i] - w[j] == n]
-    return GradedComponent(n, _piece(alg, cells))
+    return GradedComponent(n, tuple(_matrix(d, c) for c in _piece(alg, cells)))
 
 
 def in_span(basis, m: RatMatrix) -> bool:
@@ -337,107 +351,124 @@ def in_span(basis, m: RatMatrix) -> bool:
     return solve_linear(rows, list(m.flat())) is not None
 
 
-def _integer_cells(mats):
-    """The nonzero cells of each matrix, {(i, j): entry}, all scaled by one
-    common denominator to integers.  A linear system built from them has
-    the solutions of the same system built from the rational entries."""
-    den = lcm(*(m.den for m in mats))
-    return [
-        {(i, j): x * (den // m.den) for i, row in enumerate(m.num) for j, x in enumerate(row) if x}
-        for m in mats
-    ]
+def _ad(a):
+    """m -> [a, m] on cell maps, for a given as one: a cell m_kl adds
+    a_ik m_kl to (i, l) for each cell (i, k) of a and subtracts m_kl a_lj
+    from (k, j) for each cell (l, j); cells that sum to 0 are left out."""
+    by_row, by_col = {}, {}
+    for (i, j), v in a.items():
+        by_row.setdefault(i, []).append((j, v))
+        by_col.setdefault(j, []).append((i, v))
+
+    def ad(m):
+        out = {}
+        for (k, l), c in m.items():
+            for i, v in by_col.get(k, ()):
+                out[i, l] = out.get((i, l), 0) + v * c
+            for j, v in by_row.get(l, ()):
+                out[k, j] = out.get((k, j), 0) - c * v
+        return {cell: v for cell, v in out.items() if v}
+
+    return ad
+
+
+def _brackets(x: RatMatrix, piece) -> list:
+    """[X, F] for each cell map F of the piece, X = x.den * x."""
+    return list(map(_ad(_cells(x)), piece))
 
 
 def _equations(columns, target):
-    """Rows and right-hand side of sum_k c_k columns[k] = target, for
-    matrices given by their ``_integer_cells``: one equation per cell,
-    row-major, on which a column or the target is nonzero.  On every other
-    cell the equation is 0 = 0, which changes neither the solutions nor the
-    reduced row echelon form."""
+    """Rows and right-hand side of sum_k c_k columns[k] = target, for cell
+    maps: one equation per cell, row-major, on which a column or the target
+    has a key.  On every other cell the equation is 0 = 0, which changes
+    neither the solutions nor the reduced row echelon form."""
     cells = sorted(set(target).union(*columns))
     return [[c.get(k, 0) for c in columns] for k in cells], [target.get(k, 0) for k in cells]
 
 
-def _combination(coeffs, mats, d) -> RatMatrix:
-    """sum_k coeffs[k] mats[k] for rational coefficients and d x d matrices."""
-    terms = [(c, m) for c, m in zip(coeffs, mats) if c]
-    den = lcm(*(c.denominator * m.den for c, m in terms))
-    acc = [[0] * d for _ in range(d)]
-    for c, m in terms:
-        scale = c.numerator * (den // (c.denominator * m.den))
-        for i, row in enumerate(m.num):
-            out = acc[i]
-            for j, x in enumerate(row):
-                if x:
-                    out[j] += scale * x
-    return RatMatrix(d, d, tuple(map(tuple, acc)), den)._normalized()
+def _combination(coeffs, piece, d, den=1) -> RatMatrix:
+    """sum_k coeffs[k] piece[k] / den as a d x d matrix, for rational
+    coefficients and integer cell maps."""
+    common = lcm(*(c.denominator for c in coeffs))
+    acc = {}
+    for c, m in zip(coeffs, piece):
+        for k, v in m.items():
+            acc[k] = acc.get(k, 0) + c.numerator * (common // c.denominator) * v
+    return _matrix(d, acc, common * den)
 
 
-def _solve_h(x, brackets_f, d, diagonal):
+def _solve_h(x, xf, diagonal):
     """The h of the system [x, f] = h, [h, x] = 2x with f in span(gm) and h
     in g0, or in the diagonal part of g0 when ``diagonal``; None if the
-    system has no solution.  ``brackets_f`` holds [x, F_k] for the gm basis.
+    system has no solution.  ``xf`` holds the ``_brackets`` [X, F_k] of the
+    gm basis, X = x.den * x.
 
     [x, f] = h fixes h by f, and [x, f] lies in g0.  So the system is
-    [[x, f], x] = 2x in the f coefficients alone, plus [x, f] = 0 off the
-    diagonal for a diagonal h.  In the system in (h, f), h unknowns first,
-    every h column is a pivot, as the basis of h is independent; its
-    reduced row echelon form therefore gives these f coefficients, free
-    ones set to 0, and h = [x, f].  Equations are written only on the cells
-    that x or a bracket reaches."""
-    if not brackets_f:
+    [[x, f], x] = 2x in the f coefficients alone, written as
+    [X, [X, f]] = -2 x.den X, plus [x, f] = 0 off the diagonal for a
+    diagonal h.  In the system in (h, f), h unknowns first, every h column
+    is a pivot, as the basis of h is independent; its reduced row echelon
+    form therefore gives these f coefficients, free ones set to 0, and
+    h = [x, f].  Equations are written only on the cells that x or a
+    bracket reaches."""
+    if not xf:
         return None
-    t = len(brackets_f)
-    x_cells, *cols = _integer_cells([x, *brackets_f, *(bracket(b, x) for b in brackets_f)])
-    rows, rhs = _equations(cols[t:], {k: 2 * v for k, v in x_cells.items()})
+    x_cells = _cells(x)
+    ad_x = _ad(x_cells)
+    rows, rhs = _equations([ad_x(b) for b in xf], {k: -2 * x.den * v for k, v in x_cells.items()})
     if diagonal:
-        off = [{k: v for k, v in c.items() if k[0] != k[1]} for c in cols[:t]]
+        off = [{k: v for k, v in b.items() if k[0] != k[1]} for b in xf]
         off_rows, off_rhs = _equations(off, {})
         rows += off_rows
         rhs += off_rhs
     sol = solve_linear(rows, rhs)
-    return None if sol is None else _combination(sol, brackets_f, d)
+    return None if sol is None else _combination(sol, xf, x.rows, x.den)
 
 
-def _solve_f(h, gm_basis, brackets_f, d, eigen=True):
-    """The f in span(gm_basis) with [x, f] = h and, when ``eigen``,
-    [h, f] = -2f, or None; ``brackets_f`` holds [x, F_k] for the gm basis.
-    Equations are written only on the cells that h, a basis element or a
-    bracket reaches."""
-    t = len(gm_basis)
-    eigen_mats = [*gm_basis, *(bracket(h, fb) for fb in gm_basis)] if eigen else []
-    h_cells, *cols = _integer_cells([h, *brackets_f, *eigen_mats])
-    rows, rhs = _equations(cols[:t], h_cells)
-    # [h, F_k] + 2 F_k for [h, f] + 2f = 0
-    shifted = [
-        {k: hf.get(k, 0) + 2 * fb.get(k, 0) for k in hf.keys() | fb.keys()}
-        for fb, hf in zip(cols[t : 2 * t], cols[2 * t :])
-    ]
-    eig_rows, eig_rhs = _equations(shifted, {})
-    sol = solve_linear(rows + eig_rows, rhs + eig_rhs)
-    return None if sol is None else _combination(sol, gm_basis, d)
+def _solve_f(h, piece, xf, x, eigen=True):
+    """The f in the span of the piece's cell maps with [x, f] = h and, when
+    ``eigen``, [h, f] = -2f, or None; ``xf`` holds the ``_brackets`` of the
+    piece.  For X = x.den * x and H = h.den * h the equations read
+    h.den [X, f] = x.den H and [H, f] + 2 h.den f = 0, written only on the
+    cells that h, a piece element or a bracket reaches."""
+    cols = xf if h.den == 1 else [{k: h.den * v for k, v in b.items()} for b in xf]
+    h_cells = _cells(h)
+    rows, rhs = _equations(cols, {k: x.den * v for k, v in h_cells.items()})
+    if eigen:
+        shifted = [
+            {k: hf.get(k, 0) + 2 * h.den * fb.get(k, 0) for k in hf.keys() | fb.keys()}
+            for fb, hf in zip(piece, map(_ad(h_cells), piece))
+        ]
+        eig_rows, eig_rhs = _equations(shifted, {})
+        rows += eig_rows
+        rhs += eig_rhs
+    sol = solve_linear(rows, rhs)
+    return None if sol is None else _combination(sol, piece, x.rows)
 
 
 def _toral_h(x, diag_basis):
-    """(possible, h) for an h in the span of the diagonal ``diag_basis``
-    that is the h of an sl2-triple through x.  For h = diag(a), [h, x] = 2x
-    says a_i - a_j = 2 on every cell (i, j) of x.  possible is False when
-    that has no solution, or one with a non-integer entry, as the h of
-    every sl2-triple has integer eigenvalues.  h is diag(a) for the one
-    integer solution a, which the caller's f solve or bracket check
+    """(possible, h) for an h in the span of the diagonal ``diag_basis``, as
+    cell maps, that is the h of an sl2-triple through x.  For h = diag(a),
+    [h, x] = 2x says a_i - a_j = 2 on every cell (i, j) of x.  possible is
+    False when that has no solution, or one with a non-integer entry, as
+    the h of every sl2-triple has integer eigenvalues.  h is diag(a) for
+    the one integer solution a, which the caller's f solve or bracket check
     rejects if no triple has it, and None when the system leaves a free."""
-    # unknowns: the coefficients of the numerators of the basis elements
-    diags = [[b.num[i][i] for i in range(x.rows)] for b in diag_basis]
+    d = x.rows
+    diags = [[b.get((i, i), 0) for i in range(d)] for b in diag_basis]
     rows = [[v[i] - v[j] for v in diags] for (i, j) in x.support()]
     coeffs, rank = solve_linear(rows, [2] * len(rows), with_rank=True)
     if coeffs is None:
         return False, None
     if rank < len(diag_basis):
         return True, None
-    a = [sum(c * v[i] for c, v in zip(coeffs, diags)) for i in range(x.rows)]
-    if any(v.denominator != 1 for v in a):
+    # den * a in integers, den the common denominator of the c_k
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    a = [sum(c * v[i] for c, v in zip(nums, diags)) for i in range(d)]
+    if any(v % den for v in a):
         return False, None
-    return True, _integer_matrix(x.rows, [(i, i, int(v)) for i, v in enumerate(a) if v])
+    return True, _matrix(d, {(i, i): v // den for i, v in enumerate(a)})
 
 
 def adapted_sl2_triple(
@@ -455,8 +486,9 @@ def adapted_sl2_triple(
     When the diagonal system leaves h free, [x, f0] = h, [h, x] = 2x is
     solved as one linear feasibility problem in f0 (``_solve_h``), first
     over the diagonal when ``_toral_h`` allows it and then over all of
-    g_0, and f is solved for with [h, f] = -2f adjoined.  The bracket
-    relations are verified exactly every time.
+    g_0, and f is solved for with [h, f] = -2f adjoined.  Pieces stay cell
+    maps throughout; only e, h and f are built as matrices, and the
+    bracket relations are verified exactly every time.
     """
     if n == 0:
         raise DomainError("degree", "degree must be nonzero")
@@ -474,24 +506,24 @@ def adapted_sl2_triple(
     # the diagonal part of g_0: every diagonal cell has degree 0
     g0_diag = _piece(alg, [(i, i) for i in range(d)])
     toral, h = _toral_h(x, g0_diag) if g0_diag else (False, None)
+    minus_n = [(i, j) for i, j in _all_cells(d) if w[i] - w[j] == -n]
     if h is not None:
         a = [h.num[i][i] for i in range(d)]
-        cells = [(i, j) for i, j in _all_cells(d) if w[i] - w[j] == -n and a[i] - a[j] == -2]
-        fs = _piece(alg, cells)
-        f = _solve_f(h, fs, [bracket(x, fb) for fb in fs], d, eigen=False)
+        fs = _piece(alg, [(i, j) for i, j in minus_n if a[i] - a[j] == -2])
+        f = _solve_f(h, fs, _brackets(x, fs), x, eigen=False)
         triple = Sl2Triple(x, h, f)
         if f is not None and triple.bracket_relations_hold():
             return triple
         # the diagonal _solve_h would give this h again
         toral = False
-    gm = graded_component(alg, chi, -n).basis
-    # [x, F] for the g_-n basis, shared by both attempts
-    brackets_f = [bracket(x, fb) for fb in gm]
+    gm = _piece(alg, minus_n)
+    # [X, F] for the g_-n basis, shared by both attempts
+    xf = _brackets(x, gm)
     for diagonal in (True, False) if toral else (False,):
-        h = _solve_h(x, brackets_f, d, diagonal)
+        h = _solve_h(x, xf, diagonal)
         if h is None:
             continue
-        f = _solve_f(h, gm, brackets_f, d)
+        f = _solve_f(h, gm, xf, x)
         if f is None:
             continue
         triple = Sl2Triple(x, h, f)
@@ -549,28 +581,19 @@ def chi_prime(triple: Sl2Triple, chi: Cocharacter | None = None):
     d = h.rows
     diagonal = all(h.num[i][j] == 0 for i in range(d) for j in range(d) if i != j)
     if diagonal:
-        weights = []
-        for i in range(d):
-            v = h.entry(i, i)
-            if v.denominator != 1:
-                raise NonIntegralWeights("h has a non-integer diagonal entry")
-            weights.append(int(v))
-        return Cocharacter.of(weights), RatMatrix.identity(d)
+        if any(h.num[i][i] % h.den for i in range(d)):
+            raise NonIntegralWeights("h has a non-integer diagonal entry")
+        return Cocharacter.of([h.num[i][i] // h.den for i in range(d)]), RatMatrix.identity(d)
 
     if chi is None:
         block_lists = [list(range(d))]
     else:
         if len(chi) != d:
             raise ValueError("cocharacter length mismatch")
-        block_lists = list(_blocks_by_weight(chi.weights).values())
-        for idx in block_lists:
-            others = [j for j in range(d) if j not in idx]
-            for i in idx:
-                for j in others:
-                    if h.num[i][j] != 0 or h.num[j][i] != 0:
-                        raise NotSimultaneouslyDiagonal(
-                            "h does not preserve the grading blocks"
-                        )
+        w = chi.weights
+        if any(h.num[i][j] for i in range(d) for j in range(d) if w[i] != w[j]):
+            raise NotSimultaneouslyDiagonal("h does not preserve the grading blocks")
+        block_lists = list(_blocks_by_weight(w).values())
     col_vectors = [None] * d
     weights = [None] * d
     for idx in block_lists:
@@ -622,20 +645,18 @@ def canonical_parabolic(
     potential = [sign * (n * a - 2 * b) for a, b in zip(chip.weights, chi.weights)]
     indicator = IntMatrix.from_rows([[a - b for b in potential] for a in potential])
     ind = indicator.entries
-    # the pieces of p^-1 alg p, in the basis where both gradings are diagonal
+    # the pieces of p^-1 alg p, in the basis where both gradings are
+    # diagonal, as cell maps; their matrices are built on first read
     form = _conjugated_form(alg, p)
-    p_basis, n_basis, l_basis = (
-        _piece(alg, [(i, j) for i in range(d) for j in range(d) if keep(ind[i][j])], form)
-        for keep in _PIECE_TESTS.values()
-    )
     return ParabolicDatum(
         chi=chi,
         chi_prime=chip,
         degree=n,
         basis_change=p,
-        p_basis=p_basis,
-        n_basis=n_basis,
-        l_basis=l_basis,
+        pieces={
+            which: _piece(alg, [(i, j) for i in range(d) for j in range(d) if keep(ind[i][j])], form)
+            for which, keep in _PIECE_TESTS.items()
+        },
         indicator=indicator,
         levi_blocks=tuple(tuple(b) for b in _blocks_by_weight(potential).values()),
     )
@@ -657,16 +678,17 @@ def check_n_rigid(
     returned as the witness.  Triple placement (e in g_n, h in g_0,
     f in g_-n) is part of the check.  An algebra is given in its own
     coordinates, and its part on all cells of the diagonalising basis is
-    solved for here; a basis is taken as already in that basis, as
+    solved for here; a basis, of matrices or of cell maps such as
+    ``ParabolicDatum.pieces["l"]``, is taken as already in that basis, as
     ``canonical_parabolic`` returns its pieces.  chi' and the basis change
     are taken from ``datum``, the ``canonical_parabolic`` of the same chi
     and triple, when it is given, and computed otherwise.
     """
     own_coordinates = isinstance(alg_or_basis, MatrixLieAlgebra)
+    d = len(chi)
     basis = alg_or_basis.basis if own_coordinates else tuple(alg_or_basis)
     if not basis:
         return RigidityReport(True, None)
-    d = basis[0].rows
     chip, p = chi_prime(triple, chi) if datum is None else (datum.chi_prime, datum.basis_change)
     w = chi.weights
     wp = chip.weights
@@ -685,7 +707,7 @@ def check_n_rigid(
     if moved and own_coordinates:
         basis = _piece(alg_or_basis, _all_cells(d), _conjugated_form(alg_or_basis, p))
     # every cell the basis reaches, row-major
-    for i, j in sorted(set().union(*(m.support() for m in basis))):
+    for i, j in sorted(set().union(*(m if isinstance(m, dict) else m.support() for m in basis))):
         if 2 * (w[i] - w[j]) != n * (wp[i] - wp[j]):
             return RigidityReport(False, (wp[i] - wp[j], w[i] - w[j]))
     return RigidityReport(True, None)

@@ -17,9 +17,11 @@ from gradedorbits.liegrade import (
     NoTriple,
     RigidityReport,
     Sl2Triple,
+    _brackets,
     _conjugated_form,
     _equations,
     _integer_eigenvalues,
+    _matrix,
     _piece,
     _solve_f,
     _solve_h,
@@ -413,7 +415,8 @@ def test_piece_spans_what_the_oracle_spans(kind, d, form, conjugate):
             basis = tuple(p_inv * m * p for m in alg.basis)
         density = rng.choice((0.3, 0.6, 0.9))
         cells = {(i, j) for i in range(d) for j in range(d) if rng.random() < density}
-        got = _piece(alg, cells, None if p is None else _conjugated_form(alg, p))
+        piece = _piece(alg, cells, None if p is None else _conjugated_form(alg, p))
+        got = tuple(_matrix(d, c) for c in piece)
         want = subspace_in_cells_by_nullspace(basis, cells)
         assert all(m.support() <= cells for m in got)
         assert len(got) == len(want) == rank_rational([m.flat() for m in got])
@@ -529,14 +532,15 @@ def test_f_only_solve_and_toral_check_keep_the_triple(kind, weights, n):
     d = alg.dim_ambient
     g0 = graded_component(alg, chi, 0).basis
     gm = graded_component(alg, chi, -n).basis
+    gm_cells = _piece(alg, _cells_of_degree(chi, -n))
     diag = _piece(alg, {(i, i) for i in range(d)})
     for x in _random_piece_elements(alg, chi, n, 6, seed=1):
-        brackets_f = [bracket(x, b) for b in gm]
+        xf = _brackets(x, gm_cells)
         # the f-only system gives the h of the system in (h, f)
-        assert _solve_h(x, brackets_f, d, False) == triple_h_by_full_system(x, g0, gm)
-        h = _solve_h(x, brackets_f, d, True)
-        assert h == triple_h_by_full_system(x, diag, gm)
-        f = _solve_f(h, gm, brackets_f, d) if h is not None else None
+        assert _solve_h(x, xf, False) == triple_h_by_full_system(x, g0, gm)
+        h = _solve_h(x, xf, True)
+        assert h == triple_h_by_full_system(x, tuple(_matrix(d, c) for c in diag), gm)
+        f = _solve_f(h, gm_cells, xf, x) if h is not None else None
         toral = f is not None and Sl2Triple(x, h, f).bracket_relations_hold()
         possible, fixed = _toral_h(x, diag)
         if not possible:

@@ -16,6 +16,8 @@ from gradedorbits import liegrade
 from gradedorbits.exactlin import IntMatrix, RatMatrix
 from gradedorbits.liegrade import (
     Cocharacter,
+    Sl2Triple,
+    _matrix,
     _monomial_involution,
     _piece,
     _sp_in_cells,
@@ -91,7 +93,8 @@ def forms_with_cells(draw):
 def test_monomial_sp_piece_equals_nullspace(case):
     kind, form, shape, cells = case
     assert _monomial_involution(form) is not None
-    assert _sp_in_cells(form, cells) == sp_in_cells_by_nullspace(form, cells), (kind, shape)
+    got = tuple(_matrix(len(form), c) for c in _sp_in_cells(form, cells))
+    assert got == sp_in_cells_by_nullspace(form, cells), (kind, shape)
 
 
 def _non_monomial(form, i, j, c):
@@ -119,7 +122,25 @@ def test_non_monomial_sp_piece_equals_nullspace(case, data):
     rows = _non_monomial(form, i, j, data.draw(st.sampled_from([1, -1, 2])))
     cells = data.draw(st.sets(st.sampled_from([(a, b) for a in range(d) for b in range(d)])))
     assert _monomial_involution(rows) is None
-    assert _sp_in_cells(rows, cells) == sp_in_cells_by_nullspace(rows, cells)
+    got = tuple(_matrix(d, c) for c in _sp_in_cells(rows, cells))
+    assert got == sp_in_cells_by_nullspace(rows, cells)
+    # membership from the cells of M against the dense M^T B + B M, for the
+    # standard form and the non-monomial one: a random M, a sum of piece
+    # elements (in sp_B) and that sum with one cell added
+    entries = st.lists(st.integers(-2, 2), min_size=d * d, max_size=d * d)
+    cell = data.draw(st.sampled_from(sorted(cells) or [(0, 0)]))
+    for b in (standard_symplectic_form(d).entries, rows):
+        alg = build_algebra("sp", d, IntMatrix.from_rows(b))
+        dense = RatMatrix.from_int(alg.form)
+        flat = data.draw(entries)
+        inside = RatMatrix.zeros(d, d)
+        for m in (_matrix(d, c) for c in _sp_in_cells(b, cells)):
+            inside = inside + m
+        unit = [[int((r, c) == cell) for c in range(d)] for r in range(d)]
+        for m in (RatMatrix.from_rows([flat[r * d:(r + 1) * d] for r in range(d)]),
+                  inside, inside + RatMatrix.from_rows(unit)):
+            assert alg.contains(m) == (m.transpose() * dense + dense * m).is_zero()
+        assert alg.contains(inside)
 
 
 @st.composite
@@ -163,27 +184,36 @@ def graded_elements(draw):
 @PROPERTY
 @given(graded_elements())
 def test_toral_triple_equals_full_systems(case):
-    # where the diagonal system fixes h, the triple has that h, and its f is
-    # the one of the full f system, solved for on the ad-h weight -2 part of
-    # g_-n alone on every form
+    # every triple has the h of the full (h, f) system over the diagonal of
+    # g_0 when that gives a triple, else over all of g_0, and the f of the
+    # full f system; where the diagonal system fixes h, that h is the
+    # triple's, and its f is solved for on the ad-h weight -2 part of g_-n
+    # alone on every form
     _, alg, chi, n, x = case
     d = alg.dim_ambient
     with mock.patch.object(liegrade, "_solve_f", wraps=liegrade._solve_f) as spy:
         triple = adapted_sl2_triple(alg, chi, n, x)
     diag = _piece(alg, [(i, i) for i in range(d)])
+    gm = graded_component(alg, chi, -n).basis
+    cells = [(i, j) for i in range(d) for j in range(d) if chi.weights[i] - chi.weights[j] == -n]
+    gm_oracle = gm if alg.kind == "sl" else sp_in_cells_by_nullspace(alg.form.entries, cells)
+    diag_basis = tuple(_matrix(d, c) for c in diag)
+    h_diag = triple_h_by_full_system(x, diag_basis, gm) if diag else None
+    f_diag = None if h_diag is None else triple_f_by_full_system(x, h_diag, gm_oracle)
+    if f_diag is not None and Sl2Triple(x, h_diag, f_diag).bracket_relations_hold():
+        h = h_diag
+    else:
+        h = triple_h_by_full_system(x, graded_component(alg, chi, 0).basis, gm)
+    assert (triple.h, triple.f) == (h, triple_f_by_full_system(x, h, gm_oracle))
     _, fixed = _toral_h(x, diag) if diag else (False, None)
     if fixed is None:
         return
-    gm = graded_component(alg, chi, -n).basis
-    h = triple_h_by_full_system(x, diag, gm)
-    assert h is None or h == fixed
-    if h is not None:
-        cells = [(i, j) for i in range(d) for j in range(d) if chi.weights[i] - chi.weights[j] == -n]
-        gm_oracle = gm if alg.kind == "sl" else sp_in_cells_by_nullspace(alg.form.entries, cells)
-        assert (triple.h, triple.f) == (h, triple_f_by_full_system(x, h, gm_oracle))
+    assert h_diag is None or h_diag == fixed
+    if h_diag is not None:
+        assert h == h_diag
         # the first f solve found it: no other route ran
         assert len(spy.call_args_list) == 1
     first = spy.call_args_list[0]
     a = [fixed.num[i][i] for i in range(d)]
     assert first.kwargs == {"eigen": False}
-    assert all(a[i] - a[j] == -2 for fb in first.args[1] for i, j in fb.support())
+    assert all(a[i] - a[j] == -2 for fb in first.args[1] for i, j in fb)
