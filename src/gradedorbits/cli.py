@@ -22,8 +22,6 @@ import sys
 from .exactlin import (
     PRIME_TEST_BOUND,
     DomainError,
-    RatMatrix,
-    format_matrix_text,
     is_prime,
     parse_matrix_text,
 )
@@ -107,7 +105,7 @@ def _char(text: str) -> int:
 def _matrix(text: str):
     """argparse type: a matrix in the ';'/',' text format."""
     try:
-        return RatMatrix.from_int(parse_matrix_text(text))
+        return parse_matrix_text(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected rows of comma-separated integers separated by ';', got {text!r}"
@@ -199,7 +197,7 @@ def cmd_graded_orbits(args) -> int:
     recs = []
     for rep in reps:
         label = rep.label()
-        representative = format_matrix_text(rep.representative)
+        representative = rep.representative.text()
         shape = ",".join(str(s) for s in rep.levi_shape)
         rows.append((label, representative, rep.dimension, shape))
         recs.append(
@@ -224,7 +222,7 @@ def cmd_grading(args) -> int:
     comp = graded_component(alg, chi, args.degree)
     wm = weight_matrix(chi)
     lines = [
-        f"weight_matrix: {format_matrix_text(wm)}",
+        f"weight_matrix: {wm.text()}",
         f"degree: {args.degree}",
         f"dim: {comp.dimension}",
     ]
@@ -232,7 +230,7 @@ def cmd_grading(args) -> int:
     for t in basis_texts:
         lines.append(f"basis: {t}")
     payload = {
-        "weight_matrix": format_matrix_text(wm),
+        "weight_matrix": wm.text(),
         "degree": args.degree,
         "dim": comp.dimension,
         "basis": basis_texts,
@@ -275,9 +273,9 @@ def cmd_parabolic(args) -> int:
     rigid = check_n_rigid(datum.pieces["l"], chi, triple, n, datum)
     payload = {
         "chi_prime": list(datum.chi_prime.weights),
-        "chi_prime_matrix": format_matrix_text(weight_matrix(datum.chi_prime)),
-        "indicator": format_matrix_text(datum.indicator),
-        **{f"{k}_mask": format_matrix_text(datum.mask(k)) for k in "pnl"},
+        "chi_prime_matrix": weight_matrix(datum.chi_prime).text(),
+        "indicator": datum.indicator.text(),
+        **{f"{k}_mask": datum.mask(k).text() for k in "pnl"},
         "levi_blocks": list(datum.levi_block_shape),
         "levi_rigid": rigid.is_rigid,
     }

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .exactlin import DomainError, IntMatrix, Partition, is_prime, parse_matrix_text
+from .exactlin import DomainError, Partition, RatMatrix, is_prime, parse_matrix_text
 
 
 class UnknownCase(ValueError):
@@ -329,7 +329,7 @@ class LocalSystemSpec:
 @dataclass(frozen=True)
 class FiberDatum:
     partition: Partition
-    representative: IntMatrix
+    representative: RatMatrix
     full_fiber: object
     zero_part: object | None
     cuspidal_part: object | None
@@ -342,7 +342,7 @@ class CaseData:
     name: str
     group: str
     ambient_dim: int
-    form: IntMatrix | None
+    form: RatMatrix | None
     flag_kind: str
     levi_label: str
     levi_orbit_dim: int

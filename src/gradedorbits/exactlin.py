@@ -1,11 +1,14 @@
 """Exact integer and rational linear algebra.
 
 Everything in this package computes over Z or Q with arbitrary precision;
-there is no floating point anywhere.  All values are immutable after
-construction, so they are safe to share across threads.
+there is no floating point anywhere.  The one matrix type is ``RatMatrix``,
+integer entries over a common denominator; an integer matrix is one with
+denominator 1.  All values are immutable after construction, so they are
+safe to share across threads.
 
 The shared matrix text format used by the CLI and the case fixtures writes
-rows separated by ';' and entries by ',', e.g. ``"0,1;0,0"``.
+rows separated by ';' and entries by ',', e.g. ``"0,1;0,0"``:
+``RatMatrix.text`` writes it, and ``parse_matrix_text`` reads integer entries.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ def is_prime(p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# integer matrices
+# matrices: integer numerators over one common denominator
 
 
 def _matmul(a_rows, b_rows, cols: int) -> tuple:
@@ -87,82 +90,130 @@ def _matmul(a_rows, b_rows, cols: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix stored as a tuple of row tuples."""
+class RatMatrix:
+    """Immutable rational matrix: integer entries ``num`` over one positive
+    denominator ``den``, which is 1 for an integer matrix.  ``from_rows``
+    and the arithmetic normalize it (den coprime to the entries), so equal
+    normalized values are the same rational matrix."""
 
     rows: int
     cols: int
-    entries: tuple
+    num: tuple
+    den: int
 
     @staticmethod
-    def from_rows(rows) -> "IntMatrix":
-        tup = tuple(tuple(int(x) for x in row) for row in rows)
-        if not tup:
-            return IntMatrix(0, 0, ())
-        ncols = len(tup[0])
-        if any(len(r) != ncols for r in tup):
+    def from_rows(rows) -> "RatMatrix":
+        """The matrix of rows of ints, Fractions or strings such as "1/2"; a
+        float is refused, as it is not exact."""
+        tup = tuple(map(tuple, rows))
+        ncols = len(tup[0]) if tup else 0
+        if any(len(row) != ncols for row in tup):
             raise ValueError("ragged rows")
-        return IntMatrix(len(tup), ncols, tup)
+        types = set(map(type, itertools.chain.from_iterable(tup)))
+        if types <= {int}:
+            return RatMatrix(len(tup), ncols, tup, 1)
+        if any(issubclass(t, float) for t in types):
+            raise TypeError("float entries are not exact")
+        vals = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in tup]
+        denom = lcm(*(x.denominator for row in vals for x in row))
+        num = tuple(tuple(x.numerator * (denom // x.denominator) for x in row) for row in vals)
+        return RatMatrix(len(num), ncols, num, denom)._normalized()
 
     @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+    def zeros(r: int, c: int) -> "RatMatrix":
+        return RatMatrix(r, c, tuple((0,) * c for _ in range(r)), 1)
 
     @staticmethod
-    def zeros(r: int, c: int) -> "IntMatrix":
-        return IntMatrix(r, c, tuple((0,) * c for _ in range(r)))
+    def identity(n: int) -> "RatMatrix":
+        return RatMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return IntMatrix(
-            self.rows, other.cols, _matmul(self.entries, other.entries, other.cols)
-        )
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix(
+    def _normalized(self) -> "RatMatrix":
+        g = abs(self.den)
+        for row in self.num:
+            for x in row:
+                g = gcd(g, abs(x))
+                if g == 1:
+                    break
+        if g in (0, 1):
+            g = 1
+        sign = 1 if self.den > 0 else -1
+        if g == 1 and sign == 1:
+            return self
+        return RatMatrix(
             self.rows,
             self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
+            tuple(tuple(sign * x // g for x in row) for row in self.num),
+            sign * self.den // g,
         )
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(
-            self.rows, self.cols, tuple(tuple(-a for a in r) for r in self.entries)
+    def entry(self, i: int, j: int) -> Fraction:
+        return Fraction(self.num[i][j], self.den)
+
+    def flat(self) -> tuple:
+        return tuple(
+            Fraction(x, self.den) for row in self.num for x in row
         )
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+    def __add__(self, other: "RatMatrix") -> "RatMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        d = self.den * other.den // gcd(self.den, other.den)
+        a, b = d // self.den, d // other.den
+        ent = tuple(
+            tuple(a * x + b * y for x, y in zip(r1, r2))
+            for r1, r2 in zip(self.num, other.num)
+        )
+        return RatMatrix(self.rows, self.cols, ent, d)._normalized()
+
+    def __neg__(self) -> "RatMatrix":
+        return RatMatrix(
+            self.rows, self.cols, tuple(tuple(-x for x in r) for r in self.num), self.den
+        )
+
+    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + (-other)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
+    def __mul__(self, other: "RatMatrix") -> "RatMatrix":
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch")
+        ent = _matmul(self.num, other.num, other.cols)
+        return RatMatrix(self.rows, other.cols, ent, self.den * other.den)._normalized()
+
+    def scale(self, c) -> "RatMatrix":
+        f = Fraction(c)
+        ent = tuple(tuple(x * f.numerator for x in row) for row in self.num)
+        return RatMatrix(self.rows, self.cols, ent, self.den * f.denominator)._normalized()
+
+    def transpose(self) -> "RatMatrix":
+        return RatMatrix(self.cols, self.rows, tuple(zip(*self.num)), self.den)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
+        return all(x == 0 for row in self.num for x in row)
+
+    def support(self) -> frozenset:
+        return frozenset(
+            (i, j) for i, row in enumerate(self.num) for j, x in enumerate(row) if x
+        )
+
+    def text(self) -> str:
+        if self.den == 1:
+            return ";".join(",".join(str(x) for x in row) for row in self.num)
+        return ";".join(
+            ",".join(str(Fraction(x, self.den)) for x in row) for row in self.num
+        )
 
 
-def parse_matrix_text(text: str) -> IntMatrix:
-    """Parse the shared ';'/',' matrix text format."""
-    rows = [r for r in text.strip().split(";")]
-    return IntMatrix.from_rows([[int(x) for x in row.split(",")] for row in rows])
-
-
-def format_matrix_text(m: IntMatrix) -> str:
-    return ";".join(",".join(map(str, row)) for row in m.entries)
+def parse_matrix_text(text: str) -> RatMatrix:
+    """Parse the shared ';'/',' matrix text format of integer entries."""
+    rows = text.strip().split(";")
+    return RatMatrix.from_rows([[int(x) for x in row.split(",")] for row in rows])
 
 
 # ---------------------------------------------------------------------------
 # invariant factors
 
 
-def invariant_factors(m: IntMatrix) -> tuple:
+def invariant_factors(m: RatMatrix) -> tuple:
     """Invariant factors d1 | d2 | ... of m, min(rows, cols) of them with
     the zeros last.
 
@@ -173,7 +224,9 @@ def invariant_factors(m: IntMatrix) -> tuple:
     clear.  Replacing a pair of diagonal entries by their gcd and lcm sorts
     the exponent of every prime, which gives the divisibility chain.
     """
-    rows = hermite_rows(m.entries)
+    if m.den != 1:
+        raise ValueError("invariant factors need an integer matrix")
+    rows = hermite_rows(m.num)
     while any(sum(1 for x in row if x) > 1 for row in rows):
         rows = hermite_rows(zip(*rows))
     diag = [next(x for x in row if x) for row in rows]
@@ -203,7 +256,7 @@ def torsion_primes_of_quotient(rows) -> frozenset:
     rows = [tuple(r) for r in rows]
     if not rows:
         return frozenset()
-    facs = invariant_factors(IntMatrix.from_rows(rows))
+    facs = invariant_factors(RatMatrix.from_rows(rows))
     out = set()
     for d in facs:
         if d not in (0, 1):
@@ -403,115 +456,7 @@ def rank_rational(rows) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rational matrices: integer matrix plus a common denominator
-
-
-@dataclass(frozen=True)
-class RatMatrix:
-    """Rational matrix stored as integer entries over one denominator."""
-
-    rows: int
-    cols: int
-    num: tuple
-    den: int
-
-    @staticmethod
-    def from_rows(rows) -> "RatMatrix":
-        vals = [
-            [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-            for row in rows
-        ]
-        denom = lcm(*(x.denominator for row in vals for x in row))
-        tup = tuple(
-            tuple(x.numerator * (denom // x.denominator) for x in row) for row in vals
-        )
-        m = RatMatrix(len(tup), len(tup[0]) if tup else 0, tup, denom)
-        return m._normalized()
-
-    @staticmethod
-    def from_int(m: IntMatrix) -> "RatMatrix":
-        return RatMatrix(m.rows, m.cols, m.entries, 1)
-
-    @staticmethod
-    def zeros(r: int, c: int) -> "RatMatrix":
-        return RatMatrix(r, c, tuple((0,) * c for _ in range(r)), 1)
-
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix.from_int(IntMatrix.identity(n))
-
-    def _normalized(self) -> "RatMatrix":
-        g = abs(self.den)
-        for row in self.num:
-            for x in row:
-                g = gcd(g, abs(x))
-                if g == 1:
-                    break
-        if g in (0, 1):
-            g = 1
-        sign = 1 if self.den > 0 else -1
-        if g == 1 and sign == 1:
-            return self
-        return RatMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(sign * x // g for x in row) for row in self.num),
-            sign * self.den // g,
-        )
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.num[i][j], self.den)
-
-    def flat(self) -> tuple:
-        return tuple(
-            Fraction(x, self.den) for row in self.num for x in row
-        )
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        d = self.den * other.den // gcd(self.den, other.den)
-        a, b = d // self.den, d // other.den
-        ent = tuple(
-            tuple(a * x + b * y for x, y in zip(r1, r2))
-            for r1, r2 in zip(self.num, other.num)
-        )
-        return RatMatrix(self.rows, self.cols, ent, d)._normalized()
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix(
-            self.rows, self.cols, tuple(tuple(-x for x in r) for r in self.num), self.den
-        )
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + (-other)
-
-    def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ent = _matmul(self.num, other.num, other.cols)
-        return RatMatrix(self.rows, other.cols, ent, self.den * other.den)._normalized()
-
-    def scale(self, c) -> "RatMatrix":
-        f = Fraction(c)
-        ent = tuple(tuple(x * f.numerator for x in row) for row in self.num)
-        return RatMatrix(self.rows, self.cols, ent, self.den * f.denominator)._normalized()
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, tuple(zip(*self.num)), self.den)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.num for x in row)
-
-    def support(self) -> frozenset:
-        return frozenset(
-            (i, j) for i, row in enumerate(self.num) for j, x in enumerate(row) if x
-        )
-
-    def text(self) -> str:
-        if self.den == 1:
-            return ";".join(",".join(str(x) for x in row) for row in self.num)
-        return ";".join(
-            ",".join(str(Fraction(x, self.den)) for x in row) for row in self.num
-        )
+# brackets and inverses
 
 
 def _sparse_rows(num) -> list:
@@ -608,7 +553,7 @@ class Partition:
         return tuple(Partition(p) for p in gen(n, n))
 
 
-def jordan_matrix(partition: Partition) -> IntMatrix:
+def jordan_matrix(partition: Partition) -> RatMatrix:
     """Block-diagonal nilpotent Jordan matrix with the given block sizes."""
     n = partition.weight
     rows = [[0] * n for _ in range(n)]
@@ -617,11 +562,11 @@ def jordan_matrix(partition: Partition) -> IntMatrix:
         for i in range(part - 1):
             rows[offset + i][offset + i + 1] = 1
         offset += part
-    return IntMatrix.from_rows(rows)
+    return RatMatrix.from_rows(rows)
 
 
-def nilpotent_jordan_partition(n: IntMatrix) -> Partition:
-    """Jordan type of a nilpotent integer matrix.
+def nilpotent_jordan_partition(n: RatMatrix) -> Partition:
+    """Jordan type of a nilpotent matrix.
 
     The number of parts >= k equals rank(N^(k-1)) - rank(N^k).
     """
@@ -631,11 +576,11 @@ def nilpotent_jordan_partition(n: IntMatrix) -> Partition:
     # ranks of N^0, N^1, ... up to the first zero power; every later one
     # is zero too, and N^dim is zero exactly when N is nilpotent
     ranks = []
-    power = IntMatrix.identity(dim)
+    power = RatMatrix.identity(dim)
     while not power.is_zero():
         if len(ranks) == dim:
             raise NotNilpotent("matrix is not nilpotent")
-        ranks.append(rank_rational(power.entries))
+        ranks.append(rank_rational(power.num))
         power = power * n
     ranks.append(0)
     return Partition(tuple(a - b for a, b in zip(ranks, ranks[1:]))).transpose()

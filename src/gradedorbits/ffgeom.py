@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .cohom import CaseData, counting_polynomial
-from .exactlin import IntMatrix, _rref, is_prime, nullspace
+from .exactlin import RatMatrix, _rref, is_prime, nullspace
 
 
 class LimitExceeded(ValueError):
@@ -179,7 +179,7 @@ def stable_subspaces(x_rows, p: int, k: int) -> list:
     return list(level)
 
 
-def _validate_element(x: IntMatrix, form):
+def _validate_element(x: RatMatrix, form):
     """Raise NotStableUnderForm unless x is nilpotent and x^T B + B x = 0
     for the form B, if any: over Z, so mod every prime."""
     power = x
@@ -204,7 +204,7 @@ def _perp(basis, form, p):
     perp of the span, the right kernel of A over F_p."""
     d = form.rows
     a = tuple(
-        tuple(sum(v[i] * form.entries[i][j] for i in range(d)) % p for j in range(d))
+        tuple(sum(v[i] * form.num[i][j] for i in range(d)) % p for j in range(d))
         for v in basis
     )
     return a, nullspace(a, p)
@@ -338,7 +338,7 @@ def verify_fiber_counts(case: CaseData, primes) -> CountReport:
     rows = []
     for p in primes:
         elements = [
-            tuple(tuple(a % p for a in row) for row in orbit.representative.entries)
+            tuple(tuple(a % p for a in row) for row in orbit.representative.num)
             for orbit in case.orbits
         ]
         counts = _sweep(

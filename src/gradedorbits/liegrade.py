@@ -17,8 +17,8 @@ by cell too: one cell, or a pair of cells that B links, per element, as
 the nullspace would list them.  Only a form with a row of several
 nonzeros, which p^T B p can be for a basis change p, takes a nullspace.
 The basis of the whole algebra is the piece on all cells, built on the
-first read of ``MatrixLieAlgebra.basis``; the triple and the parabolic
-never read it.  After a change of basis p,
+first read of ``MatrixLieAlgebra.basis``; the triple, the parabolic and
+``check_n_rigid`` never read it.  After a change of basis p,
 p^-1 sl p = sl and p^-1 sp_B p = sp_B' with B' = p^T B p, so
 ``canonical_parabolic`` and ``check_n_rigid`` take the piece of the same
 type in the diagonalising basis.  A piece becomes d x d matrices only where
@@ -52,7 +52,6 @@ from math import gcd, lcm
 
 from .exactlin import (
     DomainError,
-    IntMatrix,
     RatMatrix,
     bracket,
     nullspace,
@@ -94,7 +93,7 @@ class Cocharacter:
 class MatrixLieAlgebra:
     kind: str  # "sl" or "sp"
     dim_ambient: int
-    form: IntMatrix | None = None
+    form: RatMatrix | None = None
 
     @cached_property
     def basis(self) -> tuple:
@@ -112,7 +111,7 @@ class MatrixLieAlgebra:
             return sum(m.num[i][i] for i in range(m.rows)) == 0
         # M^T B + B M from the cells of M: M_kl adds M_kl B_kj to entry
         # (l, j) and B_jk M_kl to entry (j, l)
-        b = self.form.entries
+        b = self.form.num
         acc = {}
         for (k, l), c in _cells(m).items():
             for j in range(self.dim_ambient):
@@ -165,7 +164,7 @@ class ParabolicDatum:
     degree: int
     basis_change: RatMatrix
     pieces: dict  # "p", "n", "l": cell maps in the diagonalising basis
-    indicator: IntMatrix  # sign(n) * (n*m - 2*m') per cell
+    indicator: RatMatrix  # sign(n) * (n*m - 2*m') per cell
     levi_blocks: tuple  # coordinate classes, first-occurrence order
 
     # the matrices of each piece, built on first read
@@ -178,12 +177,12 @@ class ParabolicDatum:
     def levi_block_shape(self) -> tuple:
         return tuple(len(b) for b in self.levi_blocks)
 
-    def mask(self, which: str) -> IntMatrix:
+    def mask(self, which: str) -> RatMatrix:
         pick = _PIECE_TESTS[which]
-        return IntMatrix.from_rows([[int(pick(s)) for s in row] for row in self.indicator.entries])
+        return RatMatrix.from_rows([[int(pick(s)) for s in row] for row in self.indicator.num])
 
 
-def standard_symplectic_form(d: int) -> IntMatrix:
+def standard_symplectic_form(d: int) -> RatMatrix:
     """The block form [[0, I], [-I, 0]]."""
     if d % 2 != 0:
         raise BadForm("ambient dimension must be even")
@@ -192,7 +191,7 @@ def standard_symplectic_form(d: int) -> IntMatrix:
     for i in range(m):
         rows[i][m + i] = 1
         rows[m + i][i] = -1
-    return IntMatrix.from_rows(rows)
+    return RatMatrix.from_rows(rows)
 
 
 def _matrix(d, cells, den=1) -> RatMatrix:
@@ -284,7 +283,7 @@ def _conjugated_form(alg: MatrixLieAlgebra, p: RatMatrix):
     sl, as p^-1 sl p = sl."""
     if alg.kind == "sl":
         return None
-    return (p.transpose() * RatMatrix.from_int(alg.form) * p).num
+    return (p.transpose() * alg.form * p).num
 
 
 def _piece(alg: MatrixLieAlgebra, cells, form=None) -> tuple:
@@ -293,10 +292,10 @@ def _piece(alg: MatrixLieAlgebra, cells, form=None) -> tuple:
     maps {(i, j): entry}, which ``_matrix`` turns into matrices."""
     if alg.kind == "sl":
         return _sl_in_cells(cells)
-    return _sp_in_cells(alg.form.entries if form is None else form, cells)
+    return _sp_in_cells(alg.form.num if form is None else form, cells)
 
 
-def build_algebra(kind: str, d: int, form: IntMatrix | None = None) -> MatrixLieAlgebra:
+def build_algebra(kind: str, d: int, form: RatMatrix | None = None) -> MatrixLieAlgebra:
     kind = kind.lower()
     if kind == "sl":
         return MatrixLieAlgebra("sl", d)
@@ -306,7 +305,7 @@ def build_algebra(kind: str, d: int, form: IntMatrix | None = None) -> MatrixLie
             raise BadForm("form size does not match ambient dimension")
         if (b + b.transpose()).is_zero() is False:
             raise BadForm("form is not antisymmetric")
-        if rank_rational(b.entries) < d:
+        if rank_rational(b.num) < d:
             raise BadForm("form is degenerate")
         return MatrixLieAlgebra("sp", d, b)
     raise ValueError(f"unsupported algebra type {kind!r}")
@@ -320,7 +319,7 @@ def validate_cocharacter(alg: MatrixLieAlgebra, chi: Cocharacter) -> None:
         raise DomainError("cochar", "sl cocharacter weights must sum to zero")
     if alg.kind == "sp":
         # chi preserves B exactly when B_ij = 0 unless w_i + w_j = 0
-        for i, row in enumerate(alg.form.entries):
+        for i, row in enumerate(alg.form.num):
             for j, b in enumerate(row):
                 if b and w[i] + w[j] != 0:
                     raise DomainError(
@@ -330,9 +329,9 @@ def validate_cocharacter(alg: MatrixLieAlgebra, chi: Cocharacter) -> None:
                     )
 
 
-def weight_matrix(chi: Cocharacter) -> IntMatrix:
+def weight_matrix(chi: Cocharacter) -> RatMatrix:
     w = chi.weights
-    return IntMatrix.from_rows([[wi - wj for wj in w] for wi in w])
+    return RatMatrix.from_rows([[wi - wj for wj in w] for wi in w])
 
 
 def graded_component(alg: MatrixLieAlgebra, chi: Cocharacter, n: int) -> GradedComponent:
@@ -643,8 +642,8 @@ def canonical_parabolic(
     # the Levi blocks are the coordinates of equal potential
     sign = 1 if n > 0 else -1
     potential = [sign * (n * a - 2 * b) for a, b in zip(chip.weights, chi.weights)]
-    indicator = IntMatrix.from_rows([[a - b for b in potential] for a in potential])
-    ind = indicator.entries
+    indicator = RatMatrix.from_rows([[a - b for b in potential] for a in potential])
+    ind = indicator.num
     # the pieces of p^-1 alg p, in the basis where both gradings are
     # diagonal, as cell maps; their matrices are built on first read
     form = _conjugated_form(alg, p)
@@ -686,8 +685,8 @@ def check_n_rigid(
     """
     own_coordinates = isinstance(alg_or_basis, MatrixLieAlgebra)
     d = len(chi)
-    basis = alg_or_basis.basis if own_coordinates else tuple(alg_or_basis)
-    if not basis:
+    basis = None if own_coordinates else tuple(alg_or_basis)
+    if basis == ():
         return RigidityReport(True, None)
     chip, p = chi_prime(triple, chi) if datum is None else (datum.chi_prime, datum.basis_change)
     w = chi.weights
@@ -704,8 +703,9 @@ def check_n_rigid(
         for (i, j) in mat.support():
             if w[i] - w[j] != expected:
                 return RigidityReport(False, (wp[i] - wp[j], w[i] - w[j]))
-    if moved and own_coordinates:
-        basis = _piece(alg_or_basis, _all_cells(d), _conjugated_form(alg_or_basis, p))
+    if own_coordinates:
+        form = _conjugated_form(alg_or_basis, p) if moved else None
+        basis = _piece(alg_or_basis, _all_cells(d), form)
     # every cell the basis reaches, row-major
     for i, j in sorted(set().union(*(m if isinstance(m, dict) else m.support() for m in basis))):
         if 2 * (w[i] - w[j]) != n * (wp[i] - wp[j]):

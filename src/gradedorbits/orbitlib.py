@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .exactlin import DomainError, IntMatrix, Partition
+from .exactlin import DomainError, Partition, RatMatrix
 
 if TYPE_CHECKING:
     from .liegrade import Cocharacter
@@ -93,7 +93,7 @@ class NilpotentOrbit:
 @dataclass(frozen=True)
 class GradedOrbitRep:
     decomposition: tuple  # intervals (start_block, end_block), 1-based
-    representative: IntMatrix
+    representative: RatMatrix
     dimension: int
     levi_shape: tuple  # sizes of the canonical Levi's blocks
 
@@ -396,7 +396,7 @@ def graded_orbit_reps_typeA(chi: Cocharacter, n: int) -> tuple:
         reps.append(
             GradedOrbitRep(
                 tuple(sorted(seg for segments, *_ in combo for seg in segments)),
-                IntMatrix(d, d, tuple(map(tuple, entries))),
+                RatMatrix(d, d, tuple(map(tuple, entries)), 1),
                 g0_dim - sum(hom for *_, hom in combo),
                 tuple(levi.values()),
             )

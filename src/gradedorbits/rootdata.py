@@ -59,10 +59,6 @@ class RootDatum:
     x_relations: tuple  # extra relation rows presenting X as a quotient
     y_basis: tuple  # basis rows of Y inside the ambient lattice
 
-    @property
-    def rank(self) -> int:
-        return self.ambient_rank
-
     def pairing(self, x, y) -> int:
         return sum(a * b for a, b in zip(x, y))
 

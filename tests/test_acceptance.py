@@ -11,7 +11,6 @@ import time
 from gradedorbits import cli
 from gradedorbits.cohom import counting_polynomial, load_case, stalk_table
 from gradedorbits.exactlin import (
-    IntMatrix,
     Partition,
     RatMatrix,
     invariant_factors,
@@ -90,7 +89,7 @@ COMBINED = (
 
 
 def test_criterion_2_grading_example(capsys):
-    assert weight_matrix(CHI).entries == WEIGHT_MATRIX
+    assert weight_matrix(CHI).num == WEIGHT_MATRIX
     assert (
         cli.run(
             ["grading", "--type", "sl", "--d", "4", "--cochar", "1,0,0,-1",
@@ -103,15 +102,13 @@ def test_criterion_2_grading_example(capsys):
     payload = _json.loads(capsys.readouterr().out)
     assert payload["weight_matrix"] == "0,1,1,2;-1,0,0,1;-1,0,0,1;-2,-1,-1,0"
     sl4 = build_algebra("sl", 4)
-    x = RatMatrix.from_int(
-        parse_matrix_text("0,0,0,0;1,0,0,0;0,0,0,0;0,0,1,0")
-    )
+    x = parse_matrix_text("0,0,0,0;1,0,0,0;0,0,0,0;0,0,1,0")
     triple = adapted_sl2_triple(sl4, CHI, -1, x)
     weights, change = chi_prime(triple, CHI)
     assert weights.weights == (-1, 1, -1, 1)
-    assert weight_matrix(weights).entries == SECOND_WEIGHT_MATRIX
+    assert weight_matrix(weights).num == SECOND_WEIGHT_MATRIX
     datum = canonical_parabolic(sl4, CHI, triple, -1)
-    assert datum.indicator.entries == COMBINED
+    assert datum.indicator.num == COMBINED
     report(2, "weight matrices, chi-prime, and the combined indicator match exactly")
 
 
@@ -131,7 +128,7 @@ def _levi_for(rep, alg):
     if rep.representative.is_zero():
         triple = Sl2Triple.zero(4)
     else:
-        triple = adapted_sl2_triple(alg, CHI, -1, RatMatrix.from_int(rep.representative))
+        triple = adapted_sl2_triple(alg, CHI, -1, rep.representative)
     return canonical_parabolic(alg, CHI, triple, -1), triple
 
 
@@ -183,7 +180,7 @@ def test_criterion_4_triples_and_rigidity():
             triple = Sl2Triple.zero(4)
         else:
             triple = adapted_sl2_triple(
-                alg4, CHI, -1, RatMatrix.from_int(rep.representative)
+                alg4, CHI, -1, rep.representative
             )
             _check_triple_placement(alg4, CHI, -1, triple)
         datum = canonical_parabolic(alg4, CHI, triple, -1)
@@ -193,11 +190,11 @@ def test_criterion_4_triples_and_rigidity():
     for kind, text, cochar, degree in CLASSICAL_CASES:
         alg = build_algebra(kind, 4)
         chi = Cocharacter.of(cochar)
-        x = RatMatrix.from_int(parse_matrix_text(text))
+        x = parse_matrix_text(text)
         triple = adapted_sl2_triple(alg, chi, degree, x)
         _check_triple_placement(alg, chi, degree, triple)
     # the full algebra is not rigid, with a concrete witness cell
-    x = RatMatrix.from_int(parse_matrix_text("0,0,0,0;1,0,0,0;0,0,0,0;0,0,1,0"))
+    x = parse_matrix_text("0,0,0,0;1,0,0,0;0,0,0,0;0,0,1,0")
     triple = adapted_sl2_triple(alg4, CHI, -1, x)
     full = check_n_rigid(alg4, CHI, triple, -1)
     assert not full.is_rigid
@@ -355,7 +352,7 @@ def test_criterion_8_property_suites():
         r = rng.randint(1, 6)
         c = rng.randint(1, 6)
         rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
-        facs = invariant_factors(IntMatrix.from_rows(rows))
+        facs = invariant_factors(RatMatrix.from_rows(rows))
         assert facs == snf_invariant_factors_by_minors(rows)
         for i in range(len(facs) - 1):
             assert facs[i + 1] % facs[i] == 0 if facs[i] else facs[i + 1] == 0

@@ -13,7 +13,9 @@ is done."""
 import contextlib
 import functools
 import io
+import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -195,6 +197,65 @@ ARGV = {
 OPTION = re.compile(r"--[a-z][a-z0-9-]*")
 
 
+def option_values(argv):
+    """{name: value} of the options of an argv as ``argv_of`` writes them:
+    ``--name=value``, or ``--name`` followed by a value that is not an
+    option."""
+    values = {}
+    for token, after in zip(argv, argv[1:] + [None]):
+        if token.startswith("--"):
+            name, eq, value = token.partition("=")
+            if eq:
+                values[name] = value
+            elif after is not None and not after.startswith("--"):
+                values[name] = after
+    return values
+
+
+def matrix_rows(text):
+    return [[Fraction(x) for x in row.split(",")] for row in text.split(";")]
+
+
+def commutator(a, b):
+    d = len(a)
+    return [
+        [sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(d)) for j in range(d)]
+        for i in range(d)
+    ]
+
+
+def in_standard_sp(m):
+    """M^T B + B M = 0 for the form B = [[0, I], [-I, 0]] of ``--type sp``."""
+    d = len(m)
+    b = [[int(j == i + d // 2) - int(i == j + d // 2) for j in range(d)] for i in range(d)]
+    return all(
+        sum(m[k][i] * b[k][j] + b[i][k] * m[k][j] for k in range(d)) == 0
+        for i in range(d)
+        for j in range(d)
+    )
+
+
+def check_triple_payload(argv, payload):
+    """e is --x, [h, e] = 2e, [h, f] = -2f, [e, f] = h, e, h and f lie on
+    the cells of chi-degree n, 0 and -n, and in sp they lie in sp."""
+    options = option_values(argv)
+    w = [int(a) for a in options["--cochar"].split(",")]
+    n = int(options["--degree"])
+    e, h, f = (matrix_rows(payload[k]) for k in "ehf")
+    assert e == matrix_rows(options["--x"])
+    assert commutator(h, e) == [[2 * a for a in row] for row in e]
+    assert commutator(h, f) == [[-2 * a for a in row] for row in f]
+    assert commutator(e, f) == h
+    for m, degree in ((e, n), (h, 0), (f, -n)):
+        cells = [(i, j) for i, row in enumerate(m) for j, a in enumerate(row) if a]
+        assert all(w[i] - w[j] == degree for i, j in cells), (m, degree)
+        assert options["--type"] == "sl" or in_standard_sp(m)
+
+
+# an independent check of the --json payload of an exit 0
+PAYLOAD_CHECKS = {"triple": check_triple_payload}
+
+
 @functools.cache
 def options_of(command):
     """The options that the subcommand's --help lists."""
@@ -215,5 +276,13 @@ def test_argv_exits_0_2_or_3(command):
         assert code in (0, 2, 3), argv
         if code == 2:
             assert set(OPTION.findall(err.getvalue())) & options_of(command), (argv, err.getvalue())
+        if code == 0 and command in PAYLOAD_CHECKS:
+            # the --json payload of the same input, whichever output flags
+            # the argv has
+            json_argv = [a for a in argv if a not in ("--json", "--quiet")] + ["--json"]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.run(json_argv) == 0, json_argv
+            PAYLOAD_CHECKS[command](argv, json.loads(out.getvalue()))
 
     check()

@@ -1,14 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from gradedorbits.exactlin import (
     CompositeCharacteristic,
-    IntMatrix,
     NotNilpotent,
     Partition,
     RatMatrix,
-    format_matrix_text,
     hermite_rows,
     in_hermite_span,
     PRIME_TEST_BOUND,
@@ -27,7 +26,7 @@ def check_factors(m):
     """invariant_factors of m, checked against the minors oracle and for
     the divisibility chain d1 | d2 | ..."""
     facs = invariant_factors(m)
-    assert facs == snf_invariant_factors_by_minors([list(r) for r in m.entries])
+    assert facs == snf_invariant_factors_by_minors([list(r) for r in m.num])
     assert len(facs) == min(m.rows, m.cols)
     for i in range(len(facs) - 1):
         if facs[i] == 0:
@@ -39,37 +38,37 @@ def check_factors(m):
 
 
 def test_snf_identity():
-    assert check_factors(IntMatrix.identity(3)) == (1, 1, 1)
+    assert check_factors(RatMatrix.identity(3)) == (1, 1, 1)
 
 
 def test_snf_already_diagonal():
-    assert check_factors(IntMatrix.from_rows([[2, 0], [0, 4]])) == (2, 4)
+    assert check_factors(RatMatrix.from_rows([[2, 0], [0, 4]])) == (2, 4)
 
 
 def test_snf_divisibility_repair():
-    assert check_factors(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
+    assert check_factors(RatMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
 
 
 def test_snf_simple_root_rows():
     simple = [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]]
-    assert check_factors(IntMatrix.from_rows(simple)) == (1, 1, 1)
-    extended = IntMatrix.from_rows(simple + [[1, 1, 1, 1]])
+    assert check_factors(RatMatrix.from_rows(simple)) == (1, 1, 1)
+    extended = RatMatrix.from_rows(simple + [[1, 1, 1, 1]])
     assert check_factors(extended) == (1, 1, 1, 4)
 
 
 def test_snf_needs_several_hermite_passes():
     # the Hermite forms of the rows and then of the columns leave this one
     # triangular with pivots 1, 3, 192; a third and a fourth pass follow
-    m = IntMatrix.from_rows([[6, 1, -6], [-3, 1, -8], [-9, -9, 0]])
+    m = RatMatrix.from_rows([[6, 1, -6], [-3, 1, -8], [-9, -9, 0]])
     assert check_factors(m) == (1, 1, 576)
 
 
 def test_snf_zero_rows_and_columns():
     # rank below min(rows, cols) pads with zeros; a zero matrix is all zeros
-    assert check_factors(IntMatrix.zeros(2, 3)) == (0, 0)
-    assert check_factors(IntMatrix.from_rows([[0, 2, 4], [0, 4, 8]])) == (2, 0)
-    assert check_factors(IntMatrix.from_rows([[0], [6], [0]])) == (6,)
-    assert invariant_factors(IntMatrix(0, 0, ())) == ()
+    assert check_factors(RatMatrix.zeros(2, 3)) == (0, 0)
+    assert check_factors(RatMatrix.from_rows([[0, 2, 4], [0, 4, 8]])) == (2, 0)
+    assert check_factors(RatMatrix.from_rows([[0], [6], [0]])) == (6,)
+    assert invariant_factors(RatMatrix.zeros(0, 0)) == ()
 
 
 def test_snf_matches_minor_oracle_random():
@@ -78,12 +77,12 @@ def test_snf_matches_minor_oracle_random():
         r = rng.randint(1, 4)
         c = rng.randint(1, 4)
         rows = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
-        check_factors(IntMatrix.from_rows(rows))
+        check_factors(RatMatrix.from_rows(rows))
 
 
 def test_nullspace_char0():
     # rank = columns - len(kernel)
-    assert len(nullspace(IntMatrix.zeros(2, 2).entries)) == 2
+    assert len(nullspace(RatMatrix.zeros(2, 2).num)) == 2
 
     single_block = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     kern = nullspace(single_block, 0)
@@ -101,7 +100,7 @@ def test_nullspace_char_p():
 
 def test_nullspace_rejects_composite():
     with pytest.raises(CompositeCharacteristic):
-        nullspace(IntMatrix.identity(2).entries, 4)
+        nullspace(RatMatrix.identity(2).num, 4)
 
 
 def test_rank_consistent_with_snf():
@@ -109,16 +108,16 @@ def test_rank_consistent_with_snf():
     for _ in range(40):
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
-        m = IntMatrix.from_rows(
+        m = RatMatrix.from_rows(
             [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
         )
-        rank = c - len(nullspace(m.entries))
+        rank = c - len(nullspace(m.num))
         assert rank == sum(1 for d in invariant_factors(m) if d != 0)
 
 
 def test_jordan_partition_examples():
-    assert nilpotent_jordan_partition(IntMatrix.zeros(4, 4)).parts == (1, 1, 1, 1)
-    x = IntMatrix.from_rows(
+    assert nilpotent_jordan_partition(RatMatrix.zeros(4, 4)).parts == (1, 1, 1, 1)
+    x = RatMatrix.from_rows(
         [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
     )
     assert nilpotent_jordan_partition(x).parts == (2, 2)
@@ -133,7 +132,7 @@ def test_jordan_partition_round_trip_small():
 
 def test_jordan_partition_rejects_non_nilpotent():
     with pytest.raises(NotNilpotent):
-        nilpotent_jordan_partition(IntMatrix.identity(3))
+        nilpotent_jordan_partition(RatMatrix.identity(3))
 
 
 def test_partition_transpose_involution():
@@ -150,8 +149,26 @@ def test_partition_label():
 
 def test_matrix_text_round_trip():
     m = parse_matrix_text("0,1;0,0")
-    assert m.entries == ((0, 1), (0, 0))
-    assert format_matrix_text(m) == "0,1;0,0"
+    assert m.num == ((0, 1), (0, 0))
+    assert m.text() == "0,1;0,0"
+
+
+def test_from_rows_takes_exact_entries_only():
+    m = RatMatrix.from_rows([[Fraction(1, 2), "3/4"], [2, "-1"]])
+    assert (m.num, m.den) == (((2, 3), (8, -4)), 4)
+    assert m.text() == "1/2,3/4;2,-1"
+    with pytest.raises(TypeError):
+        RatMatrix.from_rows([[Fraction(1, 2), 2.7]])
+    with pytest.raises(ValueError, match="ragged"):
+        RatMatrix.from_rows([[0, 1], [0]])
+
+
+def test_invariant_factors_refuse_a_non_integer_matrix():
+    with pytest.raises(ValueError, match="integer"):
+        invariant_factors(RatMatrix.from_rows([[1, "1/2"], [0, 1]]))
+    # an integer matrix made by arithmetic on rationals has den = 1
+    half = RatMatrix.from_rows([["1/2", 0], [0, "3/2"]])
+    assert invariant_factors(half.scale(4)) == (2, 6)
 
 
 def test_hermite_span_membership():

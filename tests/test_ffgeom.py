@@ -4,7 +4,7 @@ import pytest
 
 from gradedorbits import ffgeom
 from gradedorbits.cohom import CaseData, FiberDatum, Pt, load_case
-from gradedorbits.exactlin import IntMatrix, Partition, jordan_matrix, parse_matrix_text
+from gradedorbits.exactlin import Partition, RatMatrix, jordan_matrix, parse_matrix_text
 from gradedorbits.ffgeom import (
     CountReport,
     LimitExceeded,
@@ -52,7 +52,7 @@ def test_enumerate_counts():
 
 
 def test_enumerate_unique():
-    x = parse_matrix_text("0,1,0,0;0,0,0,0;0,0,0,0;0,0,0,0").entries
+    x = parse_matrix_text("0,1,0,0;0,0,0,0;0,0,0,0;0,0,0,0").num
     for rows in (zero(4), x):
         found = stable_subspaces(rows, 3, 2)
         assert len(set(found)) == len(found)
@@ -96,7 +96,7 @@ def test_fiber_count_prime_bounds(monkeypatch):
 
 def random_nilpotent(rng, d):
     """g N g^-1 for N strictly upper triangular (``conjugate``)."""
-    n = IntMatrix.from_rows(
+    n = RatMatrix.from_rows(
         [[sparse_entry(rng) if j > i else 0 for j in range(d)] for i in range(d)]
     )
     return conjugate(rng, n)
@@ -106,16 +106,16 @@ def conjugate(rng, n):
     """g n g^-1 for g a product of integer transvections, so that g^-1 is
     integer too."""
     d = n.rows
-    g = g_inv = IntMatrix.identity(d)
+    g = g_inv = RatMatrix.identity(d)
     for _ in range(d):
         i, j = rng.sample(range(d), 2)
         c = rng.choice((1, -1, 2))
         step = [[int(r == s) for s in range(d)] for r in range(d)]
         step[i][j] = c
-        g = g * IntMatrix.from_rows(step)
+        g = g * RatMatrix.from_rows(step)
         step[i][j] = -c
-        g_inv = IntMatrix.from_rows(step) * g_inv
-    assert g * g_inv == IntMatrix.identity(d)
+        g_inv = RatMatrix.from_rows(step) * g_inv
+    assert g * g_inv == RatMatrix.identity(d)
     return g * n * g_inv
 
 
@@ -125,7 +125,7 @@ def test_stable_subspaces_of_random_nilpotents_match_oracle(monkeypatch, d):
     rng = random.Random(f"ffgeom-stable:{d}")
     for p in (2, 3, 5):
         for _ in range(2):
-            x = random_nilpotent(rng, d).entries
+            x = random_nilpotent(rng, d).num
             for k in range(1, d):
                 found, built = bases_built(monkeypatch, x, p, k)
                 assert set(found) == stable_subspaces_by_elimination(x, p, k)
@@ -136,7 +136,7 @@ def test_stable_subspaces_of_sp4_nilpotents_match_oracle():
     rng = random.Random("ffgeom-stable:sp4")
     for p in (2, 3, 5):
         for _ in range(3):
-            x = random_sp4_nilpotent(rng).entries
+            x = random_sp4_nilpotent(rng).num
             for k in (1, 2, 3):
                 assert set(stable_subspaces(x, p, k)) == stable_subspaces_by_elimination(x, p, k)
 
@@ -149,9 +149,9 @@ def test_stable_subspaces_with_two_blocks_of_size_two_match_oracle(monkeypatch, 
     j = jordan_matrix(Partition.of(parts))
     for x in (j, conjugate(random.Random(f"ffgeom-blocks:{parts}"), j)):
         for k in range(1, ffgeom.MAX_DIM):
-            found, built = bases_built(monkeypatch, x.entries, 2, k)
+            found, built = bases_built(monkeypatch, x.num, 2, k)
             assert len(set(built)) < len(built) if k >= 4 else len(set(built)) == len(built)
-            assert set(found) == stable_subspaces_by_elimination(x.entries, 2, k)
+            assert set(found) == stable_subspaces_by_elimination(x.num, 2, k)
 
 
 def bases_built(monkeypatch, x, p, k):
@@ -188,7 +188,7 @@ def test_each_stable_subspace_is_built_once(monkeypatch):
     orbit, which the sweep counts by the Gaussian binomial, is built as the
     Grassmannian of F_p^4 only up to p = 5 (at p = 13 it has 31,110
     planes)."""
-    shipped = [o.representative.entries for c in ("sl4", "sp4") for o in load_case(c).orbits]
+    shipped = [o.representative.num for c in ("sl4", "sp4") for o in load_case(c).orbits]
     for p in (2, 3, 5, 7, 11, 13):
         for x in shipped:
             if p > 5 and not any(a % p for row in x for a in row):
@@ -202,7 +202,7 @@ def test_each_stable_subspace_is_built_once(monkeypatch):
 def test_sl4_at_13_builds_each_line_and_plane_once(monkeypatch):
     """The sl4 sweep at p = 13 builds 762 bases: its 212 stable lines and
     550 stable planes, over the orbits that are not zero mod p."""
-    elements = [o.representative.entries for o in load_case("sl4").orbits]
+    elements = [o.representative.num for o in load_case("sl4").orbits]
     elements = [x for x in elements if any(a % 13 for row in x for a in row)]
     built = sum(len(bases_built(monkeypatch, x, 13, 2)[1]) for x in elements)
     lines = sum(len(stable_subspaces(x, 13, 1)) for x in elements)
@@ -262,7 +262,7 @@ def test_count_sl4_subregular_cuspidal():
 
 
 def test_count_zero_map_fails_nonzero_conditions():
-    case = random_case("two-plane", None, [IntMatrix.zeros(4, 4)])
+    case = random_case("two-plane", None, [RatMatrix.zeros(4, 4)])
     for p in (2, 3, 5):
         rows = swept_rows(case, p)
         assert rows[("[1]", "cuspidal")] == 0
@@ -270,7 +270,7 @@ def test_count_zero_map_fails_nonzero_conditions():
 
 
 def test_non_nilpotent_rejected():
-    case = random_case("two-plane", None, [IntMatrix.identity(4)])
+    case = random_case("two-plane", None, [RatMatrix.identity(4)])
     with pytest.raises(NotStableUnderForm, match="nilpotent"):
         verify_fiber_counts(case, [3])
 
@@ -386,7 +386,7 @@ def test_report_detects_mismatch():
 
 
 def test_strata_check_the_case():
-    zero = IntMatrix.zeros(4, 4)
+    zero = RatMatrix.zeros(4, 4)
     with pytest.raises(ValueError, match="needs a form"):
         verify_fiber_counts(random_case("isotropic-line", None, [zero]), [3])
     with pytest.raises(ValueError, match="unknown flag kind"):
@@ -395,10 +395,10 @@ def test_strata_check_the_case():
 
 def oracle_rows(case, p):
     k, strata = STRATA[case.flag_kind]
-    form = case.form.entries if case.form is not None else None
+    form = case.form.num if case.form is not None else None
     return {
         (orbit.partition.label(), stratum): flag_count_by_elimination(
-            orbit.representative.entries, p, k, form, conditions
+            orbit.representative.num, p, k, form, conditions
         )
         for orbit in case.orbits
         for stratum, conditions in strata.items()
@@ -417,7 +417,7 @@ def sparse_entry(rng):
 
 
 def random_upper_triangular(rng):
-    return IntMatrix.from_rows(
+    return RatMatrix.from_rows(
         [[sparse_entry(rng) if j > i else 0 for j in range(4)] for i in range(4)]
     )
 
@@ -426,17 +426,17 @@ def random_sp4_nilpotent(rng):
     """g N g^-1 for N = [[A, B], [0, -A^T]] with A strictly upper triangular
     and B symmetric, and g a product of symplectic transvections."""
     a, b, c, e = (sparse_entry(rng) for _ in range(4))
-    n = IntMatrix.from_rows([[0, a, b, c], [0, 0, c, e], [0, 0, 0, 0], [0, 0, -a, 0]])
-    g = IntMatrix.identity(4)
+    n = RatMatrix.from_rows([[0, a, b, c], [0, 0, c, e], [0, 0, 0, 0], [0, 0, -a, 0]])
+    g = RatMatrix.identity(4)
     for _ in range(3):
         s, t, u = (rng.randint(-1, 1) for _ in range(3))
         if rng.random() < 0.5:
             step = [[1, 0, s, t], [0, 1, t, u], [0, 0, 1, 0], [0, 0, 0, 1]]
         else:
             step = [[1, 0, 0, 0], [0, 1, 0, 0], [s, t, 1, 0], [t, u, 0, 1]]
-        g = g * IntMatrix.from_rows(step)
+        g = g * RatMatrix.from_rows(step)
     g_inv = -(SP_FORM * g.transpose() * SP_FORM)
-    assert g * g_inv == IntMatrix.identity(4)
+    assert g * g_inv == RatMatrix.identity(4)
     return g * n * g_inv
 
 
@@ -455,12 +455,12 @@ def test_random_nilpotents_match_oracle(flag_kind, form, make):
 def test_each_fact_of_a_zero_mod_p_element_matches_oracle(k):
     """Every condition alone, for an x that is zero mod p, so that no fact
     of the Gaussian-binomial path hides behind another of its stratum."""
-    x = parse_matrix_text("0,0,3,0;0,0,0,0;0,0,0,0;0,0,0,0").entries
+    x = parse_matrix_text("0,0,3,0;0,0,0,0;0,0,0,0;0,0,0,0").num
     conditions = ("sub-nonzero", "quot-nonzero", "middle-zero", "middle-nonzero")
     counts = ffgeom._sweep(3, 4, k, SP_FORM, [x], [(c,) for c in conditions])
     assert counts == [
         [
-            flag_count_by_elimination(x, 3, k, SP_FORM.entries, ("stable", c))
+            flag_count_by_elimination(x, 3, k, SP_FORM.num, ("stable", c))
             for c in conditions
         ]
     ]

@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedorbits.exactlin import IntMatrix
+from gradedorbits.exactlin import RatMatrix
 from gradedorbits.ffgeom import stable_subspaces
 
 from oracles import stable_subspaces_by_elimination
@@ -23,17 +23,17 @@ def nilpotents(draw):
     d = draw(st.integers(2, 5))
     p = draw(st.sampled_from((2, 3)))
     entry = st.sampled_from((0, 0, 1, -1, 2))
-    n = IntMatrix.from_rows([[draw(entry) if j > i else 0 for j in range(d)] for i in range(d)])
-    g = g_inv = IntMatrix.identity(d)
+    n = RatMatrix.from_rows([[draw(entry) if j > i else 0 for j in range(d)] for i in range(d)])
+    g = g_inv = RatMatrix.identity(d)
     for _ in range(draw(st.integers(0, d))):
         i, j = draw(st.sampled_from([(i, j) for i in range(d) for j in range(d) if i != j]))
         c = draw(st.sampled_from((1, -1, 2)))
         step = [[int(r == s) for s in range(d)] for r in range(d)]
         step[i][j] = c
-        g = g * IntMatrix.from_rows(step)
+        g = g * RatMatrix.from_rows(step)
         step[i][j] = -c
-        g_inv = IntMatrix.from_rows(step) * g_inv
-    return (g * n * g_inv).entries, p
+        g_inv = RatMatrix.from_rows(step) * g_inv
+    return (g * n * g_inv).num, p
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

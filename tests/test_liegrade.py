@@ -3,7 +3,6 @@ import random
 import pytest
 
 from gradedorbits.exactlin import (
-    IntMatrix,
     RatMatrix,
     bracket,
     nullspace,
@@ -103,7 +102,7 @@ def test_lazy_basis_equals_the_eager_one(kind, d):
             unit(d, a, a) + unit(d, a + 1, a + 1, -1) for a in range(d - 1)
         )
     else:
-        form = standard_symplectic_form(d).entries
+        form = standard_symplectic_form(d).num
         want = sp_in_cells_by_nullspace(form, [(i, j) for i in range(d) for j in range(d)])
     assert alg.basis == want
     assert alg.basis is alg.basis
@@ -118,24 +117,24 @@ def test_sp_bracket_closed():
 
 
 def test_bad_form_rejected():
-    sym = IntMatrix.identity(4)
+    sym = RatMatrix.identity(4)
     with pytest.raises(BadForm):
         build_algebra("sp", 4, sym)
     # the zero form, and a nonzero antisymmetric form of rank 2
     for degenerate in (
-        IntMatrix.zeros(4, 4),
-        IntMatrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+        RatMatrix.zeros(4, 4),
+        RatMatrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
     ):
         with pytest.raises(BadForm):
             build_algebra("sp", 4, degenerate)
 
 
 def test_weight_matrix_examples():
-    assert weight_matrix(WORKED_CHI).entries == tuple(
+    assert weight_matrix(WORKED_CHI).num == tuple(
         tuple(r) for r in WEIGHT_MATRIX_EXPECTED
     )
     assert weight_matrix(Cocharacter.of([0, 0, 0])).is_zero()
-    assert weight_matrix(Cocharacter.of([-1, 1, -1, 1])).entries == tuple(
+    assert weight_matrix(Cocharacter.of([-1, 1, -1, 1])).num == tuple(
         tuple(r) for r in CHI_PRIME_WEIGHT_MATRIX
     )
 
@@ -183,7 +182,7 @@ def test_adapted_triple_worked_example():
     weights, change = chi_prime(triple, WORKED_CHI)
     assert weights.weights == (-1, 1, -1, 1)
     assert change == RatMatrix.identity(4)
-    assert weight_matrix(weights).entries == tuple(
+    assert weight_matrix(weights).num == tuple(
         tuple(r) for r in CHI_PRIME_WEIGHT_MATRIX
     )
     # placement
@@ -230,7 +229,7 @@ def test_canonical_parabolic_worked_example():
     sl4 = build_algebra("sl", 4)
     triple = adapted_sl2_triple(sl4, WORKED_CHI, -1, WORKED_X)
     datum = canonical_parabolic(sl4, WORKED_CHI, triple, -1)
-    assert datum.indicator.entries == tuple(tuple(r) for r in COMBINED_INDICATOR)
+    assert datum.indicator.num == tuple(tuple(r) for r in COMBINED_INDICATOR)
     assert datum.levi_blocks == ((0, 1), (2, 3))
     assert datum.levi_block_shape == (2, 2)
     # bracket closures
@@ -254,7 +253,7 @@ def test_canonical_parabolic_worked_example():
         (i, j)
         for i in range(4)
         for j in range(4)
-        if datum.indicator.entries[i][j] <= 0
+        if datum.indicator.num[i][j] <= 0
     }
     opposite = _piece(sl4, opp_cells)  # identity change here
     assert len(datum.p_basis) + len(opposite) == sl4.dimension + len(datum.l_basis)
@@ -262,7 +261,7 @@ def test_canonical_parabolic_worked_example():
     d = 4
     for i in range(d):
         for j in range(d):
-            s = datum.indicator.entries[i][j]
+            s = datum.indicator.num[i][j]
             assert (s > 0) + (s == 0) + (s < 0) == 1
 
 
@@ -311,7 +310,7 @@ def test_rigidity_sl2_principal():
 
 def test_standard_form_matches_block_shape():
     b = standard_symplectic_form(4)
-    assert b.entries == ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
+    assert b.num == ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
 
 
 def test_triple_well_defined_on_orbit():
@@ -367,7 +366,7 @@ def test_graded_component_matches_nullspace_oracle(kind, d):
 
 
 def test_graded_component_nonstandard_form_matches_oracle():
-    form = IntMatrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]])
+    form = RatMatrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]])
     alg = build_algebra("sp", 4, form)
     for m in alg.basis:
         assert alg.contains(m)
@@ -378,7 +377,7 @@ def test_graded_component_nonstandard_form_matches_oracle():
         )
 
 
-NONSTANDARD_FORM = IntMatrix.from_rows(
+NONSTANDARD_FORM = RatMatrix.from_rows(
     [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]]
 )
 
@@ -463,7 +462,7 @@ def test_sl_parabolic_skips_conjugation_with_same_spans():
     p_inv = rat_inverse(p)
     conjugated = tuple(p_inv * m * p for m in sl4.basis)
     for which, got in (("p", datum.p_basis), ("n", datum.n_basis), ("l", datum.l_basis)):
-        mask = datum.mask(which).entries
+        mask = datum.mask(which).num
         cells = {(i, j) for i in range(4) for j in range(4) if mask[i][j]}
         want = subspace_in_cells_by_nullspace(conjugated, cells)
         assert len(got) == len(want)
@@ -613,7 +612,7 @@ def test_sp_parabolic_spans_match_conjugated_basis(kind, weights, n):
         p_inv = rat_inverse(p)
         conjugated = tuple(p_inv * m * p for m in alg.basis)
         for which, got in (("p", datum.p_basis), ("n", datum.n_basis), ("l", datum.l_basis)):
-            mask = datum.mask(which).entries
+            mask = datum.mask(which).num
             cells = {(i, j) for i in range(d) for j in range(d) if mask[i][j]}
             want = subspace_in_cells_by_nullspace(conjugated, cells)
             assert len(got) == len(want)
@@ -670,6 +669,33 @@ def test_check_n_rigid_given_the_datum_solves_nothing(monkeypatch):
                 patch.setattr(liegrade, "rat_inverse", solved)
                 report = check_n_rigid(datum.l_basis, chi, triple, n, datum)
             assert report == RigidityReport(True, None)
+
+
+@pytest.mark.parametrize("kind,weights,n", TRIPLE_SPECS)
+def test_check_n_rigid_on_an_algebra_builds_no_basis(kind, weights, n):
+    # the algebra's part on all cells, in the diagonalising basis when p
+    # moves, is taken as cell maps: no matrix basis is built, and the
+    # report is the one of conjugating the matrix basis by p
+    chi = Cocharacter.of(weights)
+    for x in _random_piece_elements(build_algebra(kind, len(weights)), chi, n, 4, seed=5):
+        alg = build_algebra(kind, len(weights))
+        triple = adapted_sl2_triple(alg, chi, n, x)
+        reports = [check_n_rigid(alg, chi, triple, k) for k in (n, -n, 2 * n)]
+        assert "basis" not in vars(alg)
+        p = chi_prime(triple, chi)[1]
+        conjugated = tuple(rat_inverse(p) * m * p for m in alg.basis)
+        for k, report in zip((n, -n, 2 * n), reports):
+            assert report == RigidityReport(*rigidity_by_conjugates(conjugated, chi, triple, k))
+
+
+def test_check_n_rigid_on_sl48_builds_no_basis():
+    d = 48
+    alg = build_algebra("sl", d)
+    chi = Cocharacter.of([1] + [0] * (d - 2) + [-1])
+    triple = adapted_sl2_triple(alg, chi, 1, unit(d, 0, 1))
+    # chi' = (1, -1, 0, ..., 0): the cell (0, 2) has m = 1 and m' = 1
+    assert check_n_rigid(alg, chi, triple, 1) == RigidityReport(False, (1, 1))
+    assert "basis" not in vars(alg)
 
 
 def test_canonical_parabolic_conjugates_the_form_once(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradedorbits import liegrade
-from gradedorbits.exactlin import IntMatrix, RatMatrix
+from gradedorbits.exactlin import RatMatrix
 from gradedorbits.liegrade import (
     Cocharacter,
     Sl2Triple,
@@ -41,7 +41,7 @@ def monomial_forms(draw, min_half=1):
     m = draw(st.integers(min_half, 4))
     d = 2 * m
     kind = draw(st.sampled_from(["standard", "permuted", "scaled"]))
-    standard = standard_symplectic_form(d).entries
+    standard = standard_symplectic_form(d).num
     if kind == "standard":
         return kind, [list(r) for r in standard]
     order = draw(st.permutations(range(d)))
@@ -129,9 +129,9 @@ def test_non_monomial_sp_piece_equals_nullspace(case, data):
     # elements (in sp_B) and that sum with one cell added
     entries = st.lists(st.integers(-2, 2), min_size=d * d, max_size=d * d)
     cell = data.draw(st.sampled_from(sorted(cells) or [(0, 0)]))
-    for b in (standard_symplectic_form(d).entries, rows):
-        alg = build_algebra("sp", d, IntMatrix.from_rows(b))
-        dense = RatMatrix.from_int(alg.form)
+    for b in (standard_symplectic_form(d).num, rows):
+        alg = build_algebra("sp", d, RatMatrix.from_rows(b))
+        dense = alg.form
         flat = data.draw(entries)
         inside = RatMatrix.zeros(d, d)
         for m in (_matrix(d, c) for c in _sp_in_cells(b, cells)):
@@ -168,7 +168,7 @@ def graded_elements(draw):
             if w[k] is None:
                 w[k] = draw(st.integers(-2, 2))
                 w[partner[k]] = -w[k]
-        alg = build_algebra("sp", d, IntMatrix.from_rows(form))
+        alg = build_algebra("sp", d, RatMatrix.from_rows(form))
     chi = Cocharacter.of(w)
     n = draw(st.sampled_from([-2, -1, 1, 2]))
     piece = graded_component(alg, chi, n).basis
@@ -196,7 +196,7 @@ def test_toral_triple_equals_full_systems(case):
     diag = _piece(alg, [(i, i) for i in range(d)])
     gm = graded_component(alg, chi, -n).basis
     cells = [(i, j) for i in range(d) for j in range(d) if chi.weights[i] - chi.weights[j] == -n]
-    gm_oracle = gm if alg.kind == "sl" else sp_in_cells_by_nullspace(alg.form.entries, cells)
+    gm_oracle = gm if alg.kind == "sl" else sp_in_cells_by_nullspace(alg.form.num, cells)
     diag_basis = tuple(_matrix(d, c) for c in diag)
     h_diag = triple_h_by_full_system(x, diag_basis, gm) if diag else None
     f_diag = None if h_diag is None else triple_f_by_full_system(x, h_diag, gm_oracle)

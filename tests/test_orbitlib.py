@@ -134,7 +134,7 @@ def test_graded_orbits_positive_degree():
     for rep in reps:
         for i in range(4):
             for j in range(4):
-                if rep.representative.entries[i][j]:
+                if rep.representative.num[i][j]:
                     assert CHI.weights[i] - CHI.weights[j] == 1
 
 
@@ -195,7 +195,7 @@ def test_representatives_live_in_component_and_are_nilpotent():
         mat = rep.representative
         for i in range(4):
             for j in range(4):
-                if mat.entries[i][j] != 0:
+                if mat.num[i][j] != 0:
                     assert CHI.weights[i] - CHI.weights[j] == -1
         nilpotent_jordan_partition(mat)  # raises if not nilpotent
 
@@ -221,7 +221,7 @@ def test_closed_forms_match_the_solver_oracle():
     for chi, n in SEEDED:
         alg = build_algebra("sl", len(chi))
         for rep in graded_orbit_reps_typeA(chi, n):
-            x = RatMatrix.from_int(rep.representative)
+            x = rep.representative
             assert rep.dimension == graded_orbit_dimension(alg, chi, n, x), (chi, n, rep)
             assert rep.levi_shape == graded_orbit_levi_shape(alg, chi, n, x), (chi, n, rep)
             orbits += 1

@@ -6,7 +6,7 @@ import pytest
 
 from gradedorbits import rootdata
 from gradedorbits.exactlin import (
-    IntMatrix,
+    RatMatrix,
     hermite_rows,
     in_hermite_span,
     invariant_factors,
@@ -364,7 +364,7 @@ def test_quotient_invariant_factors_equal_minors_oracle(monkeypatch, kind, n):
     quotients = [rows for rows in quotients if rows]
     assert quotients
     for rows in quotients:
-        got = invariant_factors(IntMatrix.from_rows(rows))
+        got = invariant_factors(RatMatrix.from_rows(rows))
         assert got == snf_invariant_factors_by_minors(rows)
 
 
