@@ -270,7 +270,7 @@ def cmd_parabolic(args) -> int:
     else:
         triple = adapted_sl2_triple(alg, chi, n, x)
     datum = canonical_parabolic(alg, chi, triple, n)
-    rigid = check_n_rigid(datum.pieces["l"], chi, triple, n, datum)
+    rigid = check_n_rigid(datum, triple, n, datum.cells("l"))
     payload = {
         "chi_prime": list(datum.chi_prime.weights),
         "chi_prime_matrix": weight_matrix(datum.chi_prime).text(),

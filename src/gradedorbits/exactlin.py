@@ -149,11 +149,6 @@ class RatMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.num[i][j], self.den)
 
-    def flat(self) -> tuple:
-        return tuple(
-            Fraction(x, self.den) for row in self.num for x in row
-        )
-
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")

@@ -18,12 +18,16 @@ the nullspace would list them.  Only a form with a row of several
 nonzeros, which p^T B p can be for a basis change p, takes a nullspace.
 The basis of the whole algebra is the piece on all cells, built on the
 first read of ``MatrixLieAlgebra.basis``; the triple, the parabolic and
-``check_n_rigid`` never read it.  After a change of basis p,
-p^-1 sl p = sl and p^-1 sp_B p = sp_B' with B' = p^T B p, so
-``canonical_parabolic`` and ``check_n_rigid`` take the piece of the same
-type in the diagonalising basis.  A piece becomes d x d matrices only where
-they are read: ``graded_component``, ``MatrixLieAlgebra.basis`` and, on
-first read, the bases of a ``ParabolicDatum``.
+``check_n_rigid`` never read it.  A piece becomes d x d matrices only where
+they are read: ``graded_component``, ``MatrixLieAlgebra.basis`` and the
+bases of a ``ParabolicDatum``.
+
+The canonical parabolic is fixed by its indicator on the cells, which is
+all that ``canonical_parabolic`` computes: the cells of p, n and l are read
+off it, and their bases are built on first read.  After a change of basis
+p, p^-1 sl p = sl and p^-1 sp_B p = sp_B' with B' = p^T B p, so those bases
+are the pieces of the same type in the diagonalising basis, with one B' per
+parabolic.  ``check_n_rigid`` tests a set of cells of that basis.
 
 The triple solvers stay on cells: ``_ad`` forms [x, F], [x, [x, F]] and
 [h, F] from the nonzero cells of x or h, so a bracket with a piece element
@@ -40,8 +44,7 @@ solved for through f alone (h = [x, f]), the toral system is skipped when
 the diagonal one fixes a non-integral h, and ``chi_prime`` takes a nullspace
 only at integer roots of a characteristic polynomial, once per parabolic.
 
-Everything is exact.  Returned values are immutable, except the cell maps
-of ``ParabolicDatum.pieces``, which are to be read only.
+Everything is exact, and returned values are immutable.
 """
 
 from __future__ import annotations
@@ -159,23 +162,40 @@ _PIECE_TESTS = {"p": lambda s: s >= 0, "n": lambda s: s > 0, "l": lambda s: s ==
 
 @dataclass(frozen=True)
 class ParabolicDatum:
+    alg: MatrixLieAlgebra
     chi: Cocharacter
     chi_prime: Cocharacter
     degree: int
     basis_change: RatMatrix
-    pieces: dict  # "p", "n", "l": cell maps in the diagonalising basis
     indicator: RatMatrix  # sign(n) * (n*m - 2*m') per cell
     levi_blocks: tuple  # coordinate classes, first-occurrence order
 
-    # the matrices of each piece, built on first read
+    @cached_property
+    def _form(self):
+        """The form of p^-1 alg p, shared by the three pieces."""
+        return _conjugated_form(self.alg, self.basis_change)
+
+    # the matrices of each piece of p^-1 alg p, in the basis where both
+    # gradings are diagonal, built on first read
     p_basis, n_basis, l_basis = (
-        cached_property(lambda self, k=k: tuple(_matrix(len(self.chi), c) for c in self.pieces[k]))
+        cached_property(
+            lambda self, k=k: tuple(
+                _matrix(len(self.chi), c) for c in _piece(self.alg, self.cells(k), self._form)
+            )
+        )
         for k in "pnl"
     )
 
     @property
     def levi_block_shape(self) -> tuple:
         return tuple(len(b) for b in self.levi_blocks)
+
+    def cells(self, which: str) -> list:
+        """The cells of the indicator that the piece ``which`` ("p", "n" or
+        "l") keeps, row-major."""
+        keep = _PIECE_TESTS[which]
+        ind = self.indicator.num
+        return [(i, j) for i, row in enumerate(ind) for j, s in enumerate(row) if keep(s)]
 
     def mask(self, which: str) -> RatMatrix:
         pick = _PIECE_TESTS[which]
@@ -340,14 +360,6 @@ def graded_component(alg: MatrixLieAlgebra, chi: Cocharacter, n: int) -> GradedC
     d = alg.dim_ambient
     cells = [(i, j) for i in range(d) for j in range(d) if w[i] - w[j] == n]
     return GradedComponent(n, tuple(_matrix(d, c) for c in _piece(alg, cells)))
-
-
-def in_span(basis, m: RatMatrix) -> bool:
-    """Whether m is a linear combination of the given basis."""
-    if not basis:
-        return m.is_zero()
-    rows = [list(coord) for coord in zip(*(b.flat() for b in basis))]
-    return solve_linear(rows, list(m.flat())) is not None
 
 
 def _ad(a):
@@ -569,7 +581,7 @@ def _integer_eigenvalues(num, den, bound):
     return out
 
 
-def chi_prime(triple: Sl2Triple, chi: Cocharacter | None = None):
+def chi_prime(triple: Sl2Triple, chi: Cocharacter):
     """Weights of the triple's h, with the change of basis that diagonalises
     it block-by-block inside the chi-grading.
 
@@ -584,15 +596,10 @@ def chi_prime(triple: Sl2Triple, chi: Cocharacter | None = None):
             raise NonIntegralWeights("h has a non-integer diagonal entry")
         return Cocharacter.of([h.num[i][i] // h.den for i in range(d)]), RatMatrix.identity(d)
 
-    if chi is None:
-        block_lists = [list(range(d))]
-    else:
-        if len(chi) != d:
-            raise ValueError("cocharacter length mismatch")
-        w = chi.weights
-        if any(h.num[i][j] for i in range(d) for j in range(d) if w[i] != w[j]):
-            raise NotSimultaneouslyDiagonal("h does not preserve the grading blocks")
-        block_lists = list(_blocks_by_weight(w).values())
+    w = chi.weights
+    if any(h.num[i][j] for i in range(d) for j in range(d) if w[i] != w[j]):
+        raise NotSimultaneouslyDiagonal("h does not preserve the grading blocks")
+    block_lists = list(_blocks_by_weight(w).values())
     col_vectors = [None] * d
     weights = [None] * d
     for idx in block_lists:
@@ -630,33 +637,25 @@ def canonical_parabolic(
     In a basis where both gradings are diagonal, a cell of bidegree
     (m', m) = (chi-weight, h-weight) goes to the parabolic when
     sign(n)*(n*m - 2*m') >= 0, to the nilradical when strict, and to the
-    Levi on equality.
+    Levi on equality.  The indicator fixes all three; their bases are built
+    only when read.
     """
     if n == 0:
         raise DomainError("degree", "degree must be nonzero")
     validate_cocharacter(alg, chi)
     chip, p = chi_prime(triple, chi)
-    d = alg.dim_ambient
     # the potential sign(n)*(n*w' - 2*w) of each coordinate; a cell's
     # indicator is the potential of its row minus that of its column, and
     # the Levi blocks are the coordinates of equal potential
     sign = 1 if n > 0 else -1
     potential = [sign * (n * a - 2 * b) for a, b in zip(chip.weights, chi.weights)]
-    indicator = RatMatrix.from_rows([[a - b for b in potential] for a in potential])
-    ind = indicator.num
-    # the pieces of p^-1 alg p, in the basis where both gradings are
-    # diagonal, as cell maps; their matrices are built on first read
-    form = _conjugated_form(alg, p)
     return ParabolicDatum(
+        alg=alg,
         chi=chi,
         chi_prime=chip,
         degree=n,
         basis_change=p,
-        pieces={
-            which: _piece(alg, [(i, j) for i in range(d) for j in range(d) if keep(ind[i][j])], form)
-            for which, keep in _PIECE_TESTS.items()
-        },
-        indicator=indicator,
+        indicator=RatMatrix.from_rows([[a - b for b in potential] for a in potential]),
         levi_blocks=tuple(tuple(b) for b in _blocks_by_weight(potential).values()),
     )
 
@@ -664,50 +663,41 @@ def canonical_parabolic(
 @dataclass(frozen=True)
 class RigidityReport:
     is_rigid: bool
-    witness: tuple | None  # (m, m') of the first violated cell, row-major
+    witness: tuple | None  # (m, m') of the first violated cell
 
 
-def check_n_rigid(
-    alg_or_basis, chi: Cocharacter, triple: Sl2Triple, n: int, datum: ParabolicDatum | None = None
-) -> RigidityReport:
-    """The h-grading refines the cocharacter grading exactly.
+def check_n_rigid(datum: ParabolicDatum, triple: Sl2Triple, n: int, cells) -> RigidityReport:
+    """The h-grading refines the cocharacter grading exactly on the cells.
 
-    A supported cell of bidegree (m, m') is compatible iff 2*m' = n*m; the
-    first incompatible cell (row-major, in the diagonalising basis) is
-    returned as the witness.  Triple placement (e in g_n, h in g_0,
-    f in g_-n) is part of the check.  An algebra is given in its own
-    coordinates, and its part on all cells of the diagonalising basis is
-    solved for here; a basis, of matrices or of cell maps such as
-    ``ParabolicDatum.pieces["l"]``, is taken as already in that basis, as
-    ``canonical_parabolic`` returns its pieces.  chi' and the basis change
-    are taken from ``datum``, the ``canonical_parabolic`` of the same chi
-    and triple, when it is given, and computed otherwise.
+    chi, chi' and the basis change p that diagonalises h come from
+    ``datum``, the ``canonical_parabolic`` of the triple.  The triple's
+    placement (e in g_n, h in g_0, f in g_-n) is checked first, then each
+    cell of the diagonalising basis in the order given: a cell of bidegree
+    (m, m') = (chi'-weight, chi-weight) is compatible iff 2*m' = n*m.  The
+    first misplaced or incompatible cell is returned as the witness.
+
+    On the Levi's cells, ``datum.cells("l")`` with n the datum's degree,
+    2*m' = n*m holds by definition, so only placement can fail there.  The
+    whole algebra reaches every cell in any basis (sl_d for d >= 2, and
+    sp_B' = B'^-1 Sym), and a diagonal cell is always compatible, so for it
+    every cell is passed.
     """
-    own_coordinates = isinstance(alg_or_basis, MatrixLieAlgebra)
-    d = len(chi)
-    basis = None if own_coordinates else tuple(alg_or_basis)
-    if basis == ():
-        return RigidityReport(True, None)
-    chip, p = chi_prime(triple, chi) if datum is None else (datum.chi_prime, datum.basis_change)
-    w = chi.weights
-    wp = chip.weights
-    # triple placement inside the graded pieces.  p keeps each chi-weight
-    # block, so conjugating by it keeps every graded piece: only a
-    # misplaced triple is conjugated, for its witness cell
+    w = datum.chi.weights
+    wp = datum.chi_prime.weights
+    p = datum.basis_change
+    # p keeps each chi-weight block, so conjugating by it keeps every graded
+    # piece: only a misplaced triple is conjugated, for its witness cell
     placement = [(triple.e, n), (triple.h, 0), (triple.f, -n)]
-    moved = p != RatMatrix.identity(d)
-    if moved and any(w[i] - w[j] != k for m, k in placement for (i, j) in m.support()):
+    if p != RatMatrix.identity(len(w)) and any(
+        w[i] - w[j] != k for m, k in placement for (i, j) in m.support()
+    ):
         p_inv = rat_inverse(p)
         placement = [(p_inv * m * p, k) for m, k in placement]
     for mat, expected in placement:
         for (i, j) in mat.support():
             if w[i] - w[j] != expected:
                 return RigidityReport(False, (wp[i] - wp[j], w[i] - w[j]))
-    if own_coordinates:
-        form = _conjugated_form(alg_or_basis, p) if moved else None
-        basis = _piece(alg_or_basis, _all_cells(d), form)
-    # every cell the basis reaches, row-major
-    for i, j in sorted(set().union(*(m if isinstance(m, dict) else m.support() for m in basis))):
+    for i, j in cells:
         if 2 * (w[i] - w[j]) != n * (wp[i] - wp[j]):
             return RigidityReport(False, (wp[i] - wp[j], w[i] - w[j]))
     return RigidityReport(True, None)

@@ -5,9 +5,10 @@ factors via gcds of k-minors, dominance order via explicit partial sums,
 and cohomology/point-count checks by brute enumeration.  Flag counts over
 F_p sweep the whole Grassmannian once per condition set and test span
 membership by generic elimination against the echelon basis.  Rational
-elimination runs on Fraction rows, and graded pieces come from a generic
-nullspace, over a basis or over every entry of M^T B + B M, instead of
-the package's cells and its closed form for a monomial symplectic form.
+elimination runs on Fraction rows, span membership compares the ranks of
+their RREFs, and graded pieces come from a generic nullspace, over a basis
+or over every entry of M^T B + B M, instead of the package's cells and its
+closed form for a monomial symplectic form.
 Closed families of a vector list come from closing the members of every
 pairwise join, with no memo, no support filter and no Weyl group, and the
 prime classifiers take a torsion quotient for every family, not one per
@@ -263,6 +264,17 @@ def fraction_nullspace(rows):
         first = next(x for x in ints if x != 0)
         basis.append(tuple(-x for x in ints) if first < 0 else tuple(ints))
     return tuple(basis)
+
+
+def in_span_by_rref(basis, m):
+    """Whether the RatMatrix m is a combination of the RatMatrix basis: the
+    rank of the Fraction RREF of the basis's flattened entries does not grow
+    when m is added to them."""
+    def flat(a):
+        return [a.entry(i, j) for i in range(a.rows) for j in range(a.cols)]
+
+    rows = [flat(b) for b in basis]
+    return len(fraction_rref(rows + [flat(m)])[1]) == len(fraction_rref(rows)[1])
 
 
 def subspace_in_cells_by_nullspace(basis, allowed):

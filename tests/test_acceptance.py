@@ -29,7 +29,6 @@ from gradedorbits.liegrade import (
     check_n_rigid,
     chi_prime,
     graded_component,
-    in_span,
     weight_matrix,
 )
 from gradedorbits.orbitlib import closure_leq, graded_orbit_reps_typeA, nilpotent_orbits
@@ -42,7 +41,7 @@ from gradedorbits.rootdata import (
     RootDatum,
 )
 
-from oracles import dominance_leq, snf_invariant_factors_by_minors
+from oracles import dominance_leq, in_span_by_rref, snf_invariant_factors_by_minors
 
 
 def report(number, text):
@@ -168,7 +167,7 @@ def _check_triple_placement(alg, chi, n, triple):
     assert triple.bracket_relations_hold()
     for mat, degree in ((triple.e, n), (triple.h, 0), (triple.f, -n)):
         comp = graded_component(alg, chi, degree)
-        assert in_span(comp.basis, mat)
+        assert in_span_by_rref(comp.basis, mat)
 
 
 def test_criterion_4_triples_and_rigidity():
@@ -184,7 +183,7 @@ def test_criterion_4_triples_and_rigidity():
             )
             _check_triple_placement(alg4, CHI, -1, triple)
         datum = canonical_parabolic(alg4, CHI, triple, -1)
-        rigidity = check_n_rigid(datum.l_basis, CHI, triple, -1)
+        rigidity = check_n_rigid(datum, triple, -1, datum.cells("l"))
         assert rigidity.is_rigid
     # every classical nilpotent representative under its natural grading
     for kind, text, cochar, degree in CLASSICAL_CASES:
@@ -196,7 +195,9 @@ def test_criterion_4_triples_and_rigidity():
     # the full algebra is not rigid, with a concrete witness cell
     x = parse_matrix_text("0,0,0,0;1,0,0,0;0,0,0,0;0,0,1,0")
     triple = adapted_sl2_triple(alg4, CHI, -1, x)
-    full = check_n_rigid(alg4, CHI, triple, -1)
+    every_cell = [(i, j) for i in range(4) for j in range(4)]
+    datum = canonical_parabolic(alg4, CHI, triple, -1)
+    full = check_n_rigid(datum, triple, -1, every_cell)
     assert not full.is_rigid
     assert full.witness == (0, 1)
     report(4, "all graded triples verified exactly; Levi data rigid; full algebra witness (m,m')=(0,1)")
@@ -371,7 +372,7 @@ def test_criterion_8_property_suites():
                 for x in ca.basis:
                     for y in cb.basis:
                         z = bracket(x, y)
-                        assert z.is_zero() or in_span(basis, z)
+                        assert z.is_zero() or in_span_by_rref(basis, z)
 
     # Jordan-type round trip and dominance order, all partitions of n <= 6
     for n in range(1, 7):

@@ -8,7 +8,10 @@ Each argv is mostly well formed, so that it reaches the computation, with
 one option dropped or replaced by junk now and then.  Sizes are drawn from
 small values, where an accepted input takes well under 0.1 s, and from the
 first value past each documented bound, which is rejected before any work
-is done."""
+is done.  The --json payload of every exit 0 of triple and parabolic is
+checked from the definitions.  A second property draws only well-formed
+triple and parabolic argvs with a nonzero x in g_n: by graded
+Jacobson-Morozov each has a graded sl2-triple, so each must exit 0."""
 
 import contextlib
 import functools
@@ -25,6 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedorbits import cli, exactlin
+
+from oracles import fraction_rref
 
 JUNK = ["", "x", "1.5", "1,,2", "0x10", "-", "1;0"]
 # past the orbit bound: one chain of block sizes 1, 7, 4, 3, 7, 7 (10,080
@@ -65,11 +70,11 @@ def cochar_weights(draw, kind_, d):
     return w
 
 
-def graded_element(draw, kind_, weights, n):
-    """A d x d matrix of the algebra that is nonzero only on cells of degree
-    n, now and then with its first column shifted by one, as matrix text.
-    In sp_2m, with the form [[0, I], [-I, 0]], it is [[A, B], [C, -A^T]]
-    with B and C symmetric."""
+def graded_rows(draw, kind_, weights, n, nonzero=False):
+    """The rows of a d x d matrix of the algebra that is nonzero only on
+    cells of degree n, and when ``nonzero`` on the first of them.  In sp_2m,
+    with the form [[0, I], [-I, 0]], it is [[A, B], [C, -A^T]] with B and C
+    symmetric."""
     d = len(weights)
     x = [[0] * d for _ in range(d)]
     m = d // 2 if kind_ == "sp" else 0
@@ -77,15 +82,22 @@ def graded_element(draw, kind_, weights, n):
         for j in range(d):
             if weights[i] - weights[j] != n or x[i][j]:
                 continue
-            a = draw(st.sampled_from([1, -1, 2, 0]))
+            a = draw(st.sampled_from([1, -1, 2] if nonzero else [1, -1, 2, 0]))
+            nonzero = False
             if not m:
                 x[i][j] = a
             elif i < m and j < m:  # A, and -A^T
                 x[i][j], x[m + j][m + i] = a, -a
             elif (i < m) != (j < m):  # B or C, symmetric
                 x[i][j] = x[j - m if j >= m else j + m][i + m if i < m else i - m] = a
+    return x
+
+
+def graded_element(draw, kind_, weights, n):
+    """``graded_rows`` as matrix text, now and then with its first column
+    shifted by one."""
     noise = mostly(draw, st.just(0), 1)
-    return ";".join(ints([r[0] + noise, *r[1:]]) for r in x)
+    return ";".join(ints([r[0] + noise, *r[1:]]) for r in graded_rows(draw, kind_, weights, n))
 
 
 @st.composite
@@ -150,6 +162,27 @@ def piece_argv(draw, command):
     if command != "grading":
         pairs.append(("--x", graded_element(draw, kind_, weights, n)))
     return draw(argv_of(command, pairs))
+
+
+@st.composite
+def graded_nilpotent_argv(draw, command):
+    """triple or parabolic with every option well formed: sl_d (d <= 5) or
+    sp_d (d <= 6) under a cocharacter that fits it, a nonzero degree n of
+    some cell, and a nonzero x in g_n."""
+    kind_ = draw(st.sampled_from(["sl", "sp"]))
+    if kind_ == "sl":
+        weights = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4))
+        weights.append(-sum(weights))
+    else:
+        half = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+        weights = half + [-a for a in half]
+    if not any(weights):
+        # every cell has degree 0: make one pair of weights differ
+        weights[0], weights[len(weights) // 2 if kind_ == "sp" else -1] = 1, -1
+    n = draw(st.sampled_from(sorted({a - b for a in weights for b in weights} - {0})))
+    x = graded_rows(draw, kind_, weights, n, nonzero=True)
+    return [command, f"--type={kind_}", f"--d={len(weights)}", f"--cochar={ints(weights)}",
+            f"--x={';'.join(map(ints, x))}", f"--degree={n}"]
 
 
 @st.composite
@@ -235,9 +268,37 @@ def in_standard_sp(m):
     )
 
 
+def chi_prime_fits(h, w, chi_prime):
+    """Whether chi' is the spectrum of h, block by block: on each block of
+    equal chi-weight, nullity(h_block - m) is the multiplicity of m in chi'
+    there, for each m, with the rank of a Fraction RREF.  As these
+    multiplicities add up to the block's size, h is diagonalisable inside
+    the chi-grading with eigenvalues chi'."""
+    assert len(chi_prime) == len(w)
+    for u in set(w):
+        block = [i for i in range(len(w)) if w[i] == u]
+        values = [chi_prime[i] for i in block]
+        for m in set(values):
+            shifted = [[h[a][b] - (m if a == b else 0) for b in block] for a in block]
+            if len(block) - len(fraction_rref(shifted)[1]) != values.count(m):
+                return False
+    return True
+
+
+def json_payload(argv):
+    """The --json payload of the argv, whichever output flags it has; the
+    argv must exit 0."""
+    json_argv = [a for a in argv if a not in ("--json", "--quiet")] + ["--json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(json_argv) == 0, json_argv
+    return json.loads(out.getvalue())
+
+
 def check_triple_payload(argv, payload):
     """e is --x, [h, e] = 2e, [h, f] = -2f, [e, f] = h, e, h and f lie on
-    the cells of chi-degree n, 0 and -n, and in sp they lie in sp."""
+    the cells of chi-degree n, 0 and -n, in sp they lie in sp, and chi'
+    is the spectrum of h inside the chi-grading."""
     options = option_values(argv)
     w = [int(a) for a in options["--cochar"].split(",")]
     n = int(options["--degree"])
@@ -250,10 +311,48 @@ def check_triple_payload(argv, payload):
         cells = [(i, j) for i, row in enumerate(m) for j, a in enumerate(row) if a]
         assert all(w[i] - w[j] == degree for i, j in cells), (m, degree)
         assert options["--type"] == "sl" or in_standard_sp(m)
+    assert chi_prime_fits(h, w, payload["chi_prime"])
+
+
+def check_parabolic_payload(argv, payload):
+    """chi_prime_matrix is the differences of chi', the indicator is
+    sign(n) (n dchi' - 2 dchi) per cell, the p, n and l masks are its
+    >= 0, > 0 and = 0 cells, levi_blocks are the sizes of the classes of
+    coordinates that an indicator 0 joins, by first coordinate, the Levi is
+    rigid, and chi' is the spectrum of the h of the triple through --x (0
+    for x = 0) inside the chi-grading."""
+    options = option_values(argv)
+    w = [int(a) for a in options["--cochar"].split(",")]
+    n = int(options["--degree"])
+    cp = payload["chi_prime"]
+    d = len(w)
+    assert len(cp) == d
+    assert matrix_rows(payload["chi_prime_matrix"]) == [[a - b for b in cp] for a in cp]
+    sign = 1 if n > 0 else -1
+    indicator = [
+        [sign * (n * (cp[i] - cp[j]) - 2 * (w[i] - w[j])) for j in range(d)] for i in range(d)
+    ]
+    assert matrix_rows(payload["indicator"]) == indicator
+    for key, keep in (("p", lambda s: s >= 0), ("n", lambda s: s > 0), ("l", lambda s: s == 0)):
+        assert matrix_rows(payload[f"{key}_mask"]) == [[int(keep(s)) for s in r] for r in indicator]
+    blocks, seen = [], set()
+    for i in range(d):
+        if i not in seen:
+            block = {j for j in range(d) if indicator[i][j] == 0}
+            blocks.append(len(block))
+            seen |= block
+    assert payload["levi_blocks"] == blocks
+    assert payload["levi_rigid"] is True
+    x = matrix_rows(options["--x"])
+    if any(any(row) for row in x):
+        h = matrix_rows(json_payload(["triple", *argv[1:]])["h"])
+    else:
+        h = [[0] * d for _ in range(d)]
+    assert chi_prime_fits(h, w, cp)
 
 
 # an independent check of the --json payload of an exit 0
-PAYLOAD_CHECKS = {"triple": check_triple_payload}
+PAYLOAD_CHECKS = {"triple": check_triple_payload, "parabolic": check_parabolic_payload}
 
 
 @functools.cache
@@ -277,12 +376,16 @@ def test_argv_exits_0_2_or_3(command):
         if code == 2:
             assert set(OPTION.findall(err.getvalue())) & options_of(command), (argv, err.getvalue())
         if code == 0 and command in PAYLOAD_CHECKS:
-            # the --json payload of the same input, whichever output flags
-            # the argv has
-            json_argv = [a for a in argv if a not in ("--json", "--quiet")] + ["--json"]
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert cli.run(json_argv) == 0, json_argv
-            PAYLOAD_CHECKS[command](argv, json.loads(out.getvalue()))
+            PAYLOAD_CHECKS[command](argv, json_payload(argv))
+
+    check()
+
+
+@pytest.mark.parametrize("command", sorted(PAYLOAD_CHECKS))
+def test_graded_nilpotent_exits_0_with_a_checked_payload(command):
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(graded_nilpotent_argv(command))
+    def check(argv):
+        PAYLOAD_CHECKS[command](argv, json_payload(argv))
 
     check()

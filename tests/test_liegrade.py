@@ -16,6 +16,7 @@ from gradedorbits.liegrade import (
     NoTriple,
     RigidityReport,
     Sl2Triple,
+    _all_cells,
     _brackets,
     _conjugated_form,
     _equations,
@@ -31,13 +32,13 @@ from gradedorbits.liegrade import (
     check_n_rigid,
     chi_prime,
     graded_component,
-    in_span,
     standard_symplectic_form,
     validate_cocharacter,
     weight_matrix,
 )
 
 from oracles import (
+    in_span_by_rref,
     rigidity_by_conjugates,
     sp_in_cells_by_nullspace,
     subspace_in_cells_by_nullspace,
@@ -171,7 +172,7 @@ def test_bracket_respects_grading(kind, d, weights):
                     z = bracket(x, y)
                     if z.is_zero():
                         continue
-                    assert in_span(target_basis, z)
+                    assert in_span_by_rref(target_basis, z)
 
 
 def test_adapted_triple_worked_example():
@@ -188,8 +189,8 @@ def test_adapted_triple_worked_example():
     # placement
     g1 = graded_component(sl4, WORKED_CHI, 1)
     g0 = graded_component(sl4, WORKED_CHI, 0)
-    assert in_span(g0.basis, triple.h)
-    assert in_span(g1.basis, triple.f)
+    assert in_span_by_rref(g0.basis, triple.h)
+    assert in_span_by_rref(g1.basis, triple.f)
 
 
 def test_adapted_triple_sl2():
@@ -220,7 +221,8 @@ def test_chi_prime_standard_jordan_two_two():
     )
     triple = Sl2Triple(e, h, f)
     assert triple.bracket_relations_hold()
-    weights, change = chi_prime(triple)
+    # e has degree 1 under (1, 0, 1, 0), and h degree 0
+    weights, change = chi_prime(triple, Cocharacter.of([1, 0, 1, 0]))
     assert weights.weights == (1, -1, 1, -1)
     assert change == RatMatrix.identity(4)
 
@@ -232,22 +234,27 @@ def test_canonical_parabolic_worked_example():
     assert datum.indicator.num == tuple(tuple(r) for r in COMBINED_INDICATOR)
     assert datum.levi_blocks == ((0, 1), (2, 3))
     assert datum.levi_block_shape == (2, 2)
+    # the cells of each piece, row-major, from the indicator alone
+    for which, keep in (("p", lambda s: s >= 0), ("n", lambda s: s > 0), ("l", lambda s: s == 0)):
+        want = [(i, j) for i in range(4) for j in range(4) if keep(COMBINED_INDICATOR[i][j])]
+        assert datum.cells(which) == want
+    assert not {"p_basis", "n_basis", "l_basis"} & set(vars(datum))
     # bracket closures
     for a in datum.p_basis:
         for b in datum.p_basis:
-            assert in_span(datum.p_basis, bracket(a, b)) or bracket(a, b).is_zero()
+            assert in_span_by_rref(datum.p_basis, bracket(a, b)) or bracket(a, b).is_zero()
         for b in datum.n_basis:
             z = bracket(a, b)
-            assert z.is_zero() or in_span(datum.n_basis, z)
+            assert z.is_zero() or in_span_by_rref(datum.n_basis, z)
     for a in datum.l_basis:
         for b in datum.l_basis:
             z = bracket(a, b)
-            assert z.is_zero() or in_span(datum.l_basis, z)
+            assert z.is_zero() or in_span_by_rref(datum.l_basis, z)
     # l + n = p as vector spaces
     assert len(datum.p_basis) == len(datum.l_basis) + len(datum.n_basis)
-    assert in_span(datum.p_basis, WORKED_X)
+    assert in_span_by_rref(datum.p_basis, WORKED_X)
     for part in (triple.e, triple.h, triple.f):
-        assert in_span(datum.l_basis, part)
+        assert in_span_by_rref(datum.l_basis, part)
     # dim p + dim opposite parabolic = dim g + dim l
     opp_cells = {
         (i, j)
@@ -272,7 +279,7 @@ def test_canonical_parabolic_single_hom_orbit():
     datum = canonical_parabolic(sl4, WORKED_CHI, triple, -1)
     assert datum.levi_blocks == ((0, 1), (2,), (3,))
     assert datum.levi_block_shape == (2, 1, 1)
-    rep = check_n_rigid(datum.l_basis, WORKED_CHI, triple, -1)
+    rep = check_n_rigid(datum, triple, -1, datum.cells("l"))
     assert rep.is_rigid
 
 
@@ -286,7 +293,8 @@ def test_canonical_parabolic_rejects_degree_zero():
 def test_rigidity_full_algebra_fails_with_witness():
     sl4 = build_algebra("sl", 4)
     triple = adapted_sl2_triple(sl4, WORKED_CHI, -1, WORKED_X)
-    rep = check_n_rigid(sl4, WORKED_CHI, triple, -1)
+    datum = canonical_parabolic(sl4, WORKED_CHI, triple, -1)
+    rep = check_n_rigid(datum, triple, -1, _all_cells(4))
     assert not rep.is_rigid
     assert rep.witness == (0, 1)
 
@@ -295,7 +303,7 @@ def test_rigidity_levi_holds():
     sl4 = build_algebra("sl", 4)
     triple = adapted_sl2_triple(sl4, WORKED_CHI, -1, WORKED_X)
     datum = canonical_parabolic(sl4, WORKED_CHI, triple, -1)
-    rep = check_n_rigid(datum.l_basis, WORKED_CHI, triple, -1)
+    rep = check_n_rigid(datum, triple, -1, datum.cells("l"))
     assert rep.is_rigid
     assert rep.witness is None
 
@@ -304,7 +312,7 @@ def test_rigidity_sl2_principal():
     sl2 = build_algebra("sl", 2)
     chi = Cocharacter.of([1, -1])
     triple = adapted_sl2_triple(sl2, chi, 2, unit(2, 0, 1))
-    rep = check_n_rigid(sl2, chi, triple, 2)
+    rep = check_n_rigid(canonical_parabolic(sl2, chi, triple, 2), triple, 2, _all_cells(2))
     assert rep.is_rigid
 
 
@@ -418,8 +426,9 @@ def test_piece_spans_what_the_oracle_spans(kind, d, form, conjugate):
         got = tuple(_matrix(d, c) for c in piece)
         want = subspace_in_cells_by_nullspace(basis, cells)
         assert all(m.support() <= cells for m in got)
-        assert len(got) == len(want) == rank_rational([m.flat() for m in got])
-        assert all(in_span(want, m) for m in got)
+        ranked = [[v for row in m.num for v in row] for m in got]
+        assert len(got) == len(want) == rank_rational(ranked)
+        assert all(in_span_by_rref(want, m) for m in got)
 
 
 def test_sp_cocharacter_validated_for_every_form():
@@ -466,7 +475,7 @@ def test_sl_parabolic_skips_conjugation_with_same_spans():
         cells = {(i, j) for i in range(4) for j in range(4) if mask[i][j]}
         want = subspace_in_cells_by_nullspace(conjugated, cells)
         assert len(got) == len(want)
-        assert all(in_span(want, m) for m in got)
+        assert all(in_span_by_rref(want, m) for m in got)
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +586,15 @@ def test_equations_only_on_reached_cells():
     assert solve_linear(rows, rhs) == (3, 0)
 
 
+def _reached(basis):
+    """The cells that some element of the basis reaches, row-major."""
+    return sorted(set().union(*(m.support() for m in basis)))
+
+
 @pytest.mark.parametrize("kind,weights,n", TRIPLE_SPECS)
 def test_canonical_levi_is_rigid(kind, weights, n):
-    # l_basis comes in the diagonalising basis, where every Levi cell has
-    # 2m' = n*m by construction; check_n_rigid must not conjugate it again
+    # every Levi cell has 2m' = n*m by definition, in the diagonalising
+    # basis; check_n_rigid must not conjugate the cells again
     alg = build_algebra(kind, len(weights))
     chi = Cocharacter.of(weights)
     d = alg.dim_ambient
@@ -589,7 +603,7 @@ def test_canonical_levi_is_rigid(kind, weights, n):
         triple = adapted_sl2_triple(alg, chi, n, x)
         datum = canonical_parabolic(alg, chi, triple, n)
         non_diagonal += datum.basis_change != RatMatrix.identity(d)
-        rep = check_n_rigid(datum.l_basis, chi, triple, n)
+        rep = check_n_rigid(datum, triple, n, datum.cells("l"))
         assert (rep.is_rigid, rep.witness) == (True, None)
     assert non_diagonal
 
@@ -616,21 +630,16 @@ def test_sp_parabolic_spans_match_conjugated_basis(kind, weights, n):
             cells = {(i, j) for i in range(d) for j in range(d) if mask[i][j]}
             want = subspace_in_cells_by_nullspace(conjugated, cells)
             assert len(got) == len(want)
-            assert all(in_span(want, m) for m in got)
-        # the algebra is solved for in the diagonalising basis; the verdict
-        # and witness are those of its conjugated basis
-        for k in (n, -n, 2 * n):
-            assert check_n_rigid(alg, chi, triple, k) == check_n_rigid(
-                conjugated, chi, triple, k
-            )
+            assert all(in_span_by_rref(want, m) for m in got)
     assert checked
 
 
 @pytest.mark.parametrize("kind,weights,n", TRIPLE_SPECS)
 def test_check_n_rigid_given_the_datum_keeps_the_report(kind, weights, n):
-    # with the datum, chi' and p are not recomputed and e, h, f are
-    # conjugated only when misplaced; the report, witness included, is the
-    # one of recomputing both and conjugating e, h and f every time
+    # chi' and p come from the datum, and e, h, f are conjugated only when
+    # misplaced; on the cells that a basis reaches, the report, witness
+    # included, is the one of recomputing both and conjugating e, h and f
+    # every time.  The conjugated algebra reaches every cell.
     alg = build_algebra(kind, len(weights))
     chi = Cocharacter.of(weights)
     d = alg.dim_ambient
@@ -641,13 +650,12 @@ def test_check_n_rigid_given_the_datum_keeps_the_report(kind, weights, n):
         p = datum.basis_change
         p_inv = rat_inverse(p)
         conjugated = tuple(p_inv * m * p for m in alg.basis)
+        assert _reached(conjugated) == _all_cells(d)
         for k in (n, -n, 2 * n):
             for basis in (conjugated, datum.l_basis, datum.p_basis):
                 want = RigidityReport(*rigidity_by_conjugates(basis, chi, triple, k))
-                assert check_n_rigid(basis, chi, triple, k) == want
-                assert check_n_rigid(basis, chi, triple, k, datum) == want
-            report = check_n_rigid(alg, chi, triple, k, datum)
-            assert report == check_n_rigid(conjugated, chi, triple, k)
+                assert check_n_rigid(datum, triple, k, _reached(basis)) == want
+            report = check_n_rigid(datum, triple, k, _all_cells(d))
             moved_witnesses += p != RatMatrix.identity(d) and report.witness is not None
     assert moved_witnesses
 
@@ -656,7 +664,7 @@ def test_check_n_rigid_given_the_datum_solves_nothing(monkeypatch):
     from gradedorbits import liegrade
 
     def solved(*args):
-        raise AssertionError("chi' or an inverse was computed")
+        raise AssertionError("chi', an inverse, a piece or a form was computed")
 
     for kind, weights, n in TRIPLE_SPECS:
         alg = build_algebra(kind, len(weights))
@@ -665,23 +673,26 @@ def test_check_n_rigid_given_the_datum_solves_nothing(monkeypatch):
             triple = adapted_sl2_triple(alg, chi, n, x)
             datum = canonical_parabolic(alg, chi, triple, n)
             with monkeypatch.context() as patch:
-                patch.setattr(liegrade, "chi_prime", solved)
-                patch.setattr(liegrade, "rat_inverse", solved)
-                report = check_n_rigid(datum.l_basis, chi, triple, n, datum)
+                for name in ("chi_prime", "rat_inverse", "_piece", "_conjugated_form"):
+                    patch.setattr(liegrade, name, solved)
+                report = check_n_rigid(datum, triple, n, datum.cells("l"))
             assert report == RigidityReport(True, None)
 
 
 @pytest.mark.parametrize("kind,weights,n", TRIPLE_SPECS)
 def test_check_n_rigid_on_an_algebra_builds_no_basis(kind, weights, n):
-    # the algebra's part on all cells, in the diagonalising basis when p
-    # moves, is taken as cell maps: no matrix basis is built, and the
-    # report is the one of conjugating the matrix basis by p
+    # the whole algebra is every cell of the diagonalising basis: no basis
+    # and no piece is built, and the report is the one of conjugating the
+    # matrix basis by p
     chi = Cocharacter.of(weights)
     for x in _random_piece_elements(build_algebra(kind, len(weights)), chi, n, 4, seed=5):
         alg = build_algebra(kind, len(weights))
         triple = adapted_sl2_triple(alg, chi, n, x)
-        reports = [check_n_rigid(alg, chi, triple, k) for k in (n, -n, 2 * n)]
+        datum = canonical_parabolic(alg, chi, triple, n)
+        cells = _all_cells(alg.dim_ambient)
+        reports = [check_n_rigid(datum, triple, k, cells) for k in (n, -n, 2 * n)]
         assert "basis" not in vars(alg)
+        assert not {"_form", "p_basis", "n_basis", "l_basis"} & set(vars(datum))
         p = chi_prime(triple, chi)[1]
         conjugated = tuple(rat_inverse(p) * m * p for m in alg.basis)
         for k, report in zip((n, -n, 2 * n), reports):
@@ -693,13 +704,15 @@ def test_check_n_rigid_on_sl48_builds_no_basis():
     alg = build_algebra("sl", d)
     chi = Cocharacter.of([1] + [0] * (d - 2) + [-1])
     triple = adapted_sl2_triple(alg, chi, 1, unit(d, 0, 1))
+    datum = canonical_parabolic(alg, chi, triple, 1)
     # chi' = (1, -1, 0, ..., 0): the cell (0, 2) has m = 1 and m' = 1
-    assert check_n_rigid(alg, chi, triple, 1) == RigidityReport(False, (1, 1))
+    assert check_n_rigid(datum, triple, 1, _all_cells(d)) == RigidityReport(False, (1, 1))
     assert "basis" not in vars(alg)
 
 
 def test_canonical_parabolic_conjugates_the_form_once(monkeypatch):
-    # the three pieces of p^-1 sp p share one form p^T B p
+    # canonical_parabolic builds no piece; the three pieces of p^-1 sp p,
+    # built on first read, share one form p^T B p
     from gradedorbits import liegrade
 
     calls = []
@@ -714,5 +727,7 @@ def test_canonical_parabolic_conjugates_the_form_once(monkeypatch):
     chi = Cocharacter.of(weights)
     for x in _random_piece_elements(alg, chi, n, 3, seed=2):
         calls.clear()
-        canonical_parabolic(alg, chi, adapted_sl2_triple(alg, chi, n, x), n)
-        assert len(calls) == 1
+        datum = canonical_parabolic(alg, chi, adapted_sl2_triple(alg, chi, n, x), n)
+        assert calls == []
+        bases = (datum.p_basis, datum.n_basis, datum.l_basis)
+        assert len(calls) == 1 and len(bases[0]) == len(bases[1]) + len(bases[2])
