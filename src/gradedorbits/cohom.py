@@ -388,14 +388,6 @@ class StalkTable:
     convention: str
     columns: dict  # orbit label -> {degree: rank}
 
-    def parity_violations(self) -> tuple:
-        out = []
-        for label, col in self.columns.items():
-            parities = {d % 2 for d in col}
-            if len(parities) > 1:
-                out.append(label)
-        return tuple(out)
-
     def as_dict(self) -> dict:
         return {
             "convention": self.convention,

@@ -33,10 +33,6 @@ class CompositeCharacteristic(ValueError):
     """Raised when a field characteristic is neither 0 nor prime."""
 
 
-class NotNilpotent(ValueError):
-    """Raised when a matrix expected to be nilpotent is not."""
-
-
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # below this bound (Sorenson and Webster, Strong pseudoprimes to twelve
 # prime bases, Math. Comp. 86, 2017)
@@ -310,13 +306,10 @@ def hermite_pivots(hnf) -> tuple:
     return tuple(next(i for i, x in enumerate(row) if x != 0) for row in hnf)
 
 
-def in_hermite_span(hnf, vec, pivots=None) -> bool:
-    """Whether ``vec`` lies in the lattice given by Hermite rows ``hnf``.
-
-    ``pivots`` may carry ``hermite_pivots(hnf)`` when many vectors are
-    tested against one lattice."""
+def in_hermite_span(hnf, vec) -> bool:
+    """Whether ``vec`` lies in the lattice given by Hermite rows ``hnf``."""
     v = list(vec)
-    for row, j in zip(hnf, pivots or hermite_pivots(hnf)):
+    for row, j in zip(hnf, hermite_pivots(hnf)):
         if v[j] != 0:
             if v[j] % row[j] != 0:
                 return False
@@ -546,36 +539,3 @@ class Partition:
                     yield (first,) + rest
 
         return tuple(Partition(p) for p in gen(n, n))
-
-
-def jordan_matrix(partition: Partition) -> RatMatrix:
-    """Block-diagonal nilpotent Jordan matrix with the given block sizes."""
-    n = partition.weight
-    rows = [[0] * n for _ in range(n)]
-    offset = 0
-    for part in partition.parts:
-        for i in range(part - 1):
-            rows[offset + i][offset + i + 1] = 1
-        offset += part
-    return RatMatrix.from_rows(rows)
-
-
-def nilpotent_jordan_partition(n: RatMatrix) -> Partition:
-    """Jordan type of a nilpotent matrix.
-
-    The number of parts >= k equals rank(N^(k-1)) - rank(N^k).
-    """
-    if n.rows != n.cols:
-        raise ValueError("matrix must be square")
-    dim = n.rows
-    # ranks of N^0, N^1, ... up to the first zero power; every later one
-    # is zero too, and N^dim is zero exactly when N is nilpotent
-    ranks = []
-    power = RatMatrix.identity(dim)
-    while not power.is_zero():
-        if len(ranks) == dim:
-            raise NotNilpotent("matrix is not nilpotent")
-        ranks.append(rank_rational(power.num))
-        power = power * n
-    ranks.append(0)
-    return Partition(tuple(a - b for a, b in zip(ranks, ranks[1:]))).transpose()

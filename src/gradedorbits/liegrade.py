@@ -671,10 +671,11 @@ def check_n_rigid(datum: ParabolicDatum, triple: Sl2Triple, n: int, cells) -> Ri
 
     chi, chi' and the basis change p that diagonalises h come from
     ``datum``, the ``canonical_parabolic`` of the triple.  The triple's
-    placement (e in g_n, h in g_0, f in g_-n) is checked first, then each
-    cell of the diagonalising basis in the order given: a cell of bidegree
-    (m, m') = (chi'-weight, chi-weight) is compatible iff 2*m' = n*m.  The
-    first misplaced or incompatible cell is returned as the witness.
+    placement (e in g_n, h in g_0, f in g_-n) is checked first, cell by
+    cell in row-major order, then each cell of the diagonalising basis in
+    the order given: a cell of bidegree (m, m') = (chi'-weight, chi-weight)
+    is compatible iff 2*m' = n*m.  The first misplaced or incompatible cell
+    is returned as the witness.
 
     On the Levi's cells, ``datum.cells("l")`` with n the datum's degree,
     2*m' = n*m holds by definition, so only placement can fail there.  The
@@ -694,7 +695,7 @@ def check_n_rigid(datum: ParabolicDatum, triple: Sl2Triple, n: int, cells) -> Ri
         p_inv = rat_inverse(p)
         placement = [(p_inv * m * p, k) for m, k in placement]
     for mat, expected in placement:
-        for (i, j) in mat.support():
+        for (i, j) in sorted(mat.support()):
             if w[i] - w[j] != expected:
                 return RigidityReport(False, (wp[i] - wp[j], w[i] - w[j]))
     for i, j in cells:

@@ -49,10 +49,6 @@ class InvalidPartition(ValueError):
     pass
 
 
-class WeightMismatch(ValueError):
-    pass
-
-
 class UnsortedWeights(DomainError):
     pass
 
@@ -161,18 +157,6 @@ def nilpotent_orbits(kind: str, n: int) -> tuple:
             )
         )
     return tuple(orbits)
-
-
-def closure_leq(lam: Partition, mu: Partition) -> bool:
-    """Dominance: lam is in the closure of mu."""
-    if lam.weight != mu.weight:
-        raise WeightMismatch("partitions must have the same weight")
-    ps_l = list(itertools.accumulate(lam.parts))
-    ps_m = list(itertools.accumulate(mu.parts))
-    length = max(len(ps_l), len(ps_m))
-    ps_l += [ps_l[-1]] * (length - len(ps_l)) if ps_l else [0] * length
-    ps_m += [ps_m[-1]] * (length - len(ps_m)) if ps_m else [0] * length
-    return all(a <= b for a, b in zip(ps_l, ps_m))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Root data for the classical types SL(n) and Sp(2m), with closed-subsystem
-enumeration and the four prime classifiers (bad, torsion, pretty good
-exclusions, rather good exclusions).
+"""Root data for the classical types SL(n) and Sp(2m), one closed family
+per Weyl-group orbit, and the four prime classifiers (bad, torsion, pretty
+good exclusions, rather good exclusions).
 
 Lattice conventions
 -------------------
@@ -10,20 +10,29 @@ so quotient torsion is read off a stacked integer matrix.  The cocharacter
 lattice is the trace-zero sublattice of Z^n, with basis e_i - e_(i+1).
 
 Sp(2m): characters and cocharacters are both Z^m (the standard maximal
-torus diag(t_1..t_m, t_1^-1..t_m^-1)); roots are +-e_i+-e_j and +-2e_i.
+torus diag(t_1..t_m, t_1^-1..t_m^-1)); roots are +-e_i+-e_j and +-2e_i,
+coroots +-e_i+-e_j and +-e_i.
 
 Closed families and the Weyl group
 ----------------------------------
 The prime classifiers quantify over every Z-closed family of roots and of
 coroots.  The Weyl group W permutes each list and acts linearly on its
 lattice, so it maps closed families to closed families and keeps the
-torsion of their quotients.  The search therefore keeps one family per
-W-orbit, joins it with one vector from each orbit of the simple
-reflections that fix it, lists the rest of the orbit by permuting bitmasks
-under the simple reflections, and ``prime_report`` takes one torsion
-quotient per orbit: SL(6) has 11 orbits of its 203 families.  The search
-is bounded at ``MAX_ROOTS`` = 72 roots (SL(9), Sp(12)); the root count is
-checked before any root is built.
+torsion of their quotients: one family per W-orbit decides them.  The
+orbits have closed-form labels, and ``orbit_families`` writes down one
+family per label on consecutive coordinate blocks:
+
+- SL(n): a partition of n; each part k >= 2 is an A_(k-1), every e_i - e_j
+  on its block (SL(6) has 11 orbits of its 203 families);
+- Sp(2m), roots (type C): C_k's (every +-e_i +- e_j and +-2e_i) and
+  A_(k-1)'s (k >= 2) of total size at most m;
+- Sp(2m), coroots (type B): at most one B_k (every +-e_i +- e_j and
+  +-e_i), then D_k's (k >= 2, every +-e_i +- e_j) and A_(k-1)'s, of total
+  size at most m.
+
+The tests check these against a W-search over every family, orbit by
+orbit.  ``standard_root_datum`` checks n against ``MAX_N`` before any
+root is built.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ from dataclasses import dataclass
 from .exactlin import (
     DomainError,
     _rref,
-    hermite_pivots,
     hermite_rows,
     in_hermite_span,
     prime_factors,
@@ -47,11 +55,12 @@ class UnsupportedType(DomainError):
 
 
 class TooLarge(DomainError):
-    """Closed-subsystem enumeration guard exceeded."""
+    """A root datum past the size bound of the prime report."""
 
 
 @dataclass(frozen=True)
 class RootDatum:
+    kind: str  # "sl" or "sp"
     label: str
     ambient_rank: int
     roots: tuple  # integer vectors in the X presentation
@@ -61,11 +70,6 @@ class RootDatum:
 
     def pairing(self, x, y) -> int:
         return sum(a * b for a, b in zip(x, y))
-
-
-@dataclass(frozen=True)
-class ClosedSubsystem:
-    member_indices: tuple
 
 
 @dataclass(frozen=True)
@@ -84,227 +88,145 @@ class PrimeReport:
         }
 
 
-def _unit(n, i):
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
-def _differences(n):
-    """The vectors e_i - e_j, i != j, of Z^n, row-major in (i, j)."""
-    return tuple(
-        tuple((1 if k == i else 0) - (1 if k == j else 0) for k in range(n))
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    )
-
-
 def standard_root_datum(kind: str, n: int) -> RootDatum:
-    """The root datum of SL(n) or Sp(n).  The root count, n(n - 1) for SL(n)
-    and n^2 / 2 for Sp(n), is checked against MAX_ROOTS before any root is
-    built, so a huge n is refused at once."""
+    """The root datum of SL(n) or Sp(n), its roots those of the family of
+    the whole system.  n is checked against MAX_N before any root is built,
+    so a huge n is refused at once."""
     kind = kind.lower()
     if kind == "sl":
         if n < 2:
             raise UnsupportedType("n", "SL needs n >= 2")
         label = f"SL({n})"
-        _check_size(label, n * (n - 1))
-        roots = _differences(n)  # e_i - e_j is its own coroot under the dot pairing
-        y_basis = tuple(
-            tuple(
-                (1 if k == i else 0) - (1 if k == i + 1 else 0) for k in range(n)
-            )
-            for i in range(n - 1)
-        )
+        _check_size(kind, label, n)
+        roots = _family(n, (("A", n),))  # e_i - e_j is its own coroot under the dot pairing
         return RootDatum(
+            kind=kind,
             label=label,
             ambient_rank=n,
             roots=roots,
             coroots=roots,
             x_relations=((1,) * n,),
-            y_basis=y_basis,
+            y_basis=tuple(_vec(n, (i, 1), (i + 1, -1)) for i in range(n - 1)),
         )
     if kind == "sp":
         if n < 2 or n % 2 != 0:
             raise UnsupportedType("n", "Sp needs even n >= 2")
         m = n // 2
         label = f"Sp({n})"
-        _check_size(label, 2 * m * m)
-        roots = list(_differences(m))
-        coroots = list(roots)
-        for i, j in itertools.combinations(range(m), 2):
-            for s in (1, -1):
-                vec = tuple(
-                    s * ((1 if k == i else 0) + (1 if k == j else 0)) for k in range(m)
-                )
-                roots.append(vec)
-                coroots.append(vec)
-        for i in range(m):
-            for s in (1, -1):
-                roots.append(tuple(2 * s * (1 if k == i else 0) for k in range(m)))
-                coroots.append(tuple(s * (1 if k == i else 0) for k in range(m)))
+        _check_size(kind, label, n)
+        # the coroot of +-2e_i is +-e_i, in the same place
         return RootDatum(
+            kind=kind,
             label=label,
             ambient_rank=m,
-            roots=tuple(roots),
-            coroots=tuple(coroots),
+            roots=_family(m, (("C", m),)),
+            coroots=_family(m, (("B", m),)),
             x_relations=(),
-            y_basis=tuple(_unit(m, i) for i in range(m)),
+            y_basis=tuple(_vec(m, (i, 1)) for i in range(m)),
         )
     raise UnsupportedType("type", f"unsupported type {kind!r}")
 
 
 # ---------------------------------------------------------------------------
-# closed subsystems
+# one closed family per W-orbit
+
+# the components of a closed family on each side, as (type, least size, most
+# components of that type): the type A roots e_i - e_j of a block, D adds
+# +-(e_i + e_j), B adds +-e_i and C adds +-2e_i; two B components would span
+# every e_i +- e_j between them, so there is at most one
+_COMPONENTS = {
+    "sl": ((("A", 2, None),),) * 2,
+    "sp": (
+        (("C", 1, None), ("A", 2, None)),
+        (("B", 1, 1), ("D", 2, None), ("A", 2, None)),
+    ),
+}
 
 
-def _support(vec) -> int:
-    return sum(1 << j for j, x in enumerate(vec) if x)
+def _partitions(room: int, least: int, count=None, largest=None):
+    """Every non-increasing tuple of at most ``count`` parts, each at least
+    ``least`` and at most ``largest``, with sum at most ``room``."""
+    yield ()
+    if count != 0:
+        for first in range(least, min(room, largest or room) + 1):
+            for rest in _partitions(
+                room - first, least, None if count is None else count - 1, first
+            ):
+                yield (first,) + rest
 
 
-def _close(vectors, supports, rows, members) -> tuple:
-    """(members, Hermite rows) of the closed family of the span of ``rows``,
-    members as a bitmask of vector indices.
-
-    ``members`` are indices already known to lie in the span; of the other
-    vectors only those supported on the span's columns can lie in it.
-    """
-    hnf = hermite_rows(rows)
-    pivots = hermite_pivots(hnf)
-    columns = 0
-    for row in hnf:
-        columns |= _support(row)
-    for k, vec in enumerate(vectors):
-        if not (members >> k & 1 or supports[k] & ~columns) and in_hermite_span(
-            hnf, vec, pivots
-        ):
-            members |= 1 << k
-    return members, hnf
+def _labels(components, room: int):
+    """Every orbit label: a partition for each of ``components`` with total
+    size at most ``room``, as a tuple of (type letter, size)."""
+    if not components:
+        yield ()
+        return
+    (letter, least, count), rest = components[0], components[1:]
+    for parts in _partitions(room, least, count):
+        for tail in _labels(rest, room - sum(parts)):
+            yield tuple((letter, k) for k in parts) + tail
 
 
-def _byte_tables(perm) -> tuple:
-    """The index permutation ``perm`` as an action on bitmasks: for each
-    byte of a mask, the table of the images of its 256 values, so that
-    permuting a mask of 72 indices takes nine lookups.  Each table doubles
-    once per bit of its byte."""
-    tables = []
-    for start in range(0, len(perm), 8):
-        table = [0]
-        for k in perm[start : start + 8]:
-            table += [image | 1 << k for image in table]
-        tables.append(table)
-    return tuple(tables)
+def _vec(rank: int, *terms) -> tuple:
+    v = [0] * rank
+    for i, c in terms:
+        v[i] += c
+    return tuple(v)
 
 
-def _walk(mask: int, generators) -> tuple:
-    """(orbit, representative, fixing): the orbit of a bitmask under the
-    group generated by index permutations given by their ``_byte_tables``,
-    its first member fixed by the most generators, and those generators."""
-    orbit = {mask}
-    work = [mask]
-    best = mask, []
-    while work:
-        current = work.pop()
-        fixing = []
-        for tables in generators:
-            image = 0
-            rest = current
-            for table in tables:
-                image |= table[rest & 255]
-                rest >>= 8
-            if image == current:
-                fixing.append(tables)
-            elif image not in orbit:
-                orbit.add(image)
-                work.append(image)
-        if len(fixing) > len(best[1]):
-            best = current, fixing
-    return (orbit,) + best
-
-
-def _closed_families(vectors, reflections=()) -> tuple:
-    """(families, representatives), as sets of bitmasks of vector indices:
-    all subsets closed under 'every listed vector in the span belongs', and
-    one family from each orbit of them under the group W generated by
-    ``reflections``, index permutations of ``vectors`` that act on their
-    lattice linearly (the simple reflections of the Weyl group).
-
-    Every nonempty closed family is cl(F u {v}) for a smaller closed family
-    F and a vector v.  Closure commutes with a linear map that permutes the
-    vectors: cl(wF u {v}) = w cl(F u {w^-1 v}), and cl(F u {sv}) =
-    s cl(F u {v}) for s fixing F.  So, by induction on the vectors joined,
-    joining each representative F with one vector from each orbit of any
-    subgroup H of its stabilizer reaches every W-orbit; H is generated by
-    the simple reflections that fix F's bitmask.  A new family's orbit is
-    listed by permuting bitmasks, and its member fixed by the most simple
-    reflections becomes the representative, its Hermite rows recomputed if
-    it is not the family found.  A closure depends only on the lattice
-    joined, which holds -v with v, so each union of F with +-v is closed
-    once, and one that is already a family needs no work.
-    """
-    supports = [_support(v) for v in vectors]
-    index = {v: k for k, v in enumerate(vectors)}
-    negated = [index.get(tuple(-x for x in v), k) for k, v in enumerate(vectors)]
-    generators = [_byte_tables(perm) for perm in reflections]
-    seen, representatives, tried = {0}, {0}, set()
-    work = [(0, (), generators)]
-    while work:
-        base, base_rows, subgroup = work.pop()
-        reached = base  # H fixes F, so it permutes F's members among themselves
-        for k in range(len(vectors)):
-            if reached >> k & 1:
-                continue
-            reached |= sum(_walk(1 << k, subgroup)[0])
-            union = base | 1 << k | 1 << negated[k]
-            if union in seen or union in tried:
-                continue
-            tried.add(union)
-            members, rows = _close(vectors, supports, base_rows + (vectors[k],), union)
-            if members not in seen:
-                orbit, rep, fixing = _walk(members, generators)
-                seen |= orbit
-                if rep != members:
-                    rows = hermite_rows([vectors[j] for j in _indices(rep)])
-                representatives.add(rep)
-                work.append((rep, rows, fixing))
-    return seen, representatives
-
-
-def _indices(mask: int) -> tuple:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+def _family(rank: int, label) -> tuple:
+    """The closed family of a label, its components on consecutive
+    coordinate blocks, each in the order e_i - e_j (i != j, row-major),
+    +-(e_i + e_j) (i < j), then +-e_i or +-2e_i."""
+    out, start = [], 0
+    for letter, k in label:
+        block = range(start, start + k)
+        start += k
+        out += [_vec(rank, (i, 1), (j, -1)) for i in block for j in block if i != j]
+        if letter != "A":
+            out += [
+                _vec(rank, (i, s), (j, s))
+                for i, j in itertools.combinations(block, 2)
+                for s in (1, -1)
+            ]
+        if letter in "BC":
+            c = 1 if letter == "B" else 2
+            out += [_vec(rank, (i, c * s)) for i in block for s in (1, -1)]
     return tuple(out)
 
 
-def _sorted_families(masks) -> tuple:
-    """Bitmasks as index tuples, sorted by size, then by indices."""
-    return tuple(sorted(map(_indices, masks), key=lambda t: (len(t), t)))
+def _indexed(vectors, components, rank: int) -> tuple:
+    index = {v: k for k, v in enumerate(vectors)}
+    return tuple(
+        tuple(index[v] for v in _family(rank, label))
+        for label in _labels(components, rank)
+    )
 
 
-# closed-family enumeration grows about exponentially in the root count:
-# prime_report takes about 0.3 s for SL(9) and Sp(12), 72 roots each, the
-# largest accepted, and about 2 s for SL(10), 90 roots
-MAX_ROOTS = 72
+def orbit_families(rd: RootDatum) -> tuple:
+    """(on the roots, on the coroots): one closed family per W-orbit on each
+    side, as indices into ``rd.roots`` and ``rd.coroots`` looked up by
+    value, so that the order of the lists does not matter.  When the coroot
+    list equals the root list, as for SL, both sides share one list."""
+    on_roots, on_coroots = _COMPONENTS[rd.kind]
+    roots = _indexed(rd.roots, on_roots, rd.ambient_rank)
+    if (rd.coroots, on_coroots) == (rd.roots, on_roots):
+        return roots, roots
+    return roots, _indexed(rd.coroots, on_coroots, rd.ambient_rank)
 
 
-def _check_size(label: str, roots: int) -> None:
-    if roots > MAX_ROOTS:
+# one Smith form per orbit on each side, and the orbit count grows like the
+# partition numbers: prime_report takes about 1 s for SL(19) (490 orbits a
+# side) and Sp(24) (1,165), the largest accepted, and 1.7 and 2.0 s for
+# SL(20) and Sp(26)
+MAX_N = {"sl": 19, "sp": 24}
+
+
+def _check_size(kind: str, label: str, n: int) -> None:
+    if n > MAX_N[kind]:
         raise TooLarge(
-            "n",
-            f"{label} has {roots} roots; closed-subsystem "
-            f"enumeration is limited to {MAX_ROOTS}"
+            "n", f"{label} is too large: the prime report is limited to n <= {MAX_N[kind]}"
         )
-
-
-def closed_subsystems(rd: RootDatum) -> tuple:
-    """Every closed family of roots, sorted by size, then by indices.
-    Raises ``ValueError`` if a simple reflection does not permute the
-    roots."""
-    _check_size(rd.label, len(rd.roots))
-    families, _ = _closed_families(rd.roots, _simple_reflections(rd)[0])
-    return tuple(ClosedSubsystem(f) for f in _sorted_families(families))
 
 
 # ---------------------------------------------------------------------------
@@ -366,41 +288,12 @@ def _simple_roots(rd: RootDatum) -> tuple:
     )
 
 
-def _reflection(vectors, alpha, pair) -> tuple:
-    """v -> v - pair(v) * alpha on the list ``vectors``, as the index of
-    each image; ``ValueError`` if an image is not in the list."""
-    index = {v: k for k, v in enumerate(vectors)}
-    perm = []
-    for v in vectors:
-        c = pair(v)
-        image = tuple(x - c * a for x, a in zip(v, alpha))
-        if image not in index:
-            raise ValueError(f"reflection maps {v} to {image}, which is not listed")
-        perm.append(index[image])
-    return tuple(perm)
-
-
-def _simple_reflections(rd: RootDatum, simple=None) -> tuple:
-    """(on roots, on coroots): the simple reflections of W as index
-    permutations, s(v) = v - <v, a^v> a on the roots and
-    s(y) = y - <a, y> a^v on the coroots, for each simple root a, given by
-    its index in ``simple`` (default ``_simple_roots(rd)``)."""
-    on_roots, on_coroots = [], []
-    for k in _simple_roots(rd) if simple is None else simple:
-        alpha, alphav = rd.roots[k], rd.coroots[k]
-        on_roots.append(_reflection(rd.roots, alpha, lambda v: rd.pairing(v, alphav)))
-        on_coroots.append(
-            _reflection(rd.coroots, alphav, lambda y: rd.pairing(alpha, y))
-        )
-    return tuple(on_roots), tuple(on_coroots)
-
-
-def _bad_primes(rd: RootDatum, simple) -> frozenset:
-    """Primes dividing a coefficient of the highest root of some factor,
-    given the indices ``simple`` of the simple roots."""
+def _bad_primes(rd: RootDatum) -> frozenset:
+    """Primes dividing a coefficient of the highest root of some factor."""
     roots = rd.roots
     if not roots:
         return frozenset()
+    simple = _simple_roots(rd)
     height = _height(rd)
     positives = [v for v in roots if height(v) > 0]
     simples = [roots[k] for k in simple]
@@ -441,30 +334,19 @@ def prime_report(rd: RootDatum) -> PrimeReport:
     needed to exhaust the quantifier over arbitrary subsets.  An element w
     of W is an automorphism of X and of Y that maps ZA onto Z(wA) and
     ZA^v onto Z(wA^v), so the torsion of X/ZA and of Y/ZA^v is constant
-    on a W-orbit of families, and one quotient per orbit representative
-    decides it.  When the coroot list equals the root list, as for SL, one
-    search serves both sides.  Root data with more than ``MAX_ROOTS``
-    roots raise ``TooLarge``.
+    on a W-orbit of families, and one quotient per orbit, from
+    ``orbit_families``, decides it.
     """
-    _check_size(rd.label, len(rd.roots))
-    simple = _simple_roots(rd)
-    on_roots, on_coroots = _simple_reflections(rd, simple)
-    _, root_reps = _closed_families(rd.roots, on_roots)
-    coroot_reps = (
-        root_reps
-        if rd.coroots == rd.roots
-        else _closed_families(rd.coroots, on_coroots)[1]
-    )
+    root_fams, coroot_fams = orbit_families(rd)
     y_rows = y_quotient_rows(rd, range(len(rd.coroots)))
-
     x_side = set()
-    for fam in _sorted_families(root_reps):
+    for fam in root_fams:
         x_side |= torsion_primes_of_quotient(x_quotient_rows(rd, fam))
     y_side = set()
-    for fam in _sorted_families(coroot_reps):
+    for fam in coroot_fams:
         y_side |= torsion_primes_of_quotient([y_rows[i] for i in fam])
 
-    bad = _bad_primes(rd, simple)
+    bad = _bad_primes(rd)
     full = tuple(range(len(rd.roots)))
     center = torsion_primes_of_quotient(x_quotient_rows(rd, full))
     return PrimeReport(

@@ -12,7 +12,10 @@ closed form for a monomial symplectic form.
 Closed families of a vector list come from closing the members of every
 pairwise join, with no memo, no support filter and no Weyl group, and the
 prime classifiers take a torsion quotient for every family, not one per
-orbit.  A type-A graded orbit's dimension is the rank of ad x on g_0 and
+orbit.  A Weyl-group search lists every closed family, bitmask by bitmask,
+with one representative per W-orbit: the orbits that the package's labels
+must match one for one.  Jordan types come from the Fraction ranks of the
+powers of a nilpotent, and parity from the degrees of each stalk column.  A type-A graded orbit's dimension is the rank of ad x on g_0 and
 its Levi comes from a solved sl2-triple and the canonical parabolic,
 where the package uses closed forms in the segments.  The f of a triple
 comes from one system over every cell of [x, f] = h and [h, f] = -2f,
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -72,14 +76,64 @@ def snf_invariant_factors_by_minors(rows):
     return tuple(factors)
 
 
+class NotNilpotent(ValueError):
+    """Raised when a matrix expected to be nilpotent is not."""
+
+
 def dominance_leq(lam, mu):
-    """lam <= mu in dominance order (same weight assumed)."""
+    """lam <= mu in dominance order; ``ValueError`` if the weights differ."""
+    if sum(lam) != sum(mu):
+        raise ValueError("partitions must have the same weight")
     ps_l = list(itertools.accumulate(lam))
     ps_m = list(itertools.accumulate(mu))
     length = max(len(ps_l), len(ps_m))
     ps_l += [ps_l[-1]] * (length - len(ps_l))
     ps_m += [ps_m[-1]] * (length - len(ps_m))
     return all(a <= b for a, b in zip(ps_l, ps_m))
+
+
+def jordan_matrix(partition):
+    """Block-diagonal nilpotent Jordan RatMatrix with the given block sizes."""
+    from gradedorbits.exactlin import RatMatrix
+
+    n = partition.weight
+    rows = [[0] * n for _ in range(n)]
+    offset = 0
+    for part in partition.parts:
+        for i in range(part - 1):
+            rows[offset + i][offset + i + 1] = 1
+        offset += part
+    return RatMatrix.from_rows(rows)
+
+
+def nilpotent_jordan_partition(n):
+    """Jordan type of a nilpotent RatMatrix: the number of parts >= k is
+    rank(N^(k-1)) - rank(N^k), ranks from Fraction RREFs.  ``NotNilpotent``
+    if N^dim is not zero."""
+    from gradedorbits.exactlin import Partition, RatMatrix
+
+    if n.rows != n.cols:
+        raise ValueError("matrix must be square")
+    dim = n.rows
+    # ranks of N^0, N^1, ... up to the first zero power; every later one
+    # is zero too, and N^dim is zero exactly when N is nilpotent
+    ranks = []
+    power = RatMatrix.identity(dim)
+    while not power.is_zero():
+        if len(ranks) == dim:
+            raise NotNilpotent("matrix is not nilpotent")
+        ranks.append(len(fraction_rref(power.num)[1]))
+        power = power * n
+    ranks.append(0)
+    return Partition(tuple(a - b for a, b in zip(ranks, ranks[1:]))).transpose()
+
+
+def parity_violations(table):
+    """The labels of the columns of a stalk table with degrees of both
+    parities."""
+    return tuple(
+        label for label, col in table.columns.items() if len({d % 2 for d in col}) > 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +467,7 @@ def rigidity_by_conjugates(basis, chi, triple, n):
     p_inv = rat_inverse(p)
     w, wp = chi.weights, chip.weights
     for m, k in ((triple.e, n), (triple.h, 0), (triple.f, -n)):
-        for i, j in (p_inv * m * p).support():
+        for i, j in sorted((p_inv * m * p).support()):
             if w[i] - w[j] != k:
                 return False, (wp[i] - wp[j], w[i] - w[j])
     for i in range(d):
@@ -506,7 +560,6 @@ def prime_report_by_all_families(rd):
     from gradedorbits.rootdata import (
         PrimeReport,
         _bad_primes,
-        _simple_roots,
         x_quotient_rows,
         y_quotient_rows,
     )
@@ -517,7 +570,7 @@ def prime_report_by_all_families(rd):
     y_side = set()
     for fam in closed_families_by_join_closure(rd.coroots):
         y_side |= torsion_primes_of_quotient(y_quotient_rows(rd, fam))
-    bad = _bad_primes(rd, _simple_roots(rd))
+    bad = _bad_primes(rd)
     center = torsion_primes_of_quotient(x_quotient_rows(rd, range(len(rd.roots))))
     return PrimeReport(
         good_excluded=tuple(sorted(bad)),
@@ -525,3 +578,177 @@ def prime_report_by_all_families(rd):
         pretty_good_excluded=tuple(sorted(x_side | y_side)),
         rather_good_excluded=tuple(sorted(bad | center)),
     )
+
+
+# ---------------------------------------------------------------------------
+# the Weyl-group search: every closed family, and one per W-orbit
+
+
+@dataclass(frozen=True)
+class ClosedSubsystem:
+    member_indices: tuple
+
+
+def _support(vec) -> int:
+    return sum(1 << j for j, x in enumerate(vec) if x)
+
+
+def _close(vectors, supports, rows, members) -> tuple:
+    """(members, Hermite rows) of the closed family of the span of ``rows``,
+    members as a bitmask of vector indices.
+
+    ``members`` are indices already known to lie in the span; of the other
+    vectors only those supported on the span's columns can lie in it.
+    """
+    from gradedorbits.exactlin import hermite_rows, in_hermite_span
+
+    hnf = hermite_rows(rows)
+    columns = 0
+    for row in hnf:
+        columns |= _support(row)
+    for k, vec in enumerate(vectors):
+        if not (members >> k & 1 or supports[k] & ~columns) and in_hermite_span(hnf, vec):
+            members |= 1 << k
+    return members, hnf
+
+
+def byte_tables(perm) -> tuple:
+    """The index permutation ``perm`` as an action on bitmasks: for each
+    byte of a mask, the table of the images of its 256 values, so that
+    permuting a mask of 72 indices takes nine lookups.  Each table doubles
+    once per bit of its byte."""
+    tables = []
+    for start in range(0, len(perm), 8):
+        table = [0]
+        for k in perm[start : start + 8]:
+            table += [image | 1 << k for image in table]
+        tables.append(table)
+    return tuple(tables)
+
+
+def walk(mask: int, generators) -> tuple:
+    """(orbit, representative, fixing): the orbit of a bitmask under the
+    group generated by index permutations given by their ``byte_tables``,
+    its first member fixed by the most generators, and those generators."""
+    orbit = {mask}
+    work = [mask]
+    best = mask, []
+    while work:
+        current = work.pop()
+        fixing = []
+        for tables in generators:
+            image = 0
+            rest = current
+            for table in tables:
+                image |= table[rest & 255]
+                rest >>= 8
+            if image == current:
+                fixing.append(tables)
+            elif image not in orbit:
+                orbit.add(image)
+                work.append(image)
+        if len(fixing) > len(best[1]):
+            best = current, fixing
+    return (orbit,) + best
+
+
+def closed_families_by_w_search(vectors, reflections=()) -> tuple:
+    """(families, representatives), as sets of bitmasks of vector indices:
+    all subsets closed under 'every listed vector in the span belongs', and
+    one family from each orbit of them under the group W generated by
+    ``reflections``, index permutations of ``vectors`` that act on their
+    lattice linearly (the simple reflections of the Weyl group).
+
+    Every nonempty closed family is cl(F u {v}) for a smaller closed family
+    F and a vector v.  Closure commutes with a linear map that permutes the
+    vectors: cl(wF u {v}) = w cl(F u {w^-1 v}), and cl(F u {sv}) =
+    s cl(F u {v}) for s fixing F.  So, by induction on the vectors joined,
+    joining each representative F with one vector from each orbit of any
+    subgroup H of its stabilizer reaches every W-orbit; H is generated by
+    the simple reflections that fix F's bitmask.  A new family's orbit is
+    listed by permuting bitmasks, and its member fixed by the most simple
+    reflections becomes the representative, its Hermite rows recomputed if
+    it is not the family found.  A closure depends only on the lattice
+    joined, which holds -v with v, so each union of F with +-v is closed
+    once, and one that is already a family needs no work.
+    """
+    from gradedorbits.exactlin import hermite_rows
+
+    supports = [_support(v) for v in vectors]
+    index = {v: k for k, v in enumerate(vectors)}
+    negated = [index.get(tuple(-x for x in v), k) for k, v in enumerate(vectors)]
+    generators = [byte_tables(perm) for perm in reflections]
+    seen, representatives, tried = {0}, {0}, set()
+    work = [(0, (), generators)]
+    while work:
+        base, base_rows, subgroup = work.pop()
+        reached = base  # H fixes F, so it permutes F's members among themselves
+        for k in range(len(vectors)):
+            if reached >> k & 1:
+                continue
+            reached |= sum(walk(1 << k, subgroup)[0])
+            union = base | 1 << k | 1 << negated[k]
+            if union in seen or union in tried:
+                continue
+            tried.add(union)
+            members, rows = _close(vectors, supports, base_rows + (vectors[k],), union)
+            if members not in seen:
+                orbit, rep, fixing = walk(members, generators)
+                seen |= orbit
+                if rep != members:
+                    rows = hermite_rows([vectors[j] for j in indices_of(rep)])
+                representatives.add(rep)
+                work.append((rep, rows, fixing))
+    return seen, representatives
+
+
+def indices_of(mask: int) -> tuple:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def sorted_families(masks) -> tuple:
+    """Bitmasks as index tuples, sorted by size, then by indices."""
+    return tuple(sorted(map(indices_of, masks), key=lambda t: (len(t), t)))
+
+
+def closed_subsystems(rd) -> tuple:
+    """Every closed family of roots, sorted by size, then by indices.
+    Raises ``ValueError`` if a simple reflection does not permute the
+    roots."""
+    families, _ = closed_families_by_w_search(rd.roots, simple_reflections(rd)[0])
+    return tuple(ClosedSubsystem(f) for f in sorted_families(families))
+
+
+def _reflection(vectors, alpha, pair) -> tuple:
+    """v -> v - pair(v) * alpha on the list ``vectors``, as the index of
+    each image; ``ValueError`` if an image is not in the list."""
+    index = {v: k for k, v in enumerate(vectors)}
+    perm = []
+    for v in vectors:
+        c = pair(v)
+        image = tuple(x - c * a for x, a in zip(v, alpha))
+        if image not in index:
+            raise ValueError(f"reflection maps {v} to {image}, which is not listed")
+        perm.append(index[image])
+    return tuple(perm)
+
+
+def simple_reflections(rd) -> tuple:
+    """(on roots, on coroots): the simple reflections of W as index
+    permutations, s(v) = v - <v, a^v> a on the roots and
+    s(y) = y - <a, y> a^v on the coroots, for each simple root a."""
+    from gradedorbits.rootdata import _simple_roots
+
+    on_roots, on_coroots = [], []
+    for k in _simple_roots(rd):
+        alpha, alphav = rd.roots[k], rd.coroots[k]
+        on_roots.append(_reflection(rd.roots, alpha, lambda v: rd.pairing(v, alphav)))
+        on_coroots.append(
+            _reflection(rd.coroots, alphav, lambda y: rd.pairing(alpha, y))
+        )
+    return tuple(on_roots), tuple(on_coroots)

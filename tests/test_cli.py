@@ -594,11 +594,15 @@ def test_fibers_prime_bound_names_flag(capsys, primes):
 
 
 def test_primes_root_bound_names_flag(capsys):
-    # SL(10) has 90 roots; the closed-family search would take seconds
-    assert cli.run(["primes", "--type", "sl", "--n", "10"]) == 2
+    # SL(20) and Sp(26) are the first refused; each would take about 2 s
+    assert cli.run(["primes", "--type", "sl", "--n", "20"]) == 2
     captured = capsys.readouterr()
     assert "argument --n:" in captured.err
-    assert "90 roots" in captured.err and "72" in captured.err
+    assert "SL(20) is too large" in captured.err and "n <= 19" in captured.err
+    assert captured.out == ""
+    assert cli.run(["primes", "--type", "sp", "--n", "26"]) == 2
+    captured = capsys.readouterr()
+    assert "argument --n: Sp(26) is too large" in captured.err and "n <= 24" in captured.err
     assert captured.out == ""
 
 
@@ -679,13 +683,14 @@ def test_graded_orbits_above_bound_names_flag(capsys, monkeypatch):
 
 
 def test_primes_huge_n_names_flag_without_building_roots(capsys, monkeypatch):
-    def build_nothing(n):
+    def build_nothing(*args):
         raise AssertionError("roots were built")
 
-    monkeypatch.setattr(rootdata, "_differences", build_nothing)
+    monkeypatch.setattr(rootdata, "_family", build_nothing)
     assert cli.run(["primes", "--type", "sl", "--n", "99999999999"]) == 2
     captured = capsys.readouterr()
-    assert "argument --n: SL(99999999999) has" in captured.err and "72" in captured.err
+    assert "argument --n: SL(99999999999) is too large" in captured.err
+    assert "n <= 19" in captured.err
     assert captured.out == ""
 
 

@@ -9,7 +9,7 @@ one option dropped or replaced by junk now and then.  Sizes are drawn from
 small values, where an accepted input takes well under 0.1 s, and from the
 first value past each documented bound, which is rejected before any work
 is done.  The --json payload of every exit 0 of triple and parabolic is
-checked from the definitions.  A second property draws only well-formed
+checked from the definitions, and that of primes from closed forms.  A second property draws only well-formed
 triple and parabolic argvs with a nonzero x in g_n: by graded
 Jacobson-Morozov each has a graded sl2-triple, so each must exit 0."""
 
@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from gradedorbits import cli, exactlin
 
-from oracles import fraction_rref
+from oracles import fraction_rref, is_prime_by_trial_division
 
 JUNK = ["", "x", "1.5", "1,,2", "0x10", "-", "1;0"]
 # past the orbit bound: one chain of block sizes 1, 7, 4, 3, 7, 7 (10,080
@@ -187,12 +187,12 @@ def graded_nilpotent_argv(draw, command):
 
 @st.composite
 def primes_argv(draw):
-    # SL(10) and Sp(14) are the first past the 72-root bound
+    # SL(20) and Sp(26) are the first past the bound on n
     kind_ = kind(draw)
     if kind_ == "sl":
-        n = mostly(draw, st.integers(2, 5), -1, 1, 10)
+        n = mostly(draw, st.integers(2, 5), -1, 1, 20)
     else:
-        n = mostly(draw, st.sampled_from([2, 4, 6]), -1, 0, 5, 14)
+        n = mostly(draw, st.sampled_from([2, 4, 6]), -1, 0, 5, 26)
     return draw(argv_of("primes", [("--type", kind_), ("--n", str(n))]))
 
 
@@ -351,8 +351,28 @@ def check_parabolic_payload(argv, payload):
     assert chi_prime_fits(h, w, cp)
 
 
+def check_primes_payload(argv, payload):
+    """The closed forms, not the rootdata search: SL(n) has no bad and no
+    torsion primes (Steinberg), and its pretty good and rather good
+    exclusions are the primes dividing n (Herpel).  Sp(2m) for m >= 2 has
+    2 in every list; Sp(2) is SL(2)."""
+    options = option_values(argv)
+    n = int(options["--n"])
+    if options["--type"] == "sl":
+        dividing = [p for p in range(2, n + 1) if n % p == 0 and is_prime_by_trial_division(p)]
+        want = [[], [], dividing, dividing]
+    else:
+        want = [[2]] * 4 if n >= 4 else [[], [], [2], [2]]
+    keys = ("good_excluded", "torsion", "pretty_good_excluded", "rather_good_excluded")
+    assert [payload[k] for k in keys] == want
+
+
 # an independent check of the --json payload of an exit 0
-PAYLOAD_CHECKS = {"triple": check_triple_payload, "parabolic": check_parabolic_payload}
+PAYLOAD_CHECKS = {
+    "triple": check_triple_payload,
+    "parabolic": check_parabolic_payload,
+    "primes": check_primes_payload,
+}
 
 
 @functools.cache
@@ -381,7 +401,7 @@ def test_argv_exits_0_2_or_3(command):
     check()
 
 
-@pytest.mark.parametrize("command", sorted(PAYLOAD_CHECKS))
+@pytest.mark.parametrize("command", ["parabolic", "triple"])
 def test_graded_nilpotent_exits_0_with_a_checked_payload(command):
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(graded_nilpotent_argv(command))

@@ -19,6 +19,8 @@ from gradedorbits.cohom import (
     torus,
 )
 
+from oracles import parity_violations
+
 
 def test_hc_constant_examples():
     assert hc_constant(Proj(2)) == {0: 1, 2: 1, 4: 1}
@@ -125,7 +127,7 @@ def test_stalk_table_sp4(char_l):
     assert table.columns["[2,1^2]"] == {0: 1, 2: 1}
     assert table.columns["[2^2]"] == {}
     assert table.columns["[1^4]"] == {}
-    assert table.parity_violations() == ()
+    assert parity_violations(table) == ()
 
 
 @pytest.mark.parametrize("char_l", [0, 3, 5])
@@ -136,7 +138,7 @@ def test_stalk_table_sl4(char_l):
     assert table.columns["[2^2]"] == {-2: 1, 0: 1}
     assert table.columns["[2,1^2]"] == {}
     assert table.columns["[1^4]"] == {}
-    assert table.parity_violations() == ()
+    assert parity_violations(table) == ()
 
 
 def test_stalk_table_char_two_anomaly():
@@ -144,7 +146,7 @@ def test_stalk_table_char_two_anomaly():
         stalk_table(load_case("sp4"), 2)
     table = stalk_table(load_case("sp4"), 2, allow_char_two=True)
     assert table.columns["[2^2]"] == {-1: 1, 0: 1}
-    assert "[2^2]" in table.parity_violations()
+    assert "[2^2]" in parity_violations(table)
 
 
 def test_stalk_table_rejects_composite():

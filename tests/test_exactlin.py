@@ -5,7 +5,6 @@ import pytest
 
 from gradedorbits.exactlin import (
     CompositeCharacteristic,
-    NotNilpotent,
     Partition,
     RatMatrix,
     hermite_rows,
@@ -13,13 +12,17 @@ from gradedorbits.exactlin import (
     PRIME_TEST_BOUND,
     invariant_factors,
     is_prime,
-    jordan_matrix,
-    nilpotent_jordan_partition,
     nullspace,
     parse_matrix_text,
 )
 
-from oracles import is_prime_by_trial_division, snf_invariant_factors_by_minors
+from oracles import (
+    NotNilpotent,
+    is_prime_by_trial_division,
+    jordan_matrix,
+    nilpotent_jordan_partition,
+    snf_invariant_factors_by_minors,
+)
 
 
 def check_factors(m):

@@ -4,7 +4,7 @@ import pytest
 
 from gradedorbits import ffgeom
 from gradedorbits.cohom import CaseData, FiberDatum, Pt, load_case
-from gradedorbits.exactlin import Partition, RatMatrix, jordan_matrix, parse_matrix_text
+from gradedorbits.exactlin import Partition, RatMatrix, parse_matrix_text
 from gradedorbits.ffgeom import (
     CountReport,
     LimitExceeded,
@@ -17,6 +17,7 @@ from oracles import (
     _matvec,
     echelon_subspaces,
     flag_count_by_elimination,
+    jordan_matrix,
     stable_subspaces_by_elimination,
 )
 

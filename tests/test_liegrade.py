@@ -299,6 +299,26 @@ def test_rigidity_full_algebra_fails_with_witness():
     assert rep.witness == (0, 1)
 
 
+def test_rigidity_witness_is_the_first_misplaced_cell_row_major():
+    """e on the cells (0,3), (1,0), (2,4), (4,1), (3,2), none of chi-degree
+    n = 1, with h = f = 0, so chi' = 0 and p = 1: the witness is the
+    bidegree (0, w0 - w3) = (0, 3) of the cell (0,3), first in row-major
+    order, though the support, a frozenset, does not list it first."""
+    cells = [(0, 3), (1, 0), (2, 4), (4, 1), (3, 2)]
+    rows = [[0] * 5 for _ in range(5)]
+    for i, j in cells:
+        rows[i][j] = 1
+    e = RatMatrix.from_rows(rows)
+    assert set(e.support()) == set(cells)
+    zero = RatMatrix.zeros(5, 5)
+    triple = Sl2Triple(e, zero, zero)
+    chi = Cocharacter.of([2, 1, 0, -1, -2])
+    alg = build_algebra("sl", 5)
+    datum = canonical_parabolic(alg, chi, triple, 1)
+    assert check_n_rigid(datum, triple, 1, []) == RigidityReport(False, (0, 3))
+    assert rigidity_by_conjugates(alg.basis, chi, triple, 1) == (False, (0, 3))
+
+
 def test_rigidity_levi_holds():
     sl4 = build_algebra("sl", 4)
     triple = adapted_sl2_triple(sl4, WORKED_CHI, -1, WORKED_X)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gradedorbits.exactlin import Partition, RatMatrix, jordan_matrix, nilpotent_jordan_partition
+from gradedorbits.exactlin import Partition, RatMatrix
 from gradedorbits.liegrade import Cocharacter, build_algebra, graded_component
 from gradedorbits import orbitlib
 from gradedorbits.orbitlib import (
@@ -11,8 +11,6 @@ from gradedorbits.orbitlib import (
     InvalidPartition,
     TooManyOrbits,
     UnsortedWeights,
-    WeightMismatch,
-    closure_leq,
     component_group,
     graded_orbit_count,
     graded_orbit_reps_typeA,
@@ -20,7 +18,13 @@ from gradedorbits.orbitlib import (
     orbit_dimension,
 )
 
-from oracles import dominance_leq, graded_orbit_dimension, graded_orbit_levi_shape
+from oracles import (
+    dominance_leq,
+    graded_orbit_dimension,
+    graded_orbit_levi_shape,
+    jordan_matrix,
+    nilpotent_jordan_partition,
+)
 
 P = Partition.of
 
@@ -77,18 +81,24 @@ def test_component_group_examples():
 
 
 def test_closure_leq_examples():
-    assert closure_leq(P([2, 1, 1]), P([2, 2]))
-    assert closure_leq(P([2, 2]), P([2, 2]))
-    assert not closure_leq(P([4]), P([2, 2]))
-    with pytest.raises(WeightMismatch):
-        closure_leq(P([2]), P([1, 1, 1]))
+    assert dominance_leq((2, 1, 1), (2, 2))
+    assert dominance_leq((2, 2), (2, 2))
+    assert not dominance_leq((4,), (2, 2))
+    with pytest.raises(ValueError, match="same weight"):
+        dominance_leq((2,), (1, 1, 1))
 
 
 def test_dominance_matches_bruteforce():
+    """Closure order is dominance order: transposing reverses it, and an
+    orbit in the closure of another has no larger dimension, strictly
+    smaller when it is another orbit."""
     for n in range(1, 7):
         parts = Partition.all_of(n)
         for lam, mu in itertools.product(parts, parts):
-            assert closure_leq(lam, mu) == dominance_leq(lam.parts, mu.parts)
+            leq = dominance_leq(lam.parts, mu.parts)
+            assert leq == dominance_leq(mu.transpose().parts, lam.transpose().parts)
+            if leq and lam != mu:
+                assert orbit_dimension("sl", lam) < orbit_dimension("sl", mu)
 
 
 def test_jordan_round_trip_through_orbits():

@@ -1,9 +1,10 @@
-import itertools
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
+import oracles
 from gradedorbits import rootdata
 from gradedorbits.exactlin import (
     RatMatrix,
@@ -13,18 +14,24 @@ from gradedorbits.exactlin import (
     is_prime,
 )
 from gradedorbits.rootdata import (
-    ClosedSubsystem,
     RootDatum,
     TooLarge,
     UnsupportedType,
-    closed_subsystems,
+    orbit_families,
     prime_report,
     standard_root_datum,
 )
 from oracles import (
+    byte_tables,
     closed_families_by_join_closure,
+    closed_families_by_w_search,
+    closed_subsystems,
+    closure_by_members,
     prime_report_by_all_families,
+    simple_reflections,
     snf_invariant_factors_by_minors,
+    sorted_families,
+    walk,
 )
 
 
@@ -100,31 +107,29 @@ def test_closed_subsystems_include_empty_and_full():
 
 
 def test_guard():
-    huge = RootDatum(
-        label="big",
-        ambient_rank=1,
-        roots=tuple((k,) for k in range(1, rootdata.MAX_ROOTS + 2)),
-        coroots=tuple((k,) for k in range(1, rootdata.MAX_ROOTS + 2)),
-        x_relations=(),
-        y_basis=((1,),),
-    )
-    with pytest.raises(TooLarge):
-        closed_subsystems(huge)
+    """The bound is on n, per type: SL(19) and Sp(24) are the largest
+    accepted."""
+    assert rootdata.MAX_N == {"sl": 19, "sp": 24}
+    for kind, largest in rootdata.MAX_N.items():
+        rd = standard_root_datum(kind, largest)
+        assert len(rd.roots) == (largest * (largest - 1) if kind == "sl" else largest**2 // 2)
+        with pytest.raises(TooLarge):
+            standard_root_datum(kind, largest + 2)
 
 
 @pytest.mark.parametrize(
-    "kind,n,message",
-    [("sl", 99999999999, "SL(99999999999) has 9999999999700000000002 roots"),
-     ("sl", 10, "SL(10) has 90 roots"),
-     ("sp", 14, "Sp(14) has 98 roots")],
-    ids=["sl-huge", "sl10", "sp14"],
+    "kind,n,limit",
+    [("sl", 99999999999, 19), ("sl", 20, 19), ("sp", 26, 24)],
+    ids=["sl-huge", "sl20", "sp26"],
 )
-def test_guard_before_any_root_is_built(monkeypatch, kind, n, message):
-    def build_nothing(n):
+def test_guard_before_any_root_is_built(monkeypatch, kind, n, limit):
+    def build_nothing(*args):
         raise AssertionError("roots were built")
 
-    monkeypatch.setattr(rootdata, "_differences", build_nothing)
-    with pytest.raises(TooLarge, match=rf"{re.escape(message)}; .* limited to 72"):
+    monkeypatch.setattr(rootdata, "_family", build_nothing)
+    label = f"{'SL' if kind == 'sl' else 'Sp'}({n})"
+    message = f"{label} is too large: the prime report is limited to n <= {limit}"
+    with pytest.raises(TooLarge, match=rf"^{re.escape(message)}$"):
         standard_root_datum(kind, n)
 
 
@@ -160,35 +165,23 @@ def test_pretty_good_contains_full_system_torsion():
 
 def test_prime_report_invariant_under_root_order():
     rd = standard_root_datum("sp", 4)
-    rng = random.Random(3)
-    order = list(range(len(rd.roots)))
-    rng.shuffle(order)
-    shuffled = RootDatum(
-        label=rd.label,
-        ambient_rank=rd.ambient_rank,
-        roots=tuple(rd.roots[i] for i in order),
-        coroots=tuple(rd.coroots[i] for i in order),
-        x_relations=rd.x_relations,
-        y_basis=rd.y_basis,
-    )
+    shuffled = _shuffled(rd, 3)
+    assert shuffled.roots != rd.roots
     assert prime_report(shuffled) == prime_report(rd)
 
 
 def _shuffled(rd, seed):
     order = list(range(len(rd.roots)))
     random.Random(seed).shuffle(order)
-    return RootDatum(
-        label=rd.label,
-        ambient_rank=rd.ambient_rank,
+    return replace(
+        rd,
         roots=tuple(rd.roots[i] for i in order),
         coroots=tuple(rd.coroots[i] for i in order),
-        x_relations=rd.x_relations,
-        y_basis=rd.y_basis,
     )
 
 
 # ---------------------------------------------------------------------------
-# the closed-family search against the join-closure oracle
+# the Weyl-group search of the oracles against the join-closure oracle
 
 
 SEARCHED = [("sl", n) for n in range(2, 8)] + [("sp", n) for n in (2, 4, 6, 8)]
@@ -197,12 +190,12 @@ SEARCHED = [("sl", n) for n in range(2, 8)] + [("sp", n) for n in (2, 4, 6, 8)]
 def _search(rd, side, with_w=True):
     """(families, representatives) of the search on one side of ``rd``,
     sorted, under W or under the trivial group."""
-    on_roots, on_coroots = rootdata._simple_reflections(rd)
+    on_roots, on_coroots = simple_reflections(rd)
     reflections = on_roots if side == "roots" else on_coroots
-    seen, reps = rootdata._closed_families(
+    seen, reps = closed_families_by_w_search(
         getattr(rd, side), reflections if with_w else ()
     )
-    return rootdata._sorted_families(seen), rootdata._sorted_families(reps)
+    return sorted_families(seen), sorted_families(reps)
 
 
 @pytest.mark.parametrize("side", ["roots", "coroots"])
@@ -247,10 +240,46 @@ def test_sl_orbit_representatives_are_integer_partitions(n, partitions):
     assert len({block_sizes(f) for f in reps}) == partitions
 
 
+LABELLED = [("sl", n) for n in range(2, 10)] + [("sp", n) for n in range(2, 14, 2)]
+
+
+@pytest.mark.parametrize("side", ["roots", "coroots"])
+@pytest.mark.parametrize("kind,n", LABELLED)
+def test_label_families_are_exactly_the_w_orbits(deadline, kind, n, side):
+    """Each family that ``orbit_families`` writes down is closed, no two
+    lie in one W-orbit, and their orbits cover every family the search
+    finds: the labels are the orbits, orbit by orbit."""
+    rd = standard_root_datum(kind, n)
+    vectors = getattr(rd, side)
+    labelled = orbit_families(rd)[side == "coroots"]
+    on_roots, on_coroots = simple_reflections(rd)
+    reflections = on_roots if side == "roots" else on_coroots
+    generators = [byte_tables(perm) for perm in reflections]
+    with deadline(10):
+        families, reps = closed_families_by_w_search(vectors, reflections)
+    covered = set()
+    for family in labelled:
+        assert closure_by_members(vectors, family) == tuple(sorted(family))
+        orbit = walk(sum(1 << k for k in family), generators)[0]
+        assert not orbit & covered
+        covered |= orbit
+    assert covered == families
+    assert len(labelled) == len(reps)
+
+
+def test_label_counts():
+    """The orbit counts: p(n) for SL(n), and 2, 5, 10, 20, 36, 65 on each
+    side of Sp(2m) for m = 1 to 6."""
+    for n, partitions in ((2, 2), (6, 11), (9, 30), (12, 77), (19, 490)):
+        assert [len(s) for s in orbit_families(standard_root_datum("sl", n))] == [partitions] * 2
+    for m, count in enumerate((2, 5, 10, 20, 36, 65), start=1):
+        assert [len(s) for s in orbit_families(standard_root_datum("sp", 2 * m))] == [count] * 2
+
+
 @pytest.mark.parametrize("kind,n", SEARCHED)
 def test_simple_reflections_are_involutive_permutations(kind, n):
     rd = standard_root_datum(kind, n)
-    on_roots, on_coroots = rootdata._simple_reflections(rd)
+    on_roots, on_coroots = simple_reflections(rd)
     assert len(on_roots) == len(on_coroots) == (n - 1 if kind == "sl" else n // 2)
     for perms, vectors in ((on_roots, rd.roots), (on_coroots, rd.coroots)):
         for perm in perms:
@@ -265,6 +294,7 @@ def test_reflection_image_outside_the_list_is_an_error():
     rd = standard_root_datum("sl", 3)
     kept = tuple(r for r in rd.roots if r not in {(1, 0, -1), (-1, 0, 1)})
     partial = RootDatum(
+        kind="sl",
         label="partial",
         ambient_rank=3,
         roots=kept,
@@ -273,7 +303,7 @@ def test_reflection_image_outside_the_list_is_an_error():
         y_basis=rd.y_basis,
     )
     with pytest.raises(ValueError, match="not listed"):
-        rootdata._simple_reflections(partial)
+        simple_reflections(partial)
     with pytest.raises(ValueError, match="not listed"):
         closed_subsystems(partial)
 
@@ -296,10 +326,12 @@ def test_one_torsion_quotient_per_orbit_representative(monkeypatch, kind, n):
 
     monkeypatch.setattr(rootdata, "torsion_primes_of_quotient", counted)
     prime_report(rd)
+    root_labels, coroot_labels = orbit_families(rd)
     root_families, root_reps = _search(rd, "roots")
     coroot_families, coroot_reps = _search(rd, "coroots")
-    # one per representative on each side, and one for the centre
-    assert len(quotients) == len(root_reps) + len(coroot_reps) + 1
+    # one per label on each side, and one for the centre; a label per orbit
+    assert len(quotients) == len(root_labels) + len(coroot_labels) + 1
+    assert (len(root_labels), len(coroot_labels)) == (len(root_reps), len(coroot_reps))
     assert len(root_reps) < len(root_families)
     assert len(coroot_reps) < len(coroot_families)
 
@@ -314,13 +346,13 @@ def test_closures_per_search(monkeypatch, kind, n, side, closures):
     simple reflections fixing it, and +-v once: the singleton-closure
     search took 114 closures per side for SL(6) and 219 and 221 for Sp(8)."""
     calls = []
-    close = rootdata._close
+    close = oracles._close
 
     def counted(*args):
         calls.append(args)
         return close(*args)
 
-    monkeypatch.setattr(rootdata, "_close", counted)
+    monkeypatch.setattr(oracles, "_close", counted)
     _search(standard_root_datum(kind, n), side)
     assert len(calls) == closures
 
@@ -331,11 +363,11 @@ def test_search_under_a_subgroup_equals_oracle(kind, n, side):
     """Any group of linear permutations gives every family: here the one
     generated by the first simple reflection alone."""
     rd = standard_root_datum(kind, n)
-    on_roots, on_coroots = rootdata._simple_reflections(rd)
+    on_roots, on_coroots = simple_reflections(rd)
     first = (on_roots if side == "roots" else on_coroots)[:1]
-    seen, reps = rootdata._closed_families(getattr(rd, side), first)
+    seen, reps = closed_families_by_w_search(getattr(rd, side), first)
     expected = closed_families_by_join_closure(getattr(rd, side))
-    assert rootdata._sorted_families(seen) == expected
+    assert sorted_families(seen) == expected
     assert len(expected) > len(reps) > len(expected) // 2
 
 
@@ -369,23 +401,22 @@ def test_quotient_invariant_factors_equal_minors_oracle(monkeypatch, kind, n):
 
 
 def test_prime_report_shares_the_search_when_coroots_equal_roots(monkeypatch):
-    searched = []
-    search = rootdata._closed_families
+    """SL writes down one list of families for both sides: p(4) = 5
+    families for SL(4), against 5 a side for Sp(4)."""
+    built = []
+    family = rootdata._family
 
-    def counted(vectors, reflections=()):
-        searched.append((vectors, reflections))
-        return search(vectors, reflections)
+    def counted(rank, label):
+        built.append(label)
+        return family(rank, label)
 
-    monkeypatch.setattr(rootdata, "_closed_families", counted)
-    sl = standard_root_datum("sl", 4)
-    on_roots, _ = rootdata._simple_reflections(sl)
+    sl, sp = standard_root_datum("sl", 4), standard_root_datum("sp", 4)
+    monkeypatch.setattr(rootdata, "_family", counted)
     prime_report(sl)
-    assert searched == [(sl.roots, on_roots)]
-    searched.clear()
-    sp = standard_root_datum("sp", 4)
-    on_roots, on_coroots = rootdata._simple_reflections(sp)
+    assert len(built) == 5
+    built.clear()
     prime_report(sp)
-    assert searched == [(sp.roots, on_roots), (sp.coroots, on_coroots)]
+    assert len(built) == 10
 
 
 # ---------------------------------------------------------------------------
