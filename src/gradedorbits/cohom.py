@@ -244,34 +244,11 @@ def _scalar_is_zero(scalar: int, char_l: int) -> bool:
     return scalar % char_l == 0
 
 
-def hc_rank1_torus(monodromy: int, char_l: int) -> dict:
-    """Compactly supported cohomology of a torus with a rank-1 system.
-
-    Computed from the kernel and cokernel of multiplication by
-    (monodromy - 1) on a one-dimensional space: zero in all degrees unless
-    the scalar is 1 in the field, in which case it is the constant answer.
-    """
-    if char_l != 0 and not is_prime(char_l):
-        raise ValueError("characteristic must be 0 or prime")
-    if _scalar_is_zero(monodromy, char_l):
-        raise ValueError("monodromy scalar must be invertible")
-    kernel = 1 if _scalar_is_one(monodromy, char_l) else 0
-    cokernel = kernel
-    out = {}
-    if kernel:
-        out[1] = kernel
-    if cokernel:
-        out[2] = cokernel
-    return out
-
-
 def _hc_punctured_line(points: int, scalars, char_l: int) -> dict:
     """Rank-1 system on a projective line minus ``points`` points, one
     monodromy scalar per free loop (points - 1 of them)."""
     if len(scalars) != points - 1:
         raise ValueError("need one monodromy scalar per free loop")
-    if points == 2:
-        return hc_rank1_torus(scalars[0], char_l)
     if all(_scalar_is_one(s, char_l) for s in scalars):
         return hc_constant(ProjLineMinus(points))
     out = {}
@@ -284,8 +261,14 @@ def hc_local_system(expr, monodromy, char_l: int) -> dict:
     """Cohomology of a rank-1 local system; ``monodromy`` supplies one
     scalar per free loop of each non-simply-connected component, in
     traversal order.  Simply connected components force the constant sheaf.
+    ``ValueError`` unless ``char_l`` is 0 or prime and every scalar is
+    invertible in the field.
     """
+    if char_l != 0 and not is_prime(char_l):
+        raise ValueError("characteristic must be 0 or prime")
     scalars = list(monodromy)
+    if any(_scalar_is_zero(s, char_l) for s in scalars):
+        raise ValueError("monodromy scalars must be invertible")
 
     def walk(node) -> dict:
         if isinstance(node, Disjoint):
@@ -309,21 +292,6 @@ def hc_local_system(expr, monodromy, char_l: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # case data and stalk tables
-
-
-@dataclass(frozen=True)
-class LocalSystemSpec:
-    """Rank-1 local system data: one monodromy scalar per free loop."""
-
-    monodromy: tuple
-    characteristic: int
-
-    def __post_init__(self):
-        if self.characteristic != 0 and not is_prime(self.characteristic):
-            raise ValueError("characteristic must be 0 or prime")
-        for s in self.monodromy:
-            if _scalar_is_zero(s, self.characteristic):
-                raise ValueError("monodromy scalars must be invertible")
 
 
 @dataclass(frozen=True)
@@ -420,8 +388,7 @@ def stalk_table(case: CaseData, char_l: int, allow_char_two: bool = False) -> St
         if orbit.cuspidal_part is None:
             columns[label] = {}
             continue
-        system = LocalSystemSpec(orbit.monodromy, char_l)
-        ranks = hc_local_system(orbit.cuspidal_part, system.monodromy, char_l)
+        ranks = hc_local_system(orbit.cuspidal_part, orbit.monodromy, char_l)
         columns[label] = {
             deg - case.levi_orbit_dim: r for deg, r in sorted(ranks.items())
         }

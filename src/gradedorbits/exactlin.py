@@ -256,7 +256,7 @@ def torsion_primes_of_quotient(rows) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Hermite form and integer span membership (used for Z-closure tests)
+# Hermite form
 
 
 def hermite_rows(rows) -> tuple:
@@ -299,23 +299,6 @@ def hermite_rows(rows) -> tuple:
             if q:
                 out[above] = [a - q * b for a, b in zip(out[above], row)]
     return tuple(tuple(r) for r in out)
-
-
-def hermite_pivots(hnf) -> tuple:
-    """The pivot column of each Hermite row."""
-    return tuple(next(i for i, x in enumerate(row) if x != 0) for row in hnf)
-
-
-def in_hermite_span(hnf, vec) -> bool:
-    """Whether ``vec`` lies in the lattice given by Hermite rows ``hnf``."""
-    v = list(vec)
-    for row, j in zip(hnf, hermite_pivots(hnf)):
-        if v[j] != 0:
-            if v[j] % row[j] != 0:
-                return False
-            q = v[j] // row[j]
-            v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ The prime classifiers quantify over every Z-closed family of roots and of
 coroots.  The Weyl group W permutes each list and acts linearly on its
 lattice, so it maps closed families to closed families and keeps the
 torsion of their quotients: one family per W-orbit decides them.  The
-orbits have closed-form labels, and ``orbit_families`` writes down one
-family per label on consecutive coordinate blocks:
+orbits have closed-form labels (``_labels``), each a family on
+consecutive coordinate blocks (``_family``):
 
 - SL(n): a partition of n; each part k >= 2 is an A_(k-1), every e_i - e_j
   on its block (SL(6) has 11 orbits of its 203 families);
@@ -30,8 +30,15 @@ family per label on consecutive coordinate blocks:
   +-e_i), then D_k's (k >= 2, every +-e_i +- e_j) and A_(k-1)'s, of total
   size at most m.
 
-The tests check these against a W-search over every family, orbit by
-orbit.  ``standard_root_datum`` checks n against ``MAX_N`` before any
+A quotient depends only on the lattice that a family spans, so
+``prime_report`` takes it from ``_basis``, a Z-basis of that lattice with
+at most n rows: on each block e_i - e_(i+1), then e_k for B, 2e_k for C or
+e_(k-1) + e_k for D.  The basis of the whole system's label is its simple
+roots, and the bad primes are those dividing a coordinate of the highest
+root on them.  The tests check the labels against a W-search over every
+family, orbit by orbit, each basis against the Hermite form of its family,
+and the bad primes against a search for the highest root of each
+component.  ``standard_root_datum`` checks n against ``MAX_N`` before any
 root is built.
 """
 
@@ -40,14 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exactlin import (
-    DomainError,
-    _rref,
-    hermite_rows,
-    in_hermite_span,
-    prime_factors,
-    torsion_primes_of_quotient,
-)
+from .exactlin import DomainError, _rref, prime_factors, torsion_primes_of_quotient
 
 
 class UnsupportedType(DomainError):
@@ -67,9 +67,6 @@ class RootDatum:
     coroots: tuple  # parallel integer vectors in the Y presentation
     x_relations: tuple  # extra relation rows presenting X as a quotient
     y_basis: tuple  # basis rows of Y inside the ambient lattice
-
-    def pairing(self, x, y) -> int:
-        return sum(a * b for a, b in zip(x, y))
 
 
 @dataclass(frozen=True)
@@ -195,31 +192,30 @@ def _family(rank: int, label) -> tuple:
     return tuple(out)
 
 
-def _indexed(vectors, components, rank: int) -> tuple:
-    index = {v: k for k, v in enumerate(vectors)}
-    return tuple(
-        tuple(index[v] for v in _family(rank, label))
-        for label in _labels(components, rank)
-    )
-
-
-def orbit_families(rd: RootDatum) -> tuple:
-    """(on the roots, on the coroots): one closed family per W-orbit on each
-    side, as indices into ``rd.roots`` and ``rd.coroots`` looked up by
-    value, so that the order of the lists does not matter.  When the coroot
-    list equals the root list, as for SL, both sides share one list."""
-    on_roots, on_coroots = _COMPONENTS[rd.kind]
-    roots = _indexed(rd.roots, on_roots, rd.ambient_rank)
-    if (rd.coroots, on_coroots) == (rd.roots, on_roots):
-        return roots, roots
-    return roots, _indexed(rd.coroots, on_coroots, rd.ambient_rank)
+def _basis(rank: int, label) -> tuple:
+    """A Z-basis of the lattice that the family of a label spans: on each
+    block e_i - e_(i+1), then e_k for B, 2e_k for C or e_(k-1) + e_k for D,
+    k the block's last coordinate."""
+    out, start = [], 0
+    for letter, k in label:
+        last = start + k - 1
+        out += [_vec(rank, (i, 1), (i + 1, -1)) for i in range(start, last)]
+        if letter in "BC":
+            out.append(_vec(rank, (last, 1 if letter == "B" else 2)))
+        elif letter == "D":
+            out.append(_vec(rank, (last - 1, 1), (last, 1)))
+        start = last + 1
+    return tuple(out)
 
 
 # one Smith form per orbit on each side, and the orbit count grows like the
-# partition numbers: prime_report takes about 1 s for SL(19) (490 orbits a
-# side) and Sp(24) (1,165), the largest accepted, and 1.7 and 2.0 s for
-# SL(20) and Sp(26)
-MAX_N = {"sl": 19, "sp": 24}
+# partition numbers.  Each bound is the largest n for which prime_report takes
+# no longer than SL(19) or Sp(24) took with a Smith form on all the vectors of
+# each family (medians 0.76 and 0.90 s on one core of an Intel Xeon): about
+# 0.5 s for SL(21) (792 orbits a side) and 0.8 s for Sp(26) (1,770).  SL(22)
+# took 0.76 s, level with the SL(19) mark and longer in 3 of 9 alternating
+# rounds, and Sp(28) 1.3 s.
+MAX_N = {"sl": 21, "sp": 26}
 
 
 def _check_size(kind: str, label: str, n: int) -> None:
@@ -251,77 +247,14 @@ def _coords_in_basis(basis, vectors) -> tuple:
     return tuple(out)
 
 
-def x_quotient_rows(rd: RootDatum, indices) -> tuple:
-    """Rows presenting X / (Z * selected roots) as a cokernel."""
-    return tuple(rd.roots[i] for i in indices) + rd.x_relations
-
-
-def y_quotient_rows(rd: RootDatum, indices) -> tuple:
-    """Rows presenting Y / (Z * selected coroots), in Y-basis coordinates."""
-    return _coords_in_basis(rd.y_basis, [rd.coroots[i] for i in indices])
-
-
-def _height(rd: RootDatum):
-    """A linear form that is nonzero on every root: the roots where it is
-    positive form a positive system."""
+def _bad_primes(rd: RootDatum, simple) -> frozenset:
+    """The primes dividing a coordinate of the highest root on the simple
+    roots ``simple``: e_1 - e_n of SL(n) is 1, ..., 1 on e_i - e_(i+1), and
+    2e_1 of Sp(2m) is 2, ..., 2, 1 on those and 2e_m."""
     n = rd.ambient_rank
-    big = 2 * max((abs(x) for v in rd.roots for x in v), default=0) * n + 1
-    weights = [big ** (n - 1 - i) for i in range(n)]
-    return lambda v: sum(w * x for w, x in zip(weights, v))
-
-
-def _simple_roots(rd: RootDatum) -> tuple:
-    """Indices of the simple roots of the positive system of ``_height``:
-    the positive roots that are not the sum of two positive roots."""
-    height = _height(rd)
-    positives = {v for v in rd.roots if height(v) > 0}
-
-    def is_sum(alpha):
-        return any(
-            tuple(a - b for a, b in zip(alpha, beta)) in positives for beta in positives
-        )
-
-    return tuple(
-        k
-        for k, alpha in enumerate(rd.roots)
-        if alpha in positives and not is_sum(alpha)
-    )
-
-
-def _bad_primes(rd: RootDatum) -> frozenset:
-    """Primes dividing a coefficient of the highest root of some factor."""
-    roots = rd.roots
-    if not roots:
-        return frozenset()
-    simple = _simple_roots(rd)
-    height = _height(rd)
-    positives = [v for v in roots if height(v) > 0]
-    simples = [roots[k] for k in simple]
-    simple_coroots = [rd.coroots[k] for k in simple]
-    # connected components of the simple system under non-orthogonality
-    remaining = list(range(len(simples)))
-    components = []
-    while remaining:
-        comp = [remaining.pop(0)]
-        grew = True
-        while grew:
-            grew = False
-            for k in list(remaining):
-                if any(rd.pairing(simples[k], simple_coroots[c]) for c in comp):
-                    comp.append(k)
-                    remaining.remove(k)
-                    grew = True
-        components.append(comp)
-    bad = set()
-    for comp in components:
-        comp_simples = [simples[k] for k in comp]
-        hnf = hermite_rows(comp_simples)
-        comp_pos = [v for v in positives if in_hermite_span(hnf, v)]
-        highest = max(comp_pos, key=height)
-        for c in _coords_in_basis(comp_simples, [highest])[0]:
-            bad |= prime_factors(c)
-    bad.discard(1)
-    return frozenset(bad)
+    highest = _vec(n, (0, 1), (n - 1, -1)) if rd.kind == "sl" else _vec(n, (0, 2))
+    (coords,) = _coords_in_basis(simple, [highest])
+    return frozenset().union(*map(prime_factors, coords))
 
 
 def prime_report(rd: RootDatum) -> PrimeReport:
@@ -334,21 +267,30 @@ def prime_report(rd: RootDatum) -> PrimeReport:
     needed to exhaust the quantifier over arbitrary subsets.  An element w
     of W is an automorphism of X and of Y that maps ZA onto Z(wA) and
     ZA^v onto Z(wA^v), so the torsion of X/ZA and of Y/ZA^v is constant
-    on a W-orbit of families, and one quotient per orbit, from
-    ``orbit_families``, decides it.
+    on a W-orbit of families, and one quotient per orbit label decides it,
+    taken from the ``_basis`` of the label's lattice.  When the coroot
+    labels equal the root labels, as for SL, both sides share one list.
     """
-    root_fams, coroot_fams = orbit_families(rd)
-    y_rows = y_quotient_rows(rd, range(len(rd.coroots)))
+    rank = rd.ambient_rank
+    on_roots, on_coroots = _COMPONENTS[rd.kind]
+    root_bases = {label: _basis(rank, label) for label in _labels(on_roots, rank)}
+    coroot_bases = root_bases
+    if on_coroots != on_roots:
+        coroot_bases = {label: _basis(rank, label) for label in _labels(on_coroots, rank)}
     x_side = set()
-    for fam in root_fams:
-        x_side |= torsion_primes_of_quotient(x_quotient_rows(rd, fam))
+    for basis in root_bases.values():
+        x_side |= torsion_primes_of_quotient(basis + rd.x_relations)
+    # the Y-basis coordinates of every coroot basis vector, from one elimination
+    vectors = list({v for basis in coroot_bases.values() for v in basis})
+    coords = dict(zip(vectors, _coords_in_basis(rd.y_basis, vectors)))
     y_side = set()
-    for fam in coroot_fams:
-        y_side |= torsion_primes_of_quotient([y_rows[i] for i in fam])
+    for basis in coroot_bases.values():
+        y_side |= torsion_primes_of_quotient([coords[v] for v in basis])
 
-    bad = _bad_primes(rd)
-    full = tuple(range(len(rd.roots)))
-    center = torsion_primes_of_quotient(x_quotient_rows(rd, full))
+    # the whole system's label, A_(n-1) for SL(n) or C_m for Sp(2m)
+    simple = root_bases[((on_roots[0][0], rank),)]
+    bad = _bad_primes(rd, simple)
+    center = torsion_primes_of_quotient(simple + rd.x_relations)
     return PrimeReport(
         good_excluded=tuple(sorted(bad)),
         torsion=tuple(sorted(y_side)),

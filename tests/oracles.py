@@ -12,12 +12,17 @@ closed form for a monomial symplectic form.
 Closed families of a vector list come from closing the members of every
 pairwise join, with no memo, no support filter and no Weyl group, and the
 prime classifiers take a torsion quotient for every family, not one per
-orbit.  A Weyl-group search lists every closed family, bitmask by bitmask,
-with one representative per W-orbit: the orbits that the package's labels
-must match one for one.  Jordan types come from the Fraction ranks of the
-powers of a nilpotent, and parity from the degrees of each stalk column.  A type-A graded orbit's dimension is the rank of ad x on g_0 and
-its Levi comes from a solved sl2-triple and the canonical parabolic,
-where the package uses closed forms in the segments.  The f of a triple
+orbit, on all of its vectors, not a basis.  The bad primes come from the
+simple roots of a height functional, their components and a scan of the
+positive roots for the highest root of each, where the package writes
+down the highest root of SL(n) or Sp(2m).  A Weyl-group search lists
+every closed family, bitmask by bitmask, with one representative per
+W-orbit: the orbits that the package's labels must match one for one.
+Jordan types come from the Fraction ranks of the powers of a nilpotent,
+and parity from the degrees of each stalk column.  A type-A graded
+orbit's dimension is the rank of ad x on g_0 and its Levi comes from a
+solved sl2-triple and the canonical parabolic, where the package uses
+closed forms in the segments.  The f of a triple
 comes from one system over every cell of [x, f] = h and [h, f] = -2f,
 where the package solves on the ad-h weight -2 cells, and rigidity
 conjugates e, h and f by the basis change every time.  Primality is trial
@@ -518,14 +523,35 @@ def is_prime_by_trial_division(p):
     return True
 
 
+def hermite_pivots(hnf) -> tuple:
+    """The pivot column of each Hermite row."""
+    return tuple(next(i for i, x in enumerate(row) if x != 0) for row in hnf)
+
+
+def in_hermite_span(hnf, vec, pivots=None) -> bool:
+    """Whether ``vec`` lies in the lattice given by Hermite rows ``hnf``.
+
+    ``pivots`` may carry ``hermite_pivots(hnf)`` when many vectors are
+    tested against one lattice."""
+    v = list(vec)
+    for row, j in zip(hnf, pivots or hermite_pivots(hnf)):
+        if v[j] != 0:
+            if v[j] % row[j] != 0:
+                return False
+            q = v[j] // row[j]
+            v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
 def closure_by_members(vectors, indices):
     """Indices of all vectors lying in the integer span of the selection."""
-    from gradedorbits.exactlin import hermite_rows, in_hermite_span
+    from gradedorbits.exactlin import hermite_rows
 
     if not indices:
         return ()
     hnf = hermite_rows([vectors[i] for i in indices])
-    return tuple(i for i, v in enumerate(vectors) if in_hermite_span(hnf, v))
+    pivots = hermite_pivots(hnf)
+    return tuple(i for i, v in enumerate(vectors) if in_hermite_span(hnf, v, pivots))
 
 
 @functools.cache
@@ -557,12 +583,7 @@ def prime_report_by_all_families(rd):
     """The prime report of a root datum from the torsion of the quotient by
     every closed family of roots (X side) and of coroots (Y side)."""
     from gradedorbits.exactlin import torsion_primes_of_quotient
-    from gradedorbits.rootdata import (
-        PrimeReport,
-        _bad_primes,
-        x_quotient_rows,
-        y_quotient_rows,
-    )
+    from gradedorbits.rootdata import PrimeReport
 
     x_side = set()
     for fam in closed_families_by_join_closure(rd.roots):
@@ -570,13 +591,121 @@ def prime_report_by_all_families(rd):
     y_side = set()
     for fam in closed_families_by_join_closure(rd.coroots):
         y_side |= torsion_primes_of_quotient(y_quotient_rows(rd, fam))
-    bad = _bad_primes(rd)
+    bad = bad_primes_by_highest_root_search(rd)
     center = torsion_primes_of_quotient(x_quotient_rows(rd, range(len(rd.roots))))
     return PrimeReport(
         good_excluded=tuple(sorted(bad)),
         torsion=tuple(sorted(y_side)),
         pretty_good_excluded=tuple(sorted(x_side | y_side)),
         rather_good_excluded=tuple(sorted(bad | center)),
+    )
+
+
+def pairing(x, y) -> int:
+    return sum(a * b for a, b in zip(x, y))
+
+
+def x_quotient_rows(rd, indices) -> tuple:
+    """Rows presenting X / (Z * selected roots) as a cokernel."""
+    return tuple(rd.roots[i] for i in indices) + rd.x_relations
+
+
+def y_quotient_rows(rd, indices) -> tuple:
+    """Rows presenting Y / (Z * selected coroots), in Y-basis coordinates."""
+    from gradedorbits.rootdata import _coords_in_basis
+
+    return _coords_in_basis(rd.y_basis, [rd.coroots[i] for i in indices])
+
+
+def _height(rd):
+    """A linear form that is nonzero on every root: the roots where it is
+    positive form a positive system."""
+    n = rd.ambient_rank
+    big = 2 * max((abs(x) for v in rd.roots for x in v), default=0) * n + 1
+    weights = [big ** (n - 1 - i) for i in range(n)]
+    return lambda v: sum(w * x for w, x in zip(weights, v))
+
+
+def _simple_roots(rd) -> tuple:
+    """Indices of the simple roots of the positive system of ``_height``:
+    the positive roots that are not the sum of two positive roots."""
+    height = _height(rd)
+    positives = {v for v in rd.roots if height(v) > 0}
+
+    def is_sum(alpha):
+        return any(
+            tuple(a - b for a, b in zip(alpha, beta)) in positives for beta in positives
+        )
+
+    return tuple(
+        k
+        for k, alpha in enumerate(rd.roots)
+        if alpha in positives and not is_sum(alpha)
+    )
+
+
+def bad_primes_by_highest_root_search(rd) -> frozenset:
+    """Primes dividing a coefficient of the highest root of some factor,
+    for any root datum: the simple roots of a height functional, their
+    components under non-orthogonality, and the highest positive root in
+    the Hermite span of each."""
+    from gradedorbits.exactlin import hermite_rows, prime_factors
+    from gradedorbits.rootdata import _coords_in_basis
+
+    roots = rd.roots
+    if not roots:
+        return frozenset()
+    simple = _simple_roots(rd)
+    height = _height(rd)
+    positives = [v for v in roots if height(v) > 0]
+    simples = [roots[k] for k in simple]
+    simple_coroots = [rd.coroots[k] for k in simple]
+    # connected components of the simple system under non-orthogonality
+    remaining = list(range(len(simples)))
+    components = []
+    while remaining:
+        comp = [remaining.pop(0)]
+        grew = True
+        while grew:
+            grew = False
+            for k in list(remaining):
+                if any(pairing(simples[k], simple_coroots[c]) for c in comp):
+                    comp.append(k)
+                    remaining.remove(k)
+                    grew = True
+        components.append(comp)
+    bad = set()
+    for comp in components:
+        comp_simples = [simples[k] for k in comp]
+        hnf = hermite_rows(comp_simples)
+        comp_pos = [v for v in positives if in_hermite_span(hnf, v)]
+        highest = max(comp_pos, key=height)
+        for c in _coords_in_basis(comp_simples, [highest])[0]:
+            bad |= prime_factors(c)
+    bad.discard(1)
+    return frozenset(bad)
+
+
+def orbit_families(rd) -> tuple:
+    """(on the roots, on the coroots): the family of each orbit label of
+    the package on each side, as indices into ``rd.roots`` and
+    ``rd.coroots`` looked up by value."""
+    from gradedorbits.rootdata import _COMPONENTS
+
+    on_roots, on_coroots = _COMPONENTS[rd.kind]
+    return (
+        _indexed(rd.roots, on_roots, rd.ambient_rank),
+        _indexed(rd.coroots, on_coroots, rd.ambient_rank),
+    )
+
+
+def _indexed(vectors, components, rank: int) -> tuple:
+    from gradedorbits.rootdata import _family, _labels
+
+    index = {v: k for k, v in enumerate(vectors)}
+    return tuple(
+        tuple(index[v] for v in _family(rank, label))
+        for label in _labels(components, rank)
     )
 
 
@@ -600,14 +729,17 @@ def _close(vectors, supports, rows, members) -> tuple:
     ``members`` are indices already known to lie in the span; of the other
     vectors only those supported on the span's columns can lie in it.
     """
-    from gradedorbits.exactlin import hermite_rows, in_hermite_span
+    from gradedorbits.exactlin import hermite_rows
 
     hnf = hermite_rows(rows)
+    pivots = hermite_pivots(hnf)
     columns = 0
     for row in hnf:
         columns |= _support(row)
     for k, vec in enumerate(vectors):
-        if not (members >> k & 1 or supports[k] & ~columns) and in_hermite_span(hnf, vec):
+        if not (members >> k & 1 or supports[k] & ~columns) and in_hermite_span(
+            hnf, vec, pivots
+        ):
             members |= 1 << k
     return members, hnf
 
@@ -742,13 +874,9 @@ def simple_reflections(rd) -> tuple:
     """(on roots, on coroots): the simple reflections of W as index
     permutations, s(v) = v - <v, a^v> a on the roots and
     s(y) = y - <a, y> a^v on the coroots, for each simple root a."""
-    from gradedorbits.rootdata import _simple_roots
-
     on_roots, on_coroots = [], []
     for k in _simple_roots(rd):
         alpha, alphav = rd.roots[k], rd.coroots[k]
-        on_roots.append(_reflection(rd.roots, alpha, lambda v: rd.pairing(v, alphav)))
-        on_coroots.append(
-            _reflection(rd.coroots, alphav, lambda y: rd.pairing(alpha, y))
-        )
+        on_roots.append(_reflection(rd.roots, alpha, lambda v: pairing(v, alphav)))
+        on_coroots.append(_reflection(rd.coroots, alphav, lambda y: pairing(alpha, y)))
     return tuple(on_roots), tuple(on_coroots)

@@ -33,8 +33,6 @@ from gradedorbits.orbitlib import graded_orbit_reps_typeA, nilpotent_orbits, orb
 from gradedorbits.rootdata import (
     prime_report,
     standard_root_datum,
-    x_quotient_rows,
-    y_quotient_rows,
     RootDatum,
 )
 
@@ -46,6 +44,8 @@ from oracles import (
     nilpotent_jordan_partition,
     parity_violations,
     snf_invariant_factors_by_minors,
+    x_quotient_rows,
+    y_quotient_rows,
 )
 
 

@@ -594,15 +594,16 @@ def test_fibers_prime_bound_names_flag(capsys, primes):
 
 
 def test_primes_root_bound_names_flag(capsys):
-    # SL(20) and Sp(26) are the first refused; each would take about 2 s
-    assert cli.run(["primes", "--type", "sl", "--n", "20"]) == 2
+    # SL(22) and Sp(28) are the first refused; they would take about 1.2
+    # and 1.8 s
+    assert cli.run(["primes", "--type", "sl", "--n", "22"]) == 2
     captured = capsys.readouterr()
     assert "argument --n:" in captured.err
-    assert "SL(20) is too large" in captured.err and "n <= 19" in captured.err
+    assert "SL(22) is too large" in captured.err and "n <= 21" in captured.err
     assert captured.out == ""
-    assert cli.run(["primes", "--type", "sp", "--n", "26"]) == 2
+    assert cli.run(["primes", "--type", "sp", "--n", "28"]) == 2
     captured = capsys.readouterr()
-    assert "argument --n: Sp(26) is too large" in captured.err and "n <= 24" in captured.err
+    assert "argument --n: Sp(28) is too large" in captured.err and "n <= 26" in captured.err
     assert captured.out == ""
 
 
@@ -690,7 +691,7 @@ def test_primes_huge_n_names_flag_without_building_roots(capsys, monkeypatch):
     assert cli.run(["primes", "--type", "sl", "--n", "99999999999"]) == 2
     captured = capsys.readouterr()
     assert "argument --n: SL(99999999999) is too large" in captured.err
-    assert "n <= 19" in captured.err
+    assert "n <= 21" in captured.err
     assert captured.out == ""
 
 

@@ -187,12 +187,12 @@ def graded_nilpotent_argv(draw, command):
 
 @st.composite
 def primes_argv(draw):
-    # SL(20) and Sp(26) are the first past the bound on n
+    # SL(22) and Sp(28) are the first past the bound on n
     kind_ = kind(draw)
     if kind_ == "sl":
-        n = mostly(draw, st.integers(2, 5), -1, 1, 20)
+        n = mostly(draw, st.integers(2, 5), -1, 1, 22)
     else:
-        n = mostly(draw, st.sampled_from([2, 4, 6]), -1, 0, 5, 26)
+        n = mostly(draw, st.sampled_from([2, 4, 6]), -1, 0, 5, 28)
     return draw(argv_of("primes", [("--type", kind_), ("--n", str(n))]))
 
 

@@ -11,7 +11,6 @@ from gradedorbits.cohom import (
     counting_polynomial,
     hc_constant,
     hc_local_system,
-    hc_rank1_torus,
     load_case,
     parse_space,
     render_space,
@@ -32,20 +31,20 @@ def test_hc_constant_examples():
 
 
 def test_hc_rank1_torus():
-    assert hc_rank1_torus(-1, 5) == {}
-    assert hc_rank1_torus(1, 0) == {1: 1, 2: 1}
-    assert hc_rank1_torus(1, 7) == {1: 1, 2: 1}
-    assert hc_rank1_torus(-1, 2) == {1: 1, 2: 1}
-    assert hc_rank1_torus(-1, 0) == {}
-    with pytest.raises(ValueError):
-        hc_rank1_torus(0, 0)
-    with pytest.raises(ValueError):
-        hc_rank1_torus(5, 5)
+    assert hc_local_system(torus(), [-1], 5) == {}
+    assert hc_local_system(torus(), [1], 0) == {1: 1, 2: 1}
+    assert hc_local_system(torus(), [1], 7) == {1: 1, 2: 1}
+    assert hc_local_system(torus(), [-1], 2) == {1: 1, 2: 1}
+    assert hc_local_system(torus(), [-1], 0) == {}
+    with pytest.raises(ValueError, match="invertible"):
+        hc_local_system(torus(), [0], 0)
+    with pytest.raises(ValueError, match="invertible"):
+        hc_local_system(torus(), [5], 5)
 
 
 def test_hc_rank1_matches_constant_when_trivial():
     for char_l in (0, 2, 3, 5, 7):
-        assert hc_rank1_torus(1, char_l) == hc_constant(torus())
+        assert hc_local_system(torus(), [1], char_l) == hc_constant(torus())
 
 
 def test_counting_polynomial_examples():
@@ -167,12 +166,10 @@ def test_poly_str_zero():
 
 
 def test_local_system_spec_validation():
-    from gradedorbits.cohom import LocalSystemSpec
-
-    LocalSystemSpec((-1,), 5)
-    with pytest.raises(ValueError):
-        LocalSystemSpec((5,), 5)
-    with pytest.raises(ValueError):
-        LocalSystemSpec((0,), 0)
-    with pytest.raises(ValueError):
-        LocalSystemSpec((-1,), 6)
+    hc_local_system(torus(), [-1], 5)
+    with pytest.raises(ValueError, match="invertible"):
+        hc_local_system(torus(), [5], 5)
+    with pytest.raises(ValueError, match="invertible"):
+        hc_local_system(torus(), [0], 0)
+    with pytest.raises(ValueError, match="0 or prime"):
+        hc_local_system(torus(), [-1], 6)

@@ -8,7 +8,6 @@ from gradedorbits.exactlin import (
     Partition,
     RatMatrix,
     hermite_rows,
-    in_hermite_span,
     PRIME_TEST_BOUND,
     invariant_factors,
     is_prime,
@@ -18,6 +17,7 @@ from gradedorbits.exactlin import (
 
 from oracles import (
     NotNilpotent,
+    in_hermite_span,
     is_prime_by_trial_division,
     jordan_matrix,
     nilpotent_jordan_partition,

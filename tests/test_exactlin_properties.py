@@ -18,9 +18,7 @@ from gradedorbits.exactlin import (
     RatMatrix,
     _rref,
     bracket,
-    hermite_pivots,
     hermite_rows,
-    in_hermite_span,
     invariant_factors,
     nullspace,
     rank_rational,
@@ -32,6 +30,8 @@ from oracles import (
     _echelonize,
     fraction_nullspace,
     fraction_rref,
+    hermite_pivots,
+    in_hermite_span,
     snf_invariant_factors_by_minors,
 )
 

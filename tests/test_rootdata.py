@@ -6,27 +6,24 @@ import pytest
 
 import oracles
 from gradedorbits import rootdata
-from gradedorbits.exactlin import (
-    RatMatrix,
-    hermite_rows,
-    in_hermite_span,
-    invariant_factors,
-    is_prime,
-)
+from gradedorbits.exactlin import RatMatrix, hermite_rows, invariant_factors, is_prime
 from gradedorbits.rootdata import (
     RootDatum,
     TooLarge,
     UnsupportedType,
-    orbit_families,
     prime_report,
     standard_root_datum,
 )
 from oracles import (
+    bad_primes_by_highest_root_search,
     byte_tables,
     closed_families_by_join_closure,
     closed_families_by_w_search,
     closed_subsystems,
     closure_by_members,
+    in_hermite_span,
+    orbit_families,
+    pairing,
     prime_report_by_all_families,
     simple_reflections,
     snf_invariant_factors_by_minors,
@@ -54,12 +51,12 @@ def test_root_datum_axioms(kind, n):
     rd = standard_root_datum(kind, n)
     roots = set(rd.roots)
     for alpha, alphav in zip(rd.roots, rd.coroots):
-        assert rd.pairing(alpha, alphav) == 2
+        assert pairing(alpha, alphav) == 2
         assert tuple(-x for x in alpha) in roots
     # reflections permute the root set
     for alpha, alphav in zip(rd.roots, rd.coroots):
         for beta in rd.roots:
-            c = rd.pairing(beta, alphav)
+            c = pairing(beta, alphav)
             image = tuple(b - c * a for b, a in zip(beta, alpha))
             assert image in roots
 
@@ -107,9 +104,9 @@ def test_closed_subsystems_include_empty_and_full():
 
 
 def test_guard():
-    """The bound is on n, per type: SL(19) and Sp(24) are the largest
+    """The bound is on n, per type: SL(21) and Sp(26) are the largest
     accepted."""
-    assert rootdata.MAX_N == {"sl": 19, "sp": 24}
+    assert rootdata.MAX_N == {"sl": 21, "sp": 26}
     for kind, largest in rootdata.MAX_N.items():
         rd = standard_root_datum(kind, largest)
         assert len(rd.roots) == (largest * (largest - 1) if kind == "sl" else largest**2 // 2)
@@ -119,8 +116,8 @@ def test_guard():
 
 @pytest.mark.parametrize(
     "kind,n,limit",
-    [("sl", 99999999999, 19), ("sl", 20, 19), ("sp", 26, 24)],
-    ids=["sl-huge", "sl20", "sp26"],
+    [("sl", 99999999999, 21), ("sl", 22, 21), ("sp", 28, 26)],
+    ids=["sl-huge", "sl22", "sp28"],
 )
 def test_guard_before_any_root_is_built(monkeypatch, kind, n, limit):
     def build_nothing(*args):
@@ -371,6 +368,34 @@ def test_search_under_a_subgroup_equals_oracle(kind, n, side):
     assert len(expected) > len(reps) > len(expected) // 2
 
 
+BASED = [("sl", n) for n in range(2, 13)] + [("sp", n) for n in range(2, 18, 2)]
+
+
+@pytest.mark.parametrize("kind,n", BASED)
+def test_label_basis_spans_the_family_lattice(kind, n):
+    """Each label's basis is independent and spans the lattice of all the
+    vectors of its family, on both sides."""
+    rank = standard_root_datum(kind, n).ambient_rank
+    for components in rootdata._COMPONENTS[kind]:
+        for label in rootdata._labels(components, rank):
+            basis = rootdata._basis(rank, label)
+            hnf = hermite_rows(basis)
+            assert len(hnf) == len(basis)
+            assert hnf == hermite_rows(rootdata._family(rank, label))
+
+
+@pytest.mark.parametrize("kind,n", BASED)
+def test_bad_primes_equal_highest_root_search(kind, n):
+    """The basis of the whole system's label is the simple system of a
+    height functional, and the highest root written down has the bad
+    primes that a search over every positive root finds."""
+    rd = standard_root_datum(kind, n)
+    rank = rd.ambient_rank
+    simple = rootdata._basis(rank, (("A" if kind == "sl" else "C", rank),))
+    assert set(simple) == {rd.roots[k] for k in oracles._simple_roots(rd)}
+    assert rootdata._bad_primes(rd, simple) == bad_primes_by_highest_root_search(rd)
+
+
 def test_coordinates_come_from_one_elimination_and_must_be_integers():
     basis = ((2, 0), (0, 1))
     assert rootdata._coords_in_basis(basis, [(4, 3), (0, -1)]) == ((2, 3), (0, -1))
@@ -401,17 +426,17 @@ def test_quotient_invariant_factors_equal_minors_oracle(monkeypatch, kind, n):
 
 
 def test_prime_report_shares_the_search_when_coroots_equal_roots(monkeypatch):
-    """SL writes down one list of families for both sides: p(4) = 5
-    families for SL(4), against 5 a side for Sp(4)."""
+    """SL writes down one list of label bases for both sides: p(4) = 5
+    bases for SL(4), against 5 a side for Sp(4)."""
     built = []
-    family = rootdata._family
+    basis = rootdata._basis
 
     def counted(rank, label):
         built.append(label)
-        return family(rank, label)
+        return basis(rank, label)
 
     sl, sp = standard_root_datum("sl", 4), standard_root_datum("sp", 4)
-    monkeypatch.setattr(rootdata, "_family", counted)
+    monkeypatch.setattr(rootdata, "_basis", counted)
     prime_report(sl)
     assert len(built) == 5
     built.clear()
@@ -456,7 +481,7 @@ def test_sl_closed_families_are_set_partitions(deadline, n, bell):
     assert set(got) == expected
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", [*range(2, 9), rootdata.MAX_N["sl"]])
 def test_sl_prime_report_closed_form(deadline, n):
     """SL_n has no torsion primes (Steinberg); its pretty good exclusions
     are the primes dividing n (Herpel, Trans. AMS 2013)."""
@@ -468,7 +493,7 @@ def test_sl_prime_report_closed_form(deadline, n):
     )
 
 
-@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("m", [*range(1, 6), rootdata.MAX_N["sp"] // 2])
 def test_sp_prime_report_closed_form(deadline, m):
     """Sp_2m for m >= 2 has torsion prime 2 and pretty good exclusion 2.
     Sp_2 is SL_2: no torsion primes, and 2 divides n = 2."""
