@@ -131,12 +131,14 @@ def _square_x(args):
 
 
 def _emit(args, text_lines, payload) -> None:
+    """Print the payload as JSON, or the lines that ``text_lines()``
+    returns, which is called only then."""
     if args.quiet:
         return
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -168,7 +170,6 @@ def cmd_orbits(args) -> int:
     from .orbitlib import nilpotent_orbits
 
     orbits = nilpotent_orbits(args.type, args.n)
-    rows = [(o.partition.label(), o.dimension, o.component_group.label()) for o in orbits]
     payload = {
         "type": args.type,
         "n": args.n,
@@ -183,7 +184,12 @@ def cmd_orbits(args) -> int:
             for o in orbits
         ],
     }
-    _emit(args, _table(rows, ("orbit", "dim", "pi1")), payload)
+
+    def lines():
+        rows = [(o["label"], o["dim"], o["component_group"]) for o in payload["orbits"]]
+        return _table(rows, ("orbit", "dim", "pi1"))
+
+    _emit(args, lines, payload)
     return 0
 
 
@@ -192,25 +198,26 @@ def cmd_graded_orbits(args) -> int:
 
     chi = args.cochar
     n = args.degree
-    reps = graded_orbit_reps_typeA(chi, n)
-    rows = []
-    recs = []
-    for rep in reps:
-        label = rep.label()
-        representative = rep.representative.text()
-        shape = ",".join(str(s) for s in rep.levi_shape)
-        rows.append((label, representative, rep.dimension, shape))
-        recs.append(
-            {
-                "decomposition": [list(seg) for seg in rep.decomposition],
-                "label": label,
-                "representative": representative,
-                "dim": rep.dimension,
-                "levi_blocks": list(rep.levi_shape),
-            }
-        )
+    recs = [
+        {
+            "decomposition": [list(seg) for seg in rep.decomposition],
+            "label": rep.label(),
+            "representative": rep.representative.text(),
+            "dim": rep.dimension,
+            "levi_blocks": list(rep.levi_shape),
+        }
+        for rep in graded_orbit_reps_typeA(chi, n)
+    ]
     payload = {"cochar": list(chi.weights), "degree": n, "orbits": recs}
-    _emit(args, _table(rows, ("decomposition", "representative", "dim", "levi")), payload)
+
+    def lines():
+        rows = [
+            (r["label"], r["representative"], r["dim"], ",".join(map(str, r["levi_blocks"])))
+            for r in recs
+        ]
+        return _table(rows, ("decomposition", "representative", "dim", "levi"))
+
+    _emit(args, lines, payload)
     return 0
 
 
@@ -220,21 +227,17 @@ def cmd_grading(args) -> int:
     chi = _checked_cochar(args)
     alg = build_algebra(args.type, args.d)
     comp = graded_component(alg, chi, args.degree)
-    wm = weight_matrix(chi)
-    lines = [
-        f"weight_matrix: {wm.text()}",
-        f"degree: {args.degree}",
-        f"dim: {comp.dimension}",
-    ]
-    basis_texts = [b.text() for b in comp.basis]
-    for t in basis_texts:
-        lines.append(f"basis: {t}")
     payload = {
-        "weight_matrix": wm.text(),
+        "weight_matrix": weight_matrix(chi).text(),
         "degree": args.degree,
         "dim": comp.dimension,
-        "basis": basis_texts,
+        "basis": [b.text() for b in comp.basis],
     }
+
+    def lines():
+        head = [f"{key}: {payload[key]}" for key in ("weight_matrix", "degree", "dim")]
+        return head + [f"basis: {t}" for t in payload["basis"]]
+
     _emit(args, lines, payload)
     return 0
 
@@ -253,7 +256,7 @@ def cmd_triple(args) -> int:
         "f": triple.f.text(),
         "chi_prime": list(weights.weights),
     }
-    _emit(args, _lines(payload), payload)
+    _emit(args, lambda: _lines(payload), payload)
     return 0
 
 
@@ -279,7 +282,7 @@ def cmd_parabolic(args) -> int:
         "levi_blocks": list(datum.levi_block_shape),
         "levi_rigid": rigid.is_rigid,
     }
-    _emit(args, _lines(payload), payload)
+    _emit(args, lambda: _lines(payload), payload)
     return 0
 
 
@@ -287,7 +290,7 @@ def cmd_primes(args) -> int:
     from .rootdata import prime_report, standard_root_datum
 
     payload = prime_report(standard_root_datum(args.type, args.n)).as_dict()
-    _emit(args, _lines(payload), payload)
+    _emit(args, lambda: _lines(payload), payload)
     return 0
 
 
@@ -297,10 +300,6 @@ def cmd_fibers(args) -> int:
 
     case = load_case(args.case)
     report = verify_fiber_counts(case, args.primes)
-    rows = [
-        (r.orbit, r.prime, r.stratum, r.count, r.predicted, "ok" if r.match else "MISMATCH")
-        for r in report.rows
-    ]
     payload = {
         "case": report.case,
         "primes": args.primes,
@@ -317,11 +316,15 @@ def cmd_fibers(args) -> int:
             for r in report.rows
         ],
     }
-    _emit(
-        args,
-        _table(rows, ("orbit", "prime", "stratum", "count", "predicted", "verdict")),
-        payload,
-    )
+
+    def lines():
+        rows = [
+            (r.orbit, r.prime, r.stratum, r.count, r.predicted, "ok" if r.match else "MISMATCH")
+            for r in report.rows
+        ]
+        return _table(rows, ("orbit", "prime", "stratum", "count", "predicted", "verdict"))
+
+    _emit(args, lines, payload)
     if report.all_match:
         return 0
     bad = next(r for r in report.rows if not r.match)
@@ -339,10 +342,13 @@ def cmd_stalks(args) -> int:
 
     case = load_case(args.case)
     table = stalk_table(case, args.char, allow_char_two=args.allow_char_2)
-    labels = [o.partition.label() for o in case.orbits]
-    degrees = sorted({d for col in table.columns.values() for d in col}, reverse=True)
-    rows = [(d, *(table.columns[label].get(d, "") for label in labels)) for d in degrees]
-    lines = _table(rows, ("degree", *labels)) if degrees else ["(all columns empty)"]
+
+    def lines():
+        labels = [o.partition.label() for o in case.orbits]
+        degrees = sorted({d for col in table.columns.values() for d in col}, reverse=True)
+        rows = [(d, *(table.columns[label].get(d, "") for label in labels)) for d in degrees]
+        return _table(rows, ("degree", *labels)) if degrees else ["(all columns empty)"]
+
     _emit(args, lines, table.as_dict())
     return 0
 

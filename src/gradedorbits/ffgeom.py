@@ -7,8 +7,11 @@ each built once while k <= 3: those inside ker x as the Grassmannian of
 ker x, and every other one from a stable hyperplane U and a line of
 x^-1(U) / U that x maps outside x(U) (``stable_subspaces``).  An x that
 is zero mod p stabilises all of them, so it counts the Gaussian
-binomial.  For each stable subspace the sweep decides which strata it
-lies in.  The counts are compared against evaluated counting polynomials
+binomial.  The sweep reads each subspace's facts off the enumeration and
+runs no elimination per subspace: each V comes with dim x(V), so x
+vanishes on V when that is 0, and the perp of a line <v> under a form B
+is the kernel of the one row v^T B, written down from its first nonzero
+entry.  The counts are compared against evaluated counting polynomials
 (with a residue-class rule for the one stratum pair defined over a
 quadratic extension).  An independent exhaustive per-stratum sweep of
 the Grassmannian with generic elimination lives in ``tests/oracles.py``,
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .cohom import CaseData, counting_polynomial
 from .exactlin import RatMatrix, _rref, is_prime, nullspace
@@ -32,7 +36,9 @@ class NotStableUnderForm(ValueError):
     pass
 
 
-MAX_PRIME = 13
+# in-process, fibers at p = 127 takes about 0.8 s for sl4 and 0.4 s for
+# sp4, and over every prime up to 127 about 7 and 3.3 s (see the README)
+MAX_PRIME = 127
 MAX_DIM = 6
 
 
@@ -113,11 +119,16 @@ def _quotient(basis, rank, table, kernel, p):
     (u | 0) by the ``table`` of ``stable_subspaces`` leaves u mod im x in
     the first half and minus a preimage of the rest in the second, so the
     combinations of U's rows that vanish in the first half span U ∩ im x,
-    and the same ones of the second halves preimages of it.  Each vector
-    of a subspace leads at a pivot of its echelon basis, so the echelon
-    rows of the whole that lead elsewhere than the part's span a complement."""
+    and the same ones of the second halves preimages of it.  When the
+    first halves lead in distinct columns no combination vanishes, and
+    U ∩ im x = 0 = x(U) with no elimination.  Each vector of a subspace
+    leads at a pivot of its echelon basis, so the echelon rows of the
+    whole that lead elsewhere than the part's span a complement."""
     d = len(table[0]) // 2
     rows = [_reduce(u + (0,) * d, table) for u in basis]
+    leads = {next((i for i, a in enumerate(row[:d]) if a % p), d) for row in rows}
+    if d not in leads and len(leads) == len(rows):
+        return (), 0
     meets = nullspace(list(zip(*(row[:d] for row in rows))), p)
     if len(meets) == rank:
         return (), 0
@@ -148,9 +159,10 @@ def _extend(basis, v, p):
     return tuple(rows)
 
 
-def stable_subspaces(x_rows, p: int, k: int) -> list:
-    """The k-subspaces of F_p^d stable under x, for an x that is nilpotent
-    mod p: one reduced-row-echelon basis each, rows with entries in [0, p).
+def stable_subspaces(x_rows, p: int, k: int) -> dict:
+    """The k-subspaces V of F_p^d stable under x, for an x that is
+    nilpotent mod p: {basis: dim x(V)}, one reduced-row-echelon basis each,
+    rows with entries in [0, p).
 
     x is nilpotent on a stable V, so V has a complete flag of stable
     subspaces, and level j + 1 joins two parts.  The (j+1)-subspaces of
@@ -160,7 +172,8 @@ def stable_subspaces(x_rows, p: int, k: int) -> list:
     V is reached once for each hyperplane of V / (x V + V ∩ ker x), whose
     dimension is the number of Jordan blocks of x on V of size at least 2:
     exactly once while dim V <= 3.  For the larger V each level keeps each
-    span once, keyed by its echelon basis, with dim x(V) as its value."""
+    span once, keyed by its echelon basis.  dim x(V) is 0 on ker x and
+    dim x(U) + 1 for U + <v>, since x v lies outside x(U)."""
     d = len(x_rows)
     _check_bounds(p, d, k)
     # (x a | a) for a = e_1, ..., e_d in echelon form: (b | a) with x a = b
@@ -176,7 +189,7 @@ def stable_subspaces(x_rows, p: int, k: int) -> list:
             for (v,) in _grassmannian(rows, p, 1, heads):
                 found.setdefault(_extend(basis, v, p), rank + 1)
         level = found
-    return list(level)
+    return level
 
 
 def _validate_element(x: RatMatrix, form):
@@ -191,23 +204,24 @@ def _validate_element(x: RatMatrix, form):
         raise NotStableUnderForm("element is not in the form's algebra")
 
 
-def _apply(entries, v, d):
-    """x v, from the nonzero entries (i, j, a) of x; not reduced mod p."""
-    w = [0] * d
-    for i, j, a in entries:
-        w[i] += a * v[j]
-    return w
-
-
-def _perp(basis, form, p):
-    """(A, K): the rows v^T B of the basis vectors v, and a basis K of the
-    perp of the span, the right kernel of A over F_p."""
-    d = form.rows
-    a = tuple(
-        tuple(sum(v[i] * form.num[i][j] for i in range(d)) % p for j in range(d))
-        for v in basis
+def _middle_zero(v, form_columns, columns, p):
+    """Whether x maps the perp of the line <v> under a form B into <v>,
+    from the columns of B and of x.  The perp is the kernel of a = v^T B:
+    for j the first nonzero entry of a, it is spanned by e_c - (a_c / a_j)
+    e_j over every c (by every e_c if a = 0).  It is x-stable exactly when
+    a x is a multiple of a, and a failure raises NotStableUnderForm."""
+    a = [sum(map(mul, v, col)) % p for col in form_columns]
+    j = next((c for c, b in enumerate(a) if b), 0)
+    ratio = pow(a[j], -1, p) if a[j] else 0
+    ax = [sum(map(mul, a, col)) for col in columns]
+    if any((b - ax[j] * ratio * s) % p for b, s in zip(ax, a)):
+        raise NotStableUnderForm("perp of a stable subspace failed to be stable")
+    # each x e_c less the multiple of v that clears the lead of v
+    lead = v.index(1)
+    rest = [[t - col[lead] * s for t, s in zip(col, v)] for col in columns]
+    return not any(
+        (t - s * ratio * u) % p for r, s in zip(rest, a) for t, u in zip(r, rest[j])
     )
-    return a, nullspace(a, p)
 
 
 # the facts of every subspace under an x that is zero mod p
@@ -232,12 +246,14 @@ def _sweep(p, d, k, form, elements, condition_sets):
     if there is one (``_validate_element`` checks that over Z).  An x that
     is zero mod p stabilises every subspace with the same facts, so it
     counts the Gaussian binomial or 0; any other x visits only its stable
-    subspaces (``stable_subspaces``).  Under a form, the perp of every
-    counted subspace is checked to be x-stable too, and a failure raises
-    NotStableUnderForm.
+    subspaces (``stable_subspaces``), whose dim x(V) decides
+    ``sub-nonzero``.  A form is read on lines only (k = 1,
+    ``_middle_zero``), and the perp of every counted line is checked to be
+    x-stable too, a failure raising NotStableUnderForm.
     """
     _check_bounds(p, d, k)
     needed = set().union(*condition_sets)
+    form_columns = list(zip(*form.num)) if form is not None else None
     counts = []
     for x in elements:
         if all(a % p == 0 for row in x for a in row):
@@ -249,37 +265,20 @@ def _sweep(p, d, k, form, elements, condition_sets):
                 ]
             )
             continue
-        entries = tuple(
-            (i, j, a) for i, row in enumerate(x) for j, a in enumerate(row) if a
-        )
-        columns = [col for col in zip(*x) if any(col)]
+        if form is not None and k != 1:
+            raise ValueError(f"a form is read on lines only, got k = {k}")
+        columns = list(zip(*x))
+        image = [col for col in columns if any(col)]
         tally = [0] * len(condition_sets)
-        for basis in stable_subspaces(x, p, k):
-            facts = {}
-            if "sub-nonzero" in needed:
-                facts["sub-nonzero"] = any(
-                    c % p for v in basis for c in _apply(entries, v, d)
-                )
+        for basis, rank in stable_subspaces(x, p, k).items():
+            facts = {"sub-nonzero": rank > 0}
             if "quot-nonzero" in needed:
                 facts["quot-nonzero"] = any(
-                    a % p for col in columns for a in _reduce(col, basis)
+                    a % p for col in image for a in _reduce(col, basis)
                 )
             if form is not None:
-                a, perp = _perp(basis, form, p)
-                perp_images = [_apply(entries, u, d) for u in perp]
-                if any(
-                    sum(b * c for b, c in zip(row, w)) % p
-                    for w in perp_images
-                    for row in a
-                ):
-                    raise NotStableUnderForm(
-                        "perp of a stable subspace failed to be stable"
-                    )
-                middle_zero = not any(
-                    a % p for w in perp_images for a in _reduce(w, basis)
-                )
-                facts["middle-zero"] = middle_zero
-                facts["middle-nonzero"] = not middle_zero
+                facts["middle-zero"] = _middle_zero(basis[0], form_columns, columns, p)
+                facts["middle-nonzero"] = not facts["middle-zero"]
             for c, conditions in enumerate(condition_sets):
                 if all(facts[name] for name in conditions):
                     tally[c] += 1

@@ -277,9 +277,11 @@ def prime_report(rd: RootDatum) -> PrimeReport:
     coroot_bases = root_bases
     if on_coroots != on_roots:
         coroot_bases = {label: _basis(rank, label) for label in _labels(on_coroots, rank)}
-    x_side = set()
-    for basis in root_bases.values():
-        x_side |= torsion_primes_of_quotient(basis + rd.x_relations)
+    x_primes = {
+        label: torsion_primes_of_quotient(basis + rd.x_relations)
+        for label, basis in root_bases.items()
+    }
+    x_side = set().union(*x_primes.values())
     # the Y-basis coordinates of every coroot basis vector, from one elimination
     vectors = list({v for basis in coroot_bases.values() for v in basis})
     coords = dict(zip(vectors, _coords_in_basis(rd.y_basis, vectors)))
@@ -287,10 +289,11 @@ def prime_report(rd: RootDatum) -> PrimeReport:
     for basis in coroot_bases.values():
         y_side |= torsion_primes_of_quotient([coords[v] for v in basis])
 
-    # the whole system's label, A_(n-1) for SL(n) or C_m for Sp(2m)
-    simple = root_bases[((on_roots[0][0], rank),)]
-    bad = _bad_primes(rd, simple)
-    center = torsion_primes_of_quotient(simple + rd.x_relations)
+    # the whole system's label, A_(n-1) for SL(n) or C_m for Sp(2m): its
+    # X-side quotient is the centre's, simple roots over x_relations
+    whole = ((on_roots[0][0], rank),)
+    bad = _bad_primes(rd, root_bases[whole])
+    center = x_primes[whole]
     return PrimeReport(
         good_excluded=tuple(sorted(bad)),
         torsion=tuple(sorted(y_side)),

@@ -193,6 +193,11 @@ def stable_subspaces_by_elimination(x_rows, p, k):
     }
 
 
+def image_dimension_by_elimination(x_rows, basis, p):
+    """dim x(V) for the span V of ``basis``, by elimination of the images."""
+    return len(_echelonize([_matvec(x_rows, v, p) for v in basis], p))
+
+
 def _echelonize(rows, p):
     mat = [list(r) for r in rows]
     out = []

@@ -584,13 +584,21 @@ def test_x_errors_name_flag(capsys, command, x, message):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("primes", ["17", "4", "2,3,1"])
+@pytest.mark.parametrize("primes", ["131", "4", "2,3,1"])
 def test_fibers_prime_bound_names_flag(capsys, primes):
     assert cli.run(["fibers", "--case", "sl4", "--primes", primes]) == 2
     captured = capsys.readouterr()
     assert "argument --primes:" in captured.err
-    assert "<= 13" in captured.err
+    assert "<= 127" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("case", ["sl4", "sp4"])
+def test_fibers_at_the_prime_bound_all_match(capsys, case):
+    argv = ["fibers", "--case", case, "--primes", str(ffgeom.MAX_PRIME), "--json"]
+    code, out = run_capture(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["all_match"] is True
 
 
 def test_primes_root_bound_names_flag(capsys):

@@ -199,7 +199,7 @@ def primes_argv(draw):
 @st.composite
 def fibers_argv(draw):
     primes = [
-        mostly(draw, st.sampled_from([2, 3, 5]), -2, 0, 1, 4, 14, 17)
+        mostly(draw, st.sampled_from([2, 3, 5]), -2, 0, 1, 4, 14, 131)
         for _ in range(draw(st.integers(1, 2)))
     ]
     pairs = [("--case", case(draw)), ("--primes", ints(primes))]

@@ -17,6 +17,7 @@ from oracles import (
     _matvec,
     echelon_subspaces,
     flag_count_by_elimination,
+    image_dimension_by_elimination,
     jordan_matrix,
     stable_subspaces_by_elimination,
 )
@@ -69,7 +70,7 @@ def test_enumerate_matches_oracle_order():
 
 def test_enumerate_guard():
     with pytest.raises(LimitExceeded):
-        stable_subspaces(zero(4), 17, 1)
+        stable_subspaces(zero(4), 131, 1)
     with pytest.raises(LimitExceeded):
         stable_subspaces(zero(7), 3, 1)
     with pytest.raises(LimitExceeded):
@@ -84,7 +85,7 @@ def test_enumerate_guard():
 def test_fiber_count_prime_bounds(monkeypatch):
     case = load_case("sl4")
     # p = 0 is rejected before any residue mod p is taken
-    for p in (0, 1, 4, 17):
+    for p in (0, 1, 4, 131):
         with pytest.raises(LimitExceeded):
             verify_fiber_counts(case, [p])
     # the message reads the bounds, not fixed numbers
@@ -104,9 +105,14 @@ def random_nilpotent(rng, d):
 
 
 def conjugate(rng, n):
-    """g n g^-1 for g a product of integer transvections, so that g^-1 is
-    integer too."""
-    d = n.rows
+    """g n g^-1 for g from ``transvections``."""
+    g, g_inv = transvections(rng, n.rows)
+    return g * n * g_inv
+
+
+def transvections(rng, d):
+    """(g, g^-1) for g a product of d integer transvections, so that g^-1
+    is integer too."""
     g = g_inv = RatMatrix.identity(d)
     for _ in range(d):
         i, j = rng.sample(range(d), 2)
@@ -117,7 +123,7 @@ def conjugate(rng, n):
         step[i][j] = -c
         g_inv = RatMatrix.from_rows(step) * g_inv
     assert g * g_inv == RatMatrix.identity(d)
-    return g * n * g_inv
+    return g, g_inv
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -131,6 +137,19 @@ def test_stable_subspaces_of_random_nilpotents_match_oracle(monkeypatch, d):
                 found, built = bases_built(monkeypatch, x, p, k)
                 assert set(found) == stable_subspaces_by_elimination(x, p, k)
                 assert k > 3 or len(set(built)) == len(built)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_stable_subspace_values_are_image_dimensions(d):
+    """The value of each stable V is dim x(V), on the seeded nilpotents of
+    ``test_stable_subspaces_of_random_nilpotents_match_oracle``."""
+    rng = random.Random(f"ffgeom-stable:{d}")
+    for p in (2, 3, 5):
+        for _ in range(2):
+            x = random_nilpotent(rng, d).num
+            for k in range(1, d):
+                for basis, rank in stable_subspaces(x, p, k).items():
+                    assert rank == image_dimension_by_elimination(x, basis, p)
 
 
 def test_stable_subspaces_of_sp4_nilpotents_match_oracle():
@@ -313,7 +332,7 @@ def test_each_element_is_validated_once_per_case(monkeypatch):
     # an oversized case is refused before any element is multiplied
     calls.clear()
     with pytest.raises(LimitExceeded):
-        verify_fiber_counts(case, [3, 17])
+        verify_fiber_counts(case, [3, 131])
     assert calls == []
 
 
@@ -330,6 +349,27 @@ def test_perp_self_check_raises(monkeypatch):
     case = random_case("isotropic-line", SP_FORM, [NOT_IN_SP])
     with pytest.raises(NotStableUnderForm, match="perp"):
         verify_fiber_counts(case, [3])
+
+
+def test_line_facts_under_a_non_monomial_form_match_oracle():
+    """Under F = g^-T B g^-1, for g from ``transvections``, the perp of a
+    line is not read off a signed permutation of its coordinates; g x g^-1
+    lies in the algebra of F for x in sp4."""
+    rng = random.Random("ffgeom-form")
+    g, g_inv = transvections(rng, 4)
+    form = g_inv.transpose() * SP_FORM * g_inv
+    assert sum(sum(1 for a in row if a) > 1 for row in form.num) == 3
+    # orbits [2,1^2], [2^2] and [4] among them
+    elements = [g * random_sp4_nilpotent(rng) * g_inv for _ in range(10)]
+    case = random_case("isotropic-line", form, elements)
+    for p in (2, 3, 5):
+        assert swept_rows(case, p) == oracle_rows(case, p)
+
+
+def test_sweep_reads_a_form_on_lines_only():
+    x = parse_matrix_text("0,0,1,0;0,0,0,0;0,0,0,0;0,0,0,0").num
+    with pytest.raises(ValueError, match="lines only, got k = 2"):
+        ffgeom._sweep(3, 4, 2, SP_FORM, [x], [("middle-zero",)])
 
 
 def test_sp4_isotropic_lines_are_all_lines():

@@ -326,8 +326,9 @@ def test_one_torsion_quotient_per_orbit_representative(monkeypatch, kind, n):
     root_labels, coroot_labels = orbit_families(rd)
     root_families, root_reps = _search(rd, "roots")
     coroot_families, coroot_reps = _search(rd, "coroots")
-    # one per label on each side, and one for the centre; a label per orbit
-    assert len(quotients) == len(root_labels) + len(coroot_labels) + 1
+    # one per label on each side, the centre's being the whole system's
+    # X-side quotient; a label per orbit
+    assert len(quotients) == len(root_labels) + len(coroot_labels)
     assert (len(root_labels), len(coroot_labels)) == (len(root_reps), len(coroot_reps))
     assert len(root_reps) < len(root_families)
     assert len(coroot_reps) < len(coroot_families)
