@@ -6,9 +6,10 @@ byte for byte; the text of triple, parabolic and primes is their JSON
 payload as ``key: value`` lines.  Exit codes: 0 success; 2 an argument
 error that names its option, from argparse or from a ``DomainError`` of a
 check here or in the library, which ``run`` alone writes; 3 verification
-mismatches reported by ``fibers``; 1 any other exception, a defect,
-reported as one ``internal error: <subcommand>: <type>: <message>`` line
-on stderr.
+mismatches reported by ``fibers``; 141 (128 + SIGPIPE, as for a tool
+that signal ends) when the reader of stdout closes it early, with nothing
+on stderr; 1 any other exception, a defect, reported as one
+``internal error: <subcommand>: <type>: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 # every subcommand runs exactlin; the other layers load where they run
@@ -37,6 +39,8 @@ MAX_ORBITS_N = 40
 # of degree 2 under (1^24, (-1)^24), whose h the diagonal system leaves free,
 # 0.13 and 0.16 s (medians of 5 calls; 2 virtual Xeon cores, Python 3.11).
 MAX_GRADING_D = 48
+# the exit code of a run whose stdout reader went away: 128 + SIGPIPE
+EXIT_CLOSED_PIPE = 141
 
 
 def _bounded_int(low: int, high: int):
@@ -452,13 +456,23 @@ def run(argv=None) -> int:
     except DomainError as exc:
         print(f"error: argument --{exc.param}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        return EXIT_CLOSED_PIPE
     except Exception as exc:  # a defect: one line, no traceback
         print(f"internal error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 
 def main(argv=None) -> None:
-    raise SystemExit(run(argv))
+    code = run(argv)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_CLOSED_PIPE
+    if code == EXIT_CLOSED_PIPE:
+        # what stdout still buffers would fail again at exit: it goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

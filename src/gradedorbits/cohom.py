@@ -15,6 +15,7 @@ cuspidal orbit inside the inducing Levi.  The convention tag
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -114,20 +115,6 @@ def parse_space(text: str):
     if end != len(tokens):
         raise ValueError("trailing tokens in space expression")
     return expr
-
-
-def render_space(expr) -> str:
-    if isinstance(expr, Pt):
-        return "(pt)"
-    if isinstance(expr, Aff):
-        return f"(aff {expr.k})"
-    if isinstance(expr, Proj):
-        return f"(proj {expr.k})"
-    if isinstance(expr, ProjLineMinus):
-        return "(torus)" if expr.points == 2 else f"(projline-minus {expr.points})"
-    if isinstance(expr, Disjoint):
-        return "(disjoint " + " ".join(render_space(c) for c in expr.children) + ")"
-    raise TypeError(f"not a space expression: {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +305,16 @@ class CaseData:
 
 
 def load_case(name: str) -> CaseData:
+    """The shipped case ``name``, parsed once per process: every part of a
+    ``CaseData`` is frozen, so its callers share one."""
     name = name.lower()
     if name not in ("sp4", "sl4"):
         raise UnknownCase(f"unknown case {name!r}")
+    return _parsed_case(name)
+
+
+@functools.cache
+def _parsed_case(name: str) -> CaseData:
     raw = json.loads(
         resources.files("gradedorbits.cases").joinpath(f"{name}.json").read_text()
     )

@@ -421,11 +421,6 @@ def solve_linear(rows, rhs, with_rank: bool = False):
     return (tuple(sol), len(pivots)) if with_rank else tuple(sol)
 
 
-def rank_rational(rows) -> int:
-    _, pivots = _rref(rows) if rows else ([], [])
-    return len(pivots)
-
-
 # ---------------------------------------------------------------------------
 # brackets and inverses
 

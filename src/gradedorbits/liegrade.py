@@ -7,65 +7,43 @@ second grading coming from the triple's semisimple element, the canonical
 parabolic/nilradical/Levi attached to a graded nilpotent, and the rigidity
 test comparing the two gradings.
 
-Every piece of the algebra, graded or not, is the part of it on a set of
-matrix cells, and ``_piece`` builds it from the cells alone, as integer
-cell maps {(i, j): entry}: for sl the units E_ij on off-diagonal cells plus
-a Cartan chain on the diagonal ones (``_sl_in_cells``), for sp_B the
-solutions of M^T B + B M = 0 supported on the cells (``_sp_in_cells``).
-For a monomial B, such as the standard form, those are written down cell
-by cell too: one cell, or a pair of cells that B links, per element, as
-the nullspace would list them.  Only a form with a row of several
-nonzeros, which p^T B p can be for a basis change p, takes a nullspace.
-The basis of the whole algebra is the piece on all cells, built on the
-first read of ``MatrixLieAlgebra.basis``; the triple, the parabolic and
-``check_n_rigid`` never read it.  A piece becomes d x d matrices only where
-they are read: ``graded_component``, ``MatrixLieAlgebra.basis`` and the
-bases of a ``ParabolicDatum``.
+sp_d is the algebra of the standard form B = [[0, I], [-I, 0]], which pairs
+the coordinate k with s(k) = k +- d/2.  Every piece of the algebra, graded
+or not, is the part of it on a set of matrix cells, and ``_piece`` writes
+it down from the cells alone, as integer cell maps {(i, j): entry}: for sl
+the units E_ij on off-diagonal cells plus a Cartan chain on the diagonal
+ones, for sp one cell, or a pair of cells that B links, per element.  A
+piece becomes d x d matrices only where they are read: ``graded_component``
+and ``MatrixLieAlgebra.basis``, which the triple, the parabolic and
+``check_n_rigid`` never read.  The canonical parabolic is its indicator on
+the cells of the basis that diagonalises both gradings: ``cells`` and
+``mask`` read p, n and l off it, and ``check_n_rigid`` tests a set of
+those cells.
 
-The canonical parabolic is fixed by its indicator on the cells, which is
-all that ``canonical_parabolic`` computes: the cells of p, n and l are read
-off it, and their bases are built on first read.  After a change of basis
-p, p^-1 sl p = sl and p^-1 sp_B p = sp_B' with B' = p^T B p, so those bases
-are the pieces of the same type in the diagonalising basis, with one B' per
-parabolic.  ``check_n_rigid`` tests a set of cells of that basis.
-
-The triple solvers stay on cells: ``_ad`` forms [x, F], [x, [x, F]] and
-[h, F] from the nonzero cells of x or h, so a bracket with a piece element
-of one or two cells costs a row and a column of x or two, and the equations
-are written only on the cells that x, a bracket or a right-hand side
-reaches.  On the others they read 0 = 0, so the reduced row echelon form,
-and the answer, is the same.  Only e, h and f are built as matrices.
-
-A toral h that the diagonal system [h, x] = 2x fixes is taken from it,
-and its f is solved for on the piece of g_-n of ad-h weight -2 alone: the
-part of the algebra on the cells where both weights fit, on every form.
-An h that is not diagonal costs about what a diagonal one costs: h is
-solved for through f alone (h = [x, f]), the toral system is skipped when
-the diagonal one fixes a non-integral h, and ``chi_prime`` takes a nullspace
-only at integer roots of a characteristic polynomial, once per parabolic.
-
-Everything is exact, and returned values are immutable.
+The triple solvers stay on cells too (``_ad``): the equations are written
+only on the cells that x, a bracket or a right-hand side reaches, and only
+e, h and f are built as matrices.  Everything is exact, and returned
+values are immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 from .exactlin import (
     DomainError,
     RatMatrix,
     bracket,
     nullspace,
-    rank_rational,
     rat_inverse,
     solve_linear,
 )
 
 
 class BadForm(ValueError):
-    """Symplectic form that is not invertible antisymmetric."""
+    """sp of an odd dimension, which has no symplectic form."""
 
 
 class NoTriple(DomainError):
@@ -96,7 +74,6 @@ class Cocharacter:
 class MatrixLieAlgebra:
     kind: str  # "sl" or "sp"
     dim_ambient: int
-    form: RatMatrix | None = None
 
     @cached_property
     def basis(self) -> tuple:
@@ -112,15 +89,13 @@ class MatrixLieAlgebra:
     def contains(self, m: RatMatrix) -> bool:
         if self.kind == "sl":
             return sum(m.num[i][i] for i in range(m.rows)) == 0
-        # M^T B + B M from the cells of M: M_kl adds M_kl B_kj to entry
-        # (l, j) and B_jk M_kl to entry (j, l)
-        b = self.form.num
-        acc = {}
-        for (k, l), c in _cells(m).items():
-            for j in range(self.dim_ambient):
-                acc[l, j] = acc.get((l, j), 0) + c * b[k][j]
-                acc[j, l] = acc.get((j, l), 0) + b[j][k] * c
-        return not any(acc.values())
+        # M^T B + B M = 0 links each cell (k, l) with (s(l), s(k)) alone
+        d = self.dim_ambient
+        h = d // 2
+        return all(
+            m.num[(l + h) % d][(k + h) % d] == _sp_sign(h, k, l) * c
+            for (k, l), c in _cells(m).items()
+        )
 
 
 @dataclass(frozen=True)
@@ -162,29 +137,11 @@ _PIECE_TESTS = {"p": lambda s: s >= 0, "n": lambda s: s > 0, "l": lambda s: s ==
 
 @dataclass(frozen=True)
 class ParabolicDatum:
-    alg: MatrixLieAlgebra
     chi: Cocharacter
     chi_prime: Cocharacter
-    degree: int
     basis_change: RatMatrix
     indicator: RatMatrix  # sign(n) * (n*m - 2*m') per cell
     levi_blocks: tuple  # coordinate classes, first-occurrence order
-
-    @cached_property
-    def _form(self):
-        """The form of p^-1 alg p, shared by the three pieces."""
-        return _conjugated_form(self.alg, self.basis_change)
-
-    # the matrices of each piece of p^-1 alg p, in the basis where both
-    # gradings are diagonal, built on first read
-    p_basis, n_basis, l_basis = (
-        cached_property(
-            lambda self, k=k: tuple(
-                _matrix(len(self.chi), c) for c in _piece(self.alg, self.cells(k), self._form)
-            )
-        )
-        for k in "pnl"
-    )
 
     @property
     def levi_block_shape(self) -> tuple:
@@ -243,92 +200,49 @@ def _sl_in_cells(cells) -> tuple:
     )
 
 
-def _monomial_involution(form):
-    """For a form with one nonzero entry per row, the column s(k) of the
-    entry of each row k, else None.  For an antisymmetric form s is an
-    involution: B_s(k)k = -B_ks(k) is nonzero too."""
-    partner = []
-    for row in form:
-        cols = [j for j, b in enumerate(row) if b]
-        if len(cols) != 1:
-            return None
-        partner.append(cols[0])
-    return partner
+def _sp_sign(h, k, l) -> int:
+    """The c with M_s(l)s(k) = c M_kl for every M in sp_2h: 1 when k and l
+    lie in different halves, else -1 (the -A^T block)."""
+    return 1 if (k < h) != (l < h) else -1
 
 
-def _sp_in_cells(form, cells) -> tuple:
-    """Basis of the M supported inside the cell set with M^T B + B M = 0,
-    for the integer antisymmetric form B given as rows: the part of sp_B
-    on those cells, as the primitive integer nullspace of the equations
-    lists it.  M^T B + B M is antisymmetric, so its entries above the
-    diagonal are the equations; M_kl enters entry (i, j) with B_kj if l = i
-    and with B_ik if l = j.
-
-    For a monomial form, B_ks(k) the one nonzero of row k, entry (i, j) is
-    B_s(j)j M_s(j)i + B_is(i) M_s(i)j: it links the cell (k, l) with
-    (s(l), s(k)) alone, and the entries on the diagonal vanish.  So a cell
-    linked to itself spans a piece element on its own, a pair of linked
-    cells spans one with the ratio its equation gives, and a cell whose
-    partner is outside the set is 0.  Listed in the nullspace's order, one
-    element per free column (the cell itself, or the later of the pair),
-    with the nullspace's scaling, this is its basis without elimination.
-    Any other form takes the nullspace."""
-    d = len(form)
+def _sp_in_cells(d, cells) -> tuple:
+    """Basis of the part of sp_d on the cell set, as the primitive integer
+    nullspace of M^T B + B M = 0 lists it.  Entry (i, j) of M^T B + B M
+    links the cell (s(i), j) with (s(j), i) alone, so a cell linked to
+    itself spans a piece element on its own, a pair of linked cells spans
+    one with the sign ``_sp_sign`` gives, and a cell whose partner is
+    outside the set is 0.  Listed in the nullspace's order, one element per
+    free column (the cell itself, or the later of the pair), with the
+    nullspace's scaling, this is its basis without elimination."""
+    h = d // 2
     cells = sorted(cells)
-    partner = _monomial_involution(form)
-    if partner is not None:
-        cell_set = set(cells)
-        out = []
-        for k, l in cells:
-            first = (partner[l], partner[k])
-            if first == (k, l):
-                out.append({(k, l): 1})
-            elif first < (k, l) and first in cell_set:
-                # b1 M_first + b2 M_kl = 0 from the entry (s(k), l)
-                b1, b2 = form[partner[l]][l], form[partner[k]][k]
-                g = gcd(b1, b2) if b2 > 0 else -gcd(b1, b2)
-                out.append({first: b2 // g, (k, l): -b1 // g})
-        return tuple(out)
-    rows = [
-        [(form[k][j] if l == i else 0) + (form[i][k] if l == j else 0) for (k, l) in cells]
-        for i in range(d)
-        for j in range(i + 1, d)
-    ]
-    return tuple({c: v for c, v in zip(cells, vec) if v} for vec in nullspace(rows))
+    cell_set = set(cells)
+    out = []
+    for k, l in cells:
+        first = ((l + h) % d, (k + h) % d)
+        if first == (k, l):
+            out.append({(k, l): 1})
+        elif first < (k, l) and first in cell_set:
+            out.append({first: 1, (k, l): _sp_sign(h, k, l)})
+    return tuple(out)
 
 
-def _conjugated_form(alg: MatrixLieAlgebra, p: RatMatrix):
-    """The rows of the form B' of p^-1 alg p = sp_B', for alg = sp_B:
-    B' = p^T B p up to the scalar that clears its denominator.  None for
-    sl, as p^-1 sl p = sl."""
-    if alg.kind == "sl":
-        return None
-    return (p.transpose() * alg.form * p).num
-
-
-def _piece(alg: MatrixLieAlgebra, cells, form=None) -> tuple:
-    """Basis of the part of alg on the cell set or, given the rows of the
-    ``_conjugated_form`` of a basis change p, of p^-1 alg p: integer cell
-    maps {(i, j): entry}, which ``_matrix`` turns into matrices."""
+def _piece(alg: MatrixLieAlgebra, cells) -> tuple:
+    """Basis of the part of alg on the cell set: integer cell maps
+    {(i, j): entry}, which ``_matrix`` turns into matrices."""
     if alg.kind == "sl":
         return _sl_in_cells(cells)
-    return _sp_in_cells(alg.form.num if form is None else form, cells)
+    return _sp_in_cells(alg.dim_ambient, cells)
 
 
-def build_algebra(kind: str, d: int, form: RatMatrix | None = None) -> MatrixLieAlgebra:
+def build_algebra(kind: str, d: int) -> MatrixLieAlgebra:
     kind = kind.lower()
-    if kind == "sl":
-        return MatrixLieAlgebra("sl", d)
-    if kind == "sp":
-        b = form if form is not None else standard_symplectic_form(d)
-        if b.rows != d or b.cols != d:
-            raise BadForm("form size does not match ambient dimension")
-        if (b + b.transpose()).is_zero() is False:
-            raise BadForm("form is not antisymmetric")
-        if rank_rational(b.num) < d:
-            raise BadForm("form is degenerate")
-        return MatrixLieAlgebra("sp", d, b)
-    raise ValueError(f"unsupported algebra type {kind!r}")
+    if kind not in ("sl", "sp"):
+        raise ValueError(f"unsupported algebra type {kind!r}")
+    if kind == "sp" and d % 2:
+        raise BadForm("ambient dimension must be even")
+    return MatrixLieAlgebra(kind, d)
 
 
 def validate_cocharacter(alg: MatrixLieAlgebra, chi: Cocharacter) -> None:
@@ -338,15 +252,15 @@ def validate_cocharacter(alg: MatrixLieAlgebra, chi: Cocharacter) -> None:
     if alg.kind == "sl" and sum(w) != 0:
         raise DomainError("cochar", "sl cocharacter weights must sum to zero")
     if alg.kind == "sp":
-        # chi preserves B exactly when B_ij = 0 unless w_i + w_j = 0
-        for i, row in enumerate(alg.form.num):
-            for j, b in enumerate(row):
-                if b and w[i] + w[j] != 0:
-                    raise DomainError(
-                        "cochar",
-                        f"sp cocharacter must satisfy w[{i}] + w[{j}] = 0,"
-                        f" as B[{i}][{j}] != 0"
-                    )
+        # chi preserves B exactly when w_i + w_s(i) = 0 for every i
+        d = alg.dim_ambient
+        for i in range(d):
+            j = (i + d // 2) % d
+            if w[i] + w[j] != 0:
+                raise DomainError(
+                    "cochar",
+                    f"sp cocharacter must satisfy w[{i}] + w[{j}] = 0, as B[{i}][{j}] != 0"
+                )
 
 
 def weight_matrix(chi: Cocharacter) -> RatMatrix:
@@ -492,8 +406,8 @@ def adapted_sl2_triple(
     [h, x] = 2x over the diagonal of g_0.  When that fixes h, f is the one
     element of g_-n with [x, f] = h and [h, f] = -2f, so it lies on the
     cells of degree -n where a_i - a_j = -2 for h = diag(a), and
-    [x, f] = h is solved over the piece on those cells alone, on every
-    form; g_-n is built only when this fails.
+    [x, f] = h is solved over the piece on those cells alone; g_-n is built
+    only when this fails.
     When the diagonal system leaves h free, [x, f0] = h, [h, x] = 2x is
     solved as one linear feasibility problem in f0 (``_solve_h``), first
     over the diagonal when ``_toral_h`` allows it and then over all of
@@ -637,8 +551,7 @@ def canonical_parabolic(
     In a basis where both gradings are diagonal, a cell of bidegree
     (m', m) = (chi-weight, h-weight) goes to the parabolic when
     sign(n)*(n*m - 2*m') >= 0, to the nilradical when strict, and to the
-    Levi on equality.  The indicator fixes all three; their bases are built
-    only when read.
+    Levi on equality.  The indicator fixes all three.
     """
     if n == 0:
         raise DomainError("degree", "degree must be nonzero")
@@ -650,10 +563,8 @@ def canonical_parabolic(
     sign = 1 if n > 0 else -1
     potential = [sign * (n * a - 2 * b) for a, b in zip(chip.weights, chi.weights)]
     return ParabolicDatum(
-        alg=alg,
         chi=chi,
         chi_prime=chip,
-        degree=n,
         basis_change=p,
         indicator=RatMatrix.from_rows([[a - b for b in potential] for a in potential]),
         levi_blocks=tuple(tuple(b) for b in _blocks_by_weight(potential).values()),
@@ -677,11 +588,11 @@ def check_n_rigid(datum: ParabolicDatum, triple: Sl2Triple, n: int, cells) -> Ri
     is compatible iff 2*m' = n*m.  The first misplaced or incompatible cell
     is returned as the witness.
 
-    On the Levi's cells, ``datum.cells("l")`` with n the datum's degree,
+    On the Levi's cells, ``datum.cells("l")`` with n the degree of the datum,
     2*m' = n*m holds by definition, so only placement can fail there.  The
     whole algebra reaches every cell in any basis (sl_d for d >= 2, and
-    sp_B' = B'^-1 Sym), and a diagonal cell is always compatible, so for it
-    every cell is passed.
+    p^-1 sp_d p = B'^-1 Sym for B' = p^T B p), and a diagonal cell is always
+    compatible, so for it every cell is passed.
     """
     w = datum.chi.weights
     wp = datum.chi_prime.weights

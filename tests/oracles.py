@@ -8,7 +8,11 @@ membership by generic elimination against the echelon basis.  Rational
 elimination runs on Fraction rows, span membership compares the ranks of
 their RREFs, and graded pieces come from a generic nullspace, over a basis
 or over every entry of M^T B + B M, instead of the package's cells and its
-closed form for a monomial symplectic form.
+closed form for the standard symplectic form.  The parabolic, nilradical
+and Levi, which the package never builds, come from the same nullspaces on
+the cells of its indicator, in the basis p that diagonalises h, with the
+form p^T B p for sp, and their brackets are reduced against a Fraction
+RREF.
 Closed families of a vector list come from closing the members of every
 pairwise join, with no memo, no support filter and no Weyl group, and the
 prime classifiers take a torsion quotient for every family, not one per
@@ -353,12 +357,13 @@ def subspace_in_cells_by_nullspace(basis, allowed):
     forbidden = [(i, j) for i in range(d) for j in range(d) if (i, j) not in allowed]
     if not forbidden:
         return tuple(basis)
-    rows = [[m.entry(i, j) for m in basis] for (i, j) in forbidden]
+    flat = [[m.entry(i, j) for i in range(d) for j in range(d)] for m in basis]
+    rows = [[f[i * d + j] for f in flat] for (i, j) in forbidden]
     out = []
     for combo in fraction_nullspace(rows):
+        terms = [(c, f) for c, f in zip(combo, flat) if c]
         entries = [
-            [sum(c * m.entry(i, j) for c, m in zip(combo, basis)) for j in range(d)]
-            for i in range(d)
+            [sum(c * f[i * d + j] for c, f in terms) for j in range(d)] for i in range(d)
         ]
         out.append(RatMatrix.from_rows(entries))
     return tuple(out)
@@ -390,6 +395,53 @@ def sp_in_cells_by_nullspace(form, cells):
             entries[k][l] = v
         out.append(RatMatrix.from_rows(entries))
     return tuple(out)
+
+
+def conjugated_piece_by_nullspace(alg, p, cells):
+    """Basis of the part of p^-1 alg p on the cell set, for a basis change
+    p: p^-1 sl p = sl, so for sl the nullspace of the sl basis off the
+    cells; p^-1 sp_B p = sp_B' for B' = p^T B p and B = [[0, I], [-I, 0]],
+    so for sp the nullspace of M^T B' + B' M = 0 on the cells, with B'
+    scaled to integers by the square of p's denominator."""
+    if alg.kind == "sl":
+        return subspace_in_cells_by_nullspace(alg.basis, set(cells))
+    d = alg.dim_ambient
+    h = d // 2
+    b = [[int(j == i + h) - int(i == j + h) for j in range(d)] for i in range(d)]
+    q = p.num
+    bq = [[sum(b[k][t] * q[t][j] for t in range(d)) for j in range(d)] for k in range(d)]
+    form = [[sum(q[k][i] * bq[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    return sp_in_cells_by_nullspace(form, cells)
+
+
+def brackets_in_span(a_basis, b_basis, target):
+    """Whether [a, b] lies in the span of the RatMatrix ``target`` for every
+    a of ``a_basis`` and b of ``b_basis``: the numerators of each bracket,
+    as a cell map, are reduced against the nonzero cells of the Fraction
+    RREF of the target's flattened entries."""
+    from gradedorbits.exactlin import bracket
+
+    if not target:
+        return all(bracket(a, b).is_zero() for a in a_basis for b in b_basis)
+    d = target[0].rows
+    cells = [(i, j) for i in range(d) for j in range(d)]
+    rref, pivots = fraction_rref([[t.entry(i, j) for i, j in cells] for t in target])
+    rows = [
+        (cells[pc], [(cells[k], x) for k, x in enumerate(row) if x])
+        for row, pc in zip(rref, pivots)
+    ]
+    for a in a_basis:
+        for b in b_basis:
+            z = bracket(a, b)
+            v = {(i, j): x for i, r in enumerate(z.num) for j, x in enumerate(r) if x}
+            for pivot, row in rows:
+                c = v.get(pivot)
+                if c:
+                    for cell, y in row:
+                        v[cell] = v.get(cell, 0) - c * y
+            if any(v.values()):
+                return False
+    return True
 
 
 def triple_h_by_full_system(x, h_basis, gm_basis):
@@ -490,7 +542,7 @@ def rigidity_by_conjugates(basis, chi, triple, n):
 def graded_orbit_dimension(alg, chi, n, x):
     """Dimension of the weight-zero-group orbit of x: the rank of ad(x)
     restricted to the degree-zero subalgebra."""
-    from gradedorbits.exactlin import bracket, rank_rational
+    from gradedorbits.exactlin import bracket
     from gradedorbits.liegrade import graded_component
 
     w = chi.weights
@@ -502,7 +554,7 @@ def graded_orbit_dimension(alg, chi, n, x):
         return 0
     # the numerators of each row: scaling a row does not change the rank
     rows = [[v for row in bracket(y, x).num for v in row] for y in g0.basis]
-    return rank_rational(rows)
+    return len(fraction_rref(rows)[1])
 
 
 def graded_orbit_levi_shape(alg, chi, n, x):

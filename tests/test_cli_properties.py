@@ -8,8 +8,9 @@ Each argv is mostly well formed, so that it reaches the computation, with
 one option dropped or replaced by junk now and then.  Sizes are drawn from
 small values, where an accepted input takes well under 0.1 s, and from the
 first value past each documented bound, which is rejected before any work
-is done.  The --json payload of every exit 0 of triple and parabolic is
-checked from the definitions, and that of primes from closed forms.  A second property draws only well-formed
+is done.  The --json payload of every exit 0 of grading, triple and
+parabolic is checked from the definitions, and that of primes from closed
+forms.  A second property draws only well-formed
 triple and parabolic argvs with a nonzero x in g_n: by graded
 Jacobson-Morozov each has a graded sl2-triple, so each must exit 0."""
 
@@ -295,6 +296,37 @@ def json_payload(argv):
     return json.loads(out.getvalue())
 
 
+def check_grading_payload(argv, payload):
+    """weight_matrix is the differences of --cochar, and dim is the number
+    of cells of degree n in sl (the off-diagonal ones, plus d - 1 trace-zero
+    diagonals for n = 0), and in sp the number of orbits of
+    (k, l) -> (s(l), s(k)), s(k) = k +- d/2, on them.  The basis has dim
+    elements, independent by Fraction RREF, each on those cells and in sl
+    or sp."""
+    options = option_values(argv)
+    w = [int(a) for a in options["--cochar"].split(",")]
+    n = int(options["--degree"])
+    d = len(w)
+    assert matrix_rows(payload["weight_matrix"]) == [[a - b for b in w] for a in w]
+    assert payload["degree"] == n
+    cells = {(i, j) for i in range(d) for j in range(d) if w[i] - w[j] == n}
+    if options["--type"] == "sl":
+        dim = sum(i != j for i, j in cells) + (d - 1 if n == 0 else 0)
+    else:
+        s = [(k + d // 2) % d for k in range(d)]
+        dim = len({frozenset({(k, l), (s[l], s[k])}) for k, l in cells})
+    basis = [matrix_rows(m) for m in payload["basis"]]
+    assert payload["dim"] == len(basis) == dim
+    flat = [[a for row in m for a in row] for m in basis]
+    assert len(fraction_rref(flat)[1]) == dim
+    for m in basis:
+        assert {(i, j) for i, row in enumerate(m) for j, a in enumerate(row) if a} <= cells
+        if options["--type"] == "sl":
+            assert sum(m[i][i] for i in range(d)) == 0
+        else:
+            assert in_standard_sp(m)
+
+
 def check_triple_payload(argv, payload):
     """e is --x, [h, e] = 2e, [h, f] = -2f, [e, f] = h, e, h and f lie on
     the cells of chi-degree n, 0 and -n, in sp they lie in sp, and chi'
@@ -369,6 +401,7 @@ def check_primes_payload(argv, payload):
 
 # an independent check of the --json payload of an exit 0
 PAYLOAD_CHECKS = {
+    "grading": check_grading_payload,
     "triple": check_triple_payload,
     "parabolic": check_parabolic_payload,
     "primes": check_primes_payload,

@@ -13,7 +13,6 @@ from gradedorbits.cohom import (
     hc_local_system,
     load_case,
     parse_space,
-    render_space,
     stalk_table,
     torus,
 )
@@ -79,15 +78,15 @@ def test_euler_characteristic_matches_count_at_one():
 
 
 def test_space_round_trip():
-    for text in (
-        "(pt)",
-        "(aff 2)",
-        "(proj 3)",
-        "(torus)",
-        "(projline-minus 3)",
-        "(disjoint (proj 2) (aff 2))",
+    for text, tree in (
+        ("(pt)", Pt()),
+        ("(aff 2)", Aff(2)),
+        ("(proj 3)", Proj(3)),
+        ("(torus)", ProjLineMinus(2)),
+        ("(projline-minus 3)", ProjLineMinus(3)),
+        ("(disjoint (proj 2) (aff 2))", Disjoint((Proj(2), Aff(2)))),
     ):
-        assert render_space(parse_space(text)) == text
+        assert parse_space(text) == tree
 
 
 def test_case_loading_and_shapes():
@@ -104,6 +103,16 @@ def test_case_loading_and_shapes():
     assert len(sl4.orbits) == 5
     with pytest.raises(UnknownCase):
         load_case("so8")
+
+
+def test_each_case_is_parsed_once():
+    # every part of a case is frozen, so the loads of a name share one
+    for name in ("sp4", "sl4"):
+        assert load_case(name) is load_case(name.upper()) is load_case(name)
+    assert load_case("sp4") is not load_case("sl4")
+    for bad in ("so8", "sp6", "", "SO8"):
+        with pytest.raises(UnknownCase):
+            load_case(bad)
 
 
 def test_cuspidal_count_at_most_full():

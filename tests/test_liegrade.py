@@ -6,7 +6,6 @@ from gradedorbits.exactlin import (
     RatMatrix,
     bracket,
     nullspace,
-    rank_rational,
     rat_inverse,
     solve_linear,
 )
@@ -18,7 +17,6 @@ from gradedorbits.liegrade import (
     Sl2Triple,
     _all_cells,
     _brackets,
-    _conjugated_form,
     _equations,
     _integer_eigenvalues,
     _matrix,
@@ -38,6 +36,9 @@ from gradedorbits.liegrade import (
 )
 
 from oracles import (
+    brackets_in_span,
+    conjugated_piece_by_nullspace,
+    fraction_rref,
     in_span_by_rref,
     rigidity_by_conjugates,
     sp_in_cells_by_nullspace,
@@ -118,16 +119,12 @@ def test_sp_bracket_closed():
 
 
 def test_bad_form_rejected():
-    sym = RatMatrix.identity(4)
-    with pytest.raises(BadForm):
-        build_algebra("sp", 4, sym)
-    # the zero form, and a nonzero antisymmetric form of rank 2
-    for degenerate in (
-        RatMatrix.zeros(4, 4),
-        RatMatrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
-    ):
+    # an odd dimension has no symplectic form
+    for d in (1, 3, 5):
         with pytest.raises(BadForm):
-            build_algebra("sp", 4, degenerate)
+            build_algebra("sp", d)
+        with pytest.raises(BadForm):
+            standard_symplectic_form(d)
 
 
 def test_weight_matrix_examples():
@@ -227,6 +224,30 @@ def test_chi_prime_standard_jordan_two_two():
     assert change == RatMatrix.identity(4)
 
 
+def assert_pieces_form_a_parabolic(alg, datum, triple):
+    """The p, n and l that the oracle builds on the datum's cells, in the
+    basis that diagonalises h: p and l are subalgebras, n is an ideal of p,
+    dim p = dim l + dim n, e, h and f lie in l, and dim p + dim p^- =
+    dim g + dim l for the opposite parabolic p^- on the cells of indicator
+    <= 0.  Returns the pieces."""
+    p = datum.basis_change
+    pieces = {k: conjugated_piece_by_nullspace(alg, p, datum.cells(k)) for k in "pnl"}
+    par, nil, levi = pieces["p"], pieces["n"], pieces["l"]
+    assert brackets_in_span(par, par, par)
+    assert brackets_in_span(par, nil, nil)
+    assert brackets_in_span(levi, levi, levi)
+    assert len(par) == len(levi) + len(nil)
+    p_inv = rat_inverse(p)
+    for part in (triple.e, triple.h, triple.f):
+        assert in_span_by_rref(levi, p_inv * part * p)
+    d = alg.dim_ambient
+    ind = datum.indicator.num
+    opp_cells = [(i, j) for i in range(d) for j in range(d) if ind[i][j] <= 0]
+    opposite = conjugated_piece_by_nullspace(alg, p, opp_cells)
+    assert len(par) + len(opposite) == alg.dimension + len(levi)
+    return pieces
+
+
 def test_canonical_parabolic_worked_example():
     sl4 = build_algebra("sl", 4)
     triple = adapted_sl2_triple(sl4, WORKED_CHI, -1, WORKED_X)
@@ -238,32 +259,9 @@ def test_canonical_parabolic_worked_example():
     for which, keep in (("p", lambda s: s >= 0), ("n", lambda s: s > 0), ("l", lambda s: s == 0)):
         want = [(i, j) for i in range(4) for j in range(4) if keep(COMBINED_INDICATOR[i][j])]
         assert datum.cells(which) == want
-    assert not {"p_basis", "n_basis", "l_basis"} & set(vars(datum))
-    # bracket closures
-    for a in datum.p_basis:
-        for b in datum.p_basis:
-            assert in_span_by_rref(datum.p_basis, bracket(a, b)) or bracket(a, b).is_zero()
-        for b in datum.n_basis:
-            z = bracket(a, b)
-            assert z.is_zero() or in_span_by_rref(datum.n_basis, z)
-    for a in datum.l_basis:
-        for b in datum.l_basis:
-            z = bracket(a, b)
-            assert z.is_zero() or in_span_by_rref(datum.l_basis, z)
-    # l + n = p as vector spaces
-    assert len(datum.p_basis) == len(datum.l_basis) + len(datum.n_basis)
-    assert in_span_by_rref(datum.p_basis, WORKED_X)
-    for part in (triple.e, triple.h, triple.f):
-        assert in_span_by_rref(datum.l_basis, part)
-    # dim p + dim opposite parabolic = dim g + dim l
-    opp_cells = {
-        (i, j)
-        for i in range(4)
-        for j in range(4)
-        if datum.indicator.num[i][j] <= 0
-    }
-    opposite = _piece(sl4, opp_cells)  # identity change here
-    assert len(datum.p_basis) + len(opposite) == sl4.dimension + len(datum.l_basis)
+    assert datum.basis_change == RatMatrix.identity(4)
+    pieces = assert_pieces_form_a_parabolic(sl4, datum, triple)
+    assert [len(pieces[k]) for k in "pnl"] == [11, 4, 7]
     # cells partition
     d = 4
     for i in range(d):
@@ -393,23 +391,6 @@ def test_graded_component_matches_nullspace_oracle(kind, d):
             assert got == want, (chi, n)
 
 
-def test_graded_component_nonstandard_form_matches_oracle():
-    form = RatMatrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]])
-    alg = build_algebra("sp", 4, form)
-    for m in alg.basis:
-        assert alg.contains(m)
-    chi = Cocharacter.of([1, -1, 2, -2])
-    for n in range(-5, 6):
-        assert graded_component(alg, chi, n).basis == subspace_in_cells_by_nullspace(
-            alg.basis, _cells_of_degree(chi, n)
-        )
-
-
-NONSTANDARD_FORM = RatMatrix.from_rows(
-    [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]]
-)
-
-
 def _random_basis_change(d, rng):
     """A seeded invertible rational matrix: a diagonal one times
     elementary ones."""
@@ -424,16 +405,17 @@ def _random_basis_change(d, rng):
 
 @pytest.mark.parametrize("conjugate", [False, True], ids=["own", "conjugated"])
 @pytest.mark.parametrize(
-    "kind,d,form",
-    [("sl", 3, None), ("sl", 4, None), ("sl", 5, None), ("sp", 4, None),
-     ("sp", 6, None), ("sp", 4, NONSTANDARD_FORM)],
-    ids=["sl3", "sl4", "sl5", "sp4", "sp6", "sp4-nonstandard"],
+    "kind,d", [("sl", 3), ("sl", 4), ("sl", 5), ("sp", 4), ("sp", 6)],
+    ids=["sl3", "sl4", "sl5", "sp4", "sp6"],
 )
-def test_piece_spans_what_the_oracle_spans(kind, d, form, conjugate):
+def test_piece_spans_what_the_oracle_spans(kind, d, conjugate):
     # random cell sets, also ones with only some diagonal cells; with a
-    # basis change p the piece is that of p^-1 alg p (for sp: sp of p^T B p)
-    alg = build_algebra(kind, d, form)
-    rng = random.Random(f"piece:{kind}{d}:{form is None}:{conjugate}")
+    # basis change p the piece is that of p^-1 alg p: for sl the package's,
+    # as p^-1 sl p = sl, and for sp the oracle's of p^T B p, which the
+    # parabolic tests build on and which is checked here against the
+    # conjugated basis
+    alg = build_algebra(kind, d)
+    rng = random.Random(f"piece:{kind}{d}:True:{conjugate}")
     for _ in range(20):
         p = _random_basis_change(d, rng) if conjugate else None
         basis = alg.basis
@@ -442,27 +424,28 @@ def test_piece_spans_what_the_oracle_spans(kind, d, form, conjugate):
             basis = tuple(p_inv * m * p for m in alg.basis)
         density = rng.choice((0.3, 0.6, 0.9))
         cells = {(i, j) for i in range(d) for j in range(d) if rng.random() < density}
-        piece = _piece(alg, cells, None if p is None else _conjugated_form(alg, p))
-        got = tuple(_matrix(d, c) for c in piece)
+        if kind == "sp" and p is not None:
+            got = conjugated_piece_by_nullspace(alg, p, cells)
+        else:
+            got = tuple(_matrix(d, c) for c in _piece(alg, cells))
         want = subspace_in_cells_by_nullspace(basis, cells)
         assert all(m.support() <= cells for m in got)
         ranked = [[v for row in m.num for v in row] for m in got]
-        assert len(got) == len(want) == rank_rational(ranked)
+        assert len(got) == len(want) == len(fraction_rref(ranked)[1])
         assert all(in_span_by_rref(want, m) for m in got)
 
 
 def test_sp_cocharacter_validated_for_every_form():
-    # chi must preserve the form: B_ij != 0 implies w_i + w_j = 0
-    alg = build_algebra("sp", 4, NONSTANDARD_FORM)
-    chi = Cocharacter.of([1, 0, 0, 0])
-    with pytest.raises(ValueError, match=r"w\[0\] \+ w\[1\] = 0"):
-        validate_cocharacter(alg, chi)
-    with pytest.raises(ValueError, match="sp cocharacter"):
-        graded_component(alg, chi, 0)
-    validate_cocharacter(alg, Cocharacter.of([1, -1, 2, -2]))
+    # chi must preserve the form: w_i + w_s(i) = 0 for the partner
+    # s(i) = i +- d/2 that B pairs i with
     sp4 = build_algebra("sp", 4)
-    with pytest.raises(ValueError, match="sp cocharacter"):
+    chi = Cocharacter.of([1, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"w\[0\] \+ w\[2\] = 0, as B\[0\]\[2\] != 0"):
         validate_cocharacter(sp4, chi)
+    with pytest.raises(ValueError, match="sp cocharacter"):
+        graded_component(sp4, chi, 0)
+    with pytest.raises(ValueError, match=r"w\[1\] \+ w\[3\] = 0"):
+        validate_cocharacter(sp4, Cocharacter.of([1, 1, -1, 0]))
     validate_cocharacter(sp4, Cocharacter.of([2, 1, -2, -1]))
 
 
@@ -481,7 +464,8 @@ def test_adapted_triple_rejects_x_outside_piece():
 
 
 def test_sl_parabolic_skips_conjugation_with_same_spans():
-    # x with a non-diagonal h: the sl basis stands in for its conjugate
+    # x with a non-diagonal h: the sl piece on the parabolic's cells stands
+    # in for the part of its conjugate there
     sl4 = build_algebra("sl", 4)
     x = RatMatrix.from_rows([[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, -2, 2, 0]])
     triple = adapted_sl2_triple(sl4, WORKED_CHI, -1, x)
@@ -490,7 +474,8 @@ def test_sl_parabolic_skips_conjugation_with_same_spans():
     datum = canonical_parabolic(sl4, WORKED_CHI, triple, -1)
     p_inv = rat_inverse(p)
     conjugated = tuple(p_inv * m * p for m in sl4.basis)
-    for which, got in (("p", datum.p_basis), ("n", datum.n_basis), ("l", datum.l_basis)):
+    for which in "pnl":
+        got = tuple(_matrix(4, c) for c in _piece(sl4, datum.cells(which)))
         mask = datum.mask(which).num
         cells = {(i, j) for i in range(4) for j in range(4) if mask[i][j]}
         want = subspace_in_cells_by_nullspace(conjugated, cells)
@@ -628,9 +613,24 @@ def test_canonical_levi_is_rigid(kind, weights, n):
     assert non_diagonal
 
 
+@pytest.mark.parametrize("kind,weights,n", TRIPLE_SPECS)
+def test_parabolic_pieces_on_the_indicator_cells_form_a_parabolic(kind, weights, n):
+    # the structural checks on the oracle's pieces, for parabolics with a
+    # basis change p != 1 among them
+    alg = build_algebra(kind, len(weights))
+    chi = Cocharacter.of(weights)
+    moved = 0
+    for x in _random_piece_elements(alg, chi, n, 6, seed=3):
+        triple = adapted_sl2_triple(alg, chi, n, x)
+        datum = canonical_parabolic(alg, chi, triple, n)
+        moved += datum.basis_change != RatMatrix.identity(alg.dim_ambient)
+        assert_pieces_form_a_parabolic(alg, datum, triple)
+    assert moved
+
+
 @pytest.mark.parametrize("kind,weights,n", [s for s in TRIPLE_SPECS if s[0] == "sp"])
 def test_sp_parabolic_spans_match_conjugated_basis(kind, weights, n):
-    # p^-1 sp p is solved for on the cells directly; the pieces must span
+    # the oracle's pieces of p^-1 sp p = sp of p^T B p on the cells span
     # what the conjugated basis spans there
     alg = build_algebra(kind, len(weights))
     chi = Cocharacter.of(weights)
@@ -645,7 +645,8 @@ def test_sp_parabolic_spans_match_conjugated_basis(kind, weights, n):
         checked += 1
         p_inv = rat_inverse(p)
         conjugated = tuple(p_inv * m * p for m in alg.basis)
-        for which, got in (("p", datum.p_basis), ("n", datum.n_basis), ("l", datum.l_basis)):
+        for which in "pnl":
+            got = conjugated_piece_by_nullspace(alg, p, datum.cells(which))
             mask = datum.mask(which).num
             cells = {(i, j) for i in range(d) for j in range(d) if mask[i][j]}
             want = subspace_in_cells_by_nullspace(conjugated, cells)
@@ -671,8 +672,9 @@ def test_check_n_rigid_given_the_datum_keeps_the_report(kind, weights, n):
         p_inv = rat_inverse(p)
         conjugated = tuple(p_inv * m * p for m in alg.basis)
         assert _reached(conjugated) == _all_cells(d)
+        pieces = [conjugated_piece_by_nullspace(alg, p, datum.cells(k)) for k in "lp"]
         for k in (n, -n, 2 * n):
-            for basis in (conjugated, datum.l_basis, datum.p_basis):
+            for basis in (conjugated, *pieces):
                 want = RigidityReport(*rigidity_by_conjugates(basis, chi, triple, k))
                 assert check_n_rigid(datum, triple, k, _reached(basis)) == want
             report = check_n_rigid(datum, triple, k, _all_cells(d))
@@ -684,7 +686,7 @@ def test_check_n_rigid_given_the_datum_solves_nothing(monkeypatch):
     from gradedorbits import liegrade
 
     def solved(*args):
-        raise AssertionError("chi', an inverse, a piece or a form was computed")
+        raise AssertionError("chi', an inverse or a piece was computed")
 
     for kind, weights, n in TRIPLE_SPECS:
         alg = build_algebra(kind, len(weights))
@@ -693,7 +695,7 @@ def test_check_n_rigid_given_the_datum_solves_nothing(monkeypatch):
             triple = adapted_sl2_triple(alg, chi, n, x)
             datum = canonical_parabolic(alg, chi, triple, n)
             with monkeypatch.context() as patch:
-                for name in ("chi_prime", "rat_inverse", "_piece", "_conjugated_form"):
+                for name in ("chi_prime", "rat_inverse", "_piece"):
                     patch.setattr(liegrade, name, solved)
                 report = check_n_rigid(datum, triple, n, datum.cells("l"))
             assert report == RigidityReport(True, None)
@@ -712,7 +714,6 @@ def test_check_n_rigid_on_an_algebra_builds_no_basis(kind, weights, n):
         cells = _all_cells(alg.dim_ambient)
         reports = [check_n_rigid(datum, triple, k, cells) for k in (n, -n, 2 * n)]
         assert "basis" not in vars(alg)
-        assert not {"_form", "p_basis", "n_basis", "l_basis"} & set(vars(datum))
         p = chi_prime(triple, chi)[1]
         conjugated = tuple(rat_inverse(p) * m * p for m in alg.basis)
         for k, report in zip((n, -n, 2 * n), reports):
@@ -728,26 +729,3 @@ def test_check_n_rigid_on_sl48_builds_no_basis():
     # chi' = (1, -1, 0, ..., 0): the cell (0, 2) has m = 1 and m' = 1
     assert check_n_rigid(datum, triple, 1, _all_cells(d)) == RigidityReport(False, (1, 1))
     assert "basis" not in vars(alg)
-
-
-def test_canonical_parabolic_conjugates_the_form_once(monkeypatch):
-    # canonical_parabolic builds no piece; the three pieces of p^-1 sp p,
-    # built on first read, share one form p^T B p
-    from gradedorbits import liegrade
-
-    calls = []
-
-    def counted(alg, p):
-        calls.append(p)
-        return _conjugated_form(alg, p)
-
-    monkeypatch.setattr(liegrade, "_conjugated_form", counted)
-    kind, weights, n = TRIPLE_SPECS[4]
-    alg = build_algebra(kind, len(weights))
-    chi = Cocharacter.of(weights)
-    for x in _random_piece_elements(alg, chi, n, 3, seed=2):
-        calls.clear()
-        datum = canonical_parabolic(alg, chi, adapted_sl2_triple(alg, chi, n, x), n)
-        assert calls == []
-        bases = (datum.p_basis, datum.n_basis, datum.l_basis)
-        assert len(calls) == 1 and len(bases[0]) == len(bases[1]) + len(bases[2])

@@ -1,7 +1,8 @@
 """Property tests: the closed-form sp pieces of ``liegrade`` against the
-Fraction nullspace of M^T B + B M = 0, and the toral triple against the
-full (h, f) and f systems.  Needs Hypothesis (the ``test`` extra); without
-it this module is skipped and the rest of the suite still runs."""
+Fraction nullspace of M^T B + B M = 0, membership in sp from the cells
+against the dense equation, and the toral triple against the full (h, f)
+and f systems.  Needs Hypothesis (the ``test`` extra); without it this
+module is skipped and the rest of the suite still runs."""
 
 from unittest import mock
 
@@ -18,7 +19,6 @@ from gradedorbits.liegrade import (
     Cocharacter,
     Sl2Triple,
     _matrix,
-    _monomial_involution,
     _piece,
     _sp_in_cells,
     _toral_h,
@@ -33,142 +33,76 @@ from oracles import sp_in_cells_by_nullspace, triple_f_by_full_system, triple_h_
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-@st.composite
-def monomial_forms(draw, min_half=1):
-    """An antisymmetric form with one nonzero per row: the standard form,
-    the standard form with rows and columns permuted alike, or a form that
-    pairs the coordinates at random with entries +-1 and +-2."""
-    m = draw(st.integers(min_half, 4))
-    d = 2 * m
-    kind = draw(st.sampled_from(["standard", "permuted", "scaled"]))
-    standard = standard_symplectic_form(d).num
-    if kind == "standard":
-        return kind, [list(r) for r in standard]
-    order = draw(st.permutations(range(d)))
-    if kind == "permuted":
-        return kind, [[standard[order[i]][order[j]] for j in range(d)] for i in range(d)]
-    form = [[0] * d for _ in range(d)]
-    for a, b in zip(order[::2], order[1::2]):
-        v = draw(st.sampled_from([1, -1, 2, -2]))
-        form[a][b], form[b][a] = v, -v
-    return kind, form
+def sp_weights(draw, d):
+    """Weights that preserve the standard form of sp_d: w_(i + d/2) = -w_i."""
+    half = [draw(st.integers(-3, 3)) for _ in range(d // 2)]
+    return half + [-a for a in half]
 
 
 @st.composite
-def forms_with_cells(draw):
-    """A monomial form with a cell set of one of the shapes the package asks
-    for: a graded piece g_n, the p, n or l cells of an indicator
-    sign(n)(n m' - 2 m), or an arbitrary set.  The weights preserve the
-    form: w_i + w_s(i) = 0 where s pairs i with its partner."""
-    kind, form = draw(monomial_forms())
-    d = len(form)
-    partner = _monomial_involution(form)
-
-    def weights():
-        w = [None] * d
-        for i in range(d):
-            if w[i] is None:
-                w[i] = draw(st.integers(-3, 3))
-                w[partner[i]] = -w[i]
-        return w
-
+def sp_cells(draw):
+    """(d, cells) for sp_d, d = 2 to 8, with a cell set of one of the shapes
+    the package asks for: a graded piece g_n, the p, n or l cells of an
+    indicator sign(n)(n m' - 2 m), or an arbitrary set."""
+    d = 2 * draw(st.integers(1, 4))
     shape = draw(st.sampled_from(["piece", "p", "n", "l", "any"]))
     cells = [(i, j) for i in range(d) for j in range(d)]
     if shape == "any":
-        return kind, form, shape, draw(st.sets(st.sampled_from(cells)))
-    w = weights()
+        return d, shape, draw(st.sets(st.sampled_from(cells)))
+    w = sp_weights(draw, d)
     n = draw(st.integers(-3, 3).filter(bool))
     if shape == "piece":
-        return kind, form, shape, {(i, j) for i, j in cells if w[i] - w[j] == n}
-    wp = weights()
+        return d, shape, {(i, j) for i, j in cells if w[i] - w[j] == n}
+    wp = sp_weights(draw, d)
     sign = 1 if n > 0 else -1
     keep = {"p": lambda s: s >= 0, "n": lambda s: s > 0, "l": lambda s: s == 0}[shape]
-    return kind, form, shape, {
+    return d, shape, {
         (i, j) for i, j in cells if keep(sign * (n * (wp[i] - wp[j]) - 2 * (w[i] - w[j])))
     }
 
 
 @PROPERTY
-@given(forms_with_cells())
+@given(sp_cells())
 def test_monomial_sp_piece_equals_nullspace(case):
-    kind, form, shape, cells = case
-    assert _monomial_involution(form) is not None
-    got = tuple(_matrix(len(form), c) for c in _sp_in_cells(form, cells))
-    assert got == sp_in_cells_by_nullspace(form, cells), (kind, shape)
-
-
-def _non_monomial(form, i, j, c):
-    """The form with c times row j added to row i and column j to column i:
-    antisymmetric, with two nonzeros in row i when j is neither i nor the
-    partner of i."""
-    rows = [list(r) for r in form]
-    rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    for r in rows:
-        r[i] += c * r[j]
-    return rows
+    d, shape, cells = case
+    got = tuple(_matrix(d, c) for c in _sp_in_cells(d, cells))
+    assert got == sp_in_cells_by_nullspace(standard_symplectic_form(d).num, cells), shape
 
 
 @PROPERTY
-@given(monomial_forms(min_half=2), st.data())
-def test_non_monomial_sp_piece_equals_nullspace(case, data):
-    # adding c times row j of the form to row i, and column j to column i,
-    # with j neither i nor the partner of i, gives an antisymmetric form
-    # with two nonzeros in row i, which takes the nullspace
-    _, form = case
-    d = len(form)
-    partner = _monomial_involution(form)
-    i = data.draw(st.integers(0, d - 1))
-    j = data.draw(st.sampled_from([j for j in range(d) if j not in (i, partner[i])]))
-    rows = _non_monomial(form, i, j, data.draw(st.sampled_from([1, -1, 2])))
-    cells = data.draw(st.sets(st.sampled_from([(a, b) for a in range(d) for b in range(d)])))
-    assert _monomial_involution(rows) is None
-    got = tuple(_matrix(d, c) for c in _sp_in_cells(rows, cells))
-    assert got == sp_in_cells_by_nullspace(rows, cells)
-    # membership from the cells of M against the dense M^T B + B M, for the
-    # standard form and the non-monomial one: a random M, a sum of piece
-    # elements (in sp_B) and that sum with one cell added
-    entries = st.lists(st.integers(-2, 2), min_size=d * d, max_size=d * d)
+@given(sp_cells(), st.data())
+def test_sp_membership_from_cells_equals_the_dense_equation(case, data):
+    # a random M, a sum of piece elements (in sp) and that sum with one
+    # cell added, against the dense M^T B + B M
+    d, _, cells = case
+    alg = build_algebra("sp", d)
+    form = standard_symplectic_form(d)
+    flat = data.draw(st.lists(st.integers(-2, 2), min_size=d * d, max_size=d * d))
+    inside = RatMatrix.zeros(d, d)
+    for m in (_matrix(d, c) for c in _sp_in_cells(d, cells)):
+        inside = inside + m
     cell = data.draw(st.sampled_from(sorted(cells) or [(0, 0)]))
-    for b in (standard_symplectic_form(d).num, rows):
-        alg = build_algebra("sp", d, RatMatrix.from_rows(b))
-        dense = alg.form
-        flat = data.draw(entries)
-        inside = RatMatrix.zeros(d, d)
-        for m in (_matrix(d, c) for c in _sp_in_cells(b, cells)):
-            inside = inside + m
-        unit = [[int((r, c) == cell) for c in range(d)] for r in range(d)]
-        for m in (RatMatrix.from_rows([flat[r * d:(r + 1) * d] for r in range(d)]),
-                  inside, inside + RatMatrix.from_rows(unit)):
-            assert alg.contains(m) == (m.transpose() * dense + dense * m).is_zero()
-        assert alg.contains(inside)
+    unit = [[int((r, c) == cell) for c in range(d)] for r in range(d)]
+    for m in (RatMatrix.from_rows([flat[r * d:(r + 1) * d] for r in range(d)]),
+              inside, inside + RatMatrix.from_rows(unit)):
+        assert alg.contains(m) == (m.transpose() * form + form * m).is_zero()
+    assert alg.contains(inside)
 
 
 @st.composite
 def graded_elements(draw):
-    """(kind, algebra, chi, n, x) with x a nonzero element of g_n: sl_d, or
-    sp for a standard, permuted, scaled or non-monomial form.  For the
-    non-monomial form of ``_non_monomial``, w_i = w_j keeps chi preserving it."""
-    kind = draw(st.sampled_from(["sl", "sp", "non-monomial"]))
+    """(kind, algebra, chi, n, x) with x a nonzero element of g_n of sl_d or
+    sp_d."""
+    kind = draw(st.sampled_from(["sl", "sp"]))
     if kind == "sl":
         d = draw(st.integers(2, 6))
         w = draw(st.lists(st.integers(-2, 2), min_size=d - 1, max_size=d - 1))
-        alg, w = build_algebra("sl", d), w + [-sum(w)]
+        w.append(-sum(w))
     else:
-        _, form = draw(monomial_forms(min_half=2 if kind == "non-monomial" else 1))
-        d = len(form)
-        partner = _monomial_involution(form)
-        w = [None] * d
-        if kind == "non-monomial":
-            i = draw(st.integers(0, d - 1))
-            j = draw(st.sampled_from([j for j in range(d) if j not in (i, partner[i])]))
-            form = _non_monomial(form, i, j, draw(st.sampled_from([1, -1, 2])))
-            w[i] = w[j] = draw(st.integers(-2, 2))
-            w[partner[i]] = w[partner[j]] = -w[i]
-        for k in range(d):
-            if w[k] is None:
-                w[k] = draw(st.integers(-2, 2))
-                w[partner[k]] = -w[k]
-        alg = build_algebra("sp", d, RatMatrix.from_rows(form))
+        d = 2 * draw(st.integers(1, 4))
+        half = draw(st.lists(st.integers(-2, 2), min_size=d // 2, max_size=d // 2))
+        w = half + [-a for a in half]
+    alg = build_algebra(kind, d)
     chi = Cocharacter.of(w)
     n = draw(st.sampled_from([-2, -1, 1, 2]))
     piece = graded_component(alg, chi, n).basis
@@ -188,7 +122,7 @@ def test_toral_triple_equals_full_systems(case):
     # g_0 when that gives a triple, else over all of g_0, and the f of the
     # full f system; where the diagonal system fixes h, that h is the
     # triple's, and its f is solved for on the ad-h weight -2 part of g_-n
-    # alone on every form
+    # alone
     _, alg, chi, n, x = case
     d = alg.dim_ambient
     with mock.patch.object(liegrade, "_solve_f", wraps=liegrade._solve_f) as spy:
@@ -196,7 +130,9 @@ def test_toral_triple_equals_full_systems(case):
     diag = _piece(alg, [(i, i) for i in range(d)])
     gm = graded_component(alg, chi, -n).basis
     cells = [(i, j) for i in range(d) for j in range(d) if chi.weights[i] - chi.weights[j] == -n]
-    gm_oracle = gm if alg.kind == "sl" else sp_in_cells_by_nullspace(alg.form.num, cells)
+    gm_oracle = gm
+    if alg.kind == "sp":
+        gm_oracle = sp_in_cells_by_nullspace(standard_symplectic_form(d).num, cells)
     diag_basis = tuple(_matrix(d, c) for c in diag)
     h_diag = triple_h_by_full_system(x, diag_basis, gm) if diag else None
     f_diag = None if h_diag is None else triple_f_by_full_system(x, h_diag, gm_oracle)

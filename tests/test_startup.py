@@ -18,12 +18,16 @@ SRC = str(Path(gradedorbits.__file__).resolve().parent.parent)
 LAYERS = {"cli", "cohom", "exactlin", "ffgeom", "liegrade", "orbitlib", "rootdata"}
 
 
-def python(*args):
-    """A fresh interpreter with the package on its path and an 80-column
+def environment():
+    """The environment with the package on its path and an 80-column
     terminal for argparse's help."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+    return dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+
+
+def python(*args):
+    """A fresh interpreter in ``environment()``."""
+    return subprocess.run([sys.executable, *args], env=environment(), capture_output=True, timeout=60)
 
 
 def layers_loaded(proc):
@@ -119,3 +123,15 @@ def test_program_path_prints_what_run_prints(capsys, monkeypatch, argv):
     assert (proc.returncode, proc.stdout) == (code, captured.out.encode())
     assert proc.stderr == captured.err.encode()
     assert code == (2 if "131" in argv else 0)
+
+
+def test_closed_stdout_pipe_exits_141_in_silence():
+    # the 5,604 orbits of sl_30 print far more than a pipe holds, so the
+    # program is still writing when its reader closes the pipe
+    argv = [sys.executable, "-m", "gradedorbits.cli", "orbits", "--type", "sl", "--n", "30"]
+    with subprocess.Popen(argv, env=environment(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().split() == [b"orbit", b"dim", b"pi1"]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (cli.EXIT_CLOSED_PIPE, b"")
+    assert cli.EXIT_CLOSED_PIPE == 141
