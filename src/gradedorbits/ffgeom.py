@@ -5,15 +5,16 @@ counting flags over F_p.  For each (case, prime) and each orbit
 representative x, only the x-stable k-subspaces of F_p^d are visited,
 each built once while k <= 3: those inside ker x as the Grassmannian of
 ker x, and every other one from a stable hyperplane U and a line of
-x^-1(U) / U that x maps outside x(U) (``stable_subspaces``).  An x that
-is zero mod p stabilises all of them, so it counts the Gaussian
-binomial.  The sweep reads each subspace's facts off the enumeration and
-runs no elimination per subspace: each V comes with dim x(V), so x
-vanishes on V when that is 0, and the perp of a line <v> under a form B
-is the kernel of the one row v^T B, written down from its first nonzero
-entry.  The counts are compared against evaluated counting polynomials
-(with a residue-class rule for the one stratum pair defined over a
-quadratic extension).  An independent exhaustive per-stratum sweep of
+x^-1(U) / U that x maps outside x(U) (``stable_subspaces``).  The sweep
+tallies them by fact pattern and tests each stratum once per pattern;
+an x that is zero mod p gives all of them one pattern, counted by the
+Gaussian binomial.  The facts are read off the enumeration with no
+elimination per subspace: each V comes with dim x(V), so x vanishes on V
+when that is 0, and the perp of a line <v> under a form B is the kernel
+of the one row v^T B, written down from its first nonzero entry.  The
+counts are compared against evaluated counting polynomials (with a
+residue-class rule for the one stratum pair defined over a quadratic
+extension).  An independent exhaustive per-stratum sweep of
 the Grassmannian with generic elimination lives in ``tests/oracles.py``,
 and the tests compare the two.
 """
@@ -21,11 +22,12 @@ and the tests compare the two.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from operator import mul
 
 from .cohom import CaseData, counting_polynomial
-from .exactlin import RatMatrix, _rref, is_prime, nullspace
+from .exactlin import RatMatrix, _matmul, _rref, is_prime, nullspace
 
 
 class LimitExceeded(ValueError):
@@ -36,8 +38,8 @@ class NotStableUnderForm(ValueError):
     pass
 
 
-# in-process, fibers at p = 127 takes about 0.8 s for sl4 and 0.4 s for
-# sp4, and over every prime up to 127 about 7 and 3.3 s (see the README)
+# in-process, fibers at p = 127 takes about 0.36 s for sl4 and 0.25 s for
+# sp4, and over every prime up to 127 about 3.3 and 1.8 s (see the README)
 MAX_PRIME = 127
 MAX_DIM = 6
 
@@ -95,20 +97,25 @@ def _reduce(v, rows):
 
 
 def _grassmannian(rows, p, k, heads):
-    """The k-subspaces of the span of the independent ``rows`` outside that
-    of ``rows[heads:]``, one basis each: a reduced echelon pattern of
-    coefficients times ``rows``, in reduced echelon form if ``rows`` are."""
+    """The k-subspaces of the span of the independent ``rows``, entries in
+    [0, p), outside that of ``rows[heads:]``, one basis each: a reduced
+    echelon pattern of coefficients times ``rows``, in reduced echelon form
+    if ``rows`` are.  For each pattern of leads, the choices of row i,
+    rows[lead[i]] plus each vector of the span of the free rows after it,
+    are listed once, and the bases are their product."""
     m = len(rows)
     for lead in itertools.combinations(range(m), k):
         if lead[0] >= heads:
             return
-        slots = [(i, c) for i, q in enumerate(lead) for c in range(q + 1, m) if c not in lead]
-        for values in itertools.product(range(p), repeat=len(slots)):
-            basis = [rows[q] for q in lead]
-            for (i, c), a in zip(slots, values):
-                if a:
-                    basis[i] = [s + a * t for s, t in zip(basis[i], rows[c])]
-            yield tuple(tuple(s % p for s in row) for row in basis)
+        choices = []
+        for q in lead:
+            span = [tuple(rows[q])]
+            for c in range(m - 1, q, -1):
+                if c not in lead:
+                    span += [tuple((s + a * t) % p for s, t in zip(v, rows[c]))
+                             for a in range(1, p) for v in span]
+            choices.append(span)
+        yield from itertools.product(*choices)
 
 
 def _quotient(basis, rank, table, kernel, p):
@@ -144,11 +151,13 @@ def _quotient(basis, rank, table, kernel, p):
 
 def _extend(basis, v, p):
     """The reduced echelon basis of the span of ``basis`` and ``v``, for a
-    nonzero v that vanishes on the basis's pivot columns."""
-    v = [a % p for a in v]
-    lead = next(j for j, a in enumerate(v) if a)
-    inverse = pow(v[lead], -1, p)
-    v = tuple(a * inverse % p for a in v)
+    nonzero v with entries in [0, p) that vanishes on the basis's pivot
+    columns."""
+    first = next(filter(None, v))
+    lead = v.index(first)
+    if first != 1:
+        inverse = pow(first, -1, p)
+        v = tuple(a * inverse % p for a in v)
     rows = [
         tuple((a - row[lead] * b) % p for a, b in zip(row, v)) if row[lead] else row
         for row in basis
@@ -186,8 +195,9 @@ def stable_subspaces(x_rows, p: int, k: int) -> dict:
         found = dict.fromkeys(_grassmannian(kernel, p, j + 1, len(kernel)), 0)
         for basis, rank in level.items():
             rows, heads = _quotient(basis, rank, table, kernel, p)
-            for (v,) in _grassmannian(rows, p, 1, heads):
-                found.setdefault(_extend(basis, v, p), rank + 1)
+            if heads:
+                for (v,) in _grassmannian(rows, p, 1, heads):
+                    found.setdefault(_extend(basis, v, p), rank + 1)
         level = found
     return level
 
@@ -195,12 +205,16 @@ def stable_subspaces(x_rows, p: int, k: int) -> dict:
 def _validate_element(x: RatMatrix, form):
     """Raise NotStableUnderForm unless x is nilpotent and x^T B + B x = 0
     for the form B, if any: over Z, so mod every prime."""
-    power = x
-    for _ in range(x.rows - 1):
-        power = power * x
-    if not power.is_zero():
+    d, power = x.rows, x.num
+    for _ in range(d - 1):
+        power = _matmul(power, x.num, d)
+    if any(map(any, power)):
         raise NotStableUnderForm("element is not nilpotent")
-    if form is not None and not (x.transpose() * form + form * x).is_zero():
+    if form is None:
+        return
+    # x^T B + B x times the denominators of x and B, on integer rows
+    sums = zip(_matmul(tuple(zip(*x.num)), form.num, d), _matmul(form.num, x.num, d))
+    if any(a + c for r, q in sums for a, c in zip(r, q)):
         raise NotStableUnderForm("element is not in the form's algebra")
 
 
@@ -216,21 +230,21 @@ def _middle_zero(v, form_columns, columns, p):
     ax = [sum(map(mul, a, col)) for col in columns]
     if any((b - ax[j] * ratio * s) % p for b, s in zip(ax, a)):
         raise NotStableUnderForm("perp of a stable subspace failed to be stable")
-    # each x e_c less the multiple of v that clears the lead of v
-    lead = v.index(1)
-    rest = [[t - col[lead] * s for t, s in zip(col, v)] for col in columns]
-    return not any(
-        (t - s * ratio * u) % p for r, s in zip(rest, a) for t, u in zip(r, rest[j])
-    )
+    # x (e_c - (a_c / a_j) e_j) less the multiple of v that clears the lead
+    # of v is zero for every c, column by column, up to the first failure
+    lead, xj = v.index(1), columns[j]
+    for col, s in zip(columns, a):
+        c = s * ratio
+        f = col[lead] - c * xj[lead]
+        for t, u, w in zip(col, xj, v):
+            if (t - c * u - f * w) % p:
+                return False
+    return True
 
 
-# the facts of every subspace under an x that is zero mod p
-ZERO_FACTS = {
-    "sub-nonzero": False,
-    "quot-nonzero": False,
-    "middle-zero": True,
-    "middle-nonzero": False,
-}
+# the fact pattern (sub-nonzero, quot-nonzero, middle-zero) of every
+# subspace under an x that is zero mod p
+ZERO_FACTS = (False, False, True)
 
 
 def _sweep(p, d, k, form, elements, condition_sets):
@@ -243,46 +257,41 @@ def _sweep(p, d, k, form, elements, condition_sets):
     ``form`` into V, or does not (they need a form).
 
     The elements must be nilpotent mod p, and in the algebra of the form
-    if there is one (``_validate_element`` checks that over Z).  An x that
-    is zero mod p stabilises every subspace with the same facts, so it
-    counts the Gaussian binomial or 0; any other x visits only its stable
-    subspaces (``stable_subspaces``), whose dim x(V) decides
-    ``sub-nonzero``.  A form is read on lines only (k = 1,
-    ``_middle_zero``), and the perp of every counted line is checked to be
-    x-stable too, a failure raising NotStableUnderForm.
+    if there is one (``_validate_element`` checks that over Z).  Each x
+    tallies its stable subspaces by fact pattern, and each condition set
+    is tested once per pattern.  An x that is zero mod p gives them all
+    ``ZERO_FACTS``, counted by the Gaussian binomial; any other x visits
+    only its stable subspaces (``stable_subspaces``), whose dim x(V)
+    decides ``sub-nonzero``.  im x lies in no V when rank x > k and in V
+    when dim x(V) = rank x; otherwise V reduces it.  A form is read on
+    lines only (k = 1, ``_middle_zero``), and the perp of every counted
+    line is checked to be x-stable too, else NotStableUnderForm.
     """
     _check_bounds(p, d, k)
-    needed = set().union(*condition_sets)
+    quot_needed = "quot-nonzero" in set().union(*condition_sets)
     form_columns = list(zip(*form.num)) if form is not None else None
     counts = []
     for x in elements:
         if all(a % p == 0 for row in x for a in row):
-            everything = gaussian_binomial(d, k, p)
-            counts.append(
-                [
-                    everything if all(ZERO_FACTS[name] for name in conditions) else 0
-                    for conditions in condition_sets
-                ]
-            )
-            continue
-        if form is not None and k != 1:
-            raise ValueError(f"a form is read on lines only, got k = {k}")
-        columns = list(zip(*x))
-        image = [col for col in columns if any(col)]
-        tally = [0] * len(condition_sets)
-        for basis, rank in stable_subspaces(x, p, k).items():
-            facts = {"sub-nonzero": rank > 0}
-            if "quot-nonzero" in needed:
-                facts["quot-nonzero"] = any(
-                    a % p for col in image for a in _reduce(col, basis)
-                )
-            if form is not None:
-                facts["middle-zero"] = _middle_zero(basis[0], form_columns, columns, p)
-                facts["middle-nonzero"] = not facts["middle-zero"]
+            tally = {ZERO_FACTS: gaussian_binomial(d, k, p)}
+        else:
+            if form is not None and k != 1:
+                raise ValueError(f"a form is read on lines only, got k = {k}")
+            columns = list(zip(*x))
+            image = _echelon(columns, p) if quot_needed else ()
+            tally = Counter()
+            for basis, rank in stable_subspaces(x, p, k).items():
+                quot = quot_needed and (len(image) > k or rank < len(image) and any(
+                    a % p for row in image for a in _reduce(row, basis)))
+                middle = form_columns and _middle_zero(basis[0], form_columns, columns, p)
+                tally[rank > 0, quot, middle] += 1
+        counts.append([0] * len(condition_sets))
+        for (sub, quot, middle), n in tally.items():
+            facts = {"sub-nonzero": sub, "quot-nonzero": quot, "middle-zero": middle}
+            facts["middle-nonzero"] = middle is False
             for c, conditions in enumerate(condition_sets):
                 if all(facts[name] for name in conditions):
-                    tally[c] += 1
-        counts.append(tally)
+                    counts[-1][c] += n
     return counts
 
 
@@ -334,6 +343,7 @@ def verify_fiber_counts(case: CaseData, primes) -> CountReport:
         _check_bounds(p, case.ambient_dim, flag_dim)
     for orbit in case.orbits:
         _validate_element(orbit.representative, case.form)
+    labels = [orbit.partition.label() for orbit in case.orbits]
     rows = []
     for p in primes:
         elements = [
@@ -343,7 +353,7 @@ def verify_fiber_counts(case: CaseData, primes) -> CountReport:
         counts = _sweep(
             p, case.ambient_dim, flag_dim, case.form, elements, condition_sets
         )
-        for orbit, orbit_counts in zip(case.orbits, counts):
+        for orbit, label, orbit_counts in zip(case.orbits, labels, counts):
             full_pred = counting_polynomial(orbit.full_fiber)(p)
             for (stratum, _, attr), count in zip(strata, orbit_counts):
                 expr = getattr(orbit, attr)
@@ -358,7 +368,7 @@ def verify_fiber_counts(case: CaseData, primes) -> CountReport:
                     predicted = counting_polynomial(expr)(p) if expr is not None else 0
                 rows.append(
                     CountRow(
-                        orbit=orbit.partition.label(),
+                        orbit=label,
                         prime=p,
                         stratum=stratum,
                         count=count,

@@ -159,18 +159,6 @@ class ParabolicDatum:
         return RatMatrix.from_rows([[int(pick(s)) for s in row] for row in self.indicator.num])
 
 
-def standard_symplectic_form(d: int) -> RatMatrix:
-    """The block form [[0, I], [-I, 0]]."""
-    if d % 2 != 0:
-        raise BadForm("ambient dimension must be even")
-    m = d // 2
-    rows = [[0] * d for _ in range(d)]
-    for i in range(m):
-        rows[i][m + i] = 1
-        rows[m + i][i] = -1
-    return RatMatrix.from_rows(rows)
-
-
 def _matrix(d, cells, den=1) -> RatMatrix:
     """The d x d matrix of an integer cell map {(i, j): entry} over den."""
     rows = [[0] * d for _ in range(d)]

@@ -101,6 +101,19 @@ def dominance_leq(lam, mu):
     return all(a <= b for a, b in zip(ps_l, ps_m))
 
 
+def standard_symplectic_form(d):
+    """The block form [[0, I], [-I, 0]] of an even dimension d, as a
+    RatMatrix."""
+    from gradedorbits.exactlin import RatMatrix
+
+    m = d // 2
+    rows = [[0] * d for _ in range(d)]
+    for i in range(m):
+        rows[i][m + i] = 1
+        rows[m + i][i] = -1
+    return RatMatrix.from_rows(rows)
+
+
 def jordan_matrix(partition):
     """Block-diagonal nilpotent Jordan RatMatrix with the given block sizes."""
     from gradedorbits.exactlin import RatMatrix
@@ -334,15 +347,27 @@ def fraction_nullspace(rows):
     return tuple(basis)
 
 
-def in_span_by_rref(basis, m):
-    """Whether the RatMatrix m is a combination of the RatMatrix basis: the
-    rank of the Fraction RREF of the basis's flattened entries does not grow
-    when m is added to them."""
-    def flat(a):
-        return [a.entry(i, j) for i in range(a.rows) for j in range(a.cols)]
+def _flat(a):
+    return [a.entry(i, j) for i in range(a.rows) for j in range(a.cols)]
 
-    rows = [flat(b) for b in basis]
-    return len(fraction_rref(rows + [flat(m)])[1]) == len(fraction_rref(rows)[1])
+
+@functools.lru_cache(maxsize=32)
+def _basis_rref(basis):
+    """The Fraction RREF of the flattened entries of a tuple of RatMatrix,
+    taken once for each basis that ``in_span_by_rref`` is handed."""
+    return fraction_rref([_flat(b) for b in basis])
+
+
+def in_span_by_rref(basis, m):
+    """Whether the RatMatrix m is a combination of the RatMatrix basis: its
+    flattened entries, reduced against the Fraction RREF of the basis's,
+    leave zero (so adding m to the basis would not raise the rank)."""
+    rows, pivots = _basis_rref(tuple(basis))
+    v = _flat(m)
+    for row, col in zip(rows, pivots):
+        if f := v[col]:
+            v = [a - f * b for a, b in zip(v, row)]
+    return not any(v)
 
 
 def subspace_in_cells_by_nullspace(basis, allowed):

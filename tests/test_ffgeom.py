@@ -17,12 +17,16 @@ from oracles import (
     _matvec,
     echelon_subspaces,
     flag_count_by_elimination,
+    fraction_rref,
     image_dimension_by_elimination,
     jordan_matrix,
     stable_subspaces_by_elimination,
 )
 
 SP_FORM = parse_matrix_text("0,0,1,0;0,0,0,1;-1,0,0,0;0,-1,0,0")
+
+# the conditions of ``ffgeom._sweep`` beyond stability, each a fact
+FACTS = ("sub-nonzero", "quot-nonzero", "middle-zero", "middle-nonzero")
 
 # flag dimension and the oracle's conditions of each stratum, per flag kind
 STRATA = {
@@ -497,11 +501,51 @@ def test_each_fact_of_a_zero_mod_p_element_matches_oracle(k):
     """Every condition alone, for an x that is zero mod p, so that no fact
     of the Gaussian-binomial path hides behind another of its stratum."""
     x = parse_matrix_text("0,0,3,0;0,0,0,0;0,0,0,0;0,0,0,0").num
-    conditions = ("sub-nonzero", "quot-nonzero", "middle-zero", "middle-nonzero")
-    counts = ffgeom._sweep(3, 4, k, SP_FORM, [x], [(c,) for c in conditions])
-    assert counts == [
-        [
-            flag_count_by_elimination(x, 3, k, SP_FORM.num, ("stable", c))
-            for c in conditions
-        ]
-    ]
+    swept, oracle = single_fact_counts(x, 3, k, SP_FORM, FACTS)
+    assert swept == oracle
+
+
+def single_fact_counts(x, p, k, form, facts):
+    """(the sweep's, the oracle's) counts of the x-stable k-subspaces that
+    meet each of ``facts`` alone."""
+    swept = ffgeom._sweep(p, len(x), k, form, [x], [(f,) for f in facts])[0]
+    form = form.num if form is not None else None
+    return swept, [flag_count_by_elimination(x, p, k, form, ("stable", f)) for f in facts]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_each_fact_of_a_nonzero_element_matches_oracle(k):
+    """sub-nonzero and quot-nonzero alone, with no form, on conjugated
+    Jordan matrices of rank at most k and of rank above k, where
+    quot-nonzero holds with no reduction; a wrong pattern key or rank
+    shortcut then cannot hide behind another fact of its stratum."""
+    rng = random.Random(f"ffgeom-facts:{k}")
+    shapes = [[2, 1, 1], [2, 2], [3, 1], [4]] + ([[5]] if k == 3 else [])
+    above = set()
+    for parts in shapes:
+        x = conjugate(rng, jordan_matrix(Partition.of(parts))).num
+        above.add(len(x) - len(parts) > k)
+        for p in (2, 3, 5):
+            swept, oracle = single_fact_counts(x, p, k, None, ("sub-nonzero", "quot-nonzero"))
+            assert swept == oracle, (parts, p)
+    assert above == {False, True}
+
+
+@pytest.mark.parametrize("monomial", [True, False])
+def test_each_fact_of_a_line_under_a_form_matches_oracle(monomial):
+    """Every condition alone on the lines of nonzero sp4 nilpotents, of
+    rank 1 and above, under the standard form and under g^-T B g^-1."""
+    rng = random.Random(f"ffgeom-line-facts:{monomial}")
+    g, g_inv = (RatMatrix.identity(4),) * 2 if monomial else transvections(rng, 4)
+    form = g_inv.transpose() * SP_FORM * g_inv
+    assert monomial == all(sum(1 for a in row if a) == 1 for row in form.num)
+    ranks = set()
+    for _ in range(8):
+        x = (g * random_sp4_nilpotent(rng) * g_inv).num
+        if not any(map(any, x)):
+            continue
+        ranks.add(min(len(fraction_rref(x)[1]), 2))
+        for p in (2, 3, 5):
+            swept, oracle = single_fact_counts(x, p, 1, form, FACTS)
+            assert swept == oracle, (x, p)
+    assert ranks == {1, 2}

@@ -30,7 +30,6 @@ from gradedorbits.liegrade import (
     check_n_rigid,
     chi_prime,
     graded_component,
-    standard_symplectic_form,
     validate_cocharacter,
     weight_matrix,
 )
@@ -42,6 +41,7 @@ from oracles import (
     in_span_by_rref,
     rigidity_by_conjugates,
     sp_in_cells_by_nullspace,
+    standard_symplectic_form,
     subspace_in_cells_by_nullspace,
     triple_h_by_full_system,
 )
@@ -123,8 +123,6 @@ def test_bad_form_rejected():
     for d in (1, 3, 5):
         with pytest.raises(BadForm):
             build_algebra("sp", d)
-        with pytest.raises(BadForm):
-            standard_symplectic_form(d)
 
 
 def test_weight_matrix_examples():

@@ -25,10 +25,14 @@ from gradedorbits.liegrade import (
     adapted_sl2_triple,
     build_algebra,
     graded_component,
-    standard_symplectic_form,
 )
 
-from oracles import sp_in_cells_by_nullspace, triple_f_by_full_system, triple_h_by_full_system
+from oracles import (
+    sp_in_cells_by_nullspace,
+    standard_symplectic_form,
+    triple_f_by_full_system,
+    triple_h_by_full_system,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
