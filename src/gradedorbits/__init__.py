@@ -1,12 +1,13 @@
 """Exact-arithmetic toolkit for cocharacter-graded classical Lie algebras.
 
-Submodules: exactlin (integer/rational linear algebra, Hermite forms and
-invariant factors, partitions), rootdata (root data and prime classifiers),
-liegrade (gradings, sl2-triples, canonical parabolics, rigidity), orbitlib
-(nilpotent orbit combinatorics and graded orbit enumeration), cohom (space
-expressions, counting polynomials, stalk tables), ffgeom (finite-field point
-counting), cli (command line).  Each loads on its first use, not with the
-package, so that ``python -m gradedorbits.cli`` loads only what it runs.
+Submodules: exactlin (primality, integer/rational matrices and their exact
+elimination over Q or F_p, partitions), rootdata (the prime classifiers of
+SL(n) and Sp(2m) in closed form), liegrade (gradings, sl2-triples, canonical
+parabolics, rigidity), orbitlib (nilpotent orbit combinatorics and graded
+orbit enumeration), cohom (space expressions, counting polynomials, stalk
+tables), ffgeom (finite-field point counting), cli (command line).  Each
+loads on its first use, not with the package, so that ``python -m
+gradedorbits.cli`` loads only what it runs.
 """
 
 import importlib

@@ -291,9 +291,9 @@ def cmd_parabolic(args) -> int:
 
 
 def cmd_primes(args) -> int:
-    from .rootdata import prime_report, standard_root_datum
+    from .rootdata import prime_report
 
-    payload = prime_report(standard_root_datum(args.type, args.n)).as_dict()
+    payload = prime_report(args.type, args.n)
     _emit(args, lambda: _lines(payload), payload)
     return 0
 

@@ -1,4 +1,7 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer and rational linear algebra: primality and prime
+factors, the matrix type ``RatMatrix``, one elimination kernel ``_rref``
+over Q or F_p with the nullspaces, solutions and inverses read from it,
+Lie brackets, and partitions.
 
 Everything in this package computes over Z or Q with arbitrary precision;
 there is no floating point anywhere.  The one matrix type is ``RatMatrix``,
@@ -67,6 +70,20 @@ def is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+def prime_factors(n: int) -> frozenset:
+    n = abs(n)
+    out = set()
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -198,107 +215,6 @@ def parse_matrix_text(text: str) -> RatMatrix:
     """Parse the shared ';'/',' matrix text format of integer entries."""
     rows = text.strip().split(";")
     return RatMatrix.from_rows([[int(x) for x in row.split(",")] for row in rows])
-
-
-# ---------------------------------------------------------------------------
-# invariant factors
-
-
-def invariant_factors(m: RatMatrix) -> tuple:
-    """Invariant factors d1 | d2 | ... of m, min(rows, cols) of them with
-    the zeros last.
-
-    Row Hermite forms of the rows and of the transpose alternate until the
-    result is diagonal; each pass is a unimodular change of rows or of
-    columns, and the pivot of the first row is the gcd of a row or column
-    holding the previous one, so it shrinks until its row and column are
-    clear.  Replacing a pair of diagonal entries by their gcd and lcm sorts
-    the exponent of every prime, which gives the divisibility chain.
-    """
-    if m.den != 1:
-        raise ValueError("invariant factors need an integer matrix")
-    rows = hermite_rows(m.num)
-    while any(sum(1 for x in row if x) > 1 for row in rows):
-        rows = hermite_rows(zip(*rows))
-    diag = [next(x for x in row if x) for row in rows]
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
-    return tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag))
-
-
-def prime_factors(n: int) -> frozenset:
-    n = abs(n)
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return frozenset(out)
-
-
-def torsion_primes_of_quotient(rows) -> frozenset:
-    """Primes dividing the torsion of Z^n modulo the span of the rows, n
-    their length."""
-    rows = [tuple(r) for r in rows]
-    if not rows:
-        return frozenset()
-    facs = invariant_factors(RatMatrix.from_rows(rows))
-    out = set()
-    for d in facs:
-        if d not in (0, 1):
-            out |= prime_factors(d)
-    return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
-# Hermite form
-
-
-def hermite_rows(rows) -> tuple:
-    """Row-style Hermite normal form of the lattice spanned by ``rows``.
-
-    Returns a canonical tuple of echelon rows with positive pivots; entries
-    above a pivot are reduced into [0, pivot).
-    """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return ()
-    ncols = len(work[0])
-    out = []
-    for col in range(ncols):
-        while True:
-            nz = sorted(
-                (r for r in work if r[col] != 0), key=lambda r: abs(r[col])
-            )
-            if len(nz) <= 1:
-                break
-            pivot = nz[0]
-            for r in nz[1:]:
-                q = r[col] // pivot[col]
-                for k in range(ncols):
-                    r[k] -= q * pivot[k]
-        nz = [r for r in work if r[col] != 0]
-        if nz:
-            pivot = nz[0]
-            work.remove(pivot)
-            if pivot[col] < 0:
-                pivot = [-x for x in pivot]
-            out.append(pivot)
-        work = [r for r in work if any(r)]
-    # in increasing pivot order: row idx is zero in the pivot columns of
-    # the rows above it, so reducing by it keeps what they already hold
-    for idx, row in enumerate(out):
-        j = next(i for i, x in enumerate(row) if x != 0)
-        for above in range(idx):
-            q = out[above][j] // row[j]
-            if q:
-                out[above] = [a - q * b for a, b in zip(out[above], row)]
-    return tuple(tuple(r) for r in out)
 
 
 # ---------------------------------------------------------------------------

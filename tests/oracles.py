@@ -13,15 +13,19 @@ and Levi, which the package never builds, come from the same nullspaces on
 the cells of its indicator, in the basis p that diagonalises h, with the
 form p^T B p for sp, and their brackets are reduced against a Fraction
 RREF.
-Closed families of a vector list come from closing the members of every
-pairwise join, with no memo, no support filter and no Weyl group, and the
-prime classifiers take a torsion quotient for every family, not one per
-orbit, on all of its vectors, not a basis.  The bad primes come from the
-simple roots of a height functional, their components and a scan of the
-positive roots for the highest root of each, where the package writes
-down the highest root of SL(n) or Sp(2m).  A Weyl-group search lists
-every closed family, bitmask by bitmask, with one representative per
-W-orbit: the orbits that the package's labels must match one for one.
+The prime classifiers, which the package states in closed form, are
+derived here from their definitions in two ways.  The label report takes
+one torsion quotient per Weyl-group orbit of closed families, on a basis
+written from the orbit's label, with invariant factors from alternating
+row Hermite forms, and the bad primes from the highest root written down
+on the simple roots.  The all-family report closes the members of every
+pairwise join, with no memo, no support filter and no Weyl group, and
+takes a torsion quotient for every family on all of its vectors; its bad
+primes come from the simple roots of a height functional, their
+components and a scan of the positive roots for the highest root of
+each.  A Weyl-group search lists every closed family, bitmask by bitmask,
+with one representative per W-orbit: the orbits that the labels must
+match one for one.
 Jordan types come from the Fraction ranks of the powers of a nilpotent,
 and parity from the degrees of each stalk column.  A type-A graded
 orbit's dimension is the rank of ad x on g_0 and its Levi comes from a
@@ -39,7 +43,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def minor_determinant(rows, row_idx, col_idx):
@@ -605,6 +609,309 @@ def is_prime_by_trial_division(p):
     return True
 
 
+# ---------------------------------------------------------------------------
+# Hermite and Smith forms, and the prime report from one Smith form per
+# Weyl-orbit label
+
+
+def hermite_rows(rows) -> tuple:
+    """Row-style Hermite normal form of the lattice spanned by ``rows``.
+
+    Returns a canonical tuple of echelon rows with positive pivots; entries
+    above a pivot are reduced into [0, pivot).
+    """
+    work = [list(r) for r in rows if any(r)]
+    if not work:
+        return ()
+    ncols = len(work[0])
+    out = []
+    for col in range(ncols):
+        while True:
+            nz = sorted(
+                (r for r in work if r[col] != 0), key=lambda r: abs(r[col])
+            )
+            if len(nz) <= 1:
+                break
+            pivot = nz[0]
+            for r in nz[1:]:
+                q = r[col] // pivot[col]
+                for k in range(ncols):
+                    r[k] -= q * pivot[k]
+        nz = [r for r in work if r[col] != 0]
+        if nz:
+            pivot = nz[0]
+            work.remove(pivot)
+            if pivot[col] < 0:
+                pivot = [-x for x in pivot]
+            out.append(pivot)
+        work = [r for r in work if any(r)]
+    # in increasing pivot order: row idx is zero in the pivot columns of
+    # the rows above it, so reducing by it keeps what they already hold
+    for idx, row in enumerate(out):
+        j = next(i for i, x in enumerate(row) if x != 0)
+        for above in range(idx):
+            q = out[above][j] // row[j]
+            if q:
+                out[above] = [a - q * b for a, b in zip(out[above], row)]
+    return tuple(tuple(r) for r in out)
+
+
+def invariant_factors(m) -> tuple:
+    """Invariant factors d1 | d2 | ... of the ``RatMatrix`` m, min(rows,
+    cols) of them with the zeros last.
+
+    Row Hermite forms of the rows and of the transpose alternate until the
+    result is diagonal; each pass is a unimodular change of rows or of
+    columns, and the pivot of the first row is the gcd of a row or column
+    holding the previous one, so it shrinks until its row and column are
+    clear.  Replacing a pair of diagonal entries by their gcd and lcm sorts
+    the exponent of every prime, which gives the divisibility chain.
+    """
+    if m.den != 1:
+        raise ValueError("invariant factors need an integer matrix")
+    rows = hermite_rows(m.num)
+    while any(sum(1 for x in row if x) > 1 for row in rows):
+        rows = hermite_rows(zip(*rows))
+    diag = [next(x for x in row if x) for row in rows]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    return tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag))
+
+
+def torsion_primes_of_quotient(rows) -> frozenset:
+    """Primes dividing the torsion of Z^n modulo the span of the rows, n
+    their length."""
+    from gradedorbits.exactlin import RatMatrix, prime_factors
+
+    rows = [tuple(r) for r in rows]
+    if not rows:
+        return frozenset()
+    facs = invariant_factors(RatMatrix.from_rows(rows))
+    out = set()
+    for d in facs:
+        if d not in (0, 1):
+            out |= prime_factors(d)
+    return frozenset(out)
+
+
+@dataclass(frozen=True)
+class RootDatum:
+    kind: str  # "sl" or "sp"
+    ambient_rank: int
+    roots: tuple  # integer vectors in the X presentation
+    coroots: tuple  # parallel integer vectors in the Y presentation
+    x_relations: tuple  # extra relation rows presenting X as a quotient
+    y_basis: tuple  # basis rows of Y inside the ambient lattice
+
+
+def standard_root_datum(kind: str, n: int) -> RootDatum:
+    """The root datum of SL(n), n >= 2, or Sp(n), n >= 2 even, its roots
+    those of the family of the whole system.
+
+    SL(n): the character lattice is Z^n modulo the diagonal copy of Z,
+    presented as Z^n with the extra relation row (1, ..., 1), so quotient
+    torsion is read off a stacked integer matrix; the cocharacter lattice
+    is the trace-zero sublattice of Z^n, with basis e_i - e_(i+1), and
+    e_i - e_j is its own coroot under the dot pairing.  Sp(2m): characters
+    and cocharacters are both Z^m (the torus diag(t_1..t_m,
+    t_1^-1..t_m^-1)); the roots are +-e_i +- e_j and +-2e_i, the coroots
+    +-e_i +- e_j and +-e_i, the coroot of +-2e_i in its place.
+    """
+    if kind == "sl":
+        roots = _family(n, (("A", n),))
+        y_basis = tuple(_vec(n, (i, 1), (i + 1, -1)) for i in range(n - 1))
+        return RootDatum(kind, n, roots, roots, ((1,) * n,), y_basis)
+    m = n // 2
+    return RootDatum(
+        kind,
+        m,
+        _family(m, (("C", m),)),
+        _family(m, (("B", m),)),
+        (),
+        tuple(_vec(m, (i, 1)) for i in range(m)),
+    )
+
+
+# The Weyl group W permutes the roots and the coroots and acts linearly on
+# their lattices, so it maps closed families to closed families and keeps
+# the torsion of their quotients: one family per W-orbit decides the prime
+# report.  The orbits have closed-form labels (``_labels``), each a family
+# on consecutive coordinate blocks (``_family``):
+# - SL(n): a partition of n; each part k >= 2 is an A_(k-1), every
+#   e_i - e_j on its block (SL(6) has 11 orbits of its 203 families);
+# - Sp(2m), roots (type C): C_k's (every +-e_i +- e_j and +-2e_i) and
+#   A_(k-1)'s (k >= 2) of total size at most m;
+# - Sp(2m), coroots (type B): at most one B_k (every +-e_i +- e_j and
+#   +-e_i), then D_k's (k >= 2, every +-e_i +- e_j) and A_(k-1)'s, of
+#   total size at most m.
+# The components of a closed family on each side, as (type, least size,
+# most components of that type): the type A roots e_i - e_j of a block, D
+# adds +-(e_i + e_j), B adds +-e_i and C adds +-2e_i; two B components
+# would span every e_i +- e_j between them, so there is at most one.
+_COMPONENTS = {
+    "sl": ((("A", 2, None),),) * 2,
+    "sp": (
+        (("C", 1, None), ("A", 2, None)),
+        (("B", 1, 1), ("D", 2, None), ("A", 2, None)),
+    ),
+}
+
+
+def _partitions(room: int, least: int, count=None, largest=None):
+    """Every non-increasing tuple of at most ``count`` parts, each at least
+    ``least`` and at most ``largest``, with sum at most ``room``."""
+    yield ()
+    if count != 0:
+        for first in range(least, min(room, largest or room) + 1):
+            for rest in _partitions(
+                room - first, least, None if count is None else count - 1, first
+            ):
+                yield (first,) + rest
+
+
+def _labels(components, room: int):
+    """Every orbit label: a partition for each of ``components`` with total
+    size at most ``room``, as a tuple of (type letter, size)."""
+    if not components:
+        yield ()
+        return
+    (letter, least, count), rest = components[0], components[1:]
+    for parts in _partitions(room, least, count):
+        for tail in _labels(rest, room - sum(parts)):
+            yield tuple((letter, k) for k in parts) + tail
+
+
+def _vec(rank: int, *terms) -> tuple:
+    v = [0] * rank
+    for i, c in terms:
+        v[i] += c
+    return tuple(v)
+
+
+def _family(rank: int, label) -> tuple:
+    """The closed family of a label, its components on consecutive
+    coordinate blocks, each in the order e_i - e_j (i != j, row-major),
+    +-(e_i + e_j) (i < j), then +-e_i or +-2e_i."""
+    out, start = [], 0
+    for letter, k in label:
+        block = range(start, start + k)
+        start += k
+        out += [_vec(rank, (i, 1), (j, -1)) for i in block for j in block if i != j]
+        if letter != "A":
+            out += [
+                _vec(rank, (i, s), (j, s))
+                for i, j in itertools.combinations(block, 2)
+                for s in (1, -1)
+            ]
+        if letter in "BC":
+            c = 1 if letter == "B" else 2
+            out += [_vec(rank, (i, c * s)) for i in block for s in (1, -1)]
+    return tuple(out)
+
+
+def _basis(rank: int, label) -> tuple:
+    """A Z-basis of the lattice that the family of a label spans: on each
+    block e_i - e_(i+1), then e_k for B, 2e_k for C or e_(k-1) + e_k for D,
+    k the block's last coordinate."""
+    out, start = [], 0
+    for letter, k in label:
+        last = start + k - 1
+        out += [_vec(rank, (i, 1), (i + 1, -1)) for i in range(start, last)]
+        if letter in "BC":
+            out.append(_vec(rank, (last, 1 if letter == "B" else 2)))
+        elif letter == "D":
+            out.append(_vec(rank, (last - 1, 1), (last, 1)))
+        start = last + 1
+    return tuple(out)
+
+
+def _coords_in_basis(basis, vectors) -> tuple:
+    """The coordinates of each of ``vectors`` on the independent rows
+    ``basis``, from one elimination of the columns of both; ``ValueError``
+    if one is not an integer vector."""
+    from gradedorbits.exactlin import _rref
+
+    mat, pivots = _rref(list(zip(*basis, *vectors)))
+    if pivots and pivots[-1] >= len(basis):
+        raise ValueError("vector not in the span of the basis")
+    out = []
+    for c in range(len(basis), len(basis) + len(vectors)):
+        coords = [0] * len(basis)
+        for row, pc in zip(mat, pivots):
+            coords[pc], rem = divmod(row[c], row[pc])
+            if rem:
+                raise ValueError("vector not in the integer span of the basis")
+        out.append(tuple(coords))
+    return tuple(out)
+
+
+def _bad_primes(rd: RootDatum, simple) -> frozenset:
+    """The primes dividing a coordinate of the highest root on the simple
+    roots ``simple``: e_1 - e_n of SL(n) is 1, ..., 1 on e_i - e_(i+1), and
+    2e_1 of Sp(2m) is 2, ..., 2, 1 on those and 2e_m."""
+    from gradedorbits.exactlin import prime_factors
+
+    n = rd.ambient_rank
+    highest = _vec(n, (0, 1), (n - 1, -1)) if rd.kind == "sl" else _vec(n, (0, 2))
+    (coords,) = _coords_in_basis(simple, [highest])
+    return frozenset().union(*map(prime_factors, coords))
+
+
+def _prime_lists(bad, x_side, y_side, center) -> dict:
+    """The report of ``rootdata.prime_report`` from the bad primes and the
+    torsion primes of the X-side quotients, of the Y-side quotients and of
+    the centre's."""
+    return {
+        "good_excluded": sorted(bad),
+        "torsion": sorted(y_side),
+        "pretty_good_excluded": sorted(x_side | y_side),
+        "rather_good_excluded": sorted(bad | center),
+    }
+
+
+def prime_report_by_labels(rd: RootDatum) -> dict:
+    """Bad primes, torsion primes, and the pretty-good / rather-good
+    exclusions, from one torsion quotient per W-orbit label on each side.
+
+    The X-side quantification runs over subsystems closed inside the root
+    list; the Y-side runs over subsystems closed inside the coroot list.
+    The two closures differ in general (in Sp(4) the coroots of the short
+    roots form a closed set, the short roots do not), and both sides are
+    needed to exhaust the quantifier over arbitrary subsets.  An element w
+    of W is an automorphism of X and of Y that maps ZA onto Z(wA) and
+    ZA^v onto Z(wA^v), so the torsion of X/ZA and of Y/ZA^v is constant
+    on a W-orbit of families, and one quotient per orbit label decides it,
+    taken from the ``_basis`` of the label's lattice.  When the coroot
+    labels equal the root labels, as for SL, both sides share one list.
+    The basis of the whole system's label is its simple roots, which give
+    the bad primes.
+    """
+    rank = rd.ambient_rank
+    on_roots, on_coroots = _COMPONENTS[rd.kind]
+    root_bases = {label: _basis(rank, label) for label in _labels(on_roots, rank)}
+    coroot_bases = root_bases
+    if on_coroots != on_roots:
+        coroot_bases = {label: _basis(rank, label) for label in _labels(on_coroots, rank)}
+    x_primes = {
+        label: torsion_primes_of_quotient(basis + rd.x_relations)
+        for label, basis in root_bases.items()
+    }
+    x_side = set().union(*x_primes.values())
+    # the Y-basis coordinates of every coroot basis vector, from one elimination
+    vectors = list({v for basis in coroot_bases.values() for v in basis})
+    coords = dict(zip(vectors, _coords_in_basis(rd.y_basis, vectors)))
+    y_side = set()
+    for basis in coroot_bases.values():
+        y_side |= torsion_primes_of_quotient([coords[v] for v in basis])
+
+    # the whole system's label, A_(n-1) for SL(n) or C_m for Sp(2m): its
+    # X-side quotient is the centre's, simple roots over x_relations
+    whole = ((on_roots[0][0], rank),)
+    bad = _bad_primes(rd, root_bases[whole])
+    return _prime_lists(bad, x_side, y_side, x_primes[whole])
+
+
 def hermite_pivots(hnf) -> tuple:
     """The pivot column of each Hermite row."""
     return tuple(next(i for i, x in enumerate(row) if x != 0) for row in hnf)
@@ -627,8 +934,6 @@ def in_hermite_span(hnf, vec, pivots=None) -> bool:
 
 def closure_by_members(vectors, indices):
     """Indices of all vectors lying in the integer span of the selection."""
-    from gradedorbits.exactlin import hermite_rows
-
     if not indices:
         return ()
     hnf = hermite_rows([vectors[i] for i in indices])
@@ -664,9 +969,6 @@ def closed_families_by_join_closure(vectors):
 def prime_report_by_all_families(rd):
     """The prime report of a root datum from the torsion of the quotient by
     every closed family of roots (X side) and of coroots (Y side)."""
-    from gradedorbits.exactlin import torsion_primes_of_quotient
-    from gradedorbits.rootdata import PrimeReport
-
     x_side = set()
     for fam in closed_families_by_join_closure(rd.roots):
         x_side |= torsion_primes_of_quotient(x_quotient_rows(rd, fam))
@@ -675,12 +977,7 @@ def prime_report_by_all_families(rd):
         y_side |= torsion_primes_of_quotient(y_quotient_rows(rd, fam))
     bad = bad_primes_by_highest_root_search(rd)
     center = torsion_primes_of_quotient(x_quotient_rows(rd, range(len(rd.roots))))
-    return PrimeReport(
-        good_excluded=tuple(sorted(bad)),
-        torsion=tuple(sorted(y_side)),
-        pretty_good_excluded=tuple(sorted(x_side | y_side)),
-        rather_good_excluded=tuple(sorted(bad | center)),
-    )
+    return _prime_lists(bad, x_side, y_side, center)
 
 
 def pairing(x, y) -> int:
@@ -694,8 +991,6 @@ def x_quotient_rows(rd, indices) -> tuple:
 
 def y_quotient_rows(rd, indices) -> tuple:
     """Rows presenting Y / (Z * selected coroots), in Y-basis coordinates."""
-    from gradedorbits.rootdata import _coords_in_basis
-
     return _coords_in_basis(rd.y_basis, [rd.coroots[i] for i in indices])
 
 
@@ -731,8 +1026,7 @@ def bad_primes_by_highest_root_search(rd) -> frozenset:
     for any root datum: the simple roots of a height functional, their
     components under non-orthogonality, and the highest positive root in
     the Hermite span of each."""
-    from gradedorbits.exactlin import hermite_rows, prime_factors
-    from gradedorbits.rootdata import _coords_in_basis
+    from gradedorbits.exactlin import prime_factors
 
     roots = rd.roots
     if not roots:
@@ -772,8 +1066,6 @@ def orbit_families(rd) -> tuple:
     """(on the roots, on the coroots): the family of each orbit label of
     the package on each side, as indices into ``rd.roots`` and
     ``rd.coroots`` looked up by value."""
-    from gradedorbits.rootdata import _COMPONENTS
-
     on_roots, on_coroots = _COMPONENTS[rd.kind]
     return (
         _indexed(rd.roots, on_roots, rd.ambient_rank),
@@ -782,8 +1074,6 @@ def orbit_families(rd) -> tuple:
 
 
 def _indexed(vectors, components, rank: int) -> tuple:
-    from gradedorbits.rootdata import _family, _labels
-
     index = {v: k for k, v in enumerate(vectors)}
     return tuple(
         tuple(index[v] for v in _family(rank, label))
@@ -811,8 +1101,6 @@ def _close(vectors, supports, rows, members) -> tuple:
     ``members`` are indices already known to lie in the span; of the other
     vectors only those supported on the span's columns can lie in it.
     """
-    from gradedorbits.exactlin import hermite_rows
-
     hnf = hermite_rows(rows)
     pivots = hermite_pivots(hnf)
     columns = 0
@@ -886,8 +1174,6 @@ def closed_families_by_w_search(vectors, reflections=()) -> tuple:
     joined, which holds -v with v, so each union of F with +-v is closed
     once, and one that is already a family needs no work.
     """
-    from gradedorbits.exactlin import hermite_rows
-
     supports = [_support(v) for v in vectors]
     index = {v: k for k, v in enumerate(vectors)}
     negated = [index.get(tuple(-x for x in v), k) for k, v in enumerate(vectors)]

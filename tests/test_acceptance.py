@@ -13,7 +13,6 @@ from gradedorbits.cohom import counting_polynomial, load_case, stalk_table
 from gradedorbits.exactlin import (
     Partition,
     RatMatrix,
-    invariant_factors,
     parse_matrix_text,
     bracket,
 )
@@ -30,20 +29,19 @@ from gradedorbits.liegrade import (
     weight_matrix,
 )
 from gradedorbits.orbitlib import graded_orbit_reps_typeA, nilpotent_orbits, orbit_dimension
-from gradedorbits.rootdata import (
-    prime_report,
-    standard_root_datum,
-    RootDatum,
-)
+from gradedorbits.rootdata import prime_report
 
 from oracles import (
+    RootDatum,
     closed_subsystems,
     dominance_leq,
     in_span_by_rref,
+    invariant_factors,
     jordan_matrix,
     nilpotent_jordan_partition,
     parity_violations,
     snf_invariant_factors_by_minors,
+    standard_root_datum,
     x_quotient_rows,
     y_quotient_rows,
 )
@@ -228,15 +226,15 @@ def _torsion_primes_via_oracle(rows):
 def test_criterion_5_prime_classifiers():
     sp4 = standard_root_datum("sp", 4)
     sl4 = standard_root_datum("sl", 4)
-    rep_sp = prime_report(sp4)
-    rep_sl = prime_report(sl4)
-    assert rep_sp.pretty_good_excluded == (2,)
-    assert rep_sp.rather_good_excluded == (2,)
-    assert rep_sl.pretty_good_excluded == (2,)
-    assert rep_sl.rather_good_excluded == (2,)
+    rep_sp = prime_report("sp", 4)
+    rep_sl = prime_report("sl", 4)
+    assert rep_sp["pretty_good_excluded"] == [2]
+    assert rep_sp["rather_good_excluded"] == [2]
+    assert rep_sl["pretty_good_excluded"] == [2]
+    assert rep_sl["rather_good_excluded"] == [2]
     for n in range(2, 6):
-        assert prime_report(standard_root_datum("sl", n)).torsion == ()
-    assert rep_sp.torsion == (2,)
+        assert prime_report("sl", n)["torsion"] == []
+    assert rep_sp["torsion"] == [2]
     # independent verification with the minor-gcd SNF on the lattice quotients
     for rd, expected in ((sp4, rep_sp), (sl4, rep_sl)):
         x_side = set()
@@ -246,7 +244,6 @@ def test_criterion_5_prime_classifiers():
             )
         dual = RootDatum(
             kind=rd.kind,
-            label=rd.label + " dual",
             ambient_rank=rd.ambient_rank,
             roots=rd.coroots,
             coroots=rd.roots,
@@ -258,8 +255,8 @@ def test_criterion_5_prime_classifiers():
             y_side |= _torsion_primes_via_oracle(
                 y_quotient_rows(rd, sub.member_indices)
             )
-        assert tuple(sorted(y_side)) == expected.torsion
-        assert tuple(sorted(x_side | y_side)) == expected.pretty_good_excluded
+        assert sorted(y_side) == expected["torsion"]
+        assert sorted(x_side | y_side) == expected["pretty_good_excluded"]
     report(5, "prime classifiers match and agree with the independent minor-gcd oracle")
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gradedorbits import cli, cohom, exactlin, ffgeom, liegrade, orbitlib, rootdata
+from gradedorbits import cli, cohom, exactlin, ffgeom, liegrade, orbitlib
 from gradedorbits.ffgeom import CountReport, CountRow
 
 
@@ -596,8 +596,8 @@ def test_fibers_at_the_prime_bound_all_match(capsys, case):
 
 
 def test_primes_root_bound_names_flag(capsys):
-    # SL(22) and Sp(28) are the first refused; they would take about 1.2
-    # and 1.8 s
+    # SL(22) and Sp(28) are the first refused, past the largest n for which
+    # the tests derive the report from the definitions
     assert cli.run(["primes", "--type", "sl", "--n", "22"]) == 2
     captured = capsys.readouterr()
     assert "argument --n:" in captured.err
@@ -685,12 +685,10 @@ def test_graded_orbits_above_bound_names_flag(capsys, monkeypatch):
     assert captured.out == ""
 
 
-def test_primes_huge_n_names_flag_without_building_roots(capsys, monkeypatch):
-    def build_nothing(*args):
-        raise AssertionError("roots were built")
-
-    monkeypatch.setattr(rootdata, "_family", build_nothing)
-    assert cli.run(["primes", "--type", "sl", "--n", "99999999999"]) == 2
+def test_primes_huge_n_names_flag_without_building_roots(capsys, deadline):
+    # the report builds no root at all, so a huge n is refused at once
+    with deadline(1):
+        assert cli.run(["primes", "--type", "sl", "--n", "99999999999"]) == 2
     captured = capsys.readouterr()
     assert "argument --n: SL(99999999999) is too large" in captured.err
     assert "n <= 21" in captured.err

@@ -8,18 +8,21 @@ Each argv is mostly well formed, so that it reaches the computation, with
 one option dropped or replaced by junk now and then.  Sizes are drawn from
 small values, where an accepted input takes well under 0.1 s, and from the
 first value past each documented bound, which is rejected before any work
-is done.  The --json payload of every exit 0 of grading, triple and
-parabolic is checked from the definitions, and that of primes from closed
-forms.  A second property draws only well-formed
+is done; primes, a closed form, draws every accepted n.  The --json
+payload of every exit 0 of orbits, grading, triple, parabolic and stalks
+is checked from the definitions, and that of primes from closed forms.
+A second property draws only well-formed
 triple and parabolic argvs with a nonzero x in g_n: by graded
 Jacobson-Morozov each has a graded sl2-triple, so each must exit 0."""
 
 import contextlib
 import functools
 import io
+import itertools
 import json
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -188,12 +191,12 @@ def graded_nilpotent_argv(draw, command):
 
 @st.composite
 def primes_argv(draw):
-    # SL(22) and Sp(28) are the first past the bound on n
+    # every accepted n, and SL(22) and Sp(28), the first past the bound on n
     kind_ = kind(draw)
     if kind_ == "sl":
-        n = mostly(draw, st.integers(2, 5), -1, 1, 22)
+        n = mostly(draw, st.integers(2, 21), -1, 1, 22)
     else:
-        n = mostly(draw, st.sampled_from([2, 4, 6]), -1, 0, 5, 28)
+        n = mostly(draw, st.sampled_from(range(2, 27, 2)), -1, 0, 5, 28)
     return draw(argv_of("primes", [("--type", kind_), ("--n", str(n))]))
 
 
@@ -399,8 +402,80 @@ def check_primes_payload(argv, payload):
     assert [payload[k] for k in keys] == want
 
 
+def partitions_of(n, largest=None):
+    """The partitions of n as lists, in descending lexicographic order."""
+    if n == 0:
+        return [[]]
+    return [
+        [first] + rest
+        for first in range(min(n, largest or n), 0, -1)
+        for rest in partitions_of(n - first, first)
+    ]
+
+
+def orbit_partitions(kind_, n):
+    """The Jordan types of the nilpotent orbits: every partition of n for
+    sl, and for sp those whose odd parts have even multiplicity."""
+    return [
+        lam
+        for lam in partitions_of(n)
+        if kind_ == "sl" or all(lam.count(a) % 2 == 0 for a in lam if a % 2)
+    ]
+
+
+def partition_label(lam):
+    """Exponential notation, e.g. [2^2,1^2]."""
+    pieces = []
+    for a, run in itertools.groupby(lam):
+        count = len(list(run))
+        pieces.append(f"{a}^{count}" if count > 1 else str(a))
+    return "[" + ",".join(pieces) + "]"
+
+
+def check_orbits_payload(argv, payload):
+    """One row per orbit partition, in descending lexicographic order, with
+    its label.  With t the transpose of the partition, dim is
+    n^2 - sum t_i^2 for sl and 2m^2 + m - (sum t_i^2 + #{odd parts}) / 2
+    for sp, n = 2m.  The component group is Z/gcd(parts) for SL and
+    (Z/2)^#{distinct even parts} for Sp, written 1 when trivial."""
+    options = option_values(argv)
+    kind_, n = options["--type"], int(options["--n"])
+    assert (payload["type"], payload["n"]) == (kind_, n)
+    parts = orbit_partitions(kind_, n)
+    assert [row["partition"] for row in payload["orbits"]] == parts
+    for row, lam in zip(payload["orbits"], parts):
+        squares = sum(sum(1 for a in lam if a > i) ** 2 for i in range(lam[0]))
+        if kind_ == "sl":
+            dim = n * n - squares
+            order = gcd(*lam)
+            group = f"Z/{order}" if order > 1 else "1"
+        else:
+            dim = Fraction(n * n + n - squares - sum(a % 2 for a in lam), 2)
+            k = len({a for a in lam if a % 2 == 0})
+            order = 2**k
+            group = "1" if k == 0 else "Z/2" if k == 1 else f"(Z/2)^{k}"
+        assert row["label"] == partition_label(lam)
+        assert row["dim"] == dim
+        assert (row["component_group"], row["component_group_order"]) == (group, order)
+
+
+def check_stalks_payload(argv, payload):
+    """The columns are exactly the orbits of the case, those of sl_4 or
+    sp_4.  In a characteristic other than 2 the degrees of each column have
+    one parity; in characteristic 2 some column has both, the anomaly."""
+    options = option_values(argv)
+    kind_ = options["--case"][:2]
+    columns = payload["columns"]
+    assert payload["convention"] == "shift-by-dimC"
+    assert set(columns) == set(map(partition_label, orbit_partitions(kind_, 4)))
+    mixed = [label for label, col in columns.items() if len({int(d) % 2 for d in col}) > 1]
+    assert bool(mixed) == (int(options["--char"]) == 2), mixed
+
+
 # an independent check of the --json payload of an exit 0
 PAYLOAD_CHECKS = {
+    "orbits": check_orbits_payload,
+    "stalks": check_stalks_payload,
     "grading": check_grading_payload,
     "triple": check_triple_payload,
     "parabolic": check_parabolic_payload,

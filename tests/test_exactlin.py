@@ -7,9 +7,7 @@ from gradedorbits.exactlin import (
     CompositeCharacteristic,
     Partition,
     RatMatrix,
-    hermite_rows,
     PRIME_TEST_BOUND,
-    invariant_factors,
     is_prime,
     nullspace,
     parse_matrix_text,
@@ -17,7 +15,9 @@ from gradedorbits.exactlin import (
 
 from oracles import (
     NotNilpotent,
+    hermite_rows,
     in_hermite_span,
+    invariant_factors,
     is_prime_by_trial_division,
     jordan_matrix,
     nilpotent_jordan_partition,

@@ -1,7 +1,8 @@
 """Property tests: the fraction-free elimination of ``exactlin`` against
 Fraction references, its elimination over F_p against the echelon oracle,
-and its invariant factors against the minors-gcd oracle.  Needs Hypothesis (the ``test`` extra); without it
-this module is skipped and the rest of the suite still runs."""
+and the Hermite-pass invariant factors of the oracles' label report
+against the minors-gcd oracle.  Needs Hypothesis (the ``test`` extra);
+without it this module is skipped and the rest of the suite still runs."""
 
 import itertools
 from fractions import Fraction
@@ -18,8 +19,6 @@ from gradedorbits.exactlin import (
     RatMatrix,
     _rref,
     bracket,
-    hermite_rows,
-    invariant_factors,
     nullspace,
     rat_inverse,
     solve_linear,
@@ -30,7 +29,9 @@ from oracles import (
     fraction_nullspace,
     fraction_rref,
     hermite_pivots,
+    hermite_rows,
     in_hermite_span,
+    invariant_factors,
     snf_invariant_factors_by_minors,
 )
 

@@ -190,10 +190,10 @@ def test_decomposition_coverage_matches_block_dims():
 
 
 def test_component_group_invertible_at_allowed_primes():
-    from gradedorbits.rootdata import prime_report, standard_root_datum
+    from gradedorbits.rootdata import prime_report
 
     for kind, n in [("sp", 4), ("sl", 4)]:
-        excluded = set(prime_report(standard_root_datum(kind, n)).pretty_good_excluded)
+        excluded = set(prime_report(kind, n)["pretty_good_excluded"])
         allowed = [p for p in (2, 3, 5, 7, 11, 13) if p not in excluded]
         for orbit in nilpotent_orbits(kind, n):
             for p in allowed:

@@ -6,28 +6,28 @@ import pytest
 
 import oracles
 from gradedorbits import rootdata
-from gradedorbits.exactlin import RatMatrix, hermite_rows, invariant_factors, is_prime
-from gradedorbits.rootdata import (
-    RootDatum,
-    TooLarge,
-    UnsupportedType,
-    prime_report,
-    standard_root_datum,
-)
+from gradedorbits.exactlin import RatMatrix
+from gradedorbits.rootdata import TooLarge, UnsupportedType, prime_report
 from oracles import (
+    RootDatum,
     bad_primes_by_highest_root_search,
     byte_tables,
     closed_families_by_join_closure,
     closed_families_by_w_search,
     closed_subsystems,
     closure_by_members,
+    hermite_rows,
     in_hermite_span,
+    invariant_factors,
+    is_prime_by_trial_division,
     orbit_families,
     pairing,
     prime_report_by_all_families,
+    prime_report_by_labels,
     simple_reflections,
     snf_invariant_factors_by_minors,
     sorted_families,
+    standard_root_datum,
     walk,
 )
 
@@ -41,9 +41,9 @@ def test_root_counts():
 
 def test_unsupported_type():
     with pytest.raises(UnsupportedType):
-        standard_root_datum("so", 4)
+        prime_report("so", 4)
     with pytest.raises(UnsupportedType):
-        standard_root_datum("sp", 3)
+        prime_report("sp", 3)
 
 
 @pytest.mark.parametrize("kind,n", [("sl", 2), ("sl", 3), ("sl", 4), ("sp", 4)])
@@ -105,13 +105,14 @@ def test_closed_subsystems_include_empty_and_full():
 
 def test_guard():
     """The bound is on n, per type: SL(21) and Sp(26) are the largest
-    accepted."""
+    accepted, and the oracles' root data there have all their roots."""
     assert rootdata.MAX_N == {"sl": 21, "sp": 26}
     for kind, largest in rootdata.MAX_N.items():
+        assert prime_report(kind, largest)["pretty_good_excluded"]
         rd = standard_root_datum(kind, largest)
         assert len(rd.roots) == (largest * (largest - 1) if kind == "sl" else largest**2 // 2)
         with pytest.raises(TooLarge):
-            standard_root_datum(kind, largest + 2)
+            prime_report(kind, largest + 2)
 
 
 @pytest.mark.parametrize(
@@ -119,52 +120,54 @@ def test_guard():
     [("sl", 99999999999, 21), ("sl", 22, 21), ("sp", 28, 26)],
     ids=["sl-huge", "sl22", "sp28"],
 )
-def test_guard_before_any_root_is_built(monkeypatch, kind, n, limit):
-    def build_nothing(*args):
-        raise AssertionError("roots were built")
-
-    monkeypatch.setattr(rootdata, "_family", build_nothing)
+def test_guard_before_any_root_is_built(deadline, kind, n, limit):
+    """The report builds no root at all, so a huge n is refused at once."""
     label = f"{'SL' if kind == 'sl' else 'Sp'}({n})"
     message = f"{label} is too large: the prime report is limited to n <= {limit}"
-    with pytest.raises(TooLarge, match=rf"^{re.escape(message)}$"):
-        standard_root_datum(kind, n)
+    with deadline(1), pytest.raises(TooLarge, match=rf"^{re.escape(message)}$"):
+        prime_report(kind, n)
 
 
 def test_prime_report_sl4():
-    rep = prime_report(standard_root_datum("sl", 4))
-    assert rep.pretty_good_excluded == (2,)
-    assert rep.rather_good_excluded == (2,)
-    assert rep.good_excluded == ()
-    assert rep.torsion == ()
+    rep = prime_report("sl", 4)
+    assert list(rep) == [
+        "good_excluded", "torsion", "pretty_good_excluded", "rather_good_excluded"
+    ]
+    assert rep["pretty_good_excluded"] == [2]
+    assert rep["rather_good_excluded"] == [2]
+    assert rep["good_excluded"] == []
+    assert rep["torsion"] == []
 
 
 def test_prime_report_sp4():
-    rep = prime_report(standard_root_datum("sp", 4))
-    assert rep.good_excluded == (2,)
-    assert rep.torsion == (2,)
-    assert rep.pretty_good_excluded == (2,)
-    assert rep.rather_good_excluded == (2,)
+    rep = prime_report("sp", 4)
+    assert rep["good_excluded"] == [2]
+    assert rep["torsion"] == [2]
+    assert rep["pretty_good_excluded"] == [2]
+    assert rep["rather_good_excluded"] == [2]
 
 
 def test_prime_report_sl2():
-    rep = prime_report(standard_root_datum("sl", 2))
-    assert rep.torsion == ()
-    assert rep.rather_good_excluded == (2,)
+    rep = prime_report("sl", 2)
+    assert rep["torsion"] == []
+    assert rep["rather_good_excluded"] == [2]
 
 
 def test_pretty_good_contains_full_system_torsion():
     for kind, n in [("sl", 3), ("sl", 4), ("sp", 4)]:
-        rep = prime_report(standard_root_datum(kind, n))
-        assert set(rep.pretty_good_excluded) >= set(rep.torsion)
-        assert set(rep.pretty_good_excluded) >= set(rep.good_excluded)
-        assert set(rep.rather_good_excluded) >= set(rep.good_excluded)
+        rep = prime_report(kind, n)
+        assert set(rep["pretty_good_excluded"]) >= set(rep["torsion"])
+        assert set(rep["pretty_good_excluded"]) >= set(rep["good_excluded"])
+        assert set(rep["rather_good_excluded"]) >= set(rep["good_excluded"])
 
 
 def test_prime_report_invariant_under_root_order():
+    """The all-family report reads the root list; the label report does
+    not."""
     rd = standard_root_datum("sp", 4)
     shuffled = _shuffled(rd, 3)
     assert shuffled.roots != rd.roots
-    assert prime_report(shuffled) == prime_report(rd)
+    assert prime_report_by_all_families(shuffled) == prime_report_by_all_families(rd)
 
 
 def _shuffled(rd, seed):
@@ -292,7 +295,6 @@ def test_reflection_image_outside_the_list_is_an_error():
     kept = tuple(r for r in rd.roots if r not in {(1, 0, -1), (-1, 0, 1)})
     partial = RootDatum(
         kind="sl",
-        label="partial",
         ambient_rank=3,
         roots=kept,
         coroots=kept,
@@ -308,21 +310,21 @@ def test_reflection_image_outside_the_list_is_an_error():
 @pytest.mark.parametrize("kind,n", SEARCHED)
 def test_prime_report_equals_all_family_oracle(kind, n):
     rd = standard_root_datum(kind, n)
-    assert prime_report(rd) == prime_report_by_all_families(rd)
+    assert prime_report_by_labels(rd) == prime_report_by_all_families(rd) == prime_report(kind, n)
 
 
 @pytest.mark.parametrize("kind,n", [("sl", 6), ("sp", 8)])
 def test_one_torsion_quotient_per_orbit_representative(monkeypatch, kind, n):
     rd = standard_root_datum(kind, n)
     quotients = []
-    torsion = rootdata.torsion_primes_of_quotient
+    torsion = oracles.torsion_primes_of_quotient
 
     def counted(rows):
         quotients.append(rows)
         return torsion(rows)
 
-    monkeypatch.setattr(rootdata, "torsion_primes_of_quotient", counted)
-    prime_report(rd)
+    monkeypatch.setattr(oracles, "torsion_primes_of_quotient", counted)
+    prime_report_by_labels(rd)
     root_labels, coroot_labels = orbit_families(rd)
     root_families, root_reps = _search(rd, "roots")
     coroot_families, coroot_reps = _search(rd, "coroots")
@@ -377,12 +379,12 @@ def test_label_basis_spans_the_family_lattice(kind, n):
     """Each label's basis is independent and spans the lattice of all the
     vectors of its family, on both sides."""
     rank = standard_root_datum(kind, n).ambient_rank
-    for components in rootdata._COMPONENTS[kind]:
-        for label in rootdata._labels(components, rank):
-            basis = rootdata._basis(rank, label)
+    for components in oracles._COMPONENTS[kind]:
+        for label in oracles._labels(components, rank):
+            basis = oracles._basis(rank, label)
             hnf = hermite_rows(basis)
             assert len(hnf) == len(basis)
-            assert hnf == hermite_rows(rootdata._family(rank, label))
+            assert hnf == hermite_rows(oracles._family(rank, label))
 
 
 @pytest.mark.parametrize("kind,n", BASED)
@@ -392,18 +394,18 @@ def test_bad_primes_equal_highest_root_search(kind, n):
     primes that a search over every positive root finds."""
     rd = standard_root_datum(kind, n)
     rank = rd.ambient_rank
-    simple = rootdata._basis(rank, (("A" if kind == "sl" else "C", rank),))
+    simple = oracles._basis(rank, (("A" if kind == "sl" else "C", rank),))
     assert set(simple) == {rd.roots[k] for k in oracles._simple_roots(rd)}
-    assert rootdata._bad_primes(rd, simple) == bad_primes_by_highest_root_search(rd)
+    assert oracles._bad_primes(rd, simple) == bad_primes_by_highest_root_search(rd)
 
 
 def test_coordinates_come_from_one_elimination_and_must_be_integers():
     basis = ((2, 0), (0, 1))
-    assert rootdata._coords_in_basis(basis, [(4, 3), (0, -1)]) == ((2, 3), (0, -1))
+    assert oracles._coords_in_basis(basis, [(4, 3), (0, -1)]) == ((2, 3), (0, -1))
     with pytest.raises(ValueError, match="not in the integer span"):
-        rootdata._coords_in_basis(basis, [(4, 3), (1, 0)])
+        oracles._coords_in_basis(basis, [(4, 3), (1, 0)])
     with pytest.raises(ValueError, match="not in the span"):
-        rootdata._coords_in_basis(((1, -1, 0),), [(1, 0, 0)])
+        oracles._coords_in_basis(((1, -1, 0),), [(1, 0, 0)])
 
 
 @pytest.mark.parametrize("kind,n", [("sl", 3), ("sl", 4), ("sl", 5), ("sp", 4), ("sp", 6)])
@@ -411,14 +413,14 @@ def test_quotient_invariant_factors_equal_minors_oracle(monkeypatch, kind, n):
     """Every matrix whose torsion decides a prime report has the invariant
     factors of the minors-gcd oracle."""
     quotients = []
-    torsion = rootdata.torsion_primes_of_quotient
+    torsion = oracles.torsion_primes_of_quotient
 
     def recorded(rows):
         quotients.append([list(r) for r in rows])
         return torsion(rows)
 
-    monkeypatch.setattr(rootdata, "torsion_primes_of_quotient", recorded)
-    prime_report(standard_root_datum(kind, n))
+    monkeypatch.setattr(oracles, "torsion_primes_of_quotient", recorded)
+    prime_report_by_labels(standard_root_datum(kind, n))
     quotients = [rows for rows in quotients if rows]
     assert quotients
     for rows in quotients:
@@ -430,18 +432,18 @@ def test_prime_report_shares_the_search_when_coroots_equal_roots(monkeypatch):
     """SL writes down one list of label bases for both sides: p(4) = 5
     bases for SL(4), against 5 a side for Sp(4)."""
     built = []
-    basis = rootdata._basis
+    basis = oracles._basis
 
     def counted(rank, label):
         built.append(label)
         return basis(rank, label)
 
     sl, sp = standard_root_datum("sl", 4), standard_root_datum("sp", 4)
-    monkeypatch.setattr(rootdata, "_basis", counted)
-    prime_report(sl)
+    monkeypatch.setattr(oracles, "_basis", counted)
+    prime_report_by_labels(sl)
     assert len(built) == 5
     built.clear()
-    prime_report(sp)
+    prime_report_by_labels(sp)
     assert len(built) == 10
 
 
@@ -482,23 +484,38 @@ def test_sl_closed_families_are_set_partitions(deadline, n, bell):
     assert set(got) == expected
 
 
-@pytest.mark.parametrize("n", [*range(2, 9), rootdata.MAX_N["sl"]])
+@pytest.mark.parametrize("n", range(2, rootdata.MAX_N["sl"] + 1))
 def test_sl_prime_report_closed_form(deadline, n):
-    """SL_n has no torsion primes (Steinberg); its pretty good exclusions
-    are the primes dividing n (Herpel, Trans. AMS 2013)."""
+    """SL_n has no bad and no torsion primes (Steinberg); its pretty good
+    and rather good exclusions are the primes dividing n (Herpel, Trans.
+    AMS 2013).  The package states these forms, and the report derived
+    from one Smith form per W-orbit label equals them for every accepted
+    n."""
+    dividing = [p for p in range(2, n + 1) if n % p == 0 and is_prime_by_trial_division(p)]
+    rep = prime_report("sl", n)
+    assert rep == {
+        "good_excluded": [],
+        "torsion": [],
+        "pretty_good_excluded": dividing,
+        "rather_good_excluded": dividing,
+    }
     with deadline(10):
-        rep = prime_report(standard_root_datum("sl", n))
-    assert rep.torsion == ()
-    assert rep.pretty_good_excluded == tuple(
-        p for p in range(2, n + 1) if n % p == 0 and is_prime(p)
-    )
+        assert prime_report_by_labels(standard_root_datum("sl", n)) == rep
 
 
-@pytest.mark.parametrize("m", [*range(1, 6), rootdata.MAX_N["sp"] // 2])
+@pytest.mark.parametrize("m", range(1, rootdata.MAX_N["sp"] // 2 + 1))
 def test_sp_prime_report_closed_form(deadline, m):
-    """Sp_2m for m >= 2 has torsion prime 2 and pretty good exclusion 2.
-    Sp_2 is SL_2: no torsion primes, and 2 divides n = 2."""
+    """Sp_2m for m >= 2 has 2 in all four lists.  Sp_2 is SL_2: no bad and
+    no torsion primes, and 2 divides n = 2.  The package states these
+    forms, and the report derived from one Smith form per W-orbit label
+    equals them for every accepted n."""
+    both = [2] if m >= 2 else []
+    rep = prime_report("sp", 2 * m)
+    assert rep == {
+        "good_excluded": both,
+        "torsion": both,
+        "pretty_good_excluded": [2],
+        "rather_good_excluded": [2],
+    }
     with deadline(10):
-        rep = prime_report(standard_root_datum("sp", 2 * m))
-    assert rep.torsion == ((2,) if m >= 2 else ())
-    assert rep.pretty_good_excluded == (2,)
+        assert prime_report_by_labels(standard_root_datum("sp", 2 * m)) == rep
