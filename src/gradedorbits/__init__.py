@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for cocharacter-graded classical Lie algebras.
 
 Submodules: exactlin (primality, integer/rational matrices and their exact
-elimination over Q or F_p, partitions), rootdata (the prime classifiers of
+elimination over Q or F_p, cocharacters, partitions), rootdata (the prime classifiers of
 SL(n) and Sp(2m) in closed form), liegrade (gradings, sl2-triples, canonical
 parabolics, rigidity), orbitlib (nilpotent orbit combinatorics and graded
 orbit enumeration), cohom (space expressions, counting polynomials, stalk

@@ -23,6 +23,7 @@ import sys
 # every subcommand runs exactlin; the other layers load where they run
 from .exactlin import (
     PRIME_TEST_BOUND,
+    Cocharacter,
     DomainError,
     is_prime,
     parse_matrix_text,
@@ -35,9 +36,9 @@ MAX_ORBITS_N = 40
 # its work grows as d^4: degree 0 of sp_48 under the zero cocharacter, the
 # worst call accepted, takes about 0.35 s and 62 MB in-process.  ``triple``
 # and ``parabolic`` share the bound and solve on cell maps: in sl_48, x = E_12
-# of degree 1 under (1, 0, ..., 0, -1) takes about 0.01 and 0.02 s, x = E_1,25
-# of degree 2 under (1^24, (-1)^24), whose h the diagonal system leaves free,
-# 0.13 and 0.16 s (medians of 5 calls; 2 virtual Xeon cores, Python 3.11).
+# of degree 1 under (1, 0, ..., 0, -1) and x = E_1,25 of degree 2 under
+# (1^24, (-1)^24) each take about 3 and 6 ms (medians of 7 calls; 2 virtual
+# Xeon cores, Python 3.11).
 MAX_GRADING_D = 48
 # the exit code of a run whose stdout reader went away: 128 + SIGPIPE
 EXIT_CLOSED_PIPE = 141
@@ -72,8 +73,6 @@ def _int_list(text: str) -> list:
 
 def _cochar(text: str):
     """argparse type: a cocharacter as comma-separated integer weights."""
-    from .liegrade import Cocharacter
-
     return Cocharacter.of(_int_list(text))
 
 

@@ -1,7 +1,7 @@
 """Exact integer and rational linear algebra: primality and prime
 factors, the matrix type ``RatMatrix``, one elimination kernel ``_rref``
 over Q or F_p with the nullspaces, solutions and inverses read from it,
-Lie brackets, and partitions.
+Lie brackets, cocharacters and partitions.
 
 Everything in this package computes over Z or Q with arbitrary precision;
 there is no floating point anywhere.  The one matrix type is ``RatMatrix``,
@@ -317,24 +317,22 @@ def nullspace(rows, p: int = 0):
     return tuple(basis)
 
 
-def solve_linear(rows, rhs, with_rank: bool = False):
-    """One exact solution of ``rows * x = rhs`` over Q, or None; with
-    ``with_rank``, the pair of it and the rank of ``rows``, read from the
-    pivots of the same elimination of ``[rows | rhs]``.
+def solve_linear(rows, rhs):
+    """One exact solution of ``rows * x = rhs`` over Q, or None.
 
     Free variables are set to 0, which makes the answer deterministic.
     """
     if not rows:
-        return ((), 0) if with_rank else ()
+        return ()
     ncols = len(rows[0])
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     mat, pivots = _rref(aug)
     if ncols in pivots:  # no solution: the last column holds a pivot
-        return (None, len(pivots) - 1) if with_rank else None
+        return None
     sol = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
         sol[pc] = Fraction(mat[r][ncols], mat[r][pc])
-    return (tuple(sol), len(pivots)) if with_rank else tuple(sol)
+    return tuple(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +378,21 @@ def rat_inverse(m: RatMatrix) -> RatMatrix:
 
 
 # ---------------------------------------------------------------------------
-# partitions
+# cocharacters and partitions
+
+
+@dataclass(frozen=True)
+class Cocharacter:
+    """A diagonal cocharacter, stored as its integer weight vector."""
+
+    weights: tuple
+
+    @staticmethod
+    def of(weights) -> "Cocharacter":
+        return Cocharacter(tuple(int(w) for w in weights))
+
+    def __len__(self) -> int:
+        return len(self.weights)
 
 
 @dataclass(frozen=True)

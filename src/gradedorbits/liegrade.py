@@ -20,9 +20,10 @@ the cells of the basis that diagonalises both gradings: ``cells`` and
 ``mask`` read p, n and l off it, and ``check_n_rigid`` tests a set of
 those cells.
 
-The triple solvers stay on cells too (``_ad``): the equations are written
-only on the cells that x, a bracket or a right-hand side reaches, and only
-e, h and f are built as matrices.  Everything is exact, and returned
+The triple stays on cells too: a diagonal h is read off the cells of x
+(``_toral_h``), the equations are written only on the cells that x, a
+bracket (``_ad``) or a right-hand side reaches, and only e, h and f are
+built as matrices.  Everything is exact, and returned
 values are immutable.
 """
 
@@ -33,6 +34,7 @@ from functools import cached_property
 from math import lcm
 
 from .exactlin import (
+    Cocharacter,
     DomainError,
     RatMatrix,
     bracket,
@@ -56,18 +58,6 @@ class NonIntegralWeights(ValueError):
 
 class NotSimultaneouslyDiagonal(ValueError):
     """Basis change for h does not commute with the ambient grading."""
-
-
-@dataclass(frozen=True)
-class Cocharacter:
-    weights: tuple
-
-    @staticmethod
-    def of(weights) -> "Cocharacter":
-        return Cocharacter(tuple(int(w) for w in weights))
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -310,30 +300,23 @@ def _combination(coeffs, piece, d, den=1) -> RatMatrix:
     return _matrix(d, acc, common * den)
 
 
-def _solve_h(x, xf, diagonal):
+def _solve_h(x, xf):
     """The h of the system [x, f] = h, [h, x] = 2x with f in span(gm) and h
-    in g0, or in the diagonal part of g0 when ``diagonal``; None if the
-    system has no solution.  ``xf`` holds the ``_brackets`` [X, F_k] of the
-    gm basis, X = x.den * x.
+    in g0, or None if it has no solution.  ``xf`` holds the ``_brackets``
+    [X, F_k] of the gm basis, X = x.den * x.
 
     [x, f] = h fixes h by f, and [x, f] lies in g0.  So the system is
     [[x, f], x] = 2x in the f coefficients alone, written as
-    [X, [X, f]] = -2 x.den X, plus [x, f] = 0 off the diagonal for a
-    diagonal h.  In the system in (h, f), h unknowns first, every h column
-    is a pivot, as the basis of h is independent; its reduced row echelon
-    form therefore gives these f coefficients, free ones set to 0, and
-    h = [x, f].  Equations are written only on the cells that x or a
-    bracket reaches."""
+    [X, [X, f]] = -2 x.den X.  In the system in (h, f), h unknowns first,
+    every h column is a pivot, as the basis of h is independent; its
+    reduced row echelon form therefore gives these f coefficients, free
+    ones set to 0, and h = [x, f].  Equations are written only on the
+    cells that x or a bracket reaches."""
     if not xf:
         return None
     x_cells = _cells(x)
     ad_x = _ad(x_cells)
     rows, rhs = _equations([ad_x(b) for b in xf], {k: -2 * x.den * v for k, v in x_cells.items()})
-    if diagonal:
-        off = [{k: v for k, v in b.items() if k[0] != k[1]} for b in xf]
-        off_rows, off_rhs = _equations(off, {})
-        rows += off_rows
-        rhs += off_rhs
     sol = solve_linear(rows, rhs)
     return None if sol is None else _combination(sol, xf, x.rows, x.den)
 
@@ -359,29 +342,42 @@ def _solve_f(h, piece, xf, x, eigen=True):
     return None if sol is None else _combination(sol, piece, x.rows)
 
 
-def _toral_h(x, diag_basis):
-    """(possible, h) for an h in the span of the diagonal ``diag_basis``, as
-    cell maps, that is the h of an sl2-triple through x.  For h = diag(a),
-    [h, x] = 2x says a_i - a_j = 2 on every cell (i, j) of x.  possible is
-    False when that has no solution, or one with a non-integer entry, as
-    the h of every sl2-triple has integer eigenvalues.  h is diag(a) for
-    the one integer solution a, which the caller's f solve or bracket check
-    rejects if no triple has it, and None when the system leaves a free."""
+def _toral_h(x):
+    """The diagonal h of every sl2-triple through x that has one, or None.
+
+    For h = diag(a), [h, x] = 2x says a_i - a_j = 2 on every cell (i, j) of
+    x.  That fixes a up to a constant on each connected component of the
+    graph that the cells of x draw on the coordinates.  x maps the
+    coordinates of a component among themselves, so the block of
+    h = [x, f] on a component is the commutator of the blocks of x and f
+    there, of trace 0, which fixes the constant.  None when two cells
+    conflict or an entry is not an integer, as the h of every sl2-triple
+    has integer eigenvalues; the caller's f solve rejects an h that no
+    triple has."""
     d = x.rows
-    diags = [[b.get((i, i), 0) for i in range(d)] for b in diag_basis]
-    rows = [[v[i] - v[j] for v in diags] for (i, j) in x.support()]
-    coeffs, rank = solve_linear(rows, [2] * len(rows), with_rank=True)
-    if coeffs is None:
-        return False, None
-    if rank < len(diag_basis):
-        return True, None
-    # den * a in integers, den the common denominator of the c_k
-    den = lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
-    a = [sum(c * v[i] for c, v in zip(nums, diags)) for i in range(d)]
-    if any(v % den for v in a):
-        return False, None
-    return True, _matrix(d, {(i, i): v // den for i, v in enumerate(a)})
+    steps = [[] for _ in range(d)]
+    for i, j in x.support():
+        steps[i].append((j, -2))
+        steps[j].append((i, 2))
+    a = [None] * d
+    for root in range(d):
+        if a[root] is not None:
+            continue
+        a[root] = 0
+        component = [root]
+        for k in component:  # grows as the walk reaches new coordinates
+            for l, step in steps[k]:
+                if a[l] is None:
+                    a[l] = a[k] + step
+                    component.append(l)
+                elif a[l] != a[k] + step:
+                    return None
+        shift, rest = divmod(sum(a[k] for k in component), len(component))
+        if rest:
+            return None
+        for k in component:
+            a[k] -= shift
+    return _matrix(d, {(i, i): v for i, v in enumerate(a)})
 
 
 def adapted_sl2_triple(
@@ -390,18 +386,16 @@ def adapted_sl2_triple(
     """Graded sl2-triple (e=x, h, f) with e in g_n, h in g_0, f in g_-n.
 
     A toral h (diagonal, inside g_0) is preferred when one exists, which
-    keeps reported weight vectors deterministic.  ``_toral_h`` solves
-    [h, x] = 2x over the diagonal of g_0.  When that fixes h, f is the one
-    element of g_-n with [x, f] = h and [h, f] = -2f, so it lies on the
-    cells of degree -n where a_i - a_j = -2 for h = diag(a), and
-    [x, f] = h is solved over the piece on those cells alone; g_-n is built
-    only when this fails.
-    When the diagonal system leaves h free, [x, f0] = h, [h, x] = 2x is
-    solved as one linear feasibility problem in f0 (``_solve_h``), first
-    over the diagonal when ``_toral_h`` allows it and then over all of
-    g_0, and f is solved for with [h, f] = -2f adjoined.  Pieces stay cell
-    maps throughout; only e, h and f are built as matrices, and the
-    bracket relations are verified exactly every time.
+    keeps reported weight vectors deterministic.  Every toral triple
+    through x has the h = diag(a) of ``_toral_h``, read off the cells of x,
+    and its f is the one element of g_-n with [x, f] = h and [h, f] = -2f.
+    So f lies on the cells of degree -n where a_i - a_j = -2, and
+    [x, f] = h is solved over the piece on those cells alone.  When that
+    fails, no triple through x has a diagonal h: [x, f0] = h, [h, x] = 2x
+    is solved over all of g_-n as one linear feasibility problem in f0
+    (``_solve_h``), and f is solved for with [h, f] = -2f adjoined.  Pieces
+    stay cell maps throughout; only e, h and f are built as matrices, and
+    the bracket relations are verified exactly every time.
     """
     if n == 0:
         raise DomainError("degree", "degree must be nonzero")
@@ -416,10 +410,8 @@ def adapted_sl2_triple(
     w = chi.weights
     if not alg.contains(x) or any(w[i] - w[j] != n for (i, j) in x.support()):
         raise DomainError("x", "x does not lie in the requested graded component")
-    # the diagonal part of g_0: every diagonal cell has degree 0
-    g0_diag = _piece(alg, [(i, i) for i in range(d)])
-    toral, h = _toral_h(x, g0_diag) if g0_diag else (False, None)
     minus_n = [(i, j) for i, j in _all_cells(d) if w[i] - w[j] == -n]
+    h = _toral_h(x)
     if h is not None:
         a = [h.num[i][i] for i in range(d)]
         fs = _piece(alg, [(i, j) for i, j in minus_n if a[i] - a[j] == -2])
@@ -427,21 +419,13 @@ def adapted_sl2_triple(
         triple = Sl2Triple(x, h, f)
         if f is not None and triple.bracket_relations_hold():
             return triple
-        # the diagonal _solve_h would give this h again
-        toral = False
     gm = _piece(alg, minus_n)
-    # [X, F] for the g_-n basis, shared by both attempts
     xf = _brackets(x, gm)
-    for diagonal in (True, False) if toral else (False,):
-        h = _solve_h(x, xf, diagonal)
-        if h is None:
-            continue
-        f = _solve_f(h, gm, xf, x)
-        if f is None:
-            continue
-        triple = Sl2Triple(x, h, f)
-        if triple.bracket_relations_hold():
-            return triple
+    h = _solve_h(x, xf)
+    f = None if h is None else _solve_f(h, gm, xf, x)
+    triple = Sl2Triple(x, h, f)
+    if f is not None and triple.bracket_relations_hold():
+        return triple
     raise NoTriple("x", "the graded triple equations are infeasible")
 
 

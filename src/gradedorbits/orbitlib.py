@@ -37,12 +37,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
-from typing import TYPE_CHECKING
 
-from .exactlin import DomainError, Partition, RatMatrix
-
-if TYPE_CHECKING:
-    from .liegrade import Cocharacter
+from .exactlin import Cocharacter, DomainError, Partition, RatMatrix
 
 
 class InvalidPartition(ValueError):

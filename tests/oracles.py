@@ -34,7 +34,10 @@ closed forms in the segments.  The f of a triple
 comes from one system over every cell of [x, f] = h and [h, f] = -2f,
 where the package solves on the ad-h weight -2 cells, and rigidity
 conjugates e, h and f by the basis change every time.  Primality is trial
-division.
+division.  The CLI payload of graded-orbits is counted by interval
+multisets along each weight chain and told apart by rank invariants, and
+that of fibers by evaluating each fixture space expression at p, with no
+call into the layer that printed it.
 """
 
 from __future__ import annotations
@@ -1248,3 +1251,165 @@ def simple_reflections(rd) -> tuple:
         on_roots.append(_reflection(rd.roots, alpha, lambda v: pairing(v, alphav)))
         on_coroots.append(_reflection(rd.coroots, alphav, lambda y: pairing(alpha, y)))
     return tuple(on_roots), tuple(on_coroots)
+
+
+# ---------------------------------------------------------------------------
+# the --json payloads of graded-orbits and fibers, from their definitions
+
+
+def partition_label(lam):
+    """Exponential notation, e.g. [2^2,1^2]."""
+    pieces = []
+    for a, run in itertools.groupby(lam):
+        count = len(list(run))
+        pieces.append(f"{a}^{count}" if count > 1 else str(a))
+    return "[" + ",".join(pieces) + "]"
+
+
+def interval_multiset_count(dims):
+    """The number of multisets of intervals [a, b] of the positions of
+    ``dims`` that cover each position i exactly dims[i] times, by the
+    multiplicity of each interval in turn."""
+    intervals = [(a, b) for a in range(len(dims)) for b in range(a, len(dims))]
+
+    def count(k, left):
+        if k == len(intervals):
+            return int(not any(left))
+        a, b = intervals[k]
+        total = 0
+        while True:
+            total += count(k + 1, left)
+            if not all(left[a : b + 1]):
+                return total
+            left = left[:a] + tuple(v - 1 for v in left[a : b + 1]) + left[b + 1 :]
+
+    return count(0, tuple(dims))
+
+
+def _weight_chains(weights, n):
+    """The multiplicities of the weights along each maximal chain
+    u, u + n, u + 2n, ... of weights that occur."""
+    mult = {u: weights.count(u) for u in set(weights)}
+    return [
+        [mult[u + k * n] for k in itertools.takewhile(lambda k: u + k * n in mult, itertools.count())]
+        for u in sorted(mult)
+        if u - n not in mult
+    ]
+
+
+def _rank_invariants(weights, n, x):
+    """The rank of x^k from the weight space u to u + kn, for k >= 1 and
+    every weight u, by Fraction RREF; these classify the representations
+    of an equioriented type-A quiver, so the G_0-orbits on g_n."""
+    d = len(weights)
+    out = []
+    power = x
+    for k in range(1, d):
+        for u in sorted(set(weights)):
+            src = [j for j in range(d) if weights[j] == u]
+            dst = [i for i in range(d) if weights[i] == u + k * n]
+            if dst:
+                out.append(len(fraction_rref([[power[i][j] for j in src] for i in dst])[1]))
+        power = [[sum(power[i][t] * x[t][j] for t in range(d)) for j in range(d)] for i in range(d)]
+    return tuple(out)
+
+
+def check_graded_orbits_payload(weights, n, payload):
+    """One orbit per multiset of intervals along each chain of weights
+    (Gabriel's theorem for equioriented type A), each representative on the
+    cells of degree n with dim the rank of ad x on g_0, and no two
+    representatives with the same rank invariants."""
+    from gradedorbits.exactlin import Cocharacter, RatMatrix
+    from gradedorbits.liegrade import build_algebra
+
+    d = len(weights)
+    assert (payload["cochar"], payload["degree"]) == (list(weights), n)
+    want = 1
+    for dims in _weight_chains(list(weights), n):
+        want *= interval_multiset_count(dims)
+    orbits = payload["orbits"]
+    assert len(orbits) == want
+    alg, chi = build_algebra("sl", d), Cocharacter.of(weights)
+    seen = set()
+    for rec in orbits:
+        x = [[Fraction(a) for a in row.split(",")] for row in rec["representative"].split(";")]
+        assert all(weights[i] - weights[j] == n for i in range(d) for j in range(d) if x[i][j])
+        assert rec["dim"] == graded_orbit_dimension(alg, chi, n, RatMatrix.from_rows(x))
+        invariants = _rank_invariants(weights, n, x)
+        assert invariants not in seen, rec["label"]
+        seen.add(invariants)
+
+
+def space_points(text, q):
+    """F_q points of a space expression such as (disjoint (proj 2) (aff 2)):
+    a point, affine n-space, projective n-space, the torus G_m, the
+    projective line minus k points, and a disjoint union."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+
+    def read(pos):
+        head, pos = tokens[pos + 1], pos + 2
+        parts, args = [], []
+        while tokens[pos] != ")":
+            if tokens[pos] == "(":
+                value, pos = read(pos)
+                parts.append(value)
+            else:
+                args.append(int(tokens[pos]))
+                pos += 1
+        value = {
+            "pt": lambda: 1,
+            "aff": lambda: q ** args[0],
+            "proj": lambda: sum(q**i for i in range(args[0] + 1)),
+            "torus": lambda: q - 1,
+            "projline-minus": lambda: q + 1 - args[0],
+            "disjoint": lambda: sum(parts),
+        }[head]()
+        return value, pos + 1
+
+    return read(0)[0]
+
+
+def gaussian_binomial(d, k, q):
+    """The number of k-dimensional subspaces of F_q^d."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (d - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+# the strata of each flag kind, and the dimension of its flags
+FLAG_STRATA = {"isotropic-line": (1, ("full", "zero", "cuspidal")), "two-plane": (2, ("full", "cuspidal"))}
+
+
+def check_fibers_payload(case, primes, payload):
+    """For each prime, orbit and stratum in turn, the count is that of its
+    space in the case fixture at p.  A zero part marked as a twisted pair
+    is a^2 + b^2 = 0 in P^1: one point at p = 2, else two points when -1 is
+    a square mod p and none when not; the cuspidal part is then the rest of
+    the full fiber.  The zero orbit's full fiber is every flag: [4, k]_p of
+    them, as every line is isotropic."""
+    import json
+    from pathlib import Path
+
+    import gradedorbits
+
+    fixture = json.loads((Path(gradedorbits.__file__).parent / "cases" / f"{case}.json").read_text())
+    k, strata = FLAG_STRATA[fixture["flag_kind"]]
+    assert (payload["case"], payload["primes"]) == (case, list(primes))
+    want = []
+    for p in primes:
+        for rec in fixture["orbits"]:
+            counts = {"full": space_points(rec["full_fiber"], p)}
+            if rec.get("zero_part_twisted_pair"):
+                counts["zero"] = 1 if p == 2 else 2 if p % 4 == 1 else 0
+                counts["cuspidal"] = counts["full"] - counts["zero"]
+            else:
+                for stratum in ("zero", "cuspidal"):
+                    expr = rec[f"{stratum}_part"]
+                    counts[stratum] = space_points(expr, p) if expr else 0
+            if set(rec["partition"]) == {1}:
+                assert counts["full"] == gaussian_binomial(fixture["ambient_dim"], k, p)
+            label = partition_label(rec["partition"])
+            want += [(label, p, stratum, counts[stratum]) for stratum in strata]
+    assert [(r["orbit"], r["prime"], r["stratum"], r["count"]) for r in payload["rows"]] == want

@@ -358,6 +358,37 @@ def test_non_integral_diagonal_solution_sha256(capsys, command, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `triple --json` and `parabolic --json` for elements whose cells
+# fall into several components, so that [h, x] = 2x alone leaves a diagonal
+# h free, captured while that h was still solved for by elimination: the
+# README's sl4 example, the sp4 pair E_12 - E_43, and E_1,25 in sl_48 under
+# (1^24, (-1)^24).
+E_1_25 = ";".join(",".join("1" if (i, j) == (0, 24) else "0" for j in range(48)) for i in range(48))
+FREE_H_SHA256 = [
+    (["--type", "sl", "--d", "4", "--cochar", "1,0,0,-1", "--x", "0,0,0,0;1,0,0,0;0,0,0,0;0,0,1,0",
+      "--degree", "-1"],
+     "d0980b7dc67db6ddddb24f3dcf93a5e33d3db9f083637f6ff955ec37e4b2fd7d",
+     "a68b7e072f32d58acb3f9801f40fde1acd1ca1cdf070bc1033f3a999883f361a"),
+    (["--type", "sp", "--d", "4", "--cochar", "1,0,-1,0", "--x", "0,1,0,0;0,0,0,0;0,0,0,0;0,0,-1,0",
+      "--degree", "1"],
+     "cbb3bbaf384d404b79b1fe638e052be2124c3ccdcedb0e1461736b0ae46ae3a8",
+     "963b983319278c12a467eed7fc6626270973af01064a9e178dfda4d7098b987b"),
+    (["--type", "sl", "--d", "48", "--cochar", ",".join(["1"] * 24 + ["-1"] * 24), "--x", E_1_25,
+      "--degree", "2"],
+     "27c12baf0aa9ea9150aa0de5e22c04f440873db03eb414ac645252ace947db59",
+     "ce86c6cc6f3c81e0acb6be1e79598c7f4a5eaeb805fc84df61e07afdce4bb63f"),
+]
+
+
+@pytest.mark.parametrize("command", ["triple", "parabolic"])
+@pytest.mark.parametrize("args,triple_digest,parabolic_digest", FREE_H_SHA256, ids=["sl4", "sp4", "sl48"])
+def test_free_diagonal_h_sha256(capsys, command, args, triple_digest, parabolic_digest):
+    code, out = run_capture(capsys, [command, *args, "--json"])
+    assert code == 0
+    digest = triple_digest if command == "triple" else parabolic_digest
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # The same elements' text output (no --json), captured before the triple took
 # a toral h from the diagonal system and f from the ad-h weight -2 cells.
 TRIPLE_SHAPES_TEXT_SHA256 = [

@@ -9,8 +9,9 @@ one option dropped or replaced by junk now and then.  Sizes are drawn from
 small values, where an accepted input takes well under 0.1 s, and from the
 first value past each documented bound, which is rejected before any work
 is done; primes, a closed form, draws every accepted n.  The --json
-payload of every exit 0 of orbits, grading, triple, parabolic and stalks
-is checked from the definitions, and that of primes from closed forms.
+payload of every exit 0 of orbits, graded-orbits, grading, triple,
+parabolic, fibers and stalks is checked from the definitions, and that of
+primes from closed forms.
 A second property draws only well-formed
 triple and parabolic argvs with a nonzero x in g_n: by graded
 Jacobson-Morozov each has a graded sl2-triple, so each must exit 0."""
@@ -33,7 +34,13 @@ from hypothesis import strategies as st
 
 from gradedorbits import cli, exactlin
 
-from oracles import fraction_rref, is_prime_by_trial_division
+from oracles import (
+    check_fibers_payload,
+    check_graded_orbits_payload,
+    fraction_rref,
+    is_prime_by_trial_division,
+    partition_label,
+)
 
 JUNK = ["", "x", "1.5", "1,,2", "0x10", "-", "1;0"]
 # past the orbit bound: one chain of block sizes 1, 7, 4, 3, 7, 7 (10,080
@@ -423,15 +430,6 @@ def orbit_partitions(kind_, n):
     ]
 
 
-def partition_label(lam):
-    """Exponential notation, e.g. [2^2,1^2]."""
-    pieces = []
-    for a, run in itertools.groupby(lam):
-        count = len(list(run))
-        pieces.append(f"{a}^{count}" if count > 1 else str(a))
-    return "[" + ",".join(pieces) + "]"
-
-
 def check_orbits_payload(argv, payload):
     """One row per orbit partition, in descending lexicographic order, with
     its label.  With t the transpose of the partition, dim is
@@ -472,9 +470,23 @@ def check_stalks_payload(argv, payload):
     assert bool(mixed) == (int(options["--char"]) == 2), mixed
 
 
+def check_graded_orbits_argv_payload(argv, payload):
+    options = option_values(argv)
+    weights = [int(a) for a in options["--cochar"].split(",")]
+    check_graded_orbits_payload(weights, int(options["--degree"]), payload)
+
+
+def check_fibers_argv_payload(argv, payload):
+    options = option_values(argv)
+    primes = [int(p) for p in options["--primes"].split(",")]
+    check_fibers_payload(options["--case"], primes, payload)
+
+
 # an independent check of the --json payload of an exit 0
 PAYLOAD_CHECKS = {
     "orbits": check_orbits_payload,
+    "graded-orbits": check_graded_orbits_argv_payload,
+    "fibers": check_fibers_argv_payload,
     "stalks": check_stalks_payload,
     "grading": check_grading_payload,
     "triple": check_triple_payload,

@@ -76,7 +76,8 @@ def test_integer_rref_equals_fraction_rref(rows):
 @given(rational_matrices())
 def test_nullspace_and_rank_equal_fraction_reference(rows):
     assert nullspace(rows) == fraction_nullspace(rows)
-    assert solve_linear(rows, [0] * len(rows), with_rank=True)[1] == len(fraction_rref(rows)[1])
+    # rank-nullity, against the rank of the Fraction RREF
+    assert len(nullspace(rows)) == len(rows[0]) - len(fraction_rref(rows)[1])
 
 
 @PROPERTY
@@ -86,7 +87,6 @@ def test_solve_linear_equals_fraction_reference(rows, data):
     ncols = len(rows[0])
     aug, pivots = fraction_rref([list(r) + [b] for r, b in zip(rows, rhs)])
     got = solve_linear(rows, rhs)
-    assert solve_linear(rows, rhs, with_rank=True) == (got, len(fraction_rref(rows)[1]))
     if ncols in pivots:
         assert got is None
         return

@@ -544,21 +544,18 @@ def test_f_only_solve_and_toral_check_keep_the_triple(kind, weights, n):
     g0 = graded_component(alg, chi, 0).basis
     gm = graded_component(alg, chi, -n).basis
     gm_cells = _piece(alg, _cells_of_degree(chi, -n))
-    diag = _piece(alg, {(i, i) for i in range(d)})
+    diag = tuple(_matrix(d, c) for c in _piece(alg, {(i, i) for i in range(d)}))
     for x in _random_piece_elements(alg, chi, n, 6, seed=1):
         xf = _brackets(x, gm_cells)
         # the f-only system gives the h of the system in (h, f)
-        assert _solve_h(x, xf, False) == triple_h_by_full_system(x, g0, gm)
-        h = _solve_h(x, xf, True)
-        assert h == triple_h_by_full_system(x, tuple(_matrix(d, c) for c in diag), gm)
+        assert _solve_h(x, xf) == triple_h_by_full_system(x, g0, gm)
+        # the (h, f) system over the diagonal of g_0 gives the closed form
+        h = triple_h_by_full_system(x, diag, gm)
+        fixed = _toral_h(x)
+        if h is not None:
+            assert fixed == h
         f = _solve_f(h, gm_cells, xf, x) if h is not None else None
         toral = f is not None and Sl2Triple(x, h, f).bracket_relations_hold()
-        possible, fixed = _toral_h(x, diag)
-        if not possible:
-            assert not toral
-        if fixed is not None and h is not None:
-            # the diagonal system fixes the h that the diagonal solve finds
-            assert fixed == h
         triple = adapted_sl2_triple(alg, chi, n, x)
         if toral:
             assert (triple.h, triple.f) == (h, f)
@@ -567,15 +564,32 @@ def test_f_only_solve_and_toral_check_keep_the_triple(kind, weights, n):
 
 
 def test_toral_h_refuses_a_non_integral_diagonal_solution():
-    # on the cells of x = E_13 + E_23, [h, x] = 2x has the one diagonal
-    # solution h = diag(2/3, 2/3, -4/3), which no sl2-triple has
+    # on the cells of x = E_13 + E_23, [h, x] = 2x and trace 0 have the one
+    # diagonal solution h = diag(2/3, 2/3, -4/3), which no sl2-triple has
     alg = build_algebra("sl", 3)
     chi = Cocharacter.of([1, 1, -2])
     x = RatMatrix.from_rows([[0, 0, 1], [0, 0, 1], [0, 0, 0]])
-    assert _toral_h(x, _piece(alg, [(i, i) for i in range(3)])) == (False, None)
+    assert _toral_h(x) is None
     triple = adapted_sl2_triple(alg, chi, 3, x)
     assert triple.bracket_relations_hold()
     assert any(triple.h.num[i][j] for i in range(3) for j in range(3) if i != j)
+
+
+def test_toral_h_centres_every_component_of_the_cells():
+    # the cells (2,1) and (4,3) of the worked x lie in two components, and
+    # each block of h has trace 0; a coordinate that no cell reaches gets 0
+    assert _toral_h(WORKED_X) == RatMatrix.from_rows(
+        [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
+    )
+    x = RatMatrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 3, 0]])
+    assert _toral_h(x) == RatMatrix.from_rows([[0, 0, 0], [0, -1, 0], [0, 0, 1]])
+
+
+def test_toral_h_refuses_conflicting_cells():
+    # a_1 - a_2 = a_2 - a_3 = a_1 - a_3 = 2 has no solution; no graded x has
+    # such cells, as a = 2w/n solves the cells of any x in g_n
+    x = RatMatrix.from_rows([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
+    assert _toral_h(x) is None
 
 
 def test_equations_only_on_reached_cells():

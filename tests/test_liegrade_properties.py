@@ -124,31 +124,30 @@ def graded_elements(draw):
 def test_toral_triple_equals_full_systems(case):
     # every triple has the h of the full (h, f) system over the diagonal of
     # g_0 when that gives a triple, else over all of g_0, and the f of the
-    # full f system; where the diagonal system fixes h, that h is the
-    # triple's, and its f is solved for on the ad-h weight -2 part of g_-n
-    # alone
+    # full f system; the diagonal system gives the closed-form h whenever it
+    # has a solution, and the f of that h is solved for on the ad-h weight
+    # -2 part of g_-n alone
     _, alg, chi, n, x = case
     d = alg.dim_ambient
     with mock.patch.object(liegrade, "_solve_f", wraps=liegrade._solve_f) as spy:
         triple = adapted_sl2_triple(alg, chi, n, x)
-    diag = _piece(alg, [(i, i) for i in range(d)])
+    diag_basis = tuple(_matrix(d, c) for c in _piece(alg, [(i, i) for i in range(d)]))
     gm = graded_component(alg, chi, -n).basis
     cells = [(i, j) for i in range(d) for j in range(d) if chi.weights[i] - chi.weights[j] == -n]
     gm_oracle = gm
     if alg.kind == "sp":
         gm_oracle = sp_in_cells_by_nullspace(standard_symplectic_form(d).num, cells)
-    diag_basis = tuple(_matrix(d, c) for c in diag)
-    h_diag = triple_h_by_full_system(x, diag_basis, gm) if diag else None
+    h_diag = triple_h_by_full_system(x, diag_basis, gm)
     f_diag = None if h_diag is None else triple_f_by_full_system(x, h_diag, gm_oracle)
     if f_diag is not None and Sl2Triple(x, h_diag, f_diag).bracket_relations_hold():
         h = h_diag
     else:
         h = triple_h_by_full_system(x, graded_component(alg, chi, 0).basis, gm)
     assert (triple.h, triple.f) == (h, triple_f_by_full_system(x, h, gm_oracle))
-    _, fixed = _toral_h(x, diag) if diag else (False, None)
+    fixed = _toral_h(x)
+    assert h_diag is None or h_diag == fixed
     if fixed is None:
         return
-    assert h_diag is None or h_diag == fixed
     if h_diag is not None:
         assert h == h_diag
         # the first f solve found it: no other route ran

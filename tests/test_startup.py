@@ -60,6 +60,12 @@ def test_orbits_loads_only_its_layers():
     assert loaded_by_program("orbits", "--type", "sl", "--n", "3") == {"cli", "exactlin", "orbitlib"}
 
 
+def test_graded_orbits_loads_only_its_layers():
+    # the --cochar type is an exactlin value, so liegrade stays unloaded
+    argv = ["graded-orbits", "--cochar", "1,0,0,-1", "--degree", "-1"]
+    assert loaded_by_program(*argv) == {"cli", "exactlin", "orbitlib"}
+
+
 def test_console_script_takes_the_program_path(capsys):
     argv = ["orbits", "--type", "sl", "--n", "3"]
     proc = python("-X", "importtime", "-c", console_script(), *argv)
