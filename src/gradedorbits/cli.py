@@ -252,12 +252,11 @@ def cmd_triple(args) -> int:
     x = _square_x(args)
     alg = build_algebra(args.type, args.d)
     triple = adapted_sl2_triple(alg, chi, args.degree, x)
-    weights, _ = chi_prime(triple, chi)
     payload = {
         "e": triple.e.text(),
         "h": triple.h.text(),
         "f": triple.f.text(),
-        "chi_prime": list(weights.weights),
+        "chi_prime": list(chi_prime(triple, chi).weights),
     }
     _emit(args, lambda: _lines(payload), payload)
     return 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -79,40 +80,51 @@ def torus() -> ProjLineMinus:
     return ProjLineMinus(2)
 
 
+_ONE_INTEGER = {"aff": Aff, "proj": Proj, "projline-minus": ProjLineMinus}
+
+
+def _construct(head, args):
+    """The space ``(head args...)``, of tokens and parsed expressions."""
+    if head in ("pt", "torus"):
+        if not args:
+            return Pt() if head == "pt" else torus()
+        takes = "no arguments"
+    elif head in _ONE_INTEGER:
+        if len(args) == 1 and isinstance(args[0], str) and re.fullmatch(r"-?[0-9]+", args[0]):
+            return _ONE_INTEGER[head](int(args[0]))
+        takes = "one integer"
+    elif head == "disjoint":
+        if not any(isinstance(a, str) for a in args):
+            return Disjoint(tuple(args))
+        takes = "space expressions"
+    else:
+        raise ValueError(f"unknown space constructor {head!r}")
+    raise ValueError(f"({head} ...) takes {takes}, got {args}")
+
+
 def parse_space(text: str):
     """Parse an s-expression such as ``(disjoint (proj 2) (aff 2))``."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    end = len(tokens)
 
     def read(pos):
-        if tokens[pos] != "(":
+        if pos == end or tokens[pos] != "(":
             raise ValueError(f"expected '(' at token {pos}")
-        head = tokens[pos + 1]
-        pos += 2
-        args = []
-        while tokens[pos] != ")":
+        if pos + 1 == end or tokens[pos + 1] in ("(", ")"):
+            raise ValueError(f"expected a constructor name at token {pos + 1}")
+        head, args, pos = tokens[pos + 1], [], pos + 2
+        while pos < end and tokens[pos] != ")":
             if tokens[pos] == "(":
                 child, pos = read(pos)
-                args.append(child)
             else:
-                args.append(tokens[pos])
-                pos += 1
-        pos += 1
-        if head == "pt":
-            return Pt(), pos
-        if head == "aff":
-            return Aff(int(args[0])), pos
-        if head == "proj":
-            return Proj(int(args[0])), pos
-        if head == "torus":
-            return torus(), pos
-        if head == "projline-minus":
-            return ProjLineMinus(int(args[0])), pos
-        if head == "disjoint":
-            return Disjoint(tuple(args)), pos
-        raise ValueError(f"unknown space constructor {head!r}")
+                child, pos = tokens[pos], pos + 1
+            args.append(child)
+        if pos == end:
+            raise ValueError(f"unclosed '(' of {head!r}")
+        return _construct(head, args), pos + 1
 
-    expr, end = read(0)
-    if end != len(tokens):
+    expr, stop = read(0)
+    if stop != end:
         raise ValueError("trailing tokens in space expression")
     return expr
 

@@ -1,7 +1,7 @@
 """Exact integer and rational linear algebra: primality and prime
 factors, the matrix type ``RatMatrix``, one elimination kernel ``_rref``
-over Q or F_p with the nullspaces, solutions and inverses read from it,
-Lie brackets, cocharacters and partitions.
+over Q or F_p with the nullspaces and solutions read from it, Lie
+brackets, cocharacters and partitions.
 
 Everything in this package computes over Z or Q with arbitrary precision;
 there is no floating point anywhere.  The one matrix type is ``RatMatrix``,
@@ -336,7 +336,7 @@ def solve_linear(rows, rhs):
 
 
 # ---------------------------------------------------------------------------
-# brackets and inverses
+# brackets
 
 
 def _sparse_rows(num) -> list:
@@ -361,20 +361,6 @@ def bracket(a: RatMatrix, b: RatMatrix) -> RatMatrix:
                 for j, y in right_rows[k]:
                     out[j] += x * y
     return RatMatrix(n, n, tuple(map(tuple, acc)), a.den * b.den)._normalized()
-
-
-def rat_inverse(m: RatMatrix) -> RatMatrix:
-    if m.rows != m.cols:
-        raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    # (num / den)^-1 = den * num^-1, read off the RREF of [num | I]
-    aug = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(m.num)]
-    mat, pivots = _rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular matrix")
-    return RatMatrix.from_rows(
-        [[Fraction(m.den * x, row[i]) for x in row[n:]] for i, row in enumerate(mat)]
-    )
 
 
 # ---------------------------------------------------------------------------

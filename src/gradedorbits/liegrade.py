@@ -16,9 +16,9 @@ ones, for sp one cell, or a pair of cells that B links, per element.  A
 piece becomes d x d matrices only where they are read: ``graded_component``
 and ``MatrixLieAlgebra.basis``, which the triple, the parabolic and
 ``check_n_rigid`` never read.  The canonical parabolic is its indicator on
-the cells of the basis that diagonalises both gradings: ``cells`` and
-``mask`` read p, n and l off it, and ``check_n_rigid`` tests a set of
-those cells.
+the cells of a basis, never built, that diagonalises both gradings:
+``cells`` and ``mask`` read p, n and l off it, and ``check_n_rigid`` tests
+a set of those cells.
 
 The triple stays on cells too: a diagonal h is read off the cells of x
 (``_toral_h``), the equations are written only on the cells that x, a
@@ -39,7 +39,6 @@ from .exactlin import (
     RatMatrix,
     bracket,
     nullspace,
-    rat_inverse,
     solve_linear,
 )
 
@@ -57,7 +56,7 @@ class NonIntegralWeights(ValueError):
 
 
 class NotSimultaneouslyDiagonal(ValueError):
-    """Basis change for h does not commute with the ambient grading."""
+    """h does not preserve the chi-weight blocks."""
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,6 @@ _PIECE_TESTS = {"p": lambda s: s >= 0, "n": lambda s: s > 0, "l": lambda s: s ==
 class ParabolicDatum:
     chi: Cocharacter
     chi_prime: Cocharacter
-    basis_change: RatMatrix
     indicator: RatMatrix  # sign(n) * (n*m - 2*m') per cell
     levi_blocks: tuple  # coordinate classes, first-occurrence order
 
@@ -467,52 +465,39 @@ def _integer_eigenvalues(num, den, bound):
     return out
 
 
-def chi_prime(triple: Sl2Triple, chi: Cocharacter):
-    """Weights of the triple's h, with the change of basis that diagonalises
-    it block-by-block inside the chi-grading.
-
-    Returns (cocharacter, basis_change).  When h is already diagonal the
-    basis change is the identity and the weights are the diagonal entries.
-    """
+def chi_prime(triple: Sl2Triple, chi: Cocharacter) -> Cocharacter:
+    """Weights of the triple's h: its diagonal when h is diagonal, else on
+    each chi-weight block, which h must preserve, the integer eigenvalues
+    in ascending order, each as often as the dimension of its eigenspace:
+    the weights of h in any basis that diagonalises it block by block."""
     h = triple.h
     d = h.rows
-    diagonal = all(h.num[i][j] == 0 for i in range(d) for j in range(d) if i != j)
-    if diagonal:
+    if all(i == j for i, j in h.support()):
         if any(h.num[i][i] % h.den for i in range(d)):
             raise NonIntegralWeights("h has a non-integer diagonal entry")
-        return Cocharacter.of([h.num[i][i] // h.den for i in range(d)]), RatMatrix.identity(d)
+        return Cocharacter.of([h.num[i][i] // h.den for i in range(d)])
 
     w = chi.weights
-    if any(h.num[i][j] for i in range(d) for j in range(d) if w[i] != w[j]):
+    if any(w[i] != w[j] for i, j in h.support()):
         raise NotSimultaneouslyDiagonal("h does not preserve the grading blocks")
-    block_lists = list(_blocks_by_weight(w).values())
-    col_vectors = [None] * d
     weights = [None] * d
-    for idx in block_lists:
+    for idx in _blocks_by_weight(w).values():
         k = len(idx)
         # the block of h times its denominator: m is an eigenvalue of the
         # block of h exactly when m * den is one of this integer block
         block = [[h.num[i][j] for j in idx] for i in idx]
-        found = []
+        spectrum = []
         for m in _integer_eigenvalues(block, h.den, d):
             shifted = [
                 [block[a][b] - (m * h.den if a == b else 0) for b in range(k)]
                 for a in range(k)
             ]
-            for vec in nullspace(shifted):
-                found.append((m, vec))
-        if len(found) != k:
+            spectrum += [m] * len(nullspace(shifted))
+        if len(spectrum) != k:
             raise NonIntegralWeights("h is not diagonalisable with integer spectrum")
-        for pos, (m, vec) in zip(idx, found):
-            col = [0] * d
-            for a, i in enumerate(idx):
-                col[i] = vec[a]
-            col_vectors[pos] = col
+        for pos, m in zip(idx, spectrum):
             weights[pos] = m
-    p = RatMatrix.from_rows(
-        [[col_vectors[j][i] for j in range(d)] for i in range(d)]
-    )
-    return Cocharacter.of(weights), p
+    return Cocharacter.of(weights)
 
 
 def canonical_parabolic(
@@ -528,7 +513,7 @@ def canonical_parabolic(
     if n == 0:
         raise DomainError("degree", "degree must be nonzero")
     validate_cocharacter(alg, chi)
-    chip, p = chi_prime(triple, chi)
+    chip = chi_prime(triple, chi)
     # the potential sign(n)*(n*w' - 2*w) of each coordinate; a cell's
     # indicator is the potential of its row minus that of its column, and
     # the Levi blocks are the coordinates of equal potential
@@ -537,7 +522,6 @@ def canonical_parabolic(
     return ParabolicDatum(
         chi=chi,
         chi_prime=chip,
-        basis_change=p,
         indicator=RatMatrix.from_rows([[a - b for b in potential] for a in potential]),
         levi_blocks=tuple(tuple(b) for b in _blocks_by_weight(potential).values()),
     )
@@ -552,13 +536,13 @@ class RigidityReport:
 def check_n_rigid(datum: ParabolicDatum, triple: Sl2Triple, n: int, cells) -> RigidityReport:
     """The h-grading refines the cocharacter grading exactly on the cells.
 
-    chi, chi' and the basis change p that diagonalises h come from
-    ``datum``, the ``canonical_parabolic`` of the triple.  The triple's
-    placement (e in g_n, h in g_0, f in g_-n) is checked first, cell by
-    cell in row-major order, then each cell of the diagonalising basis in
-    the order given: a cell of bidegree (m, m') = (chi'-weight, chi-weight)
-    is compatible iff 2*m' = n*m.  The first misplaced or incompatible cell
-    is returned as the witness.
+    chi and chi' come from ``datum``, the ``canonical_parabolic`` of the
+    triple.  The triple's placement (e in g_n, h in g_0, f in g_-n) is
+    checked first on e, h and f as given, row-major (a basis change that
+    diagonalises h keeps every graded piece), then each cell of the
+    diagonalising basis in the order given: a cell of bidegree (m, m') =
+    (chi'-weight, chi-weight) is compatible iff 2*m' = n*m.  The first
+    misplaced or incompatible cell is returned as the witness.
 
     On the Levi's cells, ``datum.cells("l")`` with n the degree of the datum,
     2*m' = n*m holds by definition, so only placement can fail there.  The
@@ -568,16 +552,7 @@ def check_n_rigid(datum: ParabolicDatum, triple: Sl2Triple, n: int, cells) -> Ri
     """
     w = datum.chi.weights
     wp = datum.chi_prime.weights
-    p = datum.basis_change
-    # p keeps each chi-weight block, so conjugating by it keeps every graded
-    # piece: only a misplaced triple is conjugated, for its witness cell
-    placement = [(triple.e, n), (triple.h, 0), (triple.f, -n)]
-    if p != RatMatrix.identity(len(w)) and any(
-        w[i] - w[j] != k for m, k in placement for (i, j) in m.support()
-    ):
-        p_inv = rat_inverse(p)
-        placement = [(p_inv * m * p, k) for m, k in placement]
-    for mat, expected in placement:
+    for mat, expected in ((triple.e, n), (triple.h, 0), (triple.f, -n)):
         for (i, j) in sorted(mat.support()):
             if w[i] - w[j] != expected:
                 return RigidityReport(False, (wp[i] - wp[j], w[i] - w[j]))

@@ -96,13 +96,15 @@ class GradedOrbitRep:
         return "+".join(pieces)
 
 
-def _validate_partition(kind: str, lam: Partition, n: int | None = None) -> None:
-    if n is not None and lam.weight != n:
-        raise InvalidPartition(f"partition weight {lam.weight} != {n}")
-    if kind == "sp":
-        for part in set(lam.parts):
-            if part % 2 == 1 and lam.parts.count(part) % 2 == 1:
-                raise InvalidPartition("odd parts must have even multiplicity for sp")
+def _is_sp_partition(lam: Partition) -> bool:
+    """Whether lam is the Jordan type of a nilpotent of sp: every odd part
+    has even multiplicity."""
+    return all(lam.parts.count(part) % 2 == 0 for part in set(lam.parts) if part % 2)
+
+
+def _validate_sp_partition(lam: Partition) -> None:
+    if not _is_sp_partition(lam):
+        raise InvalidPartition("odd parts must have even multiplicity for sp")
 
 
 def orbit_dimension(kind: str, lam: Partition) -> int:
@@ -112,7 +114,7 @@ def orbit_dimension(kind: str, lam: Partition) -> int:
     if kind == "sl":
         return n * n - sum(t * t for t in tr)
     if kind == "sp":
-        _validate_partition("sp", lam)
+        _validate_sp_partition(lam)
         m = n // 2
         odd = sum(1 for p in lam.parts if p % 2 == 1)
         return 2 * m * m + m - (sum(t * t for t in tr) + odd) // 2
@@ -127,7 +129,7 @@ def component_group(kind: str, lam: Partition) -> ComponentGroup:
             g = gcd(g, p)
         return ComponentGroup("cyclic", g)
     if kind == "sp":
-        _validate_partition("sp", lam)
+        _validate_sp_partition(lam)
         distinct_even = len({p for p in lam.parts if p % 2 == 0})
         return ComponentGroup("elem2", distinct_even)
     raise InvalidPartition(f"unsupported type {kind!r}")
@@ -135,24 +137,20 @@ def component_group(kind: str, lam: Partition) -> ComponentGroup:
 
 def nilpotent_orbits(kind: str, n: int) -> tuple:
     kind = kind.lower()
+    if n < 1:
+        raise DomainError("n", f"n must be at least 1, got {n}")
     if kind == "sp" and n % 2 != 0:
         raise DomainError("n", f"sp needs an even n, got {n}")
-    orbits = []
-    for lam in Partition.all_of(n):
-        if kind == "sp":
-            try:
-                _validate_partition("sp", lam)
-            except InvalidPartition:
-                continue
-        orbits.append(
-            NilpotentOrbit(
-                group=kind,
-                partition=lam,
-                dimension=orbit_dimension(kind, lam),
-                component_group=component_group(kind, lam),
-            )
+    return tuple(
+        NilpotentOrbit(
+            group=kind,
+            partition=lam,
+            dimension=orbit_dimension(kind, lam),
+            component_group=component_group(kind, lam),
         )
-    return tuple(orbits)
+        for lam in Partition.all_of(n)
+        if kind != "sp" or _is_sp_partition(lam)
+    )
 
 
 # ---------------------------------------------------------------------------

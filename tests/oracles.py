@@ -33,8 +33,11 @@ solved sl2-triple and the canonical parabolic, where the package uses
 closed forms in the segments.  The f of a triple
 comes from one system over every cell of [x, f] = h and [h, f] = -2f,
 where the package solves on the ad-h weight -2 cells, and rigidity
-conjugates e, h and f by the basis change every time.  Primality is trial
-division.  The CLI payload of graded-orbits is counted by interval
+scans every cell that a conjugated basis reaches.  The basis change p
+that diagonalises h, which the package never builds, comes from one
+Fraction nullspace per candidate eigenvalue, and its inverse from the
+Fraction RREF of [p | I].  Primality is trial division.  The CLI payload
+of graded-orbits is counted by interval
 multisets along each weight chain and told apart by rank invariants, and
 that of fibers by evaluating each fixture space expression at p, with no
 call into the layer that printed it.
@@ -545,23 +548,70 @@ def triple_f_by_full_system(x, h, gm_basis):
     )
 
 
+def rat_inverse(m):
+    """The inverse of a square RatMatrix, read off the Fraction RREF of
+    [m | I]; ValueError when m is singular."""
+    from gradedorbits.exactlin import RatMatrix
+
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("inverse of a non-square matrix")
+    rows = [[m.entry(i, j) for j in range(n)] + [int(i == k) for k in range(n)] for i in range(n)]
+    mat, pivots = fraction_rref(rows)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    return RatMatrix.from_rows([row[n:] for row in mat])
+
+
+def diagonalising_basis(h, chi):
+    """A basis change p that keeps each chi-weight block and makes p^-1 h p
+    diagonal: 1 for a diagonal h, else on each block the Fraction nullspace
+    of the block of h - m for every integer m in [-d, d], ascending, one
+    column per kernel vector.  p^-1 h p must be diag(chi'), position by
+    position, for the chi' of ``chi_prime``."""
+    from gradedorbits.exactlin import RatMatrix
+    from gradedorbits.liegrade import Sl2Triple, chi_prime
+
+    d = h.rows
+    w = chi.weights
+    columns = [[int(i == j) for i in range(d)] for j in range(d)]  # p = 1 for a diagonal h
+    blocks = set(w) if any(i != j for i, j in h.support()) else ()
+    for value in blocks:
+        idx = [i for i in range(d) if w[i] == value]
+        vectors = [
+            vec
+            for m in range(-d, d + 1)
+            for vec in fraction_nullspace(
+                [[h.entry(i, j) - (m if i == j else 0) for j in idx] for i in idx]
+            )
+        ]
+        assert len(vectors) == len(idx)
+        for pos, vec in zip(idx, vectors):
+            columns[pos] = [0] * d
+            for i, v in zip(idx, vec):
+                columns[pos][i] = v
+    p = RatMatrix.from_rows([[columns[j][i] for j in range(d)] for i in range(d)])
+    zero = RatMatrix.zeros(d, d)
+    chip = chi_prime(Sl2Triple(zero, h, zero), chi).weights
+    diag = RatMatrix.from_rows([[chip[i] if i == j else 0 for j in range(d)] for i in range(d)])
+    assert rat_inverse(p) * h * p == diag
+    return p
+
+
 def rigidity_by_conjugates(basis, chi, triple, n):
     """(is_rigid, witness) of the triple's second grading against chi on the
-    basis, which is given in the diagonalising basis p: chi' and p from
-    ``chi_prime``, e, h and f conjugated by p densely, the placement of the
-    conjugates checked first and then every cell the basis reaches,
-    row-major."""
-    from gradedorbits.exactlin import RatMatrix, rat_inverse
+    basis, which is given conjugated by a basis change that diagonalises h:
+    chi' from ``chi_prime``, the placement of e, h and f as given checked
+    first (the basis change keeps every graded piece), and then every cell
+    the basis reaches, row-major."""
     from gradedorbits.liegrade import chi_prime
 
     if not basis:
         return True, None
     d = basis[0].rows
-    chip, p = chi_prime(triple, chi)
-    p_inv = rat_inverse(p)
-    w, wp = chi.weights, chip.weights
+    w, wp = chi.weights, chi_prime(triple, chi).weights
     for m, k in ((triple.e, n), (triple.h, 0), (triple.f, -n)):
-        for i, j in sorted((p_inv * m * p).support()):
+        for i, j in sorted(m.support()):
             if w[i] - w[j] != k:
                 return False, (wp[i] - wp[j], w[i] - w[j])
     for i in range(d):

@@ -106,7 +106,7 @@ def test_criterion_2_grading_example(capsys):
     sl4 = build_algebra("sl", 4)
     x = parse_matrix_text("0,0,0,0;1,0,0,0;0,0,0,0;0,0,1,0")
     triple = adapted_sl2_triple(sl4, CHI, -1, x)
-    weights, change = chi_prime(triple, CHI)
+    weights = chi_prime(triple, CHI)
     assert weights.weights == (-1, 1, -1, 1)
     assert weight_matrix(weights).num == SECOND_WEIGHT_MATRIX
     datum = canonical_parabolic(sl4, CHI, triple, -1)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from gradedorbits.cohom import (
@@ -87,6 +89,25 @@ def test_space_round_trip():
         ("(disjoint (proj 2) (aff 2))", Disjoint((Proj(2), Aff(2)))),
     ):
         assert parse_space(text) == tree
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("(aff 2", "unclosed '(' of 'aff'"),
+        ("", "expected '(' at token 0"),
+        ("(aff)", "(aff ...) takes one integer, got []"),
+        ("(aff 1 2)", "(aff ...) takes one integer, got ['1', '2']"),
+        ("(pt 3)", "(pt ...) takes no arguments, got ['3']"),
+        ("(disjoint 3 (pt) (pt))", "(disjoint ...) takes space expressions, got ['3', Pt(), Pt()]"),
+        ("(proj (pt))", "(proj ...) takes one integer, got [Pt()]"),
+    ],
+    ids=["unclosed", "empty", "aff-no-argument", "aff-two-arguments", "pt-argument",
+         "disjoint-token", "proj-expression"],
+)
+def test_malformed_space_text_names_the_problem(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_space(text)
 
 
 def test_case_loading_and_shapes():

@@ -20,7 +20,6 @@ from gradedorbits.exactlin import (
     _rref,
     bracket,
     nullspace,
-    rat_inverse,
     solve_linear,
 )
 
@@ -32,6 +31,7 @@ from oracles import (
     hermite_rows,
     in_hermite_span,
     invariant_factors,
+    rat_inverse,
     snf_invariant_factors_by_minors,
 )
 
@@ -137,6 +137,7 @@ def test_bracket_equals_dense_products(pair):
 @PROPERTY
 @given(rational_matrices(max_rows=5, square=True))
 def test_rat_inverse_is_two_sided(rows):
+    # the oracles' inverse, which the parabolic tests conjugate with
     m = RatMatrix.from_rows(rows)
     n = len(rows)
     if len(fraction_rref(rows)[1]) < n:

@@ -6,13 +6,14 @@ from gradedorbits.exactlin import (
     RatMatrix,
     bracket,
     nullspace,
-    rat_inverse,
     solve_linear,
 )
 from gradedorbits.liegrade import (
     BadForm,
     Cocharacter,
+    NonIntegralWeights,
     NoTriple,
+    NotSimultaneouslyDiagonal,
     RigidityReport,
     Sl2Triple,
     _all_cells,
@@ -37,8 +38,10 @@ from gradedorbits.liegrade import (
 from oracles import (
     brackets_in_span,
     conjugated_piece_by_nullspace,
+    diagonalising_basis,
     fraction_rref,
     in_span_by_rref,
+    rat_inverse,
     rigidity_by_conjugates,
     sp_in_cells_by_nullspace,
     standard_symplectic_form,
@@ -58,6 +61,15 @@ WORKED_CHI = Cocharacter.of([1, 0, 0, -1])
 WORKED_X = RatMatrix.from_rows(
     [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
 )
+# a degree -1 element under WORKED_CHI whose triple has a non-diagonal h
+NON_TORAL_X = RatMatrix.from_rows(
+    [[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, -2, 2, 0]]
+)
+
+
+def _off_diagonal(h):
+    return any(i != j for i, j in h.support())
+
 
 WEIGHT_MATRIX_EXPECTED = [
     [0, 1, 1, 2],
@@ -175,9 +187,8 @@ def test_adapted_triple_worked_example():
     triple = adapted_sl2_triple(sl4, WORKED_CHI, -1, WORKED_X)
     assert triple.bracket_relations_hold()
     assert triple.h.num == ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, 1))
-    weights, change = chi_prime(triple, WORKED_CHI)
+    weights = chi_prime(triple, WORKED_CHI)
     assert weights.weights == (-1, 1, -1, 1)
-    assert change == RatMatrix.identity(4)
     assert weight_matrix(weights).num == tuple(
         tuple(r) for r in CHI_PRIME_WEIGHT_MATRIX
     )
@@ -217,9 +228,38 @@ def test_chi_prime_standard_jordan_two_two():
     triple = Sl2Triple(e, h, f)
     assert triple.bracket_relations_hold()
     # e has degree 1 under (1, 0, 1, 0), and h degree 0
-    weights, change = chi_prime(triple, Cocharacter.of([1, 0, 1, 0]))
-    assert weights.weights == (1, -1, 1, -1)
-    assert change == RatMatrix.identity(4)
+    assert chi_prime(triple, Cocharacter.of([1, 0, 1, 0])).weights == (1, -1, 1, -1)
+
+
+def test_chi_prime_is_the_spectrum_of_h_on_each_block():
+    # on the block of the weight-0 coordinates 1 and 2, h has eigenvalues
+    # -1 and 1, listed in ascending order whatever the basis of the block
+    sl4 = build_algebra("sl", 4)
+    triple = adapted_sl2_triple(sl4, WORKED_CHI, -1, NON_TORAL_X)
+    assert _off_diagonal(triple.h)
+    assert chi_prime(triple, WORKED_CHI).weights == (-1, -1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "rows,weights,error,message",
+    [
+        # an entry of h between the chi-weight blocks of 1 and 0
+        ([[1, 1, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]], (1, 0, 0, -1),
+         NotSimultaneouslyDiagonal, "grading blocks"),
+        ([["1/2", 0], [0, "-1/2"]], (0, 0), NonIntegralWeights, "non-integer diagonal entry"),
+        # the eigenvalues of [[0, 2], [1, 0]] are +-sqrt(2)
+        ([[0, 2], [1, 0]], (0, 0), NonIntegralWeights, "integer spectrum"),
+        # the Jordan block [[1, 1], [0, 1]] has a line of eigenvectors for
+        # its one eigenvalue, one weight for two places
+        ([[1, 1, 0], [0, 1, 0], [0, 0, -2]], (1, 1, -2), NonIntegralWeights, "not diagonalisable"),
+    ],
+    ids=["across-blocks", "non-integer-diagonal", "non-integral-eigenvalue", "jordan-block"],
+)
+def test_chi_prime_refusals(rows, weights, error, message):
+    h = RatMatrix.from_rows(rows)
+    zero = RatMatrix.zeros(h.rows, h.rows)
+    with pytest.raises(error, match=message):
+        chi_prime(Sl2Triple(zero, h, zero), Cocharacter.of(weights))
 
 
 def assert_pieces_form_a_parabolic(alg, datum, triple):
@@ -227,8 +267,8 @@ def assert_pieces_form_a_parabolic(alg, datum, triple):
     basis that diagonalises h: p and l are subalgebras, n is an ideal of p,
     dim p = dim l + dim n, e, h and f lie in l, and dim p + dim p^- =
     dim g + dim l for the opposite parabolic p^- on the cells of indicator
-    <= 0.  Returns the pieces."""
-    p = datum.basis_change
+    <= 0.  p comes from the oracle.  Returns the pieces."""
+    p = diagonalising_basis(triple.h, datum.chi)
     pieces = {k: conjugated_piece_by_nullspace(alg, p, datum.cells(k)) for k in "pnl"}
     par, nil, levi = pieces["p"], pieces["n"], pieces["l"]
     assert brackets_in_span(par, par, par)
@@ -257,7 +297,6 @@ def test_canonical_parabolic_worked_example():
     for which, keep in (("p", lambda s: s >= 0), ("n", lambda s: s > 0), ("l", lambda s: s == 0)):
         want = [(i, j) for i in range(4) for j in range(4) if keep(COMBINED_INDICATOR[i][j])]
         assert datum.cells(which) == want
-    assert datum.basis_change == RatMatrix.identity(4)
     pieces = assert_pieces_form_a_parabolic(sl4, datum, triple)
     assert [len(pieces[k]) for k in "pnl"] == [11, 4, 7]
     # cells partition
@@ -315,6 +354,18 @@ def test_rigidity_witness_is_the_first_misplaced_cell_row_major():
     assert rigidity_by_conjugates(alg.basis, chi, triple, 1) == (False, (0, 3))
 
 
+def test_rigidity_witness_is_a_cell_of_e_as_given():
+    # at k = 1 the e of degree -1 is misplaced; with h not diagonal the
+    # witness is still the first cell of e row-major, (1, 0), of bidegree
+    # (m, m') = (chi'_1 - chi'_0, w_1 - w_0) = (0, -1), not a cell of e
+    # conjugated by a basis that diagonalises h
+    sl4 = build_algebra("sl", 4)
+    triple = adapted_sl2_triple(sl4, WORKED_CHI, -1, NON_TORAL_X)
+    assert _off_diagonal(triple.h)
+    datum = canonical_parabolic(sl4, WORKED_CHI, triple, -1)
+    assert check_n_rigid(datum, triple, 1, []) == RigidityReport(False, (0, -1))
+
+
 def test_rigidity_levi_holds():
     sl4 = build_algebra("sl", 4)
     triple = adapted_sl2_triple(sl4, WORKED_CHI, -1, WORKED_X)
@@ -347,8 +398,8 @@ def test_triple_well_defined_on_orbit():
     t1 = adapted_sl2_triple(sl4, WORKED_CHI, -1, WORKED_X)
     t2 = adapted_sl2_triple(sl4, WORKED_CHI, -1, conjugated)
     assert t2.bracket_relations_hold()
-    w1, _ = chi_prime(t1, WORKED_CHI)
-    w2, _ = chi_prime(t2, WORKED_CHI)
+    w1 = chi_prime(t1, WORKED_CHI)
+    w2 = chi_prime(t2, WORKED_CHI)
     assert sorted(w1.weights) == sorted(w2.weights)
 
 
@@ -465,9 +516,8 @@ def test_sl_parabolic_skips_conjugation_with_same_spans():
     # x with a non-diagonal h: the sl piece on the parabolic's cells stands
     # in for the part of its conjugate there
     sl4 = build_algebra("sl", 4)
-    x = RatMatrix.from_rows([[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, -2, 2, 0]])
-    triple = adapted_sl2_triple(sl4, WORKED_CHI, -1, x)
-    _, p = chi_prime(triple, WORKED_CHI)
+    triple = adapted_sl2_triple(sl4, WORKED_CHI, -1, NON_TORAL_X)
+    p = diagonalising_basis(triple.h, WORKED_CHI)
     assert p != RatMatrix.identity(4)
     datum = canonical_parabolic(sl4, WORKED_CHI, triple, -1)
     p_inv = rat_inverse(p)
@@ -560,7 +610,7 @@ def test_f_only_solve_and_toral_check_keep_the_triple(kind, weights, n):
         if toral:
             assert (triple.h, triple.f) == (h, f)
         else:
-            assert any(triple.h.num[i][j] for i in range(d) for j in range(d) if i != j)
+            assert _off_diagonal(triple.h)
 
 
 def test_toral_h_refuses_a_non_integral_diagonal_solution():
@@ -572,7 +622,7 @@ def test_toral_h_refuses_a_non_integral_diagonal_solution():
     assert _toral_h(x) is None
     triple = adapted_sl2_triple(alg, chi, 3, x)
     assert triple.bracket_relations_hold()
-    assert any(triple.h.num[i][j] for i in range(3) for j in range(3) if i != j)
+    assert _off_diagonal(triple.h)
 
 
 def test_toral_h_centres_every_component_of_the_cells():
@@ -614,12 +664,11 @@ def test_canonical_levi_is_rigid(kind, weights, n):
     # basis; check_n_rigid must not conjugate the cells again
     alg = build_algebra(kind, len(weights))
     chi = Cocharacter.of(weights)
-    d = alg.dim_ambient
     non_diagonal = 0
     for x in _random_piece_elements(alg, chi, n, 6, seed=3):
         triple = adapted_sl2_triple(alg, chi, n, x)
         datum = canonical_parabolic(alg, chi, triple, n)
-        non_diagonal += datum.basis_change != RatMatrix.identity(d)
+        non_diagonal += _off_diagonal(triple.h)
         rep = check_n_rigid(datum, triple, n, datum.cells("l"))
         assert (rep.is_rigid, rep.witness) == (True, None)
     assert non_diagonal
@@ -635,7 +684,7 @@ def test_parabolic_pieces_on_the_indicator_cells_form_a_parabolic(kind, weights,
     for x in _random_piece_elements(alg, chi, n, 6, seed=3):
         triple = adapted_sl2_triple(alg, chi, n, x)
         datum = canonical_parabolic(alg, chi, triple, n)
-        moved += datum.basis_change != RatMatrix.identity(alg.dim_ambient)
+        moved += _off_diagonal(triple.h)
         assert_pieces_form_a_parabolic(alg, datum, triple)
     assert moved
 
@@ -651,9 +700,9 @@ def test_sp_parabolic_spans_match_conjugated_basis(kind, weights, n):
     for x in _random_piece_elements(alg, chi, n, 6, seed=2):
         triple = adapted_sl2_triple(alg, chi, n, x)
         datum = canonical_parabolic(alg, chi, triple, n)
-        p = datum.basis_change
-        if p == RatMatrix.identity(d):
+        if not _off_diagonal(triple.h):
             continue
+        p = diagonalising_basis(triple.h, chi)
         checked += 1
         p_inv = rat_inverse(p)
         conjugated = tuple(p_inv * m * p for m in alg.basis)
@@ -669,18 +718,17 @@ def test_sp_parabolic_spans_match_conjugated_basis(kind, weights, n):
 
 @pytest.mark.parametrize("kind,weights,n", TRIPLE_SPECS)
 def test_check_n_rigid_given_the_datum_keeps_the_report(kind, weights, n):
-    # chi' and p come from the datum, and e, h, f are conjugated only when
-    # misplaced; on the cells that a basis reaches, the report, witness
-    # included, is the one of recomputing both and conjugating e, h and f
-    # every time.  The conjugated algebra reaches every cell.
+    # chi' comes from the datum; on the cells that a basis conjugated by
+    # the oracle's p reaches, the report, witness included, is the one of
+    # recomputing chi' and scanning every cell.  The conjugated algebra
+    # reaches every cell.
     alg = build_algebra(kind, len(weights))
     chi = Cocharacter.of(weights)
     d = alg.dim_ambient
-    moved_witnesses = 0
     for x in _random_piece_elements(alg, chi, n, 6, seed=4):
         triple = adapted_sl2_triple(alg, chi, n, x)
         datum = canonical_parabolic(alg, chi, triple, n)
-        p = datum.basis_change
+        p = diagonalising_basis(triple.h, chi)
         p_inv = rat_inverse(p)
         conjugated = tuple(p_inv * m * p for m in alg.basis)
         assert _reached(conjugated) == _all_cells(d)
@@ -689,16 +737,13 @@ def test_check_n_rigid_given_the_datum_keeps_the_report(kind, weights, n):
             for basis in (conjugated, *pieces):
                 want = RigidityReport(*rigidity_by_conjugates(basis, chi, triple, k))
                 assert check_n_rigid(datum, triple, k, _reached(basis)) == want
-            report = check_n_rigid(datum, triple, k, _all_cells(d))
-            moved_witnesses += p != RatMatrix.identity(d) and report.witness is not None
-    assert moved_witnesses
 
 
 def test_check_n_rigid_given_the_datum_solves_nothing(monkeypatch):
     from gradedorbits import liegrade
 
     def solved(*args):
-        raise AssertionError("chi', an inverse or a piece was computed")
+        raise AssertionError("chi' or a piece was computed")
 
     for kind, weights, n in TRIPLE_SPECS:
         alg = build_algebra(kind, len(weights))
@@ -707,7 +752,7 @@ def test_check_n_rigid_given_the_datum_solves_nothing(monkeypatch):
             triple = adapted_sl2_triple(alg, chi, n, x)
             datum = canonical_parabolic(alg, chi, triple, n)
             with monkeypatch.context() as patch:
-                for name in ("chi_prime", "rat_inverse", "_piece"):
+                for name in ("chi_prime", "_piece"):
                     patch.setattr(liegrade, name, solved)
                 report = check_n_rigid(datum, triple, n, datum.cells("l"))
             assert report == RigidityReport(True, None)
@@ -717,7 +762,7 @@ def test_check_n_rigid_given_the_datum_solves_nothing(monkeypatch):
 def test_check_n_rigid_on_an_algebra_builds_no_basis(kind, weights, n):
     # the whole algebra is every cell of the diagonalising basis: no basis
     # and no piece is built, and the report is the one of conjugating the
-    # matrix basis by p
+    # matrix basis by the oracle's p
     chi = Cocharacter.of(weights)
     for x in _random_piece_elements(build_algebra(kind, len(weights)), chi, n, 4, seed=5):
         alg = build_algebra(kind, len(weights))
@@ -726,7 +771,7 @@ def test_check_n_rigid_on_an_algebra_builds_no_basis(kind, weights, n):
         cells = _all_cells(alg.dim_ambient)
         reports = [check_n_rigid(datum, triple, k, cells) for k in (n, -n, 2 * n)]
         assert "basis" not in vars(alg)
-        p = chi_prime(triple, chi)[1]
+        p = diagonalising_basis(triple.h, chi)
         conjugated = tuple(rat_inverse(p) * m * p for m in alg.basis)
         for k, report in zip((n, -n, 2 * n), reports):
             assert report == RigidityReport(*rigidity_by_conjugates(conjugated, chi, triple, k))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gradedorbits.exactlin import Partition, RatMatrix
+from gradedorbits.exactlin import DomainError, Partition, RatMatrix
 from gradedorbits.liegrade import Cocharacter, build_algebra, graded_component
 from gradedorbits import orbitlib
 from gradedorbits.orbitlib import (
@@ -69,8 +69,18 @@ def test_orbit_dimensions_even():
 
 
 def test_invalid_sp_partition():
-    with pytest.raises(InvalidPartition):
-        orbit_dimension("sp", P([3, 1]))
+    for compute in (orbit_dimension, component_group):
+        with pytest.raises(InvalidPartition, match="odd parts must have even multiplicity for sp"):
+            compute("sp", P([3, 1]))
+
+
+@pytest.mark.parametrize("kind", ["sl", "sp"])
+@pytest.mark.parametrize("n", [0, -2])
+def test_nilpotent_orbits_refuse_n_below_one(kind, n):
+    # n = 0 would list the empty partition with the component group Z/0
+    with pytest.raises(DomainError, match=f"n must be at least 1, got {n}") as err:
+        nilpotent_orbits(kind, n)
+    assert err.value.param == "n"
 
 
 def test_component_group_examples():
