@@ -173,50 +173,25 @@ def cmd_orbits(args) -> int:
     from .orbitlib import nilpotent_orbits
 
     orbits = nilpotent_orbits(args.type, args.n)
-    payload = {
-        "type": args.type,
-        "n": args.n,
-        "orbits": [
-            {
-                "partition": list(o.partition.parts),
-                "label": o.partition.label(),
-                "dim": o.dimension,
-                "component_group": o.component_group.label(),
-                "component_group_order": o.component_group.order,
-            }
-            for o in orbits
-        ],
-    }
 
     def lines():
-        rows = [(o["label"], o["dim"], o["component_group"]) for o in payload["orbits"]]
+        rows = [(o["label"], o["dim"], o["component_group"]) for o in orbits]
         return _table(rows, ("orbit", "dim", "pi1"))
 
-    _emit(args, lines, payload)
+    _emit(args, lines, {"type": args.type, "n": args.n, "orbits": orbits})
     return 0
 
 
 def cmd_graded_orbits(args) -> int:
     from .orbitlib import graded_orbit_reps_typeA
 
-    chi = args.cochar
-    n = args.degree
-    recs = [
-        {
-            "decomposition": [list(seg) for seg in rep.decomposition],
-            "label": rep.label(),
-            "representative": rep.representative.text(),
-            "dim": rep.dimension,
-            "levi_blocks": list(rep.levi_shape),
-        }
-        for rep in graded_orbit_reps_typeA(chi, n)
-    ]
-    payload = {"cochar": list(chi.weights), "degree": n, "orbits": recs}
+    orbits = graded_orbit_reps_typeA(args.cochar, args.degree)
+    payload = {"cochar": list(args.cochar.weights), "degree": args.degree, "orbits": orbits}
 
     def lines():
         rows = [
             (r["label"], r["representative"], r["dim"], ",".join(map(str, r["levi_blocks"])))
-            for r in recs
+            for r in orbits
         ]
         return _table(rows, ("decomposition", "representative", "dim", "levi"))
 
@@ -229,12 +204,12 @@ def cmd_grading(args) -> int:
 
     chi = _checked_cochar(args)
     alg = build_algebra(args.type, args.d)
-    comp = graded_component(alg, chi, args.degree)
+    basis = graded_component(alg, chi, args.degree)
     payload = {
         "weight_matrix": weight_matrix(chi).text(),
         "degree": args.degree,
-        "dim": comp.dimension,
-        "basis": [b.text() for b in comp.basis],
+        "dim": len(basis),
+        "basis": [b.text() for b in basis],
     }
 
     def lines():
@@ -300,40 +275,24 @@ def cmd_fibers(args) -> int:
     from .cohom import load_case
     from .ffgeom import verify_fiber_counts
 
-    case = load_case(args.case)
-    report = verify_fiber_counts(case, args.primes)
-    payload = {
-        "case": report.case,
-        "primes": args.primes,
-        "all_match": report.all_match,
-        "rows": [
-            {
-                "orbit": r.orbit,
-                "prime": r.prime,
-                "stratum": r.stratum,
-                "count": r.count,
-                "predicted": r.predicted,
-                "match": r.match,
-            }
-            for r in report.rows
-        ],
-    }
+    report = verify_fiber_counts(load_case(args.case), args.primes)
 
     def lines():
         rows = [
-            (r.orbit, r.prime, r.stratum, r.count, r.predicted, "ok" if r.match else "MISMATCH")
-            for r in report.rows
+            (r["orbit"], r["prime"], r["stratum"], r["count"], r["predicted"],
+             "ok" if r["match"] else "MISMATCH")
+            for r in report["rows"]
         ]
         return _table(rows, ("orbit", "prime", "stratum", "count", "predicted", "verdict"))
 
-    _emit(args, lines, payload)
-    if report.all_match:
+    _emit(args, lines, report)
+    if report["all_match"]:
         return 0
-    bad = next(r for r in report.rows if not r.match)
+    bad = next(r for r in report["rows"] if not r["match"])
     print(
-        f"mismatch: orbit {bad.orbit} stratum {bad.stratum} prime {bad.prime}: "
-        f"count {bad.count}, predicted {bad.predicted}, "
-        f"delta {bad.count - bad.predicted:+d}",
+        f"mismatch: orbit {bad['orbit']} stratum {bad['stratum']} prime {bad['prime']}: "
+        f"count {bad['count']}, predicted {bad['predicted']}, "
+        f"delta {bad['count'] - bad['predicted']:+d}",
         file=sys.stderr,
     )
     return 3
@@ -342,16 +301,15 @@ def cmd_fibers(args) -> int:
 def cmd_stalks(args) -> int:
     from .cohom import load_case, stalk_table
 
-    case = load_case(args.case)
-    table = stalk_table(case, args.char, allow_char_two=args.allow_char_2)
+    table = stalk_table(load_case(args.case), args.char, allow_char_two=args.allow_char_2)
+    columns = table["columns"]  # orbit label -> column, in the case's orbit order
 
     def lines():
-        labels = [o.partition.label() for o in case.orbits]
-        degrees = sorted({d for col in table.columns.values() for d in col}, reverse=True)
-        rows = [(d, *(table.columns[label].get(d, "") for label in labels)) for d in degrees]
-        return _table(rows, ("degree", *labels)) if degrees else ["(all columns empty)"]
+        degrees = sorted({int(d) for col in columns.values() for d in col}, reverse=True)
+        rows = [(d, *(col.get(str(d), "") for col in columns.values())) for d in degrees]
+        return _table(rows, ("degree", *columns)) if degrees else ["(all columns empty)"]
 
-    _emit(args, lines, table.as_dict())
+    _emit(args, lines, table)
     return 0
 
 

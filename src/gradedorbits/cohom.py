@@ -357,23 +357,11 @@ def _parsed_case(name: str) -> CaseData:
     )
 
 
-@dataclass(frozen=True)
-class StalkTable:
-    convention: str
-    columns: dict  # orbit label -> {degree: rank}
-
-    def as_dict(self) -> dict:
-        return {
-            "convention": self.convention,
-            "columns": {
-                label: {str(d): r for d, r in sorted(col.items())}
-                for label, col in self.columns.items()
-            },
-        }
-
-
-def stalk_table(case: CaseData, char_l: int, allow_char_two: bool = False) -> StalkTable:
-    """Stalk ranks of the induced cuspidal local system, per orbit column.
+def stalk_table(case: CaseData, char_l: int, allow_char_two: bool = False) -> dict:
+    """Stalk ranks of the induced cuspidal local system, per orbit column:
+    the table of ``stalks``, {"convention": ..., "columns": {orbit label:
+    {degree as a string: rank}}}, with the columns in the case's orbit
+    order and each by increasing degree.
 
     Degrees follow the shift-by-dimC convention: the entry at degree d is
     the rank of H_c^(d + levi_orbit_dim) of the cuspidal fiber part with
@@ -396,6 +384,6 @@ def stalk_table(case: CaseData, char_l: int, allow_char_two: bool = False) -> St
             continue
         ranks = hc_local_system(orbit.cuspidal_part, orbit.monodromy, char_l)
         columns[label] = {
-            deg - case.levi_orbit_dim: r for deg, r in sorted(ranks.items())
+            str(deg - case.levi_orbit_dim): r for deg, r in sorted(ranks.items())
         }
-    return StalkTable(STALK_CONVENTION, columns)
+    return {"convention": STALK_CONVENTION, "columns": columns}

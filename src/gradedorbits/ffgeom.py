@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from operator import mul
 
 from .cohom import CaseData, counting_polynomial
@@ -42,26 +41,6 @@ class NotStableUnderForm(ValueError):
 # sp4, and over every prime up to 127 about 3.3 and 1.8 s (see the README)
 MAX_PRIME = 127
 MAX_DIM = 6
-
-
-@dataclass(frozen=True)
-class CountRow:
-    orbit: str
-    prime: int
-    stratum: str
-    count: int
-    predicted: int
-    match: bool
-
-
-@dataclass(frozen=True)
-class CountReport:
-    case: str
-    rows: tuple
-
-    @property
-    def all_match(self) -> bool:
-        return all(r.match for r in self.rows)
 
 
 def gaussian_binomial(d: int, k: int, q: int) -> int:
@@ -325,9 +304,10 @@ def _gauss_pair_points(p: int) -> int:
     return 2 if p % 4 == 1 else 0
 
 
-def verify_fiber_counts(case: CaseData, primes) -> CountReport:
+def verify_fiber_counts(case: CaseData, primes) -> dict:
     """Count every stratum of every orbit fiber over each prime and compare
-    with the predicted value.
+    with the predicted value: the report of ``fibers``, with one row per
+    orbit, prime and stratum and whether all of them match.
 
     Each representative is validated once, over Z, after the bounds of
     every prime.  Each prime takes one pass over the stable subspaces of
@@ -366,14 +346,17 @@ def verify_fiber_counts(case: CaseData, primes) -> CountReport:
                     )
                 else:
                     predicted = counting_polynomial(expr)(p) if expr is not None else 0
-                rows.append(
-                    CountRow(
-                        orbit=label,
-                        prime=p,
-                        stratum=stratum,
-                        count=count,
-                        predicted=predicted,
-                        match=count == predicted,
-                    )
-                )
-    return CountReport(case.name, tuple(rows))
+                rows.append({
+                    "orbit": label,
+                    "prime": p,
+                    "stratum": stratum,
+                    "count": count,
+                    "predicted": predicted,
+                    "match": count == predicted,
+                })
+    return {
+        "case": case.name,
+        "primes": list(primes),
+        "all_match": all(r["match"] for r in rows),
+        "rows": rows,
+    }

@@ -88,16 +88,6 @@ class MatrixLieAlgebra:
 
 
 @dataclass(frozen=True)
-class GradedComponent:
-    degree: int
-    basis: tuple
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-
-@dataclass(frozen=True)
 class Sl2Triple:
     e: RatMatrix
     h: RatMatrix
@@ -244,12 +234,13 @@ def weight_matrix(chi: Cocharacter) -> RatMatrix:
     return RatMatrix.from_rows([[wi - wj for wj in w] for wi in w])
 
 
-def graded_component(alg: MatrixLieAlgebra, chi: Cocharacter, n: int) -> GradedComponent:
+def graded_component(alg: MatrixLieAlgebra, chi: Cocharacter, n: int) -> tuple:
+    """A basis of the degree-n piece g_n, as d x d matrices."""
     validate_cocharacter(alg, chi)
     w = chi.weights
     d = alg.dim_ambient
     cells = [(i, j) for i in range(d) for j in range(d) if w[i] - w[j] == n]
-    return GradedComponent(n, tuple(_matrix(d, c) for c in _piece(alg, cells)))
+    return tuple(_matrix(d, c) for c in _piece(alg, cells))
 
 
 def _ad(a):

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 
 from .exactlin import Cocharacter, DomainError, Partition, RatMatrix
@@ -53,104 +52,68 @@ class TooManyOrbits(DomainError):
     pass
 
 
-@dataclass(frozen=True)
-class ComponentGroup:
-    kind: str  # "cyclic" or "elem2"
-    parameter: int
-
-    @property
-    def order(self) -> int:
-        if self.kind == "cyclic":
-            return self.parameter
-        return 2 ** self.parameter
-
-    def label(self) -> str:
-        if self.order == 1:
-            return "1"
-        if self.kind == "cyclic":
-            return f"Z/{self.parameter}"
-        if self.parameter == 1:
-            return "Z/2"
-        return f"(Z/2)^{self.parameter}"
-
-
-@dataclass(frozen=True)
-class NilpotentOrbit:
-    group: str
-    partition: Partition
-    dimension: int
-    component_group: ComponentGroup
-
-
-@dataclass(frozen=True)
-class GradedOrbitRep:
-    decomposition: tuple  # intervals (start_block, end_block), 1-based
-    representative: RatMatrix
-    dimension: int
-    levi_shape: tuple  # sizes of the canonical Levi's blocks
-
-    def label(self) -> str:
-        pieces = []
-        for a, b in self.decomposition:
-            pieces.append(f"[{a}-{b}]" if a != b else f"[{a}]")
-        return "+".join(pieces)
-
-
 def _is_sp_partition(lam: Partition) -> bool:
     """Whether lam is the Jordan type of a nilpotent of sp: every odd part
     has even multiplicity."""
     return all(lam.parts.count(part) % 2 == 0 for part in set(lam.parts) if part % 2)
 
 
-def _validate_sp_partition(lam: Partition) -> None:
-    if not _is_sp_partition(lam):
+def _checked_kind(kind: str, lam: Partition) -> str:
+    """kind in lower case, once it names sl or sp and lam is the Jordan type
+    of a nilpotent of it."""
+    kind = kind.lower()
+    if kind not in ("sl", "sp"):
+        raise InvalidPartition(f"unsupported type {kind!r}")
+    if not lam.parts:
+        raise InvalidPartition("the empty partition is the Jordan type of no nilpotent")
+    if kind == "sp" and not _is_sp_partition(lam):
         raise InvalidPartition("odd parts must have even multiplicity for sp")
+    return kind
 
 
 def orbit_dimension(kind: str, lam: Partition) -> int:
-    kind = kind.lower()
+    kind = _checked_kind(kind, lam)
     n = lam.weight
     tr = lam.transpose().parts
     if kind == "sl":
         return n * n - sum(t * t for t in tr)
-    if kind == "sp":
-        _validate_sp_partition(lam)
-        m = n // 2
-        odd = sum(1 for p in lam.parts if p % 2 == 1)
-        return 2 * m * m + m - (sum(t * t for t in tr) + odd) // 2
-    raise InvalidPartition(f"unsupported type {kind!r}")
+    m = n // 2
+    odd = sum(1 for p in lam.parts if p % 2 == 1)
+    return 2 * m * m + m - (sum(t * t for t in tr) + odd) // 2
 
 
-def component_group(kind: str, lam: Partition) -> ComponentGroup:
-    kind = kind.lower()
-    if kind == "sl":
-        g = 0
-        for p in lam.parts:
-            g = gcd(g, p)
-        return ComponentGroup("cyclic", g)
-    if kind == "sp":
-        _validate_sp_partition(lam)
-        distinct_even = len({p for p in lam.parts if p % 2 == 0})
-        return ComponentGroup("elem2", distinct_even)
-    raise InvalidPartition(f"unsupported type {kind!r}")
+def component_group(kind: str, lam: Partition) -> tuple:
+    """The component group of the orbit's centraliser as (label, order):
+    Z/g for sl, g the gcd of the parts, and (Z/2)^k for sp, k the number of
+    distinct even parts."""
+    if _checked_kind(kind, lam) == "sl":
+        order = gcd(*lam.parts)
+        return ("1" if order == 1 else f"Z/{order}"), order
+    k = len({p for p in lam.parts if p % 2 == 0})
+    return ("1" if k == 0 else "Z/2" if k == 1 else f"(Z/2)^{k}"), 2**k
 
 
-def nilpotent_orbits(kind: str, n: int) -> tuple:
+def nilpotent_orbits(kind: str, n: int) -> list:
+    """The orbit table of ``orbits``: one dict per nilpotent orbit, with its
+    partition, label, dimension and component group."""
     kind = kind.lower()
     if n < 1:
         raise DomainError("n", f"n must be at least 1, got {n}")
     if kind == "sp" and n % 2 != 0:
         raise DomainError("n", f"sp needs an even n, got {n}")
-    return tuple(
-        NilpotentOrbit(
-            group=kind,
-            partition=lam,
-            dimension=orbit_dimension(kind, lam),
-            component_group=component_group(kind, lam),
-        )
-        for lam in Partition.all_of(n)
-        if kind != "sp" or _is_sp_partition(lam)
-    )
+    orbits = []
+    for lam in Partition.all_of(n):
+        if kind == "sp" and not _is_sp_partition(lam):
+            continue
+        group, order = component_group(kind, lam)
+        orbits.append({
+            "partition": list(lam.parts),
+            "label": lam.label(),
+            "dim": orbit_dimension(kind, lam),
+            "component_group": group,
+            "component_group_order": order,
+        })
+    return orbits
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +254,21 @@ def _validated_chains(chi: Cocharacter, n: int):
     return blocks, _chains(blocks, n)
 
 
-def graded_orbit_count(chi: Cocharacter, n: int) -> int:
-    """The number of G_0-orbits on the degree-n piece of sl_d, or
-    MAX_GRADED_ORBITS + 1 when it is larger; nothing is enumerated."""
-    blocks, chains = _validated_chains(chi, n)
+def _orbit_count(blocks, chains) -> int:
+    """The product of the chains' orbit counts, or MAX_GRADED_ORBITS + 1
+    when it is larger."""
     limit = MAX_GRADED_ORBITS
     total = 1
     for chain in chains:
         total *= _interval_multiset_count([len(blocks[k][1]) for k in chain], limit)
         total = min(total, limit + 1)
     return total
+
+
+def graded_orbit_count(chi: Cocharacter, n: int) -> int:
+    """The number of G_0-orbits on the degree-n piece of sl_d, or
+    MAX_GRADED_ORBITS + 1 when it is larger; nothing is enumerated."""
+    return _orbit_count(*_validated_chains(chi, n))
 
 
 def _chain_orbits(chain, blocks, n):
@@ -335,14 +303,16 @@ def _chain_orbits(chain, blocks, n):
     return out
 
 
-def graded_orbit_reps_typeA(chi: Cocharacter, n: int) -> tuple:
-    """All orbit representatives of the weight-zero group on the degree-n
-    piece of sl_d, for a weakly decreasing diagonal cocharacter, with each
-    orbit's dimension and Levi shape in closed form (see the module
-    docstring).  More than MAX_GRADED_ORBITS orbits, or more than
-    MAX_GRADED_CELLS cells of d x d representatives, raise TooManyOrbits
-    before any orbit is enumerated."""
-    count = graded_orbit_count(chi, n)
+def graded_orbit_reps_typeA(chi: Cocharacter, n: int) -> list:
+    """The orbit table of ``graded-orbits``: one dict per orbit of the
+    weight-zero group on the degree-n piece of sl_d, for a weakly decreasing
+    diagonal cocharacter, with its segments, representative as matrix text,
+    dimension and Levi block sizes in closed form (see the module
+    docstring), by decreasing dimension.  More than MAX_GRADED_ORBITS
+    orbits, or more than MAX_GRADED_CELLS cells of d x d representatives,
+    raise TooManyOrbits before any orbit is enumerated."""
+    blocks, chains = _validated_chains(chi, n)
+    count = _orbit_count(blocks, chains)
     if count > MAX_GRADED_ORBITS:
         raise TooManyOrbits(
             "cochar",
@@ -356,7 +326,6 @@ def graded_orbit_reps_typeA(chi: Cocharacter, n: int) -> tuple:
             f"degree {n} has {count} orbit(s) of {d}x{d} representatives,"
             f" {count * d * d} cells, more than the {MAX_GRADED_CELLS} that are printed"
         )
-    blocks, chains = _validated_chains(chi, n)
     g0_dim = sum(len(coords) ** 2 for _, coords in blocks)
     per_chain = [_chain_orbits(chain, blocks, n) for chain in chains]
     reps = []
@@ -371,13 +340,13 @@ def graded_orbit_reps_typeA(chi: Cocharacter, n: int) -> tuple:
         levi = {}  # potential -> block size, in order of first coordinate
         for phi in potential:
             levi[phi] = levi.get(phi, 0) + 1
-        reps.append(
-            GradedOrbitRep(
-                tuple(sorted(seg for segments, *_ in combo for seg in segments)),
-                RatMatrix(d, d, tuple(map(tuple, entries)), 1),
-                g0_dim - sum(hom for *_, hom in combo),
-                tuple(levi.values()),
-            )
-        )
-    reps.sort(key=lambda r: (-r.dimension, r.label()))
-    return tuple(reps)
+        segments = sorted(seg for segments, *_ in combo for seg in segments)
+        reps.append({
+            "decomposition": [list(seg) for seg in segments],
+            "label": "+".join(f"[{a}-{b}]" if a != b else f"[{a}]" for a, b in segments),
+            "representative": RatMatrix(d, d, tuple(map(tuple, entries)), 1).text(),
+            "dim": g0_dim - sum(hom for *_, hom in combo),
+            "levi_blocks": list(levi.values()),
+        })
+    reps.sort(key=lambda r: (-r["dim"], r["label"]))
+    return reps

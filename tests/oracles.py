@@ -164,7 +164,7 @@ def parity_violations(table):
     """The labels of the columns of a stalk table with degrees of both
     parities."""
     return tuple(
-        label for label, col in table.columns.items() if len({d % 2 for d in col}) > 1
+        label for label, col in table["columns"].items() if len({int(d) % 2 for d in col}) > 1
     )
 
 
@@ -632,10 +632,10 @@ def graded_orbit_dimension(alg, chi, n, x):
         if w[i] - w[j] != n:
             raise ValueError("x has a cell outside the requested degree")
     g0 = graded_component(alg, chi, 0)
-    if not g0.basis:
+    if not g0:
         return 0
     # the numerators of each row: scaling a row does not change the rank
-    rows = [[v for row in bracket(y, x).num for v in row] for y in g0.basis]
+    rows = [[v for row in bracket(y, x).num for v in row] for y in g0]
     return len(fraction_rref(rows)[1])
 
 

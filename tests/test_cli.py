@@ -4,7 +4,6 @@ import json
 import pytest
 
 from gradedorbits import cli, cohom, exactlin, ffgeom, liegrade, orbitlib
-from gradedorbits.ffgeom import CountReport, CountRow
 
 
 def run_capture(capsys, argv):
@@ -101,7 +100,9 @@ def test_fibers_exit_zero_on_match(capsys):
 
 
 def test_fibers_exit_three_on_mismatch(capsys, monkeypatch):
-    bad = CountReport("sl4", (CountRow("[4]", 2, "full", 1, 2, False),))
+    row = {"orbit": "[4]", "prime": 2, "stratum": "full", "count": 1, "predicted": 2,
+           "match": False}
+    bad = {"case": "sl4", "primes": [2], "all_match": False, "rows": [row]}
     monkeypatch.setattr(ffgeom, "verify_fiber_counts", lambda case, primes: bad)
     code, out = run_capture(capsys, ["fibers", "--case", "sl4", "--primes", "2"])
     assert code == 3
@@ -117,6 +118,38 @@ def test_stalks_json_schema(capsys):
     assert payload["columns"]["[2,1^2]"] == {"0": 1, "2": 1}
     assert payload["columns"]["[4]"] == {"-2": 1}
     assert payload["columns"]["[2^2]"] == {}
+
+
+# each command's --json payload is the value its library call returns, apart
+# from the arguments the command echoes; grading prints the weight matrix
+# beside the basis, and each basis matrix as text
+LIBRARY_PAYLOADS = [
+    (["orbits", "--type", "sp", "--n", "6"], ("type", "n"),
+     lambda: {"orbits": orbitlib.nilpotent_orbits("sp", 6)}),
+    (["graded-orbits", "--cochar", "1,1,0,0,-1,-1", "--degree", "-1"], ("cochar", "degree"),
+     lambda: {"orbits": orbitlib.graded_orbit_reps_typeA(
+         exactlin.Cocharacter.of([1, 1, 0, 0, -1, -1]), -1)}),
+    (["grading", "--type", "sp", "--d", "4", "--cochar", "1,0,-1,0", "--degree", "1"],
+     ("degree", "weight_matrix", "dim"),
+     lambda: {"basis": [m.text() for m in liegrade.graded_component(
+         liegrade.build_algebra("sp", 4), exactlin.Cocharacter.of([1, 0, -1, 0]), 1)]}),
+    (["fibers", "--case", "sp4", "--primes", "3,5"], (),
+     lambda: ffgeom.verify_fiber_counts(cohom.load_case("sp4"), [3, 5])),
+    (["stalks", "--case", "sl4", "--char", "0"], (),
+     lambda: cohom.stalk_table(cohom.load_case("sl4"), 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,echoed,library", LIBRARY_PAYLOADS, ids=[argv[0] for argv, *_ in LIBRARY_PAYLOADS]
+)
+def test_json_payload_is_the_library_result(capsys, argv, echoed, library):
+    code, out = run_capture(capsys, argv + ["--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert set(echoed) <= set(payload)
+    rest = {key: value for key, value in payload.items() if key not in echoed}
+    assert rest == json.loads(json.dumps(library(), sort_keys=True))
 
 
 def test_stalks_char_two_needs_flag(capsys):
@@ -761,6 +794,62 @@ def test_fibers_json_sha256(capsys, case, prime, digest):
     code, out = run_capture(capsys, ["fibers", "--case", case, "--primes", str(prime), "--json"])
     assert code == 0
     assert json.loads(out)["all_match"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout of `orbits`, `grading`, `fibers` and `stalks`, as text
+# and as JSON, captured while each library call still returned a record that
+# the command copied into its payload
+RESHAPED_SHA256 = [
+    ("stalks --case sl4 --char 0 --json",
+     "a7cc5b5c69e4503203a49697c2847164efc312e8f2ba653aaa57ba8ad5c253b5"),
+    ("stalks --case sl4 --char 3 --json",
+     "a7cc5b5c69e4503203a49697c2847164efc312e8f2ba653aaa57ba8ad5c253b5"),
+    ("stalks --case sl4 --char 5 --json",
+     "a7cc5b5c69e4503203a49697c2847164efc312e8f2ba653aaa57ba8ad5c253b5"),
+    ("stalks --case sl4 --char 2 --allow-char-2 --json",
+     "38f0df0d18b39c04f7766e2323f3ffa3818023c4fa501d02925b633c67b50ad8"),
+    ("stalks --case sp4 --char 0 --json",
+     "9dfb016dab06a9bc408507e8613bd5503bd1cacc6f08665067df64341a7bc2de"),
+    ("stalks --case sp4 --char 3 --json",
+     "9dfb016dab06a9bc408507e8613bd5503bd1cacc6f08665067df64341a7bc2de"),
+    ("stalks --case sp4 --char 5 --json",
+     "9dfb016dab06a9bc408507e8613bd5503bd1cacc6f08665067df64341a7bc2de"),
+    ("stalks --case sp4 --char 2 --allow-char-2 --json",
+     "d448e2452926b253a04833866a30af0d538dfeb58c875aaddbe449212d6578bd"),
+    ("orbits --type sl --n 6 --json",
+     "40bc67239708267352605fa478b756b24fbd784398ca752b0c2f30c4593849ad"),
+    ("orbits --type sp --n 4 --json",
+     "578400d864ce02869edf10de81f5386c83e51d515765c549b869dfe427c4627c"),
+    ("orbits --type sp --n 6 --json",
+     "1e02787f032f17468d22777fb414a2c433cd4d84c41352801ff473764e80a599"),
+    ("orbits --type sp --n 8 --json",
+     "fd27922c8a60976f6db47f35337107e4ece963f46c46f9eca3970e032cbe6e0e"),
+    ("grading --type sl --d 6 --cochar 2,1,0,0,-1,-2 --degree 1 --json",
+     "04870b9c75a55ecf853edfbb1fd2eec3f414526485946b42a82a1b53cc0f65a5"),
+    ("grading --type sp --d 8 --cochar 2,1,1,0,-2,-1,-1,0 --degree -1 --json",
+     "bc515c6ed93b6532a4ca5ba509aa971825d84ac8839dc4bbf45ad7a491b2d26f"),
+    ("fibers --case sl4 --primes 3",
+     "d13a84a78240e8aee4c58f277a3d44bf3c9cc932120d71b569f562a13d9cc89d"),
+    ("fibers --case sp4 --primes 3",
+     "09e6aa0d09b0f8fe76828bdfed4813c72efe6f7ade63a3c9de0e009d94bfc88e"),
+    ("orbits --type sl --n 6",
+     "3a48932d3fdc832bfb09928e0d3d271c248a526c95b903bd7f4a210dda0cdd0d"),
+    ("orbits --type sp --n 8",
+     "a32979a0b7201e9dbb7646f92d9be6f2cb8f45df05370b1bc2e05afdc065d3bb"),
+    ("stalks --case sl4 --char 0",
+     "b82906d1de3663b69ce0d5f71c32bb1d4b20d8df5a2acc41ded5d44c4d81a934"),
+    ("stalks --case sp4 --char 0",
+     "f3ffa046a38d465673445d9eca17275b2470a7d5256eaa998dfdc606d89bbba1"),
+    ("stalks --case sp4 --char 2 --allow-char-2",
+     "87dfc980d1faae6ecf06aea61782437cf17f2b71f6594a2384da4c40653bdf70"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", RESHAPED_SHA256, ids=[a for a, _ in RESHAPED_SHA256])
+def test_reshaped_outputs_sha256(capsys, argv, digest):
+    code, out = run_capture(capsys, argv.split())
+    assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

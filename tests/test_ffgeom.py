@@ -6,7 +6,6 @@ from gradedorbits import ffgeom
 from gradedorbits.cohom import CaseData, FiberDatum, Pt, load_case
 from gradedorbits.exactlin import Partition, RatMatrix, parse_matrix_text
 from gradedorbits.ffgeom import (
-    CountReport,
     LimitExceeded,
     NotStableUnderForm,
     gaussian_binomial,
@@ -97,7 +96,7 @@ def test_fiber_count_prime_bounds(monkeypatch):
     monkeypatch.setattr(ffgeom, "MAX_DIM", 5)
     with pytest.raises(LimitExceeded, match=r"p prime <= 7, d <= 5,"):
         verify_fiber_counts(case, [11])
-    assert verify_fiber_counts(case, [7]).rows
+    assert verify_fiber_counts(case, [7])["rows"]
 
 
 def random_nilpotent(rng, d):
@@ -269,7 +268,7 @@ def random_case(flag_kind, form, elements):
 
 def swept_rows(case, p):
     return {
-        (r.orbit, r.stratum): r.count for r in verify_fiber_counts(case, [p]).rows
+        (r["orbit"], r["stratum"]): r["count"] for r in verify_fiber_counts(case, [p])["rows"]
     }
 
 
@@ -379,25 +378,25 @@ def test_sweep_reads_a_form_on_lines_only():
 def test_sp4_isotropic_lines_are_all_lines():
     case = load_case("sp4")
     report = verify_fiber_counts(case, [3])
-    full_rows = {r.orbit: r for r in report.rows if r.stratum == "full"}
-    assert full_rows["[1^4]"].count == 3 ** 3 + 3 ** 2 + 3 + 1
+    full_rows = {r["orbit"]: r for r in report["rows"] if r["stratum"] == "full"}
+    assert full_rows["[1^4]"]["count"] == 3 ** 3 + 3 ** 2 + 3 + 1
 
 
 def test_sp4_residue_classes():
     case = load_case("sp4")
     report = verify_fiber_counts(case, [3, 5])
-    rows = {(r.orbit, r.prime, r.stratum): r for r in report.rows}
-    assert rows[("[2^2]", 5, "zero")].count == 2
-    assert rows[("[2^2]", 5, "cuspidal")].count == 4  # q - 1
-    assert rows[("[2^2]", 3, "zero")].count == 0
-    assert rows[("[2^2]", 3, "cuspidal")].count == 4  # q + 1, twisted form
-    assert report.all_match
+    rows = {(r["orbit"], r["prime"], r["stratum"]): r["count"] for r in report["rows"]}
+    assert rows[("[2^2]", 5, "zero")] == 2
+    assert rows[("[2^2]", 5, "cuspidal")] == 4  # q - 1
+    assert rows[("[2^2]", 3, "zero")] == 0
+    assert rows[("[2^2]", 3, "cuspidal")] == 4  # q + 1, twisted form
+    assert report["all_match"]
 
 
 def test_sp4_sum_rule():
     case = load_case("sp4")
     report = verify_fiber_counts(case, [3, 5])
-    by_key = {(r.orbit, r.prime, r.stratum): r.count for r in report.rows}
+    by_key = {(r["orbit"], r["prime"], r["stratum"]): r["count"] for r in report["rows"]}
     for orbit in case.orbits:
         label = orbit.partition.label()
         for p in (3, 5):
@@ -410,24 +409,25 @@ def test_sp4_sum_rule():
 def test_sl4_all_match_small_primes():
     case = load_case("sl4")
     report = verify_fiber_counts(case, [2, 3, 5])
-    assert report.all_match
-    rows = {(r.orbit, r.prime, r.stratum): r for r in report.rows}
-    assert rows[("[2,1^2]", 2, "full")].count == 11  # 2q^2+q+1 at q=2
-    assert rows[("[2^2]", 2, "full")].count == 7  # q^2+q+1 at q=2
-    assert rows[("[2^2]", 2, "cuspidal")].count == 6  # q^2+q at q=2
-    assert rows[("[3,1]", 3, "cuspidal")].count == 2  # q-1
-    assert rows[("[1^4]", 2, "full")].count == gaussian_binomial(4, 2, 2)
+    assert report["all_match"]
+    rows = {(r["orbit"], r["prime"], r["stratum"]): r["count"] for r in report["rows"]}
+    assert rows[("[2,1^2]", 2, "full")] == 11  # 2q^2+q+1 at q=2
+    assert rows[("[2^2]", 2, "full")] == 7  # q^2+q+1 at q=2
+    assert rows[("[2^2]", 2, "cuspidal")] == 6  # q^2+q at q=2
+    assert rows[("[3,1]", 3, "cuspidal")] == 2  # q-1
+    assert rows[("[1^4]", 2, "full")] == gaussian_binomial(4, 2, 2)
 
 
 def test_report_detects_mismatch():
-    case = load_case("sl4")
-    report = verify_fiber_counts(case, [2])
-    assert isinstance(report, CountReport)
-    bad = CountReport(
-        case.name,
-        report.rows + (report.rows[0].__class__("[4]", 2, "full", 1, 2, False),),
-    )
-    assert not bad.all_match
+    # every fiber of this case is predicted to be a point; E_12 has 11 stable
+    # planes over F_2
+    x = parse_matrix_text("0,1,0,0;0,0,0,0;0,0,0,0;0,0,0,0")
+    report = verify_fiber_counts(random_case("two-plane", None, [x]), [2])
+    assert not report["all_match"]
+    assert [(r["stratum"], r["count"], r["predicted"], r["match"]) for r in report["rows"]] == [
+        ("full", 11, 1, False),
+        ("cuspidal", 0, 0, True),
+    ]
 
 
 def test_strata_check_the_case():
