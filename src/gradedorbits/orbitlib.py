@@ -23,6 +23,10 @@ with no linear algebra.  Take a segment v_1 -> ... -> v_l, x v_k = v_(k+1).
   which is 1 exactly when c <= a <= e <= b and 0 otherwise
   (Abeasis, Del Fra and Kraft, The geometry of representations of A_m,
   Math. Ann. 256, 1981).
+- The representative has a 1 in row v, column u wherever x e_u = e_v on a
+  segment, so at most one 1 in each row and column.  Its text joins d of
+  d + 1 row strings made once per call (all zeros, or a single 1 in column
+  u); no d x d matrix is built.
 
 The orbit count of a chain is the number of interval multisets with its
 block dimension vector (the Kostant partition function of A_k), counted
@@ -37,7 +41,7 @@ import itertools
 from collections import Counter
 from math import gcd
 
-from .exactlin import Cocharacter, DomainError, Partition, RatMatrix
+from .exactlin import Cocharacter, DomainError, Partition
 
 
 class InvalidPartition(ValueError):
@@ -214,9 +218,9 @@ def _interval_multiset_count(dims, limit):
     Each position with dims > 0 can be a segment on its own or continue the
     one before it, so a chain of k positions has at least 2^(k-1) multisets.
     Each step of the memoised recursion (a state with one choice of
-    segments) is a distinct partial multiset that completes, so more than
-    ``limit`` steps mean more than ``limit`` multisets; the work stays
-    bounded by the limit."""
+    segments) is a distinct prefix, the segments that start before some
+    position, of a multiset.  A multiset has at most len(dims) prefixes, so
+    more than limit * len(dims) steps mean more than ``limit`` multisets."""
     if 2 ** (len(dims) - 1) > limit:
         return limit + 1
     memo = {}
@@ -231,7 +235,7 @@ def _interval_multiset_count(dims, limit):
             total = 0
             for _, left in _segment_starts(a, remaining):
                 steps += 1
-                if steps > limit:
+                if steps > limit * len(dims):
                     return limit + 1
                 total += count(a + 1, left)
             memo[remaining] = total
@@ -265,41 +269,33 @@ def _orbit_count(blocks, chains) -> int:
     return total
 
 
-def graded_orbit_count(chi: Cocharacter, n: int) -> int:
-    """The number of G_0-orbits on the degree-n piece of sl_d, or
-    MAX_GRADED_ORBITS + 1 when it is larger; nothing is enumerated."""
-    return _orbit_count(*_validated_chains(chi, n))
-
-
-def _chain_orbits(chain, blocks, n):
-    """One entry per interval multiset of the chain: its segments as 1-based
-    block intervals, the cells (row, column) of the representative, the Levi
-    potential of each coordinate, and dim End of the quiver representation."""
+def _chain_orbits(chain, blocks, n, row_text):
+    """One entry per interval multiset of the chain: its 1-based block
+    segments with their labels, (row, row_text[column]) for each 1 of the
+    representative, the Levi potential of each coordinate, and dim End."""
     sign = 1 if n > 0 else -1
     coords_at = [blocks[k][1] for k in chain]
     out = []
     for multiset in _interval_multisets([len(coords) for coords in coords_at]):
         used = [0] * len(chain)
-        cells = []
+        labelled = []
+        rows = []
         potentials = []
         for a, b in multiset:
-            coords = []
-            for pos in range(a, b + 1):
-                coords.append(coords_at[pos][used[pos]])
-                used[pos] += 1
-            cells += zip(coords[1:], coords)  # x e_u = e_v sits in cell (v, u)
+            lo, hi = chain[a] + 1, chain[b] + 1
+            labelled.append(((lo, hi), f"[{lo}-{hi}]" if a != b else f"[{lo}]"))
             phi = -sign * (2 * blocks[chain[a]][0] + (b - a) * n)
-            potentials += [(c, phi) for c in coords]
+            u = None
+            for pos in range(a, b + 1):
+                v = coords_at[pos][used[pos]]
+                used[pos] += 1
+                potentials.append((v, phi))
+                if u is not None:  # x e_u = e_v puts the 1 of row v in column u
+                    rows.append((v, row_text[u]))
+                u = v
         # Hom([a, b], [c, e]) is 1 exactly when c <= a <= e <= b
-        mult = Counter(multiset)
-        hom = sum(
-            p * q
-            for (a, b), p in mult.items()
-            for (c, e), q in mult.items()
-            if c <= a <= e <= b
-        )
-        segments = tuple((chain[a] + 1, chain[b] + 1) for a, b in multiset)
-        out.append((segments, cells, potentials, hom))
+        hom = len([1 for a, b in multiset for c, e in multiset if c <= a <= e <= b])
+        out.append((labelled, rows, potentials, hom))
     return out
 
 
@@ -327,26 +323,30 @@ def graded_orbit_reps_typeA(chi: Cocharacter, n: int) -> list:
             f" {count * d * d} cells, more than the {MAX_GRADED_CELLS} that are printed"
         )
     g0_dim = sum(len(coords) ** 2 for _, coords in blocks)
-    per_chain = [_chain_orbits(chain, blocks, n) for chain in chains]
+    zero_row = ",".join("0" * d)
+    row_text = ["0," * u + "1" + ",0" * (d - 1 - u) for u in range(d)]
+    per_chain = [_chain_orbits(chain, blocks, n, row_text) for chain in chains]
     reps = []
     for combo in itertools.product(*per_chain):
-        entries = [[0] * d for _ in range(d)]
+        rows = [zero_row] * d
         potential = [0] * d
-        for _, cells, potentials, _ in combo:
-            for v, u in cells:
-                entries[v][u] = 1
-            for c, phi in potentials:
+        labelled = []
+        hom = 0
+        for chain_labelled, chain_rows, chain_potentials, chain_hom in combo:
+            for v, text in chain_rows:
+                rows[v] = text
+            for c, phi in chain_potentials:
                 potential[c] = phi
-        levi = {}  # potential -> block size, in order of first coordinate
-        for phi in potential:
-            levi[phi] = levi.get(phi, 0) + 1
-        segments = sorted(seg for segments, *_ in combo for seg in segments)
+            labelled += chain_labelled
+            hom += chain_hom
+        labelled.sort()
         reps.append({
-            "decomposition": [list(seg) for seg in segments],
-            "label": "+".join(f"[{a}-{b}]" if a != b else f"[{a}]" for a, b in segments),
-            "representative": RatMatrix(d, d, tuple(map(tuple, entries)), 1).text(),
-            "dim": g0_dim - sum(hom for *_, hom in combo),
-            "levi_blocks": list(levi.values()),
+            "decomposition": [list(seg) for seg, _ in labelled],
+            "label": "+".join(label for _, label in labelled),
+            "representative": ";".join(rows),
+            "dim": g0_dim - hom,
+            # in order of first coordinate: a Counter keeps first-seen order
+            "levi_blocks": list(Counter(potential).values()),
         })
     reps.sort(key=lambda r: (-r["dim"], r["label"]))
     return reps

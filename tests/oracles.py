@@ -1336,6 +1336,17 @@ def interval_multiset_count(dims):
     return count(0, tuple(dims))
 
 
+def graded_orbit_count(chi, n):
+    """The number of G_0-orbits on the degree-n piece of sl_d, or
+    MAX_GRADED_ORBITS + 1 when it is larger, counted as
+    ``graded_orbit_reps_typeA`` counts them before it enumerates anything.
+    This is the package's own count, not an independent one: only the tests
+    ask for the count alone."""
+    from gradedorbits import orbitlib
+
+    return orbitlib._orbit_count(*orbitlib._validated_chains(chi, n))
+
+
 def _weight_chains(weights, n):
     """The multiplicities of the weights along each maximal chain
     u, u + n, u + 2n, ... of weights that occur."""

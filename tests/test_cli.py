@@ -597,6 +597,53 @@ def test_graded_orbits_json_sha256(capsys, monkeypatch, cochar, degree, orbits, 
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the one chain of block sizes 2, 2, 5, 4, 5, 5 (d = 23): exactly the
+# orbit bound, 10,000 orbits
+BOUND_COCHAR = ",".join(["3"] * 2 + ["2"] * 2 + ["1"] * 5 + ["0"] * 4 + ["-1"] * 5 + ["-2"] * 5)
+
+# sha256 of `graded-orbits` as it printed when each representative was a
+# d x d matrix written by RatMatrix.text(): the text tables of the
+# cocharacters above, both modes at the orbit bound, and both for d = 1
+GRADED_ORBITS_MORE_SHA256 = [
+    ("2,2,1,1,1,0,0,0,-1,-1,-1,-2,-2", "-1", "text", 456,
+     "3bc82966caf63a4051276c9aa3750d6011e5002d2afba8c87879cfb272b05b93"),
+    ("2,2,1,1,1,1,0,0,0,0,-1,-1,-1,-1,-2,-2", "-1", "text", 1138,
+     "07aef77954dc11bbcf9cfea31aa78d7e07f9620521599f4fe7bfe6e8d0340010"),
+    ("1,1,0,0,-1,-1", "-1", "text", 10,
+     "23fa17a3c854fc419274e5fde0fe92e1fa0e294b818b182a33172a745f50e376"),
+    ("1,0,0,0,0,0,-1", "1", "text", 5,
+     "21f90d29bac5f1c897c956caef412c7cbb388388e37365c33c4582967e390cf7"),
+    ("1,1,1,1,-1,-1,-1,-1", "-2", "text", 5,
+     "4218bea6677ce8a2a61febf32d3a2cd6bdd4f99fe24c6f5e3b6d8f10fe50371a"),
+    ("1,1,0,0,0,0,-1,-1", "2", "text", 3,
+     "1861fbd5d2a32a6bad1818943363f3a242f3a9c6e8072242a7699ce0fa0359d1"),
+    (BOUND_COCHAR, "-1", "text", 10_000,
+     "d95dff82889bd6d4dd32cf73be5699aa7afe93f17c9b72c5359d427a9bbede5f"),
+    (BOUND_COCHAR, "-1", "json", 10_000,
+     "b547a9b8ebb1a7ec51cb1fc64908f9453a0ec6bbc0c5835583833bbfed91fefc"),
+    ("0", "1", "text", 1,
+     "c0372996a5582d5c8b8874d2a752e7942d06deaa2bdb148df00aa6c424b35771"),
+    ("0", "1", "json", 1,
+     "7f082d5bc3b9c1fb79a9d7ddbbaeb0dd13aed926a989235e4f7ab91a50c5b951"),
+]
+
+
+@pytest.mark.parametrize(
+    "cochar,degree,mode,orbits,digest",
+    GRADED_ORBITS_MORE_SHA256,
+    ids=[f"d{len(c.split(','))}-degree{n}-{mode}" for c, n, mode, *_ in GRADED_ORBITS_MORE_SHA256],
+)
+def test_graded_orbits_sha256(capsys, cochar, degree, mode, orbits, digest):
+    argv = ["graded-orbits", "--cochar", cochar, "--degree", degree]
+    code, out = run_capture(capsys, argv + (["--json"] if mode == "json" else []))
+    assert code == 0
+    if mode == "json":
+        assert len(json.loads(out)["orbits"]) == orbits
+    else:
+        assert len(out.splitlines()) == 1 + orbits  # a header, then one line per orbit
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("args", [SL_ARGS, SP_ARGS], ids=["sl", "sp"])
 def test_parabolic_levi_rigid_for_non_diagonal_h(capsys, args):
     code, out = run_capture(capsys, ["parabolic", *args])

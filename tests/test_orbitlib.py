@@ -12,7 +12,6 @@ from gradedorbits.orbitlib import (
     TooManyOrbits,
     UnsortedWeights,
     component_group,
-    graded_orbit_count,
     graded_orbit_reps_typeA,
     nilpotent_orbits,
     orbit_dimension,
@@ -20,8 +19,10 @@ from gradedorbits.orbitlib import (
 
 from oracles import (
     dominance_leq,
+    graded_orbit_count,
     graded_orbit_dimension,
     graded_orbit_levi_shape,
+    interval_multiset_count,
     jordan_matrix,
     nilpotent_jordan_partition,
 )
@@ -244,6 +245,19 @@ def seeded_cocharacters(count=150, seed=6):
 SEEDED = seeded_cocharacters()
 
 
+def test_representatives_are_partial_permutations():
+    # each coordinate lies on one segment, so x has at most one 1 in each
+    # row and column, and its text is a join of all-zero and single-1 rows
+    for chi, n in SEEDED:
+        for rep in graded_orbit_reps_typeA(chi, n):
+            text = rep["representative"]
+            x = parse_matrix_text(text)
+            assert x.den == 1 and all(v in (0, 1) for row in x.num for v in row), text
+            assert all(sum(row) <= 1 for row in x.num), text
+            assert all(sum(col) <= 1 for col in zip(*x.num)), text
+            assert x.text() == text
+
+
 def test_closed_forms_match_the_solver_oracle():
     assert len(SEEDED) >= 150
     orbits = 0
@@ -302,6 +316,25 @@ def test_orbit_count_work_is_bounded(deadline):
     with deadline(5):
         count = orbitlib._interval_multiset_count([300] * 4, MAX_GRADED_ORBITS)
     assert count == MAX_GRADED_ORBITS + 1
+
+
+def test_orbit_count_budget_is_exact():
+    # [1, 1] has two multisets, {[1-2]} and {[1], [2]}, in three steps
+    assert orbitlib._interval_multiset_count([1, 1], 2) == 2
+    assert orbitlib._interval_multiset_count([1, 1], 1) == 2
+    # [2, 3] has three multisets in six steps, exactly limit * len(dims) at
+    # limit 3: the count is still exact there
+    assert orbitlib._interval_multiset_count([2, 3], 3) == 3
+    assert orbitlib._interval_multiset_count([2, 3], 2) == 3
+    # and every chain of up to 3 positions of up to 3 agrees with the oracle
+    # at the limits around its count
+    for k in range(1, 4):
+        for dims in itertools.product(range(1, 4), repeat=k):
+            count = interval_multiset_count(dims)
+            for limit in (count - 1, count, count + 1):
+                if limit >= 1:
+                    got = orbitlib._interval_multiset_count(list(dims), limit)
+                    assert got == min(count, limit + 1), (dims, limit)
 
 
 def test_graded_orbits_need_zero_sum_and_nonzero_degree():
