@@ -1,7 +1,7 @@
 """Exact integer and rational linear algebra: primality and prime
 factors, the matrix type ``RatMatrix``, one elimination kernel ``_rref``
-over Q or F_p with the nullspaces and solutions read from it, Lie
-brackets, cocharacters and partitions.
+over Q or F_p with the nullspaces and solutions read from it,
+cocharacters and partitions.
 
 Everything in this package computes over Z or Q with arbitrary precision;
 there is no floating point anywhere.  The one matrix type is ``RatMatrix``,
@@ -106,7 +106,7 @@ def _matmul(a_rows, b_rows, cols: int) -> tuple:
 class RatMatrix:
     """Immutable rational matrix: integer entries ``num`` over one positive
     denominator ``den``, which is 1 for an integer matrix.  ``from_rows``
-    and the arithmetic normalize it (den coprime to the entries), so equal
+    and ``_normalized`` normalize it (den coprime to the entries), so equal
     normalized values are the same rational matrix."""
 
     rows: int
@@ -136,10 +136,6 @@ class RatMatrix:
     def zeros(r: int, c: int) -> "RatMatrix":
         return RatMatrix(r, c, tuple((0,) * c for _ in range(r)), 1)
 
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
-
     def _normalized(self) -> "RatMatrix":
         g = abs(self.den)
         for row in self.num:
@@ -158,42 +154,6 @@ class RatMatrix:
             tuple(tuple(sign * x // g for x in row) for row in self.num),
             sign * self.den // g,
         )
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.num[i][j], self.den)
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        d = self.den * other.den // gcd(self.den, other.den)
-        a, b = d // self.den, d // other.den
-        ent = tuple(
-            tuple(a * x + b * y for x, y in zip(r1, r2))
-            for r1, r2 in zip(self.num, other.num)
-        )
-        return RatMatrix(self.rows, self.cols, ent, d)._normalized()
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix(
-            self.rows, self.cols, tuple(tuple(-x for x in r) for r in self.num), self.den
-        )
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + (-other)
-
-    def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ent = _matmul(self.num, other.num, other.cols)
-        return RatMatrix(self.rows, other.cols, ent, self.den * other.den)._normalized()
-
-    def scale(self, c) -> "RatMatrix":
-        f = Fraction(c)
-        ent = tuple(tuple(x * f.numerator for x in row) for row in self.num)
-        return RatMatrix(self.rows, self.cols, ent, self.den * f.denominator)._normalized()
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, tuple(zip(*self.num)), self.den)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.num for x in row)
@@ -333,34 +293,6 @@ def solve_linear(rows, rhs):
     for r, pc in enumerate(pivots):
         sol[pc] = Fraction(mat[r][ncols], mat[r][pc])
     return tuple(sol)
-
-
-# ---------------------------------------------------------------------------
-# brackets
-
-
-def _sparse_rows(num) -> list:
-    """The nonzero (column, value) pairs of each integer row."""
-    return [[(j, x) for j, x in enumerate(row) if x] if any(row) else [] for row in num]
-
-
-def bracket(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Lie bracket [a, b] = ab - ba of square matrices, in one pass over the
-    nonzero cells of both numerators: a cell a_ik adds a_ik times row k of
-    b to row i, and a cell b_ik subtracts b_ik times row k of a."""
-    n = a.rows
-    if (a.cols, b.rows, b.cols) != (n, n, n):
-        raise ValueError("shape mismatch")
-    a_rows, b_rows = _sparse_rows(a.num), _sparse_rows(b.num)
-    acc = [[0] * n for _ in range(n)]
-    for left_rows, right_rows, sign in ((a_rows, b_rows, 1), (b_rows, a_rows, -1)):
-        for i, row in enumerate(left_rows):
-            out = acc[i]
-            for k, x in row:
-                x *= sign
-                for j, y in right_rows[k]:
-                    out[j] += x * y
-    return RatMatrix(n, n, tuple(map(tuple, acc)), a.den * b.den)._normalized()
 
 
 # ---------------------------------------------------------------------------

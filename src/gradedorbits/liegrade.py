@@ -13,34 +13,27 @@ or not, is the part of it on a set of matrix cells, and ``_piece`` writes
 it down from the cells alone, as integer cell maps {(i, j): entry}: for sl
 the units E_ij on off-diagonal cells plus a Cartan chain on the diagonal
 ones, for sp one cell, or a pair of cells that B links, per element.  A
-piece becomes d x d matrices only where they are read: ``graded_component``
-and ``MatrixLieAlgebra.basis``, which the triple, the parabolic and
-``check_n_rigid`` never read.  The canonical parabolic is its indicator on
-the cells of a basis, never built, that diagonalises both gradings:
-``cells`` and ``mask`` read p, n and l off it, and ``check_n_rigid`` tests
-a set of those cells.
+piece becomes d x d matrices only in ``graded_component``, which the
+triple, the parabolic and ``check_n_rigid`` never call; the whole algebra
+is its degree-0 piece for the zero cocharacter.  The canonical parabolic
+is its indicator on the cells of a basis, never built, that diagonalises
+both gradings: ``cells`` and ``mask`` read p, n and l off it, and
+``check_n_rigid`` tests a set of those cells.
 
 The triple stays on cells too: a diagonal h is read off the cells of x
 (``_toral_h``), the equations are written only on the cells that x, a
-bracket (``_ad``) or a right-hand side reaches, and only e, h and f are
-built as matrices.  Everything is exact, and returned
-values are immutable.
+bracket or a right-hand side reaches, and only e, h and f are built as
+matrices.  ``_ad`` is the one Lie bracket: it writes the equations and
+checks the bracket relations of every triple.  Everything is exact, and
+returned values are immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import lcm
 
-from .exactlin import (
-    Cocharacter,
-    DomainError,
-    RatMatrix,
-    bracket,
-    nullspace,
-    solve_linear,
-)
+from .exactlin import Cocharacter, DomainError, RatMatrix, nullspace, solve_linear
 
 
 class BadForm(ValueError):
@@ -64,17 +57,6 @@ class MatrixLieAlgebra:
     kind: str  # "sl" or "sp"
     dim_ambient: int
 
-    @cached_property
-    def basis(self) -> tuple:
-        """The piece on all cells, built on first use: the triple and the
-        parabolic need only pieces on some cells."""
-        d = self.dim_ambient
-        return tuple(_matrix(d, c) for c in _piece(self, _all_cells(d)))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
     def contains(self, m: RatMatrix) -> bool:
         if self.kind == "sl":
             return sum(m.num[i][i] for i in range(m.rows)) == 0
@@ -94,13 +76,20 @@ class Sl2Triple:
     f: RatMatrix
 
     def bracket_relations_hold(self) -> bool:
-        # brackets and scalings come normalized, and a normalized matrix is
-        # equal to another exactly when they are the same rational matrix
-        e, h, f = self.e, self.h, self.f
+        """[h, e] = 2e, [h, f] = -2f and [e, f] = h, exactly: on the
+        numerator cell maps E, H and F, [H, E] = 2 h.den E,
+        [H, F] = -2 h.den F and h.den [E, F] = e.den f.den H, with the
+        brackets from ``_ad``."""
+        e, h, f = _cells(self.e), _cells(self.h), _cells(self.f)
+        ad_h, h_den = _ad(h), self.h.den
+
+        def times(c, cells):
+            return {k: c * v for k, v in cells.items()}
+
         return (
-            bracket(h, e) == e.scale(2)
-            and bracket(h, f) == f.scale(-2)
-            and bracket(e, f) == h._normalized()
+            ad_h(e) == times(2 * h_den, e)
+            and ad_h(f) == times(-2 * h_den, f)
+            and times(h_den, _ad(e)(f)) == times(self.e.den * self.f.den, h)
         )
 
     @staticmethod
@@ -157,7 +146,7 @@ def _all_cells(d) -> list:
 def _sl_in_cells(cells) -> tuple:
     """Basis of the part of sl_d on the cell set: E_ij for each off-diagonal
     cell, row-major, then e_a - e_b for consecutive diagonal cells (a, a),
-    (b, b) of the set.  On all cells this is the basis of ``build_algebra``."""
+    (b, b) of the set.  On all cells this is a basis of sl_d."""
     cells = sorted(cells)
     diag = [i for (i, j) in cells if i == j]
     return tuple(

@@ -28,3 +28,20 @@ def deadline():
             signal.signal(signal.SIGALRM, previous)
 
     return within
+
+
+@pytest.fixture
+def matrix_calls(monkeypatch):
+    """The dimension d of each d x d matrix that ``liegrade._matrix`` builds
+    from a cell map during the test, in order; the test may clear it."""
+    from gradedorbits import liegrade
+
+    calls = []
+    build = liegrade._matrix
+
+    def counted(d, cells, den=1):
+        calls.append(d)
+        return build(d, cells, den)
+
+    monkeypatch.setattr(liegrade, "_matrix", counted)
+    return calls

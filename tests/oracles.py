@@ -36,7 +36,9 @@ where the package solves on the ad-h weight -2 cells, and rigidity
 scans every cell that a conjugated basis reaches.  The basis change p
 that diagonalises h, which the package never builds, comes from one
 Fraction nullspace per candidate eigenvalue, and its inverse from the
-Fraction RREF of [p | I].  Primality is trial division.  The CLI payload
+Fraction RREF of [p | I].  Products, sums and Lie brackets of matrices
+are dense, row times column and entry by entry, where the package brackets
+sparse cell maps.  Primality is trial division.  The CLI payload
 of graded-orbits is counted by interval
 multisets along each weight chain and told apart by rank invariants, and
 that of fibers by evaluating each fixture space expression at p, with no
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -142,7 +145,7 @@ def nilpotent_jordan_partition(n):
     """Jordan type of a nilpotent RatMatrix: the number of parts >= k is
     rank(N^(k-1)) - rank(N^k), ranks from Fraction RREFs.  ``NotNilpotent``
     if N^dim is not zero."""
-    from gradedorbits.exactlin import Partition, RatMatrix
+    from gradedorbits.exactlin import Partition
 
     if n.rows != n.cols:
         raise ValueError("matrix must be square")
@@ -150,12 +153,12 @@ def nilpotent_jordan_partition(n):
     # ranks of N^0, N^1, ... up to the first zero power; every later one
     # is zero too, and N^dim is zero exactly when N is nilpotent
     ranks = []
-    power = RatMatrix.identity(dim)
+    power = identity(dim)
     while not power.is_zero():
         if len(ranks) == dim:
             raise NotNilpotent("matrix is not nilpotent")
         ranks.append(len(fraction_rref(power.num)[1]))
-        power = power * n
+        power = matrix_product(power, n)
     ranks.append(0)
     return Partition(tuple(a - b for a, b in zip(ranks, ranks[1:]))).transpose()
 
@@ -302,6 +305,91 @@ def flag_count_by_elimination(x_rows, p, k, form_rows, conditions):
 
 
 # ---------------------------------------------------------------------------
+# dense matrix arithmetic on integer numerators over one denominator:
+# products as sums over rows times columns, sums and scalings entry by
+# entry, each result reduced by the gcd of its denominator and entries
+
+
+def entry(m, i, j):
+    """Entry (i, j) of a RatMatrix, as a Fraction."""
+    return Fraction(m.num[i][j], m.den)
+
+
+def _over(num, den):
+    """The RatMatrix of integer rows over a positive denominator, divided
+    by their gcd."""
+    from gradedorbits.exactlin import RatMatrix
+
+    g = gcd(den, *(x for row in num for x in row))
+    ncols = len(num[0]) if num else 0
+    return RatMatrix(len(num), ncols, tuple(tuple(x // g for x in row) for row in num), den // g)
+
+
+def identity(n):
+    return _over([[int(i == j) for j in range(n)] for i in range(n)], 1)
+
+
+def transpose(m):
+    return _over(list(zip(*m.num)), m.den)
+
+
+def matrix_product(*factors):
+    """The product of one or more RatMatrix factors, left to right: each
+    numerator entry the sum over a row of one and a column of the next,
+    over the product of the denominators."""
+    num, den, cols = factors[0].num, factors[0].den, factors[0].cols
+    for m in factors[1:]:
+        if m.rows != cols:
+            raise ValueError("shape mismatch")
+        columns = list(zip(*m.num))
+        zero = [0] * m.cols
+        num = [[sum(map(operator.mul, row, col)) for col in columns] if any(row) else zero
+               for row in num]
+        den, cols = den * m.den, m.cols
+    return _over(num, den)
+
+
+def _entrywise(op, a, b):
+    """op on the entries of a and b, over the product of their
+    denominators."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    return _over(
+        [[op(x * b.den, y * a.den) for x, y in zip(r, s)] for r, s in zip(a.num, b.num)],
+        a.den * b.den,
+    )
+
+
+def matrix_sum(a, b):
+    return _entrywise(operator.add, a, b)
+
+
+def matrix_difference(a, b):
+    return _entrywise(operator.sub, a, b)
+
+
+def scaled(m, c):
+    """c times the RatMatrix m, for an int, Fraction or string c."""
+    c = Fraction(c)
+    return _over([[c.numerator * x for x in row] for row in m.num], m.den * c.denominator)
+
+
+def dense_bracket(a, b):
+    """The Lie bracket ab - ba of square RatMatrix values, by dense products."""
+    return matrix_difference(matrix_product(a, b), matrix_product(b, a))
+
+
+def sl2_relations(e, h, f):
+    """Whether [h, e] = 2e, [h, f] = -2f and [e, f] = h hold, each by dense
+    products, for normalized matrices."""
+    return (
+        dense_bracket(h, e) == scaled(e, 2),
+        dense_bracket(h, f) == scaled(f, -2),
+        dense_bracket(e, f) == h,
+    )
+
+
+# ---------------------------------------------------------------------------
 # rational elimination with Fraction rows, and graded pieces by nullspace
 
 
@@ -358,7 +446,7 @@ def fraction_nullspace(rows):
 
 
 def _flat(a):
-    return [a.entry(i, j) for i in range(a.rows) for j in range(a.cols)]
+    return [entry(a, i, j) for i in range(a.rows) for j in range(a.cols)]
 
 
 @functools.lru_cache(maxsize=32)
@@ -392,7 +480,7 @@ def subspace_in_cells_by_nullspace(basis, allowed):
     forbidden = [(i, j) for i in range(d) for j in range(d) if (i, j) not in allowed]
     if not forbidden:
         return tuple(basis)
-    flat = [[m.entry(i, j) for i in range(d) for j in range(d)] for m in basis]
+    flat = [[entry(m, i, j) for i in range(d) for j in range(d)] for m in basis]
     rows = [[f[i * d + j] for f in flat] for (i, j) in forbidden]
     out = []
     for combo in fraction_nullspace(rows):
@@ -432,6 +520,15 @@ def sp_in_cells_by_nullspace(form, cells):
     return tuple(out)
 
 
+def whole_algebra(alg):
+    """The basis of the whole algebra: its degree-0 piece for the zero
+    cocharacter."""
+    from gradedorbits.exactlin import Cocharacter
+    from gradedorbits.liegrade import graded_component
+
+    return graded_component(alg, Cocharacter.of([0] * alg.dim_ambient), 0)
+
+
 def conjugated_piece_by_nullspace(alg, p, cells):
     """Basis of the part of p^-1 alg p on the cell set, for a basis change
     p: p^-1 sl p = sl, so for sl the nullspace of the sl basis off the
@@ -439,7 +536,7 @@ def conjugated_piece_by_nullspace(alg, p, cells):
     so for sp the nullspace of M^T B' + B' M = 0 on the cells, with B'
     scaled to integers by the square of p's denominator."""
     if alg.kind == "sl":
-        return subspace_in_cells_by_nullspace(alg.basis, set(cells))
+        return subspace_in_cells_by_nullspace(whole_algebra(alg), set(cells))
     d = alg.dim_ambient
     h = d // 2
     b = [[int(j == i + h) - int(i == j + h) for j in range(d)] for i in range(d)]
@@ -454,20 +551,18 @@ def brackets_in_span(a_basis, b_basis, target):
     a of ``a_basis`` and b of ``b_basis``: the numerators of each bracket,
     as a cell map, are reduced against the nonzero cells of the Fraction
     RREF of the target's flattened entries."""
-    from gradedorbits.exactlin import bracket
-
     if not target:
-        return all(bracket(a, b).is_zero() for a in a_basis for b in b_basis)
+        return all(dense_bracket(a, b).is_zero() for a in a_basis for b in b_basis)
     d = target[0].rows
     cells = [(i, j) for i in range(d) for j in range(d)]
-    rref, pivots = fraction_rref([[t.entry(i, j) for i, j in cells] for t in target])
+    rref, pivots = fraction_rref([[entry(t, i, j) for i, j in cells] for t in target])
     rows = [
         (cells[pc], [(cells[k], x) for k, x in enumerate(row) if x])
         for row, pc in zip(rref, pivots)
     ]
     for a in a_basis:
         for b in b_basis:
-            z = bracket(a, b)
+            z = dense_bracket(a, b)
             v = {(i, j): x for i, r in enumerate(z.num) for j, x in enumerate(r) if x}
             for pivot, row in rows:
                 c = v.get(pivot)
@@ -483,24 +578,26 @@ def triple_h_by_full_system(x, h_basis, gm_basis):
     """The h of [x, f] = h, [h, x] = 2x with h in span(h_basis) and f in
     span(gm_basis), solved as one Fraction system in (h, f), h unknowns
     first, free unknowns set to 0; None when it has no solution."""
-    from gradedorbits.exactlin import RatMatrix, bracket
+    from gradedorbits.exactlin import RatMatrix
 
     if not h_basis or not gm_basis:
         return None
     d = x.rows
     cells = [(i, j) for i in range(d) for j in range(d)]
+    xfs = [dense_bracket(x, f) for f in gm_basis]
+    hxs = [dense_bracket(h, x) for h in h_basis]
     rows = []
     for i, j in cells:  # sum_k c_k [x, F_k] - sum_i b_i H_i = 0
         rows.append(
-            [-h.entry(i, j) for h in h_basis]
-            + [bracket(x, f).entry(i, j) for f in gm_basis]
+            [-entry(h, i, j) for h in h_basis]
+            + [entry(xf, i, j) for xf in xfs]
             + [0]
         )
     for i, j in cells:  # sum_i b_i [H_i, x] = 2x
         rows.append(
-            [bracket(h, x).entry(i, j) for h in h_basis]
+            [entry(hx, i, j) for hx in hxs]
             + [0] * len(gm_basis)
-            + [2 * x.entry(i, j)]
+            + [2 * entry(x, i, j)]
         )
     mat, pivots = fraction_rref(rows)
     s = len(h_basis)
@@ -511,7 +608,7 @@ def triple_h_by_full_system(x, h_basis, gm_basis):
     for r, pc in enumerate(pivots):
         coeffs[pc] = mat[r][ncols]
     entries = [
-        [sum(c * h.entry(i, j) for c, h in zip(coeffs[:s], h_basis)) for j in range(d)]
+        [sum(c * entry(h, i, j) for c, h in zip(coeffs[:s], h_basis)) for j in range(d)]
         for i in range(d)
     ]
     return RatMatrix.from_rows(entries)
@@ -528,11 +625,11 @@ def triple_f_by_full_system(x, h, gm_basis):
         return None
     d = x.rows
     cells = [(i, j) for i in range(d) for j in range(d)]
-    xf = [x * f - f * x for f in gm_basis]
-    hf = [h * f - f * h for f in gm_basis]
-    rows = [[m.entry(i, j) for m in xf] + [h.entry(i, j)] for i, j in cells]
+    xf = [dense_bracket(x, f) for f in gm_basis]
+    hf = [dense_bracket(h, f) for f in gm_basis]
+    rows = [[entry(m, i, j) for m in xf] + [entry(h, i, j)] for i, j in cells]
     rows += [
-        [m.entry(i, j) + 2 * f.entry(i, j) for m, f in zip(hf, gm_basis)] + [0]
+        [entry(m, i, j) + 2 * entry(f, i, j) for m, f in zip(hf, gm_basis)] + [0]
         for i, j in cells
     ]
     mat, pivots = fraction_rref(rows)
@@ -543,7 +640,7 @@ def triple_f_by_full_system(x, h, gm_basis):
     for r, pc in enumerate(pivots):
         coeffs[pc] = mat[r][t]
     return RatMatrix.from_rows(
-        [[sum(c * f.entry(i, j) for c, f in zip(coeffs, gm_basis)) for j in range(d)]
+        [[sum(c * entry(f, i, j) for c, f in zip(coeffs, gm_basis)) for j in range(d)]
          for i in range(d)]
     )
 
@@ -556,7 +653,7 @@ def rat_inverse(m):
     n = m.rows
     if m.cols != n:
         raise ValueError("inverse of a non-square matrix")
-    rows = [[m.entry(i, j) for j in range(n)] + [int(i == k) for k in range(n)] for i in range(n)]
+    rows = [[entry(m, i, j) for j in range(n)] + [int(i == k) for k in range(n)] for i in range(n)]
     mat, pivots = fraction_rref(rows)
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
@@ -582,7 +679,7 @@ def diagonalising_basis(h, chi):
             vec
             for m in range(-d, d + 1)
             for vec in fraction_nullspace(
-                [[h.entry(i, j) - (m if i == j else 0) for j in idx] for i in idx]
+                [[entry(h, i, j) - (m if i == j else 0) for j in idx] for i in idx]
             )
         ]
         assert len(vectors) == len(idx)
@@ -594,7 +691,7 @@ def diagonalising_basis(h, chi):
     zero = RatMatrix.zeros(d, d)
     chip = chi_prime(Sl2Triple(zero, h, zero), chi).weights
     diag = RatMatrix.from_rows([[chip[i] if i == j else 0 for j in range(d)] for i in range(d)])
-    assert rat_inverse(p) * h * p == diag
+    assert matrix_product(rat_inverse(p), h, p) == diag
     return p
 
 
@@ -616,7 +713,7 @@ def rigidity_by_conjugates(basis, chi, triple, n):
                 return False, (wp[i] - wp[j], w[i] - w[j])
     for i in range(d):
         for j in range(d):
-            if any(m.entry(i, j) for m in basis) and 2 * (w[i] - w[j]) != n * (wp[i] - wp[j]):
+            if any(entry(m, i, j) for m in basis) and 2 * (w[i] - w[j]) != n * (wp[i] - wp[j]):
                 return False, (wp[i] - wp[j], w[i] - w[j])
     return True, None
 
@@ -624,7 +721,6 @@ def rigidity_by_conjugates(basis, chi, triple, n):
 def graded_orbit_dimension(alg, chi, n, x):
     """Dimension of the weight-zero-group orbit of x: the rank of ad(x)
     restricted to the degree-zero subalgebra."""
-    from gradedorbits.exactlin import bracket
     from gradedorbits.liegrade import graded_component
 
     w = chi.weights
@@ -635,7 +731,7 @@ def graded_orbit_dimension(alg, chi, n, x):
     if not g0:
         return 0
     # the numerators of each row: scaling a row does not change the rank
-    rows = [[v for row in bracket(y, x).num for v in row] for y in g0]
+    rows = [[v for row in dense_bracket(y, x).num for v in row] for y in g0]
     return len(fraction_rref(rows)[1])
 
 

@@ -461,15 +461,17 @@ def test_triple_shapes_text_sha256(capsys, command, shape, digests):
 
 
 @pytest.mark.parametrize("command", ["triple", "parabolic"])
-def test_triple_and_parabolic_never_build_the_whole_algebra(capsys, monkeypatch, command):
-    def whole_algebra(alg):
-        raise AssertionError("the basis of the whole algebra was built")
-
-    monkeypatch.setattr(liegrade.MatrixLieAlgebra, "basis", property(whole_algebra))
+def test_triple_and_parabolic_never_build_the_whole_algebra(capsys, matrix_calls, command):
+    # a run builds the h and f of its triple from cells, twice at most, and
+    # no other matrix: fewer than the d^2 - 1 or d(d + 1)/2 of the algebra
     shapes = [["--type", k, "--d", str(len(c.split(","))), "--cochar", c, "--x", x, "--degree", n]
               for k, c, n, x, *_ in TRIPLE_SHAPES_SHA256]
     for args in [*shapes, SL_ARGS, SP_ARGS]:
+        matrix_calls.clear()
         assert run_capture(capsys, [command, *args])[0] == 0
+        d = int(args[args.index("--d") + 1])
+        whole = d * d - 1 if args[1] == "sl" else d * (d + 1) // 2
+        assert len(matrix_calls) <= 4 < whole
 
 
 # Bytes of `grading --json` captured before every piece was built from its cells.
@@ -570,8 +572,8 @@ GRADED_ORBITS_SHA256 = [
 ]
 
 SOLVERS = {
-    exactlin: ("nullspace", "solve_linear", "bracket"),
-    liegrade: ("adapted_sl2_triple", "canonical_parabolic", "graded_component", "build_algebra"),
+    exactlin: ("nullspace", "solve_linear"),
+    liegrade: ("adapted_sl2_triple", "canonical_parabolic", "graded_component", "build_algebra", "_ad"),
 }
 
 

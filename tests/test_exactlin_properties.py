@@ -1,12 +1,12 @@
 """Property tests: the fraction-free elimination of ``exactlin`` against
 Fraction references, its elimination over F_p against the echelon oracle,
-and the Hermite-pass invariant factors of the oracles' label report
-against the minors-gcd oracle.  Needs Hypothesis (the ``test`` extra);
+the integer product and the sparse bracket ``liegrade._ad`` against dense
+products, and the Hermite-pass invariant factors of the oracles' label
+report against the minors-gcd oracle.  Needs Hypothesis (the ``test`` extra);
 without it this module is skipped and the rest of the suite still runs."""
 
 import itertools
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -17,20 +17,24 @@ from hypothesis import strategies as st
 
 from gradedorbits.exactlin import (
     RatMatrix,
+    _matmul,
     _rref,
-    bracket,
     nullspace,
     solve_linear,
 )
+from gradedorbits.liegrade import _ad
 
 from oracles import (
     _echelonize,
+    dense_bracket,
     fraction_nullspace,
     fraction_rref,
     hermite_pivots,
     hermite_rows,
+    identity,
     in_hermite_span,
     invariant_factors,
+    matrix_product,
     rat_inverse,
     snf_invariant_factors_by_minors,
 )
@@ -105,7 +109,13 @@ def test_rat_matrix_product_equals_entrywise_sums(rows, data):
         [sum(Fraction(a) * Fraction(col[k]) for a, col in zip(row, other)) for k in range(ncols)]
         for row in rows
     ]
-    assert RatMatrix.from_rows(rows) * RatMatrix.from_rows(other) == RatMatrix.from_rows(want)
+    # the integer product on the numerators, over the product of the
+    # denominators, and the oracles' product
+    a, b = RatMatrix.from_rows(rows), RatMatrix.from_rows(other)
+    got = _matmul(a.num, b.num, ncols)
+    want = RatMatrix.from_rows(want)
+    assert RatMatrix.from_rows([[Fraction(x, a.den * b.den) for x in row] for row in got]) == want
+    assert matrix_product(a, b) == want
 
 
 @st.composite
@@ -125,13 +135,21 @@ def bracket_pairs(draw):
     return RatMatrix.from_rows(matrix()), RatMatrix.from_rows(matrix())
 
 
+def _cells(num):
+    return {(i, j): x for i, row in enumerate(num) for j, x in enumerate(row) if x}
+
+
 @PROPERTY
 @given(bracket_pairs())
 def test_bracket_equals_dense_products(pair):
-    a, b = pair
-    got = bracket(a, b)
-    assert got == a * b - b * a
-    assert got.den > 0 and gcd(got.den, *(x for row in got.num for x in row)) == 1
+    # ``_ad`` on the numerators' cells is the dense bracket of the
+    # numerators, cell for cell, and writes no zero cell
+    a, b = (RatMatrix.from_rows(m.num) for m in pair)
+    got = _ad(_cells(a.num))(_cells(b.num))
+    want = dense_bracket(a, b)
+    assert want.den == 1
+    assert got == _cells(want.num)
+    assert all(got.values())
 
 
 @PROPERTY
@@ -145,8 +163,8 @@ def test_rat_inverse_is_two_sided(rows):
             rat_inverse(m)
     else:
         inv = rat_inverse(m)
-        assert m * inv == RatMatrix.identity(n)
-        assert inv * m == RatMatrix.identity(n)
+        assert matrix_product(m, inv) == identity(n)
+        assert matrix_product(inv, m) == identity(n)
 
 
 @PROPERTY

@@ -17,9 +17,13 @@ from oracles import (
     echelon_subspaces,
     flag_count_by_elimination,
     fraction_rref,
+    identity,
     image_dimension_by_elimination,
     jordan_matrix,
+    matrix_product,
+    scaled,
     stable_subspaces_by_elimination,
+    transpose,
 )
 
 SP_FORM = parse_matrix_text("0,0,1,0;0,0,0,1;-1,0,0,0;0,-1,0,0")
@@ -110,22 +114,22 @@ def random_nilpotent(rng, d):
 def conjugate(rng, n):
     """g n g^-1 for g from ``transvections``."""
     g, g_inv = transvections(rng, n.rows)
-    return g * n * g_inv
+    return matrix_product(g, n, g_inv)
 
 
 def transvections(rng, d):
     """(g, g^-1) for g a product of d integer transvections, so that g^-1
     is integer too."""
-    g = g_inv = RatMatrix.identity(d)
+    g = g_inv = identity(d)
     for _ in range(d):
         i, j = rng.sample(range(d), 2)
         c = rng.choice((1, -1, 2))
         step = [[int(r == s) for s in range(d)] for r in range(d)]
         step[i][j] = c
-        g = g * RatMatrix.from_rows(step)
+        g = matrix_product(g, RatMatrix.from_rows(step))
         step[i][j] = -c
-        g_inv = RatMatrix.from_rows(step) * g_inv
-    assert g * g_inv == RatMatrix.identity(d)
+        g_inv = matrix_product(RatMatrix.from_rows(step), g_inv)
+    assert matrix_product(g, g_inv) == identity(d)
     return g, g_inv
 
 
@@ -293,7 +297,7 @@ def test_count_zero_map_fails_nonzero_conditions():
 
 
 def test_non_nilpotent_rejected():
-    case = random_case("two-plane", None, [RatMatrix.identity(4)])
+    case = random_case("two-plane", None, [identity(4)])
     with pytest.raises(NotStableUnderForm, match="nilpotent"):
         verify_fiber_counts(case, [3])
 
@@ -360,10 +364,10 @@ def test_line_facts_under_a_non_monomial_form_match_oracle():
     lies in the algebra of F for x in sp4."""
     rng = random.Random("ffgeom-form")
     g, g_inv = transvections(rng, 4)
-    form = g_inv.transpose() * SP_FORM * g_inv
+    form = matrix_product(transpose(g_inv), SP_FORM, g_inv)
     assert sum(sum(1 for a in row if a) > 1 for row in form.num) == 3
     # orbits [2,1^2], [2^2] and [4] among them
-    elements = [g * random_sp4_nilpotent(rng) * g_inv for _ in range(10)]
+    elements = [matrix_product(g, random_sp4_nilpotent(rng), g_inv) for _ in range(10)]
     case = random_case("isotropic-line", form, elements)
     for p in (2, 3, 5):
         assert swept_rows(case, p) == oracle_rows(case, p)
@@ -472,17 +476,17 @@ def random_sp4_nilpotent(rng):
     and B symmetric, and g a product of symplectic transvections."""
     a, b, c, e = (sparse_entry(rng) for _ in range(4))
     n = RatMatrix.from_rows([[0, a, b, c], [0, 0, c, e], [0, 0, 0, 0], [0, 0, -a, 0]])
-    g = RatMatrix.identity(4)
+    g = identity(4)
     for _ in range(3):
         s, t, u = (rng.randint(-1, 1) for _ in range(3))
         if rng.random() < 0.5:
             step = [[1, 0, s, t], [0, 1, t, u], [0, 0, 1, 0], [0, 0, 0, 1]]
         else:
             step = [[1, 0, 0, 0], [0, 1, 0, 0], [s, t, 1, 0], [t, u, 0, 1]]
-        g = g * RatMatrix.from_rows(step)
-    g_inv = -(SP_FORM * g.transpose() * SP_FORM)
-    assert g * g_inv == RatMatrix.identity(4)
-    return g * n * g_inv
+        g = matrix_product(g, RatMatrix.from_rows(step))
+    g_inv = scaled(matrix_product(SP_FORM, transpose(g), SP_FORM), -1)
+    assert matrix_product(g, g_inv) == identity(4)
+    return matrix_product(g, n, g_inv)
 
 
 @pytest.mark.parametrize(
@@ -536,12 +540,12 @@ def test_each_fact_of_a_line_under_a_form_matches_oracle(monomial):
     """Every condition alone on the lines of nonzero sp4 nilpotents, of
     rank 1 and above, under the standard form and under g^-T B g^-1."""
     rng = random.Random(f"ffgeom-line-facts:{monomial}")
-    g, g_inv = (RatMatrix.identity(4),) * 2 if monomial else transvections(rng, 4)
-    form = g_inv.transpose() * SP_FORM * g_inv
+    g, g_inv = (identity(4),) * 2 if monomial else transvections(rng, 4)
+    form = matrix_product(transpose(g_inv), SP_FORM, g_inv)
     assert monomial == all(sum(1 for a in row if a) == 1 for row in form.num)
     ranks = set()
     for _ in range(8):
-        x = (g * random_sp4_nilpotent(rng) * g_inv).num
+        x = matrix_product(g, random_sp4_nilpotent(rng), g_inv).num
         if not any(map(any, x)):
             continue
         ranks.add(min(len(fraction_rref(x)[1]), 2))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gradedorbits.exactlin import RatMatrix
 from gradedorbits.ffgeom import stable_subspaces
 
-from oracles import stable_subspaces_by_elimination
+from oracles import identity, matrix_product, stable_subspaces_by_elimination
 
 
 @st.composite
@@ -24,16 +24,16 @@ def nilpotents(draw):
     p = draw(st.sampled_from((2, 3)))
     entry = st.sampled_from((0, 0, 1, -1, 2))
     n = RatMatrix.from_rows([[draw(entry) if j > i else 0 for j in range(d)] for i in range(d)])
-    g = g_inv = RatMatrix.identity(d)
+    g = g_inv = identity(d)
     for _ in range(draw(st.integers(0, d))):
         i, j = draw(st.sampled_from([(i, j) for i in range(d) for j in range(d) if i != j]))
         c = draw(st.sampled_from((1, -1, 2)))
         step = [[int(r == s) for s in range(d)] for r in range(d)]
         step[i][j] = c
-        g = g * RatMatrix.from_rows(step)
+        g = matrix_product(g, RatMatrix.from_rows(step))
         step[i][j] = -c
-        g_inv = RatMatrix.from_rows(step) * g_inv
-    return (g * n * g_inv).num, p
+        g_inv = matrix_product(RatMatrix.from_rows(step), g_inv)
+    return matrix_product(g, n, g_inv).num, p
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -2,12 +2,7 @@ import random
 
 import pytest
 
-from gradedorbits.exactlin import (
-    RatMatrix,
-    bracket,
-    nullspace,
-    solve_linear,
-)
+from gradedorbits.exactlin import RatMatrix, nullspace, solve_linear
 from gradedorbits.liegrade import (
     BadForm,
     Cocharacter,
@@ -38,15 +33,23 @@ from gradedorbits.liegrade import (
 from oracles import (
     brackets_in_span,
     conjugated_piece_by_nullspace,
+    dense_bracket,
     diagonalising_basis,
     fraction_rref,
+    identity,
     in_span_by_rref,
+    matrix_product,
+    matrix_sum,
     rat_inverse,
     rigidity_by_conjugates,
+    scaled,
+    sl2_relations,
     sp_in_cells_by_nullspace,
     standard_symplectic_form,
     subspace_in_cells_by_nullspace,
+    transpose,
     triple_h_by_full_system,
+    whole_algebra,
 )
 
 
@@ -94,11 +97,11 @@ COMBINED_INDICATOR = [
 
 
 def test_build_algebra_dimensions():
-    assert build_algebra("sl", 2).dimension == 3
-    assert build_algebra("sl", 4).dimension == 15
+    assert len(whole_algebra(build_algebra("sl", 2))) == 3
+    assert len(whole_algebra(build_algebra("sl", 4))) == 15
     sp4 = build_algebra("sp", 4)
-    assert sp4.dimension == 10
-    for m in sp4.basis:
+    assert len(whole_algebra(sp4)) == 10
+    for m in whole_algebra(sp4):
         assert sp4.contains(m)
 
 
@@ -106,28 +109,28 @@ def test_build_algebra_dimensions():
     "kind,d", [("sl", d) for d in range(1, 7)] + [("sp", d) for d in (2, 4, 6, 8)]
 )
 def test_lazy_basis_equals_the_eager_one(kind, d):
+    # the whole algebra, built from its cells as the degree-0 piece of the
+    # zero cocharacter, is the basis that an eager constructor wrote down:
     # sl: E_ij row-major off the diagonal, then e_a - e_(a+1); sp: the
-    # Fraction nullspace of M^T B + B M = 0 on all cells, as the eager
-    # constructor solved it
-    alg = build_algebra(kind, d)
-    assert "basis" not in vars(alg)
+    # Fraction nullspace of M^T B + B M = 0 on all cells
+    got = graded_component(build_algebra(kind, d), Cocharacter.of([0] * d), 0)
     if kind == "sl":
         want = tuple(unit(d, i, j) for i in range(d) for j in range(d) if i != j) + tuple(
-            unit(d, a, a) + unit(d, a + 1, a + 1, -1) for a in range(d - 1)
+            matrix_sum(unit(d, a, a), unit(d, a + 1, a + 1, -1)) for a in range(d - 1)
         )
     else:
         form = standard_symplectic_form(d).num
         want = sp_in_cells_by_nullspace(form, [(i, j) for i in range(d) for j in range(d)])
-    assert alg.basis == want
-    assert alg.basis is alg.basis
-    assert alg.dimension == (d * d - 1 if kind == "sl" else d * (d + 1) // 2)
+    assert got == want
+    assert len(got) == (d * d - 1 if kind == "sl" else d * (d + 1) // 2)
 
 
 def test_sp_bracket_closed():
     sp4 = build_algebra("sp", 4)
-    for a in sp4.basis[:4]:
-        for b in sp4.basis[:4]:
-            assert sp4.contains(bracket(a, b))
+    basis = whole_algebra(sp4)[:4]
+    for a in basis:
+        for b in basis:
+            assert sp4.contains(dense_bracket(a, b))
 
 
 def test_bad_form_rejected():
@@ -168,13 +171,13 @@ def test_bracket_respects_grading(kind, d, weights):
     }
     degs = [n for n, c in comps.items() if c]
     total = sum(len(comps[n]) for n in degs)
-    assert total == alg.dimension
+    assert total == len(whole_algebra(alg))
     for a in degs:
         for b in degs:
             target_basis = comps.get(a + b, ())
             for x in comps[a]:
                 for y in comps[b]:
-                    z = bracket(x, y)
+                    z = dense_bracket(x, y)
                     if z.is_zero():
                         continue
                     assert in_span_by_rref(target_basis, z)
@@ -219,7 +222,7 @@ def test_adapted_triple_degree_zero_rejected():
 
 def test_chi_prime_standard_jordan_two_two():
     e = RatMatrix.from_rows([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
-    f = e.transpose()
+    f = transpose(e)
     h = RatMatrix.from_rows(
         [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
     )
@@ -227,6 +230,30 @@ def test_chi_prime_standard_jordan_two_two():
     assert triple.bracket_relations_hold()
     # e has degree 1 under (1, 0, 1, 0), and h degree 0
     assert chi_prime(triple, Cocharacter.of([1, 0, 1, 0])).weights == (1, -1, 1, -1)
+
+
+def test_bracket_relations_hold_says_no_to_each_broken_relation():
+    # sl2 in the top left block of sl_3: as given, conjugated by
+    # p = 1 + E_01 / 4 (h.den = 2, f.den = 16) and rescaled to (2e, h, f/2).
+    # z is central in the block, so e + z breaks [h, e] = 2e alone, f + z
+    # breaks [h, f] = -2f alone and 2f breaks [e, f] = h alone
+    e, f = unit(3, 0, 1), unit(3, 1, 0)
+    h = RatMatrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
+    p = RatMatrix.from_rows([[1, "1/4", 0], [0, 1, 0], [0, 0, 1]])
+    conjugated = tuple(matrix_product(rat_inverse(p), m, p) for m in (e, h, f))
+    assert (conjugated[1].den, conjugated[2].den) == (2, 16)
+    z = RatMatrix.from_rows([["1/3", 0, 0], [0, "1/3", 0], [0, 0, "-2/3"]])
+    for e, h, f in ((e, h, f), conjugated, (scaled(e, 2), h, scaled(f, "1/2"))):
+        assert sl2_relations(e, h, f) == (True, True, True)
+        assert Sl2Triple(e, h, f).bracket_relations_hold()
+        broken = (
+            ((matrix_sum(e, z), h, f), (False, True, True)),
+            ((e, h, matrix_sum(f, z)), (True, False, True)),
+            ((e, h, scaled(f, 2)), (True, True, False)),
+        )
+        for triple, holds in broken:
+            assert sl2_relations(*triple) == holds
+            assert not Sl2Triple(*triple).bracket_relations_hold()
 
 
 def test_chi_prime_is_the_spectrum_of_h_on_each_block():
@@ -275,12 +302,12 @@ def assert_pieces_form_a_parabolic(alg, datum, triple):
     assert len(par) == len(levi) + len(nil)
     p_inv = rat_inverse(p)
     for part in (triple.e, triple.h, triple.f):
-        assert in_span_by_rref(levi, p_inv * part * p)
+        assert in_span_by_rref(levi, matrix_product(p_inv, part, p))
     d = alg.dim_ambient
     ind = datum.indicator.num
     opp_cells = [(i, j) for i in range(d) for j in range(d) if ind[i][j] <= 0]
     opposite = conjugated_piece_by_nullspace(alg, p, opp_cells)
-    assert len(par) + len(opposite) == alg.dimension + len(levi)
+    assert len(par) + len(opposite) == len(whole_algebra(alg)) + len(levi)
     return pieces
 
 
@@ -349,7 +376,7 @@ def test_rigidity_witness_is_the_first_misplaced_cell_row_major():
     alg = build_algebra("sl", 5)
     datum = canonical_parabolic(alg, chi, triple, 1)
     assert check_n_rigid(datum, triple, 1, []) == RigidityReport(False, (0, 3))
-    assert rigidity_by_conjugates(alg.basis, chi, triple, 1) == (False, (0, 3))
+    assert rigidity_by_conjugates(whole_algebra(alg), chi, triple, 1) == (False, (0, 3))
 
 
 def test_rigidity_witness_is_a_cell_of_e_as_given():
@@ -392,7 +419,7 @@ def test_triple_well_defined_on_orbit():
     g = RatMatrix.from_rows(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
     )  # swaps the two weight-zero coordinates
-    conjugated = g * WORKED_X * g  # g is its own inverse
+    conjugated = matrix_product(g, WORKED_X, g)  # g is its own inverse
     t1 = adapted_sl2_triple(sl4, WORKED_CHI, -1, WORKED_X)
     t2 = adapted_sl2_triple(sl4, WORKED_CHI, -1, conjugated)
     assert t2.bracket_relations_hold()
@@ -430,11 +457,12 @@ def _cells_of_degree(chi, n):
 )
 def test_graded_component_matches_nullspace_oracle(kind, d):
     alg = build_algebra(kind, d)
+    basis = whole_algebra(alg)
     for chi in _seeded_cochars(kind, d, 4, seed=0):
         spread = max(chi.weights) - min(chi.weights)
         for n in range(-spread - 1, spread + 2):
             got = graded_component(alg, chi, n)
-            want = subspace_in_cells_by_nullspace(alg.basis, _cells_of_degree(chi, n))
+            want = subspace_in_cells_by_nullspace(basis, _cells_of_degree(chi, n))
             assert got == want, (chi, n)
 
 
@@ -446,7 +474,7 @@ def _random_basis_change(d, rng):
     )
     for _ in range(d):
         i, j = rng.sample(range(d), 2)
-        p = p * (RatMatrix.identity(d) + unit(d, i, j, rng.choice((-2, -1, 1, 2))))
+        p = matrix_product(p, matrix_sum(identity(d), unit(d, i, j, rng.choice((-2, -1, 1, 2)))))
     return p
 
 
@@ -462,13 +490,14 @@ def test_piece_spans_what_the_oracle_spans(kind, d, conjugate):
     # parabolic tests build on and which is checked here against the
     # conjugated basis
     alg = build_algebra(kind, d)
+    whole = whole_algebra(alg)
     rng = random.Random(f"piece:{kind}{d}:True:{conjugate}")
     for _ in range(20):
         p = _random_basis_change(d, rng) if conjugate else None
-        basis = alg.basis
+        basis = whole
         if p is not None:
             p_inv = rat_inverse(p)
-            basis = tuple(p_inv * m * p for m in alg.basis)
+            basis = tuple(matrix_product(p_inv, m, p) for m in whole)
         density = rng.choice((0.3, 0.6, 0.9))
         cells = {(i, j) for i in range(d) for j in range(d) if rng.random() < density}
         if kind == "sp" and p is not None:
@@ -516,10 +545,10 @@ def test_sl_parabolic_skips_conjugation_with_same_spans():
     sl4 = build_algebra("sl", 4)
     triple = adapted_sl2_triple(sl4, WORKED_CHI, -1, NON_TORAL_X)
     p = diagonalising_basis(triple.h, WORKED_CHI)
-    assert p != RatMatrix.identity(4)
+    assert p != identity(4)
     datum = canonical_parabolic(sl4, WORKED_CHI, triple, -1)
     p_inv = rat_inverse(p)
-    conjugated = tuple(p_inv * m * p for m in sl4.basis)
+    conjugated = tuple(matrix_product(p_inv, m, p) for m in whole_algebra(sl4))
     for which in "pnl":
         got = tuple(_matrix(4, c) for c in _piece(sl4, datum.cells(which)))
         mask = datum.mask(which).num
@@ -540,15 +569,15 @@ def test_integer_eigenvalues_match_nullspace_scan():
         den = rng.choice((1, 2, 3))
         if rng.random() < 0.5:
             # integer spectrum: q diag(e) q^-1 for a unimodular q, times den
-            q = RatMatrix.identity(k)
+            q = identity(k)
             for _ in range(3):
                 i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
                 if i != j:
-                    q = q * (RatMatrix.identity(k) + unit(k, i, j, rng.choice((-1, 1))))
+                    q = matrix_product(q, matrix_sum(identity(k), unit(k, i, j, rng.choice((-1, 1)))))
             diag = RatMatrix.from_rows(
                 [[rng.randint(-3, 3) * den if a == b else 0 for b in range(k)] for a in range(k)]
             )
-            num = [list(row) for row in (q * diag * rat_inverse(q)).num]
+            num = [list(row) for row in matrix_product(q, diag, rat_inverse(q)).num]
         else:
             num = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
         bound = rng.randint(3, 6)
@@ -578,7 +607,7 @@ def _random_piece_elements(alg, chi, n, count, seed):
         x = RatMatrix.zeros(alg.dim_ambient, alg.dim_ambient)
         for b in piece:
             if rng.random() < 0.6:
-                x = x + b.scale(rng.choice((-2, -1, 1, 2)))
+                x = matrix_sum(x, scaled(b, rng.choice((-2, -1, 1, 2))))
         if not x.is_zero():
             out.append(x)
     return out
@@ -603,7 +632,7 @@ def test_f_only_solve_and_toral_check_keep_the_triple(kind, weights, n):
         if h is not None:
             assert fixed == h
         f = _solve_f(h, gm_cells, xf, x) if h is not None else None
-        toral = f is not None and Sl2Triple(x, h, f).bracket_relations_hold()
+        toral = f is not None and all(sl2_relations(x, h, f))
         triple = adapted_sl2_triple(alg, chi, n, x)
         if toral:
             assert (triple.h, triple.f) == (h, f)
@@ -703,7 +732,7 @@ def test_sp_parabolic_spans_match_conjugated_basis(kind, weights, n):
         p = diagonalising_basis(triple.h, chi)
         checked += 1
         p_inv = rat_inverse(p)
-        conjugated = tuple(p_inv * m * p for m in alg.basis)
+        conjugated = tuple(matrix_product(p_inv, m, p) for m in whole_algebra(alg))
         for which in "pnl":
             got = conjugated_piece_by_nullspace(alg, p, datum.cells(which))
             mask = datum.mask(which).num
@@ -728,7 +757,7 @@ def test_check_n_rigid_given_the_datum_keeps_the_report(kind, weights, n):
         datum = canonical_parabolic(alg, chi, triple, n)
         p = diagonalising_basis(triple.h, chi)
         p_inv = rat_inverse(p)
-        conjugated = tuple(p_inv * m * p for m in alg.basis)
+        conjugated = tuple(matrix_product(p_inv, m, p) for m in whole_algebra(alg))
         assert _reached(conjugated) == _all_cells(d)
         pieces = [conjugated_piece_by_nullspace(alg, p, datum.cells(k)) for k in "lp"]
         for k in (n, -n, 2 * n):
@@ -757,25 +786,29 @@ def test_check_n_rigid_given_the_datum_solves_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("kind,weights,n", TRIPLE_SPECS)
-def test_check_n_rigid_on_an_algebra_builds_no_basis(kind, weights, n):
+def test_check_n_rigid_on_an_algebra_builds_no_basis(kind, weights, n, matrix_calls):
     # the whole algebra is every cell of the diagonalising basis: no basis
     # and no piece is built, and the report is the one of conjugating the
-    # matrix basis by the oracle's p
+    # matrix basis by the oracle's p.  The triple builds its h and f, twice
+    # at most, and nothing else builds a matrix from cells: fewer than the
+    # whole algebra has elements
     chi = Cocharacter.of(weights)
-    for x in _random_piece_elements(build_algebra(kind, len(weights)), chi, n, 4, seed=5):
-        alg = build_algebra(kind, len(weights))
+    alg = build_algebra(kind, len(weights))
+    whole = whole_algebra(alg)
+    for x in _random_piece_elements(alg, chi, n, 4, seed=5):
+        matrix_calls.clear()
         triple = adapted_sl2_triple(alg, chi, n, x)
         datum = canonical_parabolic(alg, chi, triple, n)
         cells = _all_cells(alg.dim_ambient)
         reports = [check_n_rigid(datum, triple, k, cells) for k in (n, -n, 2 * n)]
-        assert "basis" not in vars(alg)
+        assert len(matrix_calls) <= 4 < len(whole)
         p = diagonalising_basis(triple.h, chi)
-        conjugated = tuple(rat_inverse(p) * m * p for m in alg.basis)
+        conjugated = tuple(matrix_product(rat_inverse(p), m, p) for m in whole)
         for k, report in zip((n, -n, 2 * n), reports):
             assert report == RigidityReport(*rigidity_by_conjugates(conjugated, chi, triple, k))
 
 
-def test_check_n_rigid_on_sl48_builds_no_basis():
+def test_check_n_rigid_on_sl48_builds_no_basis(matrix_calls):
     d = 48
     alg = build_algebra("sl", d)
     chi = Cocharacter.of([1] + [0] * (d - 2) + [-1])
@@ -783,4 +816,5 @@ def test_check_n_rigid_on_sl48_builds_no_basis():
     datum = canonical_parabolic(alg, chi, triple, 1)
     # chi' = (1, -1, 0, ..., 0): the cell (0, 2) has m = 1 and m' = 1
     assert check_n_rigid(datum, triple, 1, _all_cells(d)) == RigidityReport(False, (1, 1))
-    assert "basis" not in vars(alg)
+    # h and f alone, of the d^2 - 1 elements of sl_48
+    assert matrix_calls == [d, d]

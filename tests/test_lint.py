@@ -1,8 +1,11 @@
 """Every name a module of the package imports is used in it.  An import
 kept on purpose, such as ``cli``'s eager load of the layers, carries
-``# noqa: F401`` on its line."""
+``# noqa: F401`` on its line.  Every function, class and method that the
+package defines is named somewhere in the package outside its own
+definition, so that code only the tests call stays in ``tests/``."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,73 @@ def test_unused_imports_are_found():
         "nullspace(os.path)\n"
     )
     assert unused_imports(source) == [(1, "dataclass"), (3, "RatMatrix")]
+
+
+def _names(node) -> list:
+    """Every identifier that an expression under the node reads, as a name
+    or as an attribute."""
+    return [
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    ]
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class and each
+    method of a top-level class; dunder names, which Python calls, such as a
+    module's ``__getattr__``, are left out."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unreferenced(sources: dict) -> list:
+    """The module-qualified names of the definitions in ``sources`` (module
+    name -> source) whose name no expression of any module reads outside
+    the definition itself.  Names are matched as strings, across modules."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = Counter(name for tree in trees.values() for name in _names(tree))
+    out = []
+    for module, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if reads[name] == _names(node).count(name):
+                out.append(f"{module}.{qualname}")
+    return out
+
+
+def test_every_definition_is_named_in_the_package():
+    assert unreferenced({path.stem: path.read_text() for path in MODULES}) == []
+
+
+def test_unreferenced_definitions_are_found():
+    sources = {
+        "a": (
+            "def used():\n"
+            "    return Box().kept()\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "def imported_only():\n"
+            "    pass\n"
+            "class Box:\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "    def kept(self):\n"
+            "        return 1\n"
+            "    def orphan(self):\n"
+            "        return self.orphan\n"
+            "def __getattr__(name):\n"
+            "    raise AttributeError(name)\n"
+        ),
+        "b": "from a import imported_only, used\nused()\n",
+    }
+    assert unreferenced(sources) == ["a.recursive", "a.imported_only", "a.Box.orphan"]
