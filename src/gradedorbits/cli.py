@@ -10,6 +10,9 @@ mismatches reported by ``fibers``; 141 (128 + SIGPIPE, as for a tool
 that signal ends) when the reader of stdout closes it early, with nothing
 on stderr; 1 any other exception, a defect, reported as one
 ``internal error: <subcommand>: <type>: <message>`` line on stderr.
+A call builds the parser of the subcommand that argv[0] names, and only
+that one; the whole parser serves every other argv and any argv with
+tokens left over, so help and errors print as from the whole parser.
 """
 
 from __future__ import annotations
@@ -313,75 +316,72 @@ def cmd_stalks(args) -> int:
     return 0
 
 
+def _required(flag, **kwargs):
+    """The (flag, keyword arguments of ``add_argument``) of a required option."""
+    return flag, {"required": True, **kwargs}
+
+
+def _switch(flag, **kwargs):
+    """The (flag, keyword arguments) of an on/off option."""
+    return flag, {"action": "store_true", **kwargs}
+
+
+_COMMON = (_switch("--json", help="emit JSON"), _switch("--quiet", help="suppress output"))
+_TYPE = _required("--type", choices=["sl", "sp"])
+_DEGREE = _required("--degree", type=int)
+_COCHAR = _required("--cochar", type=_cochar)
+_CASE = _required("--case", choices=["sp4", "sl4"])
+# the algebra and grading of grading, triple and parabolic
+_GRADED = (
+    _TYPE,
+    _required("--d", type=_bounded_int(1, MAX_GRADING_D), help=f"1 to {MAX_GRADING_D}"),
+    _COCHAR,
+)
+
+# subcommand -> (help, handler, *its options after --json and --quiet), in
+# the order that the top-level --help lists them
+COMMANDS = {
+    "orbits": ("nilpotent orbit table", cmd_orbits, _TYPE,
+               _required("--n", type=_bounded_int(1, MAX_ORBITS_N), help=f"1 to {MAX_ORBITS_N}")),
+    "graded-orbits": ("orbits in a graded piece (type A)", cmd_graded_orbits, _COCHAR, _DEGREE),
+    "grading": ("weight matrix and graded component basis", cmd_grading, *_GRADED, _DEGREE),
+    "triple": ("graded sl2-triple through a nilpotent", cmd_triple, *_GRADED,
+               _required("--x", type=_matrix, help="matrix in ';'/',' text format"), _DEGREE),
+    "parabolic": ("canonical parabolic of a graded nilpotent", cmd_parabolic, *_GRADED,
+                  _required("--x", type=_matrix), _DEGREE),
+    "primes": ("prime classifiers of a root datum", cmd_primes, _TYPE, _required("--n", type=int)),
+    "fibers": ("finite-field fiber count verification", cmd_fibers, _CASE,
+               _required("--primes", type=_prime_list)),
+    "stalks": ("stalk table of the induced cuspidal system", cmd_stalks, _CASE,
+               _required("--char", type=_char), _switch("--allow-char-2")),
+}
+
+
+def _fill(parser, command):
+    """The parser with --json, --quiet and the options of the subcommand."""
+    _, handler, *options = COMMANDS[command]
+    for flag, kwargs in (*_COMMON, *options):
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(command=command, func=handler)
+    return parser
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process: each parse
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """With a command, the parser of that subcommand alone, which prints
+    the help and errors of its subparser in the whole parser; with none,
+    the whole parser.  Each is built once per process, and each parse
     fills a new namespace, so no option carries over from one call to the
     next."""
+    if command is not None:
+        return _fill(argparse.ArgumentParser(prog=f"gradedorbits {command}"), command)
     parser = argparse.ArgumentParser(
         prog="gradedorbits",
         description="Exact computations for cocharacter-graded classical Lie algebras.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument("--quiet", action="store_true", help="suppress output")
-    # the algebra and grading of grading, triple and parabolic
-    graded = argparse.ArgumentParser(add_help=False)
-    graded.add_argument("--type", required=True, choices=["sl", "sp"])
-    graded.add_argument(
-        "--d", required=True, type=_bounded_int(1, MAX_GRADING_D), help=f"1 to {MAX_GRADING_D}"
-    )
-    graded.add_argument("--cochar", required=True, type=_cochar)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, *parents, **kwargs):
-        return sub.add_parser(name, parents=[common, *parents], **kwargs)
-
-    p = add_parser("orbits", help="nilpotent orbit table")
-    p.add_argument("--type", required=True, choices=["sl", "sp"])
-    p.add_argument(
-        "--n",
-        required=True,
-        type=_bounded_int(1, MAX_ORBITS_N),
-        help=f"1 to {MAX_ORBITS_N}",
-    )
-    p.set_defaults(func=cmd_orbits)
-
-    p = add_parser("graded-orbits", help="orbits in a graded piece (type A)")
-    p.add_argument("--cochar", required=True, type=_cochar)
-    p.add_argument("--degree", required=True, type=int)
-    p.set_defaults(func=cmd_graded_orbits)
-
-    p = add_parser("grading", graded, help="weight matrix and graded component basis")
-    p.add_argument("--degree", required=True, type=int)
-    p.set_defaults(func=cmd_grading)
-
-    p = add_parser("triple", graded, help="graded sl2-triple through a nilpotent")
-    p.add_argument("--x", required=True, type=_matrix, help="matrix in ';'/',' text format")
-    p.add_argument("--degree", required=True, type=int)
-    p.set_defaults(func=cmd_triple)
-
-    p = add_parser("parabolic", graded, help="canonical parabolic of a graded nilpotent")
-    p.add_argument("--x", required=True, type=_matrix)
-    p.add_argument("--degree", required=True, type=int)
-    p.set_defaults(func=cmd_parabolic)
-
-    p = add_parser("primes", help="prime classifiers of a root datum")
-    p.add_argument("--type", required=True, choices=["sl", "sp"])
-    p.add_argument("--n", required=True, type=int)
-    p.set_defaults(func=cmd_primes)
-
-    p = add_parser("fibers", help="finite-field fiber count verification")
-    p.add_argument("--case", required=True, choices=["sp4", "sl4"])
-    p.add_argument("--primes", required=True, type=_prime_list)
-    p.set_defaults(func=cmd_fibers)
-
-    p = add_parser("stalks", help="stalk table of the induced cuspidal system")
-    p.add_argument("--case", required=True, choices=["sp4", "sl4"])
-    p.add_argument("--char", required=True, type=_char)
-    p.add_argument("--allow-char-2", action="store_true")
-    p.set_defaults(func=cmd_stalks)
-
+    for name, (help_text, *_) in COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -400,11 +400,21 @@ def _attach_dash_values(argv) -> list:
     return out
 
 
+def _parse(argv):
+    """The namespace of argv from the parser of the subcommand that argv[0]
+    names.  Any other argv, and one with tokens that the subcommand does not
+    take, goes to the whole parser, which prints the top-level usage."""
+    if argv and argv[0] in COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     argv = _attach_dash_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -90,18 +90,6 @@ def prime_factors(n: int) -> frozenset:
 # matrices: integer numerators over one common denominator
 
 
-def _matmul(a_rows, b_rows, cols: int) -> tuple:
-    """Product of integer row tuples, adding one row of b per nonzero of a."""
-    out = []
-    for row in a_rows:
-        acc = [0] * cols
-        for a, b_row in zip(row, b_rows):
-            if a:
-                acc = [x + a * y for x, y in zip(acc, b_row)]
-        out.append(tuple(acc))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class RatMatrix:
     """Immutable rational matrix: integer entries ``num`` over one positive

@@ -26,7 +26,7 @@ from collections import Counter
 from operator import mul
 
 from .cohom import CaseData, counting_polynomial
-from .exactlin import RatMatrix, _matmul, _rref, is_prime, nullspace
+from .exactlin import RatMatrix, _rref, is_prime, nullspace
 
 
 class LimitExceeded(ValueError):
@@ -179,6 +179,18 @@ def stable_subspaces(x_rows, p: int, k: int) -> dict:
                     found.setdefault(_extend(basis, v, p), rank + 1)
         level = found
     return level
+
+
+def _matmul(a_rows, b_rows, cols: int) -> tuple:
+    """Product of integer row tuples, adding one row of b per nonzero of a."""
+    out = []
+    for row in a_rows:
+        acc = [0] * cols
+        for a, b_row in zip(row, b_rows):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, b_row)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _validate_element(x: RatMatrix, form):

@@ -19,7 +19,6 @@ Jacobson-Morozov each has a graded sl2-triple, so each must exit 0."""
 import contextlib
 import functools
 import io
-import itertools
 import json
 import re
 from fractions import Fraction

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 from gradedorbits.exactlin import (
     RatMatrix,
-    _matmul,
     _rref,
     nullspace,
     solve_linear,
 )
+from gradedorbits.ffgeom import _matmul
 from gradedorbits.liegrade import _ad
 
 from oracles import (

@@ -1,8 +1,8 @@
-"""Every name a module of the package imports is used in it.  An import
-kept on purpose, such as ``cli``'s eager load of the layers, carries
-``# noqa: F401`` on its line.  Every function, class and method that the
-package defines is named somewhere in the package outside its own
-definition, so that code only the tests call stays in ``tests/``."""
+"""Every name that a module of the package or of the tests imports is used
+in it.  An import kept on purpose, such as ``cli``'s eager load of the
+layers, carries ``# noqa: F401`` on its line.  Every function, class and
+method that the package defines is named somewhere in the package outside
+its own definition, so that code only the tests call stays in ``tests/``."""
 
 import ast
 from collections import Counter
@@ -13,6 +13,7 @@ import pytest
 import gradedorbits
 
 MODULES = sorted(Path(gradedorbits.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -37,7 +38,7 @@ def unused_imports(source: str) -> list:
     return unused
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=[p.name for p in MODULES + TESTS])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
