@@ -24,16 +24,10 @@ import os
 import sys
 
 # every subcommand runs exactlin; the other layers load where they run
-from .exactlin import (
-    PRIME_TEST_BOUND,
-    Cocharacter,
-    DomainError,
-    is_prime,
-    parse_matrix_text,
-)
+from .exactlin import PRIME_TEST_BOUND, DomainError, is_prime, parse_matrix_text
 
 # ``orbits --n`` enumerates every partition of n: 37,338 for n = 40 take
-# about 1 s, and the count grows about 1.5x per step of n beyond
+# about 0.7 s in-process, and the count grows about 1.5x per step of n beyond
 MAX_ORBITS_N = 40
 # ``grading`` prints every basis element of the piece as a d x d matrix, so
 # its work grows as d^4: degree 0 of sp_48 under the zero cocharacter, the
@@ -75,8 +69,9 @@ def _int_list(text: str) -> list:
 
 
 def _cochar(text: str):
-    """argparse type: a cocharacter as comma-separated integer weights."""
-    return Cocharacter.of(_int_list(text))
+    """argparse type: a cocharacter, the tuple of its comma-separated
+    integer weights."""
+    return tuple(_int_list(text))
 
 
 def _prime_list(text: str) -> list:
@@ -123,8 +118,8 @@ def _checked_cochar(args):
     even --d for sp."""
     if args.type == "sp" and args.d % 2:
         raise DomainError("d", f"sp needs an even dimension, got {args.d}")
-    if len(args.cochar.weights) != args.d:
-        raise DomainError("cochar", f"expected {args.d} weights, got {len(args.cochar.weights)}")
+    if len(args.cochar) != args.d:
+        raise DomainError("cochar", f"expected {args.d} weights, got {len(args.cochar)}")
     return args.cochar
 
 
@@ -189,7 +184,7 @@ def cmd_graded_orbits(args) -> int:
     from .orbitlib import graded_orbit_reps_typeA
 
     orbits = graded_orbit_reps_typeA(args.cochar, args.degree)
-    payload = {"cochar": list(args.cochar.weights), "degree": args.degree, "orbits": orbits}
+    payload = {"cochar": list(args.cochar), "degree": args.degree, "orbits": orbits}
 
     def lines():
         rows = [
@@ -234,7 +229,7 @@ def cmd_triple(args) -> int:
         "e": triple.e.text(),
         "h": triple.h.text(),
         "f": triple.f.text(),
-        "chi_prime": list(chi_prime(triple, chi).weights),
+        "chi_prime": list(chi_prime(triple, chi)),
     }
     _emit(args, lambda: _lines(payload), payload)
     return 0
@@ -253,14 +248,13 @@ def cmd_parabolic(args) -> int:
     else:
         triple = adapted_sl2_triple(alg, chi, n, x)
     datum = canonical_parabolic(alg, chi, triple, n)
-    rigid = check_n_rigid(datum, triple, n, datum.cells("l"))
     payload = {
-        "chi_prime": list(datum.chi_prime.weights),
+        "chi_prime": list(datum.chi_prime),
         "chi_prime_matrix": weight_matrix(datum.chi_prime).text(),
         "indicator": datum.indicator.text(),
         **{f"{k}_mask": datum.mask(k).text() for k in "pnl"},
         "levi_blocks": list(datum.levi_block_shape),
-        "levi_rigid": rigid.is_rigid,
+        "levi_rigid": check_n_rigid(datum, triple, n, datum.cells("l")) is None,
     }
     _emit(args, lambda: _lines(payload), payload)
     return 0

@@ -4,8 +4,12 @@ parabolically induced cuspidal local systems.
 
 Space expressions are trees over: point, affine space, projective space,
 a projective line minus m points (the 2-punctured case is a torus), and
-disjoint unions.  Each expression has a counting polynomial (its number of
-points over F_q for split forms) and a compactly supported cohomology.
+disjoint unions.  An expression is the tagged tuple that its s-expression
+text reads as: ("pt",), ("aff", k), ("proj", k), ("projline-minus", m) or
+("disjoint", child, child, ...), so two constructors with the same
+argument never compare equal.  Each expression has a counting polynomial
+(its number of points over F_q for split forms, as its ascending
+coefficient tuple) and a compactly supported cohomology.
 
 Stalk convention: the table entry of an orbit at degree d is the rank of
 H_c^(d + s) of the cuspidal fiber part, where s is the dimension of the
@@ -16,12 +20,13 @@ cuspidal orbit inside the inducing Levi.  The convention tag
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
-from .exactlin import DomainError, Partition, RatMatrix, is_prime, parse_matrix_text
+from .exactlin import DomainError, Partition, is_prime, parse_matrix_text
 
 
 class UnknownCase(ValueError):
@@ -34,68 +39,35 @@ STALK_CONVENTION = "shift-by-dimC"
 # ---------------------------------------------------------------------------
 # space expressions
 
-
-@dataclass(frozen=True)
-class Pt:
-    pass
-
-
-@dataclass(frozen=True)
-class Aff:
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("affine dimension must be >= 0")
-
-
-@dataclass(frozen=True)
-class Proj:
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("projective dimension must be >= 0")
-
-
-@dataclass(frozen=True)
-class ProjLineMinus:
-    points: int
-
-    def __post_init__(self):
-        if self.points < 1:
-            raise ValueError("need at least one removed point")
-
-
-@dataclass(frozen=True)
-class Disjoint:
-    children: tuple
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("disjoint union needs at least two children")
-
-
-def torus() -> ProjLineMinus:
-    return ProjLineMinus(2)
-
-
-_ONE_INTEGER = {"aff": Aff, "proj": Proj, "projline-minus": ProjLineMinus}
+# the constructors of one integer argument: the least value each takes, and
+# the message for one below it
+_ONE_INTEGER = {
+    "aff": (0, "affine dimension must be >= 0"),
+    "proj": (0, "projective dimension must be >= 0"),
+    "projline-minus": (1, "need at least one removed point"),
+}
 
 
 def _construct(head, args):
-    """The space ``(head args...)``, of tokens and parsed expressions."""
+    """The space ``(head args...)``, of tokens and parsed expressions, as
+    the tuple (head, *args) with integer arguments; (torus) is
+    ("projline-minus", 2)."""
     if head in ("pt", "torus"):
         if not args:
-            return Pt() if head == "pt" else torus()
+            return ("pt",) if head == "pt" else ("projline-minus", 2)
         takes = "no arguments"
     elif head in _ONE_INTEGER:
         if len(args) == 1 and isinstance(args[0], str) and re.fullmatch(r"-?[0-9]+", args[0]):
-            return _ONE_INTEGER[head](int(args[0]))
+            least, message = _ONE_INTEGER[head]
+            if int(args[0]) < least:
+                raise ValueError(message)
+            return head, int(args[0])
         takes = "one integer"
     elif head == "disjoint":
         if not any(isinstance(a, str) for a in args):
-            return Disjoint(tuple(args))
+            if len(args) < 2:
+                raise ValueError("disjoint union needs at least two children")
+            return (head, *args)
         takes = "space expressions"
     else:
         raise ValueError(f"unknown space constructor {head!r}")
@@ -133,69 +105,23 @@ def parse_space(text: str):
 # counting polynomials
 
 
-@dataclass(frozen=True)
-class Poly:
-    """Integer polynomial in q, coefficients in ascending degree."""
-
-    coeffs: tuple
-
-    @staticmethod
-    def of(coeffs) -> "Poly":
-        cs = list(int(c) for c in coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Poly(tuple(cs))
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return Poly.of([x + y for x, y in zip(a, b)])
-
-    def __call__(self, q: int) -> int:
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * q + c
-        return total
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(f"{c}")
-            else:
-                qk = "q" if k == 1 else f"q^{k}"
-                if c == 1:
-                    terms.append(qk)
-                elif c == -1:
-                    terms.append(f"-{qk}")
-                else:
-                    terms.append(f"{c}{qk}")
-        out = terms[0]
-        for t in terms[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
-
-
-def counting_polynomial(expr) -> Poly:
-    if isinstance(expr, Pt):
-        return Poly.of([1])
-    if isinstance(expr, Aff):
-        return Poly.of([0] * expr.k + [1])
-    if isinstance(expr, Proj):
-        return Poly.of([1] * (expr.k + 1))
-    if isinstance(expr, ProjLineMinus):
-        return Poly.of([1 - expr.points, 1])
-    if isinstance(expr, Disjoint):
-        total = Poly.of([])
-        for c in expr.children:
-            total = total + counting_polynomial(c)
-        return total
+def counting_polynomial(expr) -> tuple:
+    """The number of F_q points of the space as a polynomial in q, by its
+    coefficients in ascending degree.  Each constructor's polynomial has
+    leading coefficient 1, so a disjoint union's sum has no zero leading
+    coefficient."""
+    head, *args = expr
+    if head == "pt":
+        return (1,)
+    if head == "aff":
+        return (0,) * args[0] + (1,)
+    if head == "proj":
+        return (1,) * (args[0] + 1)
+    if head == "projline-minus":
+        return (1 - args[0], 1)
+    if head == "disjoint":
+        polys = map(counting_polynomial, args)
+        return tuple(map(sum, itertools.zip_longest(*polys, fillvalue=0)))
     raise TypeError(f"not a space expression: {expr!r}")
 
 
@@ -212,20 +138,21 @@ def _add_ranks(a: dict, b: dict) -> dict:
 
 def hc_constant(expr) -> dict:
     """Compactly supported cohomology with constant coefficients."""
-    if isinstance(expr, Pt):
+    head, *args = expr
+    if head == "pt":
         return {0: 1}
-    if isinstance(expr, Aff):
-        return {2 * expr.k: 1}
-    if isinstance(expr, Proj):
-        return {2 * i: 1 for i in range(expr.k + 1)}
-    if isinstance(expr, ProjLineMinus):
+    if head == "aff":
+        return {2 * args[0]: 1}
+    if head == "proj":
+        return {2 * i: 1 for i in range(args[0] + 1)}
+    if head == "projline-minus":
         out = {2: 1}
-        if expr.points > 1:
-            out[1] = expr.points - 1
+        if args[0] > 1:
+            out[1] = args[0] - 1
         return dict(sorted(out.items()))
-    if isinstance(expr, Disjoint):
+    if head == "disjoint":
         out: dict = {}
-        for c in expr.children:
+        for c in args:
             out = _add_ranks(out, hc_constant(c))
         return out
     raise TypeError(f"not a space expression: {expr!r}")
@@ -249,7 +176,7 @@ def _hc_punctured_line(points: int, scalars, char_l: int) -> dict:
     if len(scalars) != points - 1:
         raise ValueError("need one monodromy scalar per free loop")
     if all(_scalar_is_one(s, char_l) for s in scalars):
-        return hc_constant(ProjLineMinus(points))
+        return hc_constant(("projline-minus", points))
     out = {}
     if points - 2:
         out[1] = points - 2
@@ -270,17 +197,17 @@ def hc_local_system(expr, monodromy, char_l: int) -> dict:
         raise ValueError("monodromy scalars must be invertible")
 
     def walk(node) -> dict:
-        if isinstance(node, Disjoint):
+        if node[0] == "disjoint":
             out: dict = {}
-            for c in node.children:
+            for c in node[1:]:
                 out = _add_ranks(out, walk(c))
             return out
-        if isinstance(node, ProjLineMinus):
-            need = node.points - 1
+        if node[0] == "projline-minus":
+            need = node[1] - 1
             if len(scalars) < need:
                 raise ValueError("not enough monodromy scalars")
             mine = [scalars.pop(0) for _ in range(need)]
-            return _hc_punctured_line(node.points, mine, char_l)
+            return _hc_punctured_line(node[1], mine, char_l)
         return hc_constant(node)
 
     out = walk(expr)
@@ -293,27 +220,29 @@ def hc_local_system(expr, monodromy, char_l: int) -> dict:
 # case data and stalk tables
 
 
-@dataclass(frozen=True)
-class FiberDatum:
-    partition: Partition
-    representative: RatMatrix
-    full_fiber: object
-    zero_part: object | None
-    cuspidal_part: object | None
-    monodromy: tuple
-    zero_part_twisted_pair: bool = False
+class FiberDatum(namedtuple(
+    "FiberDatum",
+    "partition representative full_fiber zero_part cuspidal_part monodromy"
+    " zero_part_twisted_pair",
+    defaults=(False,),
+)):
+    """One orbit of a case: its ``Partition``, the ``RatMatrix``
+    representative, the space expressions of its full fiber and of the zero
+    and cuspidal parts (None when absent), the monodromy scalars, and
+    whether the zero part is a stratum pair over a quadratic extension."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CaseData:
-    name: str
-    group: str
-    ambient_dim: int
-    form: RatMatrix | None
-    flag_kind: str
-    levi_label: str
-    levi_orbit_dim: int
-    orbits: tuple
+class CaseData(namedtuple(
+    "CaseData",
+    "name group ambient_dim form flag_kind levi_label levi_orbit_dim orbits",
+)):
+    """A shipped case: the group, the ambient dimension, the ``RatMatrix``
+    form (None for sl), the flag kind, the inducing Levi with the dimension
+    of its cuspidal orbit, and one ``FiberDatum`` per orbit."""
+
+    __slots__ = ()
 
 
 def load_case(name: str) -> CaseData:

@@ -1,13 +1,15 @@
 """Exact integer and rational linear algebra: primality and prime
 factors, the matrix type ``RatMatrix``, one elimination kernel ``_rref``
-over Q or F_p with the nullspaces and solutions read from it,
-cocharacters and partitions.
+over Q or F_p with the nullspaces and solutions read from it, and
+partitions.
 
 Everything in this package computes over Z or Q with arbitrary precision;
 there is no floating point anywhere.  The one matrix type is ``RatMatrix``,
 integer entries over a common denominator; an integer matrix is one with
-denominator 1.  All values are immutable after construction, so they are
-safe to share across threads.
+denominator 1.  A diagonal cocharacter is the plain tuple of its integer
+weights.  ``RatMatrix`` and ``Partition`` are slotted namedtuples, so they
+are immutable, hashable and safe to share across threads; like any tuple
+they compare equal to a plain tuple of their fields.
 
 The shared matrix text format used by the CLI and the case fixtures writes
 rows separated by ';' and entries by ',', e.g. ``"0,1;0,0"``:
@@ -17,7 +19,7 @@ rows separated by ';' and entries by ',', e.g. ``"0,1;0,0"``:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
@@ -90,17 +92,14 @@ def prime_factors(n: int) -> frozenset:
 # matrices: integer numerators over one common denominator
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """Immutable rational matrix: integer entries ``num`` over one positive
-    denominator ``den``, which is 1 for an integer matrix.  ``from_rows``
-    and ``_normalized`` normalize it (den coprime to the entries), so equal
-    normalized values are the same rational matrix."""
+class RatMatrix(namedtuple("RatMatrix", "rows cols num den")):
+    """Immutable rational matrix: integer entries ``num`` (a tuple of row
+    tuples) over one positive denominator ``den``, which is 1 for an
+    integer matrix.  ``from_rows`` and ``_normalized`` normalize it (den
+    coprime to the entries), so equal normalized values are the same
+    rational matrix."""
 
-    rows: int
-    cols: int
-    num: tuple
-    den: int
+    __slots__ = ()
 
     @staticmethod
     def from_rows(rows) -> "RatMatrix":
@@ -284,28 +283,13 @@ def solve_linear(rows, rhs):
 
 
 # ---------------------------------------------------------------------------
-# cocharacters and partitions
+# partitions
 
 
-@dataclass(frozen=True)
-class Cocharacter:
-    """A diagonal cocharacter, stored as its integer weight vector."""
-
-    weights: tuple
-
-    @staticmethod
-    def of(weights) -> "Cocharacter":
-        return Cocharacter(tuple(int(w) for w in weights))
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "parts")):
     """Weakly decreasing tuple of positive integers."""
 
-    parts: tuple
+    __slots__ = ()
 
     @staticmethod
     def of(parts) -> "Partition":
@@ -319,14 +303,6 @@ class Partition:
     @property
     def weight(self) -> int:
         return sum(self.parts)
-
-    def transpose(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        out = []
-        for k in range(1, self.parts[0] + 1):
-            out.append(sum(1 for p in self.parts if p >= k))
-        return Partition(tuple(out))
 
     def label(self) -> str:
         """Exponential notation, e.g. [2,1^2]."""

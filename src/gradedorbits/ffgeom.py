@@ -316,6 +316,14 @@ def _gauss_pair_points(p: int) -> int:
     return 2 if p % 4 == 1 else 0
 
 
+def _points(expr, q):
+    """The value at q of the counting polynomial of a space expression."""
+    total = 0
+    for c in reversed(counting_polynomial(expr)):
+        total = total * q + c
+    return total
+
+
 def verify_fiber_counts(case: CaseData, primes) -> dict:
     """Count every stratum of every orbit fiber over each prime and compare
     with the predicted value: the report of ``fibers``, with one row per
@@ -346,7 +354,7 @@ def verify_fiber_counts(case: CaseData, primes) -> dict:
             p, case.ambient_dim, flag_dim, case.form, elements, condition_sets
         )
         for orbit, label, orbit_counts in zip(case.orbits, labels, counts):
-            full_pred = counting_polynomial(orbit.full_fiber)(p)
+            full_pred = _points(orbit.full_fiber, p)
             for (stratum, _, attr), count in zip(strata, orbit_counts):
                 expr = getattr(orbit, attr)
                 if stratum == "full":
@@ -357,7 +365,7 @@ def verify_fiber_counts(case: CaseData, primes) -> dict:
                         zero_pred if stratum == "zero" else full_pred - zero_pred
                     )
                 else:
-                    predicted = counting_polynomial(expr)(p) if expr is not None else 0
+                    predicted = _points(expr, p) if expr is not None else 0
                 rows.append({
                     "orbit": label,
                     "prime": p,

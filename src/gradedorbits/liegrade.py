@@ -1,11 +1,12 @@
 """Matrix realizations of sl_n and sp_2n with diagonal cocharacter gradings.
 
-A cocharacter is stored as its integer weight vector w; the grading places
-a matrix cell (i, j) in degree w_i - w_j.  On top of the grading this
+A cocharacter is the plain tuple w of its integer weights; the grading
+places a matrix cell (i, j) in degree w_i - w_j.  On top of the grading this
 module builds graded sl2-triples (e in g_n, h in g_0, f in g_-n), the
 second grading coming from the triple's semisimple element, the canonical
 parabolic/nilradical/Levi attached to a graded nilpotent, and the rigidity
-test comparing the two gradings.
+test comparing the two gradings, which returns the first cell where they
+disagree as its witness, or None.
 
 sp_d is the algebra of the standard form B = [[0, I], [-I, 0]], which pairs
 the coordinate k with s(k) = k +- d/2.  Every piece of the algebra, graded
@@ -30,10 +31,10 @@ returned values are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
-from .exactlin import Cocharacter, DomainError, RatMatrix, nullspace, solve_linear
+from .exactlin import DomainError, RatMatrix, nullspace, solve_linear
 
 
 class BadForm(ValueError):
@@ -52,10 +53,10 @@ class NotSimultaneouslyDiagonal(ValueError):
     """h does not preserve the chi-weight blocks."""
 
 
-@dataclass(frozen=True)
-class MatrixLieAlgebra:
-    kind: str  # "sl" or "sp"
-    dim_ambient: int
+class MatrixLieAlgebra(namedtuple("MatrixLieAlgebra", "kind dim_ambient")):
+    """sl_d or sp_d: ``kind`` is "sl" or "sp", ``dim_ambient`` is d."""
+
+    __slots__ = ()
 
     def contains(self, m: RatMatrix) -> bool:
         if self.kind == "sl":
@@ -69,11 +70,8 @@ class MatrixLieAlgebra:
         )
 
 
-@dataclass(frozen=True)
-class Sl2Triple:
-    e: RatMatrix
-    h: RatMatrix
-    f: RatMatrix
+class Sl2Triple(namedtuple("Sl2Triple", "e h f")):
+    __slots__ = ()
 
     def bracket_relations_hold(self) -> bool:
         """[h, e] = 2e, [h, f] = -2f and [e, f] = h, exactly: on the
@@ -103,12 +101,12 @@ class Sl2Triple:
 _PIECE_TESTS = {"p": lambda s: s >= 0, "n": lambda s: s > 0, "l": lambda s: s == 0}
 
 
-@dataclass(frozen=True)
-class ParabolicDatum:
-    chi: Cocharacter
-    chi_prime: Cocharacter
-    indicator: RatMatrix  # sign(n) * (n*m - 2*m') per cell
-    levi_blocks: tuple  # coordinate classes, first-occurrence order
+class ParabolicDatum(namedtuple("ParabolicDatum", "chi chi_prime indicator levi_blocks")):
+    """The weights chi and chi' of both gradings, the ``RatMatrix`` indicator
+    with sign(n) * (n*m - 2*m') in each cell, and the Levi blocks as
+    coordinate classes in first-occurrence order."""
+
+    __slots__ = ()
 
     @property
     def levi_block_shape(self) -> tuple:
@@ -200,35 +198,32 @@ def build_algebra(kind: str, d: int) -> MatrixLieAlgebra:
     return MatrixLieAlgebra(kind, d)
 
 
-def validate_cocharacter(alg: MatrixLieAlgebra, chi: Cocharacter) -> None:
+def validate_cocharacter(alg: MatrixLieAlgebra, chi: tuple) -> None:
     if len(chi) != alg.dim_ambient:
         raise ValueError("cocharacter length does not match ambient dimension")
-    w = chi.weights
-    if alg.kind == "sl" and sum(w) != 0:
+    if alg.kind == "sl" and sum(chi) != 0:
         raise DomainError("cochar", "sl cocharacter weights must sum to zero")
     if alg.kind == "sp":
         # chi preserves B exactly when w_i + w_s(i) = 0 for every i
         d = alg.dim_ambient
         for i in range(d):
             j = (i + d // 2) % d
-            if w[i] + w[j] != 0:
+            if chi[i] + chi[j] != 0:
                 raise DomainError(
                     "cochar",
                     f"sp cocharacter must satisfy w[{i}] + w[{j}] = 0, as B[{i}][{j}] != 0"
                 )
 
 
-def weight_matrix(chi: Cocharacter) -> RatMatrix:
-    w = chi.weights
-    return RatMatrix.from_rows([[wi - wj for wj in w] for wi in w])
+def weight_matrix(chi: tuple) -> RatMatrix:
+    return RatMatrix.from_rows([[wi - wj for wj in chi] for wi in chi])
 
 
-def graded_component(alg: MatrixLieAlgebra, chi: Cocharacter, n: int) -> tuple:
+def graded_component(alg: MatrixLieAlgebra, chi: tuple, n: int) -> tuple:
     """A basis of the degree-n piece g_n, as d x d matrices."""
     validate_cocharacter(alg, chi)
-    w = chi.weights
     d = alg.dim_ambient
-    cells = [(i, j) for i in range(d) for j in range(d) if w[i] - w[j] == n]
+    cells = [(i, j) for i in range(d) for j in range(d) if chi[i] - chi[j] == n]
     return tuple(_matrix(d, c) for c in _piece(alg, cells))
 
 
@@ -359,7 +354,7 @@ def _toral_h(x):
 
 
 def adapted_sl2_triple(
-    alg: MatrixLieAlgebra, chi: Cocharacter, n: int, x: RatMatrix
+    alg: MatrixLieAlgebra, chi: tuple, n: int, x: RatMatrix
 ) -> Sl2Triple:
     """Graded sl2-triple (e=x, h, f) with e in g_n, h in g_0, f in g_-n.
 
@@ -385,10 +380,9 @@ def adapted_sl2_triple(
         raise NoTriple("x", "the zero element admits no sl2-triple")
     # g_n is the part of the algebra on the cells of degree n; as n != 0, x
     # raises every chi-weight by n and is nilpotent
-    w = chi.weights
-    if not alg.contains(x) or any(w[i] - w[j] != n for (i, j) in x.support()):
+    if not alg.contains(x) or any(chi[i] - chi[j] != n for (i, j) in x.support()):
         raise DomainError("x", "x does not lie in the requested graded component")
-    minus_n = [(i, j) for i, j in _all_cells(d) if w[i] - w[j] == -n]
+    minus_n = [(i, j) for i, j in _all_cells(d) if chi[i] - chi[j] == -n]
     h = _toral_h(x)
     if h is not None:
         a = [h.num[i][i] for i in range(d)]
@@ -445,7 +439,7 @@ def _integer_eigenvalues(num, den, bound):
     return out
 
 
-def chi_prime(triple: Sl2Triple, chi: Cocharacter) -> Cocharacter:
+def chi_prime(triple: Sl2Triple, chi: tuple) -> tuple:
     """Weights of the triple's h: its diagonal when h is diagonal, else on
     each chi-weight block, which h must preserve, the integer eigenvalues
     in ascending order, each as often as the dimension of its eigenspace:
@@ -455,13 +449,12 @@ def chi_prime(triple: Sl2Triple, chi: Cocharacter) -> Cocharacter:
     if all(i == j for i, j in h.support()):
         if any(h.num[i][i] % h.den for i in range(d)):
             raise NonIntegralWeights("h has a non-integer diagonal entry")
-        return Cocharacter.of([h.num[i][i] // h.den for i in range(d)])
+        return tuple(h.num[i][i] // h.den for i in range(d))
 
-    w = chi.weights
-    if any(w[i] != w[j] for i, j in h.support()):
+    if any(chi[i] != chi[j] for i, j in h.support()):
         raise NotSimultaneouslyDiagonal("h does not preserve the grading blocks")
     weights = [None] * d
-    for idx in _blocks_by_weight(w).values():
+    for idx in _blocks_by_weight(chi).values():
         k = len(idx)
         # the block of h times its denominator: m is an eigenvalue of the
         # block of h exactly when m * den is one of this integer block
@@ -477,11 +470,11 @@ def chi_prime(triple: Sl2Triple, chi: Cocharacter) -> Cocharacter:
             raise NonIntegralWeights("h is not diagonalisable with integer spectrum")
         for pos, m in zip(idx, spectrum):
             weights[pos] = m
-    return Cocharacter.of(weights)
+    return tuple(weights)
 
 
 def canonical_parabolic(
-    alg: MatrixLieAlgebra, chi: Cocharacter, triple: Sl2Triple, n: int
+    alg: MatrixLieAlgebra, chi: tuple, triple: Sl2Triple, n: int
 ) -> ParabolicDatum:
     """Parabolic, nilradical and Levi attached to a graded triple.
 
@@ -498,7 +491,7 @@ def canonical_parabolic(
     # indicator is the potential of its row minus that of its column, and
     # the Levi blocks are the coordinates of equal potential
     sign = 1 if n > 0 else -1
-    potential = [sign * (n * a - 2 * b) for a, b in zip(chip.weights, chi.weights)]
+    potential = [sign * (n * a - 2 * b) for a, b in zip(chip, chi)]
     return ParabolicDatum(
         chi=chi,
         chi_prime=chip,
@@ -507,14 +500,10 @@ def canonical_parabolic(
     )
 
 
-@dataclass(frozen=True)
-class RigidityReport:
-    is_rigid: bool
-    witness: tuple | None  # (m, m') of the first violated cell
-
-
-def check_n_rigid(datum: ParabolicDatum, triple: Sl2Triple, n: int, cells) -> RigidityReport:
-    """The h-grading refines the cocharacter grading exactly on the cells.
+def check_n_rigid(datum: ParabolicDatum, triple: Sl2Triple, n: int, cells):
+    """The witness (m, m') of the first cell where the h-grading fails to
+    refine the cocharacter grading, or None when it refines it exactly on
+    the cells, that is, when the triple is rigid there.
 
     chi and chi' come from ``datum``, the ``canonical_parabolic`` of the
     triple.  The triple's placement (e in g_n, h in g_0, f in g_-n) is
@@ -522,7 +511,7 @@ def check_n_rigid(datum: ParabolicDatum, triple: Sl2Triple, n: int, cells) -> Ri
     diagonalises h keeps every graded piece), then each cell of the
     diagonalising basis in the order given: a cell of bidegree (m, m') =
     (chi'-weight, chi-weight) is compatible iff 2*m' = n*m.  The first
-    misplaced or incompatible cell is returned as the witness.
+    misplaced or incompatible cell gives the witness.
 
     On the Levi's cells, ``datum.cells("l")`` with n the degree of the datum,
     2*m' = n*m holds by definition, so only placement can fail there.  The
@@ -530,13 +519,12 @@ def check_n_rigid(datum: ParabolicDatum, triple: Sl2Triple, n: int, cells) -> Ri
     p^-1 sp_d p = B'^-1 Sym for B' = p^T B p), and a diagonal cell is always
     compatible, so for it every cell is passed.
     """
-    w = datum.chi.weights
-    wp = datum.chi_prime.weights
+    w, wp = datum.chi, datum.chi_prime
     for mat, expected in ((triple.e, n), (triple.h, 0), (triple.f, -n)):
         for (i, j) in sorted(mat.support()):
             if w[i] - w[j] != expected:
-                return RigidityReport(False, (wp[i] - wp[j], w[i] - w[j]))
+                return wp[i] - wp[j], w[i] - w[j]
     for i, j in cells:
         if 2 * (w[i] - w[j]) != n * (wp[i] - wp[j]):
-            return RigidityReport(False, (wp[i] - wp[j], w[i] - w[j]))
-    return RigidityReport(True, None)
+            return wp[i] - wp[j], w[i] - w[j]
+    return None

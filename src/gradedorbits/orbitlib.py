@@ -41,7 +41,7 @@ import itertools
 from collections import Counter
 from math import gcd
 
-from .exactlin import Cocharacter, DomainError, Partition
+from .exactlin import DomainError, Partition
 
 
 class InvalidPartition(ValueError):
@@ -78,12 +78,15 @@ def _checked_kind(kind: str, lam: Partition) -> str:
 def orbit_dimension(kind: str, lam: Partition) -> int:
     kind = _checked_kind(kind, lam)
     n = lam.weight
-    tr = lam.transpose().parts
+    # the sum of the squares of the parts of the transpose of lam, from the
+    # parts themselves (Macdonald, Symmetric Functions and Hall Polynomials,
+    # I.1): sum_j lam'_j^2 = sum_i (2i - 1) lam_i
+    squares = sum((2 * i + 1) * p for i, p in enumerate(lam.parts))
     if kind == "sl":
-        return n * n - sum(t * t for t in tr)
+        return n * n - squares
     m = n // 2
     odd = sum(1 for p in lam.parts if p % 2 == 1)
-    return 2 * m * m + m - (sum(t * t for t in tr) + odd) // 2
+    return 2 * m * m + m - (squares + odd) // 2
 
 
 def component_group(kind: str, lam: Partition) -> tuple:
@@ -244,17 +247,16 @@ def _interval_multiset_count(dims, limit):
     return min(count(0, tuple(dims)), limit + 1)
 
 
-def _validated_chains(chi: Cocharacter, n: int):
+def _validated_chains(chi: tuple, n: int):
     """The weight blocks of chi and their chains of step n, after the checks
     a type-A graded piece needs."""
     if n == 0:
         raise DomainError("degree", "degree must be nonzero")
-    w = chi.weights
-    if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
+    if any(chi[i] < chi[i + 1] for i in range(len(chi) - 1)):
         raise UnsortedWeights("cochar", "cocharacter weights must be weakly decreasing")
-    if sum(w) != 0:
+    if sum(chi) != 0:
         raise DomainError("cochar", "sl cocharacter weights must sum to zero")
-    blocks = _weight_blocks(w)
+    blocks = _weight_blocks(chi)
     return blocks, _chains(blocks, n)
 
 
@@ -299,7 +301,7 @@ def _chain_orbits(chain, blocks, n, row_text):
     return out
 
 
-def graded_orbit_reps_typeA(chi: Cocharacter, n: int) -> list:
+def graded_orbit_reps_typeA(chi: tuple, n: int) -> list:
     """The orbit table of ``graded-orbits``: one dict per orbit of the
     weight-zero group on the degree-n piece of sl_d, for a weakly decreasing
     diagonal cocharacter, with its segments, representative as matrix text,

@@ -114,6 +114,12 @@ def dominance_leq(lam, mu):
     return all(a <= b for a, b in zip(ps_l, ps_m))
 
 
+def partition_transpose(parts):
+    """The parts of the transpose of a partition: the k-th is the number of
+    parts >= k."""
+    return tuple(sum(1 for p in parts if p >= k) for k in range(1, parts[0] + 1)) if parts else ()
+
+
 def standard_symplectic_form(d):
     """The block form [[0, I], [-I, 0]] of an even dimension d, as a
     RatMatrix."""
@@ -160,7 +166,7 @@ def nilpotent_jordan_partition(n):
         ranks.append(len(fraction_rref(power.num)[1]))
         power = matrix_product(power, n)
     ranks.append(0)
-    return Partition(tuple(a - b for a, b in zip(ranks, ranks[1:]))).transpose()
+    return Partition(partition_transpose(tuple(a - b for a, b in zip(ranks, ranks[1:]))))
 
 
 def parity_violations(table):
@@ -523,10 +529,9 @@ def sp_in_cells_by_nullspace(form, cells):
 def whole_algebra(alg):
     """The basis of the whole algebra: its degree-0 piece for the zero
     cocharacter."""
-    from gradedorbits.exactlin import Cocharacter
     from gradedorbits.liegrade import graded_component
 
-    return graded_component(alg, Cocharacter.of([0] * alg.dim_ambient), 0)
+    return graded_component(alg, (0,) * alg.dim_ambient, 0)
 
 
 def conjugated_piece_by_nullspace(alg, p, cells):
@@ -670,11 +675,10 @@ def diagonalising_basis(h, chi):
     from gradedorbits.liegrade import Sl2Triple, chi_prime
 
     d = h.rows
-    w = chi.weights
     columns = [[int(i == j) for i in range(d)] for j in range(d)]  # p = 1 for a diagonal h
-    blocks = set(w) if any(i != j for i, j in h.support()) else ()
+    blocks = set(chi) if any(i != j for i, j in h.support()) else ()
     for value in blocks:
-        idx = [i for i in range(d) if w[i] == value]
+        idx = [i for i in range(d) if chi[i] == value]
         vectors = [
             vec
             for m in range(-d, d + 1)
@@ -689,33 +693,34 @@ def diagonalising_basis(h, chi):
                 columns[pos][i] = v
     p = RatMatrix.from_rows([[columns[j][i] for j in range(d)] for i in range(d)])
     zero = RatMatrix.zeros(d, d)
-    chip = chi_prime(Sl2Triple(zero, h, zero), chi).weights
+    chip = chi_prime(Sl2Triple(zero, h, zero), chi)
     diag = RatMatrix.from_rows([[chip[i] if i == j else 0 for j in range(d)] for i in range(d)])
     assert matrix_product(rat_inverse(p), h, p) == diag
     return p
 
 
 def rigidity_by_conjugates(basis, chi, triple, n):
-    """(is_rigid, witness) of the triple's second grading against chi on the
-    basis, which is given conjugated by a basis change that diagonalises h:
+    """The witness (m, m') of the triple's second grading against chi on
+    the basis, or None when it is rigid there.  The basis is given
+    conjugated by a basis change that diagonalises h:
     chi' from ``chi_prime``, the placement of e, h and f as given checked
     first (the basis change keeps every graded piece), and then every cell
     the basis reaches, row-major."""
     from gradedorbits.liegrade import chi_prime
 
     if not basis:
-        return True, None
+        return None
     d = basis[0].rows
-    w, wp = chi.weights, chi_prime(triple, chi).weights
+    w, wp = chi, chi_prime(triple, chi)
     for m, k in ((triple.e, n), (triple.h, 0), (triple.f, -n)):
         for i, j in sorted(m.support()):
             if w[i] - w[j] != k:
-                return False, (wp[i] - wp[j], w[i] - w[j])
+                return wp[i] - wp[j], w[i] - w[j]
     for i in range(d):
         for j in range(d):
             if any(entry(m, i, j) for m in basis) and 2 * (w[i] - w[j]) != n * (wp[i] - wp[j]):
-                return False, (wp[i] - wp[j], w[i] - w[j])
-    return True, None
+                return wp[i] - wp[j], w[i] - w[j]
+    return None
 
 
 def graded_orbit_dimension(alg, chi, n, x):
@@ -723,9 +728,8 @@ def graded_orbit_dimension(alg, chi, n, x):
     restricted to the degree-zero subalgebra."""
     from gradedorbits.liegrade import graded_component
 
-    w = chi.weights
     for (i, j) in x.support():
-        if w[i] - w[j] != n:
+        if chi[i] - chi[j] != n:
             raise ValueError("x has a cell outside the requested degree")
     g0 = graded_component(alg, chi, 0)
     if not g0:
@@ -1476,7 +1480,7 @@ def check_graded_orbits_payload(weights, n, payload):
     (Gabriel's theorem for equioriented type A), each representative on the
     cells of degree n with dim the rank of ad x on g_0, and no two
     representatives with the same rank invariants."""
-    from gradedorbits.exactlin import Cocharacter, RatMatrix
+    from gradedorbits.exactlin import RatMatrix
     from gradedorbits.liegrade import build_algebra
 
     d = len(weights)
@@ -1486,7 +1490,7 @@ def check_graded_orbits_payload(weights, n, payload):
         want *= interval_multiset_count(dims)
     orbits = payload["orbits"]
     assert len(orbits) == want
-    alg, chi = build_algebra("sl", d), Cocharacter.of(weights)
+    alg, chi = build_algebra("sl", d), tuple(weights)
     seen = set()
     for rec in orbits:
         x = [[Fraction(a) for a in row.split(",")] for row in rec["representative"].split(";")]
@@ -1524,6 +1528,26 @@ def space_points(text, q):
         return value, pos + 1
 
     return read(0)[0]
+
+
+def poly_at(coeffs, q):
+    """The value at q of the polynomial of ascending coefficients, as the
+    sum of its terms."""
+    return sum(c * q**k for k, c in enumerate(coeffs))
+
+
+def poly_text(coeffs):
+    """The polynomial in q of ascending coefficients as text, highest degree
+    first, such as "2q^2+q+1" or "-q+1"; "0" for no coefficients."""
+    terms = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        qk = "q" if k == 1 else f"q^{k}"
+        terms.append(f"{c}" if k == 0 else qk if c == 1 else f"-{qk}" if c == -1 else f"{c}{qk}")
+    text = "".join(t if t.startswith("-") else "+" + t for t in terms)
+    return text.removeprefix("+") or "0"
 
 
 def gaussian_binomial(d, k, q):

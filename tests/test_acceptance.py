@@ -17,7 +17,6 @@ from gradedorbits.exactlin import (
 )
 from gradedorbits.ffgeom import gaussian_binomial, verify_fiber_counts
 from gradedorbits.liegrade import (
-    Cocharacter,
     Sl2Triple,
     adapted_sl2_triple,
     build_algebra,
@@ -40,6 +39,9 @@ from oracles import (
     jordan_matrix,
     nilpotent_jordan_partition,
     parity_violations,
+    partition_transpose,
+    poly_at,
+    poly_text,
     snf_invariant_factors_by_minors,
     standard_root_datum,
     whole_algebra,
@@ -52,7 +54,7 @@ def report(number, text):
     print(f"ACCEPTANCE {number}: PASS - {text}")
 
 
-CHI = Cocharacter.of([1, 0, 0, -1])
+CHI = (1, 0, 0, -1)
 
 
 def test_criterion_1_orbit_tables(capsys):
@@ -108,7 +110,7 @@ def test_criterion_2_grading_example(capsys):
     x = parse_matrix_text("0,0,0,0;1,0,0,0;0,0,0,0;0,0,1,0")
     triple = adapted_sl2_triple(sl4, CHI, -1, x)
     weights = chi_prime(triple, CHI)
-    assert weights.weights == (-1, 1, -1, 1)
+    assert weights == (-1, 1, -1, 1)
     assert weight_matrix(weights).num == SECOND_WEIGHT_MATRIX
     datum = canonical_parabolic(sl4, CHI, triple, -1)
     assert datum.indicator.num == COMBINED
@@ -186,12 +188,11 @@ def test_criterion_4_triples_and_rigidity():
             triple = adapted_sl2_triple(alg4, CHI, -1, x)
             _check_triple_placement(alg4, CHI, -1, triple)
         datum = canonical_parabolic(alg4, CHI, triple, -1)
-        rigidity = check_n_rigid(datum, triple, -1, datum.cells("l"))
-        assert rigidity.is_rigid
+        assert check_n_rigid(datum, triple, -1, datum.cells("l")) is None
     # every classical nilpotent representative under its natural grading
     for kind, text, cochar, degree in CLASSICAL_CASES:
         alg = build_algebra(kind, 4)
-        chi = Cocharacter.of(cochar)
+        chi = tuple(cochar)
         x = parse_matrix_text(text)
         triple = adapted_sl2_triple(alg, chi, degree, x)
         _check_triple_placement(alg, chi, degree, triple)
@@ -200,9 +201,7 @@ def test_criterion_4_triples_and_rigidity():
     triple = adapted_sl2_triple(alg4, CHI, -1, x)
     every_cell = [(i, j) for i in range(4) for j in range(4)]
     datum = canonical_parabolic(alg4, CHI, triple, -1)
-    full = check_n_rigid(datum, triple, -1, every_cell)
-    assert not full.is_rigid
-    assert full.witness == (0, 1)
+    assert check_n_rigid(datum, triple, -1, every_cell) == (0, 1)
     report(4, "all graded triples verified exactly; Levi data rigid; full algebra witness (m,m')=(0,1)")
 
 
@@ -293,15 +292,15 @@ def test_criterion_6_fiber_point_counts():
     ):
         for orbit in case.orbits:
             label = orbit.partition.label()
-            assert str(counting_polynomial(orbit.full_fiber)) == full_polys[label]
+            assert poly_text(counting_polynomial(orbit.full_fiber)) == full_polys[label]
             cusp = (
-                str(counting_polynomial(orbit.cuspidal_part))
+                poly_text(counting_polynomial(orbit.cuspidal_part))
                 if orbit.cuspidal_part is not None
                 else "0"
             )
             assert cusp == cusp_polys[label]
-    assert str(counting_polynomial(sl4.orbits[-1].full_fiber)) == SL4_FULL_POLYS["[1^4]"]
-    assert counting_polynomial(sl4.orbits[-1].full_fiber)(2) == gaussian_binomial(4, 2, 2)
+    assert poly_text(counting_polynomial(sl4.orbits[-1].full_fiber)) == SL4_FULL_POLYS["[1^4]"]
+    assert poly_at(counting_polynomial(sl4.orbits[-1].full_fiber), 2) == gaussian_binomial(4, 2, 2)
 
     report_sp = verify_fiber_counts(sp4, [3, 5])
     assert report_sp["all_match"]
@@ -364,7 +363,7 @@ def test_criterion_8_property_suites():
     # bracket-grading property, exhaustive on both algebras
     for kind, weights in (("sp", (2, 1, -2, -1)), ("sl", (1, 0, 0, -1))):
         alg = build_algebra(kind, 4)
-        chi = Cocharacter.of(weights)
+        chi = tuple(weights)
         spread = max(weights) - min(weights)
         comps = {n: graded_component(alg, chi, n) for n in range(-spread, spread + 1)}
         assert sum(map(len, comps.values())) == len(whole_algebra(alg))
@@ -383,7 +382,7 @@ def test_criterion_8_property_suites():
             assert nilpotent_jordan_partition(jordan_matrix(lam)) == lam
         for lam, mu in itertools.product(parts, parts):
             leq = dominance_leq(lam.parts, mu.parts)
-            assert leq == dominance_leq(mu.transpose().parts, lam.transpose().parts)
+            assert leq == dominance_leq(partition_transpose(mu.parts), partition_transpose(lam.parts))
             if leq and lam != mu:
                 assert orbit_dimension("sl", lam) < orbit_dimension("sl", mu)
     report(8, "invariant factors, bracket grading, Jordan and dominance properties hold")

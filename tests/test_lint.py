@@ -2,7 +2,10 @@
 in it.  An import kept on purpose, such as ``cli``'s eager load of the
 layers, carries ``# noqa: F401`` on its line.  Every function, class and
 method that the package defines is named somewhere in the package outside
-its own definition, so that code only the tests call stays in ``tests/``."""
+its own definition, so that code only the tests call stays in ``tests/``.
+Every class of the package built on a ``namedtuple(...)`` call declares
+``__slots__ = ()``, so that its values carry no ``__dict__`` and take no
+new attribute."""
 
 import ast
 from collections import Counter
@@ -52,6 +55,52 @@ def test_unused_imports_are_found():
         "nullspace(os.path)\n"
     )
     assert unused_imports(source) == [(1, "dataclass"), (3, "RatMatrix")]
+
+
+def unslotted_namedtuples(source: str) -> list:
+    """The names of the classes whose base is a ``namedtuple(...)`` call and
+    whose body does not assign ``__slots__ = ()``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if not any(
+            isinstance(base, ast.Call) and ast.unparse(base.func).rpartition(".")[2] == "namedtuple"
+            for base in node.bases
+        ):
+            continue
+        if not any(
+            isinstance(item, ast.Assign)
+            and [ast.unparse(t) for t in item.targets] == ["__slots__"]
+            and ast.unparse(item.value) == "()"
+            for item in node.body
+        ):
+            out.append(node.name)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_namedtuple_classes_declare_empty_slots(path):
+    assert unslotted_namedtuples(path.read_text()) == []
+
+
+def test_unslotted_namedtuples_are_found():
+    source = (
+        "import collections\n"
+        "from collections import namedtuple\n"
+        "class Slotted(namedtuple('Slotted', 'a')):\n"
+        "    __slots__ = ()\n"
+        "class Loose(namedtuple('Loose', 'a b')):\n"
+        "    def total(self):\n"
+        "        return self.a + self.b\n"
+        "class Qualified(collections.namedtuple('Qualified', 'a')):\n"
+        "    pass\n"
+        "class SlotsNamed(namedtuple('SlotsNamed', 'a')):\n"
+        "    __slots__ = ('b',)\n"
+        "class Plain:\n"
+        "    pass\n"
+    )
+    assert unslotted_namedtuples(source) == ["Loose", "Qualified", "SlotsNamed"]
 
 
 def _names(node) -> list:

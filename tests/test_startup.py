@@ -1,7 +1,8 @@
 """Start-up: ``python -m gradedorbits.cli <subcommand>`` and the
 ``gradedorbits`` console script load only the layers the subcommand runs,
 ``import gradedorbits`` loads none and ``import gradedorbits.cli`` loads
-every one; the program path prints what ``cli.run`` prints in-process."""
+every one, and none of them loads ``dataclasses`` or ``inspect``; the
+program path prints what ``cli.run`` prints in-process."""
 
 import os
 import re
@@ -30,11 +31,16 @@ def python(*args):
     return subprocess.run([sys.executable, *args], env=environment(), capture_output=True, timeout=60)
 
 
+def imported(proc):
+    """The modules that a run under ``-X importtime`` imported."""
+    assert proc.returncode == 0, proc.stderr
+    return set(re.findall(r"\|\s*([\w.]+)\s*$", proc.stderr.decode(), re.M))
+
+
 def layers_loaded(proc):
     """The layers that a run under ``-X importtime`` loaded; cli itself runs
     as ``__main__``."""
-    assert proc.returncode == 0, proc.stderr
-    return {"cli", *re.findall(r"\|\s*gradedorbits\.(\w+)\s*$", proc.stderr.decode(), re.M)}
+    return {"cli", *(m.partition(".")[2] for m in imported(proc) if m.startswith("gradedorbits."))}
 
 
 def loaded_by_program(*argv):
@@ -61,7 +67,7 @@ def test_orbits_loads_only_its_layers():
 
 
 def test_graded_orbits_loads_only_its_layers():
-    # the --cochar type is an exactlin value, so liegrade stays unloaded
+    # the --cochar type is a plain tuple, so liegrade stays unloaded
     argv = ["graded-orbits", "--cochar", "1,0,0,-1", "--degree", "-1"]
     assert loaded_by_program(*argv) == {"cli", "exactlin", "orbitlib"}
 
@@ -118,6 +124,20 @@ PROGRAM_ARGV = [
     ["--help"],
     ["fibers", "--case", "sl4", "--primes", "131"],
 ]
+
+
+# one call of each subcommand, and the import of the cli module
+SUBCOMMAND_ARGV = PROGRAM_ARGV[:8]
+STARTS = [["-c", "import gradedorbits.cli"]] + [
+    ["-m", "gradedorbits.cli", *argv, "--quiet"] for argv in SUBCOMMAND_ARGV
+]
+
+
+@pytest.mark.parametrize("start", STARTS, ids=["import"] + [a[0] for a in SUBCOMMAND_ARGV])
+def test_no_start_loads_dataclasses_or_inspect(start):
+    # the records are namedtuples, and inspect is what dataclasses costs
+    assert [a[0] for a in SUBCOMMAND_ARGV] == list(cli.COMMANDS)
+    assert not imported(python("-X", "importtime", *start)) & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("argv", PROGRAM_ARGV, ids=[" ".join(a[:1] + a[-1:]) for a in PROGRAM_ARGV])
