@@ -9,7 +9,9 @@ text reads as: ("pt",), ("aff", k), ("proj", k), ("projline-minus", m) or
 ("disjoint", child, child, ...), so two constructors with the same
 argument never compare equal.  Each expression has a counting polynomial
 (its number of points over F_q for split forms, as its ascending
-coefficient tuple) and a compactly supported cohomology.
+coefficient tuple) and a compactly supported cohomology.  Each public
+entry checks a hand-built expression once, and raises the ValueError that
+``parse_space`` raises for its text.
 
 Stalk convention: the table entry of an orbit at degree d is the rank of
 H_c^(d + s) of the cuspidal fiber part, where s is the dimension of the
@@ -74,6 +76,16 @@ def _construct(head, args):
     raise ValueError(f"({head} ...) takes {takes}, got {args}")
 
 
+def _checked_space(expr):
+    """expr, once ``parse_space`` would read it from its own text, such as
+    (aff 2) for ("aff", 2); the ValueError it raises there otherwise."""
+    head, *args = expr
+    parts = [_checked_space(a) if isinstance(a, tuple) else str(a) for a in args]
+    if _construct(head, parts) != expr:
+        raise ValueError(f"not a space expression: {expr!r}")
+    return expr
+
+
 def parse_space(text: str):
     """Parse an s-expression such as ``(disjoint (proj 2) (aff 2))``."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
@@ -110,19 +122,20 @@ def counting_polynomial(expr) -> tuple:
     coefficients in ascending degree.  Each constructor's polynomial has
     leading coefficient 1, so a disjoint union's sum has no zero leading
     coefficient."""
-    head, *args = expr
-    if head == "pt":
-        return (1,)
-    if head == "aff":
-        return (0,) * args[0] + (1,)
-    if head == "proj":
-        return (1,) * (args[0] + 1)
-    if head == "projline-minus":
-        return (1 - args[0], 1)
-    if head == "disjoint":
-        polys = map(counting_polynomial, args)
-        return tuple(map(sum, itertools.zip_longest(*polys, fillvalue=0)))
-    raise TypeError(f"not a space expression: {expr!r}")
+
+    def walk(node):
+        head, *args = node
+        if head == "pt":
+            return (1,)
+        if head == "aff":
+            return (0,) * args[0] + (1,)
+        if head == "proj":
+            return (1,) * (args[0] + 1)
+        if head == "projline-minus":
+            return (1 - args[0], 1)
+        return tuple(map(sum, itertools.zip_longest(*map(walk, args), fillvalue=0)))
+
+    return walk(_checked_space(expr))
 
 
 # ---------------------------------------------------------------------------
@@ -138,24 +151,26 @@ def _add_ranks(a: dict, b: dict) -> dict:
 
 def hc_constant(expr) -> dict:
     """Compactly supported cohomology with constant coefficients."""
-    head, *args = expr
-    if head == "pt":
-        return {0: 1}
-    if head == "aff":
-        return {2 * args[0]: 1}
-    if head == "proj":
-        return {2 * i: 1 for i in range(args[0] + 1)}
-    if head == "projline-minus":
-        out = {2: 1}
-        if args[0] > 1:
-            out[1] = args[0] - 1
-        return dict(sorted(out.items()))
-    if head == "disjoint":
+
+    def walk(node) -> dict:
+        head, *args = node
+        if head == "pt":
+            return {0: 1}
+        if head == "aff":
+            return {2 * args[0]: 1}
+        if head == "proj":
+            return {2 * i: 1 for i in range(args[0] + 1)}
+        if head == "projline-minus":
+            out = {2: 1}
+            if args[0] > 1:
+                out[1] = args[0] - 1
+            return dict(sorted(out.items()))
         out: dict = {}
         for c in args:
-            out = _add_ranks(out, hc_constant(c))
+            out = _add_ranks(out, walk(c))
         return out
-    raise TypeError(f"not a space expression: {expr!r}")
+
+    return walk(_checked_space(expr))
 
 
 def _scalar_is_one(scalar: int, char_l: int) -> bool:
@@ -210,7 +225,7 @@ def hc_local_system(expr, monodromy, char_l: int) -> dict:
             return _hc_punctured_line(node[1], mine, char_l)
         return hc_constant(node)
 
-    out = walk(expr)
+    out = walk(_checked_space(expr))
     if scalars:
         raise ValueError("unused monodromy scalars")
     return out

@@ -29,17 +29,18 @@ with no linear algebra.  Take a segment v_1 -> ... -> v_l, x v_k = v_(k+1).
   u); no d x d matrix is built.
 
 The orbit count of a chain is the number of interval multisets with its
-block dimension vector (the Kostant partition function of A_k), counted
-before anything is enumerated.  ``tests/oracles.py`` keeps the solver route
-(the rank of ad x on g_0, and the sl2-triple with the canonical parabolic)
-as the oracle these formulas are tested against.
+block dimension vector (the Kostant partition function of A_k).  Each
+chain is listed up to one multiset more than the orbit bound leaves room
+for, so no row is built before the count is known.  ``tests/oracles.py``
+keeps the solver route (the rank of ad x on g_0, and the sl2-triple with
+the canonical parabolic) as the oracle these formulas are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 
 from .exactlin import DomainError, Partition
 
@@ -192,18 +193,15 @@ def _segment_starts(a, remaining):
     yield from rec(a + 1, remaining[a], ())
 
 
-def _first_uncovered(a, remaining):
-    while a < len(remaining) and not remaining[a]:
-        a += 1
-    return a
-
-
 def _interval_multisets(dims):
-    """All multisets of intervals [a, b] covering position i exactly dims[i]
-    times, each as a lexicographically sorted tuple of intervals."""
+    """Each multiset of intervals [a, b] covering position i exactly dims[i]
+    times, as a lexicographically sorted tuple of intervals.  Every choice of
+    ``_segment_starts`` completes, so each multiset costs one walk down the
+    positions."""
 
     def rec(a, remaining):
-        a = _first_uncovered(a, remaining)
+        while a < len(remaining) and not remaining[a]:
+            a += 1
         if a == len(remaining):
             yield ()
             return
@@ -211,40 +209,7 @@ def _interval_multisets(dims):
             for rest in rec(a + 1, left):
                 yield segments + rest
 
-    return tuple(rec(0, tuple(dims)))
-
-
-def _interval_multiset_count(dims, limit):
-    """The number of multisets ``_interval_multisets`` lists (the Kostant
-    partition function of A_k at dims), or limit + 1 when it is larger.
-
-    Each position with dims > 0 can be a segment on its own or continue the
-    one before it, so a chain of k positions has at least 2^(k-1) multisets.
-    Each step of the memoised recursion (a state with one choice of
-    segments) is a distinct prefix, the segments that start before some
-    position, of a multiset.  A multiset has at most len(dims) prefixes, so
-    more than limit * len(dims) steps mean more than ``limit`` multisets."""
-    if 2 ** (len(dims) - 1) > limit:
-        return limit + 1
-    memo = {}
-    steps = 0
-
-    def count(a, remaining):
-        nonlocal steps
-        a = _first_uncovered(a, remaining)
-        if a == len(remaining):
-            return 1
-        if remaining not in memo:
-            total = 0
-            for _, left in _segment_starts(a, remaining):
-                steps += 1
-                if steps > limit * len(dims):
-                    return limit + 1
-                total += count(a + 1, left)
-            memo[remaining] = total
-        return memo[remaining]
-
-    return min(count(0, tuple(dims)), limit + 1)
+    return rec(0, tuple(dims))
 
 
 def _validated_chains(chi: tuple, n: int):
@@ -260,25 +225,35 @@ def _validated_chains(chi: tuple, n: int):
     return blocks, _chains(blocks, n)
 
 
-def _orbit_count(blocks, chains) -> int:
-    """The product of the chains' orbit counts, or MAX_GRADED_ORBITS + 1
-    when it is larger."""
-    limit = MAX_GRADED_ORBITS
-    total = 1
-    for chain in chains:
-        total *= _interval_multiset_count([len(blocks[k][1]) for k in chain], limit)
-        total = min(total, limit + 1)
-    return total
+def _listed_multisets(chain_dims):
+    """The interval multisets of each chain's block dimensions, or None once
+    their product is above MAX_GRADED_ORBITS.
+
+    ``room`` is the most multisets the next chain may have, so each listing
+    stops at room + 1.  A chain of k positions has at least 2^(k-1)
+    multisets (each position ends a segment or continues it), so a chain
+    longer than room.bit_length() is refused before it is walked."""
+    room = MAX_GRADED_ORBITS
+    listed = []
+    for dims in chain_dims:
+        if len(dims) > room.bit_length():
+            return None
+        multisets = tuple(itertools.islice(_interval_multisets(dims), room + 1))
+        if len(multisets) > room:
+            return None
+        room //= len(multisets)
+        listed.append(multisets)
+    return listed
 
 
-def _chain_orbits(chain, blocks, n, row_text):
+def _chain_orbits(chain, multisets, blocks, n, row_text):
     """One entry per interval multiset of the chain: its 1-based block
     segments with their labels, (row, row_text[column]) for each 1 of the
     representative, the Levi potential of each coordinate, and dim End."""
     sign = 1 if n > 0 else -1
     coords_at = [blocks[k][1] for k in chain]
     out = []
-    for multiset in _interval_multisets([len(coords) for coords in coords_at]):
+    for multiset in multisets:
         used = [0] * len(chain)
         labelled = []
         rows = []
@@ -308,15 +283,17 @@ def graded_orbit_reps_typeA(chi: tuple, n: int) -> list:
     dimension and Levi block sizes in closed form (see the module
     docstring), by decreasing dimension.  More than MAX_GRADED_ORBITS
     orbits, or more than MAX_GRADED_CELLS cells of d x d representatives,
-    raise TooManyOrbits before any orbit is enumerated."""
+    raise TooManyOrbits before any row is built, after listing at most
+    MAX_GRADED_ORBITS + 1 multisets of each chain."""
     blocks, chains = _validated_chains(chi, n)
-    count = _orbit_count(blocks, chains)
-    if count > MAX_GRADED_ORBITS:
+    listed = _listed_multisets([[len(blocks[k][1]) for k in chain] for chain in chains])
+    if listed is None:
         raise TooManyOrbits(
             "cochar",
             f"degree {n} has more than {MAX_GRADED_ORBITS} orbits,"
             " the most that are listed"
         )
+    count = prod(map(len, listed))
     d = len(chi)
     if count * d * d > MAX_GRADED_CELLS:
         raise TooManyOrbits(
@@ -327,7 +304,11 @@ def graded_orbit_reps_typeA(chi: tuple, n: int) -> list:
     g0_dim = sum(len(coords) ** 2 for _, coords in blocks)
     zero_row = ",".join("0" * d)
     row_text = ["0," * u + "1" + ",0" * (d - 1 - u) for u in range(d)]
-    per_chain = [_chain_orbits(chain, blocks, n, row_text) for chain in chains]
+    per_chain = [
+        _chain_orbits(chain, multisets, blocks, n, row_text)
+        for chain, multisets in zip(chains, listed)
+    ]
+    del listed  # frees the multisets before the rows, the peak of memory, are joined
     reps = []
     for combo in itertools.product(*per_chain):
         rows = [zero_row] * d

@@ -45,3 +45,27 @@ def matrix_calls(monkeypatch):
 
     monkeypatch.setattr(liegrade, "_matrix", counted)
     return calls
+
+
+@pytest.fixture
+def no_rows_built(monkeypatch):
+    """Forbids ``orbitlib._chain_orbits``, so that no row of a graded-orbit
+    table is built, and lists how many multisets each call of
+    ``orbitlib._interval_multisets`` handed out; the test may clear it."""
+    from gradedorbits import orbitlib
+
+    taken = []
+    listing = orbitlib._interval_multisets
+
+    def counted(dims):
+        taken.append(0)
+        for multiset in listing(dims):
+            taken[-1] += 1
+            yield multiset
+
+    def build_nothing(*args):
+        raise AssertionError("rows were built")
+
+    monkeypatch.setattr(orbitlib, "_interval_multisets", counted)
+    monkeypatch.setattr(orbitlib, "_chain_orbits", build_nothing)
+    return taken

@@ -32,12 +32,17 @@ SEEDS = range(1, 11)
 
 # graded-orbits at its bounds: the one chain of block sizes 2, 2, 5, 4, 5, 5
 # (10,000 orbits, the most listed) and 1, 7, 4, 3, 7, 7 (10,080, refused); a
-# chain of 201 weights (2^200 orbits); d = 2300 and 2301 in degree 1, at and
-# past the most cells printed; and d = 1
+# chain of 201 weights (2^200 orbits); four blocks of 300 in one chain
+# (refused); two chains of 89 x 112 = 9,968 orbits (listed) and of
+# 60 x 167 = 10,020 (refused), where only the product decides; d = 2300 and
+# 2301 in degree 1, at and past the most cells printed; and d = 1
 BOUND_CASES = (
     ([3] * 2 + [2] * 2 + [1] * 5 + [0] * 4 + [-1] * 5 + [-2] * 5, -1),
     ([3] + [2] * 7 + [1] * 4 + [0] * 3 + [-1] * 7 + [-2] * 7, -1),
     (list(range(100, -101, -1)), -1),
+    ([3] * 300 + [1] * 300 + [-1] * 300 + [-3] * 300, -2),
+    ([13] * 2 + [12] * 3 + [11] * 4 + [10] * 2 + [-9] * 3 + [-10] * 3 + [-11] * 3 + [-12] * 3, -1),
+    ([6] + [5] * 4 + [4] * 3 + [3] * 3 + [-2] * 2 + [-3] * 4 + [-4] * 4 + [-5] * 3, -1),
     ([0] * 2300, 1),
     ([0] * 2301, 1),
     ([0], 1),

@@ -52,7 +52,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 def minor_determinant(rows, row_idx, col_idx):
@@ -1437,14 +1437,10 @@ def interval_multiset_count(dims):
 
 
 def graded_orbit_count(chi, n):
-    """The number of G_0-orbits on the degree-n piece of sl_d, or
-    MAX_GRADED_ORBITS + 1 when it is larger, counted as
-    ``graded_orbit_reps_typeA`` counts them before it enumerates anything.
-    This is the package's own count, not an independent one: only the tests
-    ask for the count alone."""
-    from gradedorbits import orbitlib
-
-    return orbitlib._orbit_count(*orbitlib._validated_chains(chi, n))
+    """The number of G_0-orbits on the degree-n piece of sl_d, with no
+    bound: the product over the weight chains of their interval multiset
+    counts."""
+    return prod(interval_multiset_count(dims) for dims in _weight_chains(list(chi), n))
 
 
 def _weight_chains(weights, n):

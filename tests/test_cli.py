@@ -788,11 +788,7 @@ def test_primes_text(capsys, kind, n, text):
     assert run_both(capsys, ["primes", "--type", kind, "--n", n]) == (0, text, "")
 
 
-def test_graded_orbits_above_bound_names_flag(capsys, monkeypatch):
-    def enumerate_nothing(dims):
-        raise AssertionError("the orbits were enumerated")
-
-    monkeypatch.setattr(orbitlib, "_interval_multisets", enumerate_nothing)
+def test_graded_orbits_above_bound_names_flag(capsys, no_rows_built):
     # one chain of block sizes 1, 7, 4, 3, 7, 7: 10,080 orbits
     cochar = ",".join(map(str, [3] + [2] * 7 + [1] * 4 + [0] * 3 + [-1] * 7 + [-2] * 7))
     assert cli.run(["graded-orbits", "--cochar", cochar, "--degree", "-1"]) == 2
@@ -800,6 +796,7 @@ def test_graded_orbits_above_bound_names_flag(capsys, monkeypatch):
     assert "argument --cochar:" in captured.err
     assert f"more than {orbitlib.MAX_GRADED_ORBITS} orbits" in captured.err
     assert captured.out == ""
+    assert no_rows_built == [orbitlib.MAX_GRADED_ORBITS + 1]
 
 
 def test_primes_huge_n_names_flag_without_building_roots(capsys, deadline):
@@ -914,11 +911,7 @@ def test_stalks_char_not_prime_names_flag(capsys, char):
     assert captured.out == ""
 
 
-def test_graded_orbits_cell_bound_names_flag(capsys, monkeypatch):
-    def enumerate_nothing(dims):
-        raise AssertionError("the orbits were enumerated")
-
-    monkeypatch.setattr(orbitlib, "_interval_multisets", enumerate_nothing)
+def test_graded_orbits_cell_bound_names_flag(capsys, no_rows_built):
     # one orbit of a 2301 x 2301 representative: 5,294,601 cells
     cochar = ",".join(["0"] * 2301)
     assert cli.run(["graded-orbits", "--cochar", cochar, "--degree", "1"]) == 2
@@ -926,6 +919,7 @@ def test_graded_orbits_cell_bound_names_flag(capsys, monkeypatch):
     assert "argument --cochar:" in captured.err
     assert f"more than the {orbitlib.MAX_GRADED_CELLS} that are printed" in captured.err
     assert captured.out == ""
+    assert no_rows_built == [1]
 
 
 # ---------------------------------------------------------------------------

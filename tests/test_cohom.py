@@ -117,6 +117,30 @@ def test_malformed_space_text_names_the_problem(text, message):
         parse_space(text)
 
 
+@pytest.mark.parametrize(
+    "expr,text",
+    [
+        (("aff", -1), "(aff -1)"),
+        (("disjoint",), "(disjoint)"),
+        (("disjoint", ("pt",), ("aff", -1)), "(disjoint (pt) (aff -1))"),
+        (("projline-minus", 0), "(projline-minus 0)"),
+        (("proj", -2), "(proj -2)"),
+    ],
+    ids=["aff", "disjoint-empty", "disjoint-child", "projline-minus", "proj"],
+)
+@pytest.mark.parametrize(
+    "entry",
+    [counting_polynomial, hc_constant, lambda expr: hc_local_system(expr, (), 0)],
+    ids=["counting_polynomial", "hc_constant", "hc_local_system"],
+)
+def test_hand_built_spaces_raise_as_their_text(expr, text, entry):
+    with pytest.raises(ValueError) as parsed:
+        parse_space(text)
+    with pytest.raises(ValueError) as built:
+        entry(expr)
+    assert str(built.value) == str(parsed.value)
+
+
 def test_case_loading_and_shapes():
     sp4 = load_case("sp4")
     assert sp4.levi_orbit_dim == 2

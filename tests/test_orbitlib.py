@@ -298,65 +298,71 @@ def test_orbit_count_matches_enumeration():
 def test_orbit_count_at_the_bound(monkeypatch):
     assert MAX_GRADED_ORBITS == 10_000
     # one chain of block sizes 2, 2, 5, 4, 5, 5: exactly the bound
-    at_bound = tuple([3] * 2 + [2] * 2 + [1] * 5 + [0] * 4 + [-1] * 5 + [-2] * 5)
-    assert graded_orbit_count(at_bound, -1) == 10_000
+    assert list(map(len, orbitlib._listed_multisets([[2, 2, 5, 4, 5, 5]]))) == [10_000]
     # one chain of block sizes 1, 7, 4, 3, 7, 7: 10,080 orbits
-    above = tuple([3] + [2] * 7 + [1] * 4 + [0] * 3 + [-1] * 7 + [-2] * 7)
-    assert graded_orbit_count(above, -1) == MAX_GRADED_ORBITS + 1
+    above = [1, 7, 4, 3, 7, 7]
+    assert orbitlib._listed_multisets([above]) is None
     monkeypatch.setattr(orbitlib, "MAX_GRADED_ORBITS", 20_000)
-    assert graded_orbit_count(above, -1) == 10_080
+    assert list(map(len, orbitlib._listed_multisets([above]))) == [10_080]
 
 
-def test_too_many_orbits_rejected_before_enumeration(monkeypatch):
-    def enumerate_nothing(dims):
-        raise AssertionError("the orbits were enumerated")
-
-    monkeypatch.setattr(orbitlib, "_interval_multisets", enumerate_nothing)
+def test_too_many_orbits_rejected_before_enumeration(no_rows_built):
     above = tuple([3] + [2] * 7 + [1] * 4 + [0] * 3 + [-1] * 7 + [-2] * 7)
     with pytest.raises(TooManyOrbits, match="more than 10000"):
         graded_orbit_reps_typeA(above, -1)
-    # a chain of 201 single weights has 2^200 orbits; no recursion that deep
-    long_chain = tuple(range(100, -101, -1))
-    assert graded_orbit_count(long_chain, -1) == MAX_GRADED_ORBITS + 1
-    with pytest.raises(TooManyOrbits):
-        graded_orbit_reps_typeA(long_chain, -1)
-    # orbits x d^2 above MAX_GRADED_CELLS; at the bound the enumeration starts
+    assert no_rows_built == [MAX_GRADED_ORBITS + 1]
+    # a chain of 201 single weights has 2^200 orbits: refused unwalked
+    no_rows_built.clear()
+    with pytest.raises(TooManyOrbits, match="more than 10000"):
+        graded_orbit_reps_typeA(tuple(range(100, -101, -1)), -1)
+    assert no_rows_built == []
+    # orbits x d^2 above MAX_GRADED_CELLS; at the bound the rows are built
     assert orbitlib.MAX_GRADED_CELLS == 2300**2
     with pytest.raises(TooManyOrbits, match="5294601 cells"):
         graded_orbit_reps_typeA((0,) * 2301, 1)
-    with pytest.raises(AssertionError, match="enumerated"):
+    with pytest.raises(AssertionError, match="rows were built"):
         graded_orbit_reps_typeA((0,) * 2300, 1)
+    assert no_rows_built == [1, 1]
 
 
-def test_orbit_count_work_is_bounded(deadline):
+def test_orbit_count_work_is_bounded(deadline, no_rows_built):
     # four blocks of 300 in one chain: short, so 2^(k-1) does not decide,
-    # and the exact count would take millions of memoised states
+    # and the full listing would be millions of multisets
     with deadline(5):
-        count = orbitlib._interval_multiset_count([300] * 4, MAX_GRADED_ORBITS)
-    assert count == MAX_GRADED_ORBITS + 1
+        with pytest.raises(TooManyOrbits, match="more than 10000"):
+            graded_orbit_reps_typeA((3,) * 300 + (1,) * 300 + (-1,) * 300 + (-3,) * 300, -2)
+    assert no_rows_built == [MAX_GRADED_ORBITS + 1]
 
 
-def test_orbit_count_budget_is_exact():
-    # [1, 1] has two multisets, {[1-2]} and {[1], [2]}, in three steps
-    assert orbitlib._interval_multiset_count([1, 1], 2) == 2
-    assert orbitlib._interval_multiset_count([1, 1], 1) == 2
-    # [2, 3] has three multisets in six steps, exactly limit * len(dims) at
-    # limit 3: the count is still exact there
-    assert orbitlib._interval_multiset_count([2, 3], 3) == 3
-    assert orbitlib._interval_multiset_count([2, 3], 2) == 3
-    # and every chain of up to 3 positions of up to 3 agrees with the oracle
-    # at the limits around its count
+def test_capped_listing_is_exact(monkeypatch):
+    # every chain of up to 3 positions of up to 3, with room for one
+    # multiset fewer than it has, exactly as many, and one more
     for k in range(1, 4):
         for dims in itertools.product(range(1, 4), repeat=k):
             count = interval_multiset_count(dims)
-            for limit in (count - 1, count, count + 1):
-                if limit >= 1:
-                    got = orbitlib._interval_multiset_count(list(dims), limit)
-                    assert got == min(count, limit + 1), (dims, limit)
+            everything = tuple(orbitlib._interval_multisets(dims))
+            for room in (count - 1, count, count + 1):
+                if room >= 1:
+                    monkeypatch.setattr(orbitlib, "MAX_GRADED_ORBITS", room)
+                    got = orbitlib._listed_multisets([dims])
+                    assert got == (None if count > room else [everything]), (dims, room)
+
+
+def test_two_chains_decided_by_their_product():
+    # 89 x 112 = 9,968 orbits at d = 23: every chain and the product fit
+    fits = (13,) * 2 + (12,) * 3 + (11,) * 4 + (10,) * 2
+    fits += (-9,) * 3 + (-10,) * 3 + (-11,) * 3 + (-12,) * 3
+    assert graded_orbit_count(fits, -1) == 89 * 112
+    assert len(graded_orbit_reps_typeA(fits, -1)) == 9_968
+    # 60 x 167 = 10,020 orbits at d = 24: each chain fits, the product does not
+    over = (6,) + (5,) * 4 + (4,) * 3 + (3,) * 3 + (-2,) * 2 + (-3,) * 4 + (-4,) * 4 + (-5,) * 3
+    assert graded_orbit_count(over, -1) == 60 * 167
+    with pytest.raises(TooManyOrbits, match="more than 10000 orbits"):
+        graded_orbit_reps_typeA(over, -1)
 
 
 def test_graded_orbits_need_zero_sum_and_nonzero_degree():
     with pytest.raises(ValueError, match="sum to zero"):
         graded_orbit_reps_typeA((1, 0, 0), -1)
     with pytest.raises(ValueError, match="degree must be nonzero"):
-        graded_orbit_count(CHI, 0)
+        graded_orbit_reps_typeA(CHI, 0)
