@@ -117,25 +117,25 @@ def parse_space(text: str):
 # counting polynomials
 
 
+def _polynomial(node) -> tuple:
+    head, *args = node
+    if head == "pt":
+        return (1,)
+    if head == "aff":
+        return (0,) * args[0] + (1,)
+    if head == "proj":
+        return (1,) * (args[0] + 1)
+    if head == "projline-minus":
+        return (1 - args[0], 1)
+    return tuple(map(sum, itertools.zip_longest(*map(_polynomial, args), fillvalue=0)))
+
+
 def counting_polynomial(expr) -> tuple:
     """The number of F_q points of the space as a polynomial in q, by its
     coefficients in ascending degree.  Each constructor's polynomial has
     leading coefficient 1, so a disjoint union's sum has no zero leading
     coefficient."""
-
-    def walk(node):
-        head, *args = node
-        if head == "pt":
-            return (1,)
-        if head == "aff":
-            return (0,) * args[0] + (1,)
-        if head == "proj":
-            return (1,) * (args[0] + 1)
-        if head == "projline-minus":
-            return (1 - args[0], 1)
-        return tuple(map(sum, itertools.zip_longest(*map(walk, args), fillvalue=0)))
-
-    return walk(_checked_space(expr))
+    return _polynomial(_checked_space(expr))
 
 
 # ---------------------------------------------------------------------------
@@ -149,28 +149,25 @@ def _add_ranks(a: dict, b: dict) -> dict:
     return {k: v for k, v in sorted(out.items()) if v}
 
 
+def _hc_constant(node) -> dict:
+    head, *args = node
+    if head == "pt":
+        return {0: 1}
+    if head == "aff":
+        return {2 * args[0]: 1}
+    if head == "proj":
+        return {2 * i: 1 for i in range(args[0] + 1)}
+    if head == "projline-minus":
+        return {1: args[0] - 1, 2: 1} if args[0] > 1 else {2: 1}
+    out: dict = {}
+    for c in args:
+        out = _add_ranks(out, _hc_constant(c))
+    return out
+
+
 def hc_constant(expr) -> dict:
     """Compactly supported cohomology with constant coefficients."""
-
-    def walk(node) -> dict:
-        head, *args = node
-        if head == "pt":
-            return {0: 1}
-        if head == "aff":
-            return {2 * args[0]: 1}
-        if head == "proj":
-            return {2 * i: 1 for i in range(args[0] + 1)}
-        if head == "projline-minus":
-            out = {2: 1}
-            if args[0] > 1:
-                out[1] = args[0] - 1
-            return dict(sorted(out.items()))
-        out: dict = {}
-        for c in args:
-            out = _add_ranks(out, walk(c))
-        return out
-
-    return walk(_checked_space(expr))
+    return _hc_constant(_checked_space(expr))
 
 
 def _scalar_is_one(scalar: int, char_l: int) -> bool:
@@ -223,7 +220,7 @@ def hc_local_system(expr, monodromy, char_l: int) -> dict:
                 raise ValueError("not enough monodromy scalars")
             mine = [scalars.pop(0) for _ in range(need)]
             return _hc_punctured_line(node[1], mine, char_l)
-        return hc_constant(node)
+        return _hc_constant(node)
 
     out = walk(_checked_space(expr))
     if scalars:

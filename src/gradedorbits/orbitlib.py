@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from math import gcd, prod
+from math import gcd
 
 from .exactlin import DomainError, Partition
 
@@ -225,25 +225,30 @@ def _validated_chains(chi: tuple, n: int):
     return blocks, _chains(blocks, n)
 
 
-def _listed_multisets(chain_dims):
-    """The interval multisets of each chain's block dimensions, or None once
-    their product is above MAX_GRADED_ORBITS.
+def _listed_multisets(chain_dims, printable):
+    """The product of the chains' multiset counts and the multisets of each
+    chain, or (None, None) once the product is above MAX_GRADED_ORBITS.
 
     ``room`` is the most multisets the next chain may have, so each listing
     stops at room + 1.  A chain of k positions has at least 2^(k-1)
     multisets (each position ends a segment or continues it), so a chain
-    longer than room.bit_length() is refused before it is walked."""
-    room = MAX_GRADED_ORBITS
-    listed = []
+    longer than room.bit_length() is refused before it is walked.  A
+    multiset is kept only while its number times the product before it is
+    at most ``printable``, so the lists are whole when the product is."""
+    room, count, listed = MAX_GRADED_ORBITS, 1, []
     for dims in chain_dims:
         if len(dims) > room.bit_length():
-            return None
-        multisets = tuple(itertools.islice(_interval_multisets(dims), room + 1))
-        if len(multisets) > room:
-            return None
-        room //= len(multisets)
-        listed.append(multisets)
-    return listed
+            return None, None
+        kept = []
+        listing = itertools.islice(_interval_multisets(dims), room + 1)
+        for found, multiset in enumerate(listing, 1):  # a chain has one at least
+            if count * found <= printable:
+                kept.append(multiset)
+        if found > room:
+            return None, None
+        room, count = room // found, count * found
+        listed.append(kept)
+    return count, listed
 
 
 def _chain_orbits(chain, multisets, blocks, n, row_text):
@@ -286,15 +291,15 @@ def graded_orbit_reps_typeA(chi: tuple, n: int) -> list:
     raise TooManyOrbits before any row is built, after listing at most
     MAX_GRADED_ORBITS + 1 multisets of each chain."""
     blocks, chains = _validated_chains(chi, n)
-    listed = _listed_multisets([[len(blocks[k][1]) for k in chain] for chain in chains])
-    if listed is None:
+    d = len(chi)
+    chain_dims = [[len(blocks[k][1]) for k in chain] for chain in chains]
+    count, listed = _listed_multisets(chain_dims, MAX_GRADED_CELLS // max(d * d, 1))
+    if count is None:
         raise TooManyOrbits(
             "cochar",
             f"degree {n} has more than {MAX_GRADED_ORBITS} orbits,"
             " the most that are listed"
         )
-    count = prod(map(len, listed))
-    d = len(chi)
     if count * d * d > MAX_GRADED_CELLS:
         raise TooManyOrbits(
             "cochar",

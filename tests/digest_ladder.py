@@ -41,6 +41,9 @@ BOUND_CASES = (
     ([3] + [2] * 7 + [1] * 4 + [0] * 3 + [-1] * 7 + [-2] * 7, -1),
     (list(range(100, -101, -1)), -1),
     ([3] * 300 + [1] * 300 + [-1] * 300 + [-3] * 300, -2),
+    ([3] * 3000 + [1] * 3000 + [-1] * 3000 + [-3] * 3000, -2),
+    (list(range(7, -8, -1)), -1),
+    (list(range(13, -14, -2)), -2),
     ([13] * 2 + [12] * 3 + [11] * 4 + [10] * 2 + [-9] * 3 + [-10] * 3 + [-11] * 3 + [-12] * 3, -1),
     ([6] + [5] * 4 + [4] * 3 + [3] * 3 + [-2] * 2 + [-3] * 4 + [-4] * 4 + [-5] * 3, -1),
     ([0] * 2300, 1),

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -298,12 +299,14 @@ def test_orbit_count_matches_enumeration():
 def test_orbit_count_at_the_bound(monkeypatch):
     assert MAX_GRADED_ORBITS == 10_000
     # one chain of block sizes 2, 2, 5, 4, 5, 5: exactly the bound
-    assert list(map(len, orbitlib._listed_multisets([[2, 2, 5, 4, 5, 5]]))) == [10_000]
+    count, listed = orbitlib._listed_multisets([[2, 2, 5, 4, 5, 5]], MAX_GRADED_ORBITS)
+    assert count == 10_000 and list(map(len, listed)) == [10_000]
     # one chain of block sizes 1, 7, 4, 3, 7, 7: 10,080 orbits
     above = [1, 7, 4, 3, 7, 7]
-    assert orbitlib._listed_multisets([above]) is None
+    assert orbitlib._listed_multisets([above], MAX_GRADED_ORBITS) == (None, None)
     monkeypatch.setattr(orbitlib, "MAX_GRADED_ORBITS", 20_000)
-    assert list(map(len, orbitlib._listed_multisets([above]))) == [10_080]
+    count, listed = orbitlib._listed_multisets([above], 20_000)
+    assert count == 10_080 and list(map(len, listed)) == [10_080]
 
 
 def test_too_many_orbits_rejected_before_enumeration(no_rows_built):
@@ -316,6 +319,15 @@ def test_too_many_orbits_rejected_before_enumeration(no_rows_built):
     with pytest.raises(TooManyOrbits, match="more than 10000"):
         graded_orbit_reps_typeA(tuple(range(100, -101, -1)), -1)
     assert no_rows_built == []
+    # 15 single weights have 2^14 > 10,000 orbits: refused unwalked; 14 have
+    # 2^13, so they are listed and their rows built
+    with pytest.raises(TooManyOrbits, match="more than 10000"):
+        graded_orbit_reps_typeA(tuple(range(7, -8, -1)), -1)
+    assert no_rows_built == []
+    with pytest.raises(AssertionError, match="rows were built"):
+        graded_orbit_reps_typeA(tuple(range(13, -14, -2)), -2)
+    assert no_rows_built == [2**13]
+    no_rows_built.clear()
     # orbits x d^2 above MAX_GRADED_CELLS; at the bound the rows are built
     assert orbitlib.MAX_GRADED_CELLS == 2300**2
     with pytest.raises(TooManyOrbits, match="5294601 cells"):
@@ -334,18 +346,41 @@ def test_orbit_count_work_is_bounded(deadline, no_rows_built):
     assert no_rows_built == [MAX_GRADED_ORBITS + 1]
 
 
+def test_refused_listing_keeps_no_unprintable_multiset():
+    # four blocks of 300 at d = 1,200: 3 orbits at most could be printed, so
+    # the 10,001 multisets listed before the refusal are counted, not kept
+    chi = (3,) * 300 + (1,) * 300 + (-1,) * 300 + (-3,) * 300
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyOrbits, match="more than 10000"):
+            graded_orbit_reps_typeA(chi, -2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_capped_listing_is_exact(monkeypatch):
     # every chain of up to 3 positions of up to 3, with room for one
-    # multiset fewer than it has, exactly as many, and one more
+    # multiset fewer than it has, exactly as many, and one more; and with
+    # one printable orbit fewer than it has, or as many
     for k in range(1, 4):
         for dims in itertools.product(range(1, 4), repeat=k):
             count = interval_multiset_count(dims)
-            everything = tuple(orbitlib._interval_multisets(dims))
+            everything = list(orbitlib._interval_multisets(dims))
             for room in (count - 1, count, count + 1):
                 if room >= 1:
                     monkeypatch.setattr(orbitlib, "MAX_GRADED_ORBITS", room)
-                    got = orbitlib._listed_multisets([dims])
-                    assert got == (None if count > room else [everything]), (dims, room)
+                    for printable in (count - 1, count):
+                        got = orbitlib._listed_multisets([dims], printable)
+                        want = (count, [everything[:printable]])
+                        assert got == ((None, None) if count > room else want), (dims, room)
+    # the second chain keeps a multiset while its number times the first
+    # chain's count is printable: 2 x 1 <= 3 < 2 x 2
+    monkeypatch.setattr(orbitlib, "MAX_GRADED_ORBITS", 4)
+    two = list(orbitlib._interval_multisets([1, 1]))
+    assert len(two) == 2
+    assert orbitlib._listed_multisets([[1, 1], [1, 1]], 3) == (4, [two, two[:1]])
 
 
 def test_two_chains_decided_by_their_product():
