@@ -31,7 +31,8 @@ with no linear algebra.  Take a segment v_1 -> ... -> v_l, x v_k = v_(k+1).
 The orbit count of a chain is the number of interval multisets with its
 block dimension vector (the Kostant partition function of A_k).  Each
 chain is listed up to one multiset more than the orbit bound leaves room
-for, so no row is built before the count is known.  ``tests/oracles.py``
+for, and keeps only as many as the cell bound could print at this d, so
+no row is built before the count is known.  ``tests/oracles.py``
 keeps the solver route (the rank of ad x on g_0, and the sl2-triple with
 the canonical parabolic) as the oracle these formulas are tested against.
 """

@@ -396,6 +396,13 @@ def test_two_chains_decided_by_their_product():
         graded_orbit_reps_typeA(over, -1)
 
 
+def test_empty_cocharacter_has_one_empty_orbit():
+    # d = 0: one orbit, and the cap on kept multisets must not divide by d²
+    assert graded_orbit_reps_typeA((), 1) == [
+        {"decomposition": [], "label": "", "representative": "", "dim": 0, "levi_blocks": []}
+    ]
+
+
 def test_graded_orbits_need_zero_sum_and_nonzero_degree():
     with pytest.raises(ValueError, match="sum to zero"):
         graded_orbit_reps_typeA((1, 0, 0), -1)
