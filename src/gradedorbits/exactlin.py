@@ -151,11 +151,15 @@ class RatMatrix(namedtuple("RatMatrix", "rows cols num den")):
         )
 
     def text(self) -> str:
-        if self.den == 1:
-            return ";".join(",".join(str(x) for x in row) for row in self.num)
-        return ";".join(
-            ",".join(str(Fraction(x, self.den)) for x in row) for row in self.num
-        )
+        """Entries as ``a`` or ``a/b`` in lowest terms, as ``str(Fraction)``
+        writes them."""
+        den = self.den
+
+        def entry(x):
+            g = gcd(x, den)
+            return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+        return ";".join(",".join(map(str if den == 1 else entry, row)) for row in self.num)
 
 
 def parse_matrix_text(text: str) -> RatMatrix:

@@ -21,12 +21,11 @@ is its indicator on the cells of a basis, never built, that diagonalises
 both gradings: ``cells`` and ``mask`` read p, n and l off it, and
 ``check_n_rigid`` tests a set of those cells.
 
-The triple stays on cells too: a diagonal h is read off the cells of x
-(``_toral_h``), the equations are written only on the cells that x, a
-bracket or a right-hand side reaches, and only e, h and f are built as
-matrices.  ``_ad`` is the one Lie bracket: it writes the equations and
-checks the bracket relations of every triple.  Everything is exact, and
-returned values are immutable.
+The triple stays on cells too: the equations are written only on the
+cells that x, a bracket or a right-hand side reaches, and only e, h and f
+are built as matrices.  ``_ad`` is the one Lie bracket: it writes the
+equations and checks the bracket relations of every triple.  Everything
+is exact, and returned values are immutable.
 """
 
 from __future__ import annotations
@@ -273,84 +272,45 @@ def _combination(coeffs, piece, d, den=1) -> RatMatrix:
     return _matrix(d, acc, common * den)
 
 
-def _solve_h(x, xf):
-    """The h of the system [x, f] = h, [h, x] = 2x with f in span(gm) and h
-    in g0, or None if it has no solution.  ``xf`` holds the ``_brackets``
-    [X, F_k] of the gm basis, X = x.den * x.
-
-    [x, f] = h fixes h by f, and [x, f] lies in g0.  So the system is
-    [[x, f], x] = 2x in the f coefficients alone, written as
-    [X, [X, f]] = -2 x.den X.  In the system in (h, f), h unknowns first,
-    every h column is a pivot, as the basis of h is independent; its
-    reduced row echelon form therefore gives these f coefficients, free
-    ones set to 0, and h = [x, f].  Equations are written only on the
-    cells that x or a bracket reaches."""
+def _solve_h(x, piece, xf):
+    """(h, f0) with [x, f0] = h in g0, [h, x] = 2x and f0 in the span of the
+    piece's cell maps, or None; ``xf`` holds their ``_brackets`` [X, F_k],
+    X = x.den * x.  This is [X, [X, f0]] = -2 x.den X in f0 alone, on the
+    cells that x or a bracket reaches, free coefficients 0; h is that of
+    the system in (h, f0), as its h columns are all pivots."""
     if not xf:
         return None
     x_cells = _cells(x)
     ad_x = _ad(x_cells)
     rows, rhs = _equations([ad_x(b) for b in xf], {k: -2 * x.den * v for k, v in x_cells.items()})
     sol = solve_linear(rows, rhs)
-    return None if sol is None else _combination(sol, xf, x.rows, x.den)
+    if sol is None:
+        return None
+    return _combination(sol, xf, x.rows, x.den), _combination(sol, piece, x.rows)
 
 
-def _solve_f(h, piece, xf, x, eigen=True):
-    """The f in the span of the piece's cell maps with [x, f] = h and, when
-    ``eigen``, [h, f] = -2f, or None; ``xf`` holds the ``_brackets`` of the
-    piece.  For X = x.den * x and H = h.den * h the equations read
+def _solve_f(h, piece, xf, x):
+    """The f in the span of the piece's cell maps with [x, f] = h and
+    [h, f] = -2f, or None; ``xf`` holds the ``_brackets`` of the piece.
+    For X = x.den * x and H = h.den * h the equations read
     h.den [X, f] = x.den H and [H, f] + 2 h.den f = 0, written only on the
     cells that h, a piece element or a bracket reaches."""
     cols = xf if h.den == 1 else [{k: h.den * v for k, v in b.items()} for b in xf]
     h_cells = _cells(h)
     rows, rhs = _equations(cols, {k: x.den * v for k, v in h_cells.items()})
-    if eigen:
-        shifted = [
-            {k: hf.get(k, 0) + 2 * h.den * fb.get(k, 0) for k in hf.keys() | fb.keys()}
-            for fb, hf in zip(piece, map(_ad(h_cells), piece))
-        ]
-        eig_rows, eig_rhs = _equations(shifted, {})
-        rows += eig_rows
-        rhs += eig_rhs
-    sol = solve_linear(rows, rhs)
+    shifted = [
+        {k: hf.get(k, 0) + 2 * h.den * fb.get(k, 0) for k in hf.keys() | fb.keys()}
+        for fb, hf in zip(piece, map(_ad(h_cells), piece))
+    ]
+    eig_rows, eig_rhs = _equations(shifted, {})
+    sol = solve_linear(rows + eig_rows, rhs + eig_rhs)
     return None if sol is None else _combination(sol, piece, x.rows)
 
 
-def _toral_h(x):
-    """The diagonal h of every sl2-triple through x that has one, or None.
-
-    For h = diag(a), [h, x] = 2x says a_i - a_j = 2 on every cell (i, j) of
-    x.  That fixes a up to a constant on each connected component of the
-    graph that the cells of x draw on the coordinates.  x maps the
-    coordinates of a component among themselves, so the block of
-    h = [x, f] on a component is the commutator of the blocks of x and f
-    there, of trace 0, which fixes the constant.  None when two cells
-    conflict or an entry is not an integer, as the h of every sl2-triple
-    has integer eigenvalues; the caller's f solve rejects an h that no
-    triple has."""
-    d = x.rows
-    steps = [[] for _ in range(d)]
-    for i, j in x.support():
-        steps[i].append((j, -2))
-        steps[j].append((i, 2))
-    a = [None] * d
-    for root in range(d):
-        if a[root] is not None:
-            continue
-        a[root] = 0
-        component = [root]
-        for k in component:  # grows as the walk reaches new coordinates
-            for l, step in steps[k]:
-                if a[l] is None:
-                    a[l] = a[k] + step
-                    component.append(l)
-                elif a[l] != a[k] + step:
-                    return None
-        shift, rest = divmod(sum(a[k] for k in component), len(component))
-        if rest:
-            return None
-        for k in component:
-            a[k] -= shift
-    return _matrix(d, {(i, i): v for i, v in enumerate(a)})
+def _checked(x, h, f):
+    """The triple (x, h, f), or None when f is None or a relation fails."""
+    triple = Sl2Triple(x, h, f)
+    return triple if f is not None and triple.bracket_relations_hold() else None
 
 
 def adapted_sl2_triple(
@@ -358,17 +318,16 @@ def adapted_sl2_triple(
 ) -> Sl2Triple:
     """Graded sl2-triple (e=x, h, f) with e in g_n, h in g_0, f in g_-n.
 
-    A toral h (diagonal, inside g_0) is preferred when one exists, which
-    keeps reported weight vectors deterministic.  Every toral triple
-    through x has the h = diag(a) of ``_toral_h``, read off the cells of x,
-    and its f is the one element of g_-n with [x, f] = h and [h, f] = -2f.
-    So f lies on the cells of degree -n where a_i - a_j = -2, and
-    [x, f] = h is solved over the piece on those cells alone.  When that
-    fails, no triple through x has a diagonal h: [x, f0] = h, [h, x] = 2x
-    is solved over all of g_-n as one linear feasibility problem in f0
-    (``_solve_h``), and f is solved for with [h, f] = -2f adjoined.  Pieces
-    stay cell maps throughout; only e, h and f are built as matrices, and
-    the bracket relations are verified exactly every time.
+    ``_solve_h`` gives h and an f0 over g_-n.  Given x and h, f is unique:
+    the difference z of two has [x, z] = 0 and ad-h weight -2, but a vector
+    killed by x has weight >= 0.  So f0 is f when the relations hold, and
+    only otherwise is f solved for with [h, f] = -2f adjoined.  A toral
+    triple (x, diag(a), f), when one exists, is the one found, which keeps
+    reported weight vectors deterministic: ad-diag(a) grades the f0
+    system, x raising weights by 2, so the weight -2 part of f0 solves it
+    on pivot columns, where the solution is unique, and is f0; ad_x^2 is
+    injective on weight -2 (sl2 theory), so f0 = f.  The bracket
+    relations are verified exactly on every triple returned.
     """
     if n == 0:
         raise DomainError("degree", "degree must be nonzero")
@@ -382,22 +341,14 @@ def adapted_sl2_triple(
     # raises every chi-weight by n and is nilpotent
     if not alg.contains(x) or any(chi[i] - chi[j] != n for (i, j) in x.support()):
         raise DomainError("x", "x does not lie in the requested graded component")
-    minus_n = [(i, j) for i, j in _all_cells(d) if chi[i] - chi[j] == -n]
-    h = _toral_h(x)
-    if h is not None:
-        a = [h.num[i][i] for i in range(d)]
-        fs = _piece(alg, [(i, j) for i, j in minus_n if a[i] - a[j] == -2])
-        f = _solve_f(h, fs, _brackets(x, fs), x, eigen=False)
-        triple = Sl2Triple(x, h, f)
-        if f is not None and triple.bracket_relations_hold():
-            return triple
-    gm = _piece(alg, minus_n)
+    gm = _piece(alg, [(i, j) for i, j in _all_cells(d) if chi[i] - chi[j] == -n])
     xf = _brackets(x, gm)
-    h = _solve_h(x, xf)
-    f = None if h is None else _solve_f(h, gm, xf, x)
-    triple = Sl2Triple(x, h, f)
-    if f is not None and triple.bracket_relations_hold():
-        return triple
+    solved = _solve_h(x, gm, xf)
+    if solved:
+        h, f0 = solved
+        triple = _checked(x, h, f0) or _checked(x, h, _solve_f(h, gm, xf, x))
+        if triple:
+            return triple
     raise NoTriple("x", "the graded triple equations are infeasible")
 
 

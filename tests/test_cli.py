@@ -379,7 +379,8 @@ def test_triple_shapes_json_sha256(
 # sha256 of `triple --json` and `parabolic --json` for x = E_13 + E_23 of
 # degree 3 under chi = (1, 1, -2), captured while the toral h was still
 # compared with the Jordan type of x.  [h, x] = 2x has the one diagonal
-# solution (2/3, 2/3, -4/3), which is not integral, so no toral h is tried.
+# solution (2/3, 2/3, -4/3), which is not integral, so no triple has a
+# diagonal h.
 @pytest.mark.parametrize(
     "command,digest",
     [

@@ -101,6 +101,17 @@ def test_solve_linear_equals_fraction_reference(rows, data):
 
 
 @PROPERTY
+@given(integer_rows, st.integers(1, 12))
+@example([[0, -3, 6, 4], [-12, 0, 0, 5]], 6)
+@example([[0, -3], [7, 0]], 1)
+def test_text_writes_each_entry_as_its_fraction(rows, den):
+    # zeros, negative entries and entries that den divides included
+    want = ";".join(",".join(str(Fraction(x, den)) for x in row) for row in rows)
+    num = tuple(map(tuple, rows))
+    assert RatMatrix(len(num), len(num[0]), num, den)._normalized().text() == want
+
+
+@PROPERTY
 @given(rational_matrices(max_rows=5, max_cols=5), st.data())
 def test_rat_matrix_product_equals_entrywise_sums(rows, data):
     ncols = data.draw(st.integers(1, 5))

@@ -1,8 +1,10 @@
 import random
+from unittest import mock
 
 import pytest
 
-from gradedorbits.exactlin import RatMatrix, nullspace, solve_linear
+from gradedorbits import liegrade
+from gradedorbits.exactlin import RatMatrix, nullspace, parse_matrix_text, solve_linear
 from gradedorbits.liegrade import (
     BadForm,
     NonIntegralWeights,
@@ -17,7 +19,6 @@ from gradedorbits.liegrade import (
     _piece,
     _solve_f,
     _solve_h,
-    _toral_h,
     adapted_sl2_triple,
     build_algebra,
     canonical_parabolic,
@@ -46,6 +47,7 @@ from oracles import (
     standard_symplectic_form,
     subspace_in_cells_by_nullspace,
     transpose,
+    triple_f_by_full_system,
     triple_h_by_full_system,
     whole_algebra,
 )
@@ -615,29 +617,71 @@ def test_f_only_solve_and_toral_check_keep_the_triple(kind, weights, n):
     diag = tuple(_matrix(d, c) for c in _piece(alg, {(i, i) for i in range(d)}))
     for x in _random_piece_elements(alg, chi, n, 6, seed=1):
         xf = _brackets(x, gm_cells)
-        # the f-only system gives the h of the system in (h, f)
-        assert _solve_h(x, xf) == triple_h_by_full_system(x, g0, gm)
-        # the (h, f) system over the diagonal of g_0 gives the closed form
+        # the f-only system gives the h of the system in (h, f), and an f0
+        # in g_-n with [x, f0] = h
+        solved = _solve_h(x, gm_cells, xf)
+        h = triple_h_by_full_system(x, g0, gm)
+        assert (solved is None) == (h is None)
+        if solved is not None:
+            assert solved[0] == h
+            assert dense_bracket(x, solved[1]) == h
+        # the (h, f) system over the diagonal of g_0 gives the toral h; when
+        # that h has a triple, the h solve gives it, f0 included
         h = triple_h_by_full_system(x, diag, gm)
-        fixed = _toral_h(x)
-        if h is not None:
-            assert fixed == h
         f = _solve_f(h, gm_cells, xf, x) if h is not None else None
         toral = f is not None and all(sl2_relations(x, h, f))
         triple = adapted_sl2_triple(alg, chi, n, x)
         if toral:
+            assert solved == (h, f)
             assert (triple.h, triple.f) == (h, f)
         else:
             assert _off_diagonal(triple.h)
 
 
+def _routed_triple(kind, chi, n, x_text):
+    """The triple of x and the number of ``_solve_f`` calls that
+    ``adapted_sl2_triple`` made for it."""
+    alg = build_algebra(kind, len(chi))
+    x = parse_matrix_text(x_text)
+    with mock.patch.object(liegrade, "_solve_f", wraps=liegrade._solve_f) as spy:
+        triple = adapted_sl2_triple(alg, chi, n, x)
+    assert triple.bracket_relations_hold()
+    return alg, x, triple, spy.call_count
+
+
+def test_non_toral_triple_takes_f_from_the_h_solve():
+    # the f0 of the h solve is the triple's f: no f solve runs
+    _, x, triple, calls = _routed_triple(
+        "sp", (1, 0, -1, 0), 1, "0,1,0,-1;0,0,-1,0;0,0,0,0;0,0,-1,0"
+    )
+    assert calls == 0
+    assert _off_diagonal(triple.h)
+    assert triple.f.text() == "0,0,0,0;1,0,0,0;0,0,0,-1;0,0,0,0"
+
+
+def test_non_toral_triple_falls_back_to_the_eigen_solve():
+    # here f0 = E_12 - E_24 / 2 has [x, f0] = h but not [h, f0] = -2 f0, so
+    # the eigen solve finds f, the one of the full f system
+    chi, n = (1, 0, 0, -1), -1
+    alg, x, triple, calls = _routed_triple(
+        "sl", chi, n, "0,0,0,0;1,0,0,0;1,0,0,0;0,-2,2,0"
+    )
+    assert calls == 1
+    gm = graded_component(alg, chi, -n)
+    assert triple.f == triple_f_by_full_system(x, triple.h, gm)
+    assert triple.f.text() == "0,1/2,1/2,0;0,0,0,-1/4;0,0,0,1/4;0,0,0,0"
+
+
 def test_toral_h_refuses_a_non_integral_diagonal_solution():
     # on the cells of x = E_13 + E_23, [h, x] = 2x and trace 0 have the one
-    # diagonal solution h = diag(2/3, 2/3, -4/3), which no sl2-triple has
+    # diagonal solution h = diag(2/3, 2/3, -4/3), which no sl2-triple has:
+    # the (h, f) system over the diagonal has no solution, and the h found
+    # is not diagonal
     alg = build_algebra("sl", 3)
     chi = (1, 1, -2)
     x = RatMatrix.from_rows([[0, 0, 1], [0, 0, 1], [0, 0, 0]])
-    assert _toral_h(x) is None
+    diag = tuple(_matrix(3, c) for c in _piece(alg, [(i, i) for i in range(3)]))
+    assert triple_h_by_full_system(x, diag, graded_component(alg, chi, -3)) is None
     triple = adapted_sl2_triple(alg, chi, 3, x)
     assert triple.bracket_relations_hold()
     assert _off_diagonal(triple.h)
@@ -645,19 +689,16 @@ def test_toral_h_refuses_a_non_integral_diagonal_solution():
 
 def test_toral_h_centres_every_component_of_the_cells():
     # the cells (2,1) and (4,3) of the worked x lie in two components, and
-    # each block of h has trace 0; a coordinate that no cell reaches gets 0
-    assert _toral_h(WORKED_X) == RatMatrix.from_rows(
+    # each block of h has trace 0; a coordinate that no cell reaches gets 0.
+    # The h solve gives each toral triple, f included: no f solve runs.
+    _, _, triple, calls = _routed_triple("sl", WORKED_CHI, -1, WORKED_X.text())
+    assert calls == 0
+    assert triple.h == RatMatrix.from_rows(
         [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
     )
-    x = RatMatrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 3, 0]])
-    assert _toral_h(x) == RatMatrix.from_rows([[0, 0, 0], [0, -1, 0], [0, 0, 1]])
-
-
-def test_toral_h_refuses_conflicting_cells():
-    # a_1 - a_2 = a_2 - a_3 = a_1 - a_3 = 2 has no solution; no graded x has
-    # such cells, as a = 2w/n solves the cells of any x in g_n
-    x = RatMatrix.from_rows([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
-    assert _toral_h(x) is None
+    _, _, triple, calls = _routed_triple("sl", (0, -1, 1), 2, "0,0,0;0,0,0;0,3,0")
+    assert calls == 0
+    assert triple.h == RatMatrix.from_rows([[0, 0, 0], [0, -1, 0], [0, 0, 1]])
 
 
 def test_equations_only_on_reached_cells():

@@ -19,7 +19,6 @@ from gradedorbits.liegrade import (
     _matrix,
     _piece,
     _sp_in_cells,
-    _toral_h,
     adapted_sl2_triple,
     build_algebra,
     graded_component,
@@ -128,9 +127,8 @@ def graded_elements(draw):
 def test_toral_triple_equals_full_systems(case):
     # every triple has the h of the full (h, f) system over the diagonal of
     # g_0 when that gives a triple, else over all of g_0, and the f of the
-    # full f system; the diagonal system gives the closed-form h whenever it
-    # has a solution, and the f of that h is solved for on the ad-h weight
-    # -2 part of g_-n alone
+    # full f system; a toral triple comes from the h solve alone, with no
+    # f solve
     _, alg, chi, n, x = case
     d = alg.dim_ambient
     with mock.patch.object(liegrade, "_solve_f", wraps=liegrade._solve_f) as spy:
@@ -143,20 +141,8 @@ def test_toral_triple_equals_full_systems(case):
         gm_oracle = sp_in_cells_by_nullspace(standard_symplectic_form(d).num, cells)
     h_diag = triple_h_by_full_system(x, diag_basis, gm)
     f_diag = None if h_diag is None else triple_f_by_full_system(x, h_diag, gm_oracle)
-    if f_diag is not None and all(sl2_relations(x, h_diag, f_diag)):
-        h = h_diag
-    else:
-        h = triple_h_by_full_system(x, graded_component(alg, chi, 0), gm)
+    toral = f_diag is not None and all(sl2_relations(x, h_diag, f_diag))
+    h = h_diag if toral else triple_h_by_full_system(x, graded_component(alg, chi, 0), gm)
     assert (triple.h, triple.f) == (h, triple_f_by_full_system(x, h, gm_oracle))
-    fixed = _toral_h(x)
-    assert h_diag is None or h_diag == fixed
-    if fixed is None:
-        return
-    if h_diag is not None:
-        assert h == h_diag
-        # the first f solve found it: no other route ran
-        assert len(spy.call_args_list) == 1
-    first = spy.call_args_list[0]
-    a = [fixed.num[i][i] for i in range(d)]
-    assert first.kwargs == {"eigen": False}
-    assert all(a[i] - a[j] == -2 for fb in first.args[1] for i, j in fb)
+    if toral:
+        assert spy.call_count == 0
