@@ -10,9 +10,10 @@ mismatches reported by ``fibers``; 141 (128 + SIGPIPE, as for a tool
 that signal ends) when the reader of stdout closes it early, with nothing
 on stderr; 1 any other exception, a defect, reported as one
 ``internal error: <subcommand>: <type>: <message>`` line on stderr.
-A call builds the parser of the subcommand that argv[0] names, and only
-that one; the whole parser serves every other argv and any argv with
-tokens left over, so help and errors print as from the whole parser.
+An argv in canonical form (see ``_read``) is read straight from the
+``COMMANDS`` table that the parser is built from, into the namespace
+argparse would give it; every other argv, with each help and error,
+goes to the whole argparse parser, built on the first such call.
 """
 
 from __future__ import annotations
@@ -351,31 +352,21 @@ COMMANDS = {
 }
 
 
-def _fill(parser, command):
-    """The parser with --json, --quiet and the options of the subcommand."""
-    _, handler, *options = COMMANDS[command]
-    for flag, kwargs in (*_COMMON, *options):
-        parser.add_argument(flag, **kwargs)
-    parser.set_defaults(command=command, func=handler)
-    return parser
-
-
 @functools.cache
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """With a command, the parser of that subcommand alone, which prints
-    the help and errors of its subparser in the whole parser; with none,
-    the whole parser.  Each is built once per process, and each parse
-    fills a new namespace, so no option carries over from one call to the
-    next."""
-    if command is not None:
-        return _fill(argparse.ArgumentParser(prog=f"gradedorbits {command}"), command)
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built once per process for the argvs that ``_read``
+    leaves to it; each parse fills a new namespace, so no option carries
+    over from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="gradedorbits",
         description="Exact computations for cocharacter-graded classical Lie algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, *_) in COMMANDS.items():
-        _fill(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, handler, *options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kwargs in (*_COMMON, *options):
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(command=name, func=handler)
     return parser
 
 
@@ -394,23 +385,60 @@ def _attach_dash_values(argv) -> list:
     return out
 
 
-def _parse(argv):
-    """The namespace of argv from the parser of the subcommand that argv[0]
-    names.  Any other argv, and one with tokens that the subcommand does not
-    take, goes to the whole parser, which prints the top-level usage."""
-    if argv and argv[0] in COMMANDS:
-        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+def _read(argv):
+    """The namespace that the whole parser gives argv, read from ``COMMANDS``
+    without argparse when argv is in canonical form, else None.  Canonical:
+    argv[0] names a subcommand, and each later token is one of its options
+    or of ``_COMMON``, spelled in full and at most once, as ``--flag value``
+    with a value that does not start with '-', as ``--flag=value``, or as a
+    bare switch; every value passes its option's type and choices, and
+    every required option is there.  A type error that argparse reports
+    gives None, so argparse prints it."""
+    spec = COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    _, handler, *options = spec
+    table = dict((*_COMMON, *options))
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        kwargs = table.get(flag)
+        if kwargs is None or flag in values:
+            return None
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            values[flag] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("-"):
+                return None
+        convert = kwargs.get("type")
+        try:
+            value = text if convert is None else convert(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        values[flag] = value
+    namespace = argparse.Namespace(command=argv[0], func=handler)
+    for flag, kwargs in table.items():
+        if flag not in values and kwargs.get("action") != "store_true":
+            return None
+        setattr(namespace, flag[2:].replace("-", "_"), values.get(flag, False))
+    return namespace
 
 
 def run(argv=None) -> int:
     argv = _attach_dash_values(sys.argv[1:] if argv is None else argv)
-    try:
-        args = _parse(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _read(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except DomainError as exc:

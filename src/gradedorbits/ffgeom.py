@@ -91,7 +91,7 @@ def _grassmannian(rows, p, k, heads):
             span = [tuple(rows[q])]
             for c in range(m - 1, q, -1):
                 if c not in lead:
-                    span += [tuple((s + a * t) % p for s, t in zip(v, rows[c]))
+                    span += [tuple([(s + a * t) % p for s, t in zip(v, rows[c])])
                              for a in range(1, p) for v in span]
             choices.append(span)
         yield from itertools.product(*choices)
@@ -136,9 +136,9 @@ def _extend(basis, v, p):
     lead = v.index(first)
     if first != 1:
         inverse = pow(first, -1, p)
-        v = tuple(a * inverse % p for a in v)
+        v = tuple([a * inverse % p for a in v])
     rows = [
-        tuple((a - row[lead] * b) % p for a, b in zip(row, v)) if row[lead] else row
+        tuple([(a - row[lead] * b) % p for a, b in zip(row, v)]) if row[lead] else row
         for row in basis
     ]
     rows.append(v)
@@ -253,10 +253,11 @@ def _sweep(p, d, k, form, elements, condition_sets):
     is tested once per pattern.  An x that is zero mod p gives them all
     ``ZERO_FACTS``, counted by the Gaussian binomial; any other x visits
     only its stable subspaces (``stable_subspaces``), whose dim x(V)
-    decides ``sub-nonzero``.  im x lies in no V when rank x > k and in V
-    when dim x(V) = rank x; otherwise V reduces it.  A form is read on
-    lines only (k = 1, ``_middle_zero``), and the perp of every counted
-    line is checked to be x-stable too, else NotStableUnderForm.
+    decides ``sub-nonzero``.  im x lies in no V when rank x > k, and when
+    rank x = k only in V = im x, whose echelon basis is compared with V's;
+    below k it lies in V when dim x(V) = rank x, else V reduces it.  A form
+    is read on lines only (k = 1, ``_middle_zero``), and the perp of every
+    counted line is checked to be x-stable too, else NotStableUnderForm.
     """
     _check_bounds(p, d, k)
     quot_needed = "quot-nonzero" in set().union(*condition_sets)
@@ -269,11 +270,14 @@ def _sweep(p, d, k, form, elements, condition_sets):
             if form is not None and k != 1:
                 raise ValueError(f"a form is read on lines only, got k = {k}")
             columns = list(zip(*x))
-            image = _echelon(columns, p) if quot_needed else ()
+            image = tuple(_echelon(columns, p)) if quot_needed else ()
             tally = Counter()
             for basis, rank in stable_subspaces(x, p, k).items():
-                quot = quot_needed and (len(image) > k or rank < len(image) and any(
-                    a % p for row in image for a in _reduce(row, basis)))
+                if len(image) < k:  # as image is () when quot is not needed
+                    quot = rank < len(image) and any(
+                        a % p for row in image for a in _reduce(row, basis))
+                else:
+                    quot = len(image) > k or basis != image
                 middle = form_columns and _middle_zero(basis[0], form_columns, columns, p)
                 tally[rank > 0, quot, middle] += 1
         counts.append([0] * len(condition_sets))

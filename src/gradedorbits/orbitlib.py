@@ -32,7 +32,11 @@ The orbit count of a chain is the number of interval multisets with its
 block dimension vector (the Kostant partition function of A_k).  Each
 chain is listed up to one multiset more than the orbit bound leaves room
 for, and keeps only as many as the cell bound could print at this d, so
-no row is built before the count is known.  ``tests/oracles.py``
+no row is built before the count is known.  A multiset is walked and
+held as its distinct segments with their multiplicities, at most
+k(k + 1)/2 of them for a chain of k positions, so the cost of listing it
+does not grow with the block sizes; only the rows, potentials and
+labels of a kept multiset expand the multiplicities.  ``tests/oracles.py``
 keeps the solver route (the rank of ad x on g_0, and the sl2-triple with
 the canonical parabolic) as the oracle these formulas are tested against.
 """
@@ -169,7 +173,8 @@ def _chains(blocks, step):
 
 def _segment_starts(a, remaining):
     """Each way to start segments at position a, the first position that
-    ``remaining`` still has to cover: (segments, what is left to cover).
+    ``remaining`` still has to cover: (segments, what is left to cover),
+    the segments as ((a, b), multiplicity) pairs by increasing b.
 
     All remaining[a] coverings of position a start there.  The number of
     them that run on through position i can only fall as i grows and is at
@@ -183,7 +188,9 @@ def _segment_starts(a, remaining):
     def rec(i, running, segments):
         top = min(running, remaining[i]) if i < k else 0
         for through in range(top + 1):
-            ended = segments + ((a, i - 1),) * (running - through)
+            ended = segments
+            if running > through:  # that many end at position i - 1
+                ended += (((a, i - 1), running - through),)
             if not through:
                 yield ended, tuple(left)
                 continue
@@ -196,9 +203,10 @@ def _segment_starts(a, remaining):
 
 def _interval_multisets(dims):
     """Each multiset of intervals [a, b] covering position i exactly dims[i]
-    times, as a lexicographically sorted tuple of intervals.  Every choice of
-    ``_segment_starts`` completes, so each multiset costs one walk down the
-    positions."""
+    times, as a lexicographically sorted tuple of its distinct intervals
+    with their multiplicities, ((a, b), m): at most k(k + 1) / 2 entries for
+    k positions, whatever the dims.  Every choice of ``_segment_starts``
+    completes, so each multiset costs one walk down the positions."""
 
     def rec(a, remaining):
         while a < len(remaining) and not remaining[a]:
@@ -264,20 +272,22 @@ def _chain_orbits(chain, multisets, blocks, n, row_text):
         labelled = []
         rows = []
         potentials = []
-        for a, b in multiset:
+        for (a, b), m in multiset:
             lo, hi = chain[a] + 1, chain[b] + 1
-            labelled.append(((lo, hi), f"[{lo}-{hi}]" if a != b else f"[{lo}]"))
+            labelled += [((lo, hi), f"[{lo}-{hi}]" if a != b else f"[{lo}]")] * m
             phi = -sign * (2 * blocks[chain[a]][0] + (b - a) * n)
-            u = None
-            for pos in range(a, b + 1):
-                v = coords_at[pos][used[pos]]
-                used[pos] += 1
-                potentials.append((v, phi))
-                if u is not None:  # x e_u = e_v puts the 1 of row v in column u
-                    rows.append((v, row_text[u]))
-                u = v
-        # Hom([a, b], [c, e]) is 1 exactly when c <= a <= e <= b
-        hom = len([1 for a, b in multiset for c, e in multiset if c <= a <= e <= b])
+            for _ in range(m):
+                u = None
+                for pos in range(a, b + 1):
+                    v = coords_at[pos][used[pos]]
+                    used[pos] += 1
+                    potentials.append((v, phi))
+                    if u is not None:  # x e_u = e_v puts the 1 of row v in column u
+                        rows.append((v, row_text[u]))
+                    u = v
+        # Hom([a, b], [c, e]) is 1 exactly when c <= a <= e <= b, for each
+        # of the m x m2 pairs of their copies
+        hom = sum(m * m2 for (a, b), m in multiset for (c, e), m2 in multiset if c <= a <= e <= b)
         out.append((labelled, rows, potentials, hom))
     return out
 

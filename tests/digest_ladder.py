@@ -9,7 +9,9 @@ print the same bytes:
 The ladder is every operation of the four benchmark workloads of
 ``perfbench/workloads.py`` for seeds 1-10, ``orbits`` for n = 1..12 in sl
 and sp, and ``graded-orbits`` at and past its bounds, each with and without
-``--json``.  Every call runs in-process through ``gradedorbits.cli.run`` of
+``--json``; then one call of each subcommand in the spellings that
+``spellings`` lists, those that the reader of ``cli.COMMANDS`` takes and
+those that go to argparse, with its errors and help.  Every call runs in-process through ``gradedorbits.cli.run`` of
 the checkout this file lives in.  Standard library only; pytest does not
 collect it.
 """
@@ -35,7 +37,9 @@ SEEDS = range(1, 11)
 # chain of 201 weights (2^200 orbits); four blocks of 300 in one chain
 # (refused); two chains of 89 x 112 = 9,968 orbits (listed) and of
 # 60 x 167 = 10,020 (refused), where only the product decides; d = 2300 and
-# 2301 in degree 1, at and past the most cells printed; and d = 1
+# 2301 in degree 1, at and past the most cells printed; d = 1; and the
+# chain of blocks 26,000, 36 and 26,000 (refused), about the longest
+# --cochar that one shell argument of 128 KiB holds
 BOUND_CASES = (
     ([3] * 2 + [2] * 2 + [1] * 5 + [0] * 4 + [-1] * 5 + [-2] * 5, -1),
     ([3] + [2] * 7 + [1] * 4 + [0] * 3 + [-1] * 7 + [-2] * 7, -1),
@@ -49,6 +53,22 @@ BOUND_CASES = (
     ([0] * 2300, 1),
     ([0] * 2301, 1),
     ([0], 1),
+    ([1] * 26000 + [0] * 36 + [-1] * 26000, -1),
+)
+
+SL_X = "0,0,0,0;1,0,0,0;0,0,0,0;0,0,1,0"
+# one call of each subcommand: its options with their values, and switches
+SPELLED_CALLS = (
+    ("orbits", [("--type", "sp"), ("--n", "4")], []),
+    ("graded-orbits", [("--cochar", "1,1,0,-1,-1"), ("--degree", "-1")], []),
+    ("grading", [("--type", "sp"), ("--d", "4"), ("--cochar", "-1,0,1,0"), ("--degree", "1")], []),
+    ("triple", [("--type", "sl"), ("--d", "4"), ("--cochar", "1,0,0,-1"), ("--x", SL_X),
+                ("--degree", "-1")], []),
+    ("parabolic", [("--type", "sl"), ("--d", "4"), ("--cochar", "1,0,0,-1"), ("--x", SL_X),
+                   ("--degree", "-1")], []),
+    ("primes", [("--type", "sl"), ("--n", "6")], []),
+    ("fibers", [("--case", "sl4"), ("--primes", "2,3")], []),
+    ("stalks", [("--case", "sp4"), ("--char", "2")], ["--allow-char-2"]),
 )
 
 
@@ -65,6 +85,37 @@ def ladder():
         yield ["graded-orbits", "--cochar", ",".join(map(str, weights)), "--degree", str(degree)]
 
 
+def spellings(command, pairs, switches):
+    """The call in canonical form, =-joined and in reverse order, and then
+    spelled so that argparse parses it (an abbreviated option, a repeated
+    option or switch) or rejects it: a missing option, each value replaced
+    by x, an unknown option, a stray token, an option without its value, a
+    bare ``--c`` (ambiguous where two options start so), a switch with a
+    value, ``--``, and an option before the subcommand; and ``-h`` after
+    the options."""
+    flat = [token for pair in pairs for token in pair]
+    call = [command, *flat, *switches]
+    longest = max(range(len(pairs)), key=lambda i: len(pairs[i][0]))
+    abbreviated = [(f[:-1] if i == longest else f, v) for i, (f, v) in enumerate(pairs)]
+    yield call
+    yield [command, *(f"{flag}={value}" for flag, value in pairs), *switches]
+    yield [command, *switches, *(token for pair in reversed(pairs) for token in pair)]
+    yield [command, *(token for pair in abbreviated for token in pair), *switches]
+    yield call + list(pairs[0])
+    yield call + ["--json", "--json"]
+    yield [command, *flat[:-2], *switches]
+    for i in range(len(pairs)):
+        yield [command, *flat[: 2 * i + 1], "x", *flat[2 * i + 2 :], *switches]
+    yield call + ["--bogus"]
+    yield call + ["stray"]
+    yield call + [pairs[0][0]]
+    yield call + ["--c"]
+    yield call + ["--json=1"]
+    yield call + ["--", "--json"]
+    yield ["--json", *call]
+    yield call + ["-h"]
+
+
 def digest_line(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -77,6 +128,9 @@ def main() -> None:
     for argv in ladder():
         for extra in ([], ["--json"]):
             print(digest_line(argv + extra), flush=True)
+    for spelled in SPELLED_CALLS:
+        for argv in spellings(*spelled):
+            print(digest_line(argv), flush=True)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """The bytes and the exit code of argparse's help and error paths of
 ``cli.run``, at an 80-column terminal: the top-level and every
 subcommand's --help, and the argvs that argparse rejects before any
-subcommand runs."""
+subcommand runs; and the argparse parsers that a call builds: none for
+an accepted call, the whole parser for a help."""
 
 import argparse
 import hashlib
@@ -92,8 +93,8 @@ def test_help_and_error_bytes(capsys, monkeypatch, argv, code, out_digest, err_d
 
 
 def parsers_built(monkeypatch, capsys, argv) -> int:
-    """The number of ``argparse.ArgumentParser`` objects that ``cli.run``
-    constructs for argv with no parser cached."""
+    """The exit code of ``cli.run(argv)`` and the number of
+    ``argparse.ArgumentParser`` objects it constructs with no parser cached."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -103,24 +104,37 @@ def parsers_built(monkeypatch, capsys, argv) -> int:
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli.build_parser.cache_clear()
-    cli.run(argv)
+    code = cli.run(argv)
     capsys.readouterr()
-    return len(built)
+    return code, len(built)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["primes", "--type", "sl", "--n", "3"],
-        ["triple", "--type", "sl", "--d", "2", "--cochar", "1,-1", "--x", "0,1;0,0", "--degree", "2"],
-        ["orbits", "--help"],
-    ],
-    ids=["primes", "triple", "orbits-help"],
-)
-def test_a_subcommand_call_builds_one_parser(monkeypatch, capsys, argv):
-    assert parsers_built(monkeypatch, capsys, argv) == 1
+X = "0,1;0,0"
+# one accepted call of each subcommand, which is read from ``cli.COMMANDS``
+# without argparse, and a help, which needs the whole parser
+CALLS = [
+    ("orbits", ["orbits", "--type", "sl", "--n", "3"], 0),
+    ("graded-orbits", ["graded-orbits", "--cochar=1,0,-1", "--degree", "1", "--json"], 0),
+    ("grading", ["grading", "--type", "sp", "--d", "2", "--cochar", "-1,1", "--degree", "2"], 0),
+    ("triple", ["triple", "--type", "sl", "--d", "2", "--cochar", "1,-1", "--x", X, "--degree", "2"], 0),
+    ("parabolic", ["parabolic", "--quiet", "--type=sl", "--d=2", "--cochar=1,-1", f"--x={X}",
+                   "--degree=2"], 0),
+    ("primes", ["primes", "--type", "sl", "--n", "3"], 0),
+    ("fibers", ["fibers", "--case", "sp4", "--primes", "2"], 0),
+    ("stalks", ["stalks", "--case", "sl4", "--char", "2", "--allow-char-2"], 0),
+    ("orbits-help", ["orbits", "--help"], 1 + len(cli.COMMANDS)),
+]
+
+
+@pytest.mark.parametrize("argv,built", [c[1:] for c in CALLS], ids=[c[0] for c in CALLS])
+def test_parsers_built_by_a_call(monkeypatch, capsys, argv, built):
+    assert parsers_built(monkeypatch, capsys, argv) == (0, built)
+
+
+def test_calls_cover_every_subcommand():
+    assert [c[0] for c in CALLS[:-1]] == list(cli.COMMANDS)
 
 
 def test_the_top_level_help_builds_the_whole_parser(monkeypatch, capsys):
-    assert parsers_built(monkeypatch, capsys, ["--help"]) == 1 + len(cli.COMMANDS)
+    assert parsers_built(monkeypatch, capsys, ["--help"]) == (0, 1 + len(cli.COMMANDS))
 

@@ -14,7 +14,9 @@ parabolic, fibers and stalks is checked from the definitions, and that of
 primes from closed forms.
 A second property draws only well-formed
 triple and parabolic argvs with a nonzero x in g_n: by graded
-Jacobson-Morozov each has a graded sl2-triple, so each must exit 0."""
+Jacobson-Morozov each has a graded sl2-triple, so each must exit 0.
+A third draws the spellings of each subcommand's options, canonical and
+not, and checks the reader of ``cli.COMMANDS`` against argparse."""
 
 import contextlib
 import functools
@@ -526,5 +528,93 @@ def test_graded_nilpotent_exits_0_with_a_checked_payload(command):
     @given(graded_nilpotent_argv(command))
     def check(argv):
         PAYLOAD_CHECKS[command](argv, json_payload(argv))
+
+    check()
+
+
+# per option: values that its type and choices accept, and values they
+# reject; a value that starts with '-' and a digit reaches the reader
+# joined to its flag by ``_attach_dash_values``
+GOOD_BAD = {
+    "--type": (["sl", "sp"], ["so", "SL"]),
+    "--n": (["3", "12"], ["x", "1.5"]),
+    "--degree": (["1", "-1", "-2"], ["1.5", ""]),
+    "--cochar": (["1,0,-1", "-1,1", "0"], ["1,x", ""]),
+    "--d": (["2", "48"], ["0", "49", "x"]),
+    "--x": (["0,1;0,0", "-1,0;0,1"], ["x", "1;;0"]),
+    "--case": (["sp4", "sl4"], ["so5"]),
+    "--primes": (["2,3", "127"], ["4", "2,2", "131"]),
+    "--char": (["0", "3"], ["4", "-3"]),
+}
+# ways to take an argv out of canonical form
+MUTATIONS = ["abbreviate", "repeat", "switch=", "dash", "--", "help", "missing", "bad",
+             "before", "command"]
+
+
+@st.composite
+def spelled_argv(draw, command):
+    """(argv, canonical): command and each of its required options, with a
+    value its type accepts as ``--flag value`` or ``--flag=value``, and a
+    drawn subset of its switches, in a drawn order; with up to two
+    ``MUTATIONS`` applied, after which the argv is not canonical."""
+    _, _, *options = cli.COMMANDS[command]
+    switches = {f for f, kwargs in (*cli._COMMON, *options) if kwargs.get("action") == "store_true"}
+    flags = [f for f, _ in (*cli._COMMON, *options) if f not in switches or draw(st.booleans())]
+    groups = []  # the tokens of each option
+    for flag in draw(st.permutations(flags)):
+        if flag in switches:
+            groups.append([flag])
+        else:
+            value = draw(st.sampled_from(GOOD_BAD[flag][0]))
+            groups.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    head = [command]
+    mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=2))
+    for mutation in mutations:
+        valued = [g for g in groups if g[0].partition("=")[0] not in switches]
+        group = draw(st.sampled_from(valued))
+        flag = group[0].partition("=")[0]
+        if mutation == "abbreviate":
+            short = flag[: draw(st.integers(3, len(flag) - 1))] if len(flag) > 3 else "--"
+            group[0] = group[0].replace(flag, short, 1)
+        elif mutation == "repeat":
+            groups.insert(draw(st.integers(0, len(groups))), list(group))
+        elif mutation == "switch=":
+            groups.append([draw(st.sampled_from(sorted(switches))) + "=" + draw(st.sampled_from(["", "1"]))])
+        elif mutation in ("dash", "bad"):
+            value = "-a" if mutation == "dash" else draw(st.sampled_from(GOOD_BAD[flag][1]))
+            group[:] = [flag, value] if mutation == "dash" or draw(st.booleans()) else [f"{flag}={value}"]
+        elif mutation in ("--", "help"):
+            token = "--" if mutation == "--" else draw(st.sampled_from(["-h", "--help"]))
+            groups.insert(draw(st.integers(0, len(groups))), [token])
+        elif mutation == "missing":
+            groups.remove(group)
+        elif mutation == "before":
+            head = [draw(st.sampled_from(sorted(switches)))] + head
+        else:
+            head = [draw(st.sampled_from(["", "orbit", "Primes", "--type"]))]
+    return head + [token for group in groups for token in group], not mutations
+
+
+def parsed_by_argparse(argv):
+    """The namespace of the whole parser, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_the_reader_agrees_with_argparse(command):
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(spelled_argv(command))
+    def check(drawn):
+        argv, canonical = drawn
+        argv = cli._attach_dash_values(argv)
+        read = cli._read(argv)
+        assert (read is not None) == canonical, argv
+        if read is not None:
+            parsed = parsed_by_argparse(argv)
+            assert parsed is not None and vars(read) == vars(parsed), argv
 
     check()

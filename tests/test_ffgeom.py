@@ -520,19 +520,20 @@ def single_fact_counts(x, p, k, form, facts):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_each_fact_of_a_nonzero_element_matches_oracle(k):
     """sub-nonzero and quot-nonzero alone, with no form, on conjugated
-    Jordan matrices of rank at most k and of rank above k, where
-    quot-nonzero holds with no reduction; a wrong pattern key or rank
-    shortcut then cannot hide behind another fact of its stratum."""
+    Jordan matrices of rank below k, of rank k, where quot-nonzero compares
+    the echelon bases of V and im x, and of rank above k, where it holds
+    with no reduction; a wrong pattern key or rank shortcut then cannot
+    hide behind another fact of its stratum."""
     rng = random.Random(f"ffgeom-facts:{k}")
     shapes = [[2, 1, 1], [2, 2], [3, 1], [4]] + ([[5]] if k == 3 else [])
-    above = set()
+    ranks = set()
     for parts in shapes:
         x = conjugate(rng, jordan_matrix(Partition.of(parts))).num
-        above.add(len(x) - len(parts) > k)
+        ranks.add(len(x) - len(parts))
         for p in (2, 3, 5):
             swept, oracle = single_fact_counts(x, p, k, None, ("sub-nonzero", "quot-nonzero"))
             assert swept == oracle, (parts, p)
-    assert above == {False, True}
+    assert k in ranks and max(ranks) > k and (k == 1 or min(ranks) < k)
 
 
 @pytest.mark.parametrize("monomial", [True, False])

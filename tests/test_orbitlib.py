@@ -346,6 +346,31 @@ def test_orbit_count_work_is_bounded(deadline, no_rows_built):
     assert no_rows_built == [MAX_GRADED_ORBITS + 1]
 
 
+def test_refusal_work_does_not_grow_with_the_block_sizes(monkeypatch):
+    # one chain of blocks b, 36, b in degree -1 has C(39, 3) = 9,139 orbits
+    # for every b >= 36 (the counts of [1, 2], [1, 3], [2, 3] and [2] sum
+    # to 36), too many cells to print at d = 2b + 36.  Each multiset lists
+    # its distinct segments with their multiplicities, so the segment
+    # entries built are the same at d = 40,036 and at d = 200,036
+    listing = orbitlib._interval_multisets
+    entries = []
+
+    def counted(dims):
+        for multiset in listing(dims):
+            entries.append(len(multiset))
+            yield multiset
+
+    monkeypatch.setattr(orbitlib, "_interval_multisets", counted)
+    built = []
+    for b in (20_000, 100_000):
+        entries.clear()
+        with pytest.raises(TooManyOrbits, match=f"9139 orbit.s. of {2 * b + 36}x"):
+            graded_orbit_reps_typeA((1,) * b + (0,) * 36 + (-1,) * b, -1)
+        built.append((len(entries), sum(entries)))
+    assert built[0] == built[1]
+    assert built[0][0] == 9_139 and built[0][1] <= 6 * 9_139
+
+
 def test_refused_listing_keeps_no_unprintable_multiset():
     # four blocks of 300 at d = 1,200: 3 orbits at most could be printed, so
     # the 10,001 multisets listed before the refusal are counted, not kept
