@@ -1,22 +1,20 @@
 """Flag enumeration over prime fields.
 
 Every fiber description shipped with a case is independently verified by
-counting flags over F_p.  For each (case, prime) and each orbit
-representative x, only the x-stable k-subspaces of F_p^d are visited,
-each built once while k <= 3: those inside ker x as the Grassmannian of
-ker x, and every other one from a stable hyperplane U and a line of
-x^-1(U) / U that x maps outside x(U) (``stable_subspaces``).  The sweep
-tallies them by fact pattern and tests each stratum once per pattern;
-an x that is zero mod p gives all of them one pattern, counted by the
-Gaussian binomial.  The facts are read off the enumeration with no
-elimination per subspace: each V comes with dim x(V), so x vanishes on V
-when that is 0, and the perp of a line <v> under a form B is the kernel
-of the one row v^T B, written down from its first nonzero entry.  The
-counts are compared against evaluated counting polynomials (with a
-residue-class rule for the one stratum pair defined over a quadratic
-extension).  An independent exhaustive per-stratum sweep of
-the Grassmannian with generic elimination lives in ``tests/oracles.py``,
-and the tests compare the two.
+counting flags over F_p.  For each (case, prime) and orbit representative
+x, the sweep tallies the x-stable k-subspaces by fact pattern and tests
+each stratum once per pattern.  Those inside ker x differ only in whether
+they hold im x, and under a form in whether they lie in a small subspace
+W, so they are counted by Gaussian binomials; every other one is built
+once while k <= 3, from a stable hyperplane U and a line of x^-1(U) / U
+that x maps outside x(U) (``_beyond_kernel``).  An x that is zero mod p
+gives every subspace one pattern.  No subspace takes an elimination: each
+V comes with dim x(V), and the perp of a line <v> under a form B is the
+kernel of the one row v^T B.  The counts are compared against evaluated
+counting polynomials (with a residue-class rule for the one stratum pair
+defined over a quadratic extension).  An independent exhaustive
+per-stratum sweep of the Grassmannian with generic elimination lives in
+``tests/oracles.py``, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -37,8 +35,8 @@ class NotStableUnderForm(ValueError):
     pass
 
 
-# in-process, fibers at p = 127 takes about 0.36 s for sl4 and 0.25 s for
-# sp4, and over every prime up to 127 about 3.3 and 1.8 s (see the README)
+# in-process, fibers at p = 127 takes about 0.12 s for sl4 and 2.5 ms for
+# sp4, and over every prime up to 127 about 1.2 and 0.03 s (see the README)
 MAX_PRIME = 127
 MAX_DIM = 6
 
@@ -102,19 +100,15 @@ def _quotient(basis, rank, table, kernel, p):
     columns of the reduced echelon ``basis`` of U, rank = dim x(U), whose
     first ``heads`` rows span a complement of (U + ker x) / U, the part
     that x maps into x(U); heads = 0 when U ∩ im x = x(U).  Reducing
-    (u | 0) by the ``table`` of ``stable_subspaces`` leaves u mod im x in
+    (u | 0) by the ``table`` of ``_beyond_kernel`` leaves u mod im x in
     the first half and minus a preimage of the rest in the second, so the
     combinations of U's rows that vanish in the first half span U ∩ im x,
-    and the same ones of the second halves preimages of it.  When the
-    first halves lead in distinct columns no combination vanishes, and
-    U ∩ im x = 0 = x(U) with no elimination.  Each vector of a subspace
-    leads at a pivot of its echelon basis, so the echelon rows of the
-    whole that lead elsewhere than the part's span a complement."""
+    and the same ones of the second halves preimages of it.  Each vector
+    of a subspace leads at a pivot of its echelon basis, so the echelon
+    rows of the whole that lead elsewhere than the part's span a
+    complement."""
     d = len(table[0]) // 2
     rows = [_reduce(u + (0,) * d, table) for u in basis]
-    leads = {next((i for i, a in enumerate(row[:d]) if a % p), d) for row in rows}
-    if d not in leads and len(leads) == len(rows):
-        return (), 0
     meets = nullspace(list(zip(*(row[:d] for row in rows))), p)
     if len(meets) == rank:
         return (), 0
@@ -147,38 +141,48 @@ def _extend(basis, v, p):
     return tuple(rows)
 
 
-def stable_subspaces(x_rows, p: int, k: int) -> dict:
-    """The k-subspaces V of F_p^d stable under x, for an x that is
-    nilpotent mod p: {basis: dim x(V)}, one reduced-row-echelon basis each,
-    rows with entries in [0, p).
-
-    x is nilpotent on a stable V, so V has a complete flag of stable
-    subspaces, and level j + 1 joins two parts.  The (j+1)-subspaces of
-    ker x come once each from the Grassmannian of ker x.  Any other stable
-    V is U + <v> for a stable j-subspace U and a line of x^-1(U) / U with
-    x v outside x(U) (``_quotient``); U is skipped when there is none.  So
-    V is reached once for each hyperplane of V / (x V + V ∩ ker x), whose
+def _beyond_kernel(x_rows, p: int, k: int):
+    """(kernel, image, meet, beyond) for an x nilpotent mod p: the reduced
+    echelon bases of ker x, im x and ker x ∩ im x, and {basis: dim x(V)}
+    for the x-stable k-subspaces V outside ker x, rows in [0, p).  Such a
+    V is U + <v> for a stable hyperplane U and a line of x^-1(U) / U with
+    x v outside x(U) (``_quotient``), none when U ∩ im x = x(U).  Stable
+    lines lie in ker x, so the planes come from the lines of ker x ∩ im x
+    and larger V from every stable (k-1)-subspace (``stable_subspaces``).
+    V is reached once per hyperplane of V / (x V + V ∩ ker x), whose
     dimension is the number of Jordan blocks of x on V of size at least 2:
-    exactly once while dim V <= 3.  For the larger V each level keeps each
-    span once, keyed by its echelon basis.  dim x(V) is 0 on ker x and
-    dim x(U) + 1 for U + <v>, since x v lies outside x(U)."""
+    once while dim V <= 3, and past that each span is kept once."""
     d = len(x_rows)
     _check_bounds(p, d, k)
     # (x a | a) for a = e_1, ..., e_d in echelon form: (b | a) with x a = b
     # for b in the echelon basis of im x, then (0 | a) for one of ker x
     units = [(0,) * c + (1,) + (0,) * (d - c - 1) for c in range(d)]
     table = _echelon([col + unit for col, unit in zip(zip(*x_rows), units)], p)
+    image = tuple(row[:d] for row in table if any(row[:d]))
     kernel = [row[d:] for row in table if not any(row[:d])]
-    level = {(): 0}
-    for j in range(k):
-        found = dict.fromkeys(_grassmannian(kernel, p, j + 1, len(kernel)), 0)
-        for basis, rank in level.items():
-            rows, heads = _quotient(basis, rank, table, kernel, p)
-            if heads:
-                for (v,) in _grassmannian(rows, p, 1, heads):
-                    found.setdefault(_extend(basis, v, p), rank + 1)
-        level = found
-    return level
+    # (b | b) for b in im x and (a | 0) for a in ker x: the combinations
+    # that vanish in the first half are (0 | v) for v in ker x ∩ im x
+    both = _echelon([b + b for b in image] + [a + (0,) * d for a in kernel], p)
+    meet = [row[d:] for row in both if not any(row[:d])]
+    if k > 2:
+        bases = stable_subspaces(x_rows, p, k - 1).items()
+    else:
+        bases = zip(_grassmannian(meet, p, 1, len(meet)) if k == 2 else (), itertools.repeat(0))
+    beyond = {}
+    for basis, rank in bases:
+        rows, heads = _quotient(basis, rank, table, kernel, p)
+        if heads:
+            for (v,) in _grassmannian(rows, p, 1, heads):
+                beyond.setdefault(_extend(basis, v, p), rank + 1)
+    return kernel, image, meet, beyond
+
+
+def stable_subspaces(x_rows, p: int, k: int) -> dict:
+    """The k-subspaces V of F_p^d stable under x, for an x that is
+    nilpotent mod p: {basis: dim x(V)}, one reduced echelon basis each with
+    entries in [0, p): the Grassmannian of ker x and ``_beyond_kernel``."""
+    kernel, _, _, beyond = _beyond_kernel(x_rows, p, k)
+    return {**dict.fromkeys(_grassmannian(kernel, p, k, len(kernel)), 0), **beyond}
 
 
 def _matmul(a_rows, b_rows, cols: int) -> tuple:
@@ -213,14 +217,10 @@ def _middle_zero(v, form_columns, columns, p):
     """Whether x maps the perp of the line <v> under a form B into <v>,
     from the columns of B and of x.  The perp is the kernel of a = v^T B:
     for j the first nonzero entry of a, it is spanned by e_c - (a_c / a_j)
-    e_j over every c (by every e_c if a = 0).  It is x-stable exactly when
-    a x is a multiple of a, and a failure raises NotStableUnderForm."""
+    e_j over every c (by every e_c if a = 0)."""
     a = [sum(map(mul, v, col)) % p for col in form_columns]
     j = next((c for c, b in enumerate(a) if b), 0)
     ratio = pow(a[j], -1, p) if a[j] else 0
-    ax = [sum(map(mul, a, col)) for col in columns]
-    if any((b - ax[j] * ratio * s) % p for b, s in zip(ax, a)):
-        raise NotStableUnderForm("perp of a stable subspace failed to be stable")
     # x (e_c - (a_c / a_j) e_j) less the multiple of v that clears the lead
     # of v is zero for every c, column by column, up to the first failure
     lead, xj = v.index(1), columns[j]
@@ -231,6 +231,24 @@ def _middle_zero(v, form_columns, columns, p):
             if (t - c * u - f * w) % p:
                 return False
     return True
+
+
+def _form_lines(x, kernel, image, form_rows, p):
+    """{basis: 0} for the lines <v> of ker x whose perp under the form B
+    x can map into <v>: those of W = {v in ker x : v^T B w = 0 for w in
+    ker x}, and im x if it is a line.  If x maps H = ker(v^T B) into <v>
+    and ker x ⊄ H, then im x = x(H) ⊆ <v>; else v ∈ W.  Raises
+    NotStableUnderForm unless w^T B x = 0 for w in ker x, which
+    x^T B + B x = 0 implies and which makes every such perp x-stable."""
+    d = len(x)
+    if any(a % p for row in _matmul(_matmul(kernel, form_rows, d), x, d) for a in row):
+        raise NotStableUnderForm("perp of a stable subspace failed to be stable")
+    # the rows (B w)^T, whose common kernel in ker x is W
+    w_rows = _echelon(nullspace([*x, *_matmul(kernel, tuple(zip(*form_rows)), d)], p), p)
+    lines = dict.fromkeys(_grassmannian(w_rows, p, 1, len(w_rows)), 0)
+    if len(image) == 1:
+        lines.setdefault(image, 0)
+    return lines
 
 
 # the fact pattern (sub-nonzero, quot-nonzero, middle-zero) of every
@@ -251,16 +269,16 @@ def _sweep(p, d, k, form, elements, condition_sets):
     if there is one (``_validate_element`` checks that over Z).  Each x
     tallies its stable subspaces by fact pattern, and each condition set
     is tested once per pattern.  An x that is zero mod p gives them all
-    ``ZERO_FACTS``, counted by the Gaussian binomial; any other x visits
-    only its stable subspaces (``stable_subspaces``), whose dim x(V)
-    decides ``sub-nonzero``.  im x lies in no V when rank x > k, and when
-    rank x = k only in V = im x, whose echelon basis is compared with V's;
-    below k it lies in V when dim x(V) = rank x, else V reduces it.  A form
-    is read on lines only (k = 1, ``_middle_zero``), and the perp of every
-    counted line is checked to be x-stable too, else NotStableUnderForm.
+    ``ZERO_FACTS``, counted by the Gaussian binomial.  For any other x, of
+    rank r, the [n, k]_p k-subspaces of ker x, n = dim ker x, are counted:
+    those holding im x, [n - r, k - r]_p when im x ⊆ ker x and r <= k,
+    have x = 0 on F_p^d / V.  The others come from ``_beyond_kernel``: im x
+    lies in no V when r > k, when r = k only in V = im x (compared by
+    echelon bases), and below k in V when dim x(V) = r, else V reduces it.
+    A form is read on lines only (k = 1): ``_middle_zero`` decides those
+    of ``_form_lines``, and the others have the pattern (False, True, False).
     """
     _check_bounds(p, d, k)
-    quot_needed = "quot-nonzero" in set().union(*condition_sets)
     form_columns = list(zip(*form.num)) if form is not None else None
     counts = []
     for x in elements:
@@ -270,10 +288,17 @@ def _sweep(p, d, k, form, elements, condition_sets):
             if form is not None and k != 1:
                 raise ValueError(f"a form is read on lines only, got k = {k}")
             columns = list(zip(*x))
-            image = tuple(_echelon(columns, p)) if quot_needed else ()
-            tally = Counter()
-            for basis, rank in stable_subspaces(x, p, k).items():
-                if len(image) < k:  # as image is () when quot is not needed
+            kernel, image, meet, listed = _beyond_kernel(x, p, k)
+            dim, r = len(kernel), len(image)
+            if form is None:
+                holding = gaussian_binomial(dim - r, k - r, p) if len(meet) == r <= k else 0
+                tally = Counter({(False, False, None): holding,
+                                 (False, True, None): gaussian_binomial(dim, k, p) - holding})
+            else:
+                listed = _form_lines(x, kernel, image, form.num, p)
+                tally = Counter({(False, True, False): gaussian_binomial(dim, 1, p) - len(listed)})
+            for basis, rank in listed.items():
+                if len(image) < k:
                     quot = rank < len(image) and any(
                         a % p for row in image for a in _reduce(row, basis))
                 else:
@@ -320,12 +345,9 @@ def _gauss_pair_points(p: int) -> int:
     return 2 if p % 4 == 1 else 0
 
 
-def _points(expr, q):
-    """The value at q of the counting polynomial of a space expression."""
-    total = 0
-    for c in reversed(counting_polynomial(expr)):
-        total = total * q + c
-    return total
+def _value(poly, q):
+    """The value at q of a polynomial of ascending coefficients."""
+    return sum(c * q ** i for i, c in enumerate(poly))
 
 
 def verify_fiber_counts(case: CaseData, primes) -> dict:
@@ -334,12 +356,11 @@ def verify_fiber_counts(case: CaseData, primes) -> dict:
     orbit, prime and stratum and whether all of them match.
 
     Each representative is validated once, over Z, after the bounds of
-    every prime.  Each prime takes one pass over the stable subspaces of
-    every orbit that counts all strata of the case together.  Predictions
-    evaluate the counting polynomial, except for a stratum pair defined
-    over a quadratic extension: its zero part contributes 2 or 0 points
-    according to q mod 4, and the complementary cuspidal part picks up the
-    rest of the full fiber.
+    every prime, and each space expression read once.  Each prime takes
+    one sweep of every orbit that counts all strata of the case together.
+    Predictions evaluate the counting polynomial, except for a stratum pair
+    defined over a quadratic extension: its zero part contributes 2 or 0
+    points by q mod 4, and the cuspidal part the rest of the full fiber.
     """
     flag_dim, strata = _strata_for(case)
     condition_sets = [conditions for _, conditions, _ in strata]
@@ -348,6 +369,11 @@ def verify_fiber_counts(case: CaseData, primes) -> dict:
     for orbit in case.orbits:
         _validate_element(orbit.representative, case.form)
     labels = [orbit.partition.label() for orbit in case.orbits]
+    polys = []  # per orbit and stratum, the full fiber first, alone for a twisted pair
+    for orbit in case.orbits:
+        exprs = [getattr(orbit, attr) for _, _, attr in strata]
+        exprs = exprs[:1] if orbit.zero_part_twisted_pair else exprs
+        polys.append([() if e is None else counting_polynomial(e) for e in exprs])
     rows = []
     for p in primes:
         elements = [
@@ -357,10 +383,9 @@ def verify_fiber_counts(case: CaseData, primes) -> dict:
         counts = _sweep(
             p, case.ambient_dim, flag_dim, case.form, elements, condition_sets
         )
-        for orbit, label, orbit_counts in zip(case.orbits, labels, counts):
-            full_pred = _points(orbit.full_fiber, p)
-            for (stratum, _, attr), count in zip(strata, orbit_counts):
-                expr = getattr(orbit, attr)
+        for orbit, label, orbit_counts, orbit_polys in zip(case.orbits, labels, counts, polys):
+            full_pred = _value(orbit_polys[0], p)
+            for i, ((stratum, _, _), count) in enumerate(zip(strata, orbit_counts)):
                 if stratum == "full":
                     predicted = full_pred
                 elif orbit.zero_part_twisted_pair:
@@ -369,7 +394,7 @@ def verify_fiber_counts(case: CaseData, primes) -> dict:
                         zero_pred if stratum == "zero" else full_pred - zero_pred
                     )
                 else:
-                    predicted = _points(expr, p) if expr is not None else 0
+                    predicted = _value(orbit_polys[i], p)
                 rows.append({
                     "orbit": label,
                     "prime": p,

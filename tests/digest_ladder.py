@@ -8,7 +8,8 @@ print the same bytes:
 
 The ladder is every operation of the four benchmark workloads of
 ``perfbench/workloads.py`` for seeds 1-10, ``orbits`` for n = 1..12 in sl
-and sp, and ``graded-orbits`` at and past its bounds, each with and without
+and sp, ``graded-orbits`` at and past its bounds, and ``fibers`` of sl4 and
+sp4 at p = 127 and at every prime up to 127, each with and without
 ``--json``; then one call of each subcommand in the spellings that
 ``spellings`` lists, those that the reader of ``cli.COMMANDS`` takes and
 those that go to argparse, with its errors and help.  Every call runs in-process through ``gradedorbits.cli.run`` of
@@ -56,6 +57,10 @@ BOUND_CASES = (
     ([1] * 26000 + [0] * 36 + [-1] * 26000, -1),
 )
 
+# fibers at its bound: the largest prime, and every prime up to it
+FIBER_BOUND_PRIMES = ("127", ",".join(str(p) for p in range(2, 128)
+                                      if all(p % q for q in range(2, p))))
+
 SL_X = "0,0,0,0;1,0,0,0;0,0,0,0;0,0,1,0"
 # one call of each subcommand: its options with their values, and switches
 SPELLED_CALLS = (
@@ -83,6 +88,9 @@ def ladder():
             yield ["orbits", "--type", kind, "--n", str(n)]
     for weights, degree in BOUND_CASES:
         yield ["graded-orbits", "--cochar", ",".join(map(str, weights)), "--degree", str(degree)]
+    for case in ("sl4", "sp4"):
+        for primes in FIBER_BOUND_PRIMES:
+            yield ["fibers", "--case", case, "--primes", primes]
 
 
 def spellings(command, pairs, switches):

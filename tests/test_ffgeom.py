@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -13,6 +14,8 @@ from gradedorbits.ffgeom import (
     verify_fiber_counts,
 )
 from oracles import (
+    _echelonize,
+    _in_subspace,
     _matvec,
     echelon_subspaces,
     flag_count_by_elimination,
@@ -27,6 +30,10 @@ from oracles import (
 )
 
 SP_FORM = parse_matrix_text("0,0,1,0;0,0,0,1;-1,0,0,0;0,-1,0,0")
+# a form of rank 2 with radical <e_2, e_4>
+DEGENERATE_FORM = parse_matrix_text("0,0,1,0;0,0,0,0;-1,0,0,0;0,0,0,0")
+# a form that is neither symmetric nor alternating
+SKEWED_FORM = parse_matrix_text("0,0,1,0;1,0,0,0;0,0,0,1;0,1,0,0")
 
 # the conditions of ``ffgeom._sweep`` beyond stability, each a fact
 FACTS = ("sub-nonzero", "quot-nonzero", "middle-zero", "middle-nonzero")
@@ -183,10 +190,15 @@ def test_stable_subspaces_with_two_blocks_of_size_two_match_oracle(monkeypatch, 
 
 def bases_built(monkeypatch, x, p, k):
     """(stable_subspaces(x, p, k), every echelon basis it built on the way,
-    in order): the returns of ``_extend``, and the yields of
-    ``_grassmannian`` that lie in ker x.  Its other yields are the lines
-    of some x^-1(U) / U, which x does not kill, and which ``_extend`` then
-    makes into a basis."""
+    in order), as ``recorded_bases`` gives them."""
+    return recorded_bases(monkeypatch, x, p, lambda: stable_subspaces(x, p, k))
+
+
+def recorded_bases(monkeypatch, x, p, run):
+    """(run(), every echelon basis built on the way, in order): the returns
+    of ``_extend``, and the yields of ``_grassmannian`` that lie in ker x.
+    Its other yields are the lines of some x^-1(U) / U, which x does not
+    kill, and which ``_extend`` then makes into a basis."""
     extended, yielded = [], []
     extend, grassmannian = ffgeom._extend, ffgeom._grassmannian
 
@@ -202,7 +214,7 @@ def bases_built(monkeypatch, x, p, k):
     with monkeypatch.context() as patch:
         patch.setattr(ffgeom, "_extend", recording_extend)
         patch.setattr(ffgeom, "_grassmannian", recording_grassmannian)
-        found = stable_subspaces(x, p, k)
+        found = run()
     x = tuple(tuple(a % p for a in row) for row in x)
     in_kernel = [b for b in yielded if not any(any(_matvec(x, v, p)) for v in b)]
     return found, extended + in_kernel
@@ -227,15 +239,49 @@ def test_each_stable_subspace_is_built_once(monkeypatch):
 
 
 def test_sl4_at_13_builds_each_line_and_plane_once(monkeypatch):
-    """The sl4 sweep at p = 13 builds 762 bases: its 212 stable lines and
-    550 stable planes, over the orbits that are not zero mod p."""
+    """The sl4 sweep at p = 13 builds 382 bases over the orbits that are not
+    zero mod p, each once: the 17 lines of ker x ∩ im x, which it extends,
+    and the 365 stable planes outside ker x.  The 185 stable planes inside
+    ker x are counted by Gaussian binomials, not built."""
     elements = [o.representative.num for o in load_case("sl4").orbits]
     elements = [x for x in elements if any(a % 13 for row in x for a in row)]
-    built = sum(len(bases_built(monkeypatch, x, 13, 2)[1]) for x in elements)
-    lines = sum(len(stable_subspaces(x, 13, 1)) for x in elements)
-    planes = sum(len(stable_subspaces(x, 13, 2)) for x in elements)
-    assert (lines, planes) == (212, 550)
-    assert built == lines + planes <= 762
+    lines = planes = kernel_planes = 0
+    for x in elements:
+        _, built = recorded_bases(
+            monkeypatch, x, 13, lambda: ffgeom._sweep(13, 4, 2, None, [x], [()]))
+        image = _echelonize(zip(*x), 13)
+        meet = {b for b in stable_subspaces(x, 13, 1) if _in_subspace(image, b[0], 13)}
+        stable = stable_subspaces(x, 13, 2)
+        beyond = {b for b, rank in stable.items() if rank}
+        assert len(set(built)) == len(built)
+        assert set(built) == meet | beyond
+        lines, planes = lines + len(meet), planes + len(beyond)
+        kernel_planes += len(stable) - len(beyond)
+    assert (lines, planes, kernel_planes) == (17, 365, 185)
+
+
+def test_sp4_at_13_decides_the_lines_of_w_and_im_x(monkeypatch):
+    """The sp4 sweep at p = 13 reads the form on 16 of the 198 stable lines
+    of the orbits that are not zero mod p, each once: per orbit, the lines
+    of W and im x.  The others are counted with one fact pattern."""
+    case = load_case("sp4")
+    middle_zero, decided, stable = ffgeom._middle_zero, {}, {}
+
+    def recording_middle_zero(v, *args):
+        decided[label].append(v)
+        return middle_zero(v, *args)
+
+    monkeypatch.setattr(ffgeom, "_middle_zero", recording_middle_zero)
+    for orbit in case.orbits:
+        x, label = orbit.representative.num, orbit.partition.label()
+        if any(a % 13 for row in x for a in row):
+            decided[label] = []
+            ffgeom._sweep(13, 4, 1, case.form, [x], [()])
+            stable[label] = len(stable_subspaces(x, 13, 1))
+            assert len(set(decided[label])) == len(decided[label])
+    assert {label: len(lines) for label, lines in decided.items()} == {
+        "[4]": 1, "[2^2]": 14, "[2,1^2]": 1}
+    assert stable == {"[4]": 1, "[2^2]": 14, "[2,1^2]": 183}
 
 
 @pytest.mark.parametrize(
@@ -358,6 +404,20 @@ def test_perp_self_check_raises(monkeypatch):
         verify_fiber_counts(case, [3])
 
 
+def test_perp_check_covers_a_line_that_is_not_listed(monkeypatch):
+    """Under the form I_4 the one stable line <e_1> of the regular
+    nilpotent x has a perp that x does not keep, and the sweep lists no
+    line: e_1 is not in W, as e_1^T e_1 = 1, nor is <e_1> im x, of rank
+    3.  The check on ker x still raises."""
+    monkeypatch.setattr(ffgeom, "_validate_element", lambda *args: None)
+    x, form = parse_matrix_text("0,1,0,0;0,0,1,0;0,0,0,1;0,0,0,0"), identity(4)
+    assert stable_subspaces(x.num, 3, 1) == {((1, 0, 0, 0),): 0}
+    with pytest.raises(AssertionError, match="perp"):
+        flag_count_by_elimination(x.num, 3, 1, form.num, ("stable",))
+    with pytest.raises(NotStableUnderForm, match="perp"):
+        verify_fiber_counts(random_case("isotropic-line", form, [x]), [3])
+
+
 def test_line_facts_under_a_non_monomial_form_match_oracle():
     """Under F = g^-T B g^-1, for g from ``transvections``, the perp of a
     line is not read off a signed permutation of its coordinates; g x g^-1
@@ -371,6 +431,33 @@ def test_line_facts_under_a_non_monomial_form_match_oracle():
     case = random_case("isotropic-line", form, elements)
     for p in (2, 3, 5):
         assert swept_rows(case, p) == oracle_rows(case, p)
+
+
+def test_space_expressions_are_evaluated_once_per_call(monkeypatch):
+    """Each space expression that a prediction reads goes through the
+    checked ``counting_polynomial`` once per call, whatever the number of
+    primes, so a hand-built bad one still raises; a twisted pair's zero and
+    cuspidal parts are not read."""
+    evaluated = []
+    counting_polynomial = ffgeom.counting_polynomial
+
+    def recording(expr):
+        evaluated.append(expr)
+        return counting_polynomial(expr)
+
+    monkeypatch.setattr(ffgeom, "counting_polynomial", recording)
+    for name in ("sl4", "sp4"):
+        case = load_case(name)
+        evaluated.clear()
+        assert verify_fiber_counts(case, [2, 3, 5, 7])["all_match"]
+        attrs = [attr for _, _, attr in ffgeom._strata_for(case)[1]]
+        exprs = [getattr(o, attr) for o in case.orbits
+                 for attr in (attrs[:1] if o.zero_part_twisted_pair else attrs)]
+        assert sorted(map(str, evaluated)) == sorted(str(e) for e in exprs if e is not None)
+    case = random_case("two-plane", None, [NOT_IN_SP])
+    case = case._replace(orbits=(case.orbits[0]._replace(full_fiber=("aff", -1)),))
+    with pytest.raises(ValueError, match="aff"):
+        verify_fiber_counts(case, [2])
 
 
 def test_sweep_reads_a_form_on_lines_only():
@@ -512,9 +599,83 @@ def test_each_fact_of_a_zero_mod_p_element_matches_oracle(k):
 def single_fact_counts(x, p, k, form, facts):
     """(the sweep's, the oracle's) counts of the x-stable k-subspaces that
     meet each of ``facts`` alone."""
-    swept = ffgeom._sweep(p, len(x), k, form, [x], [(f,) for f in facts])[0]
+    return condition_counts(x, p, k, form, [(f,) for f in facts])
+
+
+def condition_counts(x, p, k, form, condition_sets):
+    """(the sweep's, the oracle's) counts of the x-stable k-subspaces that
+    meet every condition of each of ``condition_sets``."""
+    swept = ffgeom._sweep(p, len(x), k, form, [x], condition_sets)[0]
     form = form.num if form is not None else None
-    return swept, [flag_count_by_elimination(x, p, k, form, ("stable", f)) for f in facts]
+    return swept, [
+        flag_count_by_elimination(x, p, k, form, ("stable", *conditions))
+        for conditions in condition_sets
+    ]
+
+
+def degenerate_form_nilpotent(rng):
+    """A nilpotent x with x^T B + B x = 0 for B = DEGENERATE_FORM, whose
+    radical is R = <e_2, e_4>: x keeps R, acting on it by a nilpotent, and
+    acts on F^4 / R, where B is the form of sl_2, by a nilpotent of sl_2."""
+    b, e = (rng.choice((1, -1, 2)) for _ in range(2))
+    a = rng.choice((((0, b), (0, 0)), ((0, 0), (b, 0)), ((b, b), (-b, -b)), ((0, 0), (0, 0))))
+    f = rng.choice((((0, e), (0, 0)), ((0, 0), (e, 0))))
+    rows = [[0] * 4 for _ in range(4)]
+    for i in range(2):
+        for j in range(2):
+            rows[2 * i][2 * j] = a[i][j]
+            rows[2 * i + 1][2 * j] = sparse_entry(rng)
+            rows[2 * i + 1][2 * j + 1] = f[i][j]
+    x = RatMatrix.from_rows(rows)
+    ffgeom._validate_element(x, DEGENERATE_FORM)
+    return x
+
+
+def rank_one_keeping_perps(rng):
+    """x = u (B u)^T for B = SKEWED_FORM and a u with u^T B u = 0: nilpotent
+    of rank 1, and w^T B x = 0 for w in ker x = (B u)^perp, so x keeps the
+    perp of every line of ker x.  x is not in the algebra of B, and its
+    image <u> need not lie in W."""
+    while True:
+        u = [sparse_entry(rng) for _ in range(4)]
+        bu = [sum(map(operator.mul, row, u)) for row in SKEWED_FORM.num]
+        if any(u) and sum(map(operator.mul, u, bu)) == 0:
+            return RatMatrix.from_rows([[a * b for b in bu] for a in u])
+
+
+SWEEP_ORACLE_CASES = ["no-form-d2", "no-form-d3", "no-form-d4", "no-form-d5",
+                      "sp4", "non-monomial", "degenerate", "skewed"]
+
+
+@pytest.mark.parametrize("kind", SWEEP_ORACLE_CASES)
+def test_sweep_counts_match_oracle(kind):
+    """The sweep's count of all stable subspaces and of each fact alone
+    against the oracle, for p = 2, 3 and 5: seeded random nilpotents with
+    no form at k = 1 and 2, and at k = 1 the nilpotents of sp4 under the
+    standard form, under the non-monomial form of
+    ``test_line_facts_under_a_non_monomial_form_match_oracle`` and under a
+    form of rank 2, and elements of rank 1 that keep the perps of a form
+    neither symmetric nor alternating, as the lines of W and im x are all
+    that can differ under any form."""
+    rng = random.Random(f"ffgeom-sweep:{kind}")
+    g = g_inv = identity(4)
+    form = {"sp4": SP_FORM, "degenerate": DEGENERATE_FORM, "skewed": SKEWED_FORM}.get(kind)
+    if kind == "non-monomial":
+        g, g_inv = transvections(random.Random("ffgeom-form"), 4)
+        form = matrix_product(transpose(g_inv), SP_FORM, g_inv)
+    sets = [()] + [(f,) for f in (FACTS if form is not None else FACTS[:2])]
+    for p in (2, 3, 5):
+        if form is None:
+            d = int(kind[-1])
+            xs = [random_nilpotent(rng, d).num for _ in range(2)]
+            cases = [(x, k) for x in xs for k in (1, 2) if k < d]
+        else:
+            make = {"degenerate": degenerate_form_nilpotent,
+                    "skewed": rank_one_keeping_perps}.get(kind, random_sp4_nilpotent)
+            cases = [(matrix_product(g, make(rng), g_inv).num, 1) for _ in range(4)]
+        for x, k in cases:
+            swept, oracle = condition_counts(x, p, k, form, sets)
+            assert swept == oracle, (x, p, k)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
