@@ -5,16 +5,22 @@ counting flags over F_p.  For each (case, prime) and orbit representative
 x, the sweep tallies the x-stable k-subspaces by fact pattern and tests
 each stratum once per pattern.  Those inside ker x differ only in whether
 they hold im x, and under a form in whether they lie in a small subspace
-W, so they are counted by Gaussian binomials; every other one is built
-once while k <= 3, from a stable hyperplane U and a line of x^-1(U) / U
-that x maps outside x(U) (``_beyond_kernel``).  An x that is zero mod p
-gives every subspace one pattern.  No subspace takes an elimination: each
-V comes with dim x(V), and the perp of a line <v> under a form B is the
-kernel of the one row v^T B.  The counts are compared against evaluated
-counting polynomials (with a residue-class rule for the one stratum pair
-defined over a quadratic extension).  An independent exhaustive
-per-stratum sweep of the Grassmannian with generic elimination lives in
-``tests/oracles.py``, and the tests compare the two.
+W, so they are counted by Gaussian binomials.  So are the planes V
+outside ker x: x(V) = V ∩ ker x is a line L of ker x ∩ im x, and V / L
+is one of the p^(n - 1) lines of x^-1(L) / L, of dimension n = dim ker x,
+outside ker x / L, so there are p^(n - 1) [m, 1]_p of them for
+m = dim(ker x ∩ im x).  x is nonzero on each, and on F_p^d / V unless
+rank x = 1, or V = im x with rank x = 2 and im x ⊄ ker x.  Larger
+subspaces outside ker x are built once while k <= 3, from a stable
+hyperplane U and a line of x^-1(U) / U that x maps outside x(U)
+(``_beyond_kernel``).  An x that is zero mod p gives every subspace one
+pattern.  No subspace takes an elimination: each V comes with dim x(V),
+and the perp of a line <v> under a form B is the kernel of the one row
+v^T B.  The counts are compared against evaluated counting polynomials
+(with a residue-class rule for the one stratum pair defined over a
+quadratic extension).  An independent exhaustive per-stratum sweep of the
+Grassmannian with generic elimination lives in ``tests/oracles.py``, and
+the tests compare the two.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ class NotStableUnderForm(ValueError):
     pass
 
 
-# in-process, fibers at p = 127 takes about 0.12 s for sl4 and 2.5 ms for
-# sp4, and over every prime up to 127 about 1.2 and 0.03 s (see the README)
+# in-process, fibers at p = 127 takes about 0.6 ms for sl4 and 2.1 ms for
+# sp4, and over every prime up to 127 about 10 and 34 ms (see the README)
 MAX_PRIME = 127
 MAX_DIM = 6
 
@@ -100,7 +106,7 @@ def _quotient(basis, rank, table, kernel, p):
     columns of the reduced echelon ``basis`` of U, rank = dim x(U), whose
     first ``heads`` rows span a complement of (U + ker x) / U, the part
     that x maps into x(U); heads = 0 when U ∩ im x = x(U).  Reducing
-    (u | 0) by the ``table`` of ``_beyond_kernel`` leaves u mod im x in
+    (u | 0) by the ``table`` of ``_kernel_image`` leaves u mod im x in
     the first half and minus a preimage of the rest in the second, so the
     combinations of U's rows that vanish in the first half span U ∩ im x,
     and the same ones of the second halves preimages of it.  Each vector
@@ -141,19 +147,11 @@ def _extend(basis, v, p):
     return tuple(rows)
 
 
-def _beyond_kernel(x_rows, p: int, k: int):
-    """(kernel, image, meet, beyond) for an x nilpotent mod p: the reduced
-    echelon bases of ker x, im x and ker x ∩ im x, and {basis: dim x(V)}
-    for the x-stable k-subspaces V outside ker x, rows in [0, p).  Such a
-    V is U + <v> for a stable hyperplane U and a line of x^-1(U) / U with
-    x v outside x(U) (``_quotient``), none when U ∩ im x = x(U).  Stable
-    lines lie in ker x, so the planes come from the lines of ker x ∩ im x
-    and larger V from every stable (k-1)-subspace (``stable_subspaces``).
-    V is reached once per hyperplane of V / (x V + V ∩ ker x), whose
-    dimension is the number of Jordan blocks of x on V of size at least 2:
-    once while dim V <= 3, and past that each span is kept once."""
+def _kernel_image(x_rows, p: int):
+    """(table, kernel, image, meet) for x mod p: the echelon ``table`` that
+    ``_quotient`` reduces by, and the reduced echelon bases of ker x, im x
+    and ker x ∩ im x, rows in [0, p), from two eliminations."""
     d = len(x_rows)
-    _check_bounds(p, d, k)
     # (x a | a) for a = e_1, ..., e_d in echelon form: (b | a) with x a = b
     # for b in the echelon basis of im x, then (0 | a) for one of ker x
     units = [(0,) * c + (1,) + (0,) * (d - c - 1) for c in range(d)]
@@ -164,6 +162,25 @@ def _beyond_kernel(x_rows, p: int, k: int):
     # that vanish in the first half are (0 | v) for v in ker x ∩ im x
     both = _echelon([b + b for b in image] + [a + (0,) * d for a in kernel], p)
     meet = [row[d:] for row in both if not any(row[:d])]
+    return table, kernel, image, meet
+
+
+def _beyond_kernel(x_rows, p: int, k: int):
+    """(kernel, image, meet, beyond) for an x nilpotent mod p: the reduced
+    echelon bases of ker x, im x and ker x ∩ im x (``_kernel_image``), and
+    {basis: dim x(V)} for the x-stable k-subspaces V outside ker x, rows in
+    [0, p).  Such a V is U + <v> for a stable hyperplane U and a line of
+    x^-1(U) / U with x v outside x(U) (``_quotient``), none when
+    U ∩ im x = x(U).  Stable lines lie in ker x, so the planes come from
+    the lines L of ker x ∩ im x, p^(n - 1) from each for n = dim ker x: the
+    lines of x^-1(L) / L, of dimension n, outside ker x / L, of dimension
+    n - 1.  ``_sweep`` counts those and lists none; larger V come from
+    every stable (k-1)-subspace (``stable_subspaces``).  V is reached once
+    per hyperplane of V / (x V + V ∩ ker x), whose dimension is the number
+    of Jordan blocks of x on V of size at least 2: once while dim V <= 3,
+    and past that each span is kept once."""
+    _check_bounds(p, len(x_rows), k)
+    table, kernel, image, meet = _kernel_image(x_rows, p)
     if k > 2:
         bases = stable_subspaces(x_rows, p, k - 1).items()
     else:
@@ -270,10 +287,17 @@ def _sweep(p, d, k, form, elements, condition_sets):
     tallies its stable subspaces by fact pattern, and each condition set
     is tested once per pattern.  An x that is zero mod p gives them all
     ``ZERO_FACTS``, counted by the Gaussian binomial.  For any other x, of
-    rank r, the [n, k]_p k-subspaces of ker x, n = dim ker x, are counted:
-    those holding im x, [n - r, k - r]_p when im x ⊆ ker x and r <= k,
-    have x = 0 on F_p^d / V.  The others come from ``_beyond_kernel``: im x
-    lies in no V when r > k, when r = k only in V = im x (compared by
+    rank r, with n = dim ker x and m = dim(ker x ∩ im x), the [n, k]_p
+    k-subspaces of ker x are counted: those holding im x,
+    [n - r, k - r]_p when im x ⊆ ker x and r <= k, have x = 0 on
+    F_p^d / V.  At k = 2 the planes V outside ker x are counted as well,
+    p^(n - 1) [m, 1]_p of them (``_beyond_kernel``): x(V) = V ∩ ker x is a
+    line L of ker x ∩ im x, and V / L one of the p^(n - 1) lines of
+    x^-1(L) / L outside ker x / L.  x is nonzero on each, and im x ⊆ V
+    fails when r >= 3, holds for all of them when r = 1 (im x = x(V)), and
+    when r = 2 holds only for V = im x, which lies outside ker x when
+    m < 2.  For k >= 3 the V outside ker x are listed by ``_beyond_kernel``:
+    im x lies in no V when r > k, when r = k only in V = im x (compared by
     echelon bases), and below k in V when dim x(V) = r, else V reduces it.
     A form is read on lines only (k = 1): ``_middle_zero`` decides those
     of ``_form_lines``, and the others have the pattern (False, True, False).
@@ -288,12 +312,21 @@ def _sweep(p, d, k, form, elements, condition_sets):
             if form is not None and k != 1:
                 raise ValueError(f"a form is read on lines only, got k = {k}")
             columns = list(zip(*x))
-            kernel, image, meet, listed = _beyond_kernel(x, p, k)
-            dim, r = len(kernel), len(image)
+            if k > 2:
+                kernel, image, meet, listed = _beyond_kernel(x, p, k)
+            else:
+                _, kernel, image, meet = _kernel_image(x, p)
+                listed = {}
+            dim, r, m = len(kernel), len(image), len(meet)
             if form is None:
-                holding = gaussian_binomial(dim - r, k - r, p) if len(meet) == r <= k else 0
+                holding = gaussian_binomial(dim - r, k - r, p) if m == r <= k else 0
                 tally = Counter({(False, False, None): holding,
                                  (False, True, None): gaussian_binomial(dim, k, p) - holding})
+                if k == 2:
+                    planes = p ** (dim - 1) * gaussian_binomial(m, 1, p)
+                    image_plane = int(r == 2 and m < 2)
+                    tally[True, r > 1, None] += planes - image_plane
+                    tally[True, False, None] += image_plane
             else:
                 listed = _form_lines(x, kernel, image, form.num, p)
                 tally = Counter({(False, True, False): gaussian_binomial(dim, 1, p) - len(listed)})

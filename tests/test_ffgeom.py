@@ -14,8 +14,6 @@ from gradedorbits.ffgeom import (
     verify_fiber_counts,
 )
 from oracles import (
-    _echelonize,
-    _in_subspace,
     _matvec,
     echelon_subspaces,
     flag_count_by_elimination,
@@ -238,26 +236,29 @@ def test_each_stable_subspace_is_built_once(monkeypatch):
                 assert set(found) <= set(built)
 
 
-def test_sl4_at_13_builds_each_line_and_plane_once(monkeypatch):
-    """The sl4 sweep at p = 13 builds 382 bases over the orbits that are not
-    zero mod p, each once: the 17 lines of ker x ∩ im x, which it extends,
-    and the 365 stable planes outside ker x.  The 185 stable planes inside
-    ker x are counted by Gaussian binomials, not built."""
+def test_sl4_counts_its_stable_planes_and_builds_none(monkeypatch):
+    """The sl4 sweep at p = 13 counts, over the orbits that are not zero mod
+    p, 365 stable planes outside ker x, p^(n - 1) [m, 1]_p per orbit, and
+    185 inside ker x, each as many as ``stable_subspaces`` lists, and calls
+    neither ``_extend`` nor ``_grassmannian``; nor does ``fibers`` of sl4
+    at p = 127."""
     elements = [o.representative.num for o in load_case("sl4").orbits]
     elements = [x for x in elements if any(a % 13 for row in x for a in row)]
-    lines = planes = kernel_planes = 0
-    for x in elements:
-        _, built = recorded_bases(
-            monkeypatch, x, 13, lambda: ffgeom._sweep(13, 4, 2, None, [x], [()]))
-        image = _echelonize(zip(*x), 13)
-        meet = {b for b in stable_subspaces(x, 13, 1) if _in_subspace(image, b[0], 13)}
-        stable = stable_subspaces(x, 13, 2)
-        beyond = {b for b, rank in stable.items() if rank}
-        assert len(set(built)) == len(built)
-        assert set(built) == meet | beyond
-        lines, planes = lines + len(meet), planes + len(beyond)
-        kernel_planes += len(stable) - len(beyond)
-    assert (lines, planes, kernel_planes) == (17, 365, 185)
+    listed = [stable_subspaces(x, 13, 2) for x in elements]
+    called = []
+    for name in ("_extend", "_grassmannian"):
+        run = getattr(ffgeom, name)
+        monkeypatch.setattr(
+            ffgeom, name, lambda *args, name=name, run=run: called.append(name) or run(*args))
+    counts = ffgeom._sweep(13, 4, 2, None, elements, [(), ("sub-nonzero",)])
+    planes = kernel_planes = 0
+    for (every, beyond), stable in zip(counts, listed):
+        assert beyond == sum(1 for rank in stable.values() if rank)
+        assert every == len(stable)
+        planes, kernel_planes = planes + beyond, kernel_planes + every - beyond
+    assert (planes, kernel_planes) == (365, 185)
+    assert verify_fiber_counts(load_case("sl4"), [127])["all_match"]
+    assert called == []
 
 
 def test_sp4_at_13_decides_the_lines_of_w_and_im_x(monkeypatch):
@@ -695,6 +696,23 @@ def test_each_fact_of_a_nonzero_element_matches_oracle(k):
             swept, oracle = single_fact_counts(x, p, k, None, ("sub-nonzero", "quot-nonzero"))
             assert swept == oracle, (parts, p)
     assert k in ranks and max(ranks) > k and (k == 1 or min(ranks) < k)
+
+
+@pytest.mark.parametrize("d,p", [(5, 2), (5, 3), (ffgeom.MAX_DIM, 2)])
+def test_plane_facts_of_every_jordan_type_match_oracle(d, p):
+    """sub-nonzero and quot-nonzero, alone and together, on the planes of a
+    conjugated Jordan matrix of every type of dimension d, against the
+    oracle: the planes outside ker x are counted, not listed, and those of
+    rank x = 2 with im x ⊄ ker x hold one, V = im x, that holds im x."""
+    rng = random.Random(f"ffgeom-plane-facts:{d}:{p}")
+    sets = [("sub-nonzero",), ("quot-nonzero",), ("sub-nonzero", "quot-nonzero")]
+    exceptions = 0
+    for partition in Partition.all_of(d):
+        x = conjugate(rng, jordan_matrix(partition)).num
+        exceptions += len(partition.parts) == d - 2 and partition.parts[0] == 3
+        swept, oracle = condition_counts(x, p, 2, None, sets)
+        assert swept == oracle, (partition, p)
+    assert exceptions == 1
 
 
 @pytest.mark.parametrize("monomial", [True, False])
