@@ -1,33 +1,29 @@
-"""Flag enumeration over prime fields.
+"""Flag counts over prime fields.
 
 Every fiber description shipped with a case is independently verified by
 counting flags over F_p.  For each (case, prime) and orbit representative
-x, the sweep tallies the x-stable k-subspaces by fact pattern and tests
-each stratum once per pattern.  Those inside ker x differ only in whether
-they hold im x, and under a form in whether they lie in a small subspace
-W, so they are counted by Gaussian binomials.  So are the planes V
-outside ker x: x(V) = V ∩ ker x is a line L of ker x ∩ im x, and V / L
-is one of the p^(n - 1) lines of x^-1(L) / L, of dimension n = dim ker x,
-outside ker x / L, so there are p^(n - 1) [m, 1]_p of them for
-m = dim(ker x ∩ im x).  x is nonzero on each, and on F_p^d / V unless
-rank x = 1, or V = im x with rank x = 2 and im x ⊄ ker x.  Larger
-subspaces outside ker x are built once while k <= 3, from a stable
-hyperplane U and a line of x^-1(U) / U that x maps outside x(U)
-(``_beyond_kernel``).  An x that is zero mod p gives every subspace one
-pattern.  No subspace takes an elimination: each V comes with dim x(V),
-and the perp of a line <v> under a form B is the kernel of the one row
-v^T B.  The counts are compared against evaluated counting polynomials
-(with a residue-class rule for the one stratum pair defined over a
-quadratic extension).  An independent exhaustive per-stratum sweep of the
+x, the sweep tallies the x-stable lines or planes by fact pattern and
+tests each stratum once per pattern.  It lists no subspace: each pattern
+is counted in closed form from the ranks of a few small matrices mod p,
+so a call costs the same at every prime.  The subspaces inside ker x are
+counted by Gaussian binomials and the planes outside it as
+p^(n - 1) [m, 1]_p.  Under a form B the lines whose perp x maps into them
+are counted by the rank r of x: none when r >= 3, a difference of Gaussian
+binomials when r = 1, and when r = 2 the zeros of the binary quadratic
+form u^T B x u on a projective line, from its discriminant, less the
+lines of the radical.  ``_sweep`` proves each count.  The counts are
+compared against evaluated counting polynomials (with a residue-class rule
+for the one stratum pair defined over a quadratic extension); each case's
+representatives are validated and its polynomials built once per process
+(``_prepared``).  An independent exhaustive per-stratum sweep of the
 Grassmannian with generic elimination lives in ``tests/oracles.py``, and
 the tests compare the two.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from collections import Counter
-from operator import mul
 
 from .cohom import CaseData, counting_polynomial
 from .exactlin import RatMatrix, _rref, is_prime, nullspace
@@ -41,8 +37,9 @@ class NotStableUnderForm(ValueError):
     pass
 
 
-# in-process, fibers at p = 127 takes about 0.6 ms for sl4 and 2.1 ms for
-# sp4, and over every prime up to 127 about 10 and 34 ms (see the README)
+# in-process and host-adjusted, fibers at p = 127 takes about 0.3 ms for sl4
+# and for sp4 (0.6-0.8 ms in the first call of a case), and over every prime
+# up to 127 about 8 and 9 ms (see the README)
 MAX_PRIME = 127
 MAX_DIM = 6
 
@@ -63,145 +60,6 @@ def _check_bounds(p, d, k):
         )
 
 
-def _echelon(rows, p):
-    """The reduced echelon basis of the span of ``rows`` mod p."""
-    mat, pivots = _rref(rows, p)
-    return [tuple(row) for row in mat[: len(pivots)]]
-
-
-def _reduce(v, rows):
-    """v minus the reduced echelon ``rows``, each weighted by v at its pivot:
-    zero mod p exactly when v lies in their span."""
-    for row in rows:
-        c = v[row.index(1)]
-        if c:
-            v = [a - c * b for a, b in zip(v, row)]
-    return v
-
-
-def _grassmannian(rows, p, k, heads):
-    """The k-subspaces of the span of the independent ``rows``, entries in
-    [0, p), outside that of ``rows[heads:]``, one basis each: a reduced
-    echelon pattern of coefficients times ``rows``, in reduced echelon form
-    if ``rows`` are.  For each pattern of leads, the choices of row i,
-    rows[lead[i]] plus each vector of the span of the free rows after it,
-    are listed once, and the bases are their product."""
-    m = len(rows)
-    for lead in itertools.combinations(range(m), k):
-        if lead[0] >= heads:
-            return
-        choices = []
-        for q in lead:
-            span = [tuple(rows[q])]
-            for c in range(m - 1, q, -1):
-                if c not in lead:
-                    span += [tuple([(s + a * t) % p for s, t in zip(v, rows[c])])
-                             for a in range(1, p) for v in span]
-            choices.append(span)
-        yield from itertools.product(*choices)
-
-
-def _quotient(basis, rank, table, kernel, p):
-    """(rows, heads): a basis of x^-1(U) / U that vanishes on the pivot
-    columns of the reduced echelon ``basis`` of U, rank = dim x(U), whose
-    first ``heads`` rows span a complement of (U + ker x) / U, the part
-    that x maps into x(U); heads = 0 when U ∩ im x = x(U).  Reducing
-    (u | 0) by the ``table`` of ``_kernel_image`` leaves u mod im x in
-    the first half and minus a preimage of the rest in the second, so the
-    combinations of U's rows that vanish in the first half span U ∩ im x,
-    and the same ones of the second halves preimages of it.  Each vector
-    of a subspace leads at a pivot of its echelon basis, so the echelon
-    rows of the whole that lead elsewhere than the part's span a
-    complement."""
-    d = len(table[0]) // 2
-    rows = [_reduce(u + (0,) * d, table) for u in basis]
-    meets = nullspace(list(zip(*(row[:d] for row in rows))), p)
-    if len(meets) == rank:
-        return (), 0
-    high = [
-        _reduce([sum(c * row[i] for c, row in zip(cs, rows)) for i in range(d, 2 * d)], basis)
-        for cs in meets
-    ]
-    low = _echelon([_reduce(v, basis) for v in kernel], p)
-    lows = {row.index(1) for row in low}
-    high = [row for row in _echelon(low + high, p) if row.index(1) not in lows]
-    return high + low, len(high)
-
-
-def _extend(basis, v, p):
-    """The reduced echelon basis of the span of ``basis`` and ``v``, for a
-    nonzero v with entries in [0, p) that vanishes on the basis's pivot
-    columns."""
-    first = next(filter(None, v))
-    lead = v.index(first)
-    if first != 1:
-        inverse = pow(first, -1, p)
-        v = tuple([a * inverse % p for a in v])
-    rows = [
-        tuple([(a - row[lead] * b) % p for a, b in zip(row, v)]) if row[lead] else row
-        for row in basis
-    ]
-    rows.append(v)
-    # an echelon row is larger than every row with a later pivot
-    rows.sort(reverse=True)
-    return tuple(rows)
-
-
-def _kernel_image(x_rows, p: int):
-    """(table, kernel, image, meet) for x mod p: the echelon ``table`` that
-    ``_quotient`` reduces by, and the reduced echelon bases of ker x, im x
-    and ker x ∩ im x, rows in [0, p), from two eliminations."""
-    d = len(x_rows)
-    # (x a | a) for a = e_1, ..., e_d in echelon form: (b | a) with x a = b
-    # for b in the echelon basis of im x, then (0 | a) for one of ker x
-    units = [(0,) * c + (1,) + (0,) * (d - c - 1) for c in range(d)]
-    table = _echelon([col + unit for col, unit in zip(zip(*x_rows), units)], p)
-    image = tuple(row[:d] for row in table if any(row[:d]))
-    kernel = [row[d:] for row in table if not any(row[:d])]
-    # (b | b) for b in im x and (a | 0) for a in ker x: the combinations
-    # that vanish in the first half are (0 | v) for v in ker x ∩ im x
-    both = _echelon([b + b for b in image] + [a + (0,) * d for a in kernel], p)
-    meet = [row[d:] for row in both if not any(row[:d])]
-    return table, kernel, image, meet
-
-
-def _beyond_kernel(x_rows, p: int, k: int):
-    """(kernel, image, meet, beyond) for an x nilpotent mod p: the reduced
-    echelon bases of ker x, im x and ker x ∩ im x (``_kernel_image``), and
-    {basis: dim x(V)} for the x-stable k-subspaces V outside ker x, rows in
-    [0, p).  Such a V is U + <v> for a stable hyperplane U and a line of
-    x^-1(U) / U with x v outside x(U) (``_quotient``), none when
-    U ∩ im x = x(U).  Stable lines lie in ker x, so the planes come from
-    the lines L of ker x ∩ im x, p^(n - 1) from each for n = dim ker x: the
-    lines of x^-1(L) / L, of dimension n, outside ker x / L, of dimension
-    n - 1.  ``_sweep`` counts those and lists none; larger V come from
-    every stable (k-1)-subspace (``stable_subspaces``).  V is reached once
-    per hyperplane of V / (x V + V ∩ ker x), whose dimension is the number
-    of Jordan blocks of x on V of size at least 2: once while dim V <= 3,
-    and past that each span is kept once."""
-    _check_bounds(p, len(x_rows), k)
-    table, kernel, image, meet = _kernel_image(x_rows, p)
-    if k > 2:
-        bases = stable_subspaces(x_rows, p, k - 1).items()
-    else:
-        bases = zip(_grassmannian(meet, p, 1, len(meet)) if k == 2 else (), itertools.repeat(0))
-    beyond = {}
-    for basis, rank in bases:
-        rows, heads = _quotient(basis, rank, table, kernel, p)
-        if heads:
-            for (v,) in _grassmannian(rows, p, 1, heads):
-                beyond.setdefault(_extend(basis, v, p), rank + 1)
-    return kernel, image, meet, beyond
-
-
-def stable_subspaces(x_rows, p: int, k: int) -> dict:
-    """The k-subspaces V of F_p^d stable under x, for an x that is
-    nilpotent mod p: {basis: dim x(V)}, one reduced echelon basis each with
-    entries in [0, p): the Grassmannian of ker x and ``_beyond_kernel``."""
-    kernel, _, _, beyond = _beyond_kernel(x_rows, p, k)
-    return {**dict.fromkeys(_grassmannian(kernel, p, k, len(kernel)), 0), **beyond}
-
-
 def _matmul(a_rows, b_rows, cols: int) -> tuple:
     """Product of integer row tuples, adding one row of b per nonzero of a."""
     out = []
@@ -212,6 +70,35 @@ def _matmul(a_rows, b_rows, cols: int) -> tuple:
                 acc = [x + a * y for x, y in zip(acc, b_row)]
         out.append(tuple(acc))
     return tuple(out)
+
+
+def _rank(rows, p):
+    return len(_rref(rows, p)[1])
+
+
+def _transpose(rows):
+    return tuple(zip(*rows))
+
+
+def _kernel_image(x_rows, p: int):
+    """(kernel, image, preimage) for x mod p, rows in [0, p): bases of ker x
+    and im x, and for each row b of ``image`` a u with x u = b, from one
+    elimination.  The reduced echelon form of the rows (x e_c | e_c) is
+    (b | u) for b in the echelon basis of im x, then (0 | a) for a in a
+    basis of ker x."""
+    d = len(x_rows)
+    units = [(0,) * c + (1,) + (0,) * (d - c - 1) for c in range(d)]
+    table, pivots = _rref([col + unit for col, unit in zip(zip(*x_rows), units)], p)
+    r = sum(c < d for c in pivots)
+    head = table[:r]
+    return [row[d:] for row in table[r:]], [row[:d] for row in head], [row[d:] for row in head]
+
+
+def _meet(x_rows, image, p):
+    """A basis of the coefficients c for which the combination of the rows
+    b of ``image`` with them lies in ker x: ker x ∩ im x, of dimension m,
+    from one elimination of the vectors x b."""
+    return nullspace(_transpose(_matmul(image, _transpose(x_rows), len(x_rows))), p)
 
 
 def _validate_element(x: RatMatrix, form):
@@ -225,47 +112,59 @@ def _validate_element(x: RatMatrix, form):
     if form is None:
         return
     # x^T B + B x times the denominators of x and B, on integer rows
-    sums = zip(_matmul(tuple(zip(*x.num)), form.num, d), _matmul(form.num, x.num, d))
+    sums = zip(_matmul(_transpose(x.num), form.num, d), _matmul(form.num, x.num, d))
     if any(a + c for r, q in sums for a, c in zip(r, q)):
         raise NotStableUnderForm("element is not in the form's algebra")
 
 
-def _middle_zero(v, form_columns, columns, p):
-    """Whether x maps the perp of the line <v> under a form B into <v>,
-    from the columns of B and of x.  The perp is the kernel of a = v^T B:
-    for j the first nonzero entry of a, it is spanned by e_c - (a_c / a_j)
-    e_j over every c (by every e_c if a = 0)."""
-    a = [sum(map(mul, v, col)) % p for col in form_columns]
-    j = next((c for c, b in enumerate(a) if b), 0)
-    ratio = pow(a[j], -1, p) if a[j] else 0
-    # x (e_c - (a_c / a_j) e_j) less the multiple of v that clears the lead
-    # of v is zero for every c, column by column, up to the first failure
-    lead, xj = v.index(1), columns[j]
-    for col, s in zip(columns, a):
-        c = s * ratio
-        f = col[lead] - c * xj[lead]
-        for t, u, w in zip(col, xj, v):
-            if (t - c * u - f * w) % p:
-                return False
-    return True
+def _projective_zeros(a, b, c, p):
+    """The zeros of a s^2 + b s t + c t^2 on the projective line over F_p:
+    p + 1 for the zero form; else, at odd p, 1, 2 or 0 as the discriminant
+    b^2 - 4 a c is zero, a nonzero square or not (Euler's criterion), and
+    at p = 2 those of the three points (1 : 0), (0 : 1) and (1 : 1)."""
+    if p == 2:
+        return (a % 2 == 0) + (c % 2 == 0) + ((a + b + c) % 2 == 0)
+    if a % p == b % p == c % p == 0:
+        return p + 1
+    disc = (b * b - 4 * a * c) % p
+    if disc == 0:
+        return 1
+    return 2 if pow(disc, (p - 1) // 2, p) == 1 else 0
 
 
-def _form_lines(x, kernel, image, form_rows, p):
-    """{basis: 0} for the lines <v> of ker x whose perp under the form B
-    x can map into <v>: those of W = {v in ker x : v^T B w = 0 for w in
-    ker x}, and im x if it is a line.  If x maps H = ker(v^T B) into <v>
-    and ker x ⊄ H, then im x = x(H) ⊆ <v>; else v ∈ W.  Raises
-    NotStableUnderForm unless w^T B x = 0 for w in ker x, which
-    x^T B + B x = 0 implies and which makes every such perp x-stable."""
-    d = len(x)
-    if any(a % p for row in _matmul(_matmul(kernel, form_rows, d), x, d) for a in row):
+def _form_lines(x, kernel, image, preimage, form_rows, p):
+    """The number of middle-zero lines <v> of ker x, those whose perp
+    H = ker(v^T B) under the form B x maps into <v>, by the rank rule of
+    ``_sweep``.  Raises NotStableUnderForm unless w^T B x = 0 for w in
+    ker x, which x^T B + B x = 0 implies and which makes every such perp
+    x-stable."""
+    d, n, r = len(x), len(kernel), len(image)
+    kernel_b = _matmul(kernel, form_rows, d)  # the rows w^T B
+    if any(a % p for row in _matmul(kernel_b, x, d) for a in row):
         raise NotStableUnderForm("perp of a stable subspace failed to be stable")
-    # the rows (B w)^T, whose common kernel in ker x is W
-    w_rows = _echelon(nullspace([*x, *_matmul(kernel, tuple(zip(*form_rows)), d)], p), p)
-    lines = dict.fromkeys(_grassmannian(w_rows, p, 1, len(w_rows)), 0)
-    if len(image) == 1:
-        lines.setdefault(image, 0)
-    return lines
+    if r > 2:
+        return 0
+    image_b = _matmul(image, form_rows, d)  # the rows b^T B
+    if r == 1:
+        # W and R as the left kernels of (w_i^T B w_j) and of the rows w^T B
+        kernel_t = _transpose(kernel)
+        in_w = not any(a % p for a in _matmul(image_b, kernel_t, n)[0])
+        in_r = not any(a % p for a in image_b[0])
+        dim_w = n - _rank(_matmul(kernel_b, kernel_t, n), p)
+        dim_r = n - _rank(kernel_b, p)
+        return (gaussian_binomial(dim_w, 1, p) - gaussian_binomial(dim_r, 1, p)
+                + (not in_w or in_r))
+    # W ∩ im x = ker x ∩ im x; on the coefficients s of a basis of it,
+    # Q(s) = u^T B x u = u^T B v for u = sum s_i u_i and v = sum s_i b_i
+    meet = _meet(x, image, p)
+    pairs = _matmul(_matmul(preimage, form_rows, d), _transpose(image), 2)
+    q = _matmul(_matmul(meet, pairs, 2), _transpose(meet), len(meet))
+    if len(meet) == 2:
+        zeros = _projective_zeros(q[0][0], q[0][1] + q[1][0], q[1][1], p)
+    else:
+        zeros = sum(q[i][i] % p == 0 for i in range(len(meet)))
+    radical = len(meet) - _rank(_matmul(meet, image_b, d), p)
+    return zeros - gaussian_binomial(radical, 1, p)
 
 
 # the fact pattern (sub-nonzero, quot-nonzero, middle-zero) of every
@@ -286,58 +185,69 @@ def _sweep(p, d, k, form, elements, condition_sets):
     if there is one (``_validate_element`` checks that over Z).  Each x
     tallies its stable subspaces by fact pattern, and each condition set
     is tested once per pattern.  An x that is zero mod p gives them all
-    ``ZERO_FACTS``, counted by the Gaussian binomial.  For any other x, of
-    rank r, with n = dim ker x and m = dim(ker x ∩ im x), the [n, k]_p
-    k-subspaces of ker x are counted: those holding im x,
+    ``ZERO_FACTS``, counted by the Gaussian binomial.  Any other x is read
+    on lines (k = 1) and planes (k = 2) only, and on lines only under a
+    form.  For x of rank r, with n = dim ker x and m = dim(ker x ∩ im x),
+    the [n, k]_p k-subspaces of ker x are counted: those holding im x,
     [n - r, k - r]_p when im x ⊆ ker x and r <= k, have x = 0 on
-    F_p^d / V.  At k = 2 the planes V outside ker x are counted as well,
-    p^(n - 1) [m, 1]_p of them (``_beyond_kernel``): x(V) = V ∩ ker x is a
-    line L of ker x ∩ im x, and V / L one of the p^(n - 1) lines of
-    x^-1(L) / L outside ker x / L.  x is nonzero on each, and im x ⊆ V
-    fails when r >= 3, holds for all of them when r = 1 (im x = x(V)), and
-    when r = 2 holds only for V = im x, which lies outside ker x when
-    m < 2.  For k >= 3 the V outside ker x are listed by ``_beyond_kernel``:
-    im x lies in no V when r > k, when r = k only in V = im x (compared by
-    echelon bases), and below k in V when dim x(V) = r, else V reduces it.
-    A form is read on lines only (k = 1): ``_middle_zero`` decides those
-    of ``_form_lines``, and the others have the pattern (False, True, False).
+    F_p^d / V.  At k = 1 that is r = 1, and a nilpotent x of rank 1 has
+    im x ⊆ ker x, so m is found at k = 2 only (``_meet``).  There the
+    planes V outside ker x are counted as well, p^(n - 1) [m, 1]_p of them:
+    x(V) = V ∩ ker x is a line L of ker x ∩ im x, and V / L one of the
+    p^(n - 1) lines of x^-1(L) / L outside ker x / L.  x is nonzero on
+    each, and im x ⊆ V fails when r >= 3, holds for all of them when r = 1
+    (im x = x(V)), and when r = 2 holds only for V = im x, which lies
+    outside ker x when m < 2.
+
+    Under a form B, with W = {v in ker x : v^T B w = 0 for w in ker x} and
+    R = {v in ker x : v^T B = 0}, a line <v> of ker x is middle-zero by the
+    rank rule (``_form_lines``).  Say x maps H = ker(v^T B) into <v>.  If
+    ker x ⊄ H, then H + ker x is everything, so im x = x(H) = <v> and
+    r = 1; else v is in W.  If v is in W but not in R, H is a hyperplane
+    holding ker x, so dim x(H) = r - 1.  If v is in R, x(H) = im x.  So:
+      - when r >= 3, no line is middle-zero;
+      - when r = 1, the lines of W outside R are, x(H) being 0, and so is
+        im x, x(H) ⊆ im x: [dim W]_p - [dim R]_p lines, one more if im x
+        lies outside W or in R.  Only im x has x = 0 on F_p^d / V;
+      - when r = 2, x(H) is a line, so <v> must be in im x and outside R.
+        Write v = x u.  As x^T B = -B x, v^T B w = -u^T B x w, so
+        x(H) = im x ∩ ker(u^T B), which is <v> exactly when
+        Q(u) = u^T B x u = 0.  Q(u + a) = Q(u) for a in ker x, as
+        a^T B x = 0, and ker x ∩ im x lies in W, as v^T B w = -u^T B x w
+        = 0 for w in ker x.  So the middle-zero lines are the zeros of the
+        quadratic form Q on P(ker x ∩ im x), at most a projective line,
+        less those of R ∩ im x, where Q(u) = -v^T B u = 0.
+    Every other line has the pattern (False, True, False).
     """
     _check_bounds(p, d, k)
-    form_columns = list(zip(*form.num)) if form is not None else None
     counts = []
     for x in elements:
         if all(a % p == 0 for row in x for a in row):
             tally = {ZERO_FACTS: gaussian_binomial(d, k, p)}
         else:
+            if k > 2:
+                raise ValueError(f"the sweep reads lines and planes only, got k = {k}")
             if form is not None and k != 1:
                 raise ValueError(f"a form is read on lines only, got k = {k}")
-            columns = list(zip(*x))
-            if k > 2:
-                kernel, image, meet, listed = _beyond_kernel(x, p, k)
-            else:
-                _, kernel, image, meet = _kernel_image(x, p)
-                listed = {}
-            dim, r, m = len(kernel), len(image), len(meet)
+            kernel, image, preimage = _kernel_image(x, p)
+            n, r = len(kernel), len(image)
+            inside = gaussian_binomial(n, k, p)
             if form is None:
-                holding = gaussian_binomial(dim - r, k - r, p) if m == r <= k else 0
+                m = len(_meet(x, image, p)) if k == 2 else r
+                holding = gaussian_binomial(n - r, k - r, p) if m == r <= k else 0
                 tally = Counter({(False, False, None): holding,
-                                 (False, True, None): gaussian_binomial(dim, k, p) - holding})
+                                 (False, True, None): inside - holding})
                 if k == 2:
-                    planes = p ** (dim - 1) * gaussian_binomial(m, 1, p)
+                    planes = p ** (n - 1) * gaussian_binomial(m, 1, p)
                     image_plane = int(r == 2 and m < 2)
                     tally[True, r > 1, None] += planes - image_plane
                     tally[True, False, None] += image_plane
             else:
-                listed = _form_lines(x, kernel, image, form.num, p)
-                tally = Counter({(False, True, False): gaussian_binomial(dim, 1, p) - len(listed)})
-            for basis, rank in listed.items():
-                if len(image) < k:
-                    quot = rank < len(image) and any(
-                        a % p for row in image for a in _reduce(row, basis))
-                else:
-                    quot = len(image) > k or basis != image
-                middle = form_columns and _middle_zero(basis[0], form_columns, columns, p)
-                tally[rank > 0, quot, middle] += 1
+                zero = _form_lines(x, kernel, image, preimage, form.num, p)
+                image_line = int(r == 1)
+                tally = Counter({(False, True, False): inside - zero,
+                                 (False, True, True): zero - image_line,
+                                 (False, False, True): image_line})
         counts.append([0] * len(condition_sets))
         for (sub, quot, middle), n in tally.items():
             facts = {"sub-nonzero": sub, "quot-nonzero": quot, "middle-zero": middle}
@@ -383,30 +293,42 @@ def _value(poly, q):
     return sum(c * q ** i for i, c in enumerate(poly))
 
 
+@functools.cache
+def _prepared(case: CaseData):
+    """(labels, polys) of a case: the orbit labels, and per orbit the
+    counting polynomial of each stratum that a prediction reads (the full
+    fiber first, alone for a twisted pair), after every representative is
+    validated over Z.  A case is frozen, so this runs once per case and
+    process; a case that raises is not kept."""
+    _, strata = _strata_for(case)
+    for orbit in case.orbits:
+        _validate_element(orbit.representative, case.form)
+    polys = []
+    for orbit in case.orbits:
+        exprs = [getattr(orbit, attr) for _, _, attr in strata]
+        exprs = exprs[:1] if orbit.zero_part_twisted_pair else exprs
+        polys.append(tuple(() if e is None else counting_polynomial(e) for e in exprs))
+    return tuple(orbit.partition.label() for orbit in case.orbits), tuple(polys)
+
+
 def verify_fiber_counts(case: CaseData, primes) -> dict:
     """Count every stratum of every orbit fiber over each prime and compare
     with the predicted value: the report of ``fibers``, with one row per
     orbit, prime and stratum and whether all of them match.
 
-    Each representative is validated once, over Z, after the bounds of
-    every prime, and each space expression read once.  Each prime takes
-    one sweep of every orbit that counts all strata of the case together.
-    Predictions evaluate the counting polynomial, except for a stratum pair
-    defined over a quadratic extension: its zero part contributes 2 or 0
-    points by q mod 4, and the cuspidal part the rest of the full fiber.
+    The bounds of every prime are checked first; then each representative
+    is validated over Z and each space expression read once per case
+    (``_prepared``).  Each prime takes one sweep of every orbit that counts
+    all strata of the case together.  Predictions evaluate the counting
+    polynomial, except for a stratum pair defined over a quadratic
+    extension: its zero part contributes 2 or 0 points by q mod 4, and the
+    cuspidal part the rest of the full fiber.
     """
     flag_dim, strata = _strata_for(case)
-    condition_sets = [conditions for _, conditions, _ in strata]
     for p in primes:
         _check_bounds(p, case.ambient_dim, flag_dim)
-    for orbit in case.orbits:
-        _validate_element(orbit.representative, case.form)
-    labels = [orbit.partition.label() for orbit in case.orbits]
-    polys = []  # per orbit and stratum, the full fiber first, alone for a twisted pair
-    for orbit in case.orbits:
-        exprs = [getattr(orbit, attr) for _, _, attr in strata]
-        exprs = exprs[:1] if orbit.zero_part_twisted_pair else exprs
-        polys.append([() if e is None else counting_polynomial(e) for e in exprs])
+    labels, polys = _prepared(case)
+    condition_sets = [conditions for _, conditions, _ in strata]
     rows = []
     for p in primes:
         elements = [

@@ -4,7 +4,11 @@ These deliberately use different algorithms from the package: invariant
 factors via gcds of k-minors, dominance order via explicit partial sums,
 and cohomology/point-count checks by brute enumeration.  Flag counts over
 F_p sweep the whole Grassmannian once per condition set and test span
-membership by generic elimination against the echelon basis.  Rational
+membership by generic elimination against the echelon basis.  For larger
+primes the x-stable subspaces are also listed one at a time, from the
+Grassmannian of ker x and the lines of x^-1(U) / U over each stable U,
+where the package only counts them; that listing is checked against the
+Grassmannian sweep.  Rational
 elimination runs on Fraction rows, span membership compares the ranks of
 their RREFs, and graded pieces come from a generic nullspace, over a basis
 or over every entry of M^T B + B M, instead of the package's cells and its
@@ -309,6 +313,142 @@ def flag_count_by_elimination(x_rows, p, k, form_rows, conditions):
             count += 1
     return count
 
+
+# ---------------------------------------------------------------------------
+# the x-stable subspaces listed one at a time, from the Grassmannian of
+# ker x and the lines of x^-1(U) / U over each stable U: far fewer than the
+# whole Grassmannian, for the primes where ``flag_count_by_elimination``
+# would be slow; checked against ``stable_subspaces_by_elimination``
+
+
+def _echelon(rows, p):
+    """The reduced echelon basis of the span of ``rows`` mod p."""
+    from gradedorbits.exactlin import _rref
+
+    mat, pivots = _rref(rows, p)
+    return [tuple(row) for row in mat[: len(pivots)]]
+
+
+def _reduce(v, rows):
+    """v minus the reduced echelon ``rows``, each weighted by v at its pivot:
+    zero mod p exactly when v lies in their span."""
+    for row in rows:
+        c = v[row.index(1)]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
+
+
+def _grassmannian(rows, p, k, heads):
+    """The k-subspaces of the span of the independent ``rows``, entries in
+    [0, p), outside that of ``rows[heads:]``, one basis each: a reduced
+    echelon pattern of coefficients times ``rows``, in reduced echelon form
+    if ``rows`` are.  For each pattern of leads, the choices of row i,
+    rows[lead[i]] plus each vector of the span of the free rows after it,
+    are listed once, and the bases are their product."""
+    m = len(rows)
+    for lead in itertools.combinations(range(m), k):
+        if lead[0] >= heads:
+            return
+        choices = []
+        for q in lead:
+            span = [tuple(rows[q])]
+            for c in range(m - 1, q, -1):
+                if c not in lead:
+                    span += [tuple([(s + a * t) % p for s, t in zip(v, rows[c])])
+                             for a in range(1, p) for v in span]
+            choices.append(span)
+        yield from itertools.product(*choices)
+
+
+def _kernel_table(x_rows, p):
+    """(table, kernel, meet) for x mod p: the echelon ``table`` of the rows
+    (x e_c | e_c), which holds (b | a) with x a = b for b in the echelon
+    basis of im x and then (0 | a) for a in one of ker x, and the reduced
+    echelon bases of ker x and ker x ∩ im x, rows in [0, p).  The
+    combinations of (b | b) for b in im x and (a | 0) for a in ker x that
+    vanish in the first half are (0 | v) for v in ker x ∩ im x."""
+    d = len(x_rows)
+    units = [(0,) * c + (1,) + (0,) * (d - c - 1) for c in range(d)]
+    table = _echelon([col + unit for col, unit in zip(zip(*x_rows), units)], p)
+    image = [row[:d] for row in table if any(row[:d])]
+    kernel = [row[d:] for row in table if not any(row[:d])]
+    both = _echelon([b + b for b in image] + [a + (0,) * d for a in kernel], p)
+    return table, kernel, [row[d:] for row in both if not any(row[:d])]
+
+
+def _quotient(basis, rank, table, kernel, p):
+    """(rows, heads): a basis of x^-1(U) / U that vanishes on the pivot
+    columns of the reduced echelon ``basis`` of U, rank = dim x(U), whose
+    first ``heads`` rows span a complement of (U + ker x) / U, the part
+    that x maps into x(U); heads = 0 when U ∩ im x = x(U).  Reducing
+    (u | 0) by the ``table`` of ``_kernel_table`` leaves u mod im x in
+    the first half and minus a preimage of the rest in the second, so the
+    combinations of U's rows that vanish in the first half span U ∩ im x,
+    and the same ones of the second halves preimages of it.  Each vector
+    of a subspace leads at a pivot of its echelon basis, so the echelon
+    rows of the whole that lead elsewhere than the part's span a
+    complement."""
+    from gradedorbits.exactlin import nullspace
+
+    d = len(table[0]) // 2
+    rows = [_reduce(u + (0,) * d, table) for u in basis]
+    meets = nullspace(list(zip(*(row[:d] for row in rows))), p)
+    if len(meets) == rank:
+        return (), 0
+    high = [
+        _reduce([sum(c * row[i] for c, row in zip(cs, rows)) for i in range(d, 2 * d)], basis)
+        for cs in meets
+    ]
+    low = _echelon([_reduce(v, basis) for v in kernel], p)
+    lows = {row.index(1) for row in low}
+    high = [row for row in _echelon(low + high, p) if row.index(1) not in lows]
+    return high + low, len(high)
+
+
+def _extend(basis, v, p):
+    """The reduced echelon basis of the span of ``basis`` and ``v``, for a
+    nonzero v with entries in [0, p) that vanishes on the basis's pivot
+    columns."""
+    first = next(filter(None, v))
+    lead = v.index(first)
+    if first != 1:
+        inverse = pow(first, -1, p)
+        v = tuple([a * inverse % p for a in v])
+    rows = [
+        tuple([(a - row[lead] * b) % p for a, b in zip(row, v)]) if row[lead] else row
+        for row in basis
+    ]
+    rows.append(v)
+    # an echelon row is larger than every row with a later pivot
+    rows.sort(reverse=True)
+    return tuple(rows)
+
+
+def stable_subspaces(x_rows, p, k):
+    """The k-subspaces V of F_p^d stable under x, for an x that is
+    nilpotent mod p: {basis: dim x(V)}, one reduced echelon basis each with
+    entries in [0, p).  Those inside ker x are its Grassmannian.  One
+    outside is U + <v> for a stable hyperplane U and a line of
+    x^-1(U) / U with x v outside x(U) (``_quotient``), none when
+    U ∩ im x = x(U).  Stable lines lie in ker x, so the planes come from
+    the lines of ker x ∩ im x, and larger V from every stable
+    (k-1)-subspace.  V is reached once per hyperplane of
+    V / (x V + V ∩ ker x), whose dimension is the number of Jordan blocks
+    of x on V of size at least 2: once while dim V <= 3, and past that
+    each span is kept once."""
+    table, kernel, meet = _kernel_table(x_rows, p)
+    if k > 2:
+        bases = stable_subspaces(x_rows, p, k - 1).items()
+    else:
+        bases = zip(_grassmannian(meet, p, 1, len(meet)) if k == 2 else (), itertools.repeat(0))
+    found = dict.fromkeys(_grassmannian(kernel, p, k, len(kernel)), 0)
+    for basis, rank in bases:
+        rows, heads = _quotient(basis, rank, table, kernel, p)
+        if heads:
+            for (v,) in _grassmannian(rows, p, 1, heads):
+                found.setdefault(_extend(basis, v, p), rank + 1)
+    return found
 
 # ---------------------------------------------------------------------------
 # dense matrix arithmetic on integer numerators over one denominator:

@@ -3,14 +3,14 @@ import random
 
 import pytest
 
+import oracles
 from gradedorbits import ffgeom
 from gradedorbits.cohom import CaseData, FiberDatum, load_case
-from gradedorbits.exactlin import Partition, RatMatrix, parse_matrix_text
+from gradedorbits.exactlin import Partition, RatMatrix, nullspace, parse_matrix_text
 from gradedorbits.ffgeom import (
     LimitExceeded,
     NotStableUnderForm,
     gaussian_binomial,
-    stable_subspaces,
     verify_fiber_counts,
 )
 from oracles import (
@@ -23,6 +23,7 @@ from oracles import (
     jordan_matrix,
     matrix_product,
     scaled,
+    stable_subspaces,
     stable_subspaces_by_elimination,
     transpose,
 )
@@ -53,6 +54,16 @@ STRATA = {
 }
 
 
+@pytest.fixture(autouse=True)
+def fresh_cases():
+    """Each test prepares its cases anew: ``verify_fiber_counts`` keeps a
+    case's validated representatives and polynomials for the process, and
+    a test that patches the validation must not leave its case behind."""
+    ffgeom._prepared.cache_clear()
+    yield
+    ffgeom._prepared.cache_clear()
+
+
 def zero(d):
     return tuple((0,) * d for _ in range(d))
 
@@ -81,17 +92,14 @@ def test_enumerate_matches_oracle_order():
 
 
 def test_enumerate_guard():
-    with pytest.raises(LimitExceeded):
-        stable_subspaces(zero(4), 131, 1)
-    with pytest.raises(LimitExceeded):
-        stable_subspaces(zero(7), 3, 1)
-    with pytest.raises(LimitExceeded):
-        stable_subspaces(zero(4), 4, 1)
-    with pytest.raises(LimitExceeded):
-        stable_subspaces(zero(4), 3, 4)
-    # the zero orbit, counted without an enumeration, meets the same walls
-    with pytest.raises(LimitExceeded):
-        ffgeom._sweep(3, 7, 1, None, [zero(7)], [()])
+    """The sweep refuses a prime past MAX_PRIME, a composite p, d past
+    MAX_DIM and k outside [1, d) before it reads an element, zero mod p or
+    not."""
+    for d, p, k in ((4, 131, 1), (7, 3, 1), (4, 4, 1), (4, 3, 4)):
+        x = tuple((0,) * (d - 1) + (int(i == 0),) for i in range(d))
+        for element in (x, zero(d)):
+            with pytest.raises(LimitExceeded):
+                ffgeom._sweep(p, d, k, None, [element], [()])
 
 
 def test_fiber_count_prime_bounds(monkeypatch):
@@ -194,11 +202,11 @@ def bases_built(monkeypatch, x, p, k):
 
 def recorded_bases(monkeypatch, x, p, run):
     """(run(), every echelon basis built on the way, in order): the returns
-    of ``_extend``, and the yields of ``_grassmannian`` that lie in ker x.
-    Its other yields are the lines of some x^-1(U) / U, which x does not
-    kill, and which ``_extend`` then makes into a basis."""
+    of ``oracles._extend``, and the yields of ``oracles._grassmannian`` that
+    lie in ker x.  Its other yields are the lines of some x^-1(U) / U, which
+    x does not kill, and which ``_extend`` then makes into a basis."""
     extended, yielded = [], []
-    extend, grassmannian = ffgeom._extend, ffgeom._grassmannian
+    extend, grassmannian = oracles._extend, oracles._grassmannian
 
     def recording_extend(*args):
         extended.append(extend(*args))
@@ -210,8 +218,8 @@ def recorded_bases(monkeypatch, x, p, run):
             yield basis
 
     with monkeypatch.context() as patch:
-        patch.setattr(ffgeom, "_extend", recording_extend)
-        patch.setattr(ffgeom, "_grassmannian", recording_grassmannian)
+        patch.setattr(oracles, "_extend", recording_extend)
+        patch.setattr(oracles, "_grassmannian", recording_grassmannian)
         found = run()
     x = tuple(tuple(a % p for a in row) for row in x)
     in_kernel = [b for b in yielded if not any(any(_matvec(x, v, p)) for v in b)]
@@ -236,53 +244,75 @@ def test_each_stable_subspace_is_built_once(monkeypatch):
                 assert set(found) <= set(built)
 
 
+def traced_sweep(monkeypatch, p, k, form, elements, condition_sets):
+    """(the counts of ``ffgeom._sweep``, the eliminations mod p it made,
+    the names of the prediction helpers it called)."""
+    eliminations, predictions = [], []
+    with monkeypatch.context() as patch:
+        for name, calls in (("_rref", eliminations), ("nullspace", eliminations),
+                            ("_gauss_pair_points", predictions),
+                            ("counting_polynomial", predictions)):
+            run = getattr(ffgeom, name)
+            patch.setattr(ffgeom, name, lambda *args, name=name, run=run, calls=calls: (
+                calls.append(name) or run(*args)))
+        counts = ffgeom._sweep(p, 4, k, form, elements, condition_sets)
+    return counts, len(eliminations), predictions
+
+
+def nonzero_representatives(name, p):
+    return [x for x in (o.representative.num for o in load_case(name).orbits)
+            if any(a % p for row in x for a in row)]
+
+
 def test_sl4_counts_its_stable_planes_and_builds_none(monkeypatch):
     """The sl4 sweep at p = 13 counts, over the orbits that are not zero mod
     p, 365 stable planes outside ker x, p^(n - 1) [m, 1]_p per orbit, and
-    185 inside ker x, each as many as ``stable_subspaces`` lists, and calls
-    neither ``_extend`` nor ``_grassmannian``; nor does ``fibers`` of sl4
-    at p = 127."""
-    elements = [o.representative.num for o in load_case("sl4").orbits]
-    elements = [x for x in elements if any(a % 13 for row in x for a in row)]
+    185 inside ker x, each as many as the listing oracle
+    ``stable_subspaces`` lists.  It builds none: two eliminations per
+    orbit, at p = 127 as at p = 13, and ``fibers`` of sl4 matches at
+    p = 127."""
+    elements = nonzero_representatives("sl4", 13)
     listed = [stable_subspaces(x, 13, 2) for x in elements]
-    called = []
-    for name in ("_extend", "_grassmannian"):
-        run = getattr(ffgeom, name)
-        monkeypatch.setattr(
-            ffgeom, name, lambda *args, name=name, run=run: called.append(name) or run(*args))
-    counts = ffgeom._sweep(13, 4, 2, None, elements, [(), ("sub-nonzero",)])
+    counts, eliminations, _ = traced_sweep(
+        monkeypatch, 13, 2, None, elements, [(), ("sub-nonzero",)])
     planes = kernel_planes = 0
     for (every, beyond), stable in zip(counts, listed):
         assert beyond == sum(1 for rank in stable.values() if rank)
         assert every == len(stable)
         planes, kernel_planes = planes + beyond, kernel_planes + every - beyond
     assert (planes, kernel_planes) == (365, 185)
+    assert eliminations == 2 * len(elements) == 8
+    assert traced_sweep(monkeypatch, 127, 2, None, elements, [()])[1] == eliminations
     assert verify_fiber_counts(load_case("sl4"), [127])["all_match"]
-    assert called == []
 
 
-def test_sp4_at_13_decides_the_lines_of_w_and_im_x(monkeypatch):
-    """The sp4 sweep at p = 13 reads the form on 16 of the 198 stable lines
-    of the orbits that are not zero mod p, each once: per orbit, the lines
-    of W and im x.  The others are counted with one fact pattern."""
+def listed_lines(x, p, form):
+    """(the stable lines of x, the middle-zero ones among them): the lines
+    from the listing oracle, and for each an elimination of its perp."""
+    lines = stable_subspaces(x, p, 1)
+    middle = [line for line in lines
+              if all(oracles._in_subspace(line, _matvec(x, v, p), p)
+                     for v in oracles._perp(line, form, p))]
+    return len(lines), len(middle)
+
+
+def test_sp4_counts_its_form_lines_and_lists_none(monkeypatch):
+    """The sp4 sweep at p = 13 counts, per orbit that is not zero mod p,
+    the stable lines and the middle-zero ones that the listing oracle and
+    an elimination of each perp give.  It lists none: at p = 127 it makes
+    as many eliminations as at p = 13, and inside ``_sweep`` it calls
+    neither ``_gauss_pair_points`` nor ``counting_polynomial``, so
+    ``fibers``, which matches at p = 127, compares two computations made
+    apart."""
     case = load_case("sp4")
-    middle_zero, decided, stable = ffgeom._middle_zero, {}, {}
-
-    def recording_middle_zero(v, *args):
-        decided[label].append(v)
-        return middle_zero(v, *args)
-
-    monkeypatch.setattr(ffgeom, "_middle_zero", recording_middle_zero)
-    for orbit in case.orbits:
-        x, label = orbit.representative.num, orbit.partition.label()
-        if any(a % 13 for row in x for a in row):
-            decided[label] = []
-            ffgeom._sweep(13, 4, 1, case.form, [x], [()])
-            stable[label] = len(stable_subspaces(x, 13, 1))
-            assert len(set(decided[label])) == len(decided[label])
-    assert {label: len(lines) for label, lines in decided.items()} == {
-        "[4]": 1, "[2^2]": 14, "[2,1^2]": 1}
-    assert stable == {"[4]": 1, "[2^2]": 14, "[2,1^2]": 183}
+    elements = nonzero_representatives("sp4", 13)
+    sets = [(), ("middle-zero",)]
+    counts, eliminations, predictions = traced_sweep(monkeypatch, 13, 1, case.form, elements, sets)
+    assert [tuple(c) for c in counts] == [listed_lines(x, 13, case.form.num) for x in elements]
+    assert counts == [[1, 0], [14, 2], [183, 1]]
+    assert predictions == []
+    assert traced_sweep(monkeypatch, 127, 1, case.form, elements, sets)[1:] == (eliminations, [])
+    assert verify_fiber_counts(case, [127])["all_match"]
 
 
 @pytest.mark.parametrize(
@@ -367,27 +397,39 @@ def test_elements_are_validated_over_z(flag_kind, form, x, message):
         verify_fiber_counts(case, [3])
 
 
+def recorded(monkeypatch, name):
+    """The arguments of every call of ``ffgeom.<name>`` from now on."""
+    calls, run = [], getattr(ffgeom, name)
+    monkeypatch.setattr(ffgeom, name, lambda *args: calls.append(args) or run(*args))
+    return calls
+
+
 def test_each_element_is_validated_once_per_case(monkeypatch):
-    calls = []
-    validate = ffgeom._validate_element
-
-    def recording_validate(x, form):
-        calls.append((x, form))
-        validate(x, form)
-
-    monkeypatch.setattr(ffgeom, "_validate_element", recording_validate)
+    """A new case validates each representative once, whatever the number
+    of primes, and a second call on it none; a case made from it with an
+    element outside sp4 is validated anew and refused at every call; an
+    oversized prime is refused before any element is multiplied."""
+    calls = recorded(monkeypatch, "_validate_element")
     x = parse_matrix_text("0,0,1,0;0,0,0,0;0,0,0,0;0,0,0,0")
-    verify_fiber_counts(random_case("isotropic-line", SP_FORM, [x]), [2, 3, 5])
-    assert len(calls) == 1
+    case = random_case("isotropic-line", SP_FORM, [x])
+    verify_fiber_counts(case, [2, 3, 5])
+    assert calls == [(x, SP_FORM)]
+    calls.clear()
+    verify_fiber_counts(case, [7])
+    assert calls == []
+    bad = case._replace(orbits=(case.orbits[0]._replace(representative=NOT_IN_SP),))
+    for _ in range(2):
+        with pytest.raises(NotStableUnderForm, match="form's algebra"):
+            verify_fiber_counts(bad, [3])
+    assert calls == [(NOT_IN_SP, SP_FORM)] * 2
     calls.clear()
     case = load_case("sl4")
-    verify_fiber_counts(case, [2, 3, 5])
-    assert calls == [(orbit.representative, None) for orbit in case.orbits]
-    # an oversized case is refused before any element is multiplied
-    calls.clear()
     with pytest.raises(LimitExceeded):
         verify_fiber_counts(case, [3, 131])
     assert calls == []
+    for primes in ([2, 3, 5], [7], [2, 3, 5]):
+        verify_fiber_counts(case, primes)
+    assert calls == [(orbit.representative, None) for orbit in case.orbits]
 
 
 def test_form_membership_enforced():
@@ -407,9 +449,9 @@ def test_perp_self_check_raises(monkeypatch):
 
 def test_perp_check_covers_a_line_that_is_not_listed(monkeypatch):
     """Under the form I_4 the one stable line <e_1> of the regular
-    nilpotent x has a perp that x does not keep, and the sweep lists no
-    line: e_1 is not in W, as e_1^T e_1 = 1, nor is <e_1> im x, of rank
-    3.  The check on ker x still raises."""
+    nilpotent x has a perp that x does not keep.  x has rank 3, so by the
+    rank rule no line is middle-zero and none is read; the check on ker x
+    still raises."""
     monkeypatch.setattr(ffgeom, "_validate_element", lambda *args: None)
     x, form = parse_matrix_text("0,1,0,0;0,0,1,0;0,0,0,1;0,0,0,0"), identity(4)
     assert stable_subspaces(x.num, 3, 1) == {((1, 0, 0, 0),): 0}
@@ -434,37 +476,95 @@ def test_line_facts_under_a_non_monomial_form_match_oracle():
         assert swept_rows(case, p) == oracle_rows(case, p)
 
 
-def test_space_expressions_are_evaluated_once_per_call(monkeypatch):
+def test_space_expressions_are_evaluated_once_per_case(monkeypatch):
     """Each space expression that a prediction reads goes through the
-    checked ``counting_polynomial`` once per call, whatever the number of
-    primes, so a hand-built bad one still raises; a twisted pair's zero and
-    cuspidal parts are not read."""
-    evaluated = []
-    counting_polynomial = ffgeom.counting_polynomial
-
-    def recording(expr):
-        evaluated.append(expr)
-        return counting_polynomial(expr)
-
-    monkeypatch.setattr(ffgeom, "counting_polynomial", recording)
+    checked ``counting_polynomial`` once per case, whatever the number of
+    primes or of calls; a twisted pair's zero and cuspidal parts are not
+    read.  A case made from a good one with a bad expression is read anew
+    and refused at every call."""
+    evaluated = recorded(monkeypatch, "counting_polynomial")
     for name in ("sl4", "sp4"):
         case = load_case(name)
         evaluated.clear()
-        assert verify_fiber_counts(case, [2, 3, 5, 7])["all_match"]
+        for primes in ([2, 3, 5, 7], [11], [2, 3, 5, 7]):
+            assert verify_fiber_counts(case, primes)["all_match"]
         attrs = [attr for _, _, attr in ffgeom._strata_for(case)[1]]
         exprs = [getattr(o, attr) for o in case.orbits
                  for attr in (attrs[:1] if o.zero_part_twisted_pair else attrs)]
-        assert sorted(map(str, evaluated)) == sorted(str(e) for e in exprs if e is not None)
+        assert sorted(str(e) for (e,) in evaluated) == sorted(
+            str(e) for e in exprs if e is not None)
+    evaluated.clear()
     case = random_case("two-plane", None, [NOT_IN_SP])
     case = case._replace(orbits=(case.orbits[0]._replace(full_fiber=("aff", -1)),))
-    with pytest.raises(ValueError, match="aff"):
-        verify_fiber_counts(case, [2])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="aff"):
+            verify_fiber_counts(case, [2])
+    assert evaluated == [(("aff", -1),)] * 2
 
 
 def test_sweep_reads_a_form_on_lines_only():
     x = parse_matrix_text("0,0,1,0;0,0,0,0;0,0,0,0;0,0,0,0").num
     with pytest.raises(ValueError, match="lines only, got k = 2"):
         ffgeom._sweep(3, 4, 2, SP_FORM, [x], [("middle-zero",)])
+
+
+def test_sweep_reads_lines_and_planes_only():
+    """A nonzero x is refused at k = 3, with or without a form; an x that is
+    zero mod p is still counted by the Gaussian binomial."""
+    x = parse_matrix_text("0,0,3,0;0,0,0,0;0,0,0,0;0,0,0,0").num
+    for form in (None, SP_FORM):
+        with pytest.raises(ValueError, match="lines and planes only, got k = 3"):
+            ffgeom._sweep(5, 4, 3, form, [x], [()])
+        assert ffgeom._sweep(3, 4, 3, form, [x], [()]) == [[gaussian_binomial(4, 3, 3)]]
+
+
+def test_projective_zeros_match_a_walk_of_the_line():
+    """The zeros of a s^2 + b s t + c t^2 on the p + 1 points of the
+    projective line, at every prime up to MAX_PRIME: the zero form, forms of
+    discriminant 0, and seeded forms, whose discriminants fall in both
+    residue classes at every odd prime."""
+    rng = random.Random("ffgeom-projective-zeros")
+    primes = [p for p in range(2, ffgeom.MAX_PRIME + 1) if all(p % q for q in range(2, p))]
+    for p in primes:
+        root = rng.randrange(p)
+        forms = [(0, 0, 0), (1, 0, 0), (0, 0, p - 1), (1, 2 * root, root * root), (p, p, p)]
+        forms += [tuple(rng.randrange(-p, 2 * p) for _ in range(3)) for _ in range(12)]
+        points = [(1, 0)] + [(s, 1) for s in range(p)]
+        classes = set()
+        for a, b, c in forms:
+            walked = sum((a * s * s + b * s * t + c * t * t) % p == 0 for s, t in points)
+            assert ffgeom._projective_zeros(a, b, c, p) == walked, (a, b, c, p)
+            disc = (b * b - 4 * a * c) % p
+            classes.add(disc == 0 or any((y * y - disc) % p == 0 for y in range(p)))
+        assert p == 2 or classes == {True, False}
+
+
+def radical_dimensions(x, p):
+    """(dim R, dim R ∩ im x) for R = {v in ker x : v^T B = 0} under
+    B = DEGENERATE_FORM, from nullspaces: R ∩ im x is x of the u with
+    x^2 u = 0 and B^T x u = 0, less ker x."""
+    form_t = transpose(DEGENERATE_FORM)
+    dim_r = len(nullspace([*x.num, *form_t.num], p))
+    preimages = nullspace([*matrix_product(x, x).num, *matrix_product(form_t, x).num], p)
+    return dim_r, len(preimages) - len(nullspace(x.num, p))
+
+
+def test_form_lines_on_the_degenerate_form_match_oracle():
+    """The stable lines and the middle-zero ones of seeded nilpotents under
+    DEGENERATE_FORM, whose radical is <e_2, e_4>, against the oracle at
+    p = 2, 3 and 5.  Among them, R is a line and a plane at rank 1 mod p,
+    where the rank rule takes [dim R]_p lines off, and R ∩ im x is a line
+    and a plane at rank 2, where its lines are taken off the zeros of Q."""
+    rng = random.Random("ffgeom-degenerate")
+    seen = set()
+    for _ in range(30):
+        x = degenerate_form_nilpotent(rng)
+        for p in (2, 3, 5):
+            swept, oracle = condition_counts(x.num, p, 1, DEGENERATE_FORM, [(), ("middle-zero",)])
+            assert swept == oracle, (x, p)
+            rank = image_dimension_by_elimination(x.num, identity(4).num, p)
+            seen.add((rank, *radical_dimensions(x, p)))
+    assert {(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 2)} <= seen
 
 
 def test_sp4_isotropic_lines_are_all_lines():
@@ -679,15 +779,14 @@ def test_sweep_counts_match_oracle(kind):
             assert swept == oracle, (x, p, k)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2])
 def test_each_fact_of_a_nonzero_element_matches_oracle(k):
     """sub-nonzero and quot-nonzero alone, with no form, on conjugated
-    Jordan matrices of rank below k, of rank k, where quot-nonzero compares
-    the echelon bases of V and im x, and of rank above k, where it holds
-    with no reduction; a wrong pattern key or rank shortcut then cannot
-    hide behind another fact of its stratum."""
+    Jordan matrices of rank below k, of rank k and of rank above k; a wrong
+    pattern key or rank shortcut then cannot hide behind another fact of
+    its stratum."""
     rng = random.Random(f"ffgeom-facts:{k}")
-    shapes = [[2, 1, 1], [2, 2], [3, 1], [4]] + ([[5]] if k == 3 else [])
+    shapes = [[2, 1, 1], [2, 2], [3, 1], [4]]
     ranks = set()
     for parts in shapes:
         x = conjugate(rng, jordan_matrix(Partition.of(parts))).num

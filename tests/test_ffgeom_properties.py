@@ -1,7 +1,7 @@
-"""Property test: the x-stable subspaces that ``ffgeom`` builds against the
-oracle's sweep of the whole Grassmannian, for random nilpotent x.  Needs
-Hypothesis (the ``test`` extra); without it this module is skipped and the
-rest of the suite still runs."""
+"""Property test: the x-stable subspaces that the listing oracle builds
+against the oracle's sweep of the whole Grassmannian, for random nilpotent
+x.  Needs Hypothesis (the ``test`` extra); without it this module is
+skipped and the rest of the suite still runs."""
 
 import pytest
 
@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedorbits.exactlin import RatMatrix
-from gradedorbits.ffgeom import stable_subspaces
 
-from oracles import identity, matrix_product, stable_subspaces_by_elimination
+from oracles import identity, matrix_product, stable_subspaces, stable_subspaces_by_elimination
 
 
 @st.composite
