@@ -1,15 +1,17 @@
 """Exact integer and rational linear algebra: primality and prime
 factors, the matrix type ``RatMatrix``, one elimination kernel ``_rref``
-over Q or F_p with the nullspaces and solutions read from it, and
-partitions.
+on integer rows over Q or F_p with the nullspaces and solutions read from
+it, and partitions.
 
 Everything in this package computes over Z or Q with arbitrary precision;
-there is no floating point anywhere.  The one matrix type is ``RatMatrix``,
-integer entries over a common denominator; an integer matrix is one with
-denominator 1.  A diagonal cocharacter is the plain tuple of its integer
-weights.  ``RatMatrix`` and ``Partition`` are slotted namedtuples, so they
-are immutable, hashable and safe to share across threads; like any tuple
-they compare equal to a plain tuple of their fields.
+there is no floating point anywhere.  The one rational format is that of
+``RatMatrix``, integer entries over a common denominator, 1 for an integer
+matrix; ``solve_linear`` answers in it too.  Only ``RatMatrix.from_rows``
+reads other rationals, and only it loads ``fractions``.  A diagonal
+cocharacter is the plain tuple of its integer weights.  ``RatMatrix`` and
+``Partition`` are slotted namedtuples, so they are immutable, hashable and
+safe to share across threads; like any tuple they compare equal to a plain
+tuple of their fields.
 
 The shared matrix text format used by the CLI and the case fixtures writes
 rows separated by ';' and entries by ',', e.g. ``"0,1;0,0"``:
@@ -20,9 +22,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
 
 
 class DomainError(ValueError):
@@ -114,6 +114,8 @@ class RatMatrix(namedtuple("RatMatrix", "rows cols num den")):
             return RatMatrix(len(tup), ncols, tup, 1)
         if any(issubclass(t, float) for t in types):
             raise TypeError("float entries are not exact")
+        from fractions import Fraction
+
         vals = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in tup]
         denom = lcm(*(x.denominator for row in vals for x in row))
         num = tuple(tuple(x.numerator * (denom // x.denominator) for x in row) for row in vals)
@@ -151,8 +153,7 @@ class RatMatrix(namedtuple("RatMatrix", "rows cols num den")):
         )
 
     def text(self) -> str:
-        """Entries as ``a`` or ``a/b`` in lowest terms, as ``str(Fraction)``
-        writes them."""
+        """Entries as ``a`` or ``a/b`` in lowest terms."""
         den = self.den
 
         def entry(x):
@@ -171,33 +172,21 @@ def parse_matrix_text(text: str) -> RatMatrix:
 # ---------------------------------------------------------------------------
 # exact elimination over Q or F_p (Gauss-Jordan, fraction-free)
 
-_denominator = attrgetter("denominator")
-
-
-def _integer_row(row):
-    """The row times the least common denominator of its entries."""
-    den = lcm(*map(_denominator, row))
-    if den == 1:
-        return list(map(int, row))
-    return [x.numerator * (den // x.denominator) for x in row]
-
-
 def _rref(rows, p: int = 0):
     """Reduced row echelon form over Q (p = 0) or F_p, on integer rows.
 
     Returns (rows, pivot_columns).  Over Q a step replaces a row by an
-    integer combination of it and the pivot row, so no division happens;
-    each input row is first scaled to integers and every changed row is
-    divided by its content.  Over F_p entries are kept in [0, p) and each
-    pivot row is scaled to a pivot of 1.  Row r has a nonzero pivot at
-    ``pivot_columns[r]`` and zeros in every other pivot column, and row r
-    divided by its pivot is row r of the (unique) RREF.  Rows past the
-    rank are zero.
+    integer combination of it and the pivot row, so no division happens,
+    and every changed row is divided by its content.  Over F_p entries are
+    kept in [0, p) and each pivot row is scaled to a pivot of 1.  Row r has
+    a nonzero pivot at ``pivot_columns[r]`` and zeros in every other pivot
+    column, and row r divided by its pivot is row r of the (unique) RREF.
+    Rows past the rank are zero.
     """
     if p:
         mat = [[x % p for x in row] for row in rows]
     else:
-        mat = [_integer_row(row) for row in rows]
+        mat = [list(row) for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     pivots = []
@@ -269,21 +258,23 @@ def nullspace(rows, p: int = 0):
 
 
 def solve_linear(rows, rhs):
-    """One exact solution of ``rows * x = rhs`` over Q, or None.
+    """One exact solution of ``rows * x = rhs`` over Q for integer rows and
+    right-hand side, as (numerators, den): x = numerators / den, with den
+    the positive lcm of the pivots.  None when there is no solution.
 
     Free variables are set to 0, which makes the answer deterministic.
     """
     if not rows:
-        return ()
+        return (), 1
     ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    mat, pivots = _rref(aug)
+    mat, pivots = _rref([[*row, b] for row, b in zip(rows, rhs)])
     if ncols in pivots:  # no solution: the last column holds a pivot
         return None
-    sol = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = Fraction(mat[r][ncols], mat[r][pc])
-    return tuple(sol)
+    den = lcm(*(row[pc] for row, pc in zip(mat, pivots)))
+    sol = [0] * ncols
+    for row, pc in zip(mat, pivots):
+        sol[pc] = row[ncols] * (den // row[pc])
+    return tuple(sol), den
 
 
 # ---------------------------------------------------------------------------

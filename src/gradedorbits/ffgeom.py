@@ -191,13 +191,13 @@ def _sweep(p, d, k, form, elements, condition_sets):
     the [n, k]_p k-subspaces of ker x are counted: those holding im x,
     [n - r, k - r]_p when im x ⊆ ker x and r <= k, have x = 0 on
     F_p^d / V.  At k = 1 that is r = 1, and a nilpotent x of rank 1 has
-    im x ⊆ ker x, so m is found at k = 2 only (``_meet``).  There the
-    planes V outside ker x are counted as well, p^(n - 1) [m, 1]_p of them:
-    x(V) = V ∩ ker x is a line L of ker x ∩ im x, and V / L one of the
-    p^(n - 1) lines of x^-1(L) / L outside ker x / L.  x is nonzero on
-    each, and im x ⊆ V fails when r >= 3, holds for all of them when r = 1
-    (im x = x(V)), and when r = 2 holds only for V = im x, which lies
-    outside ker x when m < 2.
+    im x ⊆ ker x, so m is found at k = 2 only, as r less the rank of x on
+    im x.  There the planes V outside ker x are counted as well,
+    p^(n - 1) [m, 1]_p of them: x(V) = V ∩ ker x is a line L of
+    ker x ∩ im x, and V / L one of the p^(n - 1) lines of x^-1(L) / L
+    outside ker x / L.  x is nonzero on each, and im x ⊆ V fails when
+    r >= 3, holds for all of them when r = 1 (im x = x(V)), and when r = 2
+    holds only for V = im x, which lies outside ker x when m < 2.
 
     Under a form B, with W = {v in ker x : v^T B w = 0 for w in ker x} and
     R = {v in ker x : v^T B = 0}, a line <v> of ker x is middle-zero by the
@@ -233,7 +233,7 @@ def _sweep(p, d, k, form, elements, condition_sets):
             n, r = len(kernel), len(image)
             inside = gaussian_binomial(n, k, p)
             if form is None:
-                m = len(_meet(x, image, p)) if k == 2 else r
+                m = r - _rank(_matmul(image, _transpose(x), d), p) if k == 2 else r
                 holding = gaussian_binomial(n - r, k - r, p) if m == r <= k else 0
                 tally = Counter({(False, False, None): holding,
                                  (False, True, None): inside - holding})

@@ -31,7 +31,6 @@ is exact, and returned values are immutable.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import lcm
 
 from .exactlin import DomainError, RatMatrix, nullspace, solve_linear
 
@@ -261,14 +260,14 @@ def _equations(columns, target):
     return [[c.get(k, 0) for c in columns] for k in cells], [target.get(k, 0) for k in cells]
 
 
-def _combination(coeffs, piece, d, den=1) -> RatMatrix:
-    """sum_k coeffs[k] piece[k] / den as a d x d matrix, for rational
-    coefficients and integer cell maps."""
-    common = lcm(*(c.denominator for c in coeffs))
+def _combination(sol, piece, d, den=1) -> RatMatrix:
+    """sum_k coeffs[k] piece[k] / (common * den) as a d x d matrix, for
+    integer cell maps and sol = (coeffs, common) from ``solve_linear``."""
+    coeffs, common = sol
     acc = {}
     for c, m in zip(coeffs, piece):
         for k, v in m.items():
-            acc[k] = acc.get(k, 0) + c.numerator * (common // c.denominator) * v
+            acc[k] = acc.get(k, 0) + c * v
     return _matrix(d, acc, common * den)
 
 

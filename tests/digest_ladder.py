@@ -8,13 +8,14 @@ print the same bytes:
 
 The ladder is every operation of the four benchmark workloads of
 ``perfbench/workloads.py`` for seeds 1-10, ``orbits`` for n = 1..12 in sl
-and sp, ``graded-orbits`` at and past its bounds, and ``fibers`` of sl4 and
-sp4 at p = 127 and at every prime up to 127, each with and without
-``--json``; then one call of each subcommand in the spellings that
-``spellings`` lists, those that the reader of ``cli.COMMANDS`` takes and
-those that go to argparse, with its errors and help.  Every call runs in-process through ``gradedorbits.cli.run`` of
-the checkout this file lives in.  Standard library only; pytest does not
-collect it.
+and sp, ``graded-orbits`` at and past its bounds, ``fibers`` of sl4 and
+sp4 at p = 127 and at every prime up to 127, and the edge and refusal
+calls of ``EDGE_CASES``, each with and without ``--json``; then one call of
+each subcommand in the spellings that ``spellings`` lists, those that the
+reader of ``cli.COMMANDS`` takes and those that go to argparse, with its
+errors and help.  Every call runs in-process through
+``gradedorbits.cli.run`` of the checkout this file lives in.  Standard
+library only; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -61,6 +62,29 @@ BOUND_CASES = (
 FIBER_BOUND_PRIMES = ("127", ",".join(str(p) for p in range(2, 128)
                                       if all(p % q for q in range(2, p))))
 
+# calls that reach what no call above reaches: a zero x with the
+# parabolic (the zero triple) and with triple; the self-linked cell of an
+# sp grading; stalks at a prime that Miller-Rabin decides and at 1; and the
+# refusals of an odd sp dimension, a wrong weight count, an x of the wrong
+# shape, ragged rows, weights that do not sum to 0 or are not paired by
+# the form, and an x outside g_n
+ZERO_2 = ["--type", "sl", "--d", "2", "--cochar", "1,-1", "--x", "0,0;0,0"]
+EDGE_CASES = (
+    ["parabolic", *ZERO_2, "--degree", "2"],
+    ["parabolic", *ZERO_2, "--degree", "0"],
+    ["grading", "--type", "sp", "--d", "4", "--cochar", "1,0,-1,0", "--degree", "2"],
+    ["stalks", "--case", "sp4", "--char", "1999"],
+    ["stalks", "--case", "sp4", "--char", "1"],
+    ["grading", "--type", "sp", "--d", "3", "--cochar", "1,0,-1", "--degree", "1"],
+    ["grading", "--type", "sl", "--d", "4", "--cochar", "1,0,-1", "--degree", "1"],
+    ["triple", "--type", "sl", "--d", "3", "--cochar", "1,0,-1", "--x", "0,1;0,0", "--degree", "1"],
+    ["triple", "--type", "sl", "--d", "2", "--cochar", "1,-1", "--x", "0,1;0", "--degree", "2"],
+    ["grading", "--type", "sl", "--d", "2", "--cochar", "1,0", "--degree", "1"],
+    ["grading", "--type", "sp", "--d", "4", "--cochar", "1,0,1,0", "--degree", "1"],
+    ["triple", *ZERO_2, "--degree", "2"],
+    ["triple", "--type", "sl", "--d", "2", "--cochar", "1,-1", "--x", "0,0;1,0", "--degree", "2"],
+)
+
 SL_X = "0,0,0,0;1,0,0,0;0,0,0,0;0,0,1,0"
 # one call of each subcommand: its options with their values, and switches
 SPELLED_CALLS = (
@@ -91,6 +115,7 @@ def ladder():
     for case in ("sl4", "sp4"):
         for primes in FIBER_BOUND_PRIMES:
             yield ["fibers", "--case", case, "--primes", primes]
+    yield from EDGE_CASES
 
 
 def spellings(command, pairs, switches):

@@ -709,7 +709,7 @@ def test_equations_only_on_reached_cells():
     assert (rows, rhs) == ([[1, 1], [0, 1], [0, 0]], [3, 0, 1])
     assert solve_linear(rows, rhs) is None
     rows, rhs = _equations(columns, {(0, 1): 3})
-    assert solve_linear(rows, rhs) == (3, 0)
+    assert solve_linear(rows, rhs) == ((3, 0), 1)
 
 
 def _reached(basis):

@@ -1,8 +1,9 @@
 """Start-up: ``python -m gradedorbits.cli <subcommand>`` and the
 ``gradedorbits`` console script load only the layers the subcommand runs,
 ``import gradedorbits`` loads none and ``import gradedorbits.cli`` loads
-every one, and none of them loads ``dataclasses`` or ``inspect``; the
-program path prints what ``cli.run`` prints in-process."""
+every one, and none of them loads ``dataclasses``, ``inspect``,
+``fractions`` or ``decimal``; the program path prints what ``cli.run``
+prints in-process."""
 
 import os
 import re
@@ -138,6 +139,14 @@ def test_no_start_loads_dataclasses_or_inspect(start):
     # the records are namedtuples, and inspect is what dataclasses costs
     assert [a[0] for a in SUBCOMMAND_ARGV] == list(cli.COMMANDS)
     assert not imported(python("-X", "importtime", *start)) & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("start", STARTS, ids=["import"] + [a[0] for a in SUBCOMMAND_ARGV])
+def test_no_start_loads_fractions_or_decimal(start):
+    # the package's rationals are integers over one denominator; only
+    # RatMatrix.from_rows, which no start calls with a non-integer, reads
+    # a Fraction
+    assert not imported(python("-X", "importtime", *start)) & {"fractions", "decimal"}
 
 
 @pytest.mark.parametrize("argv", PROGRAM_ARGV, ids=[" ".join(a[:1] + a[-1:]) for a in PROGRAM_ARGV])
